@@ -8,7 +8,10 @@
 //!   delivered in random order (so reordering is the default, not an
 //!   injected special case), with seeded drop and duplication knobs,
 //!   node kills and a two-sided partition. Messages cross the wire
-//!   through `encode`/`decode`, so the codec is exercised on every hop.
+//!   through `encode_into`/`decode`, so the codec is exercised on every
+//!   hop; the decode is the hop's one allocation (the encode reuses a
+//!   scratch buffer, fan-out and duplication share the value by
+//!   refcount).
 //! * [`ConsensusRig`] couples the cluster to a
 //!   [`HierarchicalController`]: each acceptor and leader role is a
 //!   [`FleetApp`] tenant homed on a fabric device (P4xos on a ToR when
@@ -27,12 +30,13 @@
 
 use std::collections::HashMap;
 
+use inc_net::Bytes;
 use inc_ondemand::{
     ArbiterConfig, DeviceFabric, DeviceId, FleetApp, FleetSample, HierarchicalController,
     HostSample, Placement, PlacementAnalysis, ShiftReason, TierCost, Topology,
 };
 use inc_paxos::multi::{Acceptor, Leader, Replica};
-use inc_paxos::{ClientCommand, Dest, PaxosMsg};
+use inc_paxos::{ClientCommand, Dest, Outbox, PaxosMsg};
 use inc_power::EnergyParams;
 use inc_sim::{Nanos, Rng};
 
@@ -53,7 +57,8 @@ pub enum NodeRef {
 /// One in-flight message: who sent it, where it is routed, and the
 /// payload. `reply_to` remembers whose message prompted this one, so
 /// [`Dest::Reply`] routes to the original requester (the sans-IO
-/// machines never see addresses).
+/// machines never see addresses). Cloning one (the duplication knob)
+/// shares the message's value rather than copying it.
 #[derive(Clone, Debug)]
 struct Envelope {
     from: NodeRef,
@@ -78,6 +83,9 @@ pub struct ChaosCluster {
     /// The acceptors (the fault-tolerant memory).
     pub acceptors: Vec<Acceptor>,
     queue: Vec<Envelope>,
+    /// Scratch buffer every submit and delivery encodes into (grows to
+    /// the largest message seen, then never reallocates).
+    wire: Vec<u8>,
     rng: Rng,
     /// Probability a delivery is dropped.
     pub drop_p: f64,
@@ -111,6 +119,7 @@ impl ChaosCluster {
                 .collect(),
             acceptors: (0..n_acceptors as u8).map(Acceptor::new).collect(),
             queue: Vec::new(),
+            wire: Vec::new(),
             rng: Rng::new(seed),
             drop_p: 0.0,
             dup_p: 0.0,
@@ -161,19 +170,21 @@ impl ChaosCluster {
     /// the replicas round-robin.
     pub fn submit(&mut self, client: u32, payload: Vec<u8>) {
         self.next_client_seq += 1;
-        let cmd = ClientCommand {
+        self.wire.clear();
+        ClientCommand {
             client,
             seq: self.next_client_seq,
             payload,
         }
-        .encode();
+        .encode_into(&mut self.wire);
         let r = self.submit_rr % self.replicas.len();
         self.submit_rr += 1;
         if self.dead.contains(&NodeRef::Replica(r as u8)) {
             return;
         }
         let n = NodeRef::Replica(r as u8);
-        let out = self.replicas[r].on_request(cmd);
+        // The command's one allocation: straight into its shared buffer.
+        let out = self.replicas[r].on_request(Bytes::copy_from_slice(&self.wire));
         self.enqueue(n, n, out);
     }
 
@@ -226,7 +237,7 @@ impl ChaosCluster {
     /// Enqueues a machine's outbox. `reply_to` is the sender of the
     /// message that produced it (for tick/submit outputs, the machine
     /// itself — those outboxes never carry [`Dest::Reply`]).
-    fn enqueue(&mut self, from: NodeRef, reply_to: NodeRef, out: Vec<(Dest, PaxosMsg)>) {
+    fn enqueue(&mut self, from: NodeRef, reply_to: NodeRef, out: Outbox) {
         for (dest, msg) in out {
             self.queue.push(Envelope {
                 from,
@@ -247,34 +258,43 @@ impl ChaosCluster {
     fn deliver(&mut self, env: Envelope) {
         // Every hop crosses the wire format, so garbage-tolerant decode
         // paths are exercised under the same schedules as the protocol.
-        let bytes = env.msg.encode();
-        let msg = PaxosMsg::decode(&bytes).expect("encoded messages decode");
-        let targets: Vec<NodeRef> = match env.dest {
-            Dest::AllAcceptors => (0..self.acceptors.len() as u8)
-                .map(NodeRef::Acceptor)
-                .collect(),
-            Dest::AllLearners => (0..self.replicas.len() as u8)
-                .map(NodeRef::Replica)
-                .chain((0..self.leaders.len() as u8).map(NodeRef::Leader))
-                .collect(),
-            Dest::Leader => (0..self.leaders.len() as u8).map(NodeRef::Leader).collect(),
-            Dest::Client(_) => {
-                self.client_replies += 1;
-                return;
+        self.wire.clear();
+        env.msg.encode_into(&mut self.wire);
+        let msg = PaxosMsg::decode(&self.wire).expect("encoded messages decode");
+        let from = env.from;
+        match env.dest {
+            Dest::AllAcceptors => {
+                self.fan_out(from, NodeRef::Acceptor, self.acceptors.len(), &msg);
             }
-            Dest::Reply => vec![env.reply_to],
-        };
-        for t in targets {
-            if !self.reachable(env.from, t) {
-                continue;
+            Dest::AllLearners => {
+                self.fan_out(from, NodeRef::Replica, self.replicas.len(), &msg);
+                self.fan_out(from, NodeRef::Leader, self.leaders.len(), &msg);
             }
-            let out = match t {
-                NodeRef::Replica(i) => self.replicas[i as usize].handle(&msg),
-                NodeRef::Leader(i) => self.leaders[i as usize].handle(&msg),
-                NodeRef::Acceptor(i) => self.acceptors[i as usize].handle(&msg),
-            };
-            self.enqueue(t, env.from, out);
+            Dest::Leader => self.fan_out(from, NodeRef::Leader, self.leaders.len(), &msg),
+            Dest::Client(_) => self.client_replies += 1,
+            Dest::Reply => self.deliver_to(from, env.reply_to, &msg),
         }
+    }
+
+    /// Hands `msg` to machines `0..count` of one role, in index order.
+    fn fan_out(&mut self, from: NodeRef, role: fn(u8) -> NodeRef, count: usize, msg: &PaxosMsg) {
+        for i in 0..count as u8 {
+            self.deliver_to(from, role(i), msg);
+        }
+    }
+
+    /// Hands `msg` to one machine, if the network lets it through, and
+    /// queues what the machine sends in response.
+    fn deliver_to(&mut self, from: NodeRef, to: NodeRef, msg: &PaxosMsg) {
+        if !self.reachable(from, to) {
+            return;
+        }
+        let out = match to {
+            NodeRef::Replica(i) => self.replicas[i as usize].handle(msg),
+            NodeRef::Leader(i) => self.leaders[i as usize].handle(msg),
+            NodeRef::Acceptor(i) => self.acceptors[i as usize].handle(msg),
+        };
+        self.enqueue(to, from, out);
     }
 
     /// Safety property 1: across every replica's learned decisions, no

@@ -26,6 +26,9 @@ pub mod switch;
 pub mod wire;
 
 pub use addr::{MacAddr, MacParseError};
+/// The refcounted buffer [`Packet::data`] is made of, re-exported so that
+/// crates speaking over this substrate share one buffer type.
+pub use bytes::Bytes;
 pub use classifier::{Class, Classifier, Match, CLASS_NORMAL};
 pub use packet::{build_reply, build_udp, build_udp_with_ident, Endpoint, Packet, UdpFrame};
 pub use switch::L2Switch;

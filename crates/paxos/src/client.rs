@@ -227,13 +227,13 @@ impl Node<Packet> for PaxosClient {
         if msg.mtype != MsgType::ClientReply {
             return;
         }
-        let Some(cmd) = ClientCommand::decode(&msg.value) else {
+        let Some((client, seq)) = ClientCommand::header(&msg.value) else {
             return;
         };
-        if cmd.client != self.id {
+        if client != self.id {
             return;
         }
-        let Some((first_sent, _)) = self.outstanding.remove(&cmd.seq) else {
+        let Some((first_sent, _)) = self.outstanding.remove(&seq) else {
             return; // Duplicate ack from a retried command.
         };
         let now = ctx.now();

@@ -32,6 +32,7 @@ pub mod client;
 pub mod msg;
 pub mod multi;
 pub mod node;
+pub mod outbox;
 pub mod roles;
 
 pub use client::{PaxosClient, PaxosClientStats};
@@ -40,4 +41,5 @@ pub use msg::{
     PAXOS_CLIENT_PORT, PAXOS_LEADER_PORT, PAXOS_LEARNER_PORT,
 };
 pub use node::{AddressBook, HostConfig, PaxosNode, PaxosNodeStats, Platform, RoleEngine};
+pub use outbox::Outbox;
 pub use roles::{Acceptor, AcceptorStorage, Dest, InstanceState, Leader, Learner};

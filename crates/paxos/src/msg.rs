@@ -14,6 +14,14 @@
 //! arbitrary bytes (it returns [`MsgError`], never panics); `encode`
 //! panics loudly if a value exceeds [`MAX_VALUE_LEN`] rather than
 //! silently truncating the 16-bit length field.
+//!
+//! A value is allocated **once per wire hop**: [`PaxosMsg::decode`]
+//! copies it out of the datagram into one refcounted [`Bytes`], and from
+//! there every role machine stores, forwards and re-proposes it by
+//! bumping that count. The sending side need not allocate at all —
+//! [`PaxosMsg::encode_into`] appends to a buffer the caller reuses.
+
+use inc_net::Bytes;
 
 /// Paxos message types.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -110,13 +118,17 @@ pub struct PaxosMsg {
     /// Highest instance this acceptor has voted in (§9.2 extension:
     /// included "whenever the acceptor responds").
     pub last_voted: u64,
-    /// The value (empty for no-op and phase 1a).
-    pub value: Vec<u8>,
+    /// The value (empty for no-op and phase 1a). Cloning the message
+    /// shares it.
+    pub value: Bytes,
 }
 
 impl PaxosMsg {
-    /// Shorthand constructor with empty bookkeeping fields.
-    pub fn new(mtype: MsgType, instance: u64, round: u16, value: Vec<u8>) -> Self {
+    /// Shorthand constructor with empty bookkeeping fields. A `Vec<u8>`
+    /// value is moved into its refcounted buffer here (the one copy a
+    /// locally built message pays); a [`Bytes`] is taken as is, and an
+    /// empty value of either kind does not allocate.
+    pub fn new(mtype: MsgType, instance: u64, round: u16, value: impl Into<Bytes>) -> Self {
         PaxosMsg {
             mtype,
             instance,
@@ -124,7 +136,7 @@ impl PaxosMsg {
             vround: 0,
             acceptor: 0,
             last_voted: 0,
-            value,
+            value: value.into(),
         }
     }
 
@@ -133,7 +145,8 @@ impl PaxosMsg {
         24 + self.value.len()
     }
 
-    /// Encodes to bytes.
+    /// Encodes to a fresh buffer. A sender on a hot path keeps one
+    /// buffer and calls [`PaxosMsg::encode_into`] instead.
     ///
     /// # Panics
     ///
@@ -141,12 +154,27 @@ impl PaxosMsg {
     /// is 16-bit, and truncating it silently would corrupt the value
     /// on decode.
     pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the encoded message to `out`, which keeps whatever it
+    /// already holds: `clear()` a scratch buffer between messages and,
+    /// once it has grown to the largest message seen, sending allocates
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the value exceeds [`MAX_VALUE_LEN`], like
+    /// [`PaxosMsg::encode`].
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         assert!(
             self.value.len() <= MAX_VALUE_LEN,
             "paxos value ({} bytes) exceeds the 16-bit wire length field",
             self.value.len()
         );
-        let mut out = Vec::with_capacity(self.encoded_len());
+        out.reserve(self.encoded_len());
         out.push(self.mtype.to_byte());
         out.extend_from_slice(&self.instance.to_be_bytes());
         out.extend_from_slice(&self.round.to_be_bytes());
@@ -155,10 +183,11 @@ impl PaxosMsg {
         out.extend_from_slice(&self.last_voted.to_be_bytes());
         out.extend_from_slice(&(self.value.len() as u16).to_be_bytes());
         out.extend_from_slice(&self.value);
-        out
     }
 
-    /// Decodes from bytes.
+    /// Decodes from bytes. The value is copied out of `buf` into one
+    /// refcounted allocation — the hop's only one — or none at all when
+    /// it is empty (phase 1a, refusals, no-ops).
     ///
     /// Panic-free by contract (`inc-lint` rule `panicking-decode`):
     /// malformed input maps to a [`MsgError`], never an out-of-bounds
@@ -188,7 +217,7 @@ impl PaxosMsg {
             vround,
             acceptor,
             last_voted,
-            value: value.to_vec(),
+            value: Bytes::copy_from_slice(value),
         })
     }
 }
@@ -208,18 +237,36 @@ pub struct ClientCommand {
 impl ClientCommand {
     /// Encodes into a Paxos value.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(12 + self.payload.len());
+        let mut out = Vec::with_capacity(Self::HEADER_LEN + self.payload.len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the encoded value to `out` (the scratch-buffer twin of
+    /// [`ClientCommand::encode`], like [`PaxosMsg::encode_into`]).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.client.to_be_bytes());
         out.extend_from_slice(&self.seq.to_be_bytes());
         out.extend_from_slice(&self.payload);
-        out
+    }
+
+    /// Bytes of the `client:u32 | seq:u64` header in front of the payload.
+    pub const HEADER_LEN: usize = 12;
+
+    /// Peeks `(client, seq)` out of a Paxos value's 12-byte header
+    /// without copying the payload — all a replica, learner or client
+    /// needs to deduplicate and route a reply. `None` for no-ops/foreign
+    /// values, exactly when [`ClientCommand::decode`] is `None`.
+    pub fn header(value: &[u8]) -> Option<(u32, u64)> {
+        let client = u32::from_be_bytes(value.get(0..4)?.try_into().ok()?);
+        let seq = u64::from_be_bytes(value.get(4..12)?.try_into().ok()?);
+        Some((client, seq))
     }
 
     /// Decodes from a Paxos value; `None` for no-ops/foreign values.
     pub fn decode(value: &[u8]) -> Option<ClientCommand> {
-        let client = u32::from_be_bytes(value.get(0..4)?.try_into().ok()?);
-        let seq = u64::from_be_bytes(value.get(4..12)?.try_into().ok()?);
-        let payload = value.get(12..)?.to_vec();
+        let (client, seq) = Self::header(value)?;
+        let payload = value.get(Self::HEADER_LEN..)?.to_vec();
         Some(ClientCommand {
             client,
             seq,
@@ -261,7 +308,7 @@ mod tests {
                 vround: 3,
                 acceptor: 2,
                 last_voted: 99,
-                value: b"some value".to_vec(),
+                value: Bytes::from_static(b"some value"),
             };
             let got = PaxosMsg::decode(&m.encode()).unwrap();
             assert_eq!(got, m);
@@ -295,6 +342,39 @@ mod tests {
         assert_eq!(ClientCommand::decode(&c.encode()), Some(c.clone()));
         assert_eq!(ClientCommand::decode(NOOP_VALUE), None);
         assert_eq!(ClientCommand::decode(&[0u8; 5]), None);
+    }
+
+    #[test]
+    fn header_peek_reads_client_and_seq() {
+        let c = ClientCommand {
+            client: 42,
+            seq: 1000,
+            payload: Vec::new(),
+        };
+        let value = c.encode();
+        assert_eq!(value.len(), ClientCommand::HEADER_LEN);
+        assert_eq!(ClientCommand::header(&value), Some((42, 1000)));
+        assert_eq!(ClientCommand::header(&value[..11]), None);
+        assert_eq!(ClientCommand::header(NOOP_VALUE), None);
+    }
+
+    #[test]
+    fn encode_into_appends_and_reuses_the_buffer() {
+        let a = PaxosMsg::new(MsgType::Phase2a, 1, 1, vec![1, 2, 3]);
+        let b = PaxosMsg::new(MsgType::Phase1a, 2, 2, Vec::new());
+        let mut buf = vec![0xEE];
+        a.encode_into(&mut buf);
+        b.encode_into(&mut buf);
+        assert_eq!(buf[0], 0xEE);
+        assert_eq!(buf[1..1 + a.encoded_len()], a.encode());
+        assert_eq!(buf[1 + a.encoded_len()..], b.encode());
+        // A cleared scratch buffer keeps its capacity: no reallocation.
+        let cap = buf.capacity();
+        let ptr = buf.as_ptr();
+        buf.clear();
+        a.encode_into(&mut buf);
+        assert_eq!(buf, a.encode());
+        assert_eq!((buf.capacity(), buf.as_ptr()), (cap, ptr));
     }
 
     #[test]

@@ -16,6 +16,7 @@ use inc_sim::{
 };
 
 use crate::msg::{PaxosMsg, PAXOS_CLIENT_PORT};
+use crate::outbox::Outbox;
 use crate::roles::{Acceptor, Dest, Leader, Learner};
 
 const TAG_POWER_TICK: u64 = 1;
@@ -63,12 +64,12 @@ pub enum RoleEngine {
 }
 
 impl RoleEngine {
-    fn handle(&mut self, msg: &PaxosMsg) -> Vec<(Dest, PaxosMsg)> {
+    fn handle(&mut self, msg: &PaxosMsg) -> Outbox {
         match self {
             RoleEngine::Leader(l) => l.handle(msg),
             RoleEngine::Acceptor(a) => a.handle(msg),
             RoleEngine::Learner(l) => l.handle(msg),
-            RoleEngine::Idle => Vec::new(),
+            RoleEngine::Idle => Outbox::Empty,
         }
     }
 }

@@ -4,7 +4,10 @@
 //! These are pure, host-agnostic, sans-IO engines: a machine consumes a
 //! [`PaxosMsg`] via its `handle` method and returns an [`Outbox`] of
 //! `(Dest, PaxosMsg)` pairs; it never owns a socket, a clock, or an
-//! address. The same code therefore runs inside the libpaxos-style
+//! address. Values are refcounted [`Bytes`]: what an acceptor stores,
+//! what its vote carries and what the learner delivers are handles on
+//! the allocation the decoder made, never copies of it. The same code
+//! therefore runs inside the libpaxos-style
 //! software nodes, the DPDK variant, and the P4xos FPGA/ASIC devices —
 //! only storage bounds, timing and power differ. That sharing is what
 //! makes the leader shift of §9.2 possible.
@@ -22,7 +25,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use inc_net::Bytes;
+
 use crate::msg::{ClientCommand, MsgType, PaxosMsg, NOOP_VALUE};
+use crate::outbox::Outbox;
 
 /// Where an emitted message should be sent.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,8 +48,23 @@ pub enum Dest {
     Reply,
 }
 
-/// Messages produced by a role step.
-pub type Outbox = Vec<(Dest, PaxosMsg)>;
+/// A set of acceptor ids — who promised, who voted — as a fixed 256-bit
+/// mask: one bit per possible `u8` id, so counting a quorum never
+/// allocates (a `BTreeSet<u8>` costs a node per slot per machine).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct AcceptorSet([u64; 4]);
+
+impl AcceptorSet {
+    /// Adds `id`; a repeated id (a duplicated vote) changes nothing.
+    pub(crate) fn insert(&mut self, id: u8) {
+        self.0[usize::from(id >> 6)] |= 1 << (id & 63);
+    }
+
+    /// Number of distinct ids inserted.
+    pub(crate) fn len(&self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+}
 
 /// Per-instance acceptor state.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -53,7 +74,7 @@ pub struct InstanceState {
     /// Round of the last vote (0 = none; rounds start at 1).
     pub vrnd: u16,
     /// Last voted value.
-    pub vval: Vec<u8>,
+    pub vval: Bytes,
 }
 
 /// Acceptor instance storage: unbounded (host / FPGA with DRAM) or a
@@ -152,7 +173,7 @@ impl Acceptor {
                     last_voted: self.last_voted,
                     value: state.vval.clone(),
                 };
-                vec![(Dest::Reply, reply)]
+                Outbox::One((Dest::Reply, reply))
             }
             MsgType::Phase2a => {
                 let state = self.storage.entry(msg.instance);
@@ -171,12 +192,12 @@ impl Acceptor {
                         last_voted: self.last_voted,
                         value: msg.value.clone(),
                     };
-                    vec![(Dest::AllLearners, vote)]
+                    Outbox::One((Dest::AllLearners, vote))
                 } else {
-                    Vec::new() // Stale round: ignore.
+                    Outbox::Empty // Stale round: ignore.
                 }
             }
-            _ => Vec::new(),
+            _ => Outbox::Empty,
         }
     }
 }
@@ -185,7 +206,7 @@ impl Acceptor {
 #[derive(Clone, Debug, Default)]
 struct GapRecovery {
     /// Promises received: acceptor → (vround, value).
-    promises: BTreeMap<u8, (u16, Vec<u8>)>,
+    promises: BTreeMap<u8, (u16, Bytes)>,
     proposed: bool,
 }
 
@@ -198,7 +219,7 @@ pub struct Leader {
     next_instance: u64,
     /// Synchronising with acceptors after activation (§9.2).
     recovering: bool,
-    sync_promises: BTreeSet<u8>,
+    sync_promises: AcceptorSet,
     /// Requests dropped while recovering (§9.2: "the new leader fails to
     /// propose until it learns the latest Paxos instance"; clients retry).
     pub dropped_while_recovering: u64,
@@ -217,7 +238,7 @@ impl Leader {
             quorum: n_acceptors / 2 + 1,
             next_instance: 1,
             recovering: false,
-            sync_promises: BTreeSet::new(),
+            sync_promises: AcceptorSet::default(),
             dropped_while_recovering: 0,
             gaps: BTreeMap::new(),
             proposals: 0,
@@ -230,8 +251,8 @@ impl Leader {
     pub fn elected(round: u16, n_acceptors: usize) -> (Self, Outbox) {
         let mut l = Leader::bootstrap(round, n_acceptors);
         l.recovering = true;
-        let probe = PaxosMsg::new(MsgType::Phase1a, 1, round, Vec::new());
-        (l, vec![(Dest::AllAcceptors, probe)])
+        let probe = PaxosMsg::new(MsgType::Phase1a, 1, round, Bytes::new());
+        (l, Outbox::One((Dest::AllAcceptors, probe)))
     }
 
     /// Returns `true` while the leader has not yet synced its instance
@@ -251,7 +272,7 @@ impl Leader {
         }
     }
 
-    fn propose(&mut self, value: Vec<u8>) -> (Dest, PaxosMsg) {
+    fn propose(&mut self, value: Bytes) -> (Dest, PaxosMsg) {
         let instance = self.next_instance;
         self.next_instance += 1;
         self.proposals += 1;
@@ -269,14 +290,14 @@ impl Leader {
                     // The paper's leader cannot propose yet; the request
                     // is lost and the client's timeout covers it.
                     self.dropped_while_recovering += 1;
-                    Vec::new()
+                    Outbox::Empty
                 } else {
-                    vec![self.propose(msg.value.clone())]
+                    Outbox::One(self.propose(msg.value.clone()))
                 }
             }
             MsgType::Phase1b => {
                 self.observe_last_voted(msg.last_voted);
-                let mut out = Vec::new();
+                let mut out = Outbox::Empty;
                 if let Some(gap) = self.gaps.get_mut(&msg.instance) {
                     // Per-instance gap recovery (only promises in our round).
                     if msg.round == self.round && !gap.proposed {
@@ -291,7 +312,7 @@ impl Leader {
                                 .filter(|(vr, _)| *vr > 0)
                                 .max_by_key(|(vr, _)| *vr)
                                 .map(|(_, v)| v.clone())
-                                .unwrap_or_else(|| NOOP_VALUE.to_vec());
+                                .unwrap_or_else(|| Bytes::from_static(NOOP_VALUE));
                             self.proposals += 1;
                             out.push((
                                 Dest::AllAcceptors,
@@ -311,25 +332,25 @@ impl Leader {
             MsgType::Phase2b => {
                 // 2b traffic tells the leader how far the log has gone.
                 self.observe_last_voted(msg.last_voted);
-                Vec::new()
+                Outbox::Empty
             }
             MsgType::GapRequest => {
                 // Learner reports a stuck instance: run phase 1 for it.
                 let instance = msg.instance;
                 if instance >= self.next_instance {
                     // Not actually used yet; nothing to fill.
-                    return Vec::new();
+                    return Outbox::Empty;
                 }
                 let entry = self.gaps.entry(instance).or_default();
                 if entry.proposed {
-                    return Vec::new();
+                    return Outbox::Empty;
                 }
-                vec![(
+                Outbox::One((
                     Dest::AllAcceptors,
-                    PaxosMsg::new(MsgType::Phase1a, instance, self.round, Vec::new()),
-                )]
+                    PaxosMsg::new(MsgType::Phase1a, instance, self.round, Bytes::new()),
+                ))
             }
-            _ => Vec::new(),
+            _ => Outbox::Empty,
         }
     }
 }
@@ -340,15 +361,15 @@ impl Leader {
 pub struct Learner {
     quorum: usize,
     /// Vote accumulation per instance: round → voters.
-    votes: BTreeMap<u64, (u16, BTreeSet<u8>, Vec<u8>)>,
+    votes: BTreeMap<u64, (u16, AcceptorSet, Bytes)>,
     /// Decided but not yet delivered (out of order).
-    decided: BTreeMap<u64, Vec<u8>>,
+    decided: BTreeMap<u64, Bytes>,
     /// Next instance to deliver.
     next_deliver: u64,
     /// Commands already executed (at-most-once bookkeeping).
     executed: BTreeSet<(u32, u64)>,
     /// Delivered values in order (bounded tail kept for verification).
-    pub delivered: Vec<(u64, Vec<u8>)>,
+    pub delivered: Vec<(u64, Bytes)>,
     /// Number of delivered instances (including no-ops).
     pub delivered_count: u64,
     /// Duplicate command deliveries observed (client retries that were
@@ -390,22 +411,22 @@ impl Learner {
     /// Handles one message; delivers in order and emits client replies.
     pub fn handle(&mut self, msg: &PaxosMsg) -> Outbox {
         if msg.mtype != MsgType::Phase2b {
-            return Vec::new();
+            return Outbox::Empty;
         }
         let entry = self
             .votes
             .entry(msg.instance)
-            .or_insert_with(|| (msg.round, BTreeSet::new(), msg.value.clone()));
+            .or_insert_with(|| (msg.round, AcceptorSet::default(), msg.value.clone()));
         if msg.round > entry.0 {
             // Newer round supersedes accumulated votes.
-            *entry = (msg.round, BTreeSet::new(), msg.value.clone());
+            *entry = (msg.round, AcceptorSet::default(), msg.value.clone());
         }
         if msg.round < entry.0 {
-            return Vec::new();
+            return Outbox::Empty;
         }
         entry.1.insert(msg.acceptor);
         if entry.1.len() < self.quorum {
-            return Vec::new();
+            return Outbox::Empty;
         }
         let value = entry.2.clone();
         if msg.instance >= self.next_deliver {
@@ -415,7 +436,7 @@ impl Learner {
     }
 
     fn drain(&mut self) -> Outbox {
-        let mut out = Vec::new();
+        let mut out = Outbox::Empty;
         while let Some(value) = self.decided.remove(&self.next_deliver) {
             let instance = self.next_deliver;
             self.next_deliver += 1;
@@ -423,8 +444,8 @@ impl Learner {
             if self.delivered.len() < self.log_cap {
                 self.delivered.push((instance, value.clone()));
             }
-            if let Some(cmd) = ClientCommand::decode(&value) {
-                if !self.executed.insert((cmd.client, cmd.seq)) {
+            if let Some((client, seq)) = ClientCommand::header(&value) {
+                if !self.executed.insert((client, seq)) {
                     self.duplicates += 1;
                 }
                 // Ack the client either way: their retry needs an answer.
@@ -437,7 +458,7 @@ impl Learner {
                     last_voted: 0,
                     value,
                 };
-                out.push((Dest::Client(cmd.client), reply));
+                out.push((Dest::Client(client), reply));
             }
         }
         out
@@ -450,7 +471,7 @@ impl Learner {
         if self.has_gap() {
             Some((
                 Dest::Leader,
-                PaxosMsg::new(MsgType::GapRequest, self.next_deliver, 0, Vec::new()),
+                PaxosMsg::new(MsgType::GapRequest, self.next_deliver, 0, Bytes::new()),
             ))
         } else {
             None
@@ -481,7 +502,7 @@ mod tests {
         value: Vec<u8>,
     ) -> Outbox {
         let req = PaxosMsg::new(MsgType::ClientRequest, 0, 0, value);
-        let mut replies = Vec::new();
+        let mut replies = Outbox::Empty;
         for (dest, m2a) in leader.handle(&req) {
             assert_eq!(dest, Dest::AllAcceptors);
             for acc in acceptors.iter_mut() {
@@ -532,7 +553,7 @@ mod tests {
         let (_, promise) = &out[0];
         assert_eq!(promise.mtype, MsgType::Phase1b);
         assert_eq!(promise.vround, 1);
-        assert_eq!(promise.value, b"v");
+        assert_eq!(promise.value, b"v"[..]);
         assert_eq!(promise.last_voted, 4);
         assert_eq!(promise.acceptor, 2);
     }
@@ -546,7 +567,7 @@ mod tests {
         // Round 1 < old slot round 3, but the slot was recycled for the
         // new instance, so the vote goes through.
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].1.value, b"b");
+        assert_eq!(out[0].1.value, b"b"[..]);
     }
 
     #[test]
@@ -656,7 +677,7 @@ mod tests {
         }
         let m2a = m2a.expect("quorum of promises must trigger a proposal");
         assert_eq!(m2a.mtype, MsgType::Phase2a);
-        assert_eq!(m2a.value, b"v");
+        assert_eq!(m2a.value, b"v"[..]);
         assert_eq!(m2a.round, 2);
     }
 

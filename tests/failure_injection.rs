@@ -267,7 +267,7 @@ fn chaos_runs_with_the_same_seed_are_bit_identical() {
     use inc::hw::DeviceId;
     use inc_bench::consensus::{ConsensusRig, NodeRef};
 
-    type ExecutedLog = Vec<(u64, Vec<u8>)>;
+    type ExecutedLog = Vec<(u64, inc::net::Bytes)>;
     fn run(seed: u64) -> (String, Vec<ExecutedLog>) {
         let mut rig = ConsensusRig::new(seed);
         for _ in 0..6 {
@@ -302,4 +302,106 @@ fn chaos_runs_with_the_same_seed_are_bit_identical() {
         first.1.iter().any(|log| !log.is_empty()),
         "no commands executed"
     );
+}
+
+/// What one golden chaos schedule leaves behind: an FNV-1a digest of every
+/// replica's executed log plus the network and execution counters.
+#[derive(Debug, PartialEq, Eq)]
+struct ChaosGolden {
+    log_digest: u64,
+    dropped: u64,
+    duplicated: u64,
+    client_replies: u64,
+    max_executed: u64,
+}
+
+/// 300 rounds of two 32-byte commands and one drained tick on a
+/// 2-replica/2-leader/3-acceptor cluster at 5 % drop / 2 % duplication,
+/// the active leader killed at round 120 and never revived, acceptors
+/// compacted every tick, then a drain until every command executed.
+fn chaos_golden_run(seed: u64) -> ChaosGolden {
+    use inc_bench::consensus::{ChaosCluster, NodeRef};
+
+    fn fnv(h: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    fn settle(c: &mut ChaosCluster) {
+        c.tick(1_000_000);
+        let floor = c.replicas.iter().map(|r| r.slot_out()).min().unwrap_or(1);
+        for a in &mut c.acceptors {
+            a.compact(floor);
+        }
+    }
+
+    let mut c = ChaosCluster::new(seed, 2, 2, 3);
+    c.drop_p = 0.05;
+    c.dup_p = 0.02;
+    let mut submitted = 0u64;
+    for round in 0..300u64 {
+        if round == 120 {
+            let active = c.leaders.iter().position(|l| l.is_active()).unwrap_or(0);
+            c.kill(NodeRef::Leader(active as u8));
+        }
+        for k in 0..2u64 {
+            let word = (seed ^ (round * 2 + k)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            c.submit(1, word.to_le_bytes().repeat(4));
+            submitted += 1;
+        }
+        settle(&mut c);
+    }
+    for _ in 0..400 {
+        if c.replicas.iter().all(|r| r.executed_count == submitted) {
+            break;
+        }
+        settle(&mut c);
+    }
+    assert!(c.single_value_per_slot(), "two values chosen for one slot");
+    assert!(c.logs_prefix_agree(), "replica logs diverged");
+
+    let mut log_digest = 0xcbf2_9ce4_8422_2325u64;
+    for r in &c.replicas {
+        fnv(&mut log_digest, &(r.log.len() as u64).to_le_bytes());
+        for (slot, value) in &r.log {
+            let value: &[u8] = value.as_ref();
+            fnv(&mut log_digest, &slot.to_le_bytes());
+            fnv(&mut log_digest, &(value.len() as u64).to_le_bytes());
+            fnv(&mut log_digest, value);
+        }
+    }
+    ChaosGolden {
+        log_digest,
+        dropped: c.dropped,
+        duplicated: c.duplicated,
+        client_replies: c.client_replies,
+        max_executed: c.max_executed(),
+    }
+}
+
+#[test]
+fn chaos_schedule_matches_the_recorded_golden_runs() {
+    // Recorded from the commit before the zero-copy value plane (values
+    // as `Vec<u8>`, `Vec` outboxes, `BTreeSet<u8>` voter sets). Outbox
+    // order, RNG draw order and `swap_remove` order all feed these, so a
+    // refactor that reorders a single message changes them.
+    let golden = |log_digest, dropped, duplicated, client_replies| ChaosGolden {
+        log_digest,
+        dropped,
+        duplicated,
+        client_replies,
+        max_executed: 600,
+    };
+    let recorded = [
+        (1, golden(18_408_659_177_942_970_637, 295, 94, 1_161)),
+        (7, golden(14_837_711_333_304_760_149, 311, 118, 1_173)),
+        (42, golden(9_687_760_603_088_229_253, 299, 125, 1_162)),
+    ];
+    for (seed, want) in recorded {
+        assert_eq!(
+            chaos_golden_run(seed),
+            want,
+            "seed {seed} replayed differently"
+        );
+    }
 }

@@ -155,8 +155,15 @@ proptest! {
             MsgType::Phase2a, MsgType::Phase2b, MsgType::ClientReply,
             MsgType::GapRequest,
         ][mtype_idx as usize];
-        let m = PaxosMsg { mtype, instance, round, vround, acceptor, last_voted, value };
-        prop_assert_eq!(PaxosMsg::decode(&m.encode()).unwrap(), m);
+        let m = PaxosMsg {
+            mtype, instance, round, vround, acceptor, last_voted,
+            value: value.into(),
+        };
+        prop_assert_eq!(PaxosMsg::decode(&m.encode()).unwrap(), m.clone());
+        // Appending to a scratch buffer writes the same bytes.
+        let mut scratch = vec![0xEE; 3];
+        m.encode_into(&mut scratch);
+        prop_assert_eq!(&scratch[3..], &m.encode()[..]);
     }
 
     #[test]
@@ -384,7 +391,7 @@ proptest! {
         }
 
         // Agreement between independent learners on every shared instance.
-        let a: std::collections::HashMap<u64, Vec<u8>> =
+        let a: std::collections::HashMap<u64, inc::net::Bytes> =
             learner_a.delivered.iter().cloned().collect();
         for (inst, value) in &learner_b.delivered {
             if let Some(va) = a.get(inst) {
@@ -1632,13 +1639,17 @@ proptest! {
     // --- Multi-Paxos: codec robustness and protocol safety. ---
 
     /// The phase-1b pvalue batch codec round-trips any accepted map
-    /// whose values respect the 16-bit length field.
+    /// whose values respect the 16-bit length field — from plain vectors
+    /// (the benchmark's pinned call) and from the refcounted values the
+    /// acceptor stores alike — and decodes without copying: every value
+    /// is a slice of the batch.
     #[test]
     fn pvalue_batches_round_trip(
         entries in proptest::collection::vec(
             (1u64..10_000, 1u16..1000, proptest::collection::vec(any::<u8>(), 0..64)),
             0..20),
     ) {
+        use inc::net::Bytes;
         use inc::paxos::multi::{decode_pvalues, encode_pvalues, Ballot};
         let accepted: std::collections::BTreeMap<u64, (Ballot, Vec<u8>)> = entries
             .into_iter()
@@ -1646,20 +1657,65 @@ proptest! {
                 (slot, (Ballot::new(num.min(Ballot::MAX_NUM), (num % 16) as u8), value))
             })
             .collect();
-        let decoded = decode_pvalues(&encode_pvalues(&accepted));
+        let shared: std::collections::BTreeMap<u64, (Ballot, Bytes)> = accepted
+            .iter()
+            .map(|(&slot, (b, v))| (slot, (*b, Bytes::copy_from_slice(v))))
+            .collect();
+        let batch = Bytes::from(encode_pvalues(&accepted));
+        prop_assert_eq!(&encode_pvalues(&shared)[..], &batch[..]);
+        let decoded = decode_pvalues(&batch);
         prop_assert_eq!(decoded.len(), accepted.len());
+        let span = batch.as_ptr_range();
         for (slot, ballot, value) in decoded {
             let (b, v) = &accepted[&slot];
             prop_assert_eq!(ballot, *b);
             prop_assert_eq!(&value, v);
+            let at = value.as_ptr_range();
+            prop_assert!(span.start <= at.start && at.end <= span.end, "value was copied");
         }
     }
 
     /// The pvalue decoder is lenient, never panicking on arbitrary
-    /// bytes: a truncated or garbage tail simply ends the batch.
+    /// bytes and never handing out bytes beyond the batch: a truncated or
+    /// garbage tail (including a length field that claims more than is
+    /// there) simply ends the batch.
     #[test]
     fn pvalue_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = inc::paxos::multi::decode_pvalues(&bytes);
+        let batch = inc::net::Bytes::from(bytes);
+        let mut consumed = 0;
+        for (_, _, value) in inc::paxos::multi::decode_pvalues(&batch) {
+            consumed += 12 + value.len();
+            prop_assert!(consumed <= batch.len(), "read past the batch");
+        }
+    }
+
+    /// Every truncation of a valid batch decodes to a prefix of its
+    /// pvalues: whole entries before the cut, nothing of the one it hits.
+    #[test]
+    fn truncated_pvalue_batches_decode_to_a_prefix(
+        values in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..40), 1..8),
+        cut_seed in any::<usize>(),
+    ) {
+        use inc::net::Bytes;
+        use inc::paxos::multi::{decode_pvalues, encode_pvalues, Ballot};
+        let accepted: std::collections::BTreeMap<u64, (Ballot, Vec<u8>)> = values
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| (i as u64 + 1, (Ballot::new(1, 0), v)))
+            .collect();
+        let full = encode_pvalues(&accepted);
+        let whole = decode_pvalues(&Bytes::copy_from_slice(&full));
+        let cut = cut_seed % (full.len() + 1);
+        let got = decode_pvalues(&Bytes::copy_from_slice(&full[..cut]));
+        let fits = whole
+            .iter()
+            .scan(0, |end, (_, _, v)| {
+                *end += 12 + v.len();
+                Some(*end)
+            })
+            .take_while(|&end| end <= cut)
+            .count();
+        prop_assert_eq!(&got[..], &whole[..fits]);
     }
 
     /// Ballot wire packing is order-preserving and round-trips: the
