@@ -1,9 +1,9 @@
 //! DNS load generation with answer verification.
 
-use inc_net::{build_udp, Endpoint, Packet, UdpFrame};
-use inc_sim::{impl_node_any, Ctx, Histogram, Nanos, Node, PortId, Timer};
+use inc_net::{build_udp_with, Endpoint, Packet, UdpFrame};
+use inc_sim::{impl_node_any, Ctx, FixedHashMap, Histogram, Nanos, Node, PortId, Timer};
 
-use crate::wire::{DnsResponse, Name, Query, Rcode, TYPE_A};
+use crate::wire::{DnsResponseView, Name, Query, Rcode, TYPE_A};
 use crate::zone::Zone;
 
 const TAG_SEND: u64 = 1;
@@ -38,7 +38,7 @@ pub struct DnsClient {
     pub window_latency: Histogram,
     window_received_base: u64,
     next_id: u16,
-    outstanding: std::collections::HashMap<u16, (Nanos, u64, bool)>,
+    outstanding: FixedHashMap<u16, (Nanos, u64, bool)>,
     stopped: bool,
 }
 
@@ -58,7 +58,7 @@ impl DnsClient {
             window_latency: Histogram::new(),
             window_received_base: 0,
             next_id: 0,
-            outstanding: std::collections::HashMap::new(),
+            outstanding: FixedHashMap::default(),
             stopped: false,
         }
     }
@@ -95,20 +95,22 @@ impl DnsClient {
         let miss = ctx.rng().chance(self.miss_ratio);
         let idx = ctx.rng().range_u64(0, self.names);
         let name = if miss {
-            format!("absent-{idx}.example.com")
+            Name::from_fmt(format_args!("absent-{idx}.example.com"))
         } else {
-            format!("host-{idx}.example.com")
+            Name::from_fmt(format_args!("host-{idx}.example.com"))
         };
         self.next_id = self.next_id.wrapping_add(1);
         let id = self.next_id;
         let q = Query {
             id,
-            name: Name::parse(&name).expect("generated names are valid"),
+            name: name.expect("generated names are valid"),
             qtype: TYPE_A,
             recursion_desired: false,
         };
         let now = ctx.now();
-        let mut pkt = build_udp(self.src, self.dst, &q.encode());
+        let mut pkt = build_udp_with(self.src, self.dst, 0, q.encoded_len(), |buf| {
+            q.encode_into(buf)
+        });
         pkt.sent_at = now;
         pkt.id = id as u64;
         self.outstanding.insert(id, (now, idx, miss));
@@ -149,7 +151,7 @@ impl Node<Packet> for DnsClient {
         let Ok(frame) = UdpFrame::parse(&msg) else {
             return;
         };
-        let Ok(response) = DnsResponse::decode(frame.payload) else {
+        let Ok(response) = DnsResponseView::decode(frame.payload) else {
             return;
         };
         let Some((sent_at, idx, was_miss)) = self.outstanding.remove(&response.id) else {
@@ -165,9 +167,9 @@ impl Node<Packet> for DnsClient {
                 if self.verify {
                     let ok = !was_miss
                         && response
-                            .answers
-                            .first()
-                            .is_some_and(|&(a, _)| a == Zone::synthetic_addr(idx));
+                            .answers()
+                            .next()
+                            .is_some_and(|(a, _)| a == Zone::synthetic_addr(idx));
                     if !ok {
                         self.stats.wrong += 1;
                     }

@@ -10,14 +10,14 @@
 use inc_hw::{
     NetRateController, Placement, SumeCard, HOST_DMA_PORT, PCIE_DMA_ONE_WAY, SHELL_PIPELINE_LATENCY,
 };
-use inc_net::{build_reply, Packet, UdpFrame};
+use inc_net::{build_reply_with, Packet, UdpFrame};
 use inc_power::calib;
 use inc_sim::{
     impl_node_any, Admission, Ctx, Histogram, Nanos, Node, PortId, ServiceStation, Timer,
     WindowRate,
 };
 
-use crate::engine::{resolve, Resolution};
+use crate::engine::{answer, Resolution};
 use crate::wire::DNS_PORT;
 use crate::zone::Zone;
 
@@ -47,6 +47,28 @@ pub struct EmuDeviceStats {
     pub dropped: u64,
     /// Placement shifts.
     pub shifts: u64,
+}
+
+/// What the card does with a packet from the network.
+enum Verdict {
+    /// Answer the query from the on-chip table.
+    Reply {
+        /// Device-internal latency before the reply leaves.
+        after: Nanos,
+        /// The reply frame.
+        reply: Packet,
+    },
+    /// DNS the card does not serve itself (placement, depth, garbage):
+    /// across PCIe to the host resolver.
+    ToHost,
+    /// Not DNS: forwarded like a plain NIC would.
+    Passthrough,
+    /// The logic core is saturated: the query is lost.
+    Drop,
+}
+
+fn is_dns(frame: &UdpFrame<'_>) -> bool {
+    frame.udp.dst_port == DNS_PORT || frame.udp.src_port == DNS_PORT
 }
 
 /// The Emu DNS card as a simulation node.
@@ -148,54 +170,35 @@ impl EmuDevice {
         }
     }
 
-    fn is_dns(&self, pkt: &Packet) -> bool {
-        match UdpFrame::parse(pkt) {
-            Ok(f) => f.udp.dst_port == DNS_PORT || f.udp.src_port == DNS_PORT,
-            Err(_) => false,
-        }
-    }
-
-    fn serve_hw(&mut self, ctx: &mut Ctx<'_, Packet>, pkt: Packet) {
-        let now = ctx.now();
-        let Ok(frame) = UdpFrame::parse(&pkt) else {
-            self.stats.passthrough += 1;
-            ctx.send_after(SHELL_PIPELINE_LATENCY, HOST_DMA_PORT, pkt);
-            return;
-        };
-        match resolve(&self.zone, frame.payload, Some(EMU_MAX_NAME_LEN)) {
+    /// Answers a DNS query in hardware, or says why it goes to the host.
+    fn serve_hw(&mut self, now: Nanos, frame: &UdpFrame<'_>, pkt: &Packet) -> Verdict {
+        match answer(&self.zone, frame.payload, Some(EMU_MAX_NAME_LEN)) {
             Ok(Resolution::Answered(response)) => {
                 let finish = match self.core.submit(now, EMU_SERVICE) {
                     Admission::Served { finish, .. } => finish,
                     Admission::Dropped => {
                         self.stats.dropped += 1;
-                        return;
+                        return Verdict::Drop;
                     }
                 };
                 let total = SHELL_PIPELINE_LATENCY + (finish - now);
-                let mut reply = build_reply(&frame, &response.encode());
+                let mut reply = build_reply_with(frame, response.encoded_len(), |buf| {
+                    response.encode_into(buf)
+                });
                 reply.id = pkt.id;
                 reply.sent_at = pkt.sent_at;
                 self.stats.served_hw += 1;
                 self.hw_latency.record_nanos(total);
-                ctx.send_after(total, PortId::P0, reply);
+                Verdict::Reply {
+                    after: total,
+                    reply,
+                }
             }
-            Ok(Resolution::TooDeep) => {
-                // Names beyond the parser budget go to the host resolver.
+            // Names beyond the parser budget go to the host resolver;
+            // so does anything unparseable, like any unknown packet.
+            Ok(Resolution::TooDeep) | Err(_) => {
                 self.stats.to_host += 1;
-                ctx.send_after(
-                    SHELL_PIPELINE_LATENCY + PCIE_DMA_ONE_WAY,
-                    HOST_DMA_PORT,
-                    pkt,
-                );
-            }
-            Err(_) => {
-                // Unparseable: hand to software like any unknown packet.
-                self.stats.to_host += 1;
-                ctx.send_after(
-                    SHELL_PIPELINE_LATENCY + PCIE_DMA_ONE_WAY,
-                    HOST_DMA_PORT,
-                    pkt,
-                );
+                Verdict::ToHost
             }
         }
     }
@@ -209,23 +212,39 @@ impl Node<Packet> for EmuDevice {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Packet>, port: PortId, msg: Packet) {
         let now = ctx.now();
         match port {
-            PortId::P0 if self.is_dns(&msg) => {
-                self.rate_window.record(now, 1);
-                if let Some(ctl) = &mut self.controller {
-                    if let Some(p) = ctl.on_app_packet(now) {
-                        self.apply_placement(now, p);
+            PortId::P0 => {
+                // One parse per packet: the verdict is reached while the
+                // parsed view borrows `msg`, and carried out after.
+                let verdict = match UdpFrame::parse(&msg) {
+                    Ok(frame) if is_dns(&frame) => {
+                        self.rate_window.record(now, 1);
+                        if let Some(ctl) = &mut self.controller {
+                            if let Some(p) = ctl.on_app_packet(now) {
+                                self.apply_placement(now, p);
+                            }
+                        }
+                        match self.placement {
+                            Placement::Device(_) => self.serve_hw(now, &frame, &msg),
+                            Placement::Software => {
+                                self.stats.to_host += 1;
+                                Verdict::ToHost
+                            }
+                        }
                     }
-                }
-                match self.placement {
-                    Placement::Device(_) => self.serve_hw(ctx, msg),
-                    Placement::Software => {
-                        self.stats.to_host += 1;
-                        ctx.send_after(
-                            SHELL_PIPELINE_LATENCY + PCIE_DMA_ONE_WAY,
-                            HOST_DMA_PORT,
-                            msg,
-                        );
+                    _ => Verdict::Passthrough,
+                };
+                match verdict {
+                    Verdict::Reply { after, reply } => ctx.send_after(after, PortId::P0, reply),
+                    Verdict::ToHost => ctx.send_after(
+                        SHELL_PIPELINE_LATENCY + PCIE_DMA_ONE_WAY,
+                        HOST_DMA_PORT,
+                        msg,
+                    ),
+                    Verdict::Passthrough => {
+                        self.stats.passthrough += 1;
+                        ctx.send_after(SHELL_PIPELINE_LATENCY, HOST_DMA_PORT, msg);
                     }
+                    Verdict::Drop => {}
                 }
             }
             HOST_DMA_PORT => {

@@ -4,60 +4,63 @@
 //! power differ. Centralising the logic here is what makes the on-demand
 //! shift behaviour-preserving.
 
-use crate::wire::{DnsError, DnsResponse, Query, Rcode, TYPE_A};
+use crate::wire::{Answer, DnsError, DnsResponse, Query, Rcode, TYPE_A};
 use crate::zone::Zone;
 
-/// How the engine handled a query.
+/// How the engine handled a query. `R` is the form of the response: the
+/// inline [`Answer`] the servers encode straight into their reply frame
+/// ([`answer`]), or an owned [`DnsResponse`] ([`resolve`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Resolution {
+pub enum Resolution<R = DnsResponse> {
     /// A response was produced (hit, NXDOMAIN, or NOTIMP).
-    Answered(DnsResponse),
+    Answered(R),
     /// The query exceeds this deployment's parse-depth capability and must
     /// be punted to a more capable resolver (§9.2's "worst case scenario").
     TooDeep,
 }
 
-/// Resolves a raw query against a zone.
+/// Resolves a raw query against a zone, without allocating.
 ///
 /// `max_name_len` models a hardware parser's depth limit: names whose
 /// encoding exceeds it cannot be parsed by the dataplane and return
 /// [`Resolution::TooDeep`]. Software passes `None`.
+pub fn answer(
+    zone: &Zone,
+    query_bytes: &[u8],
+    max_name_len: Option<usize>,
+) -> Result<Resolution<Answer>, DnsError> {
+    let query = Query::decode(query_bytes)?;
+    if max_name_len.is_some_and(|limit| query.name.encoded_len() > limit) {
+        return Ok(Resolution::TooDeep);
+    }
+    let (rcode, record) = if query.qtype != TYPE_A {
+        // Emu DNS serves A lookups only (§3.3).
+        (Rcode::NotImp, None)
+    } else {
+        match zone.lookup(&query.name) {
+            Some(record) => (Rcode::NoError, Some(record)),
+            // "Emu DNS informs the client that it cannot resolve the name."
+            None => (Rcode::NxDomain, None),
+        }
+    };
+    Ok(Resolution::Answered(Answer {
+        id: query.id,
+        rcode,
+        name: query.name,
+        record,
+    }))
+}
+
+/// [`answer`] with the response as an owned [`DnsResponse`].
 pub fn resolve(
     zone: &Zone,
     query_bytes: &[u8],
     max_name_len: Option<usize>,
 ) -> Result<Resolution, DnsError> {
-    let query = Query::decode(query_bytes)?;
-    if let Some(limit) = max_name_len {
-        if query.name.encoded_len() > limit {
-            return Ok(Resolution::TooDeep);
-        }
-    }
-    if query.qtype != TYPE_A {
-        // Emu DNS serves A lookups only (§3.3).
-        return Ok(Resolution::Answered(DnsResponse {
-            id: query.id,
-            rcode: Rcode::NotImp,
-            name: query.name,
-            answers: vec![],
-        }));
-    }
-    let response = match zone.lookup(&query.name) {
-        Some((addr, ttl)) => DnsResponse {
-            id: query.id,
-            rcode: Rcode::NoError,
-            name: query.name,
-            answers: vec![(addr, ttl)],
-        },
-        // "Emu DNS informs the client that it cannot resolve the name."
-        None => DnsResponse {
-            id: query.id,
-            rcode: Rcode::NxDomain,
-            name: query.name,
-            answers: vec![],
-        },
-    };
-    Ok(Resolution::Answered(response))
+    Ok(match answer(zone, query_bytes, max_name_len)? {
+        Resolution::Answered(a) => Resolution::Answered(a.into()),
+        Resolution::TooDeep => Resolution::TooDeep,
+    })
 }
 
 #[cfg(test)]

@@ -22,7 +22,10 @@ pub mod zone;
 
 pub use client::{DnsClient, DnsClientStats};
 pub use emu::{EmuDevice, EmuDeviceStats, EMU_MAX_RECORDS};
-pub use engine::{resolve, Resolution};
+pub use engine::{answer, resolve, Resolution};
 pub use server::{DnsServer, DnsServerConfig};
-pub use wire::{DnsError, DnsResponse, Name, Query, Rcode, CLASS_IN, DNS_PORT, TYPE_A, TYPE_AAAA};
+pub use wire::{
+    Answer, Answers, DnsError, DnsResponse, DnsResponseView, Labels, Name, Query, Rcode, CLASS_IN,
+    DNS_PORT, TYPE_A, TYPE_AAAA,
+};
 pub use zone::Zone;

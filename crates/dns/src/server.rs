@@ -1,12 +1,13 @@
 //! The software authoritative server (NSD in the paper's testbed, §4.4).
 
-use inc_net::{build_reply, Packet, UdpFrame};
+use inc_net::{build_reply_with, Packet, UdpFrame};
 use inc_power::CpuModel;
 use inc_sim::{
-    impl_node_any, Admission, Ctx, Histogram, Nanos, Node, PortId, ServiceStation, Timer,
+    impl_node_any, Admission, Ctx, FixedHashMap, Histogram, Nanos, Node, PortId, ServiceStation,
+    Timer,
 };
 
-use crate::engine::{resolve, Resolution};
+use crate::engine::{answer, Resolution};
 use crate::zone::Zone;
 
 const TAG_POWER_TICK: u64 = 1;
@@ -52,7 +53,7 @@ pub struct DnsServer {
     config: DnsServerConfig,
     zone: Zone,
     cpu: ServiceStation,
-    pending: std::collections::HashMap<u64, (Packet, PortId)>,
+    pending: FixedHashMap<u64, (Packet, PortId)>,
     next_tag: u64,
     current_util: f64,
     last_busy_ns: u128,
@@ -70,7 +71,7 @@ impl DnsServer {
             config,
             zone,
             cpu: ServiceStation::new(cores, Some(Nanos::from_micros(500))),
-            pending: std::collections::HashMap::new(),
+            pending: FixedHashMap::default(),
             next_tag: 0,
             current_util: 0.0,
             last_busy_ns: 0,
@@ -111,14 +112,16 @@ impl Node<Packet> for DnsServer {
         let Ok(frame) = UdpFrame::parse(&msg) else {
             return;
         };
-        let Ok(Resolution::Answered(response)) = resolve(&self.zone, frame.payload, None) else {
+        let Ok(Resolution::Answered(response)) = answer(&self.zone, frame.payload, None) else {
             return; // Malformed queries are dropped, as NSD logs-and-drops.
         };
         let finish = match self.cpu.submit(now, self.config.service_time) {
             Admission::Served { finish, .. } => finish,
             Admission::Dropped => return,
         };
-        let mut reply = build_reply(&frame, &response.encode());
+        let mut reply = build_reply_with(&frame, response.encoded_len(), |buf| {
+            response.encode_into(buf)
+        });
         reply.id = msg.id;
         reply.sent_at = msg.sent_at;
         self.next_tag += 1;

@@ -4,15 +4,20 @@
 //! against a fixed table (§3.3). The same [`Zone`] content backs both the
 //! hardware and software servers so a placement shift is invisible.
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
+
+use inc_sim::FixedHashMap;
 
 use crate::wire::{DnsError, Name};
 
 /// A name → IPv4 resolution table with per-record TTLs.
+///
+/// Records are keyed by the name's lowercase wire form
+/// ([`Name::as_wire`]), stored compactly; a lookup hashes the inline
+/// wire bytes of the queried [`Name`] and allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub struct Zone {
-    records: HashMap<Name, (Ipv4Addr, u32)>,
+    records: FixedHashMap<Box<[u8]>, (Ipv4Addr, u32)>,
     default_ttl: u32,
 }
 
@@ -20,16 +25,14 @@ impl Zone {
     /// Creates an empty zone with a 300 s default TTL.
     pub fn new() -> Self {
         Zone {
-            records: HashMap::new(),
+            records: FixedHashMap::default(),
             default_ttl: 300,
         }
     }
 
     /// Adds an A record by dotted name.
     pub fn insert(&mut self, name: &str, addr: Ipv4Addr) -> Result<(), DnsError> {
-        let name = Name::parse(name)?;
-        self.records.insert(name, (addr, self.default_ttl));
-        Ok(())
+        self.insert_with_ttl(name, addr, self.default_ttl)
     }
 
     /// Adds an A record with an explicit TTL.
@@ -39,15 +42,18 @@ impl Zone {
         addr: Ipv4Addr,
         ttl: u32,
     ) -> Result<(), DnsError> {
-        let name = Name::parse(name)?;
-        self.records.insert(name, (addr, ttl));
+        self.insert_name(&Name::parse(name)?, addr, ttl);
         Ok(())
+    }
+
+    fn insert_name(&mut self, name: &Name, addr: Ipv4Addr, ttl: u32) {
+        self.records.insert(name.as_wire().into(), (addr, ttl));
     }
 
     /// Looks up a name (already-normalized [`Name`] keys match
     /// case-insensitively by construction).
     pub fn lookup(&self, name: &Name) -> Option<(Ipv4Addr, u32)> {
-        self.records.get(name).copied()
+        self.records.get(name.as_wire()).copied()
     }
 
     /// Number of records.
@@ -70,9 +76,11 @@ impl Zone {
     /// Builds the benchmark zone `host-0.example.com` .. `host-{n-1}`.
     pub fn synthetic(n: u64) -> Zone {
         let mut z = Zone::new();
+        z.records.reserve(n as usize);
         for i in 0..n {
-            z.insert(&format!("host-{i}.example.com"), Zone::synthetic_addr(i))
+            let name = Name::from_fmt(format_args!("host-{i}.example.com"))
                 .expect("synthetic names are valid");
+            z.insert_name(&name, Zone::synthetic_addr(i), z.default_ttl);
         }
         z
     }

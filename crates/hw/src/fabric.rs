@@ -23,10 +23,8 @@
 //! traversals — so a scheduler pricing a spill prefers the nearest rack
 //! with room.
 
-use std::collections::HashMap;
-
 use inc_power::LinkEnergyModel;
-use inc_sim::Nanos;
+use inc_sim::{FixedHashMap, Nanos};
 
 use crate::capacity::{AppSlot, DeviceCapacity};
 use crate::pipeline::{PipelineBudget, PipelineError, ProgramResources};
@@ -433,7 +431,7 @@ pub struct DeviceFabric {
     // `residency` and the admit-time release of a previous seat into O(1)
     // operations instead of fabric-wide sweeps — the difference between
     // an incremental scheduler tick and an O(apps × devices) one.
-    where_is: HashMap<AppSlot, DeviceId>,
+    where_is: FixedHashMap<AppSlot, DeviceId>,
     // Liveness per device: a dead or partitioned device keeps its ledger
     // (its state is not recoverable, but its *budget* description is)
     // while refusing new admissions. Controllers treat offline devices
@@ -461,7 +459,7 @@ impl DeviceFabric {
         DeviceFabric {
             devices,
             topology,
-            where_is: HashMap::new(),
+            where_is: FixedHashMap::default(),
             online,
         }
     }
@@ -492,7 +490,7 @@ impl DeviceFabric {
                 .map(|d| DeviceCapacity::new(d.budget()))
                 .collect(),
             topology: self.topology.clone(),
-            where_is: HashMap::new(),
+            where_is: FixedHashMap::default(),
             online: self.online.clone(),
         }
     }

@@ -9,7 +9,7 @@
 //! vendor-provided target architecture, that may not fit all applications"
 //! (§10).
 
-use std::collections::HashMap;
+use inc_sim::FixedHashMap;
 
 /// Errors from dataplane state primitives.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -138,7 +138,7 @@ impl<T: Default + Clone> RegisterArray<T> {
 pub struct MatchTable<K, V> {
     name: String,
     capacity: usize,
-    entries: HashMap<K, V>,
+    entries: FixedHashMap<K, V>,
 }
 
 impl<K: std::hash::Hash + Eq, V> MatchTable<K, V> {
@@ -152,7 +152,7 @@ impl<K: std::hash::Hash + Eq, V> MatchTable<K, V> {
         MatchTable {
             name: name.into(),
             capacity,
-            entries: HashMap::new(),
+            entries: FixedHashMap::default(),
         }
     }
 

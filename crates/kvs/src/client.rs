@@ -7,10 +7,10 @@
 //! deterministically from keys so every GET hit can be verified
 //! end-to-end, including across placement shifts.
 
-use inc_net::{build_udp, Endpoint, Packet, UdpFrame};
-use inc_sim::{impl_node_any, Ctx, Histogram, Nanos, Node, PortId, Rng, Timer};
+use inc_net::{build_udp_with, Endpoint, Packet, UdpFrame};
+use inc_sim::{impl_node_any, Ctx, FixedHashMap, Histogram, Nanos, Node, PortId, Rng, Timer};
 
-use crate::protocol::{decode, encode_request, FrameHeader, Message, Opcode, Request, Status};
+use crate::protocol::{decode_view, FrameHeader, MessageView, Opcode, RequestView, Status};
 
 /// One generated operation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -56,19 +56,31 @@ pub fn key_name(i: u64) -> Vec<u8> {
     format!("key-{i}").into_bytes()
 }
 
-/// The deterministic value every store holds for a key: derived from the
-/// key bytes, repeated to `len`. Lets clients verify GET payloads.
-pub fn expected_value(key: &[u8], len: usize) -> Vec<u8> {
-    if len == 0 {
-        return Vec::new();
-    }
+/// The 8 bytes a key's expected value repeats: FNV-1a of the key.
+fn value_pattern(key: &[u8]) -> [u8; 8] {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in key {
         h ^= b as u64;
         h = h.wrapping_mul(0x100000001b3);
     }
-    let seed = h.to_be_bytes();
-    (0..len).map(|i| seed[i % 8]).collect()
+    h.to_be_bytes()
+}
+
+/// The deterministic value every store holds for a key: derived from the
+/// key bytes, repeated to `len`. Lets clients verify GET payloads.
+pub fn expected_value(key: &[u8], len: usize) -> Vec<u8> {
+    let pattern = value_pattern(key);
+    (0..len).map(|i| pattern[i % 8]).collect()
+}
+
+/// Whether `value` is [`expected_value`]`(key, value.len())`, checked
+/// against the pattern without materialising the expected bytes.
+fn is_expected_value(key: &[u8], value: &[u8]) -> bool {
+    let pattern = value_pattern(key);
+    value
+        .iter()
+        .zip(pattern.iter().cycle())
+        .all(|(v, p)| v == p)
 }
 
 /// Client pacing mode.
@@ -123,7 +135,7 @@ pub struct KvsClient {
     window_received_base: u64,
     next_opaque: u32,
     /// Outstanding requests: opaque → (send time, op).
-    outstanding: std::collections::HashMap<u32, (Nanos, KvOp)>,
+    outstanding: FixedHashMap<u32, (Nanos, KvOp)>,
     stopped: bool,
 }
 
@@ -141,7 +153,7 @@ impl KvsClient {
             window_latency: Histogram::new(),
             window_received_base: 0,
             next_opaque: 0,
-            outstanding: std::collections::HashMap::new(),
+            outstanding: FixedHashMap::default(),
             stopped: false,
         }
     }
@@ -187,23 +199,30 @@ impl KvsClient {
     fn build_request(&mut self, op: &KvOp) -> (Packet, u32) {
         self.next_opaque = self.next_opaque.wrapping_add(1);
         let opaque = self.next_opaque;
+        // Only a SET materialises bytes of its own; keys are borrowed
+        // from the op, which is then parked in `outstanding`.
+        let set_value;
         let request = match op {
-            KvOp::Get(key) => Request::Get { key: key.clone() },
-            KvOp::Set(key, len) => Request::Set {
-                key: key.clone(),
-                value: expected_value(key, *len),
-                flags: 0,
-                expiry: 0,
-            },
-            KvOp::Delete(key) => Request::Delete { key: key.clone() },
+            KvOp::Get(key) => RequestView::Get { key },
+            KvOp::Set(key, len) => {
+                set_value = expected_value(key, *len);
+                RequestView::Set {
+                    key,
+                    value: &set_value,
+                    flags: 0,
+                    expiry: 0,
+                }
+            }
+            KvOp::Delete(key) => RequestView::Delete { key },
         };
         let frame = FrameHeader {
             request_id: (opaque & 0xffff) as u16,
             seq: 0,
             total: 1,
         };
-        let payload = encode_request(frame, &request, opaque);
-        let pkt = build_udp(self.src, self.dst, &payload);
+        let pkt = build_udp_with(self.src, self.dst, 0, request.encoded_len(), |buf| {
+            request.encode_into(frame, opaque, buf)
+        });
         (pkt, opaque)
     }
 
@@ -273,7 +292,7 @@ impl Node<Packet> for KvsClient {
         let Ok(frame) = UdpFrame::parse(&msg) else {
             return;
         };
-        let Ok(Message::Response { response, .. }) = decode(frame.payload) else {
+        let Ok(MessageView::Response { response, .. }) = decode_view(frame.payload) else {
             return;
         };
         let Some((sent_at, op)) = self.outstanding.remove(&response.opaque) else {
@@ -288,8 +307,7 @@ impl Node<Packet> for KvsClient {
             match response.status {
                 Status::Ok if self.verify => {
                     if let KvOp::Get(key) = &op {
-                        let expect = expected_value(key, response.value.len());
-                        if response.value != expect {
+                        if !is_expected_value(key, response.value) {
                             self.stats.corrupt += 1;
                         }
                     }
@@ -315,7 +333,7 @@ impl Node<Packet> for KvsClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::MEMCACHED_PORT;
+    use crate::protocol::{decode, Message, Request, MEMCACHED_PORT};
 
     #[test]
     fn expected_value_is_deterministic_and_key_dependent() {
@@ -326,6 +344,22 @@ mod tests {
         assert_ne!(a, c);
         assert_eq!(a.len(), 64);
         assert!(expected_value(b"k", 0).is_empty());
+    }
+
+    #[test]
+    fn is_expected_value_agrees_with_the_materialised_value() {
+        for len in [0usize, 1, 7, 8, 9, 64, 100] {
+            let mut v = expected_value(b"key-9", len);
+            assert!(is_expected_value(b"key-9", &v), "length {len}");
+            assert_eq!(
+                is_expected_value(b"key-8", &v),
+                expected_value(b"key-8", len) == v
+            );
+            if let Some(last) = v.last_mut() {
+                *last ^= 1;
+                assert!(!is_expected_value(b"key-9", &v), "length {len}");
+            }
+        }
     }
 
     #[test]

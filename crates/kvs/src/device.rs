@@ -13,16 +13,16 @@
 use inc_hw::{
     NetRateController, Placement, SumeCard, HOST_DMA_PORT, PCIE_DMA_ONE_WAY, SHELL_PIPELINE_LATENCY,
 };
-use inc_net::{build_reply, Packet, UdpFrame};
+use inc_net::{build_reply_with, Packet, UdpFrame};
 use inc_power::calib;
 use inc_sim::{
-    impl_node_any, Admission, Ctx, Histogram, Nanos, Node, PortId, ServiceStation, Timer,
-    WindowRate,
+    impl_node_any, Admission, Ctx, FixedHashMap, Histogram, Nanos, Node, PortId, ServiceStation,
+    Timer, WindowRate,
 };
 
 use crate::lake::{LakeCache, LakeCacheConfig, Lookup};
 use crate::protocol::{
-    decode, encode_response, Message, Opcode, Request, Response, Status, MEMCACHED_PORT,
+    decode_view, MessageView, Opcode, RequestView, ResponseView, Status, MEMCACHED_PORT,
 };
 
 /// Extra latency of an L1 (on-chip) hit beyond the shell pipeline:
@@ -79,6 +79,28 @@ pub struct LakeDeviceStats {
     pub shifts: u64,
 }
 
+/// What the card does with a packet it has parsed — decided while the
+/// parsed view still borrows the packet, carried out once it no longer
+/// does, so a frame is parsed (and checksum-verified) once per card.
+enum Verdict {
+    /// Send the packet on unchanged.
+    Forward {
+        /// Device-internal latency before it leaves.
+        after: Nanos,
+        /// Egress port.
+        to: PortId,
+    },
+    /// Answer from the cache; the request is consumed.
+    Reply {
+        /// Device-internal latency before the reply leaves.
+        after: Nanos,
+        /// The reply frame.
+        reply: Packet,
+    },
+    /// The PE array is saturated: the request is lost.
+    Drop,
+}
+
 /// The LaKe card as a simulation node.
 pub struct LakeDevice {
     card: SumeCard,
@@ -89,7 +111,7 @@ pub struct LakeDevice {
     stats: LakeDeviceStats,
     /// Outstanding misses: (frame request id, opaque) → key, so the reply
     /// from the host can warm the cache.
-    pending_miss: std::collections::HashMap<(u16, u32), Vec<u8>>,
+    pending_miss: FixedHashMap<(u16, u32), Vec<u8>>,
     /// Hardware-measured request rate (exported to host controllers).
     rate_window: WindowRate,
     current_load: f64,
@@ -127,7 +149,7 @@ impl LakeDevice {
             placement: Placement::Software,
             controller: None,
             stats: LakeDeviceStats::default(),
-            pending_miss: std::collections::HashMap::new(),
+            pending_miss: FixedHashMap::default(),
             rate_window: WindowRate::new(Nanos::from_millis(100), 10),
             current_load: 0.0,
             hw_latency: Histogram::new(),
@@ -230,116 +252,111 @@ impl LakeDevice {
         }
     }
 
-    fn classify_app(&self, pkt: &Packet) -> bool {
-        match UdpFrame::parse(pkt) {
-            Ok(f) => f.udp.dst_port == self.app_port || f.udp.src_port == self.app_port,
-            Err(_) => false,
+    fn is_app(&self, frame: &UdpFrame<'_>) -> bool {
+        frame.udp.dst_port == self.app_port || frame.udp.src_port == self.app_port
+    }
+
+    /// Handles an application packet arriving from the network: meters
+    /// it, lets the embedded controller react, then serves or forwards
+    /// it according to the placement.
+    fn on_app_packet(&mut self, now: Nanos, frame: &UdpFrame<'_>, pkt: &Packet) -> Verdict {
+        self.rate_window.record(now, 1);
+        // The embedded network controller sees every app packet.
+        if let Some(ctl) = &mut self.controller {
+            if let Some(p) = ctl.on_app_packet(now) {
+                self.apply_placement(now, p);
+            }
+        }
+        match self.placement {
+            Placement::Device(_) => self.serve_hw(now, frame, pkt),
+            Placement::Software => {
+                self.stats.to_host += 1;
+                Verdict::Forward {
+                    after: SHELL_PIPELINE_LATENCY + PCIE_DMA_ONE_WAY,
+                    to: HOST_DMA_PORT,
+                }
+            }
         }
     }
 
     /// Handles an application request in hardware mode.
-    fn serve_hw(&mut self, ctx: &mut Ctx<'_, Packet>, pkt: Packet) {
-        let now = ctx.now();
-        let frame = match UdpFrame::parse(&pkt) {
-            Ok(f) => f,
-            Err(_) => {
-                self.forward(ctx, PortId::P0, pkt);
-                return;
-            }
+    fn serve_hw(&mut self, now: Nanos, frame: &UdpFrame<'_>, pkt: &Packet) -> Verdict {
+        let to_host = |after| Verdict::Forward {
+            after,
+            to: HOST_DMA_PORT,
         };
-        let msg = match decode(frame.payload) {
+        let msg = match decode_view(frame.payload) {
             Ok(m) => m,
             Err(_) => {
                 // Not valid memcached: treat as normal traffic.
                 self.stats.passthrough += 1;
-                ctx.send_after(SHELL_PIPELINE_LATENCY, HOST_DMA_PORT, pkt);
-                return;
+                return to_host(SHELL_PIPELINE_LATENCY);
             }
         };
-        let Message::Request {
+        let MessageView::Request {
             frame: mc_frame,
             request,
             opaque,
         } = msg
         else {
             // A response from outside: pass through.
-            ctx.send_after(SHELL_PIPELINE_LATENCY, HOST_DMA_PORT, pkt);
-            return;
+            return to_host(SHELL_PIPELINE_LATENCY);
         };
         // Occupy a PE.
         let finish = match self.pes.submit(now, PE_SERVICE) {
             Admission::Served { finish, .. } => finish,
             Admission::Dropped => {
                 self.stats.dropped += 1;
-                return;
+                return Verdict::Drop;
             }
         };
         let queue_and_service = finish - now;
         match request {
-            Request::Get { ref key } => {
-                let (hit, extra) = match self.cache.get(key) {
-                    Lookup::L1Hit { value, flags } => (Some((value, flags)), L1_EXTRA),
-                    Lookup::L2Hit { value, flags } => (Some((value, flags)), L2_EXTRA),
-                    Lookup::Miss => (None, Nanos::ZERO),
-                };
-                match hit {
-                    Some((value, flags)) => {
-                        // Reply directly from hardware.
-                        let total = SHELL_PIPELINE_LATENCY + queue_and_service + extra;
-                        let resp = Response {
-                            opcode: Opcode::Get,
-                            status: Status::Ok,
-                            value,
-                            flags,
-                            opaque,
-                        };
-                        let mut reply = build_reply(&frame, &encode_response(mc_frame, &resp));
-                        reply.id = pkt.id;
-                        reply.sent_at = pkt.sent_at;
-                        self.stats.served_hw += 1;
-                        self.hw_latency.record_nanos(total);
-                        ctx.send_after(total, PortId::P0, reply);
-                    }
-                    None => {
-                        // Miss: remember the key and forward to the host.
+            RequestView::Get { key } => {
+                let (value, flags, extra) = match self.cache.get(key) {
+                    Lookup::L1Hit { value, flags } => (value, flags, L1_EXTRA),
+                    Lookup::L2Hit { value, flags } => (value, flags, L2_EXTRA),
+                    Lookup::Miss => {
+                        // Remember the key and forward to the host.
                         self.pending_miss
-                            .insert((mc_frame.request_id, opaque), key.clone());
+                            .insert((mc_frame.request_id, opaque), key.to_vec());
                         self.cap_pending();
                         self.stats.to_host += 1;
-                        ctx.send_after(
+                        return to_host(
                             SHELL_PIPELINE_LATENCY + queue_and_service + PCIE_DMA_ONE_WAY,
-                            HOST_DMA_PORT,
-                            pkt,
                         );
                     }
-                }
+                };
+                // Reply directly from hardware, encoded out of the cache.
+                let total = SHELL_PIPELINE_LATENCY + queue_and_service + extra;
+                let resp = ResponseView {
+                    opcode: Opcode::Get,
+                    status: Status::Ok,
+                    value,
+                    flags,
+                    opaque,
+                };
+                let mut reply = build_reply_with(frame, resp.encoded_len(), |buf| {
+                    resp.encode_into(mc_frame, buf)
+                });
+                reply.id = pkt.id;
+                reply.sent_at = pkt.sent_at;
+                self.stats.served_hw += 1;
+                self.hw_latency.record_nanos(total);
+                return Verdict::Reply {
+                    after: total,
+                    reply,
+                };
             }
-            Request::Set {
-                ref key,
-                ref value,
-                flags,
-                ..
-            } => {
-                // Write-through: update the cache and forward to the host
-                // (the software store stays authoritative).
-                self.cache.warm(key.clone(), value.clone(), flags);
-                self.stats.to_host += 1;
-                ctx.send_after(
-                    SHELL_PIPELINE_LATENCY + queue_and_service + PCIE_DMA_ONE_WAY,
-                    HOST_DMA_PORT,
-                    pkt,
-                );
-            }
-            Request::Delete { ref key } => {
-                self.cache.invalidate(key);
-                self.stats.to_host += 1;
-                ctx.send_after(
-                    SHELL_PIPELINE_LATENCY + queue_and_service + PCIE_DMA_ONE_WAY,
-                    HOST_DMA_PORT,
-                    pkt,
-                );
-            }
+            // Write-through: update the cache and forward to the host
+            // (the software store stays authoritative).
+            RequestView::Set {
+                key, value, flags, ..
+            } => self.cache.warm(key.to_vec(), value.to_vec(), flags),
+            RequestView::Delete { key } => self.cache.invalidate(key),
         }
+        self.stats.to_host += 1;
+        to_host(SHELL_PIPELINE_LATENCY + queue_and_service + PCIE_DMA_ONE_WAY)
     }
 
     fn cap_pending(&mut self) {
@@ -358,10 +375,10 @@ impl LakeDevice {
         let Ok(frame) = UdpFrame::parse(pkt) else {
             return;
         };
-        let Ok(Message::Response {
+        let Ok(MessageView::Response {
             frame: mc_frame,
             response,
-        }) = decode(frame.payload)
+        }) = decode_view(frame.payload)
         else {
             return;
         };
@@ -370,7 +387,8 @@ impl LakeDevice {
             .remove(&(mc_frame.request_id, response.opaque))
         {
             if response.opcode == Opcode::Get && response.status == Status::Ok {
-                self.cache.warm(key, response.value.clone(), response.flags);
+                self.cache
+                    .warm(key, response.value.to_vec(), response.flags);
             }
         }
     }
@@ -396,28 +414,20 @@ impl Node<Packet> for LakeDevice {
         }
         match port {
             PortId::P0 => {
-                let is_app = self.classify_app(&msg);
-                if is_app {
-                    self.rate_window.record(now, 1);
-                    // The embedded network controller sees every app packet.
-                    if let Some(ctl) = &mut self.controller {
-                        if let Some(p) = ctl.on_app_packet(now) {
-                            self.apply_placement(now, p);
+                let verdict = match UdpFrame::parse(&msg) {
+                    Ok(frame) if self.is_app(&frame) => self.on_app_packet(now, &frame, &msg),
+                    _ => {
+                        self.stats.passthrough += 1;
+                        Verdict::Forward {
+                            after: SHELL_PIPELINE_LATENCY,
+                            to: HOST_DMA_PORT,
                         }
                     }
-                    match self.placement {
-                        Placement::Device(_) => self.serve_hw(ctx, msg),
-                        Placement::Software => {
-                            self.stats.to_host += 1;
-                            ctx.send_after(
-                                SHELL_PIPELINE_LATENCY + PCIE_DMA_ONE_WAY,
-                                HOST_DMA_PORT,
-                                msg,
-                            );
-                        }
-                    }
-                } else {
-                    self.forward(ctx, HOST_DMA_PORT, msg);
+                };
+                match verdict {
+                    Verdict::Forward { after, to } => ctx.send_after(after, to, msg),
+                    Verdict::Reply { after, reply } => ctx.send_after(after, PortId::P0, reply),
+                    Verdict::Drop => {}
                 }
             }
             HOST_DMA_PORT => {

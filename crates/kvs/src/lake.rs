@@ -49,20 +49,21 @@ impl LakeCacheConfig {
     }
 }
 
-/// Which layer (if any) answered a lookup.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Lookup {
+/// Which layer (if any) answered a lookup. A hit lends the stored
+/// value out of the cache — the reply is encoded straight from it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Lookup<'a> {
     /// Served from on-chip memory.
     L1Hit {
         /// Stored value.
-        value: Vec<u8>,
+        value: &'a [u8],
         /// Stored flags.
         flags: u32,
     },
     /// Served from DRAM (and promoted to L1).
     L2Hit {
         /// Stored value.
-        value: Vec<u8>,
+        value: &'a [u8],
         /// Stored flags.
         flags: u32,
     },
@@ -131,21 +132,22 @@ impl LakeCache {
     }
 
     /// Looks up a key, promoting L2 hits into L1.
-    pub fn get(&mut self, key: &[u8]) -> Lookup {
-        if let Some((v, f)) = self.l1.get_with_flags(key) {
-            let (value, flags) = (v.to_vec(), f);
-            self.stats.l1_hits += 1;
+    pub fn get(&mut self, key: &[u8]) -> Lookup<'_> {
+        // Split borrows: a hit is lent out of one level while the other
+        // level and the counters are still touched.
+        let LakeCache { l1, l2, stats, .. } = self;
+        if let Some(slot) = l1.lookup(key) {
+            stats.l1_hits += 1;
+            let (value, flags) = l1.slot(slot);
             return Lookup::L1Hit { value, flags };
         }
-        if let Some((v, f)) = self.l2.get_with_flags(key) {
-            let (value, flags) = (v.to_vec(), f);
-            self.stats.l2_hits += 1;
+        if let Some((value, flags)) = l2.get_with_flags(key) {
+            stats.l2_hits += 1;
             // Promote into L1; L1 eviction is harmless (still in L2).
-            self.l1
-                .insert_with_flags(key.to_vec(), value.clone(), flags);
+            l1.insert_with_flags(key.to_vec(), value.to_vec(), flags);
             return Lookup::L2Hit { value, flags };
         }
-        self.stats.misses += 1;
+        stats.misses += 1;
         Lookup::Miss
     }
 

@@ -29,7 +29,7 @@ pub use device::{LakeDevice, LakeDeviceStats, ParkPolicy, RECONFIG_HALT};
 pub use lake::{LakeCache, LakeCacheConfig, LakeStats, Lookup};
 pub use memcached::{MemcachedConfig, MemcachedServer};
 pub use protocol::{
-    decode, encode_request, encode_response, FrameHeader, Message, Opcode, ProtocolError, Request,
-    Response, Status, MEMCACHED_PORT,
+    decode, decode_view, encode_request, encode_response, FrameHeader, Message, MessageView,
+    Opcode, ProtocolError, Request, RequestView, Response, ResponseView, Status, MEMCACHED_PORT,
 };
 pub use store::{ChunkAllocator, KvStore, LruCache};

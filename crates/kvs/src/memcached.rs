@@ -7,13 +7,14 @@
 //! with its uncore-activation jump. A co-tenant workload (the paper's
 //! ChainerMN in Figure 6) can be imposed as extra core utilisation.
 
-use inc_net::{build_reply, Packet, UdpFrame};
+use inc_net::{build_reply_with, Packet, UdpFrame};
 use inc_power::{CpuModel, RaplCounter, RaplDomain};
 use inc_sim::{
-    impl_node_any, Admission, Ctx, Histogram, Nanos, Node, PortId, ServiceStation, Timer,
+    impl_node_any, Admission, Ctx, FixedHashMap, Histogram, Nanos, Node, PortId, ServiceStation,
+    Timer,
 };
 
-use crate::protocol::{decode, encode_response, Message, Opcode, Request, Response, Status};
+use crate::protocol::{decode_view, MessageView, RequestView, ResponseView, Status};
 use crate::store::KvStore;
 
 const TAG_POWER_TICK: u64 = 1;
@@ -74,7 +75,7 @@ pub struct MemcachedServer {
     store: KvStore,
     cpu: ServiceStation,
     /// Replies awaiting their service-completion timer.
-    pending: std::collections::HashMap<u64, (Packet, PortId)>,
+    pending: FixedHashMap<u64, (Packet, PortId)>,
     next_reply_tag: u64,
     /// Extra core utilisation imposed by co-tenant jobs (core-seconds/s).
     background_util: f64,
@@ -94,7 +95,7 @@ impl MemcachedServer {
             config,
             store: KvStore::new(),
             cpu: ServiceStation::new(cores, Some(Nanos::from_micros(500))),
-            pending: std::collections::HashMap::new(),
+            pending: FixedHashMap::default(),
             next_reply_tag: 0,
             background_util: 0.0,
             current_util: 0.0,
@@ -150,46 +151,31 @@ impl MemcachedServer {
         &self.store
     }
 
-    fn execute(&mut self, request: &Request, opaque: u32) -> Response {
-        match request {
-            Request::Get { key } => match self.store.get(key) {
-                Some((v, f)) => Response {
-                    opcode: Opcode::Get,
-                    status: Status::Ok,
-                    value: v.to_vec(),
-                    flags: f,
-                    opaque,
-                },
-                None => Response {
-                    opcode: Opcode::Get,
-                    status: Status::KeyNotFound,
-                    value: vec![],
-                    flags: 0,
-                    opaque,
-                },
+    /// Runs `request` against the store. A GET hit lends the stored
+    /// value: the caller encodes the reply straight out of the store.
+    fn execute(&mut self, request: RequestView<'_>, opaque: u32) -> ResponseView<'_> {
+        let (status, value, flags): (Status, &[u8], u32) = match request {
+            RequestView::Get { key } => match self.store.get(key) {
+                Some((v, f)) => (Status::Ok, v, f),
+                None => (Status::KeyNotFound, &[], 0),
             },
-            Request::Set {
+            RequestView::Set {
                 key, value, flags, ..
             } => {
-                let ok = self.store.set(key.clone(), value.clone(), *flags);
-                Response {
-                    opcode: Opcode::Set,
-                    status: if ok { Status::Ok } else { Status::TooLarge },
-                    value: vec![],
-                    flags: 0,
-                    opaque,
-                }
+                let ok = self.store.set(key.to_vec(), value.to_vec(), flags);
+                (if ok { Status::Ok } else { Status::TooLarge }, &[], 0)
             }
-            Request::Delete { key } => {
+            RequestView::Delete { key } => {
                 let ok = self.store.delete(key);
-                Response {
-                    opcode: Opcode::Delete,
-                    status: if ok { Status::Ok } else { Status::KeyNotFound },
-                    value: vec![],
-                    flags: 0,
-                    opaque,
-                }
+                (if ok { Status::Ok } else { Status::KeyNotFound }, &[], 0)
             }
+        };
+        ResponseView {
+            opcode: request.opcode(),
+            status,
+            value,
+            flags,
+            opaque,
         }
     }
 }
@@ -204,11 +190,11 @@ impl Node<Packet> for MemcachedServer {
         let Ok(frame) = UdpFrame::parse(&msg) else {
             return;
         };
-        let Ok(Message::Request {
+        let Ok(MessageView::Request {
             frame: mc_frame,
             request,
             opaque,
-        }) = decode(frame.payload)
+        }) = decode_view(frame.payload)
         else {
             return; // Not a memcached request for us.
         };
@@ -219,8 +205,10 @@ impl Node<Packet> for MemcachedServer {
         // Execute against the store immediately (state changes are cheap
         // and total order at sub-µs scale does not affect the study);
         // the *reply* waits for the modelled CPU + kernel time.
-        let response = self.execute(&request, opaque);
-        let mut reply = build_reply(&frame, &encode_response(mc_frame, &response));
+        let response = self.execute(request, opaque);
+        let mut reply = build_reply_with(&frame, response.encoded_len(), |buf| {
+            response.encode_into(mc_frame, buf)
+        });
         reply.id = msg.id;
         reply.sent_at = msg.sent_at;
         self.next_reply_tag += 1;
@@ -265,6 +253,7 @@ impl Node<Packet> for MemcachedServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Opcode;
 
     #[test]
     fn idle_power_matches_39w() {
@@ -283,21 +272,22 @@ mod tests {
     #[test]
     fn execute_get_set_delete() {
         let mut s = MemcachedServer::new(MemcachedConfig::i7_with_mellanox());
-        let set = Request::Set {
-            key: b"k".to_vec(),
-            value: b"v".to_vec(),
+        let set = RequestView::Set {
+            key: b"k",
+            value: b"v",
             flags: 3,
             expiry: 0,
         };
-        assert_eq!(s.execute(&set, 1).status, Status::Ok);
-        let get = Request::Get { key: b"k".to_vec() };
-        let r = s.execute(&get, 2);
+        assert_eq!(s.execute(set, 1).status, Status::Ok);
+        let get = RequestView::Get { key: b"k" };
+        let r = s.execute(get, 2);
+        assert_eq!(r.opcode, Opcode::Get);
         assert_eq!(r.status, Status::Ok);
         assert_eq!(r.value, b"v");
         assert_eq!(r.flags, 3);
-        let del = Request::Delete { key: b"k".to_vec() };
-        assert_eq!(s.execute(&del, 3).status, Status::Ok);
-        assert_eq!(s.execute(&get, 4).status, Status::KeyNotFound);
+        let del = RequestView::Delete { key: b"k" };
+        assert_eq!(s.execute(del, 3).status, Status::Ok);
+        assert_eq!(s.execute(get, 4).status, Status::KeyNotFound);
     }
 
     #[test]

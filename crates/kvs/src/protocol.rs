@@ -6,6 +6,15 @@
 //! Both the hardware (LaKe) and software (memcached) models parse and emit
 //! these exact bytes, which is what lets the on-demand shift be invisible
 //! to clients.
+//!
+//! There is one encoder and one decoder. Both work on borrowed views —
+//! [`RequestView`], [`ResponseView`], [`decode_view`] — that slice the
+//! datagram instead of copying keys and values out of it, and write to
+//! any [`BufMut`], so a server encodes its reply straight into the
+//! frame it sends. The owned [`Request`]/[`Response`]/[`decode`] forms
+//! are those views plus `to_vec()`.
+
+use inc_net::{read_array, BufMut};
 
 /// Memcached binary protocol opcodes (subset used by the paper's workloads).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -110,32 +119,42 @@ pub struct FrameHeader {
     pub total: u16,
 }
 
+/// Reads `N` bytes of `buf` starting at `at`, or reports a short buffer.
+///
+/// Every read of the decode path goes through here or through `get`
+/// (`inc-lint` rule `panicking-decode`): hostile lengths surface as a
+/// [`ProtocolError`], never as an out-of-bounds panic.
+fn take<const N: usize>(buf: &[u8], at: usize) -> Result<[u8; N], ProtocolError> {
+    read_array(buf, at).ok_or(ProtocolError::Truncated)
+}
+
 impl FrameHeader {
     const LEN: usize = 8;
 
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.request_id.to_be_bytes());
-        out.extend_from_slice(&self.seq.to_be_bytes());
-        out.extend_from_slice(&self.total.to_be_bytes());
-        out.extend_from_slice(&[0, 0]); // Reserved.
+    fn encode<B: BufMut>(&self, out: &mut B) {
+        out.put_u16(self.request_id);
+        out.put_u16(self.seq);
+        out.put_u16(self.total);
+        out.put_u16(0); // Reserved.
     }
 
     fn decode(buf: &[u8]) -> Result<(Self, &[u8]), ProtocolError> {
-        if buf.len() < Self::LEN {
-            return Err(ProtocolError::Truncated);
-        }
-        Ok((
-            FrameHeader {
-                request_id: u16::from_be_bytes([buf[0], buf[1]]),
-                seq: u16::from_be_bytes([buf[2], buf[3]]),
-                total: u16::from_be_bytes([buf[4], buf[5]]),
-            },
-            &buf[Self::LEN..],
-        ))
+        let header = FrameHeader {
+            request_id: u16::from_be_bytes(take::<2>(buf, 0)?),
+            seq: u16::from_be_bytes(take::<2>(buf, 2)?),
+            total: u16::from_be_bytes(take::<2>(buf, 4)?),
+        };
+        let rest = buf.get(Self::LEN..).ok_or(ProtocolError::Truncated)?;
+        Ok((header, rest))
     }
 }
 
-/// A decoded memcached request.
+/// A decoded memcached request that owns its key and value.
+///
+/// The wire codec itself works on [`RequestView`]; this is the
+/// convenience form for callers that keep a request around (tests,
+/// examples, the benchmark's probes), converted with
+/// [`Request::as_view`] and [`RequestView::to_owned`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Request {
     /// GET key.
@@ -164,23 +183,141 @@ pub enum Request {
 impl Request {
     /// The opcode of this request.
     pub fn opcode(&self) -> Opcode {
-        match self {
-            Request::Get { .. } => Opcode::Get,
-            Request::Set { .. } => Opcode::Set,
-            Request::Delete { .. } => Opcode::Delete,
-        }
+        self.as_view().opcode()
     }
 
     /// The key this request addresses.
     pub fn key(&self) -> &[u8] {
+        self.as_view().key()
+    }
+
+    /// Borrows this request as the view the codec works on.
+    pub fn as_view(&self) -> RequestView<'_> {
         match self {
-            Request::Get { key } | Request::Delete { key } => key,
-            Request::Set { key, .. } => key,
+            Request::Get { key } => RequestView::Get { key },
+            Request::Set {
+                key,
+                value,
+                flags,
+                expiry,
+            } => RequestView::Set {
+                key,
+                value,
+                flags: *flags,
+                expiry: *expiry,
+            },
+            Request::Delete { key } => RequestView::Delete { key },
         }
     }
 }
 
-/// A decoded memcached response.
+/// A memcached request whose key and value are borrowed — from the
+/// datagram it was decoded out of, or from whatever the sender holds.
+/// Decoding to it and encoding from it allocate nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RequestView<'a> {
+    /// GET key.
+    Get {
+        /// Key bytes.
+        key: &'a [u8],
+    },
+    /// SET key = value.
+    Set {
+        /// Key bytes.
+        key: &'a [u8],
+        /// Value bytes.
+        value: &'a [u8],
+        /// Client flags stored with the value.
+        flags: u32,
+        /// Expiry in seconds (0 = never); stored but not enforced.
+        expiry: u32,
+    },
+    /// DELETE key.
+    Delete {
+        /// Key bytes.
+        key: &'a [u8],
+    },
+}
+
+impl<'a> RequestView<'a> {
+    /// The opcode of this request.
+    pub fn opcode(&self) -> Opcode {
+        match self {
+            RequestView::Get { .. } => Opcode::Get,
+            RequestView::Set { .. } => Opcode::Set,
+            RequestView::Delete { .. } => Opcode::Delete,
+        }
+    }
+
+    /// The key this request addresses.
+    pub fn key(&self) -> &'a [u8] {
+        match *self {
+            RequestView::Get { key }
+            | RequestView::Delete { key }
+            | RequestView::Set { key, .. } => key,
+        }
+    }
+
+    /// Copies key and value into an owned [`Request`].
+    pub fn to_owned(&self) -> Request {
+        match *self {
+            RequestView::Get { key } => Request::Get { key: key.to_vec() },
+            RequestView::Set {
+                key,
+                value,
+                flags,
+                expiry,
+            } => Request::Set {
+                key: key.to_vec(),
+                value: value.to_vec(),
+                flags,
+                expiry,
+            },
+            RequestView::Delete { key } => Request::Delete { key: key.to_vec() },
+        }
+    }
+
+    /// Bytes [`RequestView::encode_into`] writes.
+    pub fn encoded_len(&self) -> usize {
+        let body = match *self {
+            RequestView::Get { key } | RequestView::Delete { key } => key.len(),
+            RequestView::Set { key, value, .. } => 8 + key.len() + value.len(),
+        };
+        FrameHeader::LEN + BIN_HLEN + body
+    }
+
+    /// Appends the request datagram (frame header + binary message).
+    pub fn encode_into<B: BufMut>(&self, frame: FrameHeader, opaque: u32, out: &mut B) {
+        frame.encode(out);
+        let mut extras = [0u8; 8];
+        let (extras, value): (&[u8], &[u8]) = match *self {
+            RequestView::Set {
+                value,
+                flags,
+                expiry,
+                ..
+            } => {
+                extras[..4].copy_from_slice(&flags.to_be_bytes());
+                extras[4..].copy_from_slice(&expiry.to_be_bytes());
+                (&extras, value)
+            }
+            _ => (&[], &[]),
+        };
+        encode_binary(
+            MAGIC_REQUEST,
+            self.opcode(),
+            0,
+            extras,
+            self.key(),
+            value,
+            opaque,
+            out,
+        );
+    }
+}
+
+/// A decoded memcached response that owns its value (see [`Request`]
+/// for why both forms exist).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Response {
     /// Opcode being answered.
@@ -195,13 +332,83 @@ pub struct Response {
     pub opaque: u32,
 }
 
+impl Response {
+    /// Borrows this response as the view the codec works on.
+    pub fn as_view(&self) -> ResponseView<'_> {
+        ResponseView {
+            opcode: self.opcode,
+            status: self.status,
+            value: &self.value,
+            flags: self.flags,
+            opaque: self.opaque,
+        }
+    }
+}
+
+/// A memcached response whose value is borrowed: from the datagram it
+/// arrived in, or straight from the store that answers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ResponseView<'a> {
+    /// Opcode being answered.
+    pub opcode: Opcode,
+    /// Outcome.
+    pub status: Status,
+    /// Value (GET hits only).
+    pub value: &'a [u8],
+    /// Flags stored with the value (GET hits only).
+    pub flags: u32,
+    /// Opaque value echoed from the request.
+    pub opaque: u32,
+}
+
+impl ResponseView<'_> {
+    /// GET hits carry the stored flags as 4 bytes of extras.
+    fn has_extras(&self) -> bool {
+        self.opcode == Opcode::Get && self.status == Status::Ok
+    }
+
+    /// Copies the value into an owned [`Response`].
+    pub fn to_owned(&self) -> Response {
+        Response {
+            opcode: self.opcode,
+            status: self.status,
+            value: self.value.to_vec(),
+            flags: self.flags,
+            opaque: self.opaque,
+        }
+    }
+
+    /// Bytes [`ResponseView::encode_into`] writes.
+    pub fn encoded_len(&self) -> usize {
+        let extras = if self.has_extras() { 4 } else { 0 };
+        FrameHeader::LEN + BIN_HLEN + extras + self.value.len()
+    }
+
+    /// Appends the response datagram answering `frame`.
+    pub fn encode_into<B: BufMut>(&self, frame: FrameHeader, out: &mut B) {
+        frame.encode(out);
+        let flags = self.flags.to_be_bytes();
+        let extras: &[u8] = if self.has_extras() { &flags } else { &[] };
+        encode_binary(
+            MAGIC_RESPONSE,
+            self.opcode,
+            self.status.to_u16(),
+            extras,
+            &[],
+            self.value,
+            self.opaque,
+            out,
+        );
+    }
+}
+
 const BIN_HLEN: usize = 24;
 const MAGIC_REQUEST: u8 = 0x80;
 const MAGIC_RESPONSE: u8 = 0x81;
 
 // The binary header simply has this many independent fields.
 #[allow(clippy::too_many_arguments)]
-fn encode_binary(
+fn encode_binary<B: BufMut>(
     magic: u8,
     opcode: Opcode,
     status_or_vbucket: u16,
@@ -209,97 +416,43 @@ fn encode_binary(
     key: &[u8],
     value: &[u8],
     opaque: u32,
-    out: &mut Vec<u8>,
+    out: &mut B,
 ) {
     let body_len = (extras.len() + key.len() + value.len()) as u32;
-    out.push(magic);
-    out.push(opcode.to_byte());
-    out.extend_from_slice(&(key.len() as u16).to_be_bytes());
-    out.push(extras.len() as u8);
-    out.push(0); // Data type.
-    out.extend_from_slice(&status_or_vbucket.to_be_bytes());
-    out.extend_from_slice(&body_len.to_be_bytes());
-    out.extend_from_slice(&opaque.to_be_bytes());
-    out.extend_from_slice(&0u64.to_be_bytes()); // CAS.
-    out.extend_from_slice(extras);
-    out.extend_from_slice(key);
-    out.extend_from_slice(value);
+    let mut header = [0u8; BIN_HLEN]; // Data type and CAS stay 0.
+    header[0] = magic;
+    header[1] = opcode.to_byte();
+    header[2..4].copy_from_slice(&(key.len() as u16).to_be_bytes());
+    header[4] = extras.len() as u8;
+    header[6..8].copy_from_slice(&status_or_vbucket.to_be_bytes());
+    header[8..12].copy_from_slice(&body_len.to_be_bytes());
+    header[12..16].copy_from_slice(&opaque.to_be_bytes());
+    out.put_slice(&header);
+    out.put_slice(extras);
+    out.put_slice(key);
+    out.put_slice(value);
 }
 
-/// Encodes a request datagram (frame header + binary message).
+/// Encodes a request datagram (frame header + binary message) into a
+/// fresh buffer: [`RequestView::encode_into`] for callers that want a
+/// `Vec`.
 pub fn encode_request(frame: FrameHeader, req: &Request, opaque: u32) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    frame.encode(&mut out);
-    match req {
-        Request::Get { key } => encode_binary(
-            MAGIC_REQUEST,
-            Opcode::Get,
-            0,
-            &[],
-            key,
-            &[],
-            opaque,
-            &mut out,
-        ),
-        Request::Set {
-            key,
-            value,
-            flags,
-            expiry,
-        } => {
-            let mut extras = [0u8; 8];
-            extras[..4].copy_from_slice(&flags.to_be_bytes());
-            extras[4..].copy_from_slice(&expiry.to_be_bytes());
-            encode_binary(
-                MAGIC_REQUEST,
-                Opcode::Set,
-                0,
-                &extras,
-                key,
-                value,
-                opaque,
-                &mut out,
-            )
-        }
-        Request::Delete { key } => encode_binary(
-            MAGIC_REQUEST,
-            Opcode::Delete,
-            0,
-            &[],
-            key,
-            &[],
-            opaque,
-            &mut out,
-        ),
-    }
+    let view = req.as_view();
+    let mut out = Vec::with_capacity(view.encoded_len());
+    view.encode_into(frame, opaque, &mut out);
     out
 }
 
-/// Encodes a response datagram answering `frame`.
+/// Encodes a response datagram answering `frame` into a fresh buffer:
+/// [`ResponseView::encode_into`] for callers that want a `Vec`.
 pub fn encode_response(frame: FrameHeader, resp: &Response) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + resp.value.len());
-    frame.encode(&mut out);
-    // GET hits carry the stored flags as 4 bytes of extras.
-    let extras_buf = resp.flags.to_be_bytes();
-    let extras: &[u8] = if resp.opcode == Opcode::Get && resp.status == Status::Ok {
-        &extras_buf
-    } else {
-        &[]
-    };
-    encode_binary(
-        MAGIC_RESPONSE,
-        resp.opcode,
-        resp.status.to_u16(),
-        extras,
-        &[],
-        &resp.value,
-        resp.opaque,
-        &mut out,
-    );
+    let view = resp.as_view();
+    let mut out = Vec::with_capacity(view.encoded_len());
+    view.encode_into(frame, &mut out);
     out
 }
 
-/// A decoded datagram: either direction.
+/// A decoded datagram, either direction, owning its bytes.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Message {
     /// A client request.
@@ -320,69 +473,118 @@ pub enum Message {
     },
 }
 
-/// Decodes a memcached datagram (either direction).
+/// A decoded datagram, either direction, borrowing the datagram.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum MessageView<'a> {
+    /// A client request.
+    Request {
+        /// UDP frame header.
+        frame: FrameHeader,
+        /// The request.
+        request: RequestView<'a>,
+        /// Client opaque token.
+        opaque: u32,
+    },
+    /// A server response.
+    Response {
+        /// UDP frame header.
+        frame: FrameHeader,
+        /// The response.
+        response: ResponseView<'a>,
+    },
+}
+
+impl MessageView<'_> {
+    /// Copies keys and values into an owned [`Message`].
+    pub fn to_owned(&self) -> Message {
+        match *self {
+            MessageView::Request {
+                frame,
+                request,
+                opaque,
+            } => Message::Request {
+                frame,
+                request: request.to_owned(),
+                opaque,
+            },
+            MessageView::Response { frame, response } => Message::Response {
+                frame,
+                response: response.to_owned(),
+            },
+        }
+    }
+}
+
+/// Decodes a memcached datagram (either direction) into owned keys and
+/// values: [`decode_view`] plus the copies.
 pub fn decode(buf: &[u8]) -> Result<Message, ProtocolError> {
+    decode_view(buf).map(|m| m.to_owned())
+}
+
+/// Decodes a memcached datagram (either direction) without allocating:
+/// keys and values are slices of `buf`.
+pub fn decode_view(buf: &[u8]) -> Result<MessageView<'_>, ProtocolError> {
     let (frame, rest) = FrameHeader::decode(buf)?;
     if frame.total > 1 {
         return Err(ProtocolError::Fragmented);
     }
-    if rest.len() < BIN_HLEN {
-        return Err(ProtocolError::Truncated);
-    }
-    let magic = rest[0];
-    let opcode = Opcode::from_byte(rest[1]).ok_or(ProtocolError::BadOpcode(rest[1]))?;
-    let key_len = u16::from_be_bytes([rest[2], rest[3]]) as usize;
-    let extras_len = rest[4] as usize;
-    let status_or_vbucket = u16::from_be_bytes([rest[6], rest[7]]);
-    let body_len = u32::from_be_bytes([rest[8], rest[9], rest[10], rest[11]]) as usize;
-    let opaque = u32::from_be_bytes([rest[12], rest[13], rest[14], rest[15]]);
-    if rest.len() < BIN_HLEN + body_len || extras_len + key_len > body_len {
+    let header = rest.get(..BIN_HLEN).ok_or(ProtocolError::Truncated)?;
+    let [magic, op] = take::<2>(header, 0)?;
+    let opcode = Opcode::from_byte(op).ok_or(ProtocolError::BadOpcode(op))?;
+    let key_len = usize::from(u16::from_be_bytes(take::<2>(header, 2)?));
+    let [extras_len] = take::<1>(header, 4)?;
+    let extras_len = usize::from(extras_len);
+    let status_or_vbucket = u16::from_be_bytes(take::<2>(header, 6)?);
+    let body_len = u32::from_be_bytes(take::<4>(header, 8)?) as usize;
+    let opaque = u32::from_be_bytes(take::<4>(header, 12)?);
+    if extras_len + key_len > body_len {
         return Err(ProtocolError::BadLength);
     }
-    let body = &rest[BIN_HLEN..BIN_HLEN + body_len];
-    let extras = &body[..extras_len];
-    let key = &body[extras_len..extras_len + key_len];
-    let value = &body[extras_len + key_len..];
+    let body = rest
+        .get(BIN_HLEN..)
+        .and_then(|b| b.get(..body_len))
+        .ok_or(ProtocolError::BadLength)?;
+    // In bounds: `extras_len + key_len <= body_len` was checked above.
+    let (extras, rest) = body
+        .split_at_checked(extras_len)
+        .ok_or(ProtocolError::BadLength)?;
+    let (key, value) = rest
+        .split_at_checked(key_len)
+        .ok_or(ProtocolError::BadLength)?;
     match magic {
         MAGIC_REQUEST => {
             let request = match opcode {
-                Opcode::Get => Request::Get { key: key.to_vec() },
-                Opcode::Delete => Request::Delete { key: key.to_vec() },
+                Opcode::Get => RequestView::Get { key },
+                Opcode::Delete => RequestView::Delete { key },
                 Opcode::Set => {
                     if extras.len() != 8 {
                         return Err(ProtocolError::BadLength);
                     }
-                    Request::Set {
-                        key: key.to_vec(),
-                        value: value.to_vec(),
-                        flags: u32::from_be_bytes([extras[0], extras[1], extras[2], extras[3]]),
-                        expiry: u32::from_be_bytes([extras[4], extras[5], extras[6], extras[7]]),
+                    RequestView::Set {
+                        key,
+                        value,
+                        flags: u32::from_be_bytes(take::<4>(extras, 0)?),
+                        expiry: u32::from_be_bytes(take::<4>(extras, 4)?),
                     }
                 }
             };
-            Ok(Message::Request {
+            Ok(MessageView::Request {
                 frame,
                 request,
                 opaque,
             })
         }
-        MAGIC_RESPONSE => {
-            let flags = if extras.len() >= 4 {
-                u32::from_be_bytes([extras[0], extras[1], extras[2], extras[3]])
-            } else {
-                0
-            };
-            Ok(Message::Response {
-                frame,
-                response: Response {
-                    opcode,
-                    status: Status::from_u16(status_or_vbucket),
-                    value: value.to_vec(),
-                    flags,
-                    opaque,
-                },
-            })
-        }
+        MAGIC_RESPONSE => Ok(MessageView::Response {
+            frame,
+            response: ResponseView {
+                opcode,
+                status: Status::from_u16(status_or_vbucket),
+                value,
+                // Absent extras read as flags 0.
+                flags: take::<4>(extras, 0).map_or(0, u32::from_be_bytes),
+                opaque,
+            },
+        }),
         m => Err(ProtocolError::BadMagic(m)),
     }
 }
@@ -520,6 +722,75 @@ mod tests {
         // Claim a larger body than present.
         bytes[16..20].copy_from_slice(&100u32.to_be_bytes());
         assert_eq!(decode(&bytes), Err(ProtocolError::BadLength));
+    }
+
+    #[test]
+    fn key_and_extras_longer_than_the_body_rejected() {
+        let req = Request::Set {
+            key: b"key".to_vec(),
+            value: b"value".to_vec(),
+            flags: 0,
+            expiry: 0,
+        };
+        let good = encode_request(frame(0), &req, 0);
+        // Body is 8 extras + 3 key + 5 value = 16 bytes. A key length of
+        // 9 would start the value past the body's end; so would 250
+        // bytes of extras.
+        let mut bytes = good.clone();
+        bytes[10..12].copy_from_slice(&9u16.to_be_bytes());
+        assert_eq!(decode(&bytes), Err(ProtocolError::BadLength));
+        let mut bytes = good.clone();
+        bytes[12] = 250;
+        assert_eq!(decode(&bytes), Err(ProtocolError::BadLength));
+        // Exactly filling the body is legal: key 8, no value.
+        let mut bytes = good;
+        bytes[10..12].copy_from_slice(&8u16.to_be_bytes());
+        match decode_view(&bytes).unwrap() {
+            MessageView::Request { request, .. } => {
+                assert_eq!(request.key(), b"keyvalue");
+                assert!(matches!(request, RequestView::Set { value: &[], .. }));
+            }
+            other => panic!("wrong decode: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn views_borrow_the_datagram_and_encode_the_same_bytes() {
+        let req = Request::Set {
+            key: b"k1".to_vec(),
+            value: vec![7; 40],
+            flags: 3,
+            expiry: 60,
+        };
+        let bytes = encode_request(frame(5), &req, 11);
+        let MessageView::Request {
+            frame: f,
+            request,
+            opaque,
+        } = decode_view(&bytes).unwrap()
+        else {
+            panic!("not a request");
+        };
+        assert_eq!((request.to_owned(), opaque), (req, 11));
+        assert!(bytes.as_ptr_range().contains(&request.key().as_ptr()));
+        assert_eq!(request.encoded_len(), bytes.len());
+        let mut again = Vec::new();
+        request.encode_into(f, opaque, &mut again);
+        assert_eq!(again, bytes);
+
+        let resp = Response {
+            opcode: Opcode::Get,
+            status: Status::Ok,
+            value: b"stored".to_vec(),
+            flags: 9,
+            opaque: 4,
+        };
+        let bytes = encode_response(frame(6), &resp);
+        let MessageView::Response { response, .. } = decode_view(&bytes).unwrap() else {
+            panic!("not a response");
+        };
+        assert_eq!(response, resp.as_view());
+        assert_eq!(response.encoded_len(), bytes.len());
     }
 
     #[test]

@@ -5,12 +5,12 @@
 //! value chunks (§5.3); [`KvStore`] is the authoritative memcached-style
 //! store run by the host software.
 
-use std::collections::HashMap;
+use inc_sim::FixedHashMap;
 
 /// An O(1) LRU cache keyed by byte strings.
 ///
 /// Implemented as a slab of entries linked into an intrusive LRU list,
-/// with a `HashMap` index — the same structure memcached itself uses.
+/// with a hash index — the same structure memcached itself uses.
 ///
 /// # Examples
 ///
@@ -28,7 +28,7 @@ use std::collections::HashMap;
 #[derive(Clone, Debug)]
 pub struct LruCache {
     capacity: usize,
-    index: HashMap<Vec<u8>, usize>,
+    index: FixedHashMap<Vec<u8>, usize>,
     slab: Vec<Entry>,
     free: Vec<usize>,
     head: Option<usize>, // Most recently used.
@@ -57,7 +57,7 @@ impl LruCache {
         assert!(capacity > 0, "cache capacity must be positive");
         LruCache {
             capacity,
-            index: HashMap::new(),
+            index: FixedHashMap::default(),
             slab: Vec::new(),
             free: Vec::new(),
             head: None,
@@ -102,13 +102,16 @@ impl LruCache {
         self.push_front(idx);
     }
 
-    /// Looks up `key`, refreshing its recency. Counts a hit or miss.
-    pub fn get(&mut self, key: &[u8]) -> Option<&[u8]> {
+    /// Finds `key`'s slab slot, refreshing its recency and counting a
+    /// hit or miss. Returning the slot rather than a borrow lets
+    /// [`LakeCache`](crate::LakeCache) lend a value out of one level
+    /// and still touch the other on the miss path.
+    pub(crate) fn lookup(&mut self, key: &[u8]) -> Option<usize> {
         match self.index.get(key).copied() {
             Some(idx) => {
                 self.hits += 1;
                 self.touch(idx);
-                Some(&self.slab[idx].value)
+                Some(idx)
             }
             None => {
                 self.misses += 1;
@@ -117,20 +120,21 @@ impl LruCache {
         }
     }
 
+    /// The value and flags in a slot [`LruCache::lookup`] returned.
+    pub(crate) fn slot(&self, idx: usize) -> (&[u8], u32) {
+        let e = &self.slab[idx];
+        (&e.value, e.flags)
+    }
+
+    /// Looks up `key`, refreshing its recency. Counts a hit or miss.
+    pub fn get(&mut self, key: &[u8]) -> Option<&[u8]> {
+        self.get_with_flags(key).map(|(value, _)| value)
+    }
+
     /// Looks up `key` and its flags, refreshing recency.
     pub fn get_with_flags(&mut self, key: &[u8]) -> Option<(&[u8], u32)> {
-        match self.index.get(key).copied() {
-            Some(idx) => {
-                self.hits += 1;
-                self.touch(idx);
-                let e = &self.slab[idx];
-                Some((&e.value, e.flags))
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let idx = self.lookup(key)?;
+        Some(self.slot(idx))
     }
 
     /// Checks for presence without counting or refreshing.
@@ -326,7 +330,7 @@ impl ChunkAllocator {
 /// card's), but value sizes are bounded like memcached's 1 MB limit.
 #[derive(Clone, Debug, Default)]
 pub struct KvStore {
-    map: HashMap<Vec<u8>, (Vec<u8>, u32)>,
+    map: FixedHashMap<Vec<u8>, (Vec<u8>, u32)>,
     max_value_bytes: usize,
 }
 
@@ -334,7 +338,7 @@ impl KvStore {
     /// Creates an empty store with memcached's 1 MB value limit.
     pub fn new() -> Self {
         KvStore {
-            map: HashMap::new(),
+            map: FixedHashMap::default(),
             max_value_bytes: 1 << 20,
         }
     }

@@ -72,11 +72,28 @@ fn ambient_rng_catches_unseeded_randomness() {
 }
 
 #[test]
+fn ambient_rng_catches_implicit_random_state_in_packet_path_crates() {
+    let src = include_str!("fixtures/implicit_random_state.rs");
+    // Line 12: `HashMap::new()`; line 13: `HashSet::with_capacity(`.
+    // Type positions, `FixedHashMap::default()` and an explicit
+    // `with_capacity_and_hasher` stay legal.
+    for krate in ["net", "kvs", "dns", "hw", "paxos"] {
+        let report = scan_source(&format!("crates/{krate}/src/fixture.rs"), src);
+        assert_eq!(lines(&report, "ambient-rng"), vec![12, 13], "inc-{krate}");
+    }
+    // Elsewhere the default hasher is allowed (nothing there churns a
+    // table on the packet path).
+    let report = scan_source("crates/workloads/src/fixture.rs", src);
+    assert_eq!(lines(&report, "ambient-rng"), Vec::<u32>::new());
+}
+
+#[test]
 fn panicking_decode_catches_panics_only_in_decode_fns() {
     let src = include_str!("fixtures/panicking_decode.rs");
     let report = scan_source("crates/net/src/wire.rs", src);
     // Line 3: slice indexing; line 4: unwrap; line 6: panic!. The
-    // `encode_frame` indexing/unwrap (lines 19–20) is out of scope.
+    // `encode_frame` indexing/unwrap (lines 19–20) is out of scope, and
+    // so is the `#[cfg(test)]` module's `decode_frame_round_trips`.
     assert_eq!(lines(&report, "panicking-decode"), vec![3, 4, 6]);
 }
 

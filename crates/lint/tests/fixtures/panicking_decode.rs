@@ -20,3 +20,14 @@ pub fn encode_frame(buf: &[u8]) -> u8 {
     let second = buf.get(1).copied().unwrap();
     first + second
 }
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn decode_frame_round_trips() {
+        // A test of a decoder may assert, unwrap and index.
+        let buf = [0u8, 53, 64];
+        assert_eq!(super::decode_frame(&buf), (53, buf[2]));
+        super::decode_checked(&buf).unwrap();
+    }
+}

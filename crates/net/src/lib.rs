@@ -26,13 +26,18 @@ pub mod switch;
 pub mod wire;
 
 pub use addr::{MacAddr, MacParseError};
-/// The refcounted buffer [`Packet::data`] is made of, re-exported so that
-/// crates speaking over this substrate share one buffer type.
-pub use bytes::Bytes;
+/// The refcounted buffer [`Packet::data`] is made of, the write side a
+/// frame is built in, and the sink trait payload encoders write to:
+/// re-exported so that crates speaking over this substrate share one
+/// buffer type.
+pub use bytes::{BufMut, Bytes, BytesMut};
 pub use classifier::{Class, Classifier, Match, CLASS_NORMAL};
-pub use packet::{build_reply, build_udp, build_udp_with_ident, Endpoint, Packet, UdpFrame};
+pub use packet::{
+    build_reply, build_reply_with, build_udp, build_udp_with, build_udp_with_ident, Endpoint,
+    Packet, UdpFrame,
+};
 pub use switch::L2Switch;
 pub use wire::{
-    internet_checksum, EthernetHeader, Ipv4Header, UdpHeader, WireError, ETHERTYPE_IPV4, ETH_HLEN,
-    IPPROTO_UDP, IPV4_HLEN, UDP_HLEN, UDP_STACK_HLEN,
+    internet_checksum, read_array, EthernetHeader, Ipv4Header, UdpHeader, WireError,
+    ETHERTYPE_IPV4, ETH_HLEN, IPPROTO_UDP, IPV4_HLEN, UDP_HLEN, UDP_STACK_HLEN,
 };

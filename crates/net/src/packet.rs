@@ -2,13 +2,13 @@
 
 use std::net::Ipv4Addr;
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use inc_sim::{Nanos, Payload};
 
 use crate::addr::MacAddr;
 use crate::wire::{
     EthernetHeader, Ipv4Header, UdpHeader, WireError, ETHERTYPE_IPV4, IPPROTO_UDP, IPV4_HLEN,
-    UDP_HLEN,
+    UDP_HLEN, UDP_STACK_HLEN,
 };
 
 /// An Ethernet frame in flight, with measurement metadata.
@@ -70,7 +70,8 @@ pub struct UdpFrame<'a> {
 }
 
 impl<'a> UdpFrame<'a> {
-    /// Parses and verifies all three headers of `packet`.
+    /// Parses and verifies all three headers of `packet`, checksums
+    /// included, without allocating: the view borrows the packet.
     pub fn parse(packet: &'a Packet) -> Result<Self, WireError> {
         let (eth, rest) = EthernetHeader::decode(&packet.data)?;
         if eth.ethertype != ETHERTYPE_IPV4 {
@@ -87,6 +88,37 @@ impl<'a> UdpFrame<'a> {
             udp,
             payload,
         })
+    }
+
+    /// The payload as a refcounted view of `packet`, the packet this
+    /// frame was parsed from: no copy, but whoever keeps the view keeps
+    /// the whole frame allocated.
+    pub fn payload_bytes(&self, packet: &Packet) -> Bytes {
+        // `parse` admits only option-less IPv4, so the payload always
+        // starts right after the three fixed-size headers.
+        let shared = packet
+            .data
+            .slice(UDP_STACK_HLEN..UDP_STACK_HLEN + self.payload.len());
+        debug_assert_eq!(shared.as_ptr(), self.payload.as_ptr());
+        shared
+    }
+
+    /// The endpoint that sent this frame.
+    pub fn source(&self) -> Endpoint {
+        Endpoint {
+            mac: self.eth.src,
+            ip: self.ip.src,
+            port: self.udp.src_port,
+        }
+    }
+
+    /// The endpoint this frame is addressed to.
+    pub fn destination(&self) -> Endpoint {
+        Endpoint {
+            mac: self.eth.dst,
+            ip: self.ip.dst,
+            port: self.udp.dst_port,
+        }
     }
 }
 
@@ -116,6 +148,9 @@ impl Endpoint {
 
 /// Builds a complete UDP frame from `src` to `dst`.
 ///
+/// One allocation — the frame — whatever the payload: this is
+/// [`build_udp_with`] with a payload that is already bytes.
+///
 /// # Examples
 ///
 /// ```
@@ -139,47 +174,98 @@ pub fn build_udp(src: Endpoint, dst: Endpoint, payload: &[u8]) -> Packet {
 /// Panics if `payload` exceeds the 65,507-byte UDP maximum (fragmentation
 /// is not modelled; the paper's applications use small datagrams).
 pub fn build_udp_with_ident(src: Endpoint, dst: Endpoint, payload: &[u8], ident: u16) -> Packet {
+    build_udp_with(src, dst, ident, payload.len(), |buf| buf.put_slice(payload))
+}
+
+/// Builds a UDP frame whose payload the caller encodes in place: the
+/// one frame builder every other one calls.
+///
+/// The frame is allocated once, at its exact final size — 42 header
+/// bytes plus `payload_len` — as the refcounted buffer the returned
+/// [`Packet`] keeps. `encode` appends the payload behind the reserved
+/// header room; the headers are then written over that room, with the
+/// lengths and the UDP checksum taken from the payload where it lies.
+/// No temporary payload buffer, no copy into the `Arc`.
+///
+/// # Panics
+///
+/// Panics if `encode` does not write exactly `payload_len` bytes (a
+/// codec whose `encoded_len` disagrees with its encoder), or if that
+/// exceeds the 65,507-byte UDP maximum.
+///
+/// # Examples
+///
+/// ```
+/// use inc_net::{build_udp, build_udp_with, BufMut, Endpoint};
+///
+/// let (a, b) = (Endpoint::host(1, 4000), Endpoint::host(2, 53));
+/// let in_place = build_udp_with(a, b, 0, 6, |buf| {
+///     buf.put_u16(0xbeef);
+///     buf.put_slice(b"body");
+/// });
+/// assert_eq!(in_place.data, build_udp(a, b, b"\xbe\xefbody").data);
+/// ```
+pub fn build_udp_with(
+    src: Endpoint,
+    dst: Endpoint,
+    ident: u16,
+    payload_len: usize,
+    encode: impl FnOnce(&mut BytesMut),
+) -> Packet {
     assert!(
-        payload.len() <= 65_507,
-        "payload of {} bytes does not fit one UDP datagram",
-        payload.len()
+        payload_len <= 65_507,
+        "payload of {payload_len} bytes does not fit one UDP datagram"
     );
-    let total_len = (IPV4_HLEN + UDP_HLEN + payload.len()) as u16;
-    let mut buf = Vec::with_capacity(total_len as usize + 14);
+    let mut buf = BytesMut::with_capacity(UDP_STACK_HLEN + payload_len);
+    buf.put_bytes(0, UDP_STACK_HLEN);
+    encode(&mut buf);
+    assert_eq!(
+        buf.len(),
+        UDP_STACK_HLEN + payload_len,
+        "payload encoder wrote a different length than it announced"
+    );
+    let (mut headers, payload) = buf.split_at_mut(UDP_STACK_HLEN);
     EthernetHeader {
         dst: dst.mac,
         src: src.mac,
         ethertype: ETHERTYPE_IPV4,
     }
-    .encode(&mut buf);
+    .encode(&mut headers);
     Ipv4Header {
         src: src.ip,
         dst: dst.ip,
         protocol: IPPROTO_UDP,
         ttl: 64,
-        total_len,
+        total_len: (IPV4_HLEN + UDP_HLEN + payload_len) as u16,
         ident,
     }
-    .encode(&mut buf);
-    UdpHeader::encode_with_payload(src.port, dst.port, src.ip, dst.ip, payload, &mut buf);
-    Packet::from_bytes(Bytes::from(buf))
+    .encode(&mut headers);
+    UdpHeader::for_payload(src.port, dst.port, src.ip, dst.ip, payload).encode(&mut headers);
+    Packet::from_bytes(buf.freeze())
 }
 
 /// Builds the reply to a parsed request: swaps MAC/IP/ports and carries a
 /// new payload. This is exactly what the in-network services do (§10: the
 /// request "enters as the request, and comes out as the reply").
 pub fn build_reply(request: &UdpFrame<'_>, payload: &[u8]) -> Packet {
-    let src = Endpoint {
-        mac: request.eth.dst,
-        ip: request.ip.dst,
-        port: request.udp.dst_port,
-    };
-    let dst = Endpoint {
-        mac: request.eth.src,
-        ip: request.ip.src,
-        port: request.udp.src_port,
-    };
-    build_udp(src, dst, payload)
+    build_reply_with(request, payload.len(), |buf| buf.put_slice(payload))
+}
+
+/// [`build_reply`] with the payload encoded in place, like
+/// [`build_udp_with`]: the reply frame is the service's one allocation
+/// per answered request.
+pub fn build_reply_with(
+    request: &UdpFrame<'_>,
+    payload_len: usize,
+    encode: impl FnOnce(&mut BytesMut),
+) -> Packet {
+    build_udp_with(
+        request.destination(),
+        request.source(),
+        0,
+        payload_len,
+        encode,
+    )
 }
 
 #[cfg(test)]

@@ -5,9 +5,7 @@
 //! exactly this: "the controller modifies switch forwarding rules to send
 //! messages to the new leader" during a Paxos leader shift.
 
-use std::collections::HashMap;
-
-use inc_sim::{impl_node_any, Ctx, Node, PortId};
+use inc_sim::{impl_node_any, Ctx, FixedHashMap, Node, PortId};
 
 use crate::addr::MacAddr;
 use crate::classifier::Match;
@@ -20,7 +18,7 @@ use crate::packet::{Packet, UdpFrame};
 #[derive(Debug)]
 pub struct L2Switch {
     ports: u16,
-    table: HashMap<MacAddr, PortId>,
+    table: FixedHashMap<MacAddr, PortId>,
     steer: Vec<(Match, PortId)>,
     forwarded: u64,
     flooded: u64,
@@ -39,7 +37,7 @@ impl L2Switch {
         assert!(ports > 0, "switch needs ports");
         L2Switch {
             ports,
-            table: HashMap::new(),
+            table: FixedHashMap::default(),
             steer: Vec::new(),
             forwarded: 0,
             flooded: 0,

@@ -6,6 +6,8 @@
 
 use std::net::Ipv4Addr;
 
+use bytes::BufMut;
+
 use crate::addr::MacAddr;
 
 /// Errors decoding a frame.
@@ -61,16 +63,22 @@ pub const UDP_HLEN: usize = 8;
 /// Combined length of the three headers this stack uses.
 pub const UDP_STACK_HLEN: usize = ETH_HLEN + IPV4_HLEN + UDP_HLEN;
 
-/// Reads `N` bytes of `buf` starting at `at` as a fixed-size array.
+/// Reads `N` bytes of `buf` starting at `at` as a fixed-size array, or
+/// `None` when the buffer is too short (or `at + N` overflows).
 ///
-/// The decode paths below are panic-free by contract (`inc-lint`
-/// rule `panicking-decode`): every access goes through `get`, and a
-/// short buffer surfaces as [`WireError::Truncated`] rather than an
-/// out-of-bounds slice panic.
-fn take<const N: usize>(buf: &[u8], at: usize) -> Result<[u8; N], WireError> {
-    buf.get(at..at + N)
+/// The building block of every panic-free decoder in the workspace
+/// (`inc-lint` rule `panicking-decode`): the codecs of `inc-kvs`,
+/// `inc-dns` and `inc-paxos` read their fixed-width fields through it
+/// and map `None` to their own "truncated" error, so a short or hostile
+/// buffer never becomes an out-of-bounds slice panic.
+pub fn read_array<const N: usize>(buf: &[u8], at: usize) -> Option<[u8; N]> {
+    buf.get(at..at.checked_add(N)?)
         .and_then(|s| <[u8; N]>::try_from(s).ok())
-        .ok_or(WireError::Truncated)
+}
+
+/// [`read_array`] with this module's error.
+fn take<const N: usize>(buf: &[u8], at: usize) -> Result<[u8; N], WireError> {
+    read_array(buf, at).ok_or(WireError::Truncated)
 }
 
 /// A parsed Ethernet II header.
@@ -85,11 +93,11 @@ pub struct EthernetHeader {
 }
 
 impl EthernetHeader {
-    /// Encodes the header into `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.dst.0);
-        out.extend_from_slice(&self.src.0);
-        out.extend_from_slice(&self.ethertype.to_be_bytes());
+    /// Appends the 14 header bytes to `out`.
+    pub fn encode<B: BufMut>(&self, out: &mut B) {
+        out.put_slice(&self.dst.0);
+        out.put_slice(&self.src.0);
+        out.put_u16(self.ethertype);
     }
 
     /// Decodes a header from the front of `buf`.
@@ -126,38 +134,57 @@ pub struct Ipv4Header {
     pub ident: u16,
 }
 
-/// Computes the Internet checksum (RFC 1071) over `data`.
+/// Adds `data`, read as big-endian 16-bit words (an odd last byte is
+/// padded with a zero), to a running ones'-complement sum.
+///
+/// This is the one summing loop behind every checksum in the stack. It
+/// reads 32 bits at a time — RFC 1071 §2(C): the sum may be formed in
+/// any word size and folded at the end — into a `u64`, which cannot
+/// overflow below 16 GiB of input. Only the last piece summed into one
+/// accumulator may have an odd length.
+fn sum_words(mut acc: u64, data: &[u8]) -> u64 {
+    let mut quads = data.chunks_exact(4);
+    for q in &mut quads {
+        acc += u64::from(u32::from_be_bytes([q[0], q[1], q[2], q[3]]));
+    }
+    match *quads.remainder() {
+        [a] => acc += u64::from(a) << 8,
+        [a, b] => acc += u64::from(u16::from_be_bytes([a, b])),
+        [a, b, c] => acc += u64::from(u16::from_be_bytes([a, b])) + (u64::from(c) << 8),
+        _ => {}
+    }
+    acc
+}
+
+/// Folds a [`sum_words`] accumulator to 16 bits and complements it.
+fn fold_checksum(mut acc: u64) -> u16 {
+    while acc > 0xffff {
+        acc = (acc & 0xffff) + (acc >> 16);
+    }
+    !(acc as u16)
+}
+
+/// Computes the Internet checksum (RFC 1071) over `data`, of any length.
 pub fn internet_checksum(data: &[u8]) -> u16 {
-    let mut sum = 0u32;
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        sum += u16::from_be_bytes([c[0], c[1]]) as u32;
-    }
-    if let [last] = chunks.remainder() {
-        sum += (*last as u32) << 8;
-    }
-    while sum > 0xffff {
-        sum = (sum & 0xffff) + (sum >> 16);
-    }
-    !(sum as u16)
+    fold_checksum(sum_words(0, data))
 }
 
 impl Ipv4Header {
-    /// Encodes the header (with a valid checksum) into `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        out.push(0x45); // Version 4, IHL 5.
-        out.push(0); // DSCP/ECN.
-        out.extend_from_slice(&self.total_len.to_be_bytes());
-        out.extend_from_slice(&self.ident.to_be_bytes());
-        out.extend_from_slice(&[0x40, 0]); // Flags: DF; fragment offset 0.
-        out.push(self.ttl);
-        out.push(self.protocol);
-        out.extend_from_slice(&[0, 0]); // Checksum placeholder.
-        out.extend_from_slice(&self.src.octets());
-        out.extend_from_slice(&self.dst.octets());
-        let csum = internet_checksum(&out[start..start + IPV4_HLEN]);
-        out[start + 10..start + 12].copy_from_slice(&csum.to_be_bytes());
+    /// Appends the 20 header bytes (with a valid checksum) to `out`.
+    pub fn encode<B: BufMut>(&self, out: &mut B) {
+        let mut h = [0u8; IPV4_HLEN];
+        h[0] = 0x45; // Version 4, IHL 5; DSCP/ECN stay 0.
+        h[2..4].copy_from_slice(&self.total_len.to_be_bytes());
+        h[4..6].copy_from_slice(&self.ident.to_be_bytes());
+        h[6] = 0x40; // Flags: DF; fragment offset 0.
+        h[8] = self.ttl;
+        h[9] = self.protocol;
+        h[12..16].copy_from_slice(&self.src.octets());
+        h[16..20].copy_from_slice(&self.dst.octets());
+        // Summed with the checksum field still zero.
+        let csum = internet_checksum(&h);
+        h[10..12].copy_from_slice(&csum.to_be_bytes());
+        out.put_slice(&h);
     }
 
     /// Decodes and checksum-verifies a header from the front of `buf`.
@@ -191,7 +218,13 @@ impl Ipv4Header {
     }
 }
 
-/// A parsed UDP header.
+/// A UDP header, parsed or about to be written.
+///
+/// The checksum covers the RFC 768 pseudo-header (addresses, protocol,
+/// UDP length), the header and the payload. Both directions sum those
+/// pieces where they lie — [`UdpHeader::for_payload`] when building,
+/// [`UdpHeader::decode`] when verifying — so neither copies the
+/// datagram.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct UdpHeader {
     /// Source port.
@@ -204,28 +237,67 @@ pub struct UdpHeader {
     pub checksum: u16,
 }
 
+/// The ones'-complement sum of the UDP pseudo-header.
+fn pseudo_header_sum(src_ip: Ipv4Addr, dst_ip: Ipv4Addr, udp_len: u16) -> u64 {
+    let acc = sum_words(0, &src_ip.octets());
+    sum_words(acc, &dst_ip.octets()) + u64::from(IPPROTO_UDP) + u64::from(udp_len)
+}
+
 impl UdpHeader {
-    /// Encodes header and payload, computing the checksum over the
-    /// pseudo-header as RFC 768 requires.
-    pub fn encode_with_payload(
+    /// The header of a datagram carrying `payload` between the two
+    /// addresses, its checksum computed over the payload in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if header plus payload exceed the 16-bit length field.
+    pub fn for_payload(
         src_port: u16,
         dst_port: u16,
         src_ip: Ipv4Addr,
         dst_ip: Ipv4Addr,
         payload: &[u8],
-        out: &mut Vec<u8>,
+    ) -> UdpHeader {
+        let length = UDP_HLEN + payload.len();
+        assert!(
+            length <= usize::from(u16::MAX),
+            "payload of {} bytes does not fit one UDP datagram",
+            payload.len()
+        );
+        let length = length as u16;
+        let acc = pseudo_header_sum(src_ip, dst_ip, length)
+            + u64::from(src_port)
+            + u64::from(dst_port)
+            + u64::from(length);
+        let csum = fold_checksum(sum_words(acc, payload));
+        UdpHeader {
+            src_port,
+            dst_port,
+            length,
+            // RFC 768: a computed zero checksum is transmitted as 0xffff.
+            checksum: if csum == 0 { 0xffff } else { csum },
+        }
+    }
+
+    /// Appends the 8 header bytes to `out`.
+    pub fn encode<B: BufMut>(&self, out: &mut B) {
+        out.put_u16(self.src_port);
+        out.put_u16(self.dst_port);
+        out.put_u16(self.length);
+        out.put_u16(self.checksum);
+    }
+
+    /// Encodes header and payload, computing the checksum over the
+    /// pseudo-header as RFC 768 requires.
+    pub fn encode_with_payload<B: BufMut>(
+        src_port: u16,
+        dst_port: u16,
+        src_ip: Ipv4Addr,
+        dst_ip: Ipv4Addr,
+        payload: &[u8],
+        out: &mut B,
     ) {
-        let length = (UDP_HLEN + payload.len()) as u16;
-        let start = out.len();
-        out.extend_from_slice(&src_port.to_be_bytes());
-        out.extend_from_slice(&dst_port.to_be_bytes());
-        out.extend_from_slice(&length.to_be_bytes());
-        out.extend_from_slice(&[0, 0]); // Checksum placeholder.
-        out.extend_from_slice(payload);
-        let csum = udp_checksum(src_ip, dst_ip, &out[start..]);
-        // RFC 768: a computed zero checksum is transmitted as 0xffff.
-        let csum = if csum == 0 { 0xffff } else { csum };
-        out[start + 6..start + 8].copy_from_slice(&csum.to_be_bytes());
+        UdpHeader::for_payload(src_port, dst_port, src_ip, dst_ip, payload).encode(out);
+        out.put_slice(payload);
     }
 
     /// Decodes and (if present) checksum-verifies a datagram.
@@ -237,34 +309,25 @@ impl UdpHeader {
         buf: &[u8],
     ) -> Result<(Self, &[u8]), WireError> {
         let header = buf.get(..UDP_HLEN).ok_or(WireError::Truncated)?;
-        let length = u16::from_be_bytes(take::<2>(header, 4)?) as usize;
-        if length < UDP_HLEN || length > buf.len() {
+        let length = u16::from_be_bytes(take::<2>(header, 4)?);
+        if usize::from(length) < UDP_HLEN || usize::from(length) > buf.len() {
             return Err(WireError::BadLength);
         }
         let hdr = UdpHeader {
             src_port: u16::from_be_bytes(take::<2>(header, 0)?),
             dst_port: u16::from_be_bytes(take::<2>(header, 2)?),
-            length: length as u16,
+            length,
             checksum: u16::from_be_bytes(take::<2>(header, 6)?),
         };
-        let datagram = buf.get(..length).ok_or(WireError::BadLength)?;
-        if hdr.checksum != 0 && udp_checksum(src_ip, dst_ip, datagram) != 0 {
+        let datagram = buf.get(..usize::from(length)).ok_or(WireError::BadLength)?;
+        // A datagram summed together with its own checksum folds to 0.
+        let sum = sum_words(pseudo_header_sum(src_ip, dst_ip, length), datagram);
+        if hdr.checksum != 0 && fold_checksum(sum) != 0 {
             return Err(WireError::BadUdpChecksum);
         }
-        let payload = buf.get(UDP_HLEN..length).ok_or(WireError::BadLength)?;
+        let payload = datagram.get(UDP_HLEN..).ok_or(WireError::BadLength)?;
         Ok((hdr, payload))
     }
-}
-
-fn udp_checksum(src_ip: Ipv4Addr, dst_ip: Ipv4Addr, datagram: &[u8]) -> u16 {
-    let mut pseudo = Vec::with_capacity(12 + datagram.len());
-    pseudo.extend_from_slice(&src_ip.octets());
-    pseudo.extend_from_slice(&dst_ip.octets());
-    pseudo.push(0);
-    pseudo.push(IPPROTO_UDP);
-    pseudo.extend_from_slice(&(datagram.len() as u16).to_be_bytes());
-    pseudo.extend_from_slice(datagram);
-    internet_checksum(&pseudo)
 }
 
 #[cfg(test)]
@@ -302,6 +365,82 @@ mod tests {
         let data = [0x00u8, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7];
         let c = internet_checksum(&data);
         assert_eq!(c, !0xddf2u16);
+    }
+
+    /// RFC 1071 as written: 16-bit words, folded after every addition.
+    fn reference_checksum(data: &[u8]) -> u16 {
+        let mut sum = 0u32;
+        for pair in data.chunks(2) {
+            let word = u16::from_be_bytes([pair[0], *pair.get(1).unwrap_or(&0)]);
+            sum += u32::from(word);
+            sum = (sum & 0xffff) + (sum >> 16);
+        }
+        !(sum as u16)
+    }
+
+    #[test]
+    fn internet_checksum_handles_every_tail_length() {
+        let data: Vec<u8> = (0..67u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..=data.len() {
+            assert_eq!(
+                internet_checksum(&data[..len]),
+                reference_checksum(&data[..len]),
+                "length {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn internet_checksum_does_not_overflow_on_large_inputs() {
+        // 128 Ki words of 0xffff overflowed the old `u32` accumulator
+        // (a debug panic, a silently wrong sum in release). Every word
+        // is ones'-complement zero, so the sum stays 0xffff.
+        let big = vec![0xffu8; 256 * 1024];
+        assert_eq!(internet_checksum(&big), 0);
+        assert_eq!(internet_checksum(&big), reference_checksum(&big));
+        // The odd tail byte is the high half of a zero-padded word.
+        let odd = vec![0xffu8; 256 * 1024 + 1];
+        assert_eq!(internet_checksum(&odd), !0xff00);
+        assert_eq!(internet_checksum(&odd), reference_checksum(&odd));
+    }
+
+    #[test]
+    fn udp_checksum_is_the_checksum_of_pseudo_header_and_datagram() {
+        let src = Ipv4Addr::new(10, 1, 2, 3);
+        let dst = Ipv4Addr::new(192, 168, 200, 77);
+        for len in [0usize, 1, 2, 3, 4, 5, 63, 64, 65, 1471] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+            let mut datagram = Vec::new();
+            UdpHeader::encode_with_payload(40_000, 53, src, dst, &payload, &mut datagram);
+            // The concatenation the old implementation allocated.
+            let mut concat = Vec::new();
+            concat.extend_from_slice(&src.octets());
+            concat.extend_from_slice(&dst.octets());
+            concat.extend_from_slice(&[0, IPPROTO_UDP]);
+            concat.extend_from_slice(&(datagram.len() as u16).to_be_bytes());
+            concat.extend_from_slice(&datagram);
+            assert_eq!(internet_checksum(&concat), 0, "length {len}");
+            let (hdr, got) = UdpHeader::decode(src, dst, &datagram).unwrap();
+            assert_eq!(got, &payload[..]);
+            assert_eq!(hdr, UdpHeader::for_payload(40_000, 53, src, dst, &payload));
+        }
+    }
+
+    #[test]
+    fn a_computed_zero_udp_checksum_is_sent_as_all_ones() {
+        let src = Ipv4Addr::new(10, 0, 0, 1);
+        let dst = Ipv4Addr::new(10, 0, 0, 2);
+        // The checksum over a zero word is `c`; over the word `c` itself
+        // the ones'-complement sum reaches 0xffff and the checksum 0,
+        // which RFC 768 reserves for "none" and transmits as 0xffff.
+        let c = UdpHeader::for_payload(7, 9, src, dst, &[0, 0]).checksum;
+        let payload = c.to_be_bytes();
+        let hdr = UdpHeader::for_payload(7, 9, src, dst, &payload);
+        assert_eq!(hdr.checksum, 0xffff);
+        let mut datagram = Vec::new();
+        UdpHeader::encode_with_payload(7, 9, src, dst, &payload, &mut datagram);
+        let (got, body) = UdpHeader::decode(src, dst, &datagram).unwrap();
+        assert_eq!((got, body), (hdr, &payload[..]));
     }
 
     #[test]

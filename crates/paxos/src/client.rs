@@ -14,8 +14,8 @@
 //! machines — whoever currently holds the leader role receives its
 //! requests.
 
-use inc_net::{build_udp, Endpoint, Packet, UdpFrame};
-use inc_sim::{impl_node_any, Ctx, Histogram, Nanos, Node, PortId, Timer};
+use inc_net::{build_udp_with, BufMut, Bytes, Endpoint, Packet, UdpFrame};
+use inc_sim::{impl_node_any, Ctx, FixedHashMap, Histogram, Nanos, Node, PortId, Timer};
 
 use crate::msg::{ClientCommand, MsgType, PaxosMsg, PAXOS_CLIENT_PORT};
 
@@ -57,7 +57,7 @@ pub struct PaxosClient {
     payload_len: usize,
     next_seq: u64,
     /// Outstanding: seq → (first-send time, retry count).
-    outstanding: std::collections::HashMap<u64, (Nanos, u32)>,
+    outstanding: FixedHashMap<u64, (Nanos, u32)>,
     stats: PaxosClientStats,
     /// End-to-end command latency (first send → ack).
     pub latency: Histogram,
@@ -81,7 +81,7 @@ impl PaxosClient {
             timeout,
             payload_len: 16,
             next_seq: 0,
-            outstanding: std::collections::HashMap::new(),
+            outstanding: FixedHashMap::default(),
             stats: PaxosClientStats::default(),
             latency: Histogram::new(),
             window_latency: Histogram::new(),
@@ -131,14 +131,24 @@ impl PaxosClient {
         (n, std::mem::take(&mut self.window_latency))
     }
 
+    /// The request frame for command `seq`: the [`ClientCommand`]
+    /// `(id, seq, 0xAB × payload_len)` as the value of a `ClientRequest`,
+    /// encoded field by field into the frame — the command is never
+    /// materialised.
     fn request_packet(&self, seq: u64) -> Packet {
-        let cmd = ClientCommand {
-            client: self.id,
-            seq,
-            payload: vec![0xAB; self.payload_len],
-        };
-        let msg = PaxosMsg::new(MsgType::ClientRequest, 0, 0, cmd.encode());
-        build_udp(self.own, self.leader, &msg.encode())
+        let value_len = ClientCommand::HEADER_LEN + self.payload_len;
+        let request = PaxosMsg::new(MsgType::ClientRequest, 0, 0, Bytes::new());
+        build_udp_with(
+            self.own,
+            self.leader,
+            0,
+            PaxosMsg::HEADER_LEN + value_len,
+            |buf| {
+                request.write_header(value_len, buf);
+                ClientCommand::write_header(self.id, seq, buf);
+                buf.put_bytes(0xAB, self.payload_len);
+            },
+        )
     }
 
     fn issue_new(&mut self, ctx: &mut Ctx<'_, Packet>) {
@@ -221,7 +231,7 @@ impl Node<Packet> for PaxosClient {
         let Ok(frame) = UdpFrame::parse(&pkt) else {
             return;
         };
-        let Ok(msg) = PaxosMsg::decode(frame.payload) else {
+        let Ok(msg) = PaxosMsg::decode_shared(&frame.payload_bytes(&pkt)) else {
             return;
         };
         if msg.mtype != MsgType::ClientReply {

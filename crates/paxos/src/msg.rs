@@ -15,13 +15,21 @@
 //! panics loudly if a value exceeds [`MAX_VALUE_LEN`] rather than
 //! silently truncating the 16-bit length field.
 //!
-//! A value is allocated **once per wire hop**: [`PaxosMsg::decode`]
-//! copies it out of the datagram into one refcounted [`Bytes`], and from
-//! there every role machine stores, forwards and re-proposes it by
-//! bumping that count. The sending side need not allocate at all —
-//! [`PaxosMsg::encode_into`] appends to a buffer the caller reuses.
+//! A value is allocated **at most once per wire hop**:
+//! [`PaxosMsg::decode`] copies it out of the datagram into one
+//! refcounted [`Bytes`], and from there every role machine stores,
+//! forwards and re-proposes it by bumping that count. A receiver that
+//! holds the datagram as [`Bytes`] already — a simulator node holds the
+//! packet — calls [`PaxosMsg::decode_shared`] instead and the value is
+//! a view of the datagram: no allocation, but whoever parks the value
+//! parks the frame it arrived in. The sending side need not allocate
+//! either — [`PaxosMsg::write_to`] appends to any [`BufMut`], a frame
+//! under construction included, and [`PaxosMsg::encode_into`] to a
+//! buffer the caller reuses.
 
-use inc_net::Bytes;
+use std::ops::Range;
+
+use inc_net::{read_array, BufMut, Bytes};
 
 /// Paxos message types.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -142,7 +150,7 @@ impl PaxosMsg {
 
     /// Encoded length on the wire.
     pub fn encoded_len(&self) -> usize {
-        24 + self.value.len()
+        Self::HEADER_LEN + self.value.len()
     }
 
     /// Encodes to a fresh buffer. A sender on a hot path keeps one
@@ -169,36 +177,63 @@ impl PaxosMsg {
     /// Panics if the value exceeds [`MAX_VALUE_LEN`], like
     /// [`PaxosMsg::encode`].
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        assert!(
-            self.value.len() <= MAX_VALUE_LEN,
-            "paxos value ({} bytes) exceeds the 16-bit wire length field",
-            self.value.len()
-        );
         out.reserve(self.encoded_len());
-        out.push(self.mtype.to_byte());
-        out.extend_from_slice(&self.instance.to_be_bytes());
-        out.extend_from_slice(&self.round.to_be_bytes());
-        out.extend_from_slice(&self.vround.to_be_bytes());
-        out.push(self.acceptor);
-        out.extend_from_slice(&self.last_voted.to_be_bytes());
-        out.extend_from_slice(&(self.value.len() as u16).to_be_bytes());
-        out.extend_from_slice(&self.value);
+        self.write_to(out);
     }
 
-    /// Decodes from bytes. The value is copied out of `buf` into one
-    /// refcounted allocation — the hop's only one — or none at all when
-    /// it is empty (phase 1a, refusals, no-ops).
+    /// Appends the encoded message to any byte sink: the one encoder.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the value exceeds [`MAX_VALUE_LEN`], like
+    /// [`PaxosMsg::encode`].
+    pub fn write_to<B: BufMut>(&self, out: &mut B) {
+        self.write_header(self.value.len(), out);
+        out.put_slice(&self.value);
+    }
+
+    /// Appends the 24 header bytes of this message as if its value were
+    /// `value_len` bytes long; the caller writes those bytes next. Lets
+    /// a sender whose value exists only as fields (a client command)
+    /// encode it in place instead of materialising it first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value_len` exceeds [`MAX_VALUE_LEN`].
+    pub fn write_header<B: BufMut>(&self, value_len: usize, out: &mut B) {
+        assert!(
+            value_len <= MAX_VALUE_LEN,
+            "paxos value ({value_len} bytes) exceeds the 16-bit wire length field"
+        );
+        let mut header = [0u8; Self::HEADER_LEN];
+        header[0] = self.mtype.to_byte();
+        header[1..9].copy_from_slice(&self.instance.to_be_bytes());
+        header[9..11].copy_from_slice(&self.round.to_be_bytes());
+        header[11..13].copy_from_slice(&self.vround.to_be_bytes());
+        header[13] = self.acceptor;
+        header[14..22].copy_from_slice(&self.last_voted.to_be_bytes());
+        header[22..24].copy_from_slice(&(value_len as u16).to_be_bytes());
+        out.put_slice(&header);
+    }
+
+    /// Bytes in front of the value.
+    pub const HEADER_LEN: usize = 24;
+
+    /// Parses the header into a constructor awaiting the value, and says
+    /// where in `buf` the value lies. The one decoder;
+    /// [`PaxosMsg::decode`] and [`PaxosMsg::decode_shared`] differ only
+    /// in how they take the value.
     ///
     /// Panic-free by contract (`inc-lint` rule `panicking-decode`):
     /// malformed input maps to a [`MsgError`], never an out-of-bounds
     /// slice panic.
-    pub fn decode(buf: &[u8]) -> Result<PaxosMsg, MsgError> {
+    fn decode_header(
+        buf: &[u8],
+    ) -> Result<(impl FnOnce(Bytes) -> PaxosMsg, Range<usize>), MsgError> {
         fn arr<const N: usize>(buf: &[u8], at: usize) -> Result<[u8; N], MsgError> {
-            buf.get(at..at + N)
-                .and_then(|s| <[u8; N]>::try_from(s).ok())
-                .ok_or(MsgError::Truncated)
+            read_array(buf, at).ok_or(MsgError::Truncated)
         }
-        if buf.len() < 24 {
+        if buf.len() < Self::HEADER_LEN {
             return Err(MsgError::Truncated);
         }
         let t0 = *buf.first().ok_or(MsgError::Truncated)?;
@@ -209,16 +244,39 @@ impl PaxosMsg {
         let acceptor = *buf.get(13).ok_or(MsgError::Truncated)?;
         let last_voted = u64::from_be_bytes(arr::<8>(buf, 14)?);
         let vlen = u16::from_be_bytes(arr::<2>(buf, 22)?) as usize;
-        let value = buf.get(24..24 + vlen).ok_or(MsgError::BadLength)?;
-        Ok(PaxosMsg {
+        let value = Self::HEADER_LEN..Self::HEADER_LEN + vlen;
+        if value.end > buf.len() {
+            return Err(MsgError::BadLength);
+        }
+        let finish = move |value| PaxosMsg {
             mtype,
             instance,
             round,
             vround,
             acceptor,
             last_voted,
-            value: Bytes::copy_from_slice(value),
-        })
+            value,
+        };
+        Ok((finish, value))
+    }
+
+    /// Decodes from bytes. The value is copied out of `buf` into one
+    /// refcounted allocation — the hop's only one — or none at all when
+    /// it is empty (phase 1a, refusals, no-ops).
+    pub fn decode(buf: &[u8]) -> Result<PaxosMsg, MsgError> {
+        let (finish, value) = Self::decode_header(buf)?;
+        let value = buf.get(value).ok_or(MsgError::BadLength)?;
+        Ok(finish(Bytes::copy_from_slice(value)))
+    }
+
+    /// Decodes from a datagram that is already refcounted: the value is
+    /// a [`Bytes::slice`] of `buf`, so nothing is allocated or copied.
+    /// The value keeps all of `buf`'s allocation alive — fine while a
+    /// message is handled and forwarded, a cost for a role that parks
+    /// it (see [`crate::roles`]).
+    pub fn decode_shared(buf: &Bytes) -> Result<PaxosMsg, MsgError> {
+        let (finish, value) = Self::decode_header(buf)?;
+        Ok(finish(buf.slice(value)))
     }
 }
 
@@ -245,9 +303,15 @@ impl ClientCommand {
     /// Appends the encoded value to `out` (the scratch-buffer twin of
     /// [`ClientCommand::encode`], like [`PaxosMsg::encode_into`]).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.client.to_be_bytes());
-        out.extend_from_slice(&self.seq.to_be_bytes());
+        Self::write_header(self.client, self.seq, out);
         out.extend_from_slice(&self.payload);
+    }
+
+    /// Appends the `client:u32 | seq:u64` header [`ClientCommand::header`]
+    /// reads back; the payload bytes follow it.
+    pub fn write_header<B: BufMut>(client: u32, seq: u64, out: &mut B) {
+        out.put_u32(client);
+        out.put_u64(seq);
     }
 
     /// Bytes of the `client:u32 | seq:u64` header in front of the payload.

@@ -5,14 +5,12 @@
 //! on a Tofino. [`PaxosNode`] wraps a [`RoleEngine`] with a [`Platform`]
 //! that supplies the timing and power of each variation.
 
-use std::collections::HashMap;
-
 use inc_hw::{SumeCard, TofinoModel, TofinoProgram, SHELL_PIPELINE_LATENCY};
-use inc_net::{build_udp, Endpoint, Packet, UdpFrame};
+use inc_net::{build_udp_with, Endpoint, Packet, UdpFrame};
 use inc_power::{calib, CpuModel};
 use inc_sim::{
-    impl_node_any, Admission, Ctx, Histogram, Nanos, Node, PortId, ServiceStation, Timer,
-    WindowRate,
+    impl_node_any, Admission, Ctx, FixedHashMap, Histogram, Nanos, Node, PortId, ServiceStation,
+    Timer, WindowRate,
 };
 
 use crate::msg::{PaxosMsg, PAXOS_CLIENT_PORT};
@@ -326,7 +324,7 @@ pub struct PaxosNode {
     platform: Platform,
     book: AddressBook,
     stats: PaxosNodeStats,
-    pending: HashMap<u64, (PaxosMsg, Endpoint, Nanos)>,
+    pending: FixedHashMap<u64, (PaxosMsg, Endpoint, Nanos)>,
     next_tag: u64,
     /// Per-message processing latency at this node.
     pub node_latency: Histogram,
@@ -340,7 +338,7 @@ impl PaxosNode {
             platform,
             book,
             stats: PaxosNodeStats::default(),
-            pending: HashMap::new(),
+            pending: FixedHashMap::default(),
             next_tag: 0,
             node_latency: Histogram::new(),
         }
@@ -407,23 +405,25 @@ impl PaxosNode {
         msg: PaxosMsg,
         reply_to: Option<Endpoint>,
     ) {
-        let payload = msg.encode();
-        let targets: Vec<Endpoint> = match dest {
-            Dest::AllAcceptors => self.book.acceptors.clone(),
+        // One frame per target, the message encoded straight into each:
+        // no payload buffer and no target list in between.
+        let (own, len) = (self.book.own, msg.encoded_len());
+        let emitted = &mut self.stats.emitted;
+        let mut send = |target: Endpoint| {
+            let pkt = build_udp_with(own, target, 0, len, |buf| msg.write_to(buf));
+            *emitted += 1;
+            ctx.send_after(delay, PortId::P0, pkt);
+        };
+        match dest {
+            Dest::AllAcceptors => self.book.acceptors.iter().copied().for_each(send),
             Dest::AllLearners => {
                 // 2b goes to learners plus the leader (instance feedback).
-                let mut t = self.book.learners.clone();
-                t.push(self.book.leader);
-                t
+                self.book.learners.iter().copied().for_each(&mut send);
+                send(self.book.leader);
             }
-            Dest::Leader => vec![self.book.leader],
-            Dest::Client(id) => vec![self.book.client(id)],
-            Dest::Reply => vec![reply_to.unwrap_or(self.book.leader)],
-        };
-        for target in targets {
-            let pkt = build_udp(self.book.own, target, &payload);
-            self.stats.emitted += 1;
-            ctx.send_after(delay, PortId::P0, pkt);
+            Dest::Leader => send(self.book.leader),
+            Dest::Client(id) => send(self.book.client(id)),
+            Dest::Reply => send(reply_to.unwrap_or(self.book.leader)),
         }
     }
 }
@@ -450,21 +450,18 @@ impl Node<Packet> for PaxosNode {
         if !to_me && !to_leader_vip {
             return;
         }
-        let Ok(msg) = PaxosMsg::decode(frame.payload) else {
+        // The value is a view of the packet: nothing is copied while
+        // the message waits out its service time in `pending`.
+        let Ok(msg) = PaxosMsg::decode_shared(&frame.payload_bytes(&pkt)) else {
             return;
         };
         let Some((finish, fixed)) = self.platform.admit(now) else {
             self.stats.dropped += 1;
             return;
         };
-        let src = Endpoint {
-            mac: frame.eth.src,
-            ip: frame.ip.src,
-            port: frame.udp.src_port,
-        };
         self.next_tag += 1;
         let tag = TAG_WORK_BASE + self.next_tag;
-        self.pending.insert(tag, (msg, src, now));
+        self.pending.insert(tag, (msg, frame.source(), now));
         ctx.schedule_at(finish + fixed, tag);
     }
 

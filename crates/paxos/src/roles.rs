@@ -4,10 +4,14 @@
 //! These are pure, host-agnostic, sans-IO engines: a machine consumes a
 //! [`PaxosMsg`] via its `handle` method and returns an [`Outbox`] of
 //! `(Dest, PaxosMsg)` pairs; it never owns a socket, a clock, or an
-//! address. Values are refcounted [`Bytes`]: what an acceptor stores,
-//! what its vote carries and what the learner delivers are handles on
-//! the allocation the decoder made, never copies of it. The same code
-//! therefore runs inside the libpaxos-style
+//! address. Values are refcounted [`Bytes`]: a message that is handled
+//! and forwarded — a proposal, a vote, a client reply — carries a
+//! handle on the bytes it arrived with, which may be a view of the whole
+//! received frame ([`PaxosMsg::decode_shared`]). State that outlives the
+//! message — an acceptor's voted value, the learner's vote table — is
+//! never such a view: it is copied out once into an allocation of its
+//! own, so unbounded acceptor storage retains values, not frames.
+//! The same code therefore runs inside the libpaxos-style
 //! software nodes, the DPDK variant, and the P4xos FPGA/ASIC devices —
 //! only storage bounds, timing and power differ. That sharing is what
 //! makes the leader shift of §9.2 possible.
@@ -64,6 +68,12 @@ impl AcceptorSet {
     pub(crate) fn len(&self) -> usize {
         self.0.iter().map(|w| w.count_ones() as usize).sum()
     }
+}
+
+/// A copy of `value` that long-lived role state may keep: whatever
+/// larger buffer `value` is a view of is not kept alive by it.
+fn parked(value: &Bytes) -> Bytes {
+    Bytes::copy_from_slice(value)
 }
 
 /// Per-instance acceptor state.
@@ -180,7 +190,7 @@ impl Acceptor {
                 if msg.round >= state.rnd {
                     state.rnd = msg.round;
                     state.vrnd = msg.round;
-                    state.vval = msg.value.clone();
+                    state.vval = parked(&msg.value);
                     self.last_voted = self.last_voted.max(msg.instance);
                     self.votes += 1;
                     let vote = PaxosMsg {
@@ -416,10 +426,10 @@ impl Learner {
         let entry = self
             .votes
             .entry(msg.instance)
-            .or_insert_with(|| (msg.round, AcceptorSet::default(), msg.value.clone()));
+            .or_insert_with(|| (msg.round, AcceptorSet::default(), parked(&msg.value)));
         if msg.round > entry.0 {
             // Newer round supersedes accumulated votes.
-            *entry = (msg.round, AcceptorSet::default(), msg.value.clone());
+            *entry = (msg.round, AcceptorSet::default(), parked(&msg.value));
         }
         if msg.round < entry.0 {
             return Outbox::Empty;

@@ -72,3 +72,19 @@ pub use stats::{
     EnergyIntegrator, Ewma, Histogram, RecentRing, StreamStats, TimeSeries, WindowRate,
 };
 pub use time::Nanos;
+
+/// The hasher state of [`FixedHashMap`]: SipHash with constant keys.
+pub type FixedState = std::hash::BuildHasherDefault<std::collections::hash_map::DefaultHasher>;
+
+/// A `HashMap` that hashes the same way in every process.
+///
+/// `HashMap::new()` seeds its hasher per process (`RandomState`). No
+/// model here iterates a hash map, but a table that churns — requests
+/// parked until their reply, learned MAC entries — leaves tombstones
+/// where its hashes happen to fall, so *when it regrows*, and with it
+/// the allocation count of a run, differed between identical runs.
+/// Models keep such tables in this type (made with `default()`), which
+/// `inc-lint`'s `ambient-rng` rule enforces. The constant keys give up
+/// `RandomState`'s protection against crafted collisions; every key
+/// here comes from the simulation itself.
+pub type FixedHashMap<K, V> = std::collections::HashMap<K, V, FixedState>;

@@ -401,7 +401,11 @@ pub struct Simulator<M: Payload> {
     /// while it runs) and action application never dispatches, so one
     /// scratch buffer suffices.
     action_scratch: Vec<Action<M>>,
+    link_tap: Option<LinkTap<M>>,
 }
+
+/// The observer of [`Simulator::set_link_tap`].
+type LinkTap<M> = Box<dyn FnMut(Nanos, NodeId, PortId, &M)>;
 
 impl<M: Payload> Simulator<M> {
     /// Creates an empty simulator with the given random seed.
@@ -424,6 +428,7 @@ impl<M: Payload> Simulator<M> {
             meter_energy_j: 0.0,
             meter_last_sample: None,
             action_scratch: Vec::new(),
+            link_tap: None,
         }
     }
 
@@ -494,6 +499,16 @@ impl<M: Payload> Simulator<M> {
         let at = self.now + cfg.interval;
         self.meter = Some(cfg);
         self.push(at, EventKind::MeterSample);
+    }
+
+    /// Installs an observer that sees every message a node puts on a
+    /// connected link — `(now, sender, egress port, message)`, before
+    /// the link's loss draw and serialisation — in the deterministic
+    /// order the simulator applies sends. Wire-equivalence tests digest
+    /// frames through it; with no tap installed a send pays one
+    /// `Option` check.
+    pub fn set_link_tap(&mut self, tap: impl FnMut(Nanos, NodeId, PortId, &M) + 'static) {
+        self.link_tap = Some(Box::new(tap));
     }
 
     /// Returns the recorded wall-power series (watts over time).
@@ -639,6 +654,9 @@ impl<M: Payload> Simulator<M> {
                     let depart = self.now + delay;
                     match self.links.get_mut(&(id, port)) {
                         Some(link) => {
+                            if let Some(tap) = self.link_tap.as_mut() {
+                                tap(self.now, id, port, &msg);
+                            }
                             if link.spec.loss > 0.0 && self.rng.chance(link.spec.loss) {
                                 self.lost += 1;
                                 continue;

@@ -48,6 +48,13 @@ cargo test --release -q --test economics
 echo "== consensus chaos suite =="
 cargo test --release -q --test failure_injection chaos
 
+# Deterministic costs hard-fail here, wall-clock ones do not: a frame is
+# one allocation to build and none to read, a device hit is its reply
+# frame, the packet fabric stays <= 10 allocations per request and a
+# loss-free Paxos slot <= 13 (exact counts from a counting allocator).
+echo "== allocation budgets =="
+cargo test --release -q --test alloc_budget
+
 echo "== criterion smoke targets =="
 cargo bench -p inc-bench --bench codecs
 cargo bench -p inc-bench --bench shared_device

@@ -1,20 +1,32 @@
-//! Allocation budget of the consensus value plane, defended by
-//! `cargo test` rather than only by the benchmark's `allocs_per_kop`.
+//! Allocation budgets of the consensus value plane and of the packet
+//! data path, defended by `cargo test` rather than only by the
+//! benchmark's `allocs_per_kop` (`scripts/bench_smoke.sh` runs this
+//! binary in release, so a regression in a deterministic cost fails CI).
 //!
 //! A command's bytes are allocated once per wire hop (`PaxosMsg::decode`)
 //! and shared by refcount from there on; role steps that send at most
-//! one message allocate nothing. This binary has its own counting
-//! `#[global_allocator]`, so it holds these tests only. The counter is
-//! per thread: libtest runs tests on parallel threads, and a test must
-//! not be billed for its neighbour's allocations.
+//! one message allocate nothing. A frame costs one allocation to build —
+//! the frame — and none to parse, checksum-verify and decode; a device
+//! that answers a request allocates its reply and nothing else. This
+//! binary has its own counting `#[global_allocator]`, so it holds these
+//! tests only. The counter is per thread: libtest runs tests on parallel
+//! threads, and a test must not be billed for its neighbour's
+//! allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use inc::net::Bytes;
+use inc::dns::{DnsResponse, DnsResponseView, EmuDevice, Name, Query, Rcode, Zone, DNS_PORT};
+use inc::kvs::{
+    decode_view, expected_value, key_name, FrameHeader, LakeCacheConfig, LakeDevice, MessageView,
+    RequestView, ResponseView, Status, MEMCACHED_PORT,
+};
+use inc::net::{build_udp, build_udp_with, Bytes, Endpoint, Packet, UdpFrame};
 use inc::paxos::multi::{Acceptor, Ballot};
 use inc::paxos::{ClientCommand, MsgType, PaxosMsg};
+use inc::sim::{impl_node_any, Ctx, LinkSpec, Nanos, Node, NodeId, PortId, Simulator};
 use inc_bench::consensus::ChaosCluster;
+use inc_bench::rigs::MultiTorRig;
 
 thread_local! {
     // Const-initialised and without a destructor: safe to touch from
@@ -134,4 +146,267 @@ fn a_warm_acceptor_votes_without_allocating() {
     );
     let stored = acceptor.accepted(7).map(|(_, v)| v.as_ptr());
     assert_eq!(stored, Some(value.as_ptr()));
+}
+
+#[test]
+fn a_frame_costs_one_allocation_to_build_and_none_to_read() {
+    let client = Endpoint::host(1, 40_000);
+    let server = Endpoint::host(2, MEMCACHED_PORT);
+    let payload = [0xABu8; 64];
+    let mut built = None;
+    assert_eq!(
+        allocations_in(|| built = Some(build_udp(client, server, &payload))),
+        1,
+        "build_udp allocates the frame and nothing else"
+    );
+    let pkt = built.unwrap();
+    assert_eq!(
+        allocations_in(|| assert_eq!(UdpFrame::parse(&pkt).unwrap().payload, payload)),
+        0,
+        "parsing verifies both checksums in place"
+    );
+
+    // One frame per codec, each encoded in place (one allocation) and
+    // read back through the borrowed decoders (none).
+    let frame = FrameHeader {
+        request_id: 7,
+        seq: 0,
+        total: 1,
+    };
+    let key = key_name(3);
+    let value = expected_value(&key, 64);
+    let hit = ResponseView {
+        opcode: inc::kvs::Opcode::Get,
+        status: Status::Ok,
+        value: &value,
+        flags: 5,
+        opaque: 9,
+    };
+    let get = RequestView::Get { key: &key };
+    let name = Name::parse("host-5.example.com").unwrap();
+    let query = Query {
+        id: 5,
+        name: name.clone(),
+        qtype: inc::dns::TYPE_A,
+        recursion_desired: false,
+    };
+    let answer = DnsResponse {
+        id: 5,
+        rcode: Rcode::NoError,
+        name,
+        answers: vec![(Zone::synthetic_addr(5), 300)],
+    };
+    let command = ClientCommand {
+        client: 1,
+        seq: 42,
+        payload: vec![0xEF; 16],
+    };
+    let p2a = PaxosMsg::new(MsgType::Phase2a, 123_456, 3, command.encode());
+
+    let mut frames: Vec<Packet> = Vec::with_capacity(5);
+    let allocs = allocations_in(|| {
+        frames.push(build_udp_with(client, server, 0, get.encoded_len(), |b| {
+            get.encode_into(frame, 9, b)
+        }));
+        frames.push(build_udp_with(server, client, 0, hit.encoded_len(), |b| {
+            hit.encode_into(frame, b)
+        }));
+        frames.push(build_udp_with(
+            client,
+            server,
+            0,
+            query.encoded_len(),
+            |b| query.encode_into(b),
+        ));
+        frames.push(build_udp_with(
+            server,
+            client,
+            0,
+            answer.encoded_len(),
+            |b| answer.encode_into(b),
+        ));
+        frames.push(build_udp_with(client, server, 0, p2a.encoded_len(), |b| {
+            p2a.write_to(b)
+        }));
+    });
+    assert_eq!(allocs, 5, "one allocation per frame built");
+
+    let allocs = allocations_in(|| {
+        let f = UdpFrame::parse(&frames[0]).unwrap();
+        match decode_view(f.payload).unwrap() {
+            MessageView::Request {
+                request, opaque, ..
+            } => assert_eq!((request, opaque), (get, 9)),
+            other => panic!("{other:?}"),
+        }
+        let f = UdpFrame::parse(&frames[1]).unwrap();
+        match decode_view(f.payload).unwrap() {
+            MessageView::Response { response, .. } => assert_eq!(response, hit),
+            other => panic!("{other:?}"),
+        }
+        let f = UdpFrame::parse(&frames[2]).unwrap();
+        assert_eq!(Query::decode(f.payload).unwrap(), query);
+        let f = UdpFrame::parse(&frames[3]).unwrap();
+        let view = DnsResponseView::decode(f.payload).unwrap();
+        assert_eq!((view.id, view.rcode), (5, Rcode::NoError));
+        assert_eq!(view.name, answer.name);
+        assert!(view.answers().eq(answer.answers.iter().copied()));
+        let f = UdpFrame::parse(&frames[4]).unwrap();
+        let shared = PaxosMsg::decode_shared(&f.payload_bytes(&frames[4])).unwrap();
+        assert_eq!(shared, p2a);
+        // The value is a view of the frame, not a copy of it.
+        assert!(frames[4]
+            .data
+            .as_ptr_range()
+            .contains(&shared.value.as_ptr()));
+    });
+    assert_eq!(
+        allocs, 0,
+        "parse, verify and borrowed decode allocate nothing"
+    );
+}
+
+/// Counts the packets a device under test sends back.
+#[derive(Default)]
+struct Sink {
+    received: u64,
+}
+
+impl Node<Packet> for Sink {
+    fn on_message(&mut self, _ctx: &mut Ctx<'_, Packet>, _port: PortId, _msg: Packet) {
+        self.received += 1;
+    }
+    impl_node_any!();
+}
+
+/// Allocations a hardware-resident device makes while it answers
+/// `measured` requests, after `warm_up` identical ones have sized every
+/// queue, histogram bucket and scratch buffer. `request` builds request
+/// number `i`. Returns (allocations, replies received while measured).
+fn allocations_answering(
+    mut sim: Simulator<Packet>,
+    device: NodeId,
+    request: impl Fn(u64) -> Packet,
+) -> (u64, u64) {
+    const WARM_UP: u64 = 200;
+    const MEASURED: u64 = 200;
+    const GAP: Nanos = Nanos::from_micros(5);
+    let sink = sim.add_node(Sink::default());
+    sim.connect_duplex(device, PortId::P0, sink, PortId::P0, LinkSpec::ideal());
+    // Every request is built and queued up front: the measured region
+    // holds the device's work only.
+    for i in 0..WARM_UP + MEASURED {
+        sim.inject(device, PortId::P0, request(i), GAP.mul_f64((i + 1) as f64));
+    }
+    sim.run_until(GAP.mul_f64(WARM_UP as f64 + 0.5));
+    let before = sim.node_ref::<Sink>(sink).received;
+    assert!(before > 0, "the device must be answering during warm-up");
+    let allocs = allocations_in(|| {
+        sim.run_until(GAP.mul_f64((WARM_UP + MEASURED) as f64 + 0.5));
+    });
+    (allocs, sim.node_ref::<Sink>(sink).received - before)
+}
+
+#[test]
+fn a_warm_lake_device_allocates_only_the_reply_frame() {
+    const KEYS: u64 = 16;
+    let mut sim = Simulator::new(7);
+    let device =
+        sim.add_node(LakeDevice::new(LakeCacheConfig::tiny(64, 256), 5).started_in_hardware());
+    let client = Endpoint::host(1, 40_000);
+    let server = Endpoint::host(2, MEMCACHED_PORT);
+    let frame = |i: u64| FrameHeader {
+        request_id: i as u16,
+        seq: 0,
+        total: 1,
+    };
+    // Write-through SETs fill both cache levels (and go on to the
+    // unconnected host port, which only counts them).
+    for i in 0..KEYS {
+        let key = key_name(i);
+        let set = RequestView::Set {
+            key: &key,
+            value: &expected_value(&key, 64),
+            flags: 0,
+            expiry: 0,
+        };
+        let pkt = build_udp_with(client, server, 0, set.encoded_len(), |b| {
+            set.encode_into(frame(i), i as u32, b)
+        });
+        sim.inject(device, PortId::P0, pkt, Nanos::from_nanos(i + 1));
+    }
+    let (allocs, replies) = allocations_answering(sim, device, |i| {
+        let key = key_name(i % KEYS);
+        let get = RequestView::Get { key: &key };
+        build_udp_with(client, server, 0, get.encoded_len(), |b| {
+            get.encode_into(frame(i), i as u32, b)
+        })
+    });
+    assert_eq!(replies, 200, "every GET must hit in hardware");
+    assert_eq!(
+        allocs, replies,
+        "one allocation per GET hit: the reply frame"
+    );
+}
+
+#[test]
+fn a_warm_emu_device_allocates_only_the_reply_frame() {
+    const NAMES: u64 = 16;
+    let mut sim = Simulator::new(7);
+    let device = sim.add_node(EmuDevice::new(Zone::synthetic(NAMES)).started_in_hardware());
+    let client = Endpoint::host(3, 41_000);
+    let server = Endpoint::host(4, DNS_PORT);
+    let (allocs, replies) = allocations_answering(sim, device, |i| {
+        let query = Query {
+            id: i as u16,
+            name: Name::from_fmt(format_args!("host-{}.example.com", i % NAMES)).unwrap(),
+            qtype: inc::dns::TYPE_A,
+            recursion_desired: false,
+        };
+        build_udp_with(client, server, 0, query.encoded_len(), |b| {
+            query.encode_into(b)
+        })
+    });
+    assert_eq!(replies, 200, "every query must be answered in hardware");
+    assert_eq!(
+        allocs, replies,
+        "one allocation per A-record hit: the reply frame"
+    );
+}
+
+/// Allocations per completed request the benchmark's packet fabric may
+/// spend. Measured: 3.4 (26.3 before the in-place packet path). What is
+/// left is one frame per hop that builds one, the key a KVS request
+/// parks until its answer, the values a Paxos acceptor and learner keep,
+/// and the fleet controller's per-interval bookkeeping.
+const ALLOCS_PER_REQUEST_CEILING: u64 = 10;
+
+#[test]
+fn the_packet_fabric_stays_under_the_allocation_budget() {
+    let profiles = MultiTorRig::contended_profiles(Nanos::from_millis(3_500));
+    let mut rig = MultiTorRig::new(42, 512, 512, profiles);
+    let mut ctl = MultiTorRig::fleet_controller(Nanos::from_millis(150));
+    let mut timeline = None;
+    let allocs = allocations_in(|| timeline = Some(rig.run(&mut ctl, Nanos::from_secs(1))));
+    let kvs = rig
+        .sim
+        .node_ref::<inc::kvs::KvsClient>(rig.kvs_client)
+        .stats();
+    let dns = rig
+        .sim
+        .node_ref::<inc::dns::DnsClient>(rig.dns_client)
+        .stats();
+    assert_eq!((kvs.corrupt, dns.wrong), (0, 0));
+    let completed = kvs.received + dns.received + rig.pax_acked();
+    assert!(completed > 50_000, "only {completed} requests completed");
+    assert!(
+        allocs <= ALLOCS_PER_REQUEST_CEILING * completed,
+        "{allocs} allocations for {completed} requests ({:.2} per request, ceiling {ALLOCS_PER_REQUEST_CEILING})",
+        allocs as f64 / completed as f64
+    );
+    println!(
+        "packet fabric: {:.2} allocations per completed request",
+        allocs as f64 / completed as f64
+    );
+    drop(timeline);
 }

@@ -302,3 +302,111 @@ fn per_app_timelines_record_the_placement_windows() {
         "remote paxos median {pax_hw} ns cannot be below the detour {detour_ns} ns"
     );
 }
+
+/// What one simulated second of the benchmark's rig put on its links.
+#[derive(Debug, PartialEq, Eq)]
+struct WireGolden {
+    /// Frames handed to a link.
+    frames: u64,
+    /// FNV-1a over every frame in send order: time, sender, egress
+    /// port, length and bytes.
+    frame_digest: u64,
+    /// FNV-1a over the controller's shift log.
+    shift_digest: u64,
+    /// `FleetTimeline::energy_j`, bit for bit.
+    energy_bits: u64,
+}
+
+fn fnv(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+fn wire_golden_run(seed: u64) -> WireGolden {
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut rig = MultiTorRig::new(seed, KEYS, NAMES, MultiTorRig::contended_profiles(PERIOD));
+    let mut ctl = MultiTorRig::fleet_controller(INTERVAL);
+    let tapped = Rc::new(Cell::new((0u64, FNV_OFFSET)));
+    let tap = Rc::clone(&tapped);
+    rig.sim.set_link_tap(move |now, from, port, pkt| {
+        let (frames, mut h) = tap.get();
+        fnv(&mut h, &now.as_nanos().to_le_bytes());
+        fnv(&mut h, &from.0.to_le_bytes());
+        fnv(&mut h, &port.0.to_le_bytes());
+        fnv(&mut h, &(pkt.data.len() as u64).to_le_bytes());
+        fnv(&mut h, &pkt.data);
+        tap.set((frames + 1, h));
+    });
+    let timeline = rig.run(&mut ctl, Nanos::from_secs(1));
+
+    let mut shift_digest = FNV_OFFSET;
+    for s in ctl.shifts() {
+        fnv(&mut shift_digest, &s.at.as_nanos().to_le_bytes());
+        fnv(&mut shift_digest, &(s.app as u64).to_le_bytes());
+        fnv(&mut shift_digest, format!("{:?}", s.to).as_bytes());
+        fnv(&mut shift_digest, &s.rate_pps.to_bits().to_le_bytes());
+        fnv(&mut shift_digest, &s.benefit_w.to_bits().to_le_bytes());
+        fnv(&mut shift_digest, format!("{:?}", s.reason).as_bytes());
+    }
+    let (frames, frame_digest) = tapped.get();
+    WireGolden {
+        frames,
+        frame_digest,
+        shift_digest,
+        energy_bits: timeline.energy_j.to_bits(),
+    }
+}
+
+#[test]
+fn wire_frames_match_the_recorded_golden_runs() {
+    // Recorded from the commit before the allocation-free packet path
+    // (checksum over a concatenated `Vec`, frames built in a `Vec` and
+    // copied into their `Arc`, `Name` as `Vec<Vec<u8>>`, owned decodes).
+    // A frame's length feeds link serialisation time and its bytes feed
+    // every parser downstream, so one byte of drift in any codec, the
+    // IPv4 ident or a checksum changes these.
+    let golden = |frames, frame_digest, energy_bits| WireGolden {
+        frames,
+        frame_digest,
+        shift_digest: 942_826_334_730_858_929,
+        energy_bits,
+    };
+    let recorded = [
+        (
+            1,
+            golden(
+                363_026,
+                15_413_183_598_330_839_581,
+                4_642_401_086_476_333_030,
+            ),
+        ),
+        (
+            7,
+            golden(
+                362_950,
+                17_710_658_803_537_428_679,
+                4_642_400_844_879_921_779,
+            ),
+        ),
+        (
+            42,
+            golden(
+                362_930,
+                10_928_744_400_971_176_832,
+                4_642_401_328_545_833_348,
+            ),
+        ),
+    ];
+    for (seed, want) in recorded {
+        assert_eq!(
+            wire_golden_run(seed),
+            want,
+            "seed {seed} drifted on the wire"
+        );
+    }
+}

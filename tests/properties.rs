@@ -1772,3 +1772,497 @@ proptest! {
         prop_assert!(c.logs_prefix_agree(), "executed log prefixes diverged");
     }
 }
+
+/// The `Name` this repository had before the flat one — a list of
+/// lowercased labels, parsed and decoded by the code below — kept as
+/// the oracle the inline wire-form `Name` must agree with.
+mod label_list_name {
+    use inc::dns::DnsError;
+
+    pub type Labels = Vec<Vec<u8>>;
+
+    pub fn parse(s: &str) -> Result<Labels, DnsError> {
+        let s = s.trim_end_matches('.');
+        if s.is_empty() {
+            return Ok(Vec::new());
+        }
+        let mut labels = Vec::new();
+        let mut total = 1; // Root byte.
+        for part in s.split('.') {
+            let bytes = part.as_bytes();
+            if bytes.is_empty() || bytes.len() > 63 {
+                return Err(DnsError::BadName);
+            }
+            total += bytes.len() + 1;
+            if total > 255 {
+                return Err(DnsError::BadName);
+            }
+            labels.push(bytes.to_ascii_lowercase());
+        }
+        Ok(labels)
+    }
+
+    pub fn decode(msg: &[u8], pos: usize) -> Result<(Labels, usize), DnsError> {
+        let mut labels = Vec::new();
+        let mut i = pos;
+        let mut end = None; // Set at the first pointer.
+        let mut jumps = 0;
+        let mut total = 1;
+        loop {
+            let &len = msg.get(i).ok_or(DnsError::Truncated)?;
+            if len & 0xC0 == 0xC0 {
+                let &lo = msg.get(i + 1).ok_or(DnsError::Truncated)?;
+                let target = (((len & 0x3F) as usize) << 8) | lo as usize;
+                if end.is_none() {
+                    end = Some(i + 2);
+                }
+                if target >= i {
+                    return Err(DnsError::BadPointer);
+                }
+                jumps += 1;
+                if jumps > 32 {
+                    return Err(DnsError::BadPointer);
+                }
+                i = target;
+                continue;
+            }
+            if len & 0xC0 != 0 {
+                return Err(DnsError::BadName);
+            }
+            if len == 0 {
+                return Ok((labels, end.unwrap_or(i + 1)));
+            }
+            let len = len as usize;
+            total += len + 1;
+            if total > 255 {
+                return Err(DnsError::BadName);
+            }
+            let label = msg.get(i + 1..i + 1 + len).ok_or(DnsError::Truncated)?;
+            labels.push(label.to_ascii_lowercase());
+            i += 1 + len;
+        }
+    }
+
+    pub fn display(labels: &Labels) -> String {
+        if labels.is_empty() {
+            return ".".to_string();
+        }
+        let parts: Vec<_> = labels.iter().map(|l| String::from_utf8_lossy(l)).collect();
+        parts.join(".")
+    }
+}
+
+/// A frame built the way `build_udp` built it before the in-place path:
+/// headers and payload appended to a `Vec`, the UDP checksum taken over
+/// a concatenated copy of pseudo-header and datagram.
+fn reference_frame(src: Endpoint, dst: Endpoint, ident: u16, payload: &[u8]) -> Vec<u8> {
+    let mut ip = vec![0x45, 0];
+    ip.extend_from_slice(&((20 + 8 + payload.len()) as u16).to_be_bytes());
+    ip.extend_from_slice(&ident.to_be_bytes());
+    ip.extend_from_slice(&[0x40, 0, 64, 17, 0, 0]);
+    ip.extend_from_slice(&src.ip.octets());
+    ip.extend_from_slice(&dst.ip.octets());
+    let csum = internet_checksum(&ip);
+    ip[10..12].copy_from_slice(&csum.to_be_bytes());
+
+    let udp_len = ((8 + payload.len()) as u16).to_be_bytes();
+    let mut udp = Vec::new();
+    udp.extend_from_slice(&src.port.to_be_bytes());
+    udp.extend_from_slice(&dst.port.to_be_bytes());
+    udp.extend_from_slice(&udp_len);
+    udp.extend_from_slice(&[0, 0]);
+    udp.extend_from_slice(payload);
+    let mut pseudo = Vec::new();
+    pseudo.extend_from_slice(&src.ip.octets());
+    pseudo.extend_from_slice(&dst.ip.octets());
+    pseudo.extend_from_slice(&[0, 17]);
+    pseudo.extend_from_slice(&udp_len);
+    pseudo.extend_from_slice(&udp);
+    let csum = match internet_checksum(&pseudo) {
+        0 => 0xffff,
+        c => c,
+    };
+    udp[6..8].copy_from_slice(&csum.to_be_bytes());
+
+    let mut frame = Vec::new();
+    frame.extend_from_slice(&dst.mac.0);
+    frame.extend_from_slice(&src.mac.0);
+    frame.extend_from_slice(&[0x08, 0x00]);
+    frame.extend_from_slice(&ip);
+    frame.extend_from_slice(&udp);
+    frame
+}
+
+/// An endpoint with arbitrary (not `Endpoint::host`-shaped) addresses.
+fn endpoint(mac: u64, ip: u32, port: u16) -> Endpoint {
+    let m = mac.to_be_bytes();
+    Endpoint {
+        mac: inc::net::MacAddr([m[2] & 0xfe, m[3], m[4], m[5], m[6], m[7]]),
+        ip: std::net::Ipv4Addr::from(ip),
+        port,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    // --- The allocation-free packet path puts the same bytes on the
+    // wire and reads the same messages off it. ---
+
+    /// The in-place builder — header room reserved, payload encoded
+    /// behind it, lengths and checksums patched over it — emits exactly
+    /// the frame of the append-and-concatenate reference, for arbitrary
+    /// addresses, idents and payloads of 0..=2048 bytes, odd and even.
+    #[test]
+    fn in_place_frames_match_the_reference_builder(
+        macs in (any::<u64>(), any::<u64>()),
+        ips in (any::<u32>(), any::<u32>()),
+        ports in (any::<u16>(), any::<u16>()),
+        ident in any::<u16>(),
+        payload in proptest::collection::vec(any::<u8>(), 0..2049),
+        split in any::<usize>(),
+    ) {
+        use inc::net::{build_udp_with, build_udp_with_ident, BufMut};
+        let src = endpoint(macs.0, ips.0, ports.0);
+        let dst = endpoint(macs.1, ips.1, ports.1);
+        let want = reference_frame(src, dst, ident, &payload);
+        let pkt = build_udp_with_ident(src, dst, &payload, ident);
+        prop_assert_eq!(&pkt.data[..], &want[..]);
+        // Encoding the payload piecewise changes nothing.
+        let (head, tail) = payload.split_at(split % (payload.len() + 1));
+        let pieces = build_udp_with(src, dst, ident, payload.len(), |buf| {
+            buf.put_slice(head);
+            buf.put_slice(tail);
+        });
+        prop_assert_eq!(&pieces.data[..], &want[..]);
+        if ident == 0 {
+            prop_assert_eq!(&build_udp(src, dst, &payload).data[..], &want[..]);
+        }
+        // The frame verifies, and it is exact-size: no slack in flight.
+        let frame = UdpFrame::parse(&pkt).unwrap();
+        prop_assert_eq!(frame.payload, &payload[..]);
+        prop_assert_eq!((frame.source(), frame.destination()), (src, dst));
+        prop_assert_eq!(frame.ip.ident, ident);
+        prop_assert_eq!(&frame.payload_bytes(&pkt)[..], &payload[..]);
+        prop_assert_eq!(pkt.data.len(), 42 + payload.len());
+        // The reply builder swaps the direction of the same machinery.
+        let reply = inc::net::build_reply(&frame, &payload);
+        prop_assert_eq!(&reply.data[..], &reference_frame(dst, src, 0, &payload)[..]);
+    }
+
+    /// Memcached: encoding a view straight into a frame equals encoding
+    /// the owned message to a `Vec` and copying it in; the borrowed
+    /// decode sees the message that was sent and agrees with the owned
+    /// decode; every strict prefix of a valid datagram is an error.
+    #[test]
+    fn memcached_views_match_the_owned_codec(
+        key in proptest::collection::vec(any::<u8>(), 1..250),
+        value in proptest::collection::vec(any::<u8>(), 0..600),
+        flags in any::<u32>(),
+        expiry in any::<u32>(),
+        opaque in any::<u32>(),
+        request_id in any::<u16>(),
+        kind in 0u8..6,
+    ) {
+        use inc::kvs::{
+            decode_view, encode_response, MessageView, Opcode, Response, Status,
+        };
+        use inc::net::build_udp_with;
+        let (a, b) = (Endpoint::host(1, 40_000), Endpoint::host(2, 11_211));
+        let frame = FrameHeader { request_id, seq: 0, total: 1 };
+        let (owned, bytes, in_place) = if kind < 3 {
+            let req = match kind {
+                0 => Request::Get { key },
+                1 => Request::Set { key, value, flags, expiry },
+                _ => Request::Delete { key },
+            };
+            let view = req.as_view();
+            prop_assert_eq!(view.to_owned(), req.clone());
+            let pkt = build_udp_with(a, b, 0, view.encoded_len(), |buf| {
+                view.encode_into(frame, opaque, buf)
+            });
+            let bytes = encode_request(frame, &req, opaque);
+            (Message::Request { frame, request: req, opaque }, bytes, pkt)
+        } else {
+            let (opcode, status, value) = match kind {
+                3 => (Opcode::Get, Status::Ok, value),
+                4 => (Opcode::Get, Status::KeyNotFound, vec![]),
+                _ => (Opcode::Set, Status::TooLarge, vec![]),
+            };
+            // Only a GET hit carries its flags on the wire.
+            let flags = if kind == 3 { flags } else { 0 };
+            let resp = Response { opcode, status, value, flags, opaque };
+            let view = resp.as_view();
+            prop_assert_eq!(view.to_owned(), resp.clone());
+            let pkt = build_udp_with(a, b, 0, view.encoded_len(), |buf| {
+                view.encode_into(frame, buf)
+            });
+            let bytes = encode_response(frame, &resp);
+            (Message::Response { frame, response: resp }, bytes, pkt)
+        };
+        prop_assert_eq!(&in_place.data[..], &build_udp(a, b, &bytes).data[..]);
+        let view = decode_view(&bytes).unwrap();
+        prop_assert_eq!(&view.to_owned(), &owned);
+        prop_assert_eq!(mc_decode(&bytes).unwrap(), owned);
+        // Borrowed fields are slices of the datagram itself.
+        let span = bytes.as_ptr_range();
+        let inside = |s: &[u8]| s.is_empty() || (span.contains(&s.as_ptr()) && s.as_ptr_range().end <= span.end);
+        match view {
+            MessageView::Request { request, .. } => prop_assert!(inside(request.key())),
+            MessageView::Response { response, .. } => prop_assert!(inside(response.value)),
+        }
+        for cut in 0..bytes.len() {
+            prop_assert!(decode_view(&bytes[..cut]).is_err(), "prefix of {} bytes decoded", cut);
+        }
+    }
+
+    /// A header whose key and extras lengths overrun its body length is
+    /// rejected whatever else it says, and no garbage makes the borrowed
+    /// decoder panic or hand out bytes from outside the datagram.
+    #[test]
+    fn memcached_view_decode_survives_hostile_lengths(
+        mut bytes in proptest::collection::vec(any::<u8>(), 32..200),
+        key_len in any::<u16>(),
+        extras_len in any::<u8>(),
+        body_len in 0u32..300,
+    ) {
+        use inc::kvs::{decode_view, MessageView, ProtocolError};
+        let _ = decode_view(&bytes); // Pure garbage first.
+        bytes[4..6].copy_from_slice(&1u16.to_be_bytes()); // One datagram.
+        bytes[8] = 0x80;
+        bytes[9] = 0x01; // SET: the one opcode that reads its extras.
+        bytes[10..12].copy_from_slice(&key_len.to_be_bytes());
+        bytes[12] = extras_len;
+        bytes[16..20].copy_from_slice(&body_len.to_be_bytes());
+        let overrun = usize::from(key_len) + usize::from(extras_len) > body_len as usize;
+        let short = bytes.len() < 32 + body_len as usize;
+        match decode_view(&bytes) {
+            Ok(MessageView::Request { request, .. }) => {
+                prop_assert!(!overrun && !short && extras_len == 8);
+                let span = bytes.as_ptr_range();
+                prop_assert!(request.key().is_empty() || span.contains(&request.key().as_ptr()));
+                prop_assert_eq!(request.key().len(), usize::from(key_len));
+            }
+            Ok(other) => prop_assert!(false, "decoded a response: {:?}", other),
+            Err(e) => {
+                prop_assert!(overrun || short || extras_len != 8, "rejected a valid header: {:?}", e);
+                if overrun || short {
+                    prop_assert_eq!(e, ProtocolError::BadLength);
+                }
+            }
+        }
+    }
+
+    /// DNS: queries, owned responses and the servers' inline `Answer`
+    /// encode in place to the bytes of the owned encoders; the borrowed
+    /// response view reads back what was sent and agrees with the owned
+    /// decode; truncating any byte the decoder reads is an error.
+    #[test]
+    fn dns_views_match_the_owned_codec(
+        labels in proptest::collection::vec("[a-zA-Z0-9-]{1,20}", 1..6),
+        answers in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..4),
+        id in any::<u16>(),
+        qtype in any::<u16>(),
+        rd in any::<bool>(),
+    ) {
+        use inc::dns::{Answer, DnsResponseView};
+        use inc::net::build_udp_with;
+        let (a, b) = (Endpoint::host(3, 41_000), Endpoint::host(4, 53));
+        let name = Name::parse(&labels.join(".")).unwrap();
+        let q = Query { id, name: name.clone(), qtype, recursion_desired: rd };
+        let qbytes = q.encode();
+        prop_assert_eq!(qbytes.len(), q.encoded_len());
+        let pkt = build_udp_with(a, b, 0, q.encoded_len(), |buf| q.encode_into(buf));
+        prop_assert_eq!(&pkt.data[..], &build_udp(a, b, &qbytes).data[..]);
+        prop_assert_eq!(Query::decode(&qbytes).unwrap(), q);
+        // QCLASS is never read; everything before it is.
+        for cut in 0..qbytes.len() - 2 {
+            prop_assert!(Query::decode(&qbytes[..cut]).is_err(), "query prefix {}", cut);
+        }
+
+        let answers: Vec<_> = answers
+            .iter()
+            .map(|&(ip, ttl)| (std::net::Ipv4Addr::from(ip), ttl))
+            .collect();
+        let rcode = if answers.is_empty() { Rcode::NxDomain } else { Rcode::NoError };
+        let r = DnsResponse { id, rcode, name: name.clone(), answers: answers.clone() };
+        let rbytes = r.encode();
+        prop_assert_eq!(rbytes.len(), r.encoded_len());
+        let pkt = build_udp_with(b, a, 0, r.encoded_len(), |buf| r.encode_into(buf));
+        prop_assert_eq!(&pkt.data[..], &build_udp(b, a, &rbytes).data[..]);
+        let view = DnsResponseView::decode(&rbytes).unwrap();
+        prop_assert_eq!((view.id, view.rcode, &view.name), (id, rcode, &name));
+        prop_assert!(view.answers().eq(answers.iter().copied()));
+        prop_assert_eq!(&view.to_owned(), &r);
+        prop_assert_eq!(DnsResponse::decode(&rbytes).unwrap(), r);
+        if !answers.is_empty() {
+            for cut in 0..rbytes.len() {
+                prop_assert!(DnsResponseView::decode(&rbytes[..cut]).is_err(), "response prefix {}", cut);
+            }
+        }
+        // The record the servers answer with is the first, if any.
+        let record = answers.first().copied();
+        let one = Answer { id, rcode, name: name.clone(), record };
+        let mut abytes = Vec::new();
+        one.encode_into(&mut abytes);
+        prop_assert_eq!(abytes.len(), one.encoded_len());
+        let owned = DnsResponse { id, rcode, name, answers: record.into_iter().collect() };
+        prop_assert_eq!(&abytes, &owned.encode());
+        prop_assert_eq!(DnsResponse::from(one), owned);
+    }
+
+    /// The flat `Name` is the label-list `Name` in another layout: same
+    /// accept/reject decisions on text, same case folding, same
+    /// `Display`, and the same equality and ordering between names.
+    #[test]
+    fn flat_names_parse_print_and_order_like_label_lists(
+        a in proptest::collection::vec("[a-cA-C0-1-]{0,5}", 0..5),
+        b in proptest::collection::vec("[a-cA-C0-1-]{0,5}", 0..5),
+        long in proptest::collection::vec("[a-z]{55,70}", 0..6),
+        dots in 0usize..3,
+    ) {
+        for parts in [&a, &b, &long] {
+            let text = format!("{}{}", parts.join("."), ".".repeat(dots));
+            let old = label_list_name::parse(&text);
+            let new = Name::parse(&text);
+            prop_assert_eq!(new.is_ok(), old.is_ok(), "{:?}", &text);
+            prop_assert_eq!(new.clone().err(), old.clone().err());
+            prop_assert_eq!(Name::from_fmt(format_args!("{text}")).ok(), new.clone().ok());
+            if let (Ok(new), Ok(old)) = (new, old) {
+                let labels: Vec<Vec<u8>> = new.labels().map(<[u8]>::to_vec).collect();
+                prop_assert_eq!(&labels, &old);
+                prop_assert_eq!(new.label_count(), old.len());
+                prop_assert_eq!(new.to_string(), label_list_name::display(&old));
+                let encoded: usize = old.iter().map(|l| l.len() + 1).sum::<usize>() + 1;
+                prop_assert_eq!(new.encoded_len(), encoded);
+                let mut wire = Vec::new();
+                new.encode(&mut wire);
+                prop_assert_eq!(&wire[..], new.as_wire());
+                prop_assert_eq!(label_list_name::decode(&wire, 0), Ok((old, wire.len())));
+            }
+        }
+        if let (Ok(x), Ok(y)) = (Name::parse(&a.join(".")), Name::parse(&b.join("."))) {
+            let (ox, oy) = (
+                label_list_name::parse(&a.join(".")).unwrap(),
+                label_list_name::parse(&b.join(".")).unwrap(),
+            );
+            prop_assert_eq!(x.cmp(&y), ox.cmp(&oy));
+            prop_assert_eq!(x == y, ox == oy);
+            prop_assert_eq!(x.partial_cmp(&y), ox.partial_cmp(&oy));
+        }
+    }
+
+    /// Decoding names out of a soup of labels, terminators and
+    /// compression pointers — backward, forward, self-referential,
+    /// looping, into the middle of labels — gives the label-list
+    /// decoder's verdict at every offset: the same name and end offset,
+    /// or the same error. Forward and self pointers are `BadPointer`.
+    #[test]
+    fn flat_name_decode_follows_pointers_like_the_label_list_decoder(
+        ops in proptest::collection::vec((0u8..5, "[a-zA-Z0-9-]{1,12}", any::<u16>()), 1..14),
+        tail in proptest::collection::vec(any::<u8>(), 0..6),
+    ) {
+        use inc::dns::DnsError;
+        let mut msg = vec![0u8; 12];
+        for (kind, label, target) in &ops {
+            match kind {
+                0 | 1 => {
+                    msg.push(label.len() as u8);
+                    msg.extend_from_slice(label.as_bytes());
+                }
+                2 => msg.push(0),
+                _ => {
+                    // Mostly backwards, sometimes forwards or at itself.
+                    let t = usize::from(*target) % (msg.len() + 4);
+                    msg.extend_from_slice(&[0xC0 | (t >> 8) as u8, t as u8]);
+                }
+            }
+        }
+        msg.extend_from_slice(&tail);
+        for pos in 0..msg.len() + 2 {
+            let old = label_list_name::decode(&msg, pos);
+            match (Name::decode(&msg, pos), old) {
+                (Ok((name, end)), Ok((labels, old_end))) => {
+                    prop_assert_eq!(end, old_end);
+                    let got: Vec<Vec<u8>> = name.labels().map(<[u8]>::to_vec).collect();
+                    prop_assert_eq!(got, labels);
+                }
+                (Err(e), Err(old_e)) => prop_assert_eq!(e, old_e),
+                (new, old) => prop_assert!(false, "at {}: {:?} vs {:?}", pos, new, old),
+            }
+            if let (Some(&hi), Some(&lo)) = (msg.get(pos), msg.get(pos + 1)) {
+                let target = (usize::from(hi & 0x3F) << 8) | usize::from(lo);
+                if hi & 0xC0 == 0xC0 && target >= pos {
+                    prop_assert_eq!(Name::decode(&msg, pos), Err(DnsError::BadPointer));
+                }
+            }
+        }
+    }
+
+    /// No bytes make the DNS view decoders panic, and a response that
+    /// decodes can be iterated to exactly the answers the owned decode
+    /// collects.
+    #[test]
+    fn dns_view_decode_never_panics(
+        mut bytes in proptest::collection::vec(any::<u8>(), 0..200),
+        ancount in any::<u16>(),
+    ) {
+        use inc::dns::DnsResponseView;
+        for announce in [false, true] {
+            if announce && bytes.len() >= 12 {
+                bytes[4..6].copy_from_slice(&1u16.to_be_bytes());
+                bytes[6..8].copy_from_slice(&ancount.to_be_bytes());
+            }
+            let _ = Query::decode(&bytes);
+            match (DnsResponseView::decode(&bytes), DnsResponse::decode(&bytes)) {
+                (Ok(view), Ok(owned)) => {
+                    prop_assert!(view.answers().eq(owned.answers.iter().copied()));
+                    prop_assert!(owned.answers.len() <= usize::from(ancount) || !announce);
+                }
+                (Err(e), Err(owned_e)) => prop_assert_eq!(e, owned_e),
+                (view, owned) => prop_assert!(false, "{:?} vs {:?}", view, owned),
+            }
+        }
+    }
+
+    /// Paxos: writing a message into a frame equals encoding it to a
+    /// `Vec` first; decoding a refcounted datagram gives the message the
+    /// copying decoder gives, its value a view of that datagram.
+    #[test]
+    fn paxos_shared_decode_matches_the_copying_decoder(
+        instance in any::<u64>(),
+        rounds in (any::<u16>(), any::<u16>()),
+        acceptor in any::<u8>(),
+        last_voted in any::<u64>(),
+        value in proptest::collection::vec(any::<u8>(), 0..300),
+        mtype_idx in 0u8..7,
+        cut in any::<usize>(),
+    ) {
+        use inc::net::{build_udp_with, Bytes};
+        let mtype = [
+            MsgType::ClientRequest, MsgType::Phase1a, MsgType::Phase1b,
+            MsgType::Phase2a, MsgType::Phase2b, MsgType::ClientReply,
+            MsgType::GapRequest,
+        ][mtype_idx as usize];
+        let m = PaxosMsg {
+            mtype, instance, round: rounds.0, vround: rounds.1, acceptor, last_voted,
+            value: value.into(),
+        };
+        let bytes = m.encode();
+        let (a, b) = (Endpoint::host(20, 8600), Endpoint::host(10, 8601));
+        let pkt = build_udp_with(a, b, 0, m.encoded_len(), |buf| m.write_to(buf));
+        prop_assert_eq!(&pkt.data[..], &build_udp(a, b, &bytes).data[..]);
+        let frame = UdpFrame::parse(&pkt).unwrap();
+        let shared = PaxosMsg::decode_shared(&frame.payload_bytes(&pkt)).unwrap();
+        prop_assert_eq!(&shared, &m);
+        prop_assert_eq!(PaxosMsg::decode(frame.payload).unwrap(), m.clone());
+        if !m.value.is_empty() {
+            prop_assert!(pkt.data.as_ptr_range().contains(&shared.value.as_ptr()), "value was copied");
+        }
+        // Both decoders reject the same truncations the same way.
+        let cut = cut % bytes.len();
+        let short = Bytes::copy_from_slice(&bytes[..cut]);
+        prop_assert_eq!(PaxosMsg::decode_shared(&short).err(), PaxosMsg::decode(&short).err());
+        prop_assert!(PaxosMsg::decode(&short).is_err());
+    }
+}
