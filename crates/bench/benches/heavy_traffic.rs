@@ -1,6 +1,6 @@
 //! Heavy-traffic replay throughput curves: the per-event + full-row-log
 //! measurement plane versus the streaming + batched one, on the
-//! `HeavyTrafficRig` (hierarchical controller over the 128-device
+//! `HeavyTrafficRig` (fleet controller over the 128-device
 //! fat-tree, google/etc/dynamo-grounded load). Both modes produce
 //! bit-identical telemetry (the rig's tests pin it); the gap between
 //! the curves is pure measurement-plane overhead — one heap event per

@@ -1,4 +1,4 @@
-//! Fleet-scale arbitration scaling curves: the hierarchical controller's
+//! Fleet-scale arbitration scaling curves: the fleet controller's
 //! two modes on the `MegaFabricRig` — `Topology::fat_tree(8, 16)` (128
 //! ToR devices in 8 pods) carrying zipf-ranked tenants with a rotating
 //! churn set. `FullRescore` re-solves all 8 pod knapsacks every interval;

@@ -17,6 +17,7 @@ use inc_hw::Placement;
 use inc_kvs::{expected_value, KvsClient, LakeDevice, MemcachedServer};
 use inc_ondemand::{
     run_host_controlled, HostController, HostControllerConfig, HostSample, IntervalObservation,
+    RowLog,
 };
 use inc_sim::{Nanos, Node};
 use inc_workloads::EtcWorkload;
@@ -61,6 +62,7 @@ fn main() {
         &mut rig.sim,
         &mut controller,
         horizon,
+        RowLog::Full,
         |sim| {
             let now = sim.now();
             // Drive the ChainerMN schedule.

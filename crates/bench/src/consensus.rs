@@ -13,7 +13,7 @@
 //!   scratch buffer, fan-out and duplication share the value by
 //!   refcount).
 //! * [`ConsensusRig`] couples the cluster to a
-//!   [`HierarchicalController`]: each acceptor and leader role is a
+//!   [`FleetController`]: each acceptor and leader role is a
 //!   [`FleetApp`] tenant homed on a fabric device (P4xos on a ToR when
 //!   offloaded, libpaxos in software otherwise). Role activity meters
 //!   the tenant's offered rate, so the controller's placements *follow
@@ -32,7 +32,7 @@ use std::collections::HashMap;
 
 use inc_net::Bytes;
 use inc_ondemand::{
-    ArbiterConfig, DeviceFabric, DeviceId, FleetApp, FleetSample, HierarchicalController,
+    DeviceFabric, DeviceId, FleetApp, FleetController, FleetControllerConfig, FleetSample,
     HostSample, Placement, PlacementAnalysis, ShiftReason, TierCost, Topology,
 };
 use inc_paxos::multi::{Acceptor, Leader, Replica};
@@ -405,7 +405,7 @@ pub struct ConsensusRig {
     /// The protocol layer.
     pub cluster: ChaosCluster,
     /// The placement layer.
-    pub ctl: HierarchicalController,
+    pub ctl: FleetController,
     interval: Nanos,
     /// Controller intervals elapsed.
     pub intervals: u64,
@@ -442,8 +442,11 @@ impl ConsensusRig {
             role_app("paxos-leader-0", DeviceId(0)),
             role_app("paxos-leader-1", DeviceId(2)),
         ];
-        let config = ArbiterConfig::standard(Nanos::from_secs(1));
-        let ctl = HierarchicalController::new(config, fabric, apps);
+        let config = FleetControllerConfig {
+            rate_deadband: 0.05,
+            ..FleetControllerConfig::standard(Nanos::from_secs(1))
+        };
+        let ctl = FleetController::new(config, fabric, apps);
         ConsensusRig {
             cluster,
             ctl,
@@ -571,7 +574,7 @@ impl ScenarioReport {
             safe: rig.cluster.single_value_per_slot(),
             prefix_ok: rig.cluster.logs_prefix_agree(),
             recovery_intervals,
-            sustain_window: u64::from(rig.ctl.config().fleet.sustain_samples),
+            sustain_window: u64::from(rig.ctl.config().sustain_samples),
             quorum_availability: rig.quorum_intervals as f64 / rig.intervals.max(1) as f64,
             commands_executed: rig.cluster.max_executed(),
             device_loss_shifts: rig.device_loss_shifts(),
@@ -640,7 +643,7 @@ pub fn run_device_kill(seed: u64) -> ScenarioReport {
     let recovered = rig.run_until_resident(&[ConsensusRig::acceptor_app(0)], 12);
     assert!(recovered, "acceptor 0 never re-offloaded after the kill");
     let recovery = rig.intervals - killed_at;
-    let sustain = u64::from(rig.ctl.config().fleet.sustain_samples);
+    let sustain = u64::from(rig.ctl.config().sustain_samples);
     assert!(
         evict_latency <= sustain,
         "eviction took {evict_latency} intervals, over the sustain window {sustain}"
@@ -735,7 +738,7 @@ pub fn run_tor_partition(seed: u64) -> ScenarioReport {
 pub fn run_budget_flap(seed: u64) -> ScenarioReport {
     let mut rig = ConsensusRig::new(seed);
     warmup(&mut rig);
-    let sustain = u64::from(rig.ctl.config().fleet.sustain_samples);
+    let sustain = u64::from(rig.ctl.config().sustain_samples);
 
     // Sustained tight budget: 20 W floor dwarfs the ~7.6 W role benefit
     // (and the ~10 W eviction threshold it implies), so after the

@@ -1,5 +1,5 @@
 //! Heavy-traffic trace replay: millions of requests through the
-//! [`HierarchicalController`] on [`MegaFabricRig`]'s 128-device
+//! [`FleetController`] on [`MegaFabricRig`]'s 128-device
 //! fat-tree, in two measurement modes that produce **bit-identical
 //! telemetry** but very different costs.
 //!
@@ -33,9 +33,8 @@
 
 use inc_hw::{DeviceFabric, DeviceId, Placement, ProgramResources};
 use inc_ondemand::{
-    run_fleet_controlled_with, AppObservation, ArbiterConfig, ArbitrationMode, FleetApp,
-    FleetControllerConfig, FleetSample, FleetTimeline, HierarchicalController, HostSample,
-    PlacementAnalysis, RowLog,
+    run_fleet_controlled, AppObservation, FleetApp, FleetController, FleetControllerConfig,
+    FleetSample, FleetTimeline, HostSample, PlacementAnalysis, RowLog,
 };
 use inc_power::EnergyParams;
 use inc_sim::{impl_node_any, Ctx, Histogram, Nanos, Node, NodeId, PortId, Rng, Simulator};
@@ -231,16 +230,15 @@ impl HeavyTrafficRig {
         self.interval
     }
 
-    /// A hierarchical controller (incremental mode, 5 % dead band) over
+    /// A fleet controller (incremental mode, 5 % dead band) over
     /// the [`MegaFabricRig`] fabric — whose detour prices are calibrated
     /// from the §9.4 switch model, see
     /// [`MegaFabricRig::fabric`] — and this rig's tenants.
-    pub fn controller(&self) -> HierarchicalController {
-        HierarchicalController::new(
-            ArbiterConfig {
-                fleet: FleetControllerConfig::standard(self.interval),
-                mode: ArbitrationMode::Incremental,
+    pub fn controller(&self) -> FleetController {
+        FleetController::new(
+            FleetControllerConfig {
                 rate_deadband: 0.05,
+                ..FleetControllerConfig::standard(self.interval)
             },
             MegaFabricRig::fabric(),
             self.apps.clone(),
@@ -343,7 +341,7 @@ impl HeavyTrafficRig {
 
         let mut interval_idx = 0u64;
         let until = self.interval.mul(intervals);
-        let timeline = run_fleet_controlled_with(
+        let timeline = run_fleet_controlled(
             &mut sim,
             &mut controller,
             until,

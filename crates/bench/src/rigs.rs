@@ -12,9 +12,8 @@ use inc_kvs::{
 use inc_net::{Endpoint, Packet};
 use inc_net::{L2Switch, Match};
 use inc_ondemand::{
-    run_fleet_controlled_with, AppObservation, ArbiterConfig, ArbitrationMode, ClaimPolicy,
-    FleetApp, FleetController, FleetControllerConfig, FleetSample, FleetTimeline,
-    HierarchicalController, HostSample, PlacementAnalysis, RowLog,
+    run_fleet_controlled, AppObservation, ArbitrationMode, ClaimPolicy, FleetApp, FleetController,
+    FleetControllerConfig, FleetSample, FleetTimeline, HostSample, PlacementAnalysis, RowLog,
 };
 use inc_paxos::{
     Acceptor, AcceptorStorage, AddressBook, HostConfig, Leader, Learner, PaxosClient, PaxosNode,
@@ -615,7 +614,7 @@ impl SharedDeviceRig {
             (self.dns_client, self.dns_device, self.dns_server);
         let kvs_profile = self.kvs_profile.clone();
         let dns_profile = self.dns_profile.clone();
-        run_fleet_controlled_with(
+        run_fleet_controlled(
             &mut self.sim,
             controller,
             until,
@@ -1200,7 +1199,7 @@ impl MultiTorRig {
         }
         let interval = controller.config().interval;
         let profiles = self.profiles.clone();
-        run_fleet_controlled_with(
+        run_fleet_controlled(
             &mut self.sim,
             controller,
             until,
@@ -1423,7 +1422,7 @@ fn apply_multi_tor_placement(
 /// tenants' §8 analyses are stylised curves with the same relative
 /// economics as the calibrated tenants (KVS out-scores everyone, Paxos
 /// clears the floor but never wins a score fight), driven through
-/// [`run_fleet_controlled_with`] against closed-form observations. The
+/// [`run_fleet_controlled`] against closed-form observations. The
 /// fairness dance (queue → claim → clip → tenure → counter-claim) needs
 /// precisely shaped, *sustained* contention; the packet plumbing it
 /// would ride on is already end-to-end tested by the other rigs.
@@ -1639,7 +1638,7 @@ impl ContendedFabricRig {
 }
 
 /// Drives a **model-driven** rig (stylised §8 curves, no packet
-/// machinery) through [`run_fleet_controlled_with`]: the curves supply the
+/// machinery) through [`run_fleet_controlled`]: the curves supply the
 /// rates (sampled mid-interval), power and latency per placement, and a
 /// remote placement's metered power gives back the topology tier's share
 /// of the saving *plus* the link energy its detour burns — exactly as
@@ -1658,7 +1657,7 @@ fn run_stylised_model(
     let apps = controller.apps().to_vec();
     let interval = controller.config().interval;
     let placements = std::cell::RefCell::new(controller.placements().to_vec());
-    run_fleet_controlled_with(
+    run_fleet_controlled(
         &mut sim,
         controller,
         until,
@@ -1736,7 +1735,7 @@ fn run_stylised_model(
 ///
 /// Like [`ContendedFabricRig`] this rig is **model-driven**: stylised §8
 /// curves with precisely shaped sustained plateaus, driven through
-/// [`run_fleet_controlled_with`]; the packet plumbing such schedules ride on
+/// [`run_fleet_controlled`]; the packet plumbing such schedules ride on
 /// is end-to-end tested by [`MultiTorRig`]. Metered power for a remote
 /// placement gives back the tier's share of the saving *plus* the link
 /// energy its detour burns, exactly as the scheduler prices it.
@@ -1985,7 +1984,7 @@ impl PodFabricRig {
 /// The fleet-scale arbitration rig: `Topology::fat_tree(8, 16)` — 128
 /// ToR devices in 8 pods — carrying 1000+ tenants whose offered rates
 /// follow a zipf popularity curve, driven straight into the
-/// [`HierarchicalController`] (no packet simulation: the §8 curves
+/// [`FleetController`] (no packet simulation: the §8 curves
 /// price everything, exactly as the scheduler sees it).
 ///
 /// The trace is built so that most sampling intervals are *economically
@@ -2105,14 +2104,14 @@ impl MegaFabricRig {
         self.apps.len()
     }
 
-    /// A hierarchical controller over the rig's fabric and tenants in
-    /// the given mode (5 % dead band, standard economics, 1 s interval).
-    pub fn controller(&self, mode: ArbitrationMode) -> HierarchicalController {
-        HierarchicalController::new(
-            ArbiterConfig {
-                fleet: FleetControllerConfig::standard(Nanos::from_secs(1)),
+    /// A fleet controller over the rig's fabric and tenants in the
+    /// given mode (5 % dead band, standard economics, 1 s interval).
+    pub fn controller(&self, mode: ArbitrationMode) -> FleetController {
+        FleetController::new(
+            FleetControllerConfig {
                 mode,
                 rate_deadband: 0.05,
+                ..FleetControllerConfig::standard(Nanos::from_secs(1))
             },
             Self::fabric(),
             self.apps.clone(),
@@ -2149,7 +2148,7 @@ impl MegaFabricRig {
     /// number of placement decisions executed. Decision throughput is
     /// `tenants × ticks / elapsed` — every (tenant, interval) pair is an
     /// arbitration decision, however cheaply the pipeline resolved it.
-    pub fn run(&mut self, controller: &mut HierarchicalController, ticks: u64) -> u64 {
+    pub fn run(&mut self, controller: &mut FleetController, ticks: u64) -> u64 {
         let mut decisions = 0u64;
         for tick in 1..=ticks {
             let now = Nanos::from_secs(tick);
@@ -2163,7 +2162,6 @@ impl MegaFabricRig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use inc_ondemand::FleetController;
 
     /// The three tenants' calibrated benefit curves have the shape the
     /// scheduler depends on: negative in the valley (software wins when
@@ -2173,7 +2171,7 @@ mod tests {
     #[test]
     fn multi_tor_benefit_calibration() {
         let ctl = FleetController::new(
-            inc_ondemand::FleetControllerConfig::standard(Nanos::from_millis(150)),
+            FleetControllerConfig::standard(Nanos::from_millis(150)),
             MultiTorRig::fabric(),
             MultiTorRig::fleet_apps(),
         );

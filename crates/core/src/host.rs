@@ -99,7 +99,16 @@ pub struct HostController {
 
 impl HostController {
     /// Creates a controller starting in software placement.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sampling interval is zero: the harness steps the
+    /// simulation by it and would never reach its horizon.
     pub fn new(config: HostControllerConfig) -> Self {
+        assert!(
+            config.interval > Nanos::ZERO,
+            "sampling interval must be non-zero"
+        );
         HostController {
             config,
             placement: Placement::Software,
@@ -201,6 +210,15 @@ mod tests {
 
     fn t(s: u64) -> Nanos {
         Nanos::from_secs(s)
+    }
+
+    #[test]
+    #[should_panic(expected = "sampling interval must be non-zero")]
+    fn zero_sampling_interval_rejected() {
+        let _ = HostController::new(HostControllerConfig {
+            interval: Nanos::ZERO,
+            ..cfg()
+        });
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //! * [`FleetController`] / [`run_fleet_controlled`] — the multi-application
 //!   scheduler placing programs across a capacity-bounded device fabric
 //!   (one device per ToR, §9.4) via a greedy benefit-per-capacity
-//!   knapsack over (app × device) candidates.
+//!   knapsack over (app × device) candidates: the policy and its prices
+//!   are specified in [`fleet`], the incremental engine that executes
+//!   them is in [`arbiter`].
 //! * [`PlacementAnalysis`] — the §8 energy-model questions and tipping
 //!   point.
 //! * [`OnDemandEnvelope`] — the Figure 5 composite power curve.
@@ -48,18 +50,18 @@ pub mod system;
 pub mod tor;
 
 pub use apps::Deployment;
-pub use arbiter::{ArbiterConfig, ArbiterStats, ArbitrationMode, HierarchicalController};
+pub use arbiter::{ArbiterStats, FleetController, HierarchicalController};
 pub use decision::{dns_analysis, kvs_analysis, PlacementAnalysis};
 pub use envelope::{EnvelopePoint, OnDemandEnvelope};
 pub use fleet::{
-    AdmissionDecision, ClaimPlan, ClaimPolicy, EntitlementPolicy, FleetApp, FleetController,
-    FleetControllerConfig, FleetSample, FleetScheduler, FleetShift, Objective, PriceRule,
-    ShiftReason, TenureEstimator, TenurePolicy,
+    AdmissionDecision, ArbitrationMode, ClaimPlan, ClaimPolicy, EntitlementPolicy, FleetApp,
+    FleetControllerConfig, FleetSample, FleetShift, Objective, PriceRule, ShiftReason,
+    TenureEstimator, TenurePolicy,
 };
 pub use host::{HostController, HostControllerConfig, HostSample, Shift};
 pub use system::{
-    run_fleet_controlled, run_fleet_controlled_with, run_host_controlled, run_host_controlled_with,
-    AppObservation, FleetTimeline, IntervalObservation, RowLog, Timeline, TimelineRow,
+    run_fleet_controlled, run_host_controlled, AppObservation, FleetTimeline, IntervalObservation,
+    RowLog, Timeline, TimelineRow,
 };
 pub use tor::TorRack;
 

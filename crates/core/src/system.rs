@@ -27,7 +27,7 @@
 use inc_hw::Placement;
 use inc_sim::{Histogram, Nanos, Payload, RecentRing, Simulator, StreamStats};
 
-use crate::fleet::{AdmissionDecision, FleetSample, FleetScheduler};
+use crate::fleet::{AdmissionDecision, FleetController, FleetSample};
 use crate::host::{HostController, HostSample};
 
 /// One timeline row (the Figure 6/7 plot data).
@@ -268,24 +268,13 @@ pub struct IntervalObservation {
     pub power_w: f64,
 }
 
-/// Runs a host-controlled on-demand experiment until `until`, logging
-/// every row ([`RowLog::Full`]).
+/// Runs a host-controlled on-demand experiment until `until`, retaining
+/// rows as `mode` says.
 ///
 /// * `probe` inspects the simulation and returns the interval observation
 ///   (it may mutate nodes to drain measurement windows);
 /// * `apply` executes a placement decision on the simulated hardware.
 pub fn run_host_controlled<M: Payload>(
-    sim: &mut Simulator<M>,
-    controller: &mut HostController,
-    until: Nanos,
-    probe: impl FnMut(&mut Simulator<M>) -> IntervalObservation,
-    apply: impl FnMut(&mut Simulator<M>, Nanos, Placement),
-) -> Timeline {
-    run_host_controlled_with(sim, controller, until, RowLog::Full, probe, apply)
-}
-
-/// [`run_host_controlled`] with an explicit row-retention mode.
-pub fn run_host_controlled_with<M: Payload>(
     sim: &mut Simulator<M>,
     controller: &mut HostController,
     until: Nanos,
@@ -367,44 +356,28 @@ impl FleetTimeline {
 }
 
 /// Runs a fleet-controlled multi-application experiment until `until`,
-/// logging every row ([`RowLog::Full`]).
+/// retaining rows as `mode` says.
 ///
 /// The multi-app generalisation of [`run_host_controlled`]: the simulator
 /// steps one sampling interval at a time; `probe` returns one
 /// [`AppObservation`] per app (same order as the controller's app
-/// vector); the controller re-solves its placement knapsack; `apply`
+/// vector); the controller re-arbitrates its placements; `apply`
 /// executes each placement change on the simulated hardware. Records one
-/// [`Timeline`] per app plus the fleet-level energy total. Generic over
-/// the [`FleetScheduler`]: the flat
-/// [`FleetController`](crate::fleet::FleetController) and the
-/// hierarchical
-/// [`HierarchicalController`](crate::arbiter::HierarchicalController)
-/// both drive it.
+/// [`Timeline`] per app plus the fleet-level energy total.
 ///
 /// The run advances in whole sampling intervals, so when `until` is not
 /// an interval multiple the final interval extends past it; read the
 /// covered span off the recorded rows (last row `t`), not `until`.
-pub fn run_fleet_controlled<M: Payload, S: FleetScheduler>(
+pub fn run_fleet_controlled<M: Payload>(
     sim: &mut Simulator<M>,
-    controller: &mut S,
-    until: Nanos,
-    probe: impl FnMut(&mut Simulator<M>) -> Vec<AppObservation>,
-    apply: impl FnMut(&mut Simulator<M>, Nanos, usize, Placement),
-) -> FleetTimeline {
-    run_fleet_controlled_with(sim, controller, until, RowLog::Full, probe, apply)
-}
-
-/// [`run_fleet_controlled`] with an explicit row-retention mode.
-pub fn run_fleet_controlled_with<M: Payload, S: FleetScheduler>(
-    sim: &mut Simulator<M>,
-    controller: &mut S,
+    controller: &mut FleetController,
     until: Nanos,
     mode: RowLog,
     mut probe: impl FnMut(&mut Simulator<M>) -> Vec<AppObservation>,
     mut apply: impl FnMut(&mut Simulator<M>, Nanos, usize, Placement),
 ) -> FleetTimeline {
-    let interval = controller.interval();
-    let n = controller.app_count();
+    let interval = controller.config().interval;
+    let n = controller.apps().len();
     let mut timeline = FleetTimeline {
         per_app: (0..n).map(|_| Timeline::new(mode)).collect(),
         ..FleetTimeline::default()
@@ -474,6 +447,7 @@ mod tests {
             &mut sim,
             &mut ctl,
             Nanos::from_secs(8),
+            RowLog::Full,
             |sim| {
                 let rate = offered(sim.now());
                 let sw = placement.get() == Placement::Software;
@@ -553,7 +527,7 @@ mod tests {
                 weight: 1.0,
             },
         ];
-        let mut ctl = crate::fleet::FleetController::new(
+        let mut ctl = FleetController::new(
             FleetControllerConfig::standard(Nanos::from_millis(100)),
             DeviceFabric::single(PipelineBudget::tofino_like()),
             apps,
@@ -576,6 +550,7 @@ mod tests {
             &mut sim,
             &mut ctl,
             Nanos::from_secs(9),
+            RowLog::Full,
             |sim| {
                 let now = sim.now();
                 (0..2)

@@ -1,9 +1,10 @@
 //! `inc-lint` — the workspace determinism & sans-IO contract checker.
 //!
-//! Every headline claim this reproduction makes — flat
-//! [`FleetController`] ≡ `HierarchicalController` bit-for-bit,
-//! streaming ≡ full-row telemetry `to_bits()` equality,
-//! decode-never-panics, chaos-scenario replayability under a seed —
+//! Every headline claim this reproduction makes — the
+//! [`FleetController`]'s incremental ≡ full-re-score and engine ≡ flat
+//! oracle equivalences bit-for-bit, streaming ≡ full-row telemetry
+//! `to_bits()` equality, decode-never-panics, chaos-scenario
+//! replayability under a seed —
 //! rests on *determinism contracts*: the decision-path crates must be
 //! pure functions of observed state. Property tests probe those
 //! contracts; this tool pins them at build time, the way P4's

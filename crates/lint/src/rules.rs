@@ -32,9 +32,9 @@ pub struct Rule {
 }
 
 /// The sans-IO / decision-path crates: every headline equivalence claim
-/// (flat ≡ hierarchical, streaming ≡ full-row, chaos replayability)
-/// is a function of state in these four crates, so they get the
-/// strictest rules and may not carry waivers.
+/// (incremental ≡ full re-score ≡ flat oracle, streaming ≡ full-row,
+/// chaos replayability) is a function of state in these four crates, so
+/// they get the strictest rules and may not carry waivers.
 pub const DECISION_CRATES: &[&str] =
     &["crates/sim/", "crates/hw/", "crates/paxos/", "crates/core/"];
 

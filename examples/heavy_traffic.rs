@@ -1,5 +1,5 @@
 //! Heavy-traffic trace replay: millions of requests through the
-//! hierarchical controller on the 128-device fat-tree, comparing the
+//! fleet controller on the 128-device fat-tree, comparing the
 //! pre-refactor measurement plane (one simulator event per request,
 //! full row log) against the streaming one (batched per-interval
 //! draws, O(1) aggregates, bounded row ring).

@@ -12,6 +12,7 @@ use inc::kvs::{
 use inc::net::{Endpoint, Packet};
 use inc::ondemand::{
     run_host_controlled, HostController, HostControllerConfig, HostSample, IntervalObservation,
+    RowLog,
 };
 use inc::sim::{LinkSpec, Nanos, Node, PortId, Simulator};
 
@@ -64,6 +65,7 @@ fn main() {
         &mut sim,
         &mut controller,
         Nanos::from_secs(25),
+        RowLog::Full,
         |sim| {
             let now = sim.now();
             let bg = if now >= burst.0 && now < burst.1 {

@@ -44,6 +44,7 @@ cargo test --release -q --test topology
 cargo test --release -q --test mega_fabric
 cargo test --release -q --test streaming_equivalence
 cargo test --release -q --test economics
+cargo test --release -q --test golden_schedules
 
 echo "== consensus chaos suite =="
 cargo test --release -q --test failure_injection chaos

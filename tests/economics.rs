@@ -210,14 +210,13 @@ fn learned_tenure_prices_flappers_out_of_marginal_moves() {
 }
 
 #[test]
-fn skewed_prices_agree_across_flat_and_hierarchical_engines() {
-    use inc::ondemand::{
-        ArbiterConfig, ArbitrationMode, HierarchicalController, Objective, PriceRule,
-    };
-    // A skewed tariff on a single-pod fabric: the hierarchical pipeline
-    // must still degenerate to the flat controller bit-for-bit — the
+fn skewed_prices_agree_across_the_engine_and_the_flat_oracle() {
+    use inc::ondemand::fleet::oracle::FlatOracle;
+    use inc::ondemand::{Objective, PriceRule};
+    // A skewed tariff on a single-pod fabric: the arbitration pipeline
+    // must still degenerate to the flat sorted scan bit-for-bit — the
     // objective plugs into the shared pricing module, not into one
-    // engine.
+    // search strategy.
     let objective = Objective::Dollar {
         per_joule: 2.0,
         per_gb_moved: 10.0,
@@ -248,16 +247,8 @@ fn skewed_prices_agree_across_flat_and_hierarchical_engines() {
             })
             .collect::<Vec<_>>()
     };
-    let mut flat = FleetController::new(config, fabric(), apps());
-    let mut hier = HierarchicalController::new(
-        ArbiterConfig {
-            fleet: config,
-            mode: ArbitrationMode::Incremental,
-            rate_deadband: 0.0,
-        },
-        fabric(),
-        apps(),
-    );
+    let mut flat = FlatOracle::new(config, fabric(), apps());
+    let mut hier = FleetController::new(config, fabric(), apps());
     for step in 1..=30u64 {
         let rate = if step < 20 { 110_000.0 } else { 1_000.0 };
         let samples: Vec<FleetSample> = (0..2)
@@ -272,7 +263,7 @@ fn skewed_prices_agree_across_flat_and_hierarchical_engines() {
             .collect();
         let df = flat.sample(Nanos::from_secs(step), &samples);
         let dh = hier.sample(Nanos::from_secs(step), &samples);
-        assert_eq!(df, dh, "engines diverged at step {step}");
+        assert_eq!(df, dh, "engine and oracle diverged at step {step}");
     }
     assert!(!flat.shifts().is_empty());
     assert!(shift_logs_identical(flat.shifts(), hier.shifts()));

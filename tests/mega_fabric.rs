@@ -1,7 +1,7 @@
 //! End-to-end fleet-scale arbitration on the `MegaFabricRig`:
 //! `Topology::fat_tree(8, 16)` — 128 ToR devices in 8 pods — carrying
 //! zipf-ranked tenants whose load is quiet except for a rotating churn
-//! set, driven through the `HierarchicalController`.
+//! set, driven through the `FleetController`.
 //!
 //! The run pins the three contracts the incremental pipeline exists for:
 //!
@@ -15,16 +15,12 @@
 //! * **(c) determinism** — the same seed replays the same schedule,
 //!   shift for shift.
 
-use inc::ondemand::{ArbitrationMode, FleetShift, HierarchicalController};
+use inc::ondemand::{ArbitrationMode, FleetController, FleetShift};
 use inc_bench::rigs::MegaFabricRig;
 
 const SEED: u64 = 20260808;
 
-fn run(
-    tenants: usize,
-    ticks: u64,
-    mode: ArbitrationMode,
-) -> (Vec<FleetShift>, HierarchicalController) {
+fn run(tenants: usize, ticks: u64, mode: ArbitrationMode) -> (Vec<FleetShift>, FleetController) {
     let mut rig = MegaFabricRig::new(tenants, SEED);
     let mut ctl = rig.controller(mode);
     rig.run(&mut ctl, ticks);

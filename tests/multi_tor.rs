@@ -12,8 +12,11 @@
 //! its demand dies. Energy must beat all-software and the best schedule
 //! confined to a single device.
 
+mod common;
+
 use std::sync::OnceLock;
 
+use common::{fnv, shift_log_digest, FNV_OFFSET};
 use inc::hw::{DeviceId, Placement, ProgramResources};
 use inc::ondemand::{FleetShift, FleetTimeline};
 use inc::sim::Nanos;
@@ -317,18 +320,10 @@ struct WireGolden {
     energy_bits: u64,
 }
 
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 fn wire_golden_run(seed: u64) -> WireGolden {
     use std::cell::Cell;
     use std::rc::Rc;
 
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     let mut rig = MultiTorRig::new(seed, KEYS, NAMES, MultiTorRig::contended_profiles(PERIOD));
     let mut ctl = MultiTorRig::fleet_controller(INTERVAL);
     let tapped = Rc::new(Cell::new((0u64, FNV_OFFSET)));
@@ -344,20 +339,11 @@ fn wire_golden_run(seed: u64) -> WireGolden {
     });
     let timeline = rig.run(&mut ctl, Nanos::from_secs(1));
 
-    let mut shift_digest = FNV_OFFSET;
-    for s in ctl.shifts() {
-        fnv(&mut shift_digest, &s.at.as_nanos().to_le_bytes());
-        fnv(&mut shift_digest, &(s.app as u64).to_le_bytes());
-        fnv(&mut shift_digest, format!("{:?}", s.to).as_bytes());
-        fnv(&mut shift_digest, &s.rate_pps.to_bits().to_le_bytes());
-        fnv(&mut shift_digest, &s.benefit_w.to_bits().to_le_bytes());
-        fnv(&mut shift_digest, format!("{:?}", s.reason).as_bytes());
-    }
     let (frames, frame_digest) = tapped.get();
     WireGolden {
         frames,
         frame_digest,
-        shift_digest,
+        shift_digest: shift_log_digest(ctl.shifts()),
         energy_bits: timeline.energy_j.to_bits(),
     }
 }

@@ -13,6 +13,7 @@ use inc::kvs::{
 use inc::net::{build_udp, Endpoint, Packet};
 use inc::ondemand::{
     run_host_controlled, HostController, HostControllerConfig, HostSample, IntervalObservation,
+    RowLog,
 };
 use inc::sim::{LinkSpec, Nanos, Node, NodeId, PortId, Simulator};
 
@@ -120,6 +121,7 @@ fn host_controller_drives_the_figure6_loop() {
         &mut sim,
         &mut controller,
         Nanos::from_secs(9),
+        RowLog::Full,
         |sim| {
             let now = sim.now();
             let bg = if now >= burst.0 && now < burst.1 {

@@ -1106,7 +1106,7 @@ proptest! {
     }
 }
 
-// --- Incremental arbitration equivalence (hierarchical controller). ---
+// --- Incremental arbitration equivalence (fleet controller). ---
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -1128,9 +1128,8 @@ proptest! {
     ) {
         use inc::hw::{DeviceFabric, DeviceId, PipelineBudget, ProgramResources,
                       TierCost, Topology};
-        use inc::ondemand::{ArbiterConfig, ArbitrationMode, FleetApp,
-                            FleetControllerConfig, FleetSample,
-                            HierarchicalController, HostSample,
+        use inc::ondemand::{ArbitrationMode, FleetApp, FleetController,
+                            FleetControllerConfig, FleetSample, HostSample,
                             PlacementAnalysis};
         use inc::power::EnergyParams;
         use inc::sim::Nanos;
@@ -1172,11 +1171,11 @@ proptest! {
             home: DeviceId(homes[i]),
             weight: 1.0,
         }).collect();
-        let build = |mode| HierarchicalController::new(
-            ArbiterConfig {
-                fleet: FleetControllerConfig::standard(Nanos::from_secs(1)),
+        let build = |mode| FleetController::new(
+            FleetControllerConfig {
                 mode,
                 rate_deadband: deadband,
+                ..FleetControllerConfig::standard(Nanos::from_secs(1))
             },
             fabric(),
             apps.clone(),
@@ -1211,13 +1210,13 @@ proptest! {
         prop_assert!(inc.stats().candidates_scored <= full.stats().candidates_scored);
     }
 
-    /// With a single pod and a zero dead band the hierarchical pipeline
-    /// degenerates to exactly the flat `FleetController` algorithm: the
-    /// coordinator has no cross-pod candidates and the pod arbiter's
-    /// heap merge replays the flat greedy scan, so the two engines must
-    /// agree bit-for-bit on arbitrary traces.
+    /// With a single pod and a zero dead band the arbitration pipeline
+    /// degenerates to exactly the flat sorted scan of the reference
+    /// `FlatOracle`: the coordinator has no cross-pod candidates and the
+    /// pod arbiter's heap merge replays the flat greedy scan, so engine
+    /// and oracle must agree bit-for-bit on arbitrary traces.
     #[test]
-    fn single_pod_hierarchy_degenerates_to_flat_controller(
+    fn single_pod_hierarchy_degenerates_to_flat_oracle(
         rates in proptest::collection::vec(
             (0u32..300_000, 0u32..300_000, 0u32..300_000, 0u32..300_000), 8..40),
         slopes in proptest::collection::vec(0.02f64..0.2, 4),
@@ -1226,10 +1225,9 @@ proptest! {
     ) {
         use inc::hw::{DeviceFabric, DeviceId, PipelineBudget, ProgramResources,
                       TierCost, Topology};
-        use inc::ondemand::{ArbiterConfig, ArbitrationMode, FleetApp,
-                            FleetController, FleetControllerConfig, FleetSample,
-                            HierarchicalController, HostSample,
-                            PlacementAnalysis};
+        use inc::ondemand::fleet::oracle::FlatOracle;
+        use inc::ondemand::{FleetApp, FleetController, FleetControllerConfig,
+                            FleetSample, HostSample, PlacementAnalysis};
         use inc::power::EnergyParams;
         use inc::sim::Nanos;
 
@@ -1270,16 +1268,8 @@ proptest! {
             weight: 1.0,
         }).collect();
         let cfg = FleetControllerConfig::standard(Nanos::from_secs(1));
-        let mut flat = FleetController::new(cfg, fabric(), apps.clone());
-        let mut hier = HierarchicalController::new(
-            ArbiterConfig {
-                fleet: cfg,
-                mode: ArbitrationMode::Incremental,
-                rate_deadband: 0.0,
-            },
-            fabric(),
-            apps.clone(),
-        );
+        let mut flat = FlatOracle::new(cfg, fabric(), apps.clone());
+        let mut hier = FleetController::new(cfg, fabric(), apps.clone());
         for (step, r) in rates.iter().enumerate() {
             let rs = [r.0 as f64, r.1 as f64, r.2 as f64, r.3 as f64];
             let now = Nanos::from_secs(step as u64 + 1);
@@ -1292,10 +1282,6 @@ proptest! {
             prop_assert_eq!(df, dh, "decisions diverged at step {}", step);
             prop_assert_eq!(flat.placements(), hier.placements(),
                             "placements diverged at step {}", step);
-            for i in 0..4 {
-                prop_assert_eq!(flat.admission_decision(i), hier.admission_decision(i));
-                prop_assert_eq!(flat.starved_streak(i), hier.starved_streak(i));
-            }
         }
         prop_assert_eq!(flat.shifts().len(), hier.shifts().len());
         for (f, h) in flat.shifts().iter().zip(hier.shifts()) {
@@ -1306,7 +1292,6 @@ proptest! {
             prop_assert_eq!(f.rate_pps.to_bits(), h.rate_pps.to_bits());
             prop_assert_eq!(f.benefit_w.to_bits(), h.benefit_w.to_bits());
         }
-        prop_assert_eq!(flat.queued_intervals(), hier.queued_intervals());
     }
 }
 
@@ -1406,8 +1391,8 @@ proptest! {
     /// Uniform prices are a unit relabel, not a policy change: pricing
     /// the same trace in joules, in dollars at `$1/J` with no byte
     /// charge, and in carbon with an all-ones tier intensity must
-    /// produce bit-identical shift logs and placements — on the flat
-    /// controller and on the hierarchical pipeline alike. `1.0 × x`
+    /// produce bit-identical shift logs and placements — scoring the
+    /// measured rates directly and scoring held rates alike. `1.0 × x`
     /// and `x − 0.0` have to be the *same float* as `x` all the way
     /// through the scoring arithmetic for this to hold.
     #[test]
@@ -1420,10 +1405,8 @@ proptest! {
     ) {
         use inc::hw::{DeviceFabric, DeviceId, PipelineBudget, ProgramResources,
                       TierCost, Topology};
-        use inc::ondemand::{ArbiterConfig, ArbitrationMode, FleetApp,
-                            FleetController, FleetControllerConfig, FleetSample,
-                            HierarchicalController, HostSample, Objective,
-                            PlacementAnalysis};
+        use inc::ondemand::{FleetApp, FleetController, FleetControllerConfig,
+                            FleetSample, HostSample, Objective, PlacementAnalysis};
         use inc::power::{EnergyParams, LinkEnergyModel};
         use inc::sim::Nanos;
 
@@ -1468,27 +1451,22 @@ proptest! {
             Objective::Carbon { per_joule_by_tier: [1.0, 1.0, 1.0] },
         ];
         let interval = Nanos::from_secs(1);
-        let mut flats: Vec<FleetController> = objectives.iter().map(|&objective| {
-            FleetController::new(
-                FleetControllerConfig { objective, ..FleetControllerConfig::standard(interval) },
-                fabric(),
-                apps.clone(),
-            )
-        }).collect();
-        let mut hiers: Vec<HierarchicalController> = objectives.iter().map(|&objective| {
-            HierarchicalController::new(
-                ArbiterConfig {
-                    fleet: FleetControllerConfig {
+        // Once on the measured rates themselves, once behind a 5 % hold.
+        let build = |rate_deadband: f64| -> Vec<FleetController> {
+            objectives.iter().map(|&objective| {
+                FleetController::new(
+                    FleetControllerConfig {
                         objective,
+                        rate_deadband,
                         ..FleetControllerConfig::standard(interval)
                     },
-                    mode: ArbitrationMode::Incremental,
-                    rate_deadband: 0.05,
-                },
-                fabric(),
-                apps.clone(),
-            )
-        }).collect();
+                    fabric(),
+                    apps.clone(),
+                )
+            }).collect()
+        };
+        let mut exact = build(0.0);
+        let mut banded = build(0.05);
         for (step, r) in rates.iter().enumerate() {
             let now = Nanos::from_secs(step as u64 + 1);
             let samples: Vec<FleetSample> = r.iter().map(|&x| {
@@ -1498,15 +1476,15 @@ proptest! {
                     offered_pps: r,
                 }
             }).collect();
-            let d0 = flats[0].sample(now, &samples);
-            for flat in &mut flats[1..] {
-                prop_assert_eq!(&flat.sample(now, &samples), &d0,
-                                "flat decisions diverged at step {}", step);
+            let d0 = exact[0].sample(now, &samples);
+            for ctl in &mut exact[1..] {
+                prop_assert_eq!(&ctl.sample(now, &samples), &d0,
+                                "zero-band decisions diverged at step {}", step);
             }
-            let h0 = hiers[0].sample(now, &samples);
-            for hier in &mut hiers[1..] {
-                prop_assert_eq!(&hier.sample(now, &samples), &h0,
-                                "hierarchical decisions diverged at step {}", step);
+            let h0 = banded[0].sample(now, &samples);
+            for ctl in &mut banded[1..] {
+                prop_assert_eq!(&ctl.sample(now, &samples), &h0,
+                                "held-rate decisions diverged at step {}", step);
             }
         }
         let check = |a: &[inc::ondemand::FleetShift], b: &[inc::ondemand::FleetShift]| {
@@ -1517,15 +1495,15 @@ proptest! {
                     && x.benefit_w.to_bits() == y.benefit_w.to_bits()
             })
         };
-        for flat in &flats[1..] {
-            prop_assert!(check(flats[0].shifts(), flat.shifts()),
-                         "a uniform objective re-priced the flat shift log");
-            prop_assert_eq!(flats[0].placements(), flat.placements());
+        for ctl in &exact[1..] {
+            prop_assert!(check(exact[0].shifts(), ctl.shifts()),
+                         "a uniform objective re-priced the zero-band shift log");
+            prop_assert_eq!(exact[0].placements(), ctl.placements());
         }
-        for hier in &hiers[1..] {
-            prop_assert!(check(hiers[0].shifts(), hier.shifts()),
-                         "a uniform objective re-priced the hierarchical shift log");
-            prop_assert_eq!(hiers[0].placements(), hier.placements());
+        for ctl in &banded[1..] {
+            prop_assert!(check(banded[0].shifts(), ctl.shifts()),
+                         "a uniform objective re-priced the held-rate shift log");
+            prop_assert_eq!(banded[0].placements(), ctl.placements());
         }
     }
 
