@@ -3,7 +3,7 @@
 //! `HeavyTrafficRig` (fleet controller over the 128-device
 //! fat-tree, google/etc/dynamo-grounded load). Both modes produce
 //! bit-identical telemetry (the rig's tests pin it); the gap between
-//! the curves is pure measurement-plane overhead — one heap event per
+//! the curves is pure measurement-plane overhead — one simulator event per
 //! request plus a `TimelineRow` per interval versus a tight batched
 //! draw loop over O(1) aggregates. The example's `heavy_traffic.json`
 //! reports the same ratio at full scale; this bench pins the curve

@@ -493,7 +493,7 @@ mod tests {
             "{} requests",
             baseline.requests
         );
-        // The baseline pushed one event per request through the heap;
+        // The baseline pushed one event per request through the queue;
         // streaming mode pushed none.
         assert!(baseline.events_processed >= baseline.requests);
         assert!(streaming.events_processed < intervals);

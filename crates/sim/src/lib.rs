@@ -53,6 +53,7 @@
 //! assert_eq!(sim.node_ref::<Sink>(dst).0, 10);
 //! ```
 
+mod event_queue;
 pub mod queue;
 pub mod ratelimit;
 pub mod rng;
@@ -61,6 +62,7 @@ pub mod sim;
 pub mod stats;
 pub mod time;
 
+pub use event_queue::QueueStats;
 pub use queue::BoundedQueue;
 pub use ratelimit::TokenBucket;
 pub use rng::Rng;

@@ -4,13 +4,16 @@
 //! The simulator is generic over the message type `M` so that the kernel has
 //! no dependency on any particular packet format; `inc-net` instantiates it
 //! with its `Packet`. Execution is single-threaded and fully deterministic:
-//! events are ordered by `(time, sequence-number)` and all randomness flows
-//! from one seeded [`Rng`].
+//! all randomness flows from one seeded [`Rng`], and events fire in time
+//! order, **FIFO per timestamp** — equal times fire in the order they
+//! were scheduled. The pending set is a monotone radix queue (see
+//! `event_queue.rs`) whose every list is kept in push order: a push
+//! appends, a slot is refiled only once everything earlier is gone, and
+//! refiling preserves list order. No sequence number is stored.
 
 use std::any::Any;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
 
+use crate::event_queue::{EventQueue, QueueStats};
 use crate::rng::Rng;
 use crate::stats::TimeSeries;
 use crate::time::Nanos;
@@ -34,8 +37,9 @@ impl PortId {
     pub const P3: PortId = PortId(3);
 }
 
-/// A handle to a scheduled timer, usable for cancellation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// An opaque handle naming one scheduled timer; the fired [`Timer`]
+/// carries the handle its `schedule_*` call returned.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TimerId(u64);
 
 /// A fired timer, carrying the node-chosen `tag` it was scheduled with.
@@ -194,33 +198,10 @@ struct Link {
     next_free: Nanos,
 }
 
-enum EventKind<M> {
+enum Event<M> {
     Deliver { node: NodeId, port: PortId, msg: M },
     Timer { node: NodeId, id: TimerId, tag: u64 },
     MeterSample,
-}
-
-struct Event<M> {
-    at: Nanos,
-    seq: u64,
-    kind: EventKind<M>,
-}
-
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 enum Action<M> {
@@ -239,9 +220,6 @@ enum Action<M> {
         at: Nanos,
         id: TimerId,
         tag: u64,
-    },
-    Cancel {
-        id: TimerId,
     },
 }
 
@@ -317,18 +295,10 @@ impl<'a, M> Ctx<'a, M> {
         id
     }
 
-    /// Schedules a timer to fire after `delay`.
+    /// Schedules a timer to fire after `delay` (at [`Nanos::MAX`] if the
+    /// sum overflows).
     pub fn schedule_in(&mut self, delay: Nanos, tag: u64) -> TimerId {
-        let at = self.now.checked_add(delay).unwrap_or(Nanos::MAX);
-        *self.timer_seq += 1;
-        let id = TimerId(*self.timer_seq);
-        self.actions.push(Action::Schedule { at, id, tag });
-        id
-    }
-
-    /// Cancels a previously scheduled timer (no-op if already fired).
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.actions.push(Action::Cancel { id });
+        self.schedule_at(self.now.saturating_add(delay), tag)
     }
 }
 
@@ -380,11 +350,11 @@ pub struct MeterConfig {
 pub struct Simulator<M: Payload> {
     nodes: Vec<Option<Box<dyn Node<M>>>>,
     start_pending: Vec<NodeId>,
-    queue: BinaryHeap<Reverse<Event<M>>>,
-    links: HashMap<(NodeId, PortId), Link>,
-    canceled: HashSet<u64>,
+    queue: EventQueue<Event<M>>,
+    /// Egress links, indexed `[node][port]` and grown only by `connect`:
+    /// a node or port past the end of its table is unconnected.
+    links: Vec<Vec<Option<Link>>>,
     now: Nanos,
-    seq: u64,
     timer_seq: u64,
     rng: Rng,
     unrouted: u64,
@@ -413,11 +383,9 @@ impl<M: Payload> Simulator<M> {
         Simulator {
             nodes: Vec::new(),
             start_pending: Vec::new(),
-            queue: BinaryHeap::new(),
-            links: HashMap::new(),
-            canceled: HashSet::new(),
+            queue: EventQueue::new(),
+            links: Vec::new(),
             now: Nanos::ZERO,
-            seq: 0,
             timer_seq: 0,
             rng: Rng::new(seed),
             unrouted: 0,
@@ -475,14 +443,19 @@ impl<M: Payload> Simulator<M> {
             "no such node {from:?}"
         );
         assert!((to.0 as usize) < self.nodes.len(), "no such node {to:?}");
-        let prev = self.links.insert(
-            (from, fp),
-            Link {
-                to: (to, tp),
-                spec,
-                next_free: Nanos::ZERO,
-            },
-        );
+        let port_idx = fp.0 as usize;
+        if self.links.len() < self.nodes.len() {
+            self.links.resize_with(self.nodes.len(), Vec::new);
+        }
+        let ports = &mut self.links[from.0 as usize];
+        if ports.len() <= port_idx {
+            ports.resize_with(port_idx + 1, || None);
+        }
+        let prev = ports[port_idx].replace(Link {
+            to: (to, tp),
+            spec,
+            next_free: Nanos::ZERO,
+        });
         assert!(prev.is_none(), "port {fp:?} of {from:?} already connected");
     }
 
@@ -495,10 +468,19 @@ impl<M: Payload> Simulator<M> {
     /// Installs the wall-power meter.
     ///
     /// The first sample is taken at `interval` after the current time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `interval` is zero: the meter would re-arm at the
+    /// current instant forever.
     pub fn set_meter(&mut self, cfg: MeterConfig) {
-        let at = self.now + cfg.interval;
+        assert!(
+            cfg.interval > Nanos::ZERO,
+            "meter interval must be positive"
+        );
+        let at = self.now.saturating_add(cfg.interval);
         self.meter = Some(cfg);
-        self.push(at, EventKind::MeterSample);
+        self.queue.push(at, Event::MeterSample);
     }
 
     /// Installs an observer that sees every message a node puts on a
@@ -583,27 +565,28 @@ impl<M: Payload> Simulator<M> {
         out.expect("dispatch ran")
     }
 
-    /// Injects a message from outside the simulation.
+    /// Injects a message from outside the simulation, `delay` from now
+    /// (at [`Nanos::MAX`] if the sum overflows).
     pub fn inject(&mut self, to: NodeId, port: PortId, msg: M, delay: Nanos) {
-        let at = self.now + delay;
-        self.push(
-            at,
-            EventKind::Deliver {
-                node: to,
-                port,
-                msg,
-            },
-        );
+        let at = self.now.saturating_add(delay);
+        let deliver = Event::Deliver {
+            node: to,
+            port,
+            msg,
+        };
+        self.queue.push(at, deliver);
     }
 
     /// Injects a whole burst of `(delay, message)` pairs to one
-    /// destination, reserving event-queue space up front so a large
-    /// burst costs one allocation instead of O(log n) incremental heap
-    /// growth.
+    /// destination, reserving event-queue space up front so a burst
+    /// costs at most one growth of the queue's slab, and none once the
+    /// slab has held a burst that size.
     ///
-    /// Ordering invariant: events fire in `(time, push-sequence)` order,
-    /// so messages of the batch that share a delivery time arrive in
-    /// iterator order, after any same-time event pushed earlier.
+    /// Ordering invariant: events fire in time order, FIFO per
+    /// timestamp. Equal times share one list of the queue and every
+    /// list stays in push order, so messages of the batch that share a
+    /// delivery time arrive in iterator order, after any same-time
+    /// event scheduled earlier.
     pub fn inject_batch(
         &mut self,
         to: NodeId,
@@ -613,25 +596,13 @@ impl<M: Payload> Simulator<M> {
         let it = batch.into_iter();
         self.queue.reserve(it.size_hint().0);
         for (delay, msg) in it {
-            let at = self.now + delay;
-            self.push(
-                at,
-                EventKind::Deliver {
-                    node: to,
-                    port,
-                    msg,
-                },
-            );
+            self.inject(to, port, msg, delay);
         }
     }
 
-    fn push(&mut self, at: Nanos, kind: EventKind<M>) {
-        self.seq += 1;
-        self.queue.push(Reverse(Event {
-            at,
-            seq: self.seq,
-            kind,
-        }));
+    /// Returns the event queue's deterministic work counters.
+    pub fn queue_stats(&self) -> QueueStats {
+        self.queue.stats()
     }
 
     fn dispatch(&mut self, id: NodeId, f: impl FnOnce(&mut Box<dyn Node<M>>, &mut Ctx<'_, M>)) {
@@ -651,66 +622,45 @@ impl<M: Payload> Simulator<M> {
         for action in actions.drain(..) {
             match action {
                 Action::Send { port, msg, delay } => {
-                    let depart = self.now + delay;
-                    match self.links.get_mut(&(id, port)) {
-                        Some(link) => {
-                            if let Some(tap) = self.link_tap.as_mut() {
-                                tap(self.now, id, port, &msg);
-                            }
-                            if link.spec.loss > 0.0 && self.rng.chance(link.spec.loss) {
-                                self.lost += 1;
-                                continue;
-                            }
-                            let start = depart.max(link.next_free);
-                            let tx = match link.spec.bandwidth_bps {
-                                Some(bps) => {
-                                    Nanos::from_secs_f64(msg.wire_bytes() as f64 * 8.0 / bps)
-                                }
-                                None => Nanos::ZERO,
-                            };
-                            link.next_free = start + tx;
-                            let arrive = start + tx + link.spec.latency;
-                            let (to, tp) = link.to;
-                            self.push(
-                                arrive,
-                                EventKind::Deliver {
-                                    node: to,
-                                    port: tp,
-                                    msg,
-                                },
-                            );
-                        }
-                        None => self.unrouted += 1,
+                    let link = self
+                        .links
+                        .get_mut(id.0 as usize)
+                        .and_then(|ports| ports.get_mut(port.0 as usize))
+                        .and_then(Option::as_mut);
+                    let Some(link) = link else {
+                        self.unrouted += 1;
+                        continue;
+                    };
+                    if let Some(tap) = self.link_tap.as_mut() {
+                        tap(self.now, id, port, &msg);
                     }
+                    if link.spec.loss > 0.0 && self.rng.chance(link.spec.loss) {
+                        self.lost += 1;
+                        continue;
+                    }
+                    let start = self.now.saturating_add(delay).max(link.next_free);
+                    let tx = match link.spec.bandwidth_bps {
+                        Some(bps) => Nanos::from_secs_f64(msg.wire_bytes() as f64 * 8.0 / bps),
+                        None => Nanos::ZERO,
+                    };
+                    link.next_free = start.saturating_add(tx);
+                    let arrive = link.next_free.saturating_add(link.spec.latency);
+                    let (node, port) = link.to;
+                    self.queue.push(arrive, Event::Deliver { node, port, msg });
                 }
                 Action::Inject {
                     to,
                     port,
                     msg,
                     delay,
-                } => {
-                    let at = self.now + delay;
-                    self.push(
-                        at,
-                        EventKind::Deliver {
-                            node: to,
-                            port,
-                            msg,
-                        },
-                    );
-                }
+                } => self.inject(to, port, msg, delay),
                 Action::Schedule { at, id: tid, tag } => {
-                    self.push(
-                        at,
-                        EventKind::Timer {
-                            node: id,
-                            id: tid,
-                            tag,
-                        },
-                    );
-                }
-                Action::Cancel { id: tid } => {
-                    self.canceled.insert(tid.0);
+                    let timer = Event::Timer {
+                        node: id,
+                        id: tid,
+                        tag,
+                    };
+                    self.queue.push(at, timer);
                 }
             }
         }
@@ -732,23 +682,30 @@ impl<M: Payload> Simulator<M> {
         }
         self.meter_last_sample = Some((self.now, p));
         self.power_series.push(self.now, p);
-        let next = self.now + cfg.interval;
+        let next = self.now.saturating_add(cfg.interval);
         self.meter = Some(cfg);
-        self.push(next, EventKind::MeterSample);
+        // At the end of time there is no later sample to arm.
+        if next > self.now {
+            self.queue.push(next, Event::MeterSample);
+        }
     }
 
     /// Processes events until `deadline` (inclusive), then sets the clock
     /// to `deadline`. Returns the number of events processed by this call.
     ///
     /// The hot loop drains the due burst with per-event overhead kept to
-    /// one heap pop plus the dispatch itself: the action buffer is reused
+    /// one queue pop plus the dispatch itself: the action buffer is reused
     /// across dispatches (no per-event allocation) and start hooks are
     /// flushed once up front rather than re-checked per event.
     ///
-    /// Event-ordering invariant: events execute in `(time,
-    /// push-sequence)` order — ties in simulated time fire in the order
-    /// they were scheduled — so batched draining is observationally
-    /// identical to stepping one event at a time.
+    /// Event-ordering invariant: events execute in time order, FIFO per
+    /// timestamp — ties in simulated time fire in the order they were
+    /// scheduled — so batched draining is observationally identical to
+    /// stepping one event at a time, and one call to `deadline` to any
+    /// sequence of calls ending there. It holds because equal times
+    /// share one list of the queue and every list stays in push order:
+    /// a push appends, a slot is refiled only once everything earlier
+    /// is gone, and refiling preserves list order.
     ///
     /// # Panics
     ///
@@ -762,29 +719,21 @@ impl<M: Payload> Simulator<M> {
             }
         }
         let mut n = 0;
-        while self
-            .queue
-            .peek()
-            .is_some_and(|Reverse(ev)| ev.at <= deadline)
-        {
-            let Reverse(ev) = self.queue.pop().expect("peeked");
-            self.now = ev.at;
+        while let Some((at, event)) = self.queue.pop_due(deadline) {
+            self.now = at;
             n += 1;
-            match ev.kind {
-                EventKind::Deliver { node, port, msg } => {
+            match event {
+                Event::Deliver { node, port, msg } => {
                     if self.nodes[node.0 as usize].is_some() {
                         self.dispatch(node, |n, ctx| n.on_message(ctx, port, msg));
                     }
                 }
-                EventKind::Timer { node, id, tag } => {
-                    if self.canceled.remove(&id.0) {
-                        continue;
-                    }
+                Event::Timer { node, id, tag } => {
                     if self.nodes[node.0 as usize].is_some() {
                         self.dispatch(node, |n, ctx| n.on_timer(ctx, Timer { id, tag }));
                     }
                 }
-                EventKind::MeterSample => self.take_meter_sample(),
+                Event::MeterSample => self.take_meter_sample(),
             }
         }
         self.events_processed += n;
@@ -794,8 +743,7 @@ impl<M: Payload> Simulator<M> {
 
     /// Runs for an additional `span` of simulated time.
     pub fn run_for(&mut self, span: Nanos) -> u64 {
-        let deadline = self.now.checked_add(span).unwrap_or(Nanos::MAX);
-        self.run_until(deadline)
+        self.run_until(self.now.saturating_add(span))
     }
 }
 
@@ -843,7 +791,7 @@ mod tests {
         let c = sim.add_node(Counter { seen: Vec::new() });
         sim.inject(c, PortId::P0, 99, Nanos::from_nanos(5));
         // Delays alternate 5, 4, 5, 4 — the burst interleaves with the
-        // earlier event at t=5 purely by (time, push-sequence).
+        // earlier event at t=5 purely by time, then push order.
         sim.inject_batch(
             c,
             PortId::P0,
@@ -937,41 +885,89 @@ mod tests {
 
     #[test]
     fn unconnected_port_counts_unrouted() {
-        struct Lost;
-        impl Node<u64> for Lost {
+        struct Sprayer;
+        impl Node<u64> for Sprayer {
             fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
-                ctx.send(PortId::P3, 1);
+                // P2 is wired; P0 sits below it in the port table, P3
+                // beyond its end.
+                for port in [PortId::P0, PortId::P2, PortId::P3] {
+                    ctx.send(port, port.0 as u64);
+                }
             }
-            fn on_message(&mut self, _: &mut Ctx<'_, u64>, _: PortId, _: u64) {}
             impl_node_any!();
         }
         let mut sim = Simulator::new(0);
-        sim.add_node(Lost);
+        let s = sim.add_node(Sprayer);
+        let c = sim.add_node(Counter { seen: Vec::new() });
+        sim.connect(s, PortId::P2, c, PortId::P0, LinkSpec::ideal());
         sim.run_until(Nanos::from_millis(1));
-        assert_eq!(sim.unrouted(), 1);
+        assert_eq!(sim.unrouted(), 2);
+        assert_eq!(sim.node_ref::<Counter>(c).seen, vec![(Nanos::ZERO, 2)]);
     }
 
     #[test]
-    fn canceled_timer_does_not_fire() {
-        struct C {
-            fired: bool,
-        }
-        impl Node<u64> for C {
+    #[should_panic(expected = "already connected")]
+    fn connecting_a_port_twice_panics() {
+        let (mut sim, t, c) = ticker_sim();
+        sim.connect(t, PortId::P0, c, PortId::P1, LinkSpec::ideal());
+    }
+
+    #[test]
+    #[should_panic(expected = "no such node")]
+    fn connecting_an_unknown_node_panics() {
+        let (mut sim, t, _c) = ticker_sim();
+        sim.connect(t, PortId::P1, NodeId(9), PortId::P0, LinkSpec::ideal());
+    }
+
+    /// Event times saturate: a delay that would overflow the clock
+    /// parks the event at `Nanos::MAX` instead of wrapping it into the
+    /// past — in debug and in release (`scripts/bench_smoke.sh` runs
+    /// this crate's tests in both).
+    #[test]
+    fn overflowing_delays_park_at_the_end_of_time() {
+        struct Far;
+        impl Node<u64> for Far {
             fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
-                let id = ctx.schedule_in(Nanos::from_millis(5), 1);
-                ctx.cancel_timer(id);
-                ctx.schedule_in(Nanos::from_millis(10), 2);
+                ctx.send_after(Nanos::MAX, PortId::P0, 1);
+                ctx.inject(NodeId(1), PortId::P0, 2, Nanos::MAX);
+                ctx.schedule_in(Nanos::MAX, 3);
             }
-            fn on_timer(&mut self, _ctx: &mut Ctx<'_, u64>, t: Timer) {
-                assert_eq!(t.tag, 2, "canceled timer fired");
-                self.fired = true;
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, u64>, t: Timer) {
+                ctx.send(PortId::P0, t.tag);
             }
             impl_node_any!();
         }
         let mut sim = Simulator::new(0);
-        let id = sim.add_node(C { fired: false });
         sim.run_until(Nanos::from_secs(1));
-        assert!(sim.node_ref::<C>(id).fired);
+        let far = sim.add_node(Far);
+        let c = sim.add_node(Counter { seen: Vec::new() });
+        let wire = LinkSpec::ten_gbe(Nanos::from_micros(1));
+        sim.connect(far, PortId::P0, c, PortId::P0, wire);
+        sim.inject(c, PortId::P0, 0, Nanos::MAX);
+        sim.set_meter(MeterConfig {
+            interval: Nanos::MAX,
+            nodes: vec![far],
+        });
+        let end = Nanos::from_nanos(u64::MAX - 1);
+        assert_eq!(sim.run_until(end), 0, "something fired early");
+        assert_eq!(sim.queue_stats().pushed, 5);
+        // Five parked events plus the timer's send, all at the last
+        // instant, in the order they were scheduled.
+        assert_eq!(sim.run_until(Nanos::MAX), 6);
+        let seen = &sim.node_ref::<Counter>(c).seen;
+        assert_eq!(seen.as_slice(), &[0, 1, 2, 3].map(|m| (Nanos::MAX, m)));
+        assert_eq!(sim.power_series().len(), 1);
+        assert_eq!(sim.run_for(Nanos::MAX), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "meter interval must be positive")]
+    fn a_zero_meter_interval_is_rejected() {
+        let (mut sim, t, _c) = ticker_sim();
+        sim.set_meter(MeterConfig {
+            interval: Nanos::ZERO,
+            nodes: vec![t],
+        });
     }
 
     #[test]

@@ -109,6 +109,14 @@ impl Nanos {
         }
     }
 
+    /// Saturating addition: returns [`Nanos::MAX`] instead of
+    /// overflowing. Every event time the simulator computes goes
+    /// through this, so a huge delay parks an event at the end of time
+    /// rather than wrapping it into the past.
+    pub const fn saturating_add(self, rhs: Nanos) -> Nanos {
+        Nanos(self.0.saturating_add(rhs.0))
+    }
+
     /// Multiplies the duration by an integer factor.
     pub const fn mul(self, k: u64) -> Nanos {
         Nanos(self.0 * k)

@@ -56,6 +56,12 @@ cargo test --release -q --test failure_injection chaos
 echo "== allocation budgets =="
 cargo test --release -q --test alloc_budget
 
+# The event queue against its heap oracle at full size (the debug leg of
+# `cargo test --workspace` runs a fifth of it), and in release because
+# event-time arithmetic must saturate there too.
+echo "== simulator kernel, release mode =="
+cargo test --release -q -p inc-sim
+
 echo "== criterion smoke targets =="
 cargo bench -p inc-bench --bench codecs
 cargo bench -p inc-bench --bench shared_device
@@ -100,7 +106,7 @@ echo "all ${#required_artifacts[@]} required artifacts present"
 # Heavy-traffic floors: the streaming measurement plane must replay at
 # least 10 M simulated requests per wall-clock second and at least 8x
 # the per-event plane on the same machine. The example's dev-machine
-# numbers are ~113 M req/s and ~14x, so these are smoke floors against
+# numbers are ~206 M req/s and ~13x, so these are smoke floors against
 # catastrophic regressions (an accidental per-request allocation, rows
 # sneaking back into streaming mode), not tight performance pins —
 # the criterion bench holds the curve.

@@ -1,13 +1,15 @@
-//! Allocation budgets of the consensus value plane and of the packet
-//! data path, defended by `cargo test` rather than only by the
-//! benchmark's `allocs_per_kop` (`scripts/bench_smoke.sh` runs this
-//! binary in release, so a regression in a deterministic cost fails CI).
+//! Allocation budgets of the consensus value plane, of the packet data
+//! path and of the simulator's event queue, defended by `cargo test`
+//! rather than only by the benchmark's `allocs_per_kop`
+//! (`scripts/bench_smoke.sh` runs this binary in release, so a
+//! regression in a deterministic cost fails CI).
 //!
 //! A command's bytes are allocated once per wire hop (`PaxosMsg::decode`)
 //! and shared by refcount from there on; role steps that send at most
 //! one message allocate nothing. A frame costs one allocation to build —
 //! the frame — and none to parse, checksum-verify and decode; a device
-//! that answers a request allocates its reply and nothing else. This
+//! that answers a request allocates its reply and nothing else. A warm
+//! event queue schedules and releases events without allocating. This
 //! binary has its own counting `#[global_allocator]`, so it holds these
 //! tests only. The counter is per thread: libtest runs tests on parallel
 //! threads, and a test must not be billed for its neighbour's
@@ -409,4 +411,74 @@ fn the_packet_fabric_stays_under_the_allocation_budget() {
         allocs as f64 / completed as f64
     );
     drop(timeline);
+}
+
+/// The event queue's memory is one slab recycled through a free list:
+/// once it has held a burst, a burst that size costs nothing. Its work
+/// is a count too: every event is filed once, released once, and refiled
+/// fewer than eight times in between.
+#[test]
+fn a_warm_event_queue_takes_a_burst_without_allocating() {
+    struct Sink(u64);
+    impl Node<u64> for Sink {
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, u64>, _port: PortId, _msg: u64) {
+            self.0 += 1;
+        }
+        impl_node_any!();
+    }
+    const BURST: u64 = 17_700;
+    let mut sim: Simulator<u64> = Simulator::new(0);
+    let sink = sim.add_node(Sink(0));
+    let mut interval = 0;
+    let mut burst = |sim: &mut Simulator<u64>| {
+        interval += 1;
+        sim.inject_batch(
+            sink,
+            PortId::P0,
+            (0..BURST).map(|j| (Nanos::from_nanos(1 + j * 5_600), j)),
+        );
+        sim.run_until(Nanos::from_millis(100 * interval));
+    };
+    burst(&mut sim);
+    let allocs = allocations_in(|| burst(&mut sim));
+    assert_eq!(sim.node_ref::<Sink>(sink).0, 2 * BURST);
+    assert_eq!(allocs, 0, "a same-sized burst into a warm queue");
+    let stats = sim.queue_stats();
+    assert_eq!(stats.pushed, 2 * BURST);
+    assert_eq!(stats.popped, sim.events_processed());
+    assert_eq!(stats.popped, stats.pushed);
+    assert_eq!(stats.high_water, BURST);
+    assert!(stats.relinked <= 8 * stats.popped, "{stats:?}");
+    println!(
+        "heavy burst: {:.2} relinks per event",
+        stats.relinked as f64 / stats.popped as f64
+    );
+}
+
+/// A steady exchange over a link reuses one queue entry and the one
+/// action buffer forever.
+#[test]
+fn an_echo_ping_pong_over_a_link_allocates_nothing() {
+    /// Bounces every message straight back out of the port it came in on.
+    struct Echo;
+    impl Node<u64> for Echo {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, port: PortId, msg: u64) {
+            ctx.send(port, msg + 1);
+        }
+        impl_node_any!();
+    }
+    let mut sim: Simulator<u64> = Simulator::new(0);
+    let a = sim.add_node(Echo);
+    let b = sim.add_node(Echo);
+    let wire = LinkSpec::ten_gbe(Nanos::from_micros(1));
+    sim.connect_duplex(a, PortId::P0, b, PortId::P0, wire);
+    sim.inject(a, PortId::P0, 0, Nanos::ZERO);
+    sim.run_until(Nanos::from_micros(10));
+    let before = sim.events_processed();
+    let allocs = allocations_in(|| {
+        sim.run_until(Nanos::from_micros(10_010));
+    });
+    assert_eq!(sim.events_processed() - before, 10_000);
+    assert_eq!(allocs, 0, "a 10 000-event echo ping-pong");
+    assert_eq!(sim.queue_stats().high_water, 1);
 }
