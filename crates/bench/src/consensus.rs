@@ -28,7 +28,7 @@
 //! a [`ScenarioReport`] with the two safety verdicts and the recovery
 //! deadline measured in controller intervals.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use inc_net::Bytes;
 use inc_ondemand::{
@@ -36,7 +36,7 @@ use inc_ondemand::{
     HostSample, Placement, PlacementAnalysis, ShiftReason, TierCost, Topology,
 };
 use inc_paxos::multi::{Acceptor, Leader, Replica};
-use inc_paxos::{ClientCommand, Dest, Outbox, PaxosMsg};
+use inc_paxos::{ClientCommand, Dest, MsgType, Outbox, PaxosMsg};
 use inc_power::EnergyParams;
 use inc_sim::{Nanos, Rng};
 
@@ -65,6 +65,46 @@ struct Envelope {
     reply_to: NodeRef,
     dest: Dest,
     msg: PaxosMsg,
+}
+
+/// The harness-side safety oracle. Replicas keep a window, not a
+/// history, so both safety properties are checked as history is made:
+/// every [`MsgType::ClientReply`] a replica sends (one per executed
+/// command, in order) is compared, position by position, with what the
+/// replica furthest ahead sent. Only the stretch the slowest replica has
+/// yet to reach is kept.
+#[derive(Default)]
+struct ReplyOracle {
+    /// `(slot, value)` of the replies from position `trimmed` on.
+    replies: VecDeque<(u64, Bytes)>,
+    trimmed: u64,
+    /// Replies seen per replica; sized at the first reply (`setup_s`).
+    seen: Vec<u64>,
+    /// Highest slot any reply has carried.
+    newest: u64,
+    two_values: bool,
+    out_of_order: bool,
+}
+
+impl ReplyOracle {
+    fn observe(&mut self, n_replicas: usize, replica: usize, slot: u64, value: &Bytes) {
+        self.seen.resize(n_replicas, 0);
+        let at = (self.seen[replica] - self.trimmed) as usize;
+        match self.replies.get(at) {
+            Some((s, v)) if *s == slot => self.two_values |= v != value,
+            Some(_) => self.out_of_order = true,
+            None => {
+                self.out_of_order |= slot <= self.newest;
+                self.newest = slot;
+                self.replies.push_back((slot, value.clone()));
+            }
+        }
+        self.seen[replica] += 1;
+        while self.seen.iter().all(|&n| n > self.trimmed) {
+            self.replies.pop_front();
+            self.trimmed += 1;
+        }
+    }
 }
 
 /// A Multi-Paxos cluster over a deterministic adversarial network.
@@ -103,6 +143,7 @@ pub struct ChaosCluster {
     pub duplicated: u64,
     next_client_seq: u64,
     submit_rr: usize,
+    oracle: ReplyOracle,
 }
 
 impl ChaosCluster {
@@ -115,7 +156,7 @@ impl ChaosCluster {
                 .map(|i| Replica::new(i, n_acceptors))
                 .collect(),
             leaders: (0..n_leaders as u8)
-                .map(|i| Leader::new(i, n_acceptors))
+                .map(|i| Leader::new(i, n_acceptors, n_replicas))
                 .collect(),
             acceptors: (0..n_acceptors as u8).map(Acceptor::new).collect(),
             queue: Vec::new(),
@@ -130,6 +171,7 @@ impl ChaosCluster {
             duplicated: 0,
             next_client_seq: 0,
             submit_rr: 0,
+            oracle: ReplyOracle::default(),
         }
     }
 
@@ -239,6 +281,11 @@ impl ChaosCluster {
     /// itself — those outboxes never carry [`Dest::Reply`]).
     fn enqueue(&mut self, from: NodeRef, reply_to: NodeRef, out: Outbox) {
         for (dest, msg) in out {
+            if let (NodeRef::Replica(r), MsgType::ClientReply) = (from, msg.mtype) {
+                let n = self.replicas.len();
+                self.oracle
+                    .observe(n, usize::from(r), msg.instance, &msg.value);
+            }
             self.queue.push(Envelope {
                 from,
                 reply_to,
@@ -297,10 +344,11 @@ impl ChaosCluster {
         self.enqueue(to, from, out);
     }
 
-    /// Safety property 1: across every replica's learned decisions, no
-    /// slot maps to two different values.
+    /// Safety property 1: no slot maps to two different values, among
+    /// the replies sent at execution and the decisions still in windows.
     pub fn single_value_per_slot(&self) -> bool {
-        let mut chosen: HashMap<u64, &[u8]> = HashMap::new();
+        let executed = self.oracle.replies.iter();
+        let mut chosen: HashMap<u64, &[u8]> = executed.map(|(s, v)| (*s, v.as_ref())).collect();
         for r in &self.replicas {
             for (slot, value) in r.decisions() {
                 match chosen.get(&slot) {
@@ -311,21 +359,13 @@ impl ChaosCluster {
                 }
             }
         }
-        true
+        !self.oracle.two_values
     }
 
     /// Safety property 2: every pair of replicas agrees on the common
     /// prefix of their executed logs (slot and value, entry by entry).
     pub fn logs_prefix_agree(&self) -> bool {
-        for a in &self.replicas {
-            for b in &self.replicas {
-                let n = a.log.len().min(b.log.len());
-                if a.log[..n] != b.log[..n] {
-                    return false;
-                }
-            }
-        }
-        true
+        !self.oracle.out_of_order && !self.oracle.two_values
     }
 
     /// The longest executed log across replicas (commands, not no-ops).
@@ -819,6 +859,53 @@ mod tests {
         assert!(c.single_value_per_slot());
         assert!(c.logs_prefix_agree());
         assert!(c.dropped > 0 && c.duplicated > 0);
+    }
+
+    #[test]
+    fn the_reply_oracle_fires_on_forged_replies() {
+        fn reply(slot: u64, value: &'static [u8]) -> Outbox {
+            let msg = PaxosMsg::new(MsgType::ClientReply, slot, 0, Bytes::from_static(value));
+            Outbox::One((Dest::Client(9), msg))
+        }
+        let (r0, r1) = (NodeRef::Replica(0), NodeRef::Replica(1));
+        // Honest history: both replicas execute slots 1 and 2 alike; the
+        // oracle keeps only what replica 1 has yet to confirm.
+        let mut c = ChaosCluster::new(1, 2, 1, 3);
+        for (from, slot) in [(r0, 1), (r0, 2), (r1, 1)] {
+            c.enqueue(from, from, reply(slot, b"honest"));
+        }
+        assert!(c.single_value_per_slot() && c.logs_prefix_agree());
+        assert_eq!(c.oracle.replies.len(), 1);
+
+        // A second value for a slot replica 0 already executed.
+        let mut forged = ChaosCluster::new(1, 2, 1, 3);
+        forged.enqueue(r0, r0, reply(1, b"honest"));
+        forged.enqueue(r1, r1, reply(1, b"forged"));
+        assert!(!forged.single_value_per_slot());
+
+        // A replica executing backwards, and one skipping a slot the
+        // other executed: the values agree, the prefixes do not.
+        c.enqueue(r0, r0, reply(2, b"honest"));
+        assert!(c.single_value_per_slot() && !c.logs_prefix_agree());
+        let mut skipped = ChaosCluster::new(1, 2, 1, 3);
+        for (from, slot) in [(r0, 1), (r0, 2), (r1, 2)] {
+            skipped.enqueue(from, from, reply(slot, b"honest"));
+        }
+        assert!(skipped.single_value_per_slot() && !skipped.logs_prefix_agree());
+
+        // A decision waiting in replica 1's window (slot 1 is undecided
+        // there) that contradicts what replica 0 executed at that slot.
+        let mut pending = ChaosCluster::new(1, 2, 1, 3);
+        pending.enqueue(r0, r0, reply(1, b"honest"));
+        pending.enqueue(r0, r0, reply(2, b"honest"));
+        for acceptor in 0..2 {
+            let mut vote = PaxosMsg::new(MsgType::Phase2b, 2, 16, Bytes::from_static(b"forged"));
+            vote.vround = 16;
+            vote.acceptor = acceptor;
+            assert!(pending.single_value_per_slot());
+            pending.replicas[1].handle(&vote);
+        }
+        assert!(!pending.single_value_per_slot());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! Rust tokenizer ([`lexer`], aware of strings, raw strings, char
 //! literals and nested comments — no `syn`, the vendor tree is
 //! offline) feeding a declarative per-crate rule table ([`rules`]).
-//! The five rules:
+//! The six rules:
 //!
 //! | rule | contract |
 //! |------|----------|
@@ -23,6 +23,7 @@
 //! | `ambient-rng` | no `thread_rng`/`rand::random`/`RandomState`; randomness is seeded |
 //! | `panicking-decode` | no `unwrap`/`expect`/`panic!`/indexing in codec decode paths |
 //! | `float-eq` | no `==`/`!=` against float literals outside tests |
+//! | `slot-keyed-tree` | no `BTreeMap<u64, _>`/`BTreeSet<u64>` in `inc-paxos::multi` outside tests and `encode_pvalues`' signature |
 //!
 //! Violations are waived in-source with
 //! `// inc-lint: allow(<rule>): <reason>` (reason mandatory, waiver

@@ -83,6 +83,14 @@ pub const RULES: &[Rule] = &[
         include: &["crates/", "src/"],
         exclude: &["crates/bench/", "crates/lint/"],
     },
+    Rule {
+        id: "slot-keyed-tree",
+        summary: "no BTreeMap<u64, _>/BTreeSet<u64> in the Multi-Paxos roles \
+                  outside tests and encode_pvalues' signature (per-slot state \
+                  lives in a slot ring anchored at the floor, not a history)",
+        include: &["crates/paxos/src/multi.rs"],
+        exclude: &[],
+    },
 ];
 
 /// The packet-path crates, where `ambient-rng` also forbids the
@@ -610,6 +618,33 @@ fn scan_float_eq(tokens: &[Token], lines: &[&str], file: &str, out: &mut Vec<Vio
     }
 }
 
+fn scan_slot_keyed_tree(tokens: &[Token], lines: &[&str], file: &str, out: &mut Vec<Violation>) {
+    let test_ranges = cfg_test_ranges(tokens);
+    // From `fn encode_pvalues` to the `{` of its body: the one public
+    // signature that takes a slot-keyed map (the benchmark calls it).
+    let mut in_signature = false;
+    for (i, t) in tokens.iter().enumerate() {
+        if t.is_ident("fn")
+            && tokens
+                .get(i + 1)
+                .is_some_and(|n| n.is_ident("encode_pvalues"))
+        {
+            in_signature = true;
+        } else if t.is_punct("{") {
+            in_signature = false;
+        }
+        let slot_keyed = (t.is_ident("BTreeMap") || t.is_ident("BTreeSet"))
+            && tokens.get(i + 1).is_some_and(|n| n.is_punct("<"))
+            && tokens.get(i + 2).is_some_and(|n| n.is_ident("u64"))
+            && tokens
+                .get(i + 3)
+                .is_some_and(|n| n.is_punct(",") || n.is_punct(">"));
+        if slot_keyed && !in_signature && !in_ranges(&test_ranges, i) {
+            out.push(mk_violation("slot-keyed-tree", file, t.line, lines));
+        }
+    }
+}
+
 fn mk_violation(rule: &'static str, file: &str, line: u32, lines: &[&str]) -> Violation {
     let snippet = lines
         .get(line.saturating_sub(1) as usize)
@@ -650,6 +685,9 @@ pub fn scan_source(rel_path: &str, source: &str) -> FileReport {
                 scan_panicking_decode(&lexed.tokens, &lines, rel_path, &mut report.violations);
             }
             "float-eq" => scan_float_eq(&lexed.tokens, &lines, rel_path, &mut report.violations),
+            "slot-keyed-tree" => {
+                scan_slot_keyed_tree(&lexed.tokens, &lines, rel_path, &mut report.violations);
+            }
             _ => {}
         }
     }

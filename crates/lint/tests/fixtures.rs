@@ -1,4 +1,4 @@
-//! Fixture suite for the five rules, the waiver grammar, and the
+//! Fixture suite for the six rules, the waiver grammar, and the
 //! tokenizer's blind spots, plus the self-check that the workspace
 //! itself lints clean.
 //!
@@ -112,6 +112,19 @@ fn float_eq_catches_exact_compares_but_not_to_bits_or_tests() {
     // comparison. `to_bits() ==` (line 9), integer `==` (line 11) and
     // the `#[cfg(test)]` module stay legal.
     assert_eq!(lines(&report, "float-eq"), vec![3, 6, 7]);
+}
+
+#[test]
+fn slot_keyed_tree_catches_per_slot_maps_in_the_multi_paxos_roles() {
+    let src = include_str!("fixtures/slot_keyed_tree.rs");
+    let report = scan_source("crates/paxos/src/multi.rs", src);
+    // Lines 3 and 4: slot-keyed fields; line 12: a slot-keyed local in a
+    // body. The client-keyed map (line 6), `encode_pvalues`' signature
+    // (line 11) and the `#[cfg(test)]` module stay legal.
+    assert_eq!(lines(&report, "slot-keyed-tree"), vec![3, 4, 12]);
+    // The single-sequencer pipeline keeps its unbounded instance map.
+    let report = scan_source("crates/paxos/src/roles.rs", src);
+    assert_eq!(lines(&report, "slot-keyed-tree"), Vec::<u32>::new());
 }
 
 #[test]

@@ -33,6 +33,7 @@ pub mod msg;
 pub mod multi;
 pub mod node;
 pub mod outbox;
+mod ring;
 pub mod roles;
 
 pub use client::{PaxosClient, PaxosClientStats};

@@ -1749,6 +1749,85 @@ proptest! {
         prop_assert!(c.single_value_per_slot(), "two values chosen for one slot");
         prop_assert!(c.logs_prefix_agree(), "executed log prefixes diverged");
     }
+
+    /// Nothing acts on a slot below its floor, whoever asks and with
+    /// whatever ballot: a phase-2a there is refused, a proposal and a
+    /// phase-1b pvalue are dropped, and the forged value they all carry
+    /// never reaches a log — the run goes on and both oracles hold.
+    #[test]
+    fn stale_floor_messages_change_no_decision(
+        seed in any::<u64>(),
+        drop_p in 0.0f64..0.15,
+        dup_p in 0.0f64..0.15,
+        behind in 1u64..40,
+        steal in any::<bool>(),
+    ) {
+        use inc::paxos::multi::{encode_pvalues, Ballot};
+        use inc::paxos::{ClientCommand, MsgType, PaxosMsg};
+        use inc_bench::consensus::ChaosCluster;
+        let mut c = ChaosCluster::new(seed, 2, 2, 3);
+        c.drop_p = drop_p;
+        c.dup_p = dup_p;
+        for round in 0..40u8 {
+            c.submit(3, vec![round]);
+            c.tick(1_000_000);
+        }
+        let forged: Vec<u8> = ClientCommand { client: 666, seq: 1, payload: vec![0xFF] }.encode();
+        let usurper = Ballot::new(Ballot::MAX_NUM, 15);
+
+        // Acceptors: a phase-2a below the floor, from the highest ballot
+        // there is, is answered with a refusal that names the floor.
+        for a in &mut c.acceptors {
+            let floor = a.floor();
+            prop_assert!(floor > 1, "the floor never reached an acceptor");
+            let (slot, promised, held) = (floor.saturating_sub(behind).max(1), a.promised(), a.accepted_len());
+            let out = a.handle(&PaxosMsg::new(MsgType::Phase2a, slot, usurper.wire(), forged.clone()));
+            prop_assert_eq!(out.len(), 1);
+            prop_assert_eq!((out[0].1.vround, out[0].1.last_voted), (0, floor));
+            prop_assert_eq!((a.accepted(slot), a.promised(), a.accepted_len()), (None, promised, held));
+        }
+
+        // Leaders: a proposal below the floor is dropped; so is a pvalue
+        // below it in the promises that make the leader adopt — the
+        // phase-2as of the adoption never name that slot. With `steal`
+        // the scout is leader 1's, which also costs leader 0 its ballot.
+        let l = usize::from(steal);
+        let floor = c.leaders[l].floor();
+        let slot = floor.saturating_sub(behind).max(1);
+        prop_assert!(slot < floor, "the floor never reached leader {l}");
+        let held = c.leaders[l].retained_slots();
+        let stale = PaxosMsg::new(MsgType::ClientRequest, slot, 0, forged.clone());
+        prop_assert!(c.leaders[l].handle(&stale).is_empty());
+        prop_assert_eq!(c.leaders[l].retained_slots(), held);
+        let p1a = c.leaders[l].start_scout();
+        let pvalues = [(slot, (usurper, forged.clone()))].into_iter().collect();
+        let mut adoption = Vec::new();
+        for acceptor in 0..2 {
+            let mut p1b = PaxosMsg::new(MsgType::Phase1b, 1, p1a[0].1.round, encode_pvalues(&pvalues));
+            p1b.vround = p1a[0].1.round;
+            p1b.acceptor = acceptor;
+            adoption.extend(c.leaders[l].handle(&p1b));
+        }
+        prop_assert!(c.leaders[l].is_active());
+        prop_assert!(adoption.iter().all(|(_, m)| m.instance >= floor && m.value != forged));
+
+        // The run goes on (the adoption's messages count as lost).
+        for round in 40..60u8 {
+            c.submit(3, vec![round]);
+            c.tick(1_000_000);
+        }
+        for _ in 0..200 {
+            c.tick(1_000_000);
+        }
+        prop_assert!(c.single_value_per_slot(), "two values chosen for one slot");
+        prop_assert!(c.logs_prefix_agree(), "executed log prefixes diverged");
+        for r in &c.replicas {
+            prop_assert_eq!(r.executed_count, 60, "replica {} is behind", r.id);
+            let ran_forged = r.log_tail().iter().any(|(_, v)| v == &forged);
+            prop_assert!(!ran_forged, "replica {} executed the forged command", r.id);
+        }
+        prop_assert_eq!(c.replicas[0].log_digest(), c.replicas[1].log_digest());
+    }
 }
 
 /// The `Name` this repository had before the flat one — a list of
