@@ -22,10 +22,9 @@
 //!   [`ShiftReason::DeviceLoss`] shifts.
 //!
 //! The scenario functions ([`run_device_kill`], [`run_tor_partition`],
-//! [`run_budget_flap`]) are the single implementation behind both the
-//! e2e chaos tests (`tests/failure_injection.rs`) and the
-//! `consensus.json` CI artifact (`examples/consensus.rs`): each returns
-//! a [`ScenarioReport`] with the two safety verdicts and the recovery
+//! [`run_budget_flap`]) are the implementation behind the e2e chaos
+//! tests (`tests/failure_injection.rs`): each returns a
+//! [`ScenarioReport`] with the two safety verdicts and the recovery
 //! deadline measured in controller intervals.
 
 use std::collections::{HashMap, VecDeque};
@@ -580,10 +579,10 @@ impl ConsensusRig {
 
 /// The outcome of one chaos scenario: the two safety verdicts, the
 /// recovery deadline in controller intervals, and availability /
-/// placement accounting for the CI artifact.
+/// placement accounting.
 #[derive(Clone, Copy, Debug)]
 pub struct ScenarioReport {
-    /// Scenario name (the metric prefix in `consensus.json`).
+    /// Scenario name.
     pub name: &'static str,
     /// Safety property 1 held: no slot learned two values.
     pub safe: bool,

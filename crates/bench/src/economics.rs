@@ -2,8 +2,9 @@
 //! [`PodFabricRig`] day scheduled under different
 //! [`Objective`]s.
 //!
-//! The experiment behind `examples/economics.rs` and the CI economics
-//! floor: run the five-tenant contended plateau three times —
+//! The experiment behind `inc-bench scenario economics` and
+//! `tests/economics.rs`: run the five-tenant contended plateau three
+//! times —
 //!
 //! * **joules** — the default energy objective (the historical
 //!   behaviour, bit for bit);
@@ -19,12 +20,10 @@
 //! That pair of facts — uniform prices reproduce the energy optimum
 //! bit-for-bit, skewed prices pick a different placement set — is what
 //! distinguishes a genuinely pluggable objective from a rescaled one,
-//! and it is exactly what the `economics.json` artifact asserts.
+//! and it is exactly what `tests/economics.rs` asserts.
 
 use inc_hw::Placement;
-use inc_ondemand::{
-    ClaimPolicy, FleetController, FleetControllerConfig, FleetShift, FleetTimeline, Objective,
-};
+use inc_ondemand::{ClaimPolicy, FleetController, FleetControllerConfig, FleetShift, Objective};
 use inc_sim::Nanos;
 
 use crate::rigs::PodFabricRig;
@@ -44,6 +43,17 @@ pub const PROBE: Nanos = Nanos::from_secs(5);
 /// aggregation switch) no longer clears the admission floor.
 pub const SKEW_PER_GB: f64 = 15.0;
 
+/// One dollar per joule, bytes free: a pure unit relabel of joules.
+pub const UNIFORM_DOLLAR: Objective = Objective::Dollar {
+    per_joule: 1.0,
+    per_gb_moved: 0.0,
+};
+/// One dollar per joule plus [`SKEW_PER_GB`] per detour gigabyte.
+pub const SKEWED_DOLLAR: Objective = Objective::Dollar {
+    per_joule: 1.0,
+    per_gb_moved: SKEW_PER_GB,
+};
+
 /// One objective's replay of the contended day.
 #[derive(Clone, Debug)]
 pub struct EconomicsRun {
@@ -60,7 +70,7 @@ pub struct EconomicsRun {
     pub energy_j: f64,
 }
 
-/// The three-run comparison the economics artifact is built from.
+/// The three-run comparison.
 #[derive(Clone, Debug)]
 pub struct EconomicsReport {
     /// The default energy objective.
@@ -88,22 +98,22 @@ impl EconomicsRig {
         FleetController::new(config, PodFabricRig::fabric(), PodFabricRig::fleet_apps())
     }
 
-    /// Replays the contended day under `objective`: placements are
-    /// probed mid-plateau, the shift log and energy cover the full
-    /// horizon.
+    /// Replays the contended day under `objective`: the shift log and
+    /// energy cover the full horizon, the placements are read mid-plateau
+    /// off the same run (the row recorded at [`PROBE`] carries the
+    /// placement the controller held after that sample).
     pub fn run(objective: Objective) -> EconomicsRun {
         let rig = PodFabricRig::new(PodFabricRig::contended_profiles(HORIZON));
-        // Probe run: stop mid-plateau and read the settled placements.
-        let mut probe = Self::controller(objective);
-        rig.run(&mut probe, PROBE);
-        let placements = probe.placements().to_vec();
-        // Full run: the complete day for the shift log and the meter.
-        let mut full = Self::controller(objective);
-        let timeline: FleetTimeline = rig.run(&mut full, HORIZON);
+        let mut controller = Self::controller(objective);
+        let timeline = rig.run(&mut controller, HORIZON);
+        let at_probe = |t: &inc_ondemand::Timeline| {
+            let row = t.rows().iter().find(|r| r.t == PROBE);
+            row.expect("PROBE is a sampling instant").placement
+        };
         EconomicsRun {
             objective,
-            placements,
-            shifts: full.shifts().to_vec(),
+            placements: timeline.per_app.iter().map(at_probe).collect(),
+            shifts: controller.shifts().to_vec(),
             energy_j: timeline.energy_j,
         }
     }
@@ -112,14 +122,8 @@ impl EconomicsRig {
     pub fn report() -> EconomicsReport {
         EconomicsReport {
             joules: Self::run(Objective::Joules),
-            uniform: Self::run(Objective::Dollar {
-                per_joule: 1.0,
-                per_gb_moved: 0.0,
-            }),
-            skewed: Self::run(Objective::Dollar {
-                per_joule: 1.0,
-                per_gb_moved: SKEW_PER_GB,
-            }),
+            uniform: Self::run(UNIFORM_DOLLAR),
+            skewed: Self::run(SKEWED_DOLLAR),
         }
     }
 }
@@ -153,34 +157,6 @@ impl EconomicsReport {
     pub fn uniform_matches_joules(&self) -> bool {
         self.joules.placements == self.uniform.placements
             && shift_logs_identical(&self.joules.shifts, &self.uniform.shifts)
-    }
-
-    /// The economics metrics for `economics.json` (1.0 = holds): the
-    /// two headline booleans plus the evidence behind them.
-    pub fn metrics(&self) -> Vec<(&'static str, f64)> {
-        let offloaded = |run: &EconomicsRun| {
-            run.placements
-                .iter()
-                .filter(|p| matches!(p, Placement::Device(_)))
-                .count() as f64
-        };
-        vec![
-            (
-                "placement_sets_differ",
-                f64::from(self.placement_sets_differ()),
-            ),
-            (
-                "uniform_matches_joules",
-                f64::from(self.uniform_matches_joules()),
-            ),
-            ("joules_offloaded", offloaded(&self.joules)),
-            ("skewed_offloaded", offloaded(&self.skewed)),
-            ("joules_shifts", self.joules.shifts.len() as f64),
-            ("skewed_shifts", self.skewed.shifts.len() as f64),
-            ("joules_energy_j", self.joules.energy_j),
-            ("uniform_energy_j", self.uniform.energy_j),
-            ("skewed_energy_j", self.skewed.energy_j),
-        ]
     }
 }
 

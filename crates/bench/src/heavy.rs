@@ -31,15 +31,14 @@
 //! The ratio of simulated requests per wall-clock second between the two
 //! is the headline `heavy_traffic` metric.
 
-use inc_hw::{DeviceFabric, DeviceId, Placement, ProgramResources};
+use inc_hw::{DeviceFabric, Placement};
 use inc_ondemand::{
     run_fleet_controlled, AppObservation, FleetApp, FleetController, FleetControllerConfig,
-    FleetSample, FleetTimeline, HostSample, PlacementAnalysis, RowLog,
+    FleetSample, FleetTimeline, HostSample, RowLog,
 };
-use inc_power::EnergyParams;
 use inc_sim::{impl_node_any, Ctx, Histogram, Nanos, Node, NodeId, PortId, Rng, Simulator};
 use inc_workloads::dynamo::PowerWalk;
-use inc_workloads::{EtcWorkload, GoogleTrace, WorkloadClass, Zipf};
+use inc_workloads::{EtcWorkload, GoogleTrace, WorkloadClass};
 
 use crate::rigs::MegaFabricRig;
 
@@ -149,42 +148,8 @@ impl HeavyTrafficRig {
     /// occupancy factors mined from a synthesized google cluster trace
     /// (one trace "node" per tenant).
     pub fn new(tenants: usize, seed: u64) -> Self {
-        let mut rng = Rng::new(seed);
-        let zipf = Zipf::new(tenants as u64, Self::ALPHA).expect("valid zipf parameters");
-        let mut ranks: Vec<u64> = (1..=tenants as u64).collect();
-        rng.shuffle(&mut ranks);
-        let mut apps = Vec::with_capacity(tenants);
-        let mut base = Vec::with_capacity(tenants);
-        for (i, &rank) in ranks.iter().enumerate() {
-            let stages = 2 + rng.index(3) as u32;
-            let sram_mb = 1 + rng.index(4) as u64;
-            let slope = 0.08 + 0.04 * rng.f64(); // W per kpps
-            apps.push(FleetApp {
-                name: format!("tenant{i}"),
-                demand: ProgramResources {
-                    stages,
-                    sram_bytes: sram_mb << 20,
-                    parse_depth_bytes: 64,
-                },
-                analysis: PlacementAnalysis {
-                    software: EnergyParams {
-                        idle_w: 50.0,
-                        sleep_w: 0.0,
-                        active_w: 50.0 + slope * 1_000.0,
-                        peak_rate_pps: 1_000_000.0,
-                    },
-                    network: EnergyParams {
-                        idle_w: 52.0,
-                        sleep_w: 0.0,
-                        active_w: 52.1,
-                        peak_rate_pps: 10_000_000.0,
-                    },
-                },
-                home: DeviceId((i % MegaFabricRig::DEVICES) as u16),
-                weight: 1.0,
-            });
-            base.push(Self::FLOOR_PPS + Self::PEAK_PPS * zipf.popularity(rank));
-        }
+        let (apps, base, mut rng) =
+            MegaFabricRig::zipf_fleet(tenants, seed, Self::FLOOR_PPS, Self::PEAK_PPS);
 
         // The google structure: candidate-core occupancy per (tenant,
         // 5-minute window), normalised to a bounded rate factor. The

@@ -1,20 +1,34 @@
-//! Shared harness utilities for regenerating the paper's figures and
-//! tables.
+//! Simulation rigs, the scheduling-scenario table and the one `inc-bench`
+//! binary that regenerates the paper's figures and tables.
 //!
-//! Each binary in `src/bin/` regenerates one artifact (see `DESIGN.md` for
-//! the index) and prints:
+//! `inc-bench list` prints the index; every entry is a function here:
 //!
-//! * `# ...` comment lines with the headline observations and the
-//!   paper-reported values they reproduce;
-//! * CSV rows (`x,series1,series2,...`) with the figure data.
+//! * `fig 3a|3b|3c|4|5|6|7` — [`figures`]: power vs throughput for KVS,
+//!   Paxos and DNS (§4), LaKe's design trade-offs (§5), the on-demand
+//!   envelope (§9) and the two shift timelines (Figures 6 and 7);
+//! * `study asic|controller_compare|energy_model|lake_design|`
+//!   `park_ablation|pe_scaling|server|tor|trace` — [`studies`]: the §5–§9
+//!   analyses and ablations that are not a numbered figure;
+//! * `scenario shared_device|multi_tor|fairness|topology|economics|all`
+//!   — [`scenarios::SCENARIOS`]: each scheduling scenario under its fleet
+//!   controller and static baselines, one JSON object as the last line.
 //!
-//! The analytic sweeps come from `inc_ondemand::apps`; spot points are
-//! cross-checked against full event simulations built by [`rigs`].
+//! Figures and studies print `# ...` comment lines with the headline
+//! observations and the paper-reported values they reproduce, then CSV
+//! rows (`x,series1,series2,...`) with the figure data. The analytic
+//! sweeps come from `inc_ondemand::apps`; spot points are cross-checked
+//! against full event simulations built by [`rigs`]. [`consensus`] and
+//! [`heavy`] hold the chaos and trace-replay rigs that
+//! `tests/failure_injection.rs` and `benchmark/` drive.
 
+pub mod cli;
 pub mod consensus;
 pub mod economics;
+pub mod figures;
 pub mod heavy;
 pub mod rigs;
+pub mod scenarios;
+pub mod studies;
 
 use inc_ondemand::Deployment;
 
@@ -43,23 +57,45 @@ pub fn sweep_power(models: &[Deployment], max_x: f64, points: usize) -> Vec<Seri
         .collect()
 }
 
-/// Prints series as CSV: a header row, then one row per x value.
+/// The deployment called `name` in one of `inc_ondemand::apps`' model
+/// lists.
 ///
-/// All series must share their x grid (as [`sweep_power`] guarantees).
+/// # Panics
+///
+/// Panics if no model has that name (a typo in a figure, not an input).
+pub fn named<'a>(models: &'a [Deployment], name: &str) -> &'a Deployment {
+    let model = models.iter().find(|m| m.name == name);
+    model.unwrap_or_else(|| panic!("no deployment model named {name}"))
+}
+
+/// Prints series as CSV: a header row, then one row per x value of the
+/// first series.
+///
+/// The series are expected to share their x grid (as [`sweep_power`]
+/// guarantees); a series shorter than the first leaves its cell empty.
 pub fn print_csv(x_label: &str, series: &[Series]) {
+    print!("{}", render_csv(x_label, series));
+}
+
+fn render_csv(x_label: &str, series: &[Series]) -> String {
     let mut header = vec![x_label.to_string()];
     header.extend(series.iter().map(|s| s.name.clone()));
-    println!("{}", header.join(","));
-    if series.is_empty() {
-        return;
-    }
-    for i in 0..series[0].points.len() {
-        let mut row = vec![format!("{}", series[0].points[i].0)];
+    let mut out = header.join(",") + "\n";
+    let Some(first) = series.first() else {
+        return out;
+    };
+    for (i, (x, _)) in first.points.iter().enumerate() {
+        let mut row = vec![format!("{x}")];
         for s in series {
-            row.push(format!("{:.2}", s.points[i].1));
+            row.push(
+                s.points
+                    .get(i)
+                    .map_or(String::new(), |p| format!("{:.2}", p.1)),
+            );
         }
-        println!("{}", row.join(","));
+        out += &(row.join(",") + "\n");
     }
+    out
 }
 
 /// Prints a `# key: value` annotation line.
@@ -99,43 +135,6 @@ pub fn rel_diff(a: f64, b: f64) -> f64 {
     (a - b).abs() / b.abs().max(1e-12)
 }
 
-/// Writes `metrics` as a flat JSON object to
-/// `$INC_METRICS_DIR/<name>.json` when that environment variable is set;
-/// a no-op otherwise. The CI bench-smoke script points `INC_METRICS_DIR`
-/// at its artifact directory, so every figure binary and example that
-/// calls this contributes a machine-readable summary to the uploaded
-/// perf-trajectory artifact without changing its stdout.
-///
-/// # Panics
-///
-/// Panics if the directory or file cannot be written (CI must notice).
-pub fn emit_metrics(name: &str, metrics: &[(&str, f64)]) {
-    let Ok(dir) = std::env::var("INC_METRICS_DIR") else {
-        return;
-    };
-    let path = std::path::Path::new(&dir).join(format!("{name}.json"));
-    std::fs::create_dir_all(&dir).expect("create metrics dir");
-    std::fs::write(&path, render_metrics(metrics)).expect("write metrics file");
-}
-
-/// Renders a metric list as a JSON object. JSON has no NaN/inf literals,
-/// so a non-finite measurement (e.g. fig6's "no shift happened"
-/// sentinel) lands as `null` rather than making the artifact unparseable.
-fn render_metrics(metrics: &[(&str, f64)]) -> String {
-    let body = metrics
-        .iter()
-        .map(|(k, v)| {
-            if v.is_finite() {
-                format!("  \"{k}\": {v}")
-            } else {
-                format!("  \"{k}\": null")
-            }
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!("{{\n{body}\n}}\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,23 +151,22 @@ mod tests {
         }
     }
 
+    /// A later series shorter than the first used to index out of bounds
+    /// half-way through the CSV; it leaves its cells empty instead.
+    #[test]
+    fn ragged_series_leave_empty_cells() {
+        let series = |name: &str, ys: &[f64]| Series {
+            name: name.into(),
+            points: ys.iter().enumerate().map(|(i, &y)| (i as f64, y)).collect(),
+        };
+        let csv = render_csv("x", &[series("a", &[1.0, 2.0, 3.0]), series("b", &[9.0])]);
+        assert_eq!(csv, "x,a,b\n0,1.00,9.00\n1,2.00,\n2,3.00,\n");
+        assert_eq!(render_csv("x", &[]), "x\n");
+    }
+
     #[test]
     fn rel_diff_basics() {
         assert!(rel_diff(100.0, 100.0) < 1e-12);
         assert!((rel_diff(110.0, 100.0) - 0.1).abs() < 1e-9);
-    }
-
-    #[test]
-    fn metrics_render_as_valid_json_even_when_non_finite() {
-        let json = render_metrics(&[
-            ("energy_j", 42.5),
-            ("shift_up_s", f64::NAN),
-            ("shift_down_s", f64::INFINITY),
-        ]);
-        assert_eq!(
-            json,
-            "{\n  \"energy_j\": 42.5,\n  \"shift_up_s\": null,\n  \"shift_down_s\": null\n}\n"
-        );
-        assert!(!json.contains("NaN") && !json.contains("inf"));
     }
 }

@@ -19,7 +19,7 @@
 //! | rule | contract |
 //! |------|----------|
 //! | `unordered-iter` | no iteration over `HashMap`/`HashSet` in `inc-sim`/`inc-hw`/`inc-paxos`/`inc-ondemand` |
-//! | `wall-clock` | no `Instant::now`/`SystemTime` outside `inc-bench`/examples/benches |
+//! | `wall-clock` | no `Instant::now`/`SystemTime` anywhere (simulated time only) |
 //! | `ambient-rng` | no `thread_rng`/`rand::random`/`RandomState`; randomness is seeded |
 //! | `panicking-decode` | no `unwrap`/`expect`/`panic!`/indexing in codec decode paths |
 //! | `float-eq` | no `==`/`!=` against float literals outside tests |

@@ -49,10 +49,9 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "wall-clock",
-        summary: "no Instant::now/SystemTime outside inc-bench and examples \
-                  (simulated time only)",
+        summary: "no Instant::now/SystemTime (simulated time only)",
         include: &[],
-        exclude: &["crates/bench/", "examples/", "benches/"],
+        exclude: &[],
     },
     Rule {
         id: "ambient-rng",

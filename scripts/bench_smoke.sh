@@ -1,40 +1,31 @@
 #!/usr/bin/env bash
-# The single source of truth for the CI bench-smoke job (previously a
-# copy-pasted list of workflow steps). Builds every bench target, runs
-# one cheap paper-figure binary, the figure-6 timeline, the three
-# scheduling examples, their release-mode e2e tests, and the criterion
-# smoke targets.
+# The single source of truth for the CI bench-smoke job: the determinism
+# lint, one cheap paper figure, the figure-6 timeline, every scheduling
+# scenario under its fleet controller and static baselines, and the
+# release-mode e2e, chaos, allocation-budget and simulator suites.
 #
-# Figure binaries and examples write machine-readable JSON summaries to
-# $INC_METRICS_DIR (default: bench-artifacts/), which CI uploads as the
-# perf-trajectory artifact; fig6's CSV timeline is captured there too.
+# Artifacts land in bench-artifacts/ (CI uploads the directory): the
+# figure-6 CSV, the scenario reports with one JSON object per scenario
+# (the last line each `inc-bench scenario` prints) and the lint report. Nothing here is a
+# wall-clock gate — benchmark/run.sh owns timing, with baselines.
 #
 # Usage: scripts/bench_smoke.sh  (from the repo root; needs only cargo)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-export INC_METRICS_DIR="${INC_METRICS_DIR:-bench-artifacts}"
-mkdir -p "$INC_METRICS_DIR"
-
-echo "== build all bench targets =="
-cargo build --release --benches --workspace
+out=bench-artifacts
+mkdir -p "$out"
 
 echo "== determinism & sans-IO contract check (inc-lint) =="
-cargo run --release -p inc-lint -- --check --json "$INC_METRICS_DIR/lint.json"
+cargo run --release -p inc-lint -- --check --json "$out/lint.json"
 
-echo "== paper-figure binaries =="
-cargo run --release -p inc-bench --bin fig3a
-cargo run --release -p inc-bench --bin fig6 | tee "$INC_METRICS_DIR/fig6.csv"
+echo "== paper figures =="
+cargo run --release -p inc-bench -- fig 3a
+cargo run --release -p inc-bench -- fig 6 | tee "$out/fig6.csv"
 
-echo "== scheduling examples =="
-cargo run --release --example shared_device
-cargo run --release --example multi_tor
-cargo run --release --example fairness
-cargo run --release --example topology
-cargo run --release --example mega_fabric
-cargo run --release --example heavy_traffic
-cargo run --release --example economics
-cargo run --release --example consensus
+echo "== scheduling scenarios =="
+cargo run --release -p inc-bench -- scenario all | tee "$out/scenarios.txt"
+grep '^{"scenario":' "$out/scenarios.txt" > "$out/scenarios.jsonl"
 
 echo "== release-mode scheduling e2e tests =="
 cargo test --release -q --test shared_device
@@ -65,101 +56,28 @@ cargo test --release -q --test alloc_budget
 echo "== simulator kernel, release mode =="
 cargo test --release -q -p inc-sim
 
-echo "== criterion smoke targets =="
-cargo bench -p inc-bench --bench codecs
-cargo bench -p inc-bench --bench shared_device
-cargo bench -p inc-bench --bench multi_tor
-cargo bench -p inc-bench --bench fairness
-cargo bench -p inc-bench --bench topology
-cargo bench -p inc-bench --bench mega_fabric
-cargo bench -p inc-bench --bench heavy_traffic
-
 echo "== collected artifacts =="
-ls -l "$INC_METRICS_DIR"
+ls -l "$out"
 
 # `set -e` aborts on any failing *command*, but a binary that exits 0
-# without writing its summary would previously slip through and CI would
-# upload an incomplete perf-trajectory artifact. Verify every expected
-# artifact exists and is non-empty before declaring success.
-required_artifacts=(
-  fig6.csv
-  fig6.json
-  multi_tor.json
-  fairness.json
-  topology.json
-  mega_fabric.json
-  heavy_traffic.json
-  economics.json
-  consensus.json
-  lint.json
-)
-missing=0
-for f in "${required_artifacts[@]}"; do
-  if [[ ! -s "$INC_METRICS_DIR/$f" ]]; then
-    echo "MISSING OR EMPTY ARTIFACT: $INC_METRICS_DIR/$f" >&2
-    missing=1
+# without printing its data would slip through and CI would upload an
+# incomplete artifact: every expected file must exist and be non-empty,
+# and every scenario must have contributed its JSON line.
+for f in fig6.csv scenarios.jsonl lint.json; do
+  if [[ ! -s "$out/$f" ]]; then
+    echo "bench smoke failed: missing or empty artifact $out/$f" >&2
+    exit 1
   fi
 done
-if [[ "$missing" -ne 0 ]]; then
-  echo "bench smoke failed: required artifacts were not produced" >&2
+if [[ "$(wc -l < "$out/scenarios.jsonl")" -ne 5 ]]; then
+  echo "bench smoke failed: scenarios.jsonl does not hold 5 scenario objects" >&2
   exit 1
 fi
-echo "all ${#required_artifacts[@]} required artifacts present"
-
-# Heavy-traffic floors: the streaming measurement plane must replay at
-# least 10 M simulated requests per wall-clock second and at least 8x
-# the per-event plane on the same machine. The example's dev-machine
-# numbers are ~206 M req/s and ~13x, so these are smoke floors against
-# catastrophic regressions (an accidental per-request allocation, rows
-# sneaking back into streaming mode), not tight performance pins —
-# the criterion bench holds the curve.
-check_floor() { # file key floor
-  value="$(sed -n "s/^ *\"$2\": \([0-9.eE+-]*\),*$/\1/p" "$INC_METRICS_DIR/$1")"
-  if [[ -z "$value" ]]; then
-    echo "bench smoke failed: $2 missing from $1" >&2
-    exit 1
-  fi
-  if ! awk -v v="$value" -v f="$3" 'BEGIN { exit !(v >= f) }'; then
-    echo "bench smoke failed: $1 $2 = $value below floor $3" >&2
-    exit 1
-  fi
-  echo "$1 $2 = $value (floor $3)"
-}
-check_floor heavy_traffic.json sim_requests_per_s_streaming 10000000
-check_floor heavy_traffic.json speedup 8
-
-# Economics floors: the pluggable objective must be a real policy
-# lever, not a unit relabel — skewed dollar prices pick a different
-# placement set than the joule objective (1.0 = holds), while a uniform
-# tariff reproduces the joule schedule bit-for-bit.
-check_floor economics.json placement_sets_differ 1
-check_floor economics.json uniform_matches_joules 1
-
-# Consensus chaos floors: every scenario must be safe (both invariants
-# held → 1.0) with an always-available acceptor quorum, and the
-# fast budget flap must move nothing. Recovery deadlines are recorded
-# in the artifact for the trajectory; the release-mode chaos tests
-# above already pin their upper bounds.
-check_floor consensus.json device_kill_safe 1
-check_floor consensus.json tor_partition_safe 1
-check_floor consensus.json budget_flap_safe 1
-check_floor consensus.json device_kill_quorum_availability 1
-check_floor consensus.json tor_partition_quorum_availability 1
-flap_shifts="$(sed -n 's/^ *"budget_flap_fast_flap_shifts": \([0-9.eE+-]*\),*$/\1/p' "$INC_METRICS_DIR/consensus.json")"
-if [[ -z "$flap_shifts" ]]; then
-  echo "bench smoke failed: budget_flap_fast_flap_shifts missing from consensus.json" >&2
-  exit 1
-fi
-if ! awk -v v="$flap_shifts" 'BEGIN { exit !(v == 0) }'; then
-  echo "bench smoke failed: fast budget flap moved $flap_shifts tenants (must be 0)" >&2
-  exit 1
-fi
-echo "consensus.json budget_flap_fast_flap_shifts = $flap_shifts (must be 0)"
 
 # The lint artifact must record a clean tree: `--check` above already
 # failed the run on violations, but verify the uploaded artifact agrees
 # so a stale or truncated lint.json cannot masquerade as a clean scan.
-unwaived="$(sed -n 's/^ *"unwaived": \([0-9]*\),*$/\1/p' "$INC_METRICS_DIR/lint.json")"
+unwaived="$(sed -n 's/^ *"unwaived": \([0-9]*\),*$/\1/p' "$out/lint.json")"
 if [[ "$unwaived" != "0" ]]; then
   echo "bench smoke failed: lint.json reports unwaived=${unwaived:-missing} (must be 0)" >&2
   exit 1

@@ -32,8 +32,9 @@
 //! assert!((60_000.0..110_000.0).contains(&crossing));
 //! ```
 //!
-//! See `examples/` for runnable end-to-end scenarios and
-//! `crates/bench/src/bin/` for the per-figure regeneration harnesses.
+//! See `examples/` for runnable end-to-end scenarios and the `inc-bench`
+//! binary (`cargo run --release -p inc-bench -- list`) for the figure,
+//! study and scheduling-scenario harnesses.
 
 pub use inc_dns as dns;
 pub use inc_hw as hw;

@@ -34,23 +34,15 @@ fn economics_report_headline_claims_hold_end_to_end() {
         report.placement_sets_differ(),
         "the skewed byte tariff must change the placement set"
     );
-    // The metrics the CI floor reads must agree with the typed report.
-    let metrics = report.metrics();
-    let get = |k: &str| {
-        metrics
-            .iter()
-            .find(|(key, _)| *key == k)
-            .map(|&(_, v)| v)
-            .expect("metric present")
-    };
-    assert_eq!(get("placement_sets_differ"), 1.0);
-    assert_eq!(get("uniform_matches_joules"), 1.0);
-    assert!(get("joules_offloaded") >= 1.0);
-    assert!(get("skewed_offloaded") >= 1.0);
+    // Both schedules offload something: the skew changes *which* set, it
+    // does not switch offloading off.
+    for run in [&report.joules, &report.skewed] {
+        assert!(run.placements.iter().any(|p| p.is_offloaded()));
+    }
     // Skewing the tariff forfeits some metered savings: the byte charge
     // vetoes an energy-profitable spill, so the skewed run burns at
     // least as much energy as the joule optimum.
-    assert!(get("skewed_energy_j") >= get("joules_energy_j"));
+    assert!(report.skewed.energy_j >= report.joules.energy_j);
 }
 
 // --- Tenure-estimator edge cases (satellite of the learned tenure). ---

@@ -186,9 +186,8 @@ fn kvs_under_loss_never_corrupts() {
 // ---------------------------------------------------------------------------
 // Chaos scenario suite: Multi-Paxos roles as fleet tenants under device
 // death, ToR partition and power-budget flap. The scenario logic lives
-// in `inc_bench::consensus` (shared with `examples/consensus.rs`, which
-// emits the same runs as the consensus.json CI artifact); the tests pin
-// the contract — safety always, recovery within the deadline.
+// in `inc_bench::consensus`; the tests pin the contract — safety always,
+// recovery within the deadline.
 // ---------------------------------------------------------------------------
 
 use inc_bench::consensus::{run_budget_flap, run_device_kill, run_tor_partition};

@@ -10,14 +10,15 @@
 //! queued interval on any rig fails here. (`MultiTorRig` is pinned the
 //! same way, with its wire frames, in
 //! `tests/multi_tor.rs::wire_frames_match_the_recorded_golden_runs`.)
+//!
+//! Every rig and controller comes out of `inc_bench::scenarios::SCENARIOS`
+//! by scenario name and controller label, so what
+//! `inc-bench scenario <name>` prints is what is pinned here.
 
 mod common;
 
 use common::shift_log_digest;
-use inc::ondemand::{ClaimPolicy, FleetController, FleetTimeline, Objective};
-use inc::sim::Nanos;
-use inc_bench::economics::{self, EconomicsRig};
-use inc_bench::rigs::{ContendedFabricRig, PodFabricRig, SharedDeviceRig};
+use inc_bench::scenarios::scenario;
 
 /// What one rig run decided and metered.
 #[derive(Debug, PartialEq, Eq)]
@@ -28,7 +29,10 @@ struct Golden {
     queued_intervals: Vec<u64>,
 }
 
-fn golden(ctl: &FleetController, timeline: &FleetTimeline) -> Golden {
+/// Runs the controller `label` of scenario `name` — the very row
+/// `inc-bench scenario <name>` prints.
+fn golden(name: &str, label: &str) -> Golden {
+    let (ctl, timeline) = scenario(name).expect("a SCENARIOS row").run(label);
     assert_eq!(timeline.queued_intervals, ctl.queued_intervals());
     Golden {
         shifts: ctl.shifts().len(),
@@ -54,13 +58,8 @@ fn recorded(
 
 #[test]
 fn shared_device_rig_schedule_is_pinned() {
-    let period = Nanos::from_millis(3_500);
-    let (kvs, dns) = SharedDeviceRig::contended_profiles(period);
-    let mut rig = SharedDeviceRig::new(42, 512, 512, kvs, dns);
-    let mut ctl = SharedDeviceRig::fleet_controller(Nanos::from_millis(150));
-    let timeline = rig.run(&mut ctl, period);
     assert_eq!(
-        golden(&ctl, &timeline),
+        golden("shared_device", "fleet"),
         recorded(
             3,
             3_453_567_609_075_054_925,
@@ -72,17 +71,7 @@ fn shared_device_rig_schedule_is_pinned() {
 
 #[test]
 fn contended_fabric_rig_schedules_are_pinned() {
-    let horizon = Nanos::from_secs(8);
-    let interval = Nanos::from_millis(100);
-    let rig = ContendedFabricRig::new(ContendedFabricRig::contended_profiles(horizon));
-    let controllers = [
-        ContendedFabricRig::fleet_controller(interval),
-        ContendedFabricRig::pure_benefit_controller(interval),
-    ];
-    let got = controllers.map(|mut ctl| {
-        let timeline = rig.run(&mut ctl, horizon);
-        golden(&ctl, &timeline)
-    });
+    let got = ["fleet", "pure-benefit"].map(|label| golden("fairness", label));
     assert_eq!(
         got,
         [
@@ -99,19 +88,13 @@ fn contended_fabric_rig_schedules_are_pinned() {
                 &[0, 0, 68, 0]
             ),
         ],
-        "[weighted-DRF, pure benefit]"
+        "[fleet (weighted DRF), pure-benefit]"
     );
 }
 
 #[test]
 fn pod_fabric_rig_schedules_are_pinned() {
-    let horizon = Nanos::from_secs(10);
-    let rig = PodFabricRig::new(PodFabricRig::contended_profiles(horizon));
-    let got = [ClaimPolicy::MinCost, ClaimPolicy::BestScore].map(|policy| {
-        let mut ctl = PodFabricRig::fleet_controller(Nanos::from_millis(100), policy);
-        let timeline = rig.run(&mut ctl, horizon);
-        golden(&ctl, &timeline)
-    });
+    let got = ["fleet", "best-score"].map(|label| golden("topology", label));
     assert_eq!(
         got,
         [
@@ -128,29 +111,14 @@ fn pod_fabric_rig_schedules_are_pinned() {
                 &[24, 0, 0, 0, 24]
             ),
         ],
-        "[MinCost, BestScore]"
+        "[fleet (min-cost), best-score]"
     );
 }
 
 #[test]
 fn economics_rig_schedules_are_pinned() {
-    let rig = PodFabricRig::new(PodFabricRig::contended_profiles(economics::HORIZON));
-    let objectives = [
-        Objective::Joules,
-        Objective::Dollar {
-            per_joule: 1.0,
-            per_gb_moved: 0.0,
-        },
-        Objective::Dollar {
-            per_joule: 1.0,
-            per_gb_moved: economics::SKEW_PER_GB,
-        },
-    ];
-    let got = objectives.map(|objective| {
-        let mut ctl = EconomicsRig::controller(objective);
-        let timeline = rig.run(&mut ctl, economics::HORIZON);
-        golden(&ctl, &timeline)
-    });
+    let labels = ["joules", "uniform-dollar", "skewed-dollar"];
+    let got = labels.map(|label| golden("economics", label));
     assert_eq!(
         got,
         [
@@ -174,6 +142,6 @@ fn economics_rig_schedules_are_pinned() {
                 &[24, 24, 0, 0, 0]
             ),
         ],
-        "[joules, uniform dollar, skewed dollar]"
+        "{labels:?}"
     );
 }

@@ -10,8 +10,8 @@
 //!   pin this at small scale; this is the fleet-scale rig trace);
 //! * **(b) work** — the dirty-app queue does an order of magnitude less
 //!   candidate scoring than the full re-score, deterministically (wall
-//!   clock is the criterion bench's and `examples/mega_fabric.rs`'s
-//!   job — scored candidates cannot vary with machine speed);
+//!   clock is the job of `BENCHMARK.json`'s `fleet_quiet` /
+//!   `fleet_rescore` — scored candidates cannot vary with machine speed);
 //! * **(c) determinism** — the same seed replays the same schedule,
 //!   shift for shift.
 

@@ -97,8 +97,9 @@ fn shared_device_rig_streams_without_changing_telemetry() {
     let run = |mode| {
         let (kvs, dns) = SharedDeviceRig::contended_profiles(PERIOD);
         let mut rig = SharedDeviceRig::new(42, 512, 512, kvs, dns);
+        rig.row_log = mode;
         let mut ctl = SharedDeviceRig::fleet_controller(INTERVAL);
-        rig.run_with(&mut ctl, HORIZON, mode)
+        rig.run(&mut ctl, HORIZON)
     };
     let full = run(RowLog::Full);
     let recent = run(RowLog::Recent(CAP));
@@ -112,8 +113,9 @@ fn multi_tor_rig_streams_without_changing_telemetry() {
     const INTERVAL: Nanos = Nanos::from_millis(150);
     let run = |mode| {
         let mut rig = MultiTorRig::new(42, 512, 512, MultiTorRig::contended_profiles(PERIOD));
+        rig.row_log = mode;
         let mut ctl = MultiTorRig::fleet_controller(INTERVAL);
-        rig.run_with(&mut ctl, HORIZON, mode)
+        rig.run(&mut ctl, HORIZON)
     };
     let full = run(RowLog::Full);
     let recent = run(RowLog::Recent(CAP));
@@ -124,10 +126,11 @@ fn multi_tor_rig_streams_without_changing_telemetry() {
 fn contended_fabric_rig_streams_without_changing_telemetry() {
     const HORIZON: Nanos = Nanos::from_secs(8);
     const INTERVAL: Nanos = Nanos::from_millis(100);
-    let rig = ContendedFabricRig::new(ContendedFabricRig::contended_profiles(HORIZON));
-    let run = |mode| {
+    let mut rig = ContendedFabricRig::new(ContendedFabricRig::contended_profiles(HORIZON));
+    let mut run = |mode| {
+        rig.row_log = mode;
         let mut ctl = ContendedFabricRig::fleet_controller(INTERVAL);
-        rig.run_with(&mut ctl, HORIZON, mode)
+        rig.run(&mut ctl, HORIZON)
     };
     let full = run(RowLog::Full);
     let recent = run(RowLog::Recent(CAP));
@@ -139,10 +142,11 @@ fn pod_fabric_rig_streams_without_changing_telemetry() {
     use inc::ondemand::ClaimPolicy;
     const HORIZON: Nanos = Nanos::from_secs(10);
     const INTERVAL: Nanos = Nanos::from_millis(100);
-    let rig = PodFabricRig::new(PodFabricRig::contended_profiles(HORIZON));
-    let run = |mode| {
+    let mut rig = PodFabricRig::new(PodFabricRig::contended_profiles(HORIZON));
+    let mut run = |mode| {
+        rig.row_log = mode;
         let mut ctl = PodFabricRig::fleet_controller(INTERVAL, ClaimPolicy::MinCost);
-        rig.run_with(&mut ctl, HORIZON, mode)
+        rig.run(&mut ctl, HORIZON)
     };
     let full = run(RowLog::Full);
     let recent = run(RowLog::Recent(CAP));
@@ -156,10 +160,11 @@ fn pod_fabric_rig_streams_without_changing_telemetry() {
 fn bounded_ring_keeps_the_live_edge() {
     const HORIZON: Nanos = Nanos::from_secs(8);
     const INTERVAL: Nanos = Nanos::from_millis(100);
-    let rig = ContendedFabricRig::new(ContendedFabricRig::contended_profiles(HORIZON));
-    let run = |mode| {
+    let mut rig = ContendedFabricRig::new(ContendedFabricRig::contended_profiles(HORIZON));
+    let mut run = |mode| {
+        rig.row_log = mode;
         let mut ctl = ContendedFabricRig::fleet_controller(INTERVAL);
-        rig.run_with(&mut ctl, HORIZON, mode)
+        rig.run(&mut ctl, HORIZON)
     };
     let full = run(RowLog::Full);
     let recent = run(RowLog::Recent(CAP));
