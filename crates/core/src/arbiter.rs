@@ -20,10 +20,11 @@
 //!    its pod changed. Everything else is provably unchanged and is not
 //!    re-scored.
 //! 3. **Per-pod arbiters** — each pod whose state is dirty re-solves the
-//!    greedy benefit-per-capacity knapsack for the apps homed in it,
-//!    using one priority heap per device keyed by the knapsack score
-//!    (ties broken on app index, hop distance, device index). Clean pods
-//!    keep last tick's selection verbatim. Candidate pruning follows the
+//!    greedy benefit-per-capacity knapsack for the apps homed in it:
+//!    its candidates are sorted once into the arbitration order (score
+//!    descending, ties broken on app index, hop distance, device index)
+//!    and admitted in one scan. Clean pods keep last tick's selection
+//!    verbatim. Candidate pruning follows the
 //!    [`Topology`](inc_hw::Topology) tiers: a pod arbiter only considers
 //!    its own pod's devices.
 //! 4. **Global coordinator** — handles only what crosses pods: spilling
@@ -50,8 +51,10 @@
 //!   the pod happens by spilling (no room at home) or by a fairness
 //!   hand-over, so the coordinator's cross-pod work stays proportional
 //!   to the spill set, not the fleet.
-
-use std::collections::BinaryHeap;
+//!
+//! Every buffer a tick works in lives on a scratch struct the controller
+//! owns and reuses, so a warm tick allocates nothing until it has a
+//! placement change to report.
 
 use inc_hw::{DeviceFabric, DeviceId, Placement};
 use inc_sim::Nanos;
@@ -66,8 +69,9 @@ use crate::fleet::{
 
 /// Work counters of the hierarchical pipeline: the deterministic
 /// evidence that incremental scheduling does less scoring than a full
-/// re-score (wall-clock speed-ups are measured by the `mega_fabric`
-/// bench; these counters are what CI asserts on).
+/// re-score (wall-clock speed-ups are measured by `benchmark/run.sh`'s
+/// `fleet_quiet` / `fleet_rescore` workloads; these counters are what CI
+/// asserts on).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArbiterStats {
     /// Sampling intervals processed.
@@ -82,10 +86,8 @@ pub struct ArbiterStats {
     pub candidates_scored: u64,
 }
 
-/// One per-device candidate in a pod arbiter's priority heap, ordered
-/// like a global candidate sort: score descending, then app index, hop
-/// distance and device index ascending.
-#[derive(Debug)]
+/// One candidate placement of a pod arbiter or the coordinator.
+#[derive(Clone, Copy, Debug)]
 struct Cand {
     score: f64,
     app: usize,
@@ -93,27 +95,53 @@ struct Cand {
     dev: DeviceId,
 }
 
-impl PartialEq for Cand {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
+impl Cand {
+    /// The arbitration order candidates are admitted in: best
+    /// benefit-per-capacity-unit first (`total_cmp`, descending), ties to
+    /// the lower app index, then the *nearer* device (an exact score tie
+    /// between two remote racks must not hand the spill to the far one
+    /// just because it has a lower index), then the lower device index.
+    /// Total and strict: an (app, device) pair is a candidate at most once.
+    fn order(a: &Cand, b: &Cand) -> std::cmp::Ordering {
+        b.score
+            .total_cmp(&a.score)
+            .then(a.app.cmp(&b.app))
+            .then(a.dist.cmp(&b.dist))
+            .then(a.dev.cmp(&b.dev))
     }
 }
-impl Eq for Cand {}
-impl PartialOrd for Cand {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+
+/// A tick's working buffers. The controller owns them and `sample` takes
+/// them for the tick, so a warm tick reuses their capacity instead of
+/// allocating; they start empty (construction allocates nothing for
+/// them) and grow on first use.
+#[derive(Clone, Debug, Default)]
+struct Scratch {
+    /// The placement changes of this tick, in execution order.
+    decisions: Vec<(usize, Placement)>,
+    /// Pods to re-solve: seeded by capacity events, completed by the
+    /// dirty queue.
+    pods_dirty: Vec<bool>,
+    /// The assignment being built: each app's seat, if any.
+    selected: Vec<Option<DeviceId>>,
+    /// Placements and down-streaks as they stood before the diff.
+    prev_placements: Vec<Placement>,
+    prev_down: Vec<u32>,
+    /// The online devices of the pod being solved.
+    devices: Vec<DeviceId>,
+    /// The candidates of the pod (or coordinator pass) being solved.
+    cands: Vec<Cand>,
+    /// Coordinator marks: moved across pods, placed / clipped by a claim.
+    moved: Vec<bool>,
+    fair_placed: Vec<bool>,
+    fair_clipped: Vec<bool>,
+    claimants: Vec<usize>,
 }
-impl Ord for Cand {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // A max-heap pops the highest score first; lower app/dist/device
-        // indices win ties, so those comparisons are reversed.
-        self.score
-            .total_cmp(&other.score)
-            .then(other.app.cmp(&self.app))
-            .then(other.dist.cmp(&self.dist))
-            .then(other.dev.cmp(&self.dev))
-    }
+
+/// Empties `marks` and refills it with `n` clear flags, keeping capacity.
+fn reset(marks: &mut Vec<bool>, n: usize) {
+    marks.clear();
+    marks.resize(n, false);
 }
 
 /// The multi-application on-demand scheduler over a device fabric (see
@@ -201,6 +229,7 @@ pub struct FleetController {
     /// The dirty queue drained by the last tick, sorted by app index
     /// (test/analysis introspection).
     last_dirty: Vec<usize>,
+    scratch: Scratch,
     stats: ArbiterStats,
 }
 
@@ -274,6 +303,7 @@ impl FleetController {
             pending_device_dirty: vec![false; devices],
             dirty: vec![false; n],
             last_dirty: Vec::new(),
+            scratch: Scratch::default(),
             stats: ArbiterStats::default(),
         }
     }
@@ -542,8 +572,21 @@ impl FleetController {
         pricing::migration_value(&self.config, &self.tenures[app])
     }
 
+    /// [`Self::effective_benefit_w`] at the held rate, from the cached
+    /// raw value: the same float without re-running the energy model.
+    fn held_value_at(&self, app: usize, device: DeviceId) -> f64 {
+        pricing::effective_value_of(
+            &self.config,
+            &self.fabric,
+            self.apps[app].home,
+            device,
+            self.held_raw_w[app],
+            self.held_rates[app],
+        )
+    }
+
     fn sticky_score(&self, app: usize, device: DeviceId) -> f64 {
-        let eff = self.effective_benefit_w(app, device, self.held_rates[app]);
+        let eff = self.held_value_at(app, device);
         pricing::per_capacity(&self.fabric, &self.apps[app], device, eff) * self.config.stickiness
     }
 
@@ -569,6 +612,8 @@ impl FleetController {
         let sustain = self.config.sustain_samples;
         let floor = pricing::floor_value(&self.config);
         self.stats.ticks += 1;
+        let mut s = std::mem::take(&mut self.scratch);
+        s.decisions.clear();
 
         // Failure response precedes everything else: tenants of a dead
         // (offline) device cannot wait out hysteresis, so they are
@@ -580,11 +625,10 @@ impl FleetController {
         // event, so its whole pod re-arbitrates this very tick. The shift
         // is recorded at the rate measured on the (dead) device, priced
         // as the raw software value.
-        let mut evicted: Vec<(usize, Placement)> = Vec::new();
         for (i, sample) in samples.iter().enumerate().take(n) {
             if let Placement::Device(d) = self.placements[i] {
                 if !self.fabric.is_online(d) {
-                    let measured = sample.host.hw_app_rate;
+                    let measured = sample.measured_pps(self.placements[i]);
                     self.fabric.release(i as u64);
                     self.placements[i] = Placement::Software;
                     self.up_streaks[i] = 0;
@@ -606,7 +650,7 @@ impl FleetController {
                         benefit_w: pricing::raw_value(&self.config, &self.apps[i], measured),
                         reason: ShiftReason::DeviceLoss,
                     });
-                    evicted.push((i, Placement::Software));
+                    s.decisions.push((i, Placement::Software));
                 }
             }
         }
@@ -618,20 +662,21 @@ impl FleetController {
         // `last_dirty` is exactly the set of flags raised last tick, so
         // clearing is O(dirty), not O(n).
         let mut dirty = std::mem::take(&mut self.dirty);
-        for &i in &self.last_dirty {
+        let mut queue = std::mem::take(&mut self.last_dirty);
+        for &i in &queue {
             dirty[i] = false;
         }
-        let mut queue: Vec<usize> = Vec::new();
+        queue.clear();
 
         // (a) Capacity events: a changed device dirties its whole pod —
         // every resident on the pod's devices plus every queued candidate
         // homed there (their admission odds just changed).
-        let mut cap_pods = vec![false; self.pods];
+        reset(&mut s.pods_dirty, self.pods);
         let mut any_cap = false;
         for d in 0..self.pending_device_dirty.len() {
             if self.pending_device_dirty[d] {
                 self.pending_device_dirty[d] = false;
-                cap_pods[self.fabric.pod(DeviceId(d as u16)) as usize] = true;
+                s.pods_dirty[self.fabric.pod(DeviceId(d as u16)) as usize] = true;
                 any_cap = true;
             }
         }
@@ -642,26 +687,23 @@ impl FleetController {
         // so folding the sources into one loop changes no outcome.
         let deadband = self.config.rate_deadband;
         let evict_w = floor * self.config.evict_fraction;
-        for i in 0..n {
+        for (i, sample) in samples.iter().enumerate() {
             if self.pending_dirty[i] {
                 self.pending_dirty[i] = false;
                 Self::mark(&mut dirty, &mut queue, &mut self.stats, i);
             }
             if any_cap {
                 let touched = match self.placements[i] {
-                    Placement::Device(d) => cap_pods[self.fabric.pod(d) as usize],
+                    Placement::Device(d) => s.pods_dirty[self.fabric.pod(d) as usize],
                     Placement::Software => {
-                        self.starved_streaks[i] > 0 && cap_pods[self.home_pod[i] as usize]
+                        self.starved_streaks[i] > 0 && s.pods_dirty[self.home_pod[i] as usize]
                     }
                 };
                 if touched {
                     Self::mark(&mut dirty, &mut queue, &mut self.stats, i);
                 }
             }
-            let measured = match self.placements[i] {
-                Placement::Device(_) => samples[i].host.hw_app_rate,
-                Placement::Software => samples[i].offered_pps,
-            };
+            let measured = sample.measured_pps(self.placements[i]);
             let held = self.held_rates[i];
             // A NaN `held` (first sample) fails the in-band comparison,
             // so initialisation and a genuine crossing share one branch —
@@ -720,30 +762,24 @@ impl FleetController {
         }
 
         // Dirty apps dirty their home pod and (if different) the pod
-        // where they are resident; capacity events dirty their pod
-        // outright.
-        let mut pods_dirty = vec![false; self.pods];
+        // where they are resident; capacity events dirtied their pod
+        // outright, above.
         for &i in &queue {
-            pods_dirty[self.home_pod[i] as usize] = true;
+            s.pods_dirty[self.home_pod[i] as usize] = true;
             if let Placement::Device(d) = self.placements[i] {
-                pods_dirty[self.fabric.pod(d) as usize] = true;
+                s.pods_dirty[self.fabric.pod(d) as usize] = true;
             }
         }
-        for (p, &c) in cap_pods.iter().enumerate() {
-            pods_dirty[p] |= c;
-        }
         if self.config.mode == ArbitrationMode::FullRescore {
-            pods_dirty.iter_mut().for_each(|p| *p = true);
+            s.pods_dirty.fill(true);
         }
         queue.sort_unstable();
         self.last_dirty = queue;
         self.dirty = dirty;
 
-        let decisions = if pods_dirty.iter().any(|&p| p) {
-            self.solve(now, &pods_dirty)
-        } else {
-            Vec::new()
-        };
+        if s.pods_dirty.contains(&true) {
+            self.solve(now, &mut s);
+        }
 
         // --- Queue accounting (post-decision): a tenant is queued when
         // it sustains a profitable demand in software but received no
@@ -767,17 +803,17 @@ impl FleetController {
                 self.pending_dirty[i] = true;
             }
         }
-        if evicted.is_empty() {
-            decisions
-        } else {
-            evicted.extend(decisions);
-            evicted
-        }
+        // The one allocation of a tick that moves something (none when
+        // nothing moved: an empty `Vec` owns no memory).
+        let decisions = s.decisions.to_vec();
+        self.scratch = s;
+        decisions
     }
 
     /// Re-solves the dirty pods and runs the global coordinator, then
-    /// executes the diff against the current placements.
-    fn solve(&mut self, now: Nanos, pods_dirty: &[bool]) -> Vec<(usize, Placement)> {
+    /// executes the diff against the current placements (appending the
+    /// changes to `s.decisions`).
+    fn solve(&mut self, now: Nanos, s: &mut Scratch) {
         let n = self.apps.len();
         let sustain = self.config.sustain_samples;
 
@@ -791,31 +827,33 @@ impl FleetController {
         // fraction), so mutating mid-solve cannot skew a later score, and
         // releasing only the contested seats is what keeps a solve's cost
         // proportional to the dirty pods rather than to the fleet.
-        let mut selected: Vec<Option<DeviceId>> = vec![None; n];
-        for (i, seat) in selected.iter_mut().enumerate() {
+        s.selected.clear();
+        for i in 0..n {
+            let mut seat = None;
             if let Placement::Device(d) = self.placements[i] {
                 let host_pod = self.fabric.pod(d) as usize;
                 let cross_pod = self.fabric.pod(d) != self.home_pod[i];
                 let keep = self.down_streaks[i] < sustain
-                    && (self.fair_hold[i] || cross_pod || !pods_dirty[host_pod]);
+                    && (self.fair_hold[i] || cross_pod || !s.pods_dirty[host_pod]);
                 if keep {
-                    *seat = Some(d);
+                    seat = Some(d);
                 } else {
                     // Eviction due, or an incumbent of a dirty pod that
                     // must re-compete on equal footing.
                     self.fabric.release(i as u64);
                 }
             }
+            s.selected.push(seat);
         }
 
-        for (p, &is_dirty) in pods_dirty.iter().enumerate() {
-            if is_dirty {
+        for p in 0..self.pods {
+            if s.pods_dirty[p] {
                 self.stats.pods_solved += 1;
-                self.solve_pod(p as u16, &mut selected);
+                self.solve_pod(p as u16, s);
             }
         }
         self.stats.coordinator_runs += 1;
-        let (fair_placed, fair_clipped) = self.coordinate(&mut selected);
+        self.coordinate(s);
 
         // --- Execute the diff between the chosen assignment and the
         // current one. A cross-device move is a single decision (the
@@ -824,34 +862,28 @@ impl FleetController {
         // incumbent displaced except by its sustained low-benefit
         // eviction) is the admission queue draining; displacing a healthy
         // incumbent by raw score is still a benefit decision.
-        let rates = &self.held_rates;
-        let mut decisions = Vec::new();
-        let want_of = |s: Option<DeviceId>| match s {
+        let want_of = |seat: Option<DeviceId>| match seat {
             Some(d) => Placement::Device(d),
             None => Placement::Software,
         };
-        let changed = (0..n).any(|i| want_of(selected[i]) != self.placements[i]);
-        let prev_placements = if changed {
-            self.placements.clone()
-        } else {
-            Vec::new()
-        };
-        let prev_down = if changed {
-            self.down_streaks.clone()
-        } else {
-            Vec::new()
-        };
+        if (0..n).all(|i| want_of(s.selected[i]) == self.placements[i]) {
+            return;
+        }
+        s.prev_placements.clear();
+        s.prev_placements.extend_from_slice(&self.placements);
+        s.prev_down.clear();
+        s.prev_down.extend_from_slice(&self.down_streaks);
         for i in 0..n {
-            let want = want_of(selected[i]);
+            let want = want_of(s.selected[i]);
             if want != self.placements[i] {
-                let reason = if fair_placed[i] || fair_clipped[i] {
+                let reason = if s.fair_placed[i] || s.fair_clipped[i] {
                     ShiftReason::FairShare
                 } else if let (Placement::Device(d), true) = (want, self.starved_streaks[i] > 0) {
                     let preempted = (0..n).any(|j| {
                         j != i
-                            && prev_placements[j] == Placement::Device(d)
-                            && selected[j] != Some(d)
-                            && prev_down[j] < sustain
+                            && s.prev_placements[j] == Placement::Device(d)
+                            && s.selected[j] != Some(d)
+                            && s.prev_down[j] < sustain
                     });
                     if preempted {
                         ShiftReason::Benefit
@@ -874,141 +906,123 @@ impl FleetController {
                 self.up_streaks[i] = 0;
                 self.down_streaks[i] = 0;
                 self.starved_streaks[i] = 0;
-                self.fair_hold[i] = fair_placed[i];
+                self.fair_hold[i] = s.fair_placed[i];
                 self.tenures[i].observe_shift(
                     now,
                     self.config.interval,
                     self.config.tenure.ewma_alpha(),
                 );
+                let rate_pps = self.held_rates[i];
                 let benefit_w = match want {
-                    Placement::Device(d) => self.effective_benefit_w(i, d, rates[i]),
+                    Placement::Device(d) => self.effective_benefit_w(i, d, rate_pps),
                     Placement::Software => {
-                        pricing::raw_value(&self.config, &self.apps[i], rates[i])
+                        pricing::raw_value(&self.config, &self.apps[i], rate_pps)
                     }
                 };
                 self.shifts.push(FleetShift {
                     at: now,
                     app: i,
                     to: want,
-                    rate_pps: rates[i],
+                    rate_pps,
                     benefit_w,
                     reason,
                 });
-                decisions.push((i, want));
+                s.decisions.push((i, want));
             }
         }
-        decisions
+    }
+
+    /// Seats `app` on `dev` if its demand fits there. Checked with
+    /// [`inc_hw::DeviceCapacity::fits`] first, so a refusal (the common
+    /// outcome on a full fabric) costs three comparisons, not a
+    /// diagnosis nobody reads.
+    fn try_seat(&mut self, app: usize, dev: DeviceId) -> bool {
+        let demand = self.apps[app].demand;
+        self.fabric.device(dev).fits(&demand) && self.fabric.admit(dev, app as u64, demand).is_ok()
     }
 
     /// The pod arbiter: re-solves the greedy knapsack for apps homed in
-    /// `pod` over the pod's own devices, merging one priority heap per
-    /// device in global candidate order. Residents keep competing until
-    /// their eviction condition sustains (even through transient dips —
-    /// that is the hysteresis); newcomers join only after their benefit
-    /// sustains. A resident's candidacy on its *current* device carries
+    /// `pod` over the pod's own devices — one run of candidates sorted
+    /// into [`Cand::order`], admitted in one scan. Residents keep
+    /// competing until their eviction condition sustains (even through
+    /// transient dips — that is the hysteresis); newcomers join only
+    /// after their benefit sustains. A resident's candidacy on its *current* device carries
     /// the stickiness premium; on any other device it is priced like a
     /// fresh offload net of the amortised migration debit, so a hop worth
     /// less than the reprogramming it triggers loses to staying put.
-    fn solve_pod(&mut self, pod: u16, selected: &mut [Option<DeviceId>]) {
+    fn solve_pod(&mut self, pod: u16, s: &mut Scratch) {
         let sustain = self.config.sustain_samples;
         let floor = pricing::floor_value(&self.config);
-        let devices: Vec<DeviceId> = self
-            .fabric
-            .pod_devices(pod)
-            .filter(|&d| self.fabric.is_online(d))
-            .collect();
-        let mut heaps: Vec<BinaryHeap<Cand>> = devices.iter().map(|_| BinaryHeap::new()).collect();
-        let push = |heaps: &mut Vec<BinaryHeap<Cand>>, k: usize, score: f64, app: usize| {
-            let dev = devices[k];
-            let dist = self.fabric.distance(self.apps[app].home, dev);
-            heaps[k].push(Cand {
-                score,
-                app,
-                dist,
-                dev,
-            });
-        };
+        s.devices.clear();
+        s.devices.extend(
+            self.fabric
+                .pod_devices(pod)
+                .filter(|&d| self.fabric.is_online(d)),
+        );
+        s.cands.clear();
         for &i in &self.apps_by_pod[pod as usize] {
-            if self.rejected[i] || selected[i].is_some() {
+            if self.rejected[i] || s.selected[i].is_some() {
                 continue;
             }
-            let rate = self.held_rates[i];
-            match self.placements[i] {
+            let cur = match self.placements[i] {
                 Placement::Device(cur) if self.fabric.pod(cur) == pod => {
                     if self.down_streaks[i] >= sustain {
                         continue;
                     }
-                    for (k, &d) in devices.iter().enumerate() {
-                        if d == cur {
-                            self.stats.candidates_scored += 1;
-                            push(&mut heaps, k, self.sticky_score(i, d), i);
-                        } else if self.up_streaks[i] >= sustain {
-                            self.stats.candidates_scored += 1;
-                            let mb = self.move_benefit_w(i, d, rate);
-                            if mb >= floor {
-                                let score =
-                                    pricing::per_capacity(&self.fabric, &self.apps[i], d, mb);
-                                push(&mut heaps, k, score, i);
-                            }
-                        }
-                    }
+                    Some(cur)
                 }
                 // Cross-pod residents are coordinator-owned (their seat
                 // was pre-kept or their eviction is due).
-                Placement::Device(_) => {}
-                Placement::Software => {
-                    if self.up_streaks[i] >= sustain {
-                        for (k, &d) in devices.iter().enumerate() {
-                            self.stats.candidates_scored += 1;
-                            let eff = self.effective_benefit_w(i, d, rate);
-                            if eff >= floor {
-                                let score =
-                                    pricing::per_capacity(&self.fabric, &self.apps[i], d, eff);
-                                push(&mut heaps, k, score, i);
-                            }
-                        }
-                    }
+                Placement::Device(_) => continue,
+                Placement::Software => None,
+            };
+            let sustained = self.up_streaks[i] >= sustain;
+            // A resident moving pays its switchover; a newcomer does not
+            // (`x - 0.0` is `x`, bit for bit).
+            let debit = cur.map_or(0.0, |_| self.app_migration_w(i));
+            for &d in &s.devices {
+                let score = if cur == Some(d) {
+                    Some(self.sticky_score(i, d))
+                } else if sustained {
+                    let value = self.held_value_at(i, d) - debit;
+                    (value >= floor)
+                        .then(|| pricing::per_capacity(&self.fabric, &self.apps[i], d, value))
+                } else {
+                    continue;
+                };
+                self.stats.candidates_scored += 1;
+                if let Some(score) = score {
+                    s.cands.push(Cand {
+                        score,
+                        app: i,
+                        dist: self.fabric.distance(self.apps[i].home, d),
+                        dev: d,
+                    });
                 }
             }
         }
-        // Merge the per-device heaps: repeatedly admit the globally best
-        // candidate — the total order of a sorted scan over the pod's
-        // candidates: best benefit-per-capacity-unit first, ties to the
-        // lower app index, then the *nearer* device (an exact score tie
-        // between two remote racks must not hand the spill to the far one
-        // just because it has a lower index), then the lower device index.
-        loop {
-            let mut best: Option<usize> = None;
-            for (k, heap) in heaps.iter().enumerate() {
-                if let Some(top) = heap.peek() {
-                    let better = match best {
-                        None => true,
-                        Some(b) => top > heaps[b].peek().expect("best heap is non-empty"),
-                    };
-                    if better {
-                        best = Some(k);
-                    }
-                }
-            }
-            let Some(k) = best else { break };
-            let cand = heaps[k].pop().expect("peeked heap pops");
-            if selected[cand.app].is_some() {
-                continue; // already seated by a better candidate
-            }
-            if self
-                .fabric
-                .admit(cand.dev, cand.app as u64, self.apps[cand.app].demand)
-                .is_ok()
-            {
-                selected[cand.app] = Some(cand.dev);
+        s.cands.sort_unstable_by(Cand::order);
+        for c in &s.cands {
+            // An app seated by a better candidate skips its others.
+            if s.selected[c.app].is_none() && self.try_seat(c.app, c.dev) {
+                s.selected[c.app] = Some(c.dev);
             }
         }
     }
 
     /// The global coordinator: cross-pod spills and moves, then the
-    /// weighted-DRF fairness pass over the whole fabric. Returns the
-    /// (fair_placed, fair_clipped) marks for reason tagging.
-    fn coordinate(&mut self, selected: &mut [Option<DeviceId>]) -> (Vec<bool>, Vec<bool>) {
+    /// weighted-DRF fairness pass over the whole fabric. Leaves the
+    /// `fair_placed` / `fair_clipped` marks on `s` for reason tagging.
+    fn coordinate(&mut self, s: &mut Scratch) {
+        let Scratch {
+            selected,
+            cands,
+            moved,
+            fair_placed,
+            fair_clipped,
+            claimants,
+            ..
+        } = s;
         let n = self.apps.len();
         let sustain = self.config.sustain_samples;
         let floor = pricing::floor_value(&self.config);
@@ -1018,97 +1032,65 @@ impl FleetController {
         // residents — gated by the same sustain/floor rules as intra-pod
         // move candidates, and a mover must beat its own sticky score
         // where it sits.
-        let mut cands: Vec<(f64, usize, DeviceId)> = Vec::new();
+        cands.clear();
         for (i, &seat) in selected.iter().enumerate() {
-            if self.rejected[i] {
+            if self.rejected[i] || self.up_streaks[i] < sustain {
                 continue;
             }
-            let rate = self.held_rates[i];
-            match self.placements[i] {
+            // Who competes: a cross-pod resident (`stay`: where it sits
+            // and the sticky score a move must beat) for every other
+            // device; a home resident preempted at home, or a sustained
+            // software tenant its pod could not place, for every device
+            // outside the home pod.
+            let (debit, stay) = match self.placements[i] {
                 Placement::Device(cur) => {
-                    if self.down_streaks[i] >= sustain || self.up_streaks[i] < sustain {
+                    if self.down_streaks[i] >= sustain {
                         continue;
                     }
                     let cross = self.fabric.pod(cur) != self.home_pod[i];
-                    let migration = self.app_migration_w(i);
                     if cross && seat == Some(cur) {
                         let sticky = self.sticky_score(i, cur);
-                        for d in self.fabric.device_ids() {
-                            if d == cur || !self.fabric.is_online(d) {
-                                continue;
-                            }
-                            self.stats.candidates_scored += 1;
-                            let mb = self.effective_benefit_w(i, d, rate) - migration;
-                            if mb >= floor {
-                                let sc = pricing::per_capacity(&self.fabric, &self.apps[i], d, mb);
-                                if sc > sticky {
-                                    cands.push((sc, i, d));
-                                }
-                            }
-                        }
+                        (self.app_migration_w(i), Some((cur, sticky)))
                     } else if !cross && seat.is_none() {
-                        // Preempted at home: spill out of the pod.
-                        for d in self.fabric.device_ids() {
-                            if self.fabric.pod(d) == self.home_pod[i] || !self.fabric.is_online(d) {
-                                continue;
-                            }
-                            self.stats.candidates_scored += 1;
-                            let mb = self.effective_benefit_w(i, d, rate) - migration;
-                            if mb >= floor {
-                                cands.push((
-                                    pricing::per_capacity(&self.fabric, &self.apps[i], d, mb),
-                                    i,
-                                    d,
-                                ));
-                            }
-                        }
+                        (self.app_migration_w(i), None)
+                    } else {
+                        continue;
                     }
                 }
-                Placement::Software => {
-                    if seat.is_none() && self.up_streaks[i] >= sustain {
-                        for d in self.fabric.device_ids() {
-                            if self.fabric.pod(d) == self.home_pod[i] || !self.fabric.is_online(d) {
-                                continue;
-                            }
-                            self.stats.candidates_scored += 1;
-                            let eff = self.effective_benefit_w(i, d, rate);
-                            if eff >= floor {
-                                cands.push((
-                                    pricing::per_capacity(&self.fabric, &self.apps[i], d, eff),
-                                    i,
-                                    d,
-                                ));
-                            }
-                        }
+                Placement::Software if seat.is_none() => (0.0, None),
+                Placement::Software => continue,
+            };
+            for d in self.fabric.device_ids() {
+                let excluded = match stay {
+                    Some((cur, _)) => d == cur,
+                    None => self.fabric.pod(d) == self.home_pod[i],
+                };
+                if excluded || !self.fabric.is_online(d) {
+                    continue;
+                }
+                self.stats.candidates_scored += 1;
+                let value = self.held_value_at(i, d) - debit;
+                if value >= floor {
+                    let score = pricing::per_capacity(&self.fabric, &self.apps[i], d, value);
+                    if stay.is_none_or(|(_, sticky)| score > sticky) {
+                        cands.push(Cand {
+                            score,
+                            app: i,
+                            dist: self.fabric.distance(self.apps[i].home, d),
+                            dev: d,
+                        });
                     }
                 }
             }
         }
-        cands.sort_by(|a, b| {
-            b.0.total_cmp(&a.0)
-                .then(a.1.cmp(&b.1))
-                .then_with(|| {
-                    let da = self.fabric.distance(self.apps[a.1].home, a.2);
-                    let db = self.fabric.distance(self.apps[b.1].home, b.2);
-                    da.cmp(&db)
-                })
-                .then(a.2.cmp(&b.2))
-        });
-        let mut moved = vec![false; n];
-        for &(_, i, d) in &cands {
-            if moved[i] {
-                continue;
-            }
-            match selected[i] {
-                Some(cur) if cur == d => {}
-                // A cross-pod resident moving: `admit` releases the old
-                // seat atomically (a program moves, it is not copied).
-                Some(_) | None => {
-                    if self.fabric.admit(d, i as u64, self.apps[i].demand).is_ok() {
-                        selected[i] = Some(d);
-                        moved[i] = true;
-                    }
-                }
+        cands.sort_unstable_by(Cand::order);
+        reset(moved, n);
+        for c in cands.iter() {
+            // A cross-pod resident moving: `admit` releases the old seat
+            // atomically (a program moves, it is not copied).
+            if !moved[c.app] && selected[c.app] != Some(c.dev) && self.try_seat(c.app, c.dev) {
+                selected[c.app] = Some(c.dev);
+                moved[c.app] = true;
             }
         }
 
@@ -1120,22 +1102,21 @@ impl FleetController {
         // fall back to software this interval and re-enter through the
         // ordinary sustain machinery; with no feasible plan the claim
         // stays pending and the starvation streak keeps accruing.
-        let mut fair_placed = vec![false; n];
-        let mut fair_clipped = vec![false; n];
-        let mut claimants: Vec<usize> = (0..n)
-            .filter(|&i| {
-                !self.rejected[i]
-                    && selected[i].is_none()
-                    && self.starved_streaks[i] >= self.thresholds[i]
-            })
-            .collect();
+        reset(fair_placed, n);
+        reset(fair_clipped, n);
+        claimants.clear();
+        claimants.extend((0..n).filter(|&i| {
+            !self.rejected[i]
+                && selected[i].is_none()
+                && self.starved_streaks[i] >= self.thresholds[i]
+        }));
         if !claimants.is_empty() {
-            claimants.sort_by(|&a, &b| {
+            claimants.sort_unstable_by(|&a, &b| {
                 let da = self.starved_streaks[a] as f64 * self.apps[a].weight;
                 let db = self.starved_streaks[b] as f64 * self.apps[b].weight;
                 db.total_cmp(&da).then(a.cmp(&b))
             });
-            for &i in &claimants {
+            for &i in claimants.iter() {
                 if selected[i].is_some() {
                     continue;
                 }
@@ -1166,7 +1147,6 @@ impl FleetController {
                 }
             }
         }
-        (fair_placed, fair_clipped)
     }
 }
 
@@ -1520,5 +1500,226 @@ mod tests {
         assert_eq!(after.candidates_scored, settled.candidates_scored);
         assert_eq!(after.dirty_enqueued, settled.dirty_enqueued);
         assert_eq!(after.ticks, 20);
+    }
+
+    /// Rates no meter can truthfully report.
+    const HOSTILE_RATES: [f64; 4] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0];
+
+    /// A resident whose network-measured rate turns hostile reads as idle:
+    /// it accrues a down-streak and leaves within one sustain window,
+    /// instead of holding its seat on a NaN score that outranks every
+    /// finite one.
+    #[test]
+    fn a_resident_fed_nan_is_evicted_within_one_sustain_window() {
+        for hostile in HOSTILE_RATES {
+            let mut ctl = FleetController::new(
+                cfg(),
+                DeviceFabric::single(PipelineBudget::tofino_like()),
+                vec![app("a", 7, 0.08, 2.0)],
+            );
+            for step in 1..=4 {
+                ctl.sample(t(step), &[sample(100_000.0, 100_000.0)]);
+            }
+            assert_eq!(ctl.placements(), &[Placement::Device(DeviceId::LOCAL)]);
+            let sustain = u64::from(ctl.config().sustain_samples);
+            for step in 5..5 + sustain {
+                ctl.sample(t(step), &[sample(100_000.0, hostile)]);
+                assert_eq!(ctl.held_rate(0), 0.0, "{hostile} pps is read as idle");
+            }
+            assert_eq!(
+                ctl.placements(),
+                &[Placement::Software],
+                "a resident measured at {hostile} pps kept its seat"
+            );
+            let last = ctl.shifts().last().expect("the eviction is logged");
+            assert_eq!((last.to, last.rate_pps), (Placement::Software, 0.0));
+        }
+    }
+
+    /// A software tenant whose offered rate is hostile is never offloaded
+    /// on the strength of it, and no non-finite rate reaches the held
+    /// state or the shift log.
+    #[test]
+    fn a_software_tenant_offering_a_hostile_rate_stays_idle() {
+        for hostile in HOSTILE_RATES {
+            let mut ctl = FleetController::new(
+                cfg(),
+                DeviceFabric::single(PipelineBudget::tofino_like()),
+                vec![app("a", 7, 0.08, 2.0), app("b", 4, 0.10, 2.0)],
+            );
+            for step in 1..=10 {
+                ctl.sample(
+                    t(step),
+                    &[sample(hostile, 100_000.0), sample(90_000.0, 90_000.0)],
+                );
+                assert_eq!(ctl.held_rate(0), 0.0, "{hostile} pps is read as idle");
+            }
+            assert_eq!(
+                ctl.placements(),
+                &[Placement::Software, Placement::Device(DeviceId::LOCAL)],
+                "offered {hostile} pps"
+            );
+            assert!(ctl.shifts().iter().all(|s| s.app == 1));
+        }
+    }
+
+    /// A dead device's tenants are evicted at the rate read off it: a
+    /// hostile reading logs 0 pps, not a NaN.
+    #[test]
+    fn a_device_loss_shift_never_logs_a_hostile_rate() {
+        let mut ctl = FleetController::new(
+            cfg(),
+            DeviceFabric::single(PipelineBudget::tofino_like()),
+            vec![app("a", 7, 0.08, 2.0)],
+        );
+        for step in 1..=4 {
+            ctl.sample(t(step), &[sample(100_000.0, 100_000.0)]);
+        }
+        ctl.set_device_online(DeviceId::LOCAL, false);
+        let moved = ctl.sample(t(5), &[sample(100_000.0, f64::NAN)]);
+        assert_eq!(moved, vec![(0, Placement::Software)]);
+        let last = ctl.shifts().last().unwrap();
+        assert_eq!(last.reason, ShiftReason::DeviceLoss);
+        assert_eq!(last.rate_pps, 0.0);
+        assert!(last.benefit_w.is_finite());
+    }
+
+    /// The order is the contract: on random single pods the pod arbiter
+    /// scans its candidates in exactly the documented four-key order —
+    /// score descending by `total_cmp`, then app index, hop distance and
+    /// device index ascending, written out here against a plain stable
+    /// sort — and admits exactly the sequence that order admits.
+    /// Devices share one budget, so every non-home device of a tenant
+    /// ties on score exactly and tenants of one class tie with each
+    /// other: ties are the common case here, not a corner. Offline and
+    /// pre-filled devices make refusals part of every sweep.
+    #[test]
+    fn pod_arbiter_admits_in_the_documented_total_order() {
+        let (mut exact_ties, mut refusals, mut scanned) = (0u32, 0u32, 0usize);
+        for seed in 0..300u64 {
+            let mut rng = inc_sim::Rng::new(0x0D_E4 ^ seed);
+            let devices = 1 + rng.index(16);
+            let fabric = DeviceFabric::homogeneous(
+                devices,
+                PipelineBudget::tofino_like(),
+                Topology::fat_tree(
+                    1,
+                    devices,
+                    TierCost::standard_intra_pod(),
+                    TierCost::standard_inter_pod(),
+                ),
+            );
+            // A small palette of tenant classes, so equal scores across
+            // tenants happen by construction.
+            let classes = [(7, 0.08), (6, 0.14), (4, 0.10), (3, 0.12), (5, 0.09)];
+            let n = rng.index(13);
+            let apps: Vec<FleetApp> = (0..n)
+                .map(|i| {
+                    let (stages, slope) = classes[rng.index(classes.len())];
+                    let home = DeviceId(rng.index(devices) as u16);
+                    app_homed(&format!("t{i}"), stages, slope, 2.0, home)
+                })
+                .collect();
+            let heats_at: Vec<u64> = (0..n).map(|_| rng.range_u64(0, 6)).collect();
+            let mut ctl = FleetController::new(
+                FleetControllerConfig {
+                    mode: ArbitrationMode::FullRescore,
+                    ..cfg()
+                },
+                fabric,
+                apps,
+            );
+            // Mixed history: settled residents (sticky seats and movers),
+            // fresh residents (sticky only), sustained newcomers, cold.
+            for step in 1..=rng.range_u64(3, 14) {
+                let s: Vec<FleetSample> = (0..n)
+                    .map(|i| {
+                        let r = if step > heats_at[i] { 100_000.0 } else { 500.0 };
+                        sample(r, r)
+                    })
+                    .collect();
+                ctl.sample(t(step), &s);
+            }
+            // A capacity event: all but one device may go offline, a
+            // foreign tenant may fill a device, and every incumbent of the
+            // (dirty) pod re-competes for its seat.
+            let keep = rng.index(devices);
+            for d in 0..devices {
+                if d != keep && rng.chance(0.2) {
+                    ctl.fabric.set_online(DeviceId(d as u16), false);
+                } else if rng.chance(0.25) {
+                    let stages = 6 + rng.index(7) as u32;
+                    let filler = ProgramResources {
+                        stages,
+                        sram_bytes: 1 << 20,
+                        parse_depth_bytes: 64,
+                    };
+                    for i in 0..n {
+                        if ctl.placements[i] == Placement::Device(DeviceId(d as u16)) {
+                            ctl.fabric.release(i as u64);
+                        }
+                    }
+                    ctl.fabric
+                        .admit(DeviceId(d as u16), 1_000 + d as u64, filler)
+                        .unwrap();
+                }
+            }
+            for i in 0..n {
+                ctl.fabric.release(i as u64);
+            }
+            let before = ctl.fabric.clone();
+            let mut s = Scratch {
+                selected: vec![None; n],
+                ..Scratch::default()
+            };
+            ctl.solve_pod(0, &mut s);
+            scanned += s.cands.len();
+
+            // The same candidates, shuffled, then put in the documented
+            // order by a plain stable sort.
+            let mut run = s.cands.clone();
+            rng.shuffle(&mut run);
+            run.sort_by(|a, b| {
+                b.score
+                    .total_cmp(&a.score)
+                    .then(a.app.cmp(&b.app))
+                    .then(a.dist.cmp(&b.dist))
+                    .then(a.dev.cmp(&b.dev))
+            });
+            let key = |c: &Cand| (c.score.to_bits(), c.app, c.dist, c.dev);
+            assert_eq!(
+                s.cands.iter().map(key).collect::<Vec<_>>(),
+                run.iter().map(key).collect::<Vec<_>>(),
+                "seed {seed}: scan order"
+            );
+            exact_ties += run.windows(2).filter(|w| w[0].score == w[1].score).count() as u32;
+
+            // What that order admits, decided by the ledger's own `admit`.
+            let mut ledger = before;
+            let mut expected = Vec::new();
+            for c in &run {
+                assert!(ledger.is_online(c.dev), "seed {seed}: offline candidate");
+                if expected.iter().any(|&(a, _)| a == c.app) {
+                    continue;
+                }
+                match ledger.admit(c.dev, c.app as u64, ctl.apps[c.app].demand) {
+                    Ok(()) => expected.push((c.app, c.dev)),
+                    Err(_) => refusals += 1,
+                }
+            }
+            let admitted: Vec<(usize, DeviceId)> = s
+                .cands
+                .iter()
+                .filter(|c| s.selected[c.app] == Some(c.dev))
+                .map(|c| (c.app, c.dev))
+                .collect();
+            assert_eq!(admitted, expected, "seed {seed}: admitted sequence");
+            for (i, seat) in s.selected.iter().enumerate() {
+                assert_eq!(ctl.fabric.residency(i as u64), *seat, "seed {seed}");
+            }
+        }
+        assert!(scanned > 5_000, "only {scanned} candidates scanned");
+        assert!(exact_ties > 4_000, "only {exact_ties} exact score ties");
+        assert!(refusals > 500, "only {refusals} refusals");
     }
 }

@@ -183,6 +183,11 @@ pub enum ShiftReason {
 }
 
 /// Per-application controller inputs for one sampling interval.
+///
+/// The rates are measurements and are read defensively: a non-finite or
+/// negative reading (a meter that divided by zero, a counter that
+/// wrapped) counts as 0 pps — see [`FleetSample::measured_pps`], the one
+/// place the controllers read them.
 #[derive(Clone, Copy, Debug)]
 pub struct FleetSample {
     /// The host-side signals (RAPL, CPU share, network rate feedback).
@@ -197,6 +202,30 @@ pub struct FleetSample {
     /// Authoritative while the app is software-resident; ignored in favour
     /// of [`HostSample::hw_app_rate`] once it is offloaded.
     pub offered_pps: f64,
+}
+
+impl FleetSample {
+    /// The rate a tenant placed at `placement` is scored at (§9.1): the
+    /// network-measured [`HostSample::hw_app_rate`] on a device, the
+    /// host-measured [`FleetSample::offered_pps`] in software. A NaN, ±∞
+    /// or negative reading is 0 pps: NaN compares false against every
+    /// gate and sorts above every finite score, so trusting it would let
+    /// a broken meter pin a seat indefinitely.
+    pub fn measured_pps(&self, placement: Placement) -> f64 {
+        let rate = match placement {
+            Placement::Device(_) => self.host.hw_app_rate,
+            Placement::Software => self.offered_pps,
+        };
+        // Every tenant pays this every tick, so it is one integer
+        // compare: the bit patterns below +∞'s are exactly the finite
+        // non-negative floats (a set sign bit, +∞ and every NaN are
+        // above).
+        if rate.to_bits() < f64::INFINITY.to_bits() {
+            rate
+        } else {
+            0.0
+        }
+    }
 }
 
 /// A record of one fleet placement decision.
@@ -311,6 +340,34 @@ mod tests {
 
     fn cfg() -> FleetControllerConfig {
         FleetControllerConfig::standard(Nanos::from_secs(1))
+    }
+
+    /// A truthful reading passes through bit for bit — every finite
+    /// non-negative float, subnormals and `f64::MAX` included — from the
+    /// meter the placement names; anything else reads as idle.
+    #[test]
+    fn measured_rate_is_the_placements_meter_or_zero() {
+        let on_device = Placement::Device(DeviceId::LOCAL);
+        for ok in [0.0, 5e-324, f64::MIN_POSITIVE, 1.0, 123_456.789, f64::MAX] {
+            let s = sample(ok, -7.0);
+            assert_eq!(s.measured_pps(Placement::Software).to_bits(), ok.to_bits());
+            assert_eq!(s.measured_pps(on_device), 0.0);
+            let s = sample(f64::NAN, ok);
+            assert_eq!(s.measured_pps(on_device).to_bits(), ok.to_bits());
+            assert_eq!(s.measured_pps(Placement::Software), 0.0);
+        }
+        for hostile in [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -1.0,
+            -5e-324,
+        ] {
+            let s = sample(hostile, hostile);
+            assert_eq!(s.measured_pps(Placement::Software).to_bits(), 0);
+            assert_eq!(s.measured_pps(on_device).to_bits(), 0);
+        }
     }
 
     #[test]

@@ -109,10 +109,7 @@ impl FlatOracle {
         let floor = pricing::floor_value(&self.config);
         // §9.1: host-measured rate in software, network-measured on a device.
         let rates: Vec<f64> = (0..n)
-            .map(|i| match self.placements[i] {
-                Placement::Device(_) => samples[i].host.hw_app_rate,
-                Placement::Software => samples[i].offered_pps,
-            })
+            .map(|i| samples[i].measured_pps(self.placements[i]))
             .collect();
         let raw: Vec<f64> = (0..n)
             .map(|i| pricing::raw_value(&self.config, &self.apps[i], rates[i]))

@@ -146,7 +146,7 @@ pub(crate) fn unfit_everywhere(fabric: &DeviceFabric, apps: &[FleetApp]) -> Vec<
         .map(|app| {
             fabric
                 .device_ids()
-                .all(|d| fabric.device(d).budget().admit(&app.demand).is_err())
+                .all(|d| !fabric.device(d).budget().fits(&app.demand))
         })
         .collect()
 }

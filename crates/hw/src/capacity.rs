@@ -83,23 +83,23 @@ impl DeviceCapacity {
             })
     }
 
-    /// The single combine-and-check rule shared by [`DeviceCapacity::fits`]
-    /// and [`DeviceCapacity::admit`]: stages and SRAM add to the current
-    /// residents, parse depth is a shared maximum, and the result must
-    /// pass the budget's own admission check.
-    fn check_alongside_residents(&self, extra: &ProgramResources) -> Result<(), PipelineError> {
+    /// The single combine rule shared by [`DeviceCapacity::fits`] and
+    /// [`DeviceCapacity::admit`]: stages and SRAM add to the current
+    /// residents, parse depth is a shared maximum. The result must pass
+    /// the budget's own check.
+    fn alongside_residents(&self, extra: &ProgramResources) -> ProgramResources {
         let used = self.used();
-        let combined = ProgramResources {
+        ProgramResources {
             stages: used.stages + extra.stages,
             sram_bytes: used.sram_bytes + extra.sram_bytes,
             parse_depth_bytes: used.parse_depth_bytes.max(extra.parse_depth_bytes),
-        };
-        self.budget.admit(&combined)
+        }
     }
 
-    /// Checks whether `extra` would fit alongside the current residents.
+    /// Checks whether `extra` would fit alongside the current residents
+    /// (the verdict only: a refusal builds no explanation).
     pub fn fits(&self, extra: &ProgramResources) -> bool {
-        self.check_alongside_residents(extra).is_ok()
+        self.budget.fits(&self.alongside_residents(extra))
     }
 
     /// Grants `app` the resources `r`, or explains why it cannot.
@@ -110,7 +110,7 @@ impl DeviceCapacity {
     /// share excluded) holds — both go through the same combine rule.
     pub fn admit(&mut self, app: AppSlot, r: ProgramResources) -> Result<(), PipelineError> {
         let previous = self.allocs.remove(&app);
-        match self.check_alongside_residents(&r) {
+        match self.budget.admit(&self.alongside_residents(&r)) {
             Ok(()) => {
                 self.allocs.insert(app, r);
                 Ok(())

@@ -238,6 +238,14 @@ impl PipelineBudget {
         }
     }
 
+    /// Whether a program fits: [`PipelineBudget::admit`]'s verdict
+    /// without its explanation, for callers that only branch on it.
+    pub fn fits(&self, p: &ProgramResources) -> bool {
+        p.stages <= self.stages
+            && p.sram_bytes <= self.sram_bytes
+            && p.parse_depth_bytes <= self.parse_depth_bytes
+    }
+
     /// Checks whether a program fits, explaining the first violated limit.
     pub fn admit(&self, p: &ProgramResources) -> Result<(), PipelineError> {
         if p.stages > self.stages {
@@ -347,5 +355,33 @@ mod tests {
                 ..Default::default()
             })
             .is_err());
+    }
+
+    /// `fits` is `admit`'s verdict on and around every limit, and the
+    /// refusal it skips building still names the first violated limit.
+    #[test]
+    fn fits_is_admits_verdict_without_the_message() {
+        let b = PipelineBudget::netfpga_like();
+        for stages in [0, 8, 9] {
+            for sram_bytes in [0, 4 << 20, (4 << 20) + 1] {
+                for parse_depth_bytes in [0, 512, 513] {
+                    let p = ProgramResources {
+                        stages,
+                        sram_bytes,
+                        parse_depth_bytes,
+                    };
+                    assert_eq!(b.fits(&p), b.admit(&p).is_ok(), "{p:?}");
+                }
+            }
+        }
+        let over = ProgramResources {
+            stages: 9,
+            sram_bytes: 1 << 30,
+            parse_depth_bytes: 64,
+        };
+        assert_eq!(
+            b.admit(&over).unwrap_err().to_string(),
+            "program does not fit target: needs 9 stages, target has 8"
+        );
     }
 }

@@ -45,8 +45,11 @@ cargo test --release -q --test failure_injection -- chaos one_long_lived_cluster
 
 # Deterministic costs hard-fail here, wall-clock ones do not: a frame is
 # one allocation to build and none to read, a device hit is its reply
-# frame, the packet fabric stays <= 10 allocations per request and a
-# loss-free Paxos slot <= 9.45 (exact counts from a counting allocator).
+# frame, the packet fabric stays <= 10 allocations per request, a
+# loss-free Paxos slot <= 9.45, and a warm 1 000-tenant arbitration tick
+# allocates nothing when quiet, nothing on a full re-score that moves
+# nothing and only the list it returns when it shifts placements
+# (exact counts from a counting allocator).
 echo "== allocation budgets =="
 cargo test --release -q --test alloc_budget
 

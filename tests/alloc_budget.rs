@@ -1,5 +1,6 @@
 //! Allocation budgets of the consensus value plane, of the packet data
-//! path and of the simulator's event queue, defended by `cargo test`
+//! path, of the simulator's event queue and of the fleet arbiter's
+//! tick, defended by `cargo test`
 //! rather than only by the benchmark's `allocs_per_kop`
 //! (`scripts/bench_smoke.sh` runs this binary in release, so a
 //! regression in a deterministic cost fails CI).
@@ -9,7 +10,10 @@
 //! one message allocate nothing. A frame costs one allocation to build —
 //! the frame — and none to parse, checksum-verify and decode; a device
 //! that answers a request allocates its reply and nothing else. A warm
-//! event queue schedules and releases events without allocating. This
+//! event queue schedules and releases events without allocating. A warm
+//! arbitration tick works in the controller's own scratch buffers: it
+//! allocates nothing until it has a placement change to report, and then
+//! only the list it returns. This
 //! binary has its own counting `#[global_allocator]`, so it holds these
 //! tests only. The counter is per thread: libtest runs tests on parallel
 //! threads, and a test must not be billed for its neighbour's
@@ -24,11 +28,12 @@ use inc::kvs::{
     RequestView, ResponseView, Status, MEMCACHED_PORT,
 };
 use inc::net::{build_udp, build_udp_with, Bytes, Endpoint, Packet, UdpFrame};
+use inc::ondemand::{ArbitrationMode, FleetController};
 use inc::paxos::multi::{Acceptor, Ballot};
 use inc::paxos::{ClientCommand, MsgType, PaxosMsg};
 use inc::sim::{impl_node_any, Ctx, LinkSpec, Nanos, Node, NodeId, PortId, Simulator};
 use inc_bench::consensus::ChaosCluster;
-use inc_bench::rigs::MultiTorRig;
+use inc_bench::rigs::{MegaFabricRig, MultiTorRig};
 
 thread_local! {
     // Const-initialised and without a destructor: safe to touch from
@@ -483,4 +488,113 @@ fn an_echo_ping_pong_over_a_link_allocates_nothing() {
     assert_eq!(sim.events_processed() - before, 10_000);
     assert_eq!(allocs, 0, "a 10 000-event echo ping-pong");
     assert_eq!(sim.queue_stats().high_water, 1);
+}
+
+/// One arbitration tick of a warm 1 000-tenant [`MegaFabricRig`]
+/// controller, as the budgets below read it.
+struct Tick {
+    /// Whether any pod arbiter ran.
+    solved: bool,
+    /// Placements the tick changed.
+    moved: usize,
+    /// Shift-log length before the tick.
+    logged_before: usize,
+    /// Allocations `FleetController::sample` made.
+    allocs: u64,
+}
+
+/// Warms a controller over 200 ticks of the rig's churn trace (every
+/// scratch buffer has seen its largest tick, every device ledger its
+/// first tenant), then meters 400 more.
+fn metered_arbiter_ticks(mode: ArbitrationMode) -> Vec<Tick> {
+    let mut rig = MegaFabricRig::new(1_000, 42);
+    let mut ctl = rig.controller(mode);
+    rig.run(&mut ctl, 200);
+    (201..=600)
+        .map(|tick| {
+            let samples = rig.tick_samples(tick);
+            let (solved_before, logged_before) = (ctl.stats().pods_solved, ctl.shifts().len());
+            let mut moved = 0;
+            let allocs =
+                allocations_in(|| moved = ctl.sample(Nanos::from_secs(tick), samples).len());
+            Tick {
+                solved: ctl.stats().pods_solved > solved_before,
+                moved,
+                logged_before,
+                allocs,
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn a_quiet_incremental_arbiter_tick_allocates_nothing() {
+    let ticks = metered_arbiter_ticks(ArbitrationMode::Incremental);
+    let quiet: Vec<&Tick> = ticks.iter().filter(|t| !t.solved).collect();
+    assert!(quiet.len() > 200, "only {} quiet ticks", quiet.len());
+    assert!(quiet.iter().all(|t| t.moved == 0 && t.allocs == 0));
+}
+
+#[test]
+fn a_full_rescore_tick_that_moves_nothing_allocates_nothing() {
+    let ticks = metered_arbiter_ticks(ArbitrationMode::FullRescore);
+    assert!(ticks.iter().all(|t| t.solved));
+    let still: Vec<&Tick> = ticks.iter().filter(|t| t.moved == 0).collect();
+    assert!(
+        still.len() > 200,
+        "only {} ticks moved nothing",
+        still.len()
+    );
+    assert_eq!(still.iter().map(|t| t.allocs).max(), Some(0));
+}
+
+/// A tick that shifts placements allocates the list it returns, and the
+/// shift log grows by doubling: one more allocation each time a push
+/// finds it full (at 4, 8, 16, … entries).
+#[test]
+fn a_shifting_arbiter_tick_allocates_only_what_it_returns() {
+    for mode in [ArbitrationMode::Incremental, ArbitrationMode::FullRescore] {
+        let ticks = metered_arbiter_ticks(mode);
+        let shifting: Vec<&Tick> = ticks.iter().filter(|t| t.moved > 0).collect();
+        assert!(
+            shifting.len() >= 10,
+            "only {} shifting ticks",
+            shifting.len()
+        );
+        for t in shifting {
+            let log_growths = (t.logged_before..t.logged_before + t.moved)
+                .filter(|&len| len >= 4 && len.is_power_of_two())
+                .count() as u64;
+            assert!(
+                t.allocs <= 1 + log_growths,
+                "{} allocations to shift {} placements ({} logged before)",
+                t.allocs,
+                t.moved,
+                t.logged_before
+            );
+        }
+    }
+}
+
+/// Building a controller stays as cheap as it was before it owned its
+/// scratch buffers (they start empty): `heavy_stream` / `heavy_events`
+/// build one per rig inside their measured region. Measured at the
+/// parent of the scratch change: 64 allocations for 1 000 tenants on the
+/// 128-device fabric.
+#[test]
+fn building_a_fleet_controller_allocates_no_more_than_before() {
+    const PARENT_ALLOCS: u64 = 64;
+    let seed = MegaFabricRig::new(1_000, 42).controller(ArbitrationMode::Incremental);
+    let (config, fabric, apps) = (
+        *seed.config(),
+        MegaFabricRig::fabric(),
+        seed.apps().to_vec(),
+    );
+    let mut built = None;
+    let allocs = allocations_in(|| built = Some(FleetController::new(config, fabric, apps)));
+    assert!(
+        allocs <= PARENT_ALLOCS,
+        "FleetController::new made {allocs} allocations (parent {PARENT_ALLOCS})"
+    );
+    assert_eq!(built.unwrap().placements().len(), 1_000);
 }
