@@ -9,11 +9,16 @@
 //! Economics* points the way out: only re-decide when the economics
 //! actually change. Each tick is therefore an event-driven pipeline:
 //!
-//! 1. **Measure & hold** — each app's measured rate updates its *held*
-//!    scoring rate only when it moves by more than
-//!    [`FleetControllerConfig::rate_deadband`] (relative). All scoring,
-//!    streaks and gates are computed from held rates, so an app whose
-//!    load wobbles inside the band is *economically unchanged*.
+//! 1. **Measure & hold** — the one loop every app pays every tick: its
+//!    measured rate replaces its *held* scoring rate only when it moves
+//!    by more than [`FleetControllerConfig::rate_deadband`] (relative).
+//!    All scoring, streaks and gates are computed from held rates, so an
+//!    app whose load wobbles inside the band is *economically unchanged*.
+//!    Every other per-app pass of the tick walks the **warm set** — the
+//!    apps whose gates can move at all (profitable at the held rate, on
+//!    a streak, queued or resident). A cold app's every gate is a
+//!    function of its held rate alone, so nothing about it can change
+//!    until the scan replaces that rate, which is what warms it.
 //! 2. **Dirty queue** — an app is enqueued (at most once per interval)
 //!    when its held rate moved, a hysteresis or starvation gate flipped,
 //!    its placement changed last tick, or the occupancy of a device in
@@ -84,6 +89,9 @@ pub struct ArbiterStats {
     pub coordinator_runs: u64,
     /// Candidate score evaluations across pod arbiters and coordinator.
     pub candidates_scored: u64,
+    /// Apps whose streak gates stage 1 evaluated (the warm set, summed
+    /// over ticks): what a tick costs beyond the dead-band scan.
+    pub gates_evaluated: u64,
 }
 
 /// One candidate placement of a pod arbiter or the coordinator.
@@ -119,6 +127,9 @@ impl Cand {
 struct Scratch {
     /// The placement changes of this tick, in execution order.
     decisions: Vec<(usize, Placement)>,
+    /// This tick's warm set, ascending: the only apps any pass after
+    /// the dead-band scan looks at.
+    warm: Vec<usize>,
     /// Pods to re-solve: seeded by capacity events, completed by the
     /// dirty queue.
     pods_dirty: Vec<bool>,
@@ -142,6 +153,20 @@ struct Scratch {
 fn reset(marks: &mut Vec<bool>, n: usize) {
     marks.clear();
     marks.resize(n, false);
+}
+
+/// Devices of `fabric` that are offline.
+fn offline_devices(fabric: &DeviceFabric) -> usize {
+    fabric
+        .device_ids()
+        .filter(|&d| !fabric.is_online(d))
+        .count()
+}
+
+/// The dead band's half-width around a held rate — stored beside it, so
+/// the scan compares against exactly this product.
+fn band(deadband: f64, held: f64) -> f64 {
+    deadband * held.abs().max(1.0)
 }
 
 /// The multi-application on-demand scheduler over a device fabric (see
@@ -207,27 +232,39 @@ pub struct FleetController {
     shifts: Vec<FleetShift>,
     /// Held scoring rate per app; NaN until the first sample arrives.
     held_rates: Vec<f64>,
+    /// [`band`] of each held rate (a NaN rate is out of any band).
+    bands: Vec<f64>,
+    /// The warm set, one bit per app: a superset of the apps that clear
+    /// the floor at their held rate, carry an up or starvation streak, or
+    /// are resident. Set where an app can become one of those (its held
+    /// rate is replaced, it is adopted resident, the floor moves),
+    /// cleared at the end of the tick that finds it none of them.
+    warm: Vec<u64>,
+    /// Fabric devices currently offline (no device-loss pass while 0).
+    offline: usize,
     /// The §8 raw benefit at the held rate, priced by the configured
     /// [`Objective`](crate::fleet::Objective) (plain watts under
     /// `Joules`), cached so a clean tick never re-runs the energy model
     /// (it only changes when the held rate does).
     held_raw_w: Vec<f64>,
+    /// What each resident delivers where it sits ([`Self::held_value_at`]
+    /// its device), cached because it only changes when the held rate or
+    /// the seat does; meaningless for a software app.
+    delivered: Vec<f64>,
     /// Per-app online tenure estimate (fed by the shift log; priced
     /// only under [`TenurePolicy::Learned`]).
     tenures: Vec<TenureEstimator>,
     /// Per-app starvation threshold (a pure function of config and the
     /// app's weight, so computed once).
     thresholds: Vec<u32>,
-    /// Apps flagged for re-scoring next tick by end-of-tick events
+    /// Apps to re-score next tick, listed by end-of-tick events
     /// (placement changes, queue membership changes, claims coming due).
-    pending_dirty: Vec<bool>,
+    pending_dirty: Vec<usize>,
     /// Devices whose occupancy changed last tick (or were marked via
     /// [`FleetController::mark_device_dirty`]).
     pending_device_dirty: Vec<bool>,
-    /// This tick's dirty marks (rebuilt each tick; kept for dedup).
-    dirty: Vec<bool>,
     /// The dirty queue drained by the last tick, sorted by app index
-    /// (test/analysis introspection).
+    /// and deduplicated (test/analysis introspection).
     last_dirty: Vec<usize>,
     scratch: Scratch,
     stats: ArbiterStats,
@@ -247,9 +284,9 @@ impl FleetController {
     ///
     /// Panics if an app's home device is not in the fabric, if a weight
     /// is not finite and positive, or if the configuration is unusable
-    /// (a zero sampling interval; a non-finite or negative offload
-    /// floor, migration cost or rate dead band; invalid objective prices
-    /// or tenure gain).
+    /// (a zero sampling interval or sustain window; a non-finite or
+    /// negative offload floor, migration cost or rate dead band; invalid
+    /// objective prices or tenure gain).
     pub fn new(config: FleetControllerConfig, fabric: DeviceFabric, apps: Vec<FleetApp>) -> Self {
         for app in &apps {
             assert!(
@@ -279,6 +316,7 @@ impl FleetController {
             apps_by_pod[p as usize].push(i);
         }
         let devices = fabric.device_count();
+        let offline = offline_devices(&fabric);
         let n = apps.len();
         FleetController {
             config,
@@ -296,12 +334,15 @@ impl FleetController {
             rejected,
             shifts: Vec::new(),
             held_rates: vec![f64::NAN; n],
+            bands: vec![band(config.rate_deadband, f64::NAN); n],
+            warm: vec![0; n.div_ceil(64)],
+            offline,
             held_raw_w: vec![f64::NAN; n],
+            delivered: vec![f64::NAN; n],
             tenures: vec![TenureEstimator::new(); n],
             thresholds,
-            pending_dirty: vec![false; n],
+            pending_dirty: Vec::with_capacity(n),
             pending_device_dirty: vec![false; devices],
-            dirty: vec![false; n],
             last_dirty: Vec::new(),
             scratch: Scratch::default(),
             stats: ArbiterStats::default(),
@@ -327,7 +368,9 @@ impl FleetController {
                 self.fabric
                     .admit(d, i as u64, self.apps[i].demand)
                     .expect("initial placements must fit the fabric");
-                self.pending_dirty[i] = true;
+                self.warm[i / 64] |= 1 << (i % 64);
+                self.delivered[i] = self.held_value_at(i, d);
+                self.pending_dirty.push(i);
                 self.pending_device_dirty[d.index()] = true;
             }
         }
@@ -375,6 +418,41 @@ impl FleetController {
     /// The held scoring rate of `app` (NaN before its first sample).
     pub fn held_rate(&self, app: usize) -> f64 {
         self.held_rates[app]
+    }
+
+    /// Recomputes from scratch what a tick maintains incrementally — the
+    /// warm set, the band and delivered-value columns, the offline count,
+    /// the pending list — and reports the first disagreement (the test
+    /// suites call this after every tick).
+    #[doc(hidden)]
+    pub fn check_indexes(&self) -> Result<(), String> {
+        let floor = pricing::floor_value(&self.config);
+        if offline_devices(&self.fabric) != self.offline {
+            return Err(format!("offline count {} is stale", self.offline));
+        }
+        if let Some(i) = self.pending_dirty.iter().find(|&&i| i >= self.apps.len()) {
+            return Err(format!("pending list names app {i}"));
+        }
+        for i in 0..self.apps.len() {
+            let can_move = self.held_raw_w[i] >= floor
+                || self.up_streaks[i] > 0
+                || self.starved_streaks[i] > 0
+                || self.placements[i] != Placement::Software;
+            if can_move && self.warm[i / 64] >> (i % 64) & 1 == 0 {
+                return Err(format!("app {i} can move but is not in the warm set"));
+            }
+            let want = band(self.config.rate_deadband, self.held_rates[i]);
+            if self.bands[i].to_bits() != want.to_bits() {
+                return Err(format!("app {i}: band {} is not {want}", self.bands[i]));
+            }
+            if let Placement::Device(d) = self.placements[i] {
+                let (have, want) = (self.delivered[i], self.held_value_at(i, d));
+                if have != want && !(have.is_nan() && want.is_nan()) {
+                    return Err(format!("app {i}: delivers {want}, cached {have}"));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// The current admission verdict for `app`: [`AdmissionDecision::Reject`]
@@ -524,6 +602,8 @@ impl FleetController {
     /// re-arbitrates the same tick, and the device is skipped as a
     /// candidate until revived (which raises another capacity event).
     pub fn set_device_online(&mut self, id: DeviceId, online: bool) {
+        self.offline += usize::from(self.fabric.is_online(id));
+        self.offline -= usize::from(online);
         self.fabric.set_online(id, online);
         self.pending_device_dirty[id.index()] = true;
     }
@@ -544,8 +624,12 @@ impl FleetController {
     pub fn set_min_benefit_w(&mut self, floor_w: f64) {
         FleetControllerConfig::validate_floor(floor_w);
         self.config.min_benefit_w = floor_w;
-        for p in self.pending_dirty.iter_mut() {
-            *p = true;
+        self.pending_dirty.clear();
+        self.pending_dirty.extend(0..self.apps.len());
+        // A lower floor can make a cold app profitable where it stands.
+        let floor = pricing::floor_value(&self.config);
+        for (i, &raw) in self.held_raw_w.iter().enumerate() {
+            self.warm[i / 64] |= u64::from(raw >= floor) << (i % 64);
         }
     }
 
@@ -590,15 +674,6 @@ impl FleetController {
         pricing::per_capacity(&self.fabric, &self.apps[app], device, eff) * self.config.stickiness
     }
 
-    /// Marks `i` dirty, deduplicating: at most one enqueue per interval.
-    fn mark(dirty: &mut [bool], queue: &mut Vec<usize>, stats: &mut ArbiterStats, i: usize) {
-        if !dirty[i] {
-            dirty[i] = true;
-            queue.push(i);
-            stats.dirty_enqueued += 1;
-        }
-    }
-
     /// Feeds one sample per app; returns the placement changes to
     /// execute (empty most intervals — and, in incremental mode, most
     /// intervals do almost no work deciding that).
@@ -624,8 +699,10 @@ impl FleetController {
         // evictee is marked dirty and the dead device raises a capacity
         // event, so its whole pod re-arbitrates this very tick. The shift
         // is recorded at the rate measured on the (dead) device, priced
-        // as the raw software value.
-        for (i, sample) in samples.iter().enumerate().take(n) {
+        // as the raw software value. Nobody is exposed while every device
+        // is online, so the pass runs only during an outage.
+        let exposed = if self.offline > 0 { n } else { 0 };
+        for (i, sample) in samples.iter().enumerate().take(exposed) {
             if let Placement::Device(d) = self.placements[i] {
                 if !self.fabric.is_online(d) {
                     let measured = sample.measured_pps(self.placements[i]);
@@ -635,7 +712,7 @@ impl FleetController {
                     self.down_streaks[i] = 0;
                     self.starved_streaks[i] = 0;
                     self.fair_hold[i] = false;
-                    self.pending_dirty[i] = true;
+                    self.pending_dirty.push(i);
                     self.pending_device_dirty[d.index()] = true;
                     self.tenures[i].observe_shift(
                         now,
@@ -658,17 +735,16 @@ impl FleetController {
         // --- Phase 0+1: measure, hold, account streaks, build the dirty
         // queue. Every gate consulted by the solve is derived from held
         // rates, so any input change to a pod's sub-problem raises a
-        // dirty event here (or was flagged at the end of last tick).
-        // `last_dirty` is exactly the set of flags raised last tick, so
-        // clearing is O(dirty), not O(n).
-        let mut dirty = std::mem::take(&mut self.dirty);
+        // dirty event here (or was listed at the end of last tick). An
+        // app may be pushed more than once; the queue is sorted and
+        // deduplicated below, so the order of the sources changes nothing.
         let mut queue = std::mem::take(&mut self.last_dirty);
-        for &i in &queue {
-            dirty[i] = false;
-        }
         queue.clear();
+        // (a) Events carried over from the previous tick: placement
+        // changes, queue membership changes, claims coming due.
+        queue.append(&mut self.pending_dirty);
 
-        // (a) Capacity events: a changed device dirties its whole pod —
+        // (b) Capacity events: a changed device dirties its whole pod —
         // every resident on the pod's devices plus every queued candidate
         // homed there (their admission odds just changed).
         reset(&mut s.pods_dirty, self.pods);
@@ -680,18 +756,40 @@ impl FleetController {
                 any_cap = true;
             }
         }
-        // (b) One pass per app: events carried over from the previous tick
-        // (placement changes, queue membership changes, claims coming
-        // due), capacity fallout, then the rate dead band and hysteresis
-        // gates. `mark` deduplicates and the queue is sorted afterwards,
-        // so folding the sources into one loop changes no outcome.
+        // (c) The scan — the one loop every app pays every tick: the
+        // rate dead band, and nothing else.
         let deadband = self.config.rate_deadband;
-        let evict_w = floor * self.config.evict_fraction;
         for (i, sample) in samples.iter().enumerate() {
-            if self.pending_dirty[i] {
-                self.pending_dirty[i] = false;
-                Self::mark(&mut dirty, &mut queue, &mut self.stats, i);
+            let measured = sample.measured_pps(self.placements[i]);
+            // A NaN `held` (first sample) fails the in-band comparison,
+            // so initialisation and a genuine crossing share one branch —
+            // the negated `<=` is load-bearing, not a misspelt `>`.
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            if !((measured - self.held_rates[i]).abs() <= self.bands[i]) {
+                self.held_rates[i] = measured;
+                self.bands[i] = band(deadband, measured);
+                // Cached so a clean tick never re-runs the energy model.
+                let raw = pricing::raw_value(&self.config, &self.apps[i], measured);
+                self.held_raw_w[i] = raw;
+                self.warm[i / 64] |= u64::from(raw >= floor) << (i % 64);
+                if let Placement::Device(d) = self.placements[i] {
+                    self.delivered[i] = self.held_value_at(i, d);
+                }
+                queue.push(i);
             }
+        }
+        s.warm.clear();
+        for (w, &word) in self.warm.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                s.warm.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        self.stats.gates_evaluated += s.warm.len() as u64;
+        // (d) The warm set: capacity fallout, then the hysteresis gates.
+        let evict_w = floor * self.config.evict_fraction;
+        for &i in &s.warm {
             if any_cap {
                 let touched = match self.placements[i] {
                     Placement::Device(d) => s.pods_dirty[self.fabric.pod(d) as usize],
@@ -700,34 +798,10 @@ impl FleetController {
                     }
                 };
                 if touched {
-                    Self::mark(&mut dirty, &mut queue, &mut self.stats, i);
+                    queue.push(i);
                 }
             }
-            let measured = sample.measured_pps(self.placements[i]);
-            let held = self.held_rates[i];
-            // A NaN `held` (first sample) fails the in-band comparison,
-            // so initialisation and a genuine crossing share one branch —
-            // the negated `<=` is load-bearing, not a misspelt `>`.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            if !((measured - held).abs() <= deadband * held.abs().max(1.0)) {
-                self.held_rates[i] = measured;
-                self.held_raw_w[i] = pricing::raw_value(&self.config, &self.apps[i], measured);
-                Self::mark(&mut dirty, &mut queue, &mut self.stats, i);
-            }
-            // The cached raw value makes a clean tick free of energy-
-            // model evaluations; `delivered` applies the same haircut
-            // arithmetic as `pricing::effective_benefit_w`.
             let raw = self.held_raw_w[i];
-            // Cold software tenants (no benefit, no streaks) are the bulk
-            // of a fleet; their gates provably cannot move, so skip the
-            // streak accounting entirely.
-            if raw < floor
-                && self.up_streaks[i] == 0
-                && matches!(self.placements[i], Placement::Software)
-            {
-                continue;
-            }
-            let rate = self.held_rates[i];
             let up_was = self.up_streaks[i] >= sustain;
             self.up_streaks[i] = if raw >= floor {
                 self.up_streaks[i].saturating_add(1)
@@ -735,35 +809,26 @@ impl FleetController {
                 0
             };
             if up_was != (self.up_streaks[i] >= sustain) {
-                Self::mark(&mut dirty, &mut queue, &mut self.stats, i);
+                queue.push(i);
             }
             let down_was = self.down_streaks[i] >= sustain;
-            match self.placements[i] {
-                Placement::Software => self.down_streaks[i] = 0,
-                Placement::Device(d) => {
-                    let delivered = pricing::effective_value_of(
-                        &self.config,
-                        &self.fabric,
-                        self.apps[i].home,
-                        d,
-                        raw,
-                        rate,
-                    );
-                    if delivered < evict_w {
-                        self.down_streaks[i] = self.down_streaks[i].saturating_add(1);
-                    } else {
-                        self.down_streaks[i] = 0;
-                    }
-                }
-            }
+            let resident = self.placements[i] != Placement::Software;
+            self.down_streaks[i] = if resident && self.delivered[i] < evict_w {
+                self.down_streaks[i].saturating_add(1)
+            } else {
+                0
+            };
             if down_was != (self.down_streaks[i] >= sustain) {
-                Self::mark(&mut dirty, &mut queue, &mut self.stats, i);
+                queue.push(i);
             }
         }
 
         // Dirty apps dirty their home pod and (if different) the pod
         // where they are resident; capacity events dirtied their pod
         // outright, above.
+        queue.sort_unstable();
+        queue.dedup();
+        self.stats.dirty_enqueued += queue.len() as u64;
         for &i in &queue {
             s.pods_dirty[self.home_pod[i] as usize] = true;
             if let Placement::Device(d) = self.placements[i] {
@@ -773,9 +838,7 @@ impl FleetController {
         if self.config.mode == ArbitrationMode::FullRescore {
             s.pods_dirty.fill(true);
         }
-        queue.sort_unstable();
         self.last_dirty = queue;
-        self.dirty = dirty;
 
         if s.pods_dirty.contains(&true) {
             self.solve(now, &mut s);
@@ -785,23 +848,26 @@ impl FleetController {
         // it sustains a profitable demand in software but received no
         // capacity this interval — plus the dirty events the transitions
         // imply: entering or leaving the queue changes DRF contention,
-        // and crossing the starvation threshold arms a claim.
-        for i in 0..n {
-            let queued = !self.rejected[i]
-                && self.placements[i] == Placement::Software
-                && self.up_streaks[i] >= sustain;
+        // and crossing the starvation threshold arms a claim. An app
+        // this leaves cold — unprofitable, off every streak, in software
+        // — drops out of the warm set until its held rate next moves.
+        for &i in &s.warm {
+            let resident = self.placements[i] != Placement::Software;
+            let queued = !self.rejected[i] && !resident && self.up_streaks[i] >= sustain;
             if queued {
                 let was = self.starved_streaks[i];
                 self.starved_streaks[i] = was.saturating_add(1);
                 self.queued_intervals[i] += 1;
                 let threshold = self.thresholds[i];
                 if was == 0 || (was < threshold && self.starved_streaks[i] >= threshold) {
-                    self.pending_dirty[i] = true;
+                    self.pending_dirty.push(i);
                 }
             } else if self.starved_streaks[i] > 0 {
                 self.starved_streaks[i] = 0;
-                self.pending_dirty[i] = true;
+                self.pending_dirty.push(i);
             }
+            let cold = !(self.held_raw_w[i] >= floor || self.up_streaks[i] > 0 || resident);
+            self.warm[i / 64] &= !(u64::from(cold) << (i % 64));
         }
         // The one allocation of a tick that moves something (none when
         // nothing moved: an empty `Vec` owns no memory).
@@ -828,22 +894,21 @@ impl FleetController {
         // releasing only the contested seats is what keeps a solve's cost
         // proportional to the dirty pods rather than to the fleet.
         s.selected.clear();
-        for i in 0..n {
-            let mut seat = None;
+        s.selected.resize(n, None);
+        for &i in &s.warm {
             if let Placement::Device(d) = self.placements[i] {
                 let host_pod = self.fabric.pod(d) as usize;
                 let cross_pod = self.fabric.pod(d) != self.home_pod[i];
                 let keep = self.down_streaks[i] < sustain
                     && (self.fair_hold[i] || cross_pod || !s.pods_dirty[host_pod]);
                 if keep {
-                    seat = Some(d);
+                    s.selected[i] = Some(d);
                 } else {
                     // Eviction due, or an incumbent of a dirty pod that
                     // must re-compete on equal footing.
                     self.fabric.release(i as u64);
                 }
             }
-            s.selected.push(seat);
         }
 
         for p in 0..self.pods {
@@ -866,20 +931,21 @@ impl FleetController {
             Some(d) => Placement::Device(d),
             None => Placement::Software,
         };
-        if (0..n).all(|i| want_of(s.selected[i]) == self.placements[i]) {
+        let stays = |&i: &usize| want_of(s.selected[i]) == self.placements[i];
+        if s.warm.iter().all(stays) {
             return;
         }
         s.prev_placements.clear();
         s.prev_placements.extend_from_slice(&self.placements);
         s.prev_down.clear();
         s.prev_down.extend_from_slice(&self.down_streaks);
-        for i in 0..n {
+        for &i in &s.warm {
             let want = want_of(s.selected[i]);
             if want != self.placements[i] {
                 let reason = if s.fair_placed[i] || s.fair_clipped[i] {
                     ShiftReason::FairShare
                 } else if let (Placement::Device(d), true) = (want, self.starved_streaks[i] > 0) {
-                    let preempted = (0..n).any(|j| {
+                    let preempted = s.warm.iter().any(|&j| {
                         j != i
                             && s.prev_placements[j] == Placement::Device(d)
                             && s.selected[j] != Some(d)
@@ -901,8 +967,11 @@ impl FleetController {
                 if let Placement::Device(d) = want {
                     self.pending_device_dirty[d.index()] = true;
                 }
-                self.pending_dirty[i] = true;
+                self.pending_dirty.push(i);
                 self.placements[i] = want;
+                if let Placement::Device(d) = want {
+                    self.delivered[i] = self.held_value_at(i, d);
+                }
                 self.up_streaks[i] = 0;
                 self.down_streaks[i] = 0;
                 self.starved_streaks[i] = 0;
@@ -1015,6 +1084,7 @@ impl FleetController {
     /// `fair_placed` / `fair_clipped` marks on `s` for reason tagging.
     fn coordinate(&mut self, s: &mut Scratch) {
         let Scratch {
+            warm,
             selected,
             cands,
             moved,
@@ -1033,7 +1103,8 @@ impl FleetController {
         // move candidates, and a mover must beat its own sticky score
         // where it sits.
         cands.clear();
-        for (i, &seat) in selected.iter().enumerate() {
+        for &i in warm.iter() {
+            let seat = selected[i];
             if self.rejected[i] || self.up_streaks[i] < sustain {
                 continue;
             }
@@ -1105,7 +1176,7 @@ impl FleetController {
         reset(fair_placed, n);
         reset(fair_clipped, n);
         claimants.clear();
-        claimants.extend((0..n).filter(|&i| {
+        claimants.extend(warm.iter().copied().filter(|&i| {
             !self.rejected[i]
                 && selected[i].is_none()
                 && self.starved_streaks[i] >= self.thresholds[i]
@@ -1154,6 +1225,7 @@ impl FleetController {
 mod tests {
     use super::*;
     use crate::fleet::oracle::FlatOracle;
+    use crate::fleet::TenurePolicy;
     use crate::host::HostSample;
     use crate::PlacementAnalysis;
     use inc_hw::{PipelineBudget, ProgramResources, TierCost, Topology};
@@ -1582,6 +1654,194 @@ mod tests {
         assert_eq!(last.reason, ShiftReason::DeviceLoss);
         assert_eq!(last.rate_pps, 0.0);
         assert!(last.benefit_w.is_finite());
+    }
+
+    /// Drives one controller per arbitration mode through `drive` and
+    /// returns the incremental one, its shift log, placements and queue
+    /// metric proven equal to the full re-score's.
+    fn in_both_modes(
+        build: impl Fn(ArbitrationMode) -> FleetController,
+        drive: impl Fn(&mut FleetController),
+    ) -> FleetController {
+        let mut full = build(ArbitrationMode::FullRescore);
+        let mut inc = build(ArbitrationMode::Incremental);
+        drive(&mut full);
+        drive(&mut inc);
+        assert_eq!(
+            full.shifts().iter().map(shift_key).collect::<Vec<_>>(),
+            inc.shifts().iter().map(shift_key).collect::<Vec<_>>()
+        );
+        assert_eq!(full.placements(), inc.placements());
+        assert_eq!(full.queued_intervals(), inc.queued_intervals());
+        inc
+    }
+
+    /// One tick, then the per-tick invariants: the maintained indexes
+    /// agree with a recomputation, and every placement is exactly the
+    /// app's one residency on the fabric.
+    fn tick(ctl: &mut FleetController, step: u64, s: &[FleetSample]) -> Vec<(usize, Placement)> {
+        let moved = ctl.sample(t(step), s);
+        ctl.check_indexes().unwrap();
+        for (i, p) in ctl.placements().iter().enumerate() {
+            assert_eq!(ctl.fabric().residency(i as u64), p.device(), "app {i}");
+        }
+        moved
+    }
+
+    fn four_hot_apps(mode: ArbitrationMode) -> FleetController {
+        FleetController::new(
+            FleetControllerConfig { mode, ..cfg() },
+            two_pods(),
+            (0..4)
+                .map(|d| {
+                    app_homed(
+                        &format!("t{d}"),
+                        7,
+                        0.08 + 0.01 * d as f64,
+                        2.0,
+                        DeviceId(d),
+                    )
+                })
+                .collect(),
+        )
+    }
+
+    /// The whole fabric dies in one interval: every resident leaves as a
+    /// `DeviceLoss` in that tick, nothing is scored while it is dark, and
+    /// revival re-offloads within one sustain window plus the revival
+    /// tick — however long the outage lasted.
+    #[test]
+    fn every_device_offline_at_once_evicts_all_and_revival_recovers() {
+        let hot = [sample(100_000.0, 100_000.0); 4];
+        for dark_ticks in [1, 5] {
+            in_both_modes(four_hot_apps, |ctl| {
+                for step in 1..=5 {
+                    tick(ctl, step, &hot);
+                }
+                assert!(ctl.placements().iter().all(|p| p.is_offloaded()));
+                let logged = ctl.shifts().len();
+                for d in 0..4 {
+                    ctl.set_device_online(DeviceId(d), false);
+                }
+                let scored = ctl.stats().candidates_scored;
+                let moved = tick(ctl, 6, &hot);
+                assert_eq!(
+                    moved,
+                    (0..4).map(|i| (i, Placement::Software)).collect::<Vec<_>>()
+                );
+                let losses = &ctl.shifts()[logged..];
+                assert_eq!(losses.len(), 4);
+                assert!(losses.iter().all(|s| s.reason == ShiftReason::DeviceLoss));
+                for step in 7..6 + dark_ticks {
+                    assert!(tick(ctl, step, &hot).is_empty(), "moved in the dark");
+                }
+                assert_eq!(ctl.stats().candidates_scored, scored, "scored in the dark");
+                for d in 0..4 {
+                    ctl.set_device_online(DeviceId(d), true);
+                }
+                let deadline = u64::from(ctl.config().sustain_samples) + 1;
+                for step in 0..deadline {
+                    tick(ctl, 6 + dark_ticks + step, &hot);
+                }
+                assert!(
+                    ctl.placements().iter().all(|p| p.is_offloaded()),
+                    "not re-offloaded {deadline} ticks after revival: {:?}",
+                    ctl.placements()
+                );
+            });
+        }
+    }
+
+    /// A fabric handed over with a device already dead: the device is
+    /// never a candidate, its home tenant settles on the pod neighbour,
+    /// and reviving it is an ordinary capacity event.
+    #[test]
+    fn a_fabric_built_with_a_device_offline_routes_around_it() {
+        let hot = [sample(100_000.0, 100_000.0); 4];
+        let build = |mode| {
+            let mut fabric = two_pods();
+            fabric.set_online(DeviceId(0), false);
+            FleetController::new(
+                FleetControllerConfig { mode, ..cfg() },
+                fabric,
+                vec![
+                    app_homed("a", 7, 0.14, 2.0, DeviceId(0)),
+                    app_homed("b", 4, 0.10, 2.0, DeviceId(1)),
+                ],
+            )
+        };
+        in_both_modes(build, |ctl| {
+            ctl.check_indexes().unwrap();
+            for step in 1..=6 {
+                tick(ctl, step, &hot[..2]);
+                assert_ne!(ctl.placements()[0], Placement::Device(DeviceId(0)));
+            }
+            assert_eq!(ctl.placements()[0], Placement::Device(DeviceId(1)));
+            assert!(ctl
+                .shifts()
+                .iter()
+                .all(|s| s.reason != ShiftReason::DeviceLoss));
+            ctl.set_device_online(DeviceId(0), true);
+            for step in 7..=30 {
+                tick(ctl, step, &hot[..2]);
+            }
+            // 7 + 4 stages fit the neighbour together, so going home is
+            // worth less than the switchover: the revived device idles.
+            assert!(ctl.placements().iter().all(|p| p.is_offloaded()));
+        });
+    }
+
+    /// No tenants at all: every tick is empty, whatever the fabric does.
+    #[test]
+    fn a_zero_app_controller_ticks_without_work() {
+        in_both_modes(
+            |mode| {
+                FleetController::new(FleetControllerConfig { mode, ..cfg() }, two_pods(), vec![])
+            },
+            |ctl| {
+                assert!(tick(ctl, 1, &[]).is_empty());
+                ctl.set_device_online(DeviceId(2), false);
+                ctl.set_min_benefit_w(3.0);
+                assert!(tick(ctl, 2, &[]).is_empty());
+                assert_eq!(ctl.last_dirty(), &[] as &[usize]);
+                assert_eq!(ctl.stats().candidates_scored, 0);
+            },
+        );
+    }
+
+    /// A clock that repeats or runs backwards between ticks is a tenure
+    /// gap of zero: a learned tenure never goes negative, so the
+    /// migration debit it prices stays finite and non-negative.
+    #[test]
+    fn repeated_and_backwards_timestamps_never_price_a_negative_tenure() {
+        let build = |mode| {
+            FleetController::new(
+                FleetControllerConfig {
+                    mode,
+                    sustain_samples: 1,
+                    tenure: TenurePolicy::Learned { alpha: 0.5 },
+                    ..cfg()
+                },
+                DeviceFabric::single(PipelineBudget::tofino_like()),
+                vec![app("a", 7, 0.08, 2.0)],
+            )
+        };
+        // The tenant flaps every tick while the clock stutters and rewinds.
+        let clock = [9, 9, 4, 4, 1, 7, 7, 2, 30, 3];
+        let ctl = in_both_modes(build, |ctl| {
+            for (k, &now) in clock.iter().enumerate() {
+                let r = if k % 2 == 0 { 100_000.0 } else { 0.0 };
+                tick(ctl, now, &[sample(r, r)]);
+                let (est, debit) = (ctl.tenure_estimator(0), ctl.app_migration_w(0));
+                assert!(est.observed_samples().is_none_or(|e| e >= 0.0), "{est:?}");
+                assert!(debit.is_finite() && debit >= 0.0, "debit {debit}");
+            }
+        });
+        assert!(
+            ctl.shifts().len() >= 8,
+            "the trace must shift: {:?}",
+            ctl.shifts()
+        );
     }
 
     /// The order is the contract: on random single pods the pod arbiter

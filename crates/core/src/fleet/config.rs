@@ -61,7 +61,9 @@ pub enum ArbitrationMode {
 pub struct FleetControllerConfig {
     /// Sampling interval.
     pub interval: Nanos,
-    /// Consecutive samples a condition must hold before a shift.
+    /// Consecutive samples a condition must hold before a shift. At
+    /// least 1: with 0 every streak gate holds vacuously, so every idle
+    /// software tenant would count as queued (`u32::MAX` pins placements).
     pub sustain_samples: u32,
     /// Minimum estimated power saving (watts) for an app to become an
     /// offload candidate on a device (after the locality haircut).
@@ -171,16 +173,20 @@ impl FleetControllerConfig {
     }
 
     /// Panics unless the knobs are usable: a non-zero sampling interval
-    /// (the harness steps by it and migration debits divide by it),
-    /// a finite non-negative offload floor, migration cost and rate dead
-    /// band, valid objective prices, and a learned-tenure gain in
-    /// `(0, 1]`. Called at construction so a bad value fails loudly
+    /// (the harness steps by it and migration debits divide by it), a
+    /// non-zero sustain window, a finite non-negative offload floor,
+    /// migration cost and rate dead band, valid objective prices, and a
+    /// learned-tenure gain in `(0, 1]`. Called at construction so a bad value fails loudly
     /// instead of hanging the harness or silently mis-ranking every
     /// candidate.
     pub(crate) fn validate(&self) {
         assert!(
             self.interval > Nanos::ZERO,
             "sampling interval must be non-zero"
+        );
+        assert!(
+            self.sustain_samples > 0,
+            "sustain_samples must be at least 1"
         );
         Self::validate_floor(self.min_benefit_w);
         assert!(

@@ -617,6 +617,19 @@ mod tests {
         );
     }
 
+    /// With a zero window every streak gate holds vacuously: each idle
+    /// software tenant would be "queued" every tick, counted as
+    /// back-pressure and re-dirtied from tick 1.
+    #[test]
+    #[should_panic(expected = "sustain_samples must be at least 1")]
+    fn zero_sustain_window_rejected() {
+        let config = FleetControllerConfig {
+            sustain_samples: 0,
+            ..cfg()
+        };
+        let _ = FleetController::new(config, contended(), vec![app("a", 7, 0.1, 2.0)]);
+    }
+
     #[test]
     #[should_panic(expected = "offload floor NaN must be finite")]
     fn nan_offload_floor_rejected_at_construction() {

@@ -78,10 +78,13 @@ impl TenureEstimator {
 
     /// Folds a placement shift at `now` into the estimate: the gap since
     /// the previous shift, in `interval`s, enters the EWMA with gain
-    /// `alpha`. The first shift only anchors the clock.
+    /// `alpha`. The first shift only anchors the clock; a `now` at or
+    /// before the previous shift (a repeated or backwards timestamp) is a
+    /// gap of zero, never a negative tenure.
     pub fn observe_shift(&mut self, now: Nanos, interval: Nanos, alpha: f64) {
         if let Some(prev) = self.last_shift_at {
-            let gap = (now.as_secs_f64() - prev.as_secs_f64()) / interval.as_secs_f64();
+            let elapsed = (now.as_secs_f64() - prev.as_secs_f64()).max(0.0);
+            let gap = elapsed / interval.as_secs_f64();
             self.ewma_samples = Some(match self.ewma_samples {
                 Some(e) => e + alpha * (gap - e),
                 None => gap,

@@ -580,10 +580,13 @@ fn a_shifting_arbiter_tick_allocates_only_what_it_returns() {
 /// scratch buffers (they start empty): `heavy_stream` / `heavy_events`
 /// build one per rig inside their measured region. Measured at the
 /// parent of the scratch change: 64 allocations for 1 000 tenants on the
-/// 128-device fabric.
+/// 128-device fabric. The warm set added two columns (the band
+/// half-widths, the warm bits) and retired one (the dirty-queue dedup
+/// flags; the queue is sorted and deduplicated instead), then a third
+/// (each resident's cached delivered value): 66.
 #[test]
 fn building_a_fleet_controller_allocates_no_more_than_before() {
-    const PARENT_ALLOCS: u64 = 64;
+    const PARENT_ALLOCS: u64 = 66;
     let seed = MegaFabricRig::new(1_000, 42).controller(ArbitrationMode::Incremental);
     let (config, fabric, apps) = (
         *seed.config(),

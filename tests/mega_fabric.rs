@@ -13,17 +13,35 @@
 //!   clock is the job of `BENCHMARK.json`'s `fleet_quiet` /
 //!   `fleet_rescore` — scored candidates cannot vary with machine speed);
 //! * **(c) determinism** — the same seed replays the same schedule,
-//!   shift for shift.
+//!   shift for shift;
+//! * **(d) a quiet tick touches only what can move** — past the
+//!   dead-band scan, a tick evaluates the gates of the warm set alone
+//!   (`ArbiterStats::gates_evaluated`), identically in both modes, and
+//!   what the tick maintains incrementally for that
+//!   (`FleetController::check_indexes`) agrees with a recomputation
+//!   after every tick of every run here.
 
-use inc::ondemand::{ArbitrationMode, FleetController, FleetShift};
+use inc::ondemand::{ArbitrationMode, FleetController, FleetControllerConfig, FleetShift};
+use inc::sim::Nanos;
 use inc_bench::rigs::MegaFabricRig;
 
 const SEED: u64 = 20260808;
 
+/// Drives `ctl` over the rig's first `ticks` intervals, checking the
+/// controller's incremental indexes after each.
+fn drive(rig: &mut MegaFabricRig, ctl: &mut FleetController, ticks: u64) {
+    for tick in 1..=ticks {
+        ctl.sample(Nanos::from_secs(tick), rig.tick_samples(tick));
+        if let Err(e) = ctl.check_indexes() {
+            panic!("tick {tick}: {e}");
+        }
+    }
+}
+
 fn run(tenants: usize, ticks: u64, mode: ArbitrationMode) -> (Vec<FleetShift>, FleetController) {
     let mut rig = MegaFabricRig::new(tenants, SEED);
     let mut ctl = rig.controller(mode);
-    rig.run(&mut ctl, ticks);
+    drive(&mut rig, &mut ctl, ticks);
     (ctl.shifts().to_vec(), ctl)
 }
 
@@ -67,6 +85,37 @@ fn incremental_scores_an_order_of_magnitude_fewer_candidates() {
         inc_scored * 10 <= full_scored,
         "incremental scored {inc_scored} candidates vs full {full_scored}: less than 10x apart"
     );
+}
+
+/// The deterministic gate on stage 1's cost: after the scan, a tick
+/// looks only at tenants whose gates can move — a fifth of the fleet at
+/// most on this trace, the same ones in both modes, and none at all in
+/// a fleet where no tenant ever clears the offload floor.
+#[test]
+fn a_tick_evaluates_only_the_gates_that_can_move() {
+    let (tenants, ticks) = (1000, 300);
+    let (_, full_ctl) = run(tenants, ticks, ArbitrationMode::FullRescore);
+    let (_, inc_ctl) = run(tenants, ticks, ArbitrationMode::Incremental);
+    let evaluated = inc_ctl.stats().gates_evaluated;
+    assert_eq!(evaluated, full_ctl.stats().gates_evaluated);
+    assert!(evaluated > 0, "the trace must exercise the gates");
+    assert!(
+        evaluated * 5 <= tenants as u64 * ticks,
+        "{evaluated} gate evaluations over {tenants} tenants x {ticks} ticks: more than 20 %"
+    );
+
+    // The same fleet under a floor nobody's benefit reaches: every
+    // tenant stays cold, so nothing past the scan ever runs.
+    let mut rig = MegaFabricRig::new(tenants, SEED);
+    let seed = rig.controller(ArbitrationMode::Incremental);
+    let config = FleetControllerConfig {
+        min_benefit_w: 1e9,
+        ..*seed.config()
+    };
+    let mut cold = FleetController::new(config, MegaFabricRig::fabric(), seed.apps().to_vec());
+    drive(&mut rig, &mut cold, ticks);
+    assert_eq!(cold.stats().gates_evaluated, 0);
+    assert!(cold.shifts().is_empty());
 }
 
 #[test]

@@ -767,6 +767,7 @@ proptest! {
             }
             let now = Nanos::from_millis(100 * (step as u64 + 1));
             let decisions = ctl.sample(now, &samples);
+            prop_assert_eq!(ctl.check_indexes(), Ok(()), "step {}", step);
             for &(i, to) in &decisions {
                 if to.is_offloaded() {
                     // Invariant 3: entries — benefit, admission *and*
@@ -1113,18 +1114,27 @@ proptest! {
 
     /// The incremental dirty-queue pipeline and a full re-score of every
     /// pod make bit-identical decisions on the same trace: same shift
-    /// sequence (time, app, target, reason, priced rate and benefit) and
-    /// same final placements, whatever the dead band — both modes share
-    /// the held-rate semantics, so skipping clean pods must never change
-    /// an outcome, only the work done.
+    /// sequence (time, app, target, reason, priced rate and benefit),
+    /// same placements and the same back-pressure metric, whatever the
+    /// dead band — both modes share the held-rate semantics, so skipping
+    /// clean pods and cold tenants must never change an outcome, only the
+    /// work done. Each step may also pull one operator lever (a device
+    /// dies or revives, the offload floor doubles or halves, a device is
+    /// marked dirty, one meter reports a hostile rate), and the fleet is
+    /// 5 tenants on 2 pods or 70 on 4 — the second so the warm set spans
+    /// two words. Two or three tenants' rates move per step and tenant
+    /// `i`'s is scaled down by `1 + i % 8`, so quiet ticks, clean pods
+    /// and tenants that never clear the floor are all in the mix.
     #[test]
     fn incremental_arbitration_equals_full_rescore(
         rates in proptest::collection::vec(
-            proptest::collection::vec(0u32..300_000, 5), 8..40),
-        slopes in proptest::collection::vec(0.02f64..0.2, 5),
-        stages in proptest::collection::vec(4u32..9, 5),
-        homes in proptest::collection::vec(0u16..4, 5),
+            proptest::collection::vec(0u32..300_000, 70), 8..40),
+        levers in proptest::collection::vec((0u8..12, 0u16..8, 0usize..70), 40),
+        slopes in proptest::collection::vec(0.02f64..0.2, 70),
+        stages in proptest::collection::vec(4u32..9, 70),
+        homes in proptest::collection::vec(0u16..8, 70),
         deadband in 0.0f64..0.3,
+        big in any::<bool>(),
     ) {
         use inc::hw::{DeviceFabric, DeviceId, PipelineBudget, ProgramResources,
                       TierCost, Topology};
@@ -1134,6 +1144,9 @@ proptest! {
         use inc::power::EnergyParams;
         use inc::sim::Nanos;
 
+        /// Rates no meter can truthfully report.
+        const HOSTILE_RATES: [f64; 4] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0];
+        let (n, devices, hold) = if big { (70, 8, 24) } else { (5, 4, 3) };
         let analysis = |slope_per_kpps: f64| PlacementAnalysis {
             software: EnergyParams {
                 idle_w: 50.0,
@@ -1148,19 +1161,19 @@ proptest! {
                 peak_rate_pps: 10_000_000.0,
             },
         };
-        // 2 pods × 2 ToRs: small enough to converge quickly, large
+        // Pods of 2 ToRs: small enough to converge quickly, large
         // enough that pod arbiters and the coordinator both have work
         // (spills, cross-pod moves, fairness claims).
         let fabric = || DeviceFabric::homogeneous(
-            4,
+            usize::from(devices),
             PipelineBudget::tofino_like(),
             Topology::fat_tree(
-                2, 2,
+                usize::from(devices) / 2, 2,
                 TierCost::standard_intra_pod(),
                 TierCost::standard_inter_pod(),
             ),
         );
-        let apps: Vec<FleetApp> = (0..5).map(|i| FleetApp {
+        let apps: Vec<FleetApp> = (0..n).map(|i| FleetApp {
             name: format!("app{i}"),
             demand: ProgramResources {
                 stages: stages[i],
@@ -1168,7 +1181,7 @@ proptest! {
                 parse_depth_bytes: 64,
             },
             analysis: analysis(slopes[i]),
-            home: DeviceId(homes[i]),
+            home: DeviceId(homes[i] % devices),
             weight: 1.0,
         }).collect();
         let build = |mode| FleetController::new(
@@ -1182,18 +1195,45 @@ proptest! {
         );
         let mut full = build(ArbitrationMode::FullRescore);
         let mut inc = build(ArbitrationMode::Incremental);
+        let mut rs = vec![0.0f64; n];
         for (step, r) in rates.iter().enumerate() {
-            let rs: Vec<f64> = r.iter().map(|&x| f64::from(x)).collect();
+            for (i, (held, &x)) in rs.iter_mut().zip(r).enumerate() {
+                if step == 0 || x % hold == 0 {
+                    *held = f64::from(x) / (1 + i % 8) as f64;
+                }
+            }
             let now = Nanos::from_secs(step as u64 + 1);
-            let samples: Vec<FleetSample> = rs.iter().map(|&r| FleetSample {
+            let mut samples: Vec<FleetSample> = rs.iter().map(|&r| FleetSample {
                 host: HostSample { rapl_w: 50.0, app_cpu_util: 0.5, hw_app_rate: r },
                 offered_pps: r,
             }).collect();
+            let (lever, dev, app) = levers[step];
+            let device = DeviceId(dev % devices);
+            if lever == 5 {
+                let hostile = HOSTILE_RATES[usize::from(dev % 4)];
+                samples[app % n].offered_pps = hostile;
+                samples[app % n].host.hw_app_rate = hostile;
+            }
+            for ctl in [&mut full, &mut inc] {
+                let floor_w = ctl.config().min_benefit_w;
+                match lever {
+                    0 => ctl.set_device_online(device, false),
+                    1 => ctl.set_device_online(device, true),
+                    2 => ctl.set_min_benefit_w((floor_w * 2.0).min(16.0)),
+                    3 => ctl.set_min_benefit_w(floor_w / 2.0),
+                    4 => ctl.mark_device_dirty(device),
+                    _ => {}
+                }
+            }
             let df = full.sample(now, &samples);
             let di = inc.sample(now, &samples);
+            prop_assert_eq!(full.check_indexes(), Ok(()), "full, step {}", step);
+            prop_assert_eq!(inc.check_indexes(), Ok(()), "incremental, step {}", step);
             prop_assert_eq!(df, di, "decisions diverged at step {}", step);
             prop_assert_eq!(full.placements(), inc.placements(),
                             "placements diverged at step {}", step);
+            prop_assert_eq!(full.queued_intervals(), inc.queued_intervals(),
+                            "queued intervals diverged at step {}", step);
         }
         prop_assert_eq!(full.shifts().len(), inc.shifts().len());
         for (f, i) in full.shifts().iter().zip(inc.shifts()) {
@@ -1205,16 +1245,17 @@ proptest! {
             prop_assert_eq!(f.benefit_w.to_bits(), i.benefit_w.to_bits());
         }
         // And the incremental run must actually have been incremental:
-        // never more pod solves than the full re-score.
+        // never more pod solves than the full re-score, the same gates.
         prop_assert!(inc.stats().pods_solved <= full.stats().pods_solved);
         prop_assert!(inc.stats().candidates_scored <= full.stats().candidates_scored);
+        prop_assert_eq!(inc.stats().gates_evaluated, full.stats().gates_evaluated);
     }
 
     /// With a single pod and a zero dead band the arbitration pipeline
     /// degenerates to exactly the flat sorted scan of the reference
     /// `FlatOracle`: the coordinator has no cross-pod candidates and the
-    /// pod arbiter's heap merge replays the flat greedy scan, so engine
-    /// and oracle must agree bit-for-bit on arbitrary traces.
+    /// pod arbiter's one sorted candidate run is the flat greedy scan, so
+    /// engine and oracle must agree bit-for-bit on arbitrary traces.
     #[test]
     fn single_pod_hierarchy_degenerates_to_flat_oracle(
         rates in proptest::collection::vec(
@@ -1279,6 +1320,7 @@ proptest! {
             }).collect();
             let df = flat.sample(now, &samples);
             let dh = hier.sample(now, &samples);
+            prop_assert_eq!(hier.check_indexes(), Ok(()), "step {}", step);
             prop_assert_eq!(df, dh, "decisions diverged at step {}", step);
             prop_assert_eq!(flat.placements(), hier.placements(),
                             "placements diverged at step {}", step);
