@@ -2,9 +2,10 @@
 //! [`PodFabricRig`] day scheduled under different
 //! [`Objective`]s.
 //!
-//! The experiment behind `inc-bench scenario economics` and
-//! `tests/economics.rs`: run the five-tenant contended plateau three
-//! times —
+//! The controllers behind the `economics` row of
+//! [`SCENARIOS`](crate::scenarios::SCENARIOS), which `inc-bench scenario
+//! economics` prints and `tests/economics.rs` checks: the five-tenant
+//! contended plateau run three times —
 //!
 //! * **joules** — the default energy objective (the historical
 //!   behaviour, bit for bit);
@@ -22,7 +23,6 @@
 //! distinguishes a genuinely pluggable objective from a rescaled one,
 //! and it is exactly what `tests/economics.rs` asserts.
 
-use inc_hw::Placement;
 use inc_ondemand::{ClaimPolicy, FleetController, FleetControllerConfig, FleetShift, Objective};
 use inc_sim::Nanos;
 
@@ -54,33 +54,6 @@ pub const SKEWED_DOLLAR: Objective = Objective::Dollar {
     per_gb_moved: SKEW_PER_GB,
 };
 
-/// One objective's replay of the contended day.
-#[derive(Clone, Debug)]
-pub struct EconomicsRun {
-    /// The objective the controller priced with.
-    pub objective: Objective,
-    /// Placements at [`PROBE`], indexed like
-    /// [`PodFabricRig::fleet_apps`].
-    pub placements: Vec<Placement>,
-    /// The full-horizon shift log.
-    pub shifts: Vec<FleetShift>,
-    /// Metered fleet energy over the full horizon, joules (metered
-    /// energy is objective-independent: prices steer decisions, meters
-    /// stay physical).
-    pub energy_j: f64,
-}
-
-/// The three-run comparison.
-#[derive(Clone, Debug)]
-pub struct EconomicsReport {
-    /// The default energy objective.
-    pub joules: EconomicsRun,
-    /// `Dollar { per_joule: 1.0, per_gb_moved: 0.0 }`.
-    pub uniform: EconomicsRun,
-    /// `Dollar { per_joule: 1.0, per_gb_moved: SKEW_PER_GB }`.
-    pub skewed: EconomicsRun,
-}
-
 /// The price-aware placement rig (all state lives in
 /// [`PodFabricRig`]; this type namespaces the objective sweep).
 pub struct EconomicsRig;
@@ -96,35 +69,6 @@ impl EconomicsRig {
             ..PodFabricRig::config(INTERVAL)
         };
         FleetController::new(config, PodFabricRig::fabric(), PodFabricRig::fleet_apps())
-    }
-
-    /// Replays the contended day under `objective`: the shift log and
-    /// energy cover the full horizon, the placements are read mid-plateau
-    /// off the same run (the row recorded at [`PROBE`] carries the
-    /// placement the controller held after that sample).
-    pub fn run(objective: Objective) -> EconomicsRun {
-        let rig = PodFabricRig::new(PodFabricRig::contended_profiles(HORIZON));
-        let mut controller = Self::controller(objective);
-        let timeline = rig.run(&mut controller, HORIZON);
-        let at_probe = |t: &inc_ondemand::Timeline| {
-            let row = t.rows().iter().find(|r| r.t == PROBE);
-            row.expect("PROBE is a sampling instant").placement
-        };
-        EconomicsRun {
-            objective,
-            placements: timeline.per_app.iter().map(at_probe).collect(),
-            shifts: controller.shifts().to_vec(),
-            energy_j: timeline.energy_j,
-        }
-    }
-
-    /// Runs all three objectives.
-    pub fn report() -> EconomicsReport {
-        EconomicsReport {
-            joules: Self::run(Objective::Joules),
-            uniform: Self::run(UNIFORM_DOLLAR),
-            skewed: Self::run(SKEWED_DOLLAR),
-        }
     }
 }
 
@@ -142,56 +86,4 @@ pub fn shift_logs_identical(a: &[FleetShift], b: &[FleetShift]) -> bool {
                 && x.benefit_w.to_bits() == y.benefit_w.to_bits()
                 && x.reason == y.reason
         })
-}
-
-impl EconomicsReport {
-    /// Does the skewed tariff pick a different placement *set* than the
-    /// energy objective? (The headline claim: prices change decisions,
-    /// not just units.)
-    pub fn placement_sets_differ(&self) -> bool {
-        self.joules.placements != self.skewed.placements
-    }
-
-    /// Does the uniform tariff reproduce the energy schedule exactly —
-    /// same probed placements *and* a bit-identical shift log?
-    pub fn uniform_matches_joules(&self) -> bool {
-        self.joules.placements == self.uniform.placements
-            && shift_logs_identical(&self.joules.shifts, &self.uniform.shifts)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn uniform_dollar_degenerates_to_joules_bit_for_bit() {
-        let report = EconomicsRig::report();
-        assert!(report.uniform_matches_joules());
-        assert_eq!(
-            report.uniform.energy_j.to_bits(),
-            report.joules.energy_j.to_bits()
-        );
-    }
-
-    #[test]
-    fn skewed_tariff_changes_the_placement_set() {
-        let report = EconomicsRig::report();
-        assert!(report.placement_sets_differ());
-        // The analytics tenant's near-spill is what the byte tariff
-        // prices out: offloaded under joules, in software under the
-        // skewed dollar, while the home-resident anchors stay put.
-        assert!(matches!(
-            report.joules.placements[PodFabricRig::ANA_APP],
-            Placement::Device(_)
-        ));
-        assert_eq!(
-            report.skewed.placements[PodFabricRig::ANA_APP],
-            Placement::Software
-        );
-        assert_eq!(
-            report.joules.placements[PodFabricRig::KVS_APP],
-            report.skewed.placements[PodFabricRig::KVS_APP]
-        );
-    }
 }

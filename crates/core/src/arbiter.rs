@@ -65,11 +65,9 @@ use inc_hw::{DeviceFabric, DeviceId, Placement};
 use inc_sim::Nanos;
 
 pub use crate::fleet::ArbitrationMode;
-#[cfg(doc)]
-use crate::fleet::TenurePolicy;
 use crate::fleet::{
     pricing, AdmissionDecision, ClaimPlan, FleetApp, FleetControllerConfig, FleetSample,
-    FleetShift, ShiftReason, TenureEstimator,
+    FleetShift, ShiftReason,
 };
 
 /// Work counters of the hierarchical pipeline: the deterministic
@@ -251,9 +249,6 @@ pub struct FleetController {
     /// its device), cached because it only changes when the held rate or
     /// the seat does; meaningless for a software app.
     delivered: Vec<f64>,
-    /// Per-app online tenure estimate (fed by the shift log; priced
-    /// only under [`TenurePolicy::Learned`]).
-    tenures: Vec<TenureEstimator>,
     /// Per-app starvation threshold (a pure function of config and the
     /// app's weight, so computed once).
     thresholds: Vec<u32>,
@@ -286,7 +281,7 @@ impl FleetController {
     /// is not finite and positive, or if the configuration is unusable
     /// (a zero sampling interval or sustain window; a non-finite or
     /// negative offload floor, migration cost or rate dead band; invalid
-    /// objective prices or tenure gain).
+    /// objective prices).
     pub fn new(config: FleetControllerConfig, fabric: DeviceFabric, apps: Vec<FleetApp>) -> Self {
         for app in &apps {
             assert!(
@@ -339,7 +334,6 @@ impl FleetController {
             offline,
             held_raw_w: vec![f64::NAN; n],
             delivered: vec![f64::NAN; n],
-            tenures: vec![TenureEstimator::new(); n],
             thresholds,
             pending_dirty: Vec::with_capacity(n),
             pending_device_dirty: vec![false; devices],
@@ -529,7 +523,6 @@ impl FleetController {
             &self.fabric,
             |j| self.placements[j].device(),
             |_| false,
-            |j| self.app_migration_w(j),
             app,
             rates,
         )
@@ -563,14 +556,6 @@ impl FleetController {
     /// [`FleetControllerConfig::expected_tenure_samples`].
     pub fn migration_w(&self) -> f64 {
         pricing::migration_w(&self.config)
-    }
-
-    /// The value of *moving* `app` from its current device to `device`:
-    /// the effective value there, debited by the objective-priced
-    /// amortised switchover cost. This is what a device-to-device
-    /// candidate must clear the floor with and is scored by.
-    pub fn move_benefit_w(&self, app: usize, device: DeviceId, rate_pps: f64) -> f64 {
-        self.effective_benefit_w(app, device, rate_pps) - self.app_migration_w(app)
     }
 
     /// Benefit per capacity unit of placing `app` on `device`: the
@@ -633,29 +618,6 @@ impl FleetController {
         }
     }
 
-    /// The tenure a new placement of `app` is expected to hold, in
-    /// sampling intervals: the config constant under
-    /// [`TenurePolicy::Fixed`], the app's own EWMA estimate (with the
-    /// config constant as fallback) under [`TenurePolicy::Learned`].
-    pub fn expected_tenure_samples(&self, app: usize) -> f64 {
-        pricing::expected_tenure(&self.config, &self.tenures[app])
-    }
-
-    /// The app's online tenure estimator (maintained from the shift log
-    /// regardless of policy; priced only under
-    /// [`TenurePolicy::Learned`]).
-    pub fn tenure_estimator(&self, app: usize) -> &TenureEstimator {
-        &self.tenures[app]
-    }
-
-    /// The objective-priced switchover debit charged to a move of `app`:
-    /// its migration cost amortised over [`Self::expected_tenure_samples`]
-    /// and pushed through the objective. Equals [`Self::migration_w`]
-    /// under the default fixed-tenure joule pricing, bit for bit.
-    pub fn app_migration_w(&self, app: usize) -> f64 {
-        pricing::migration_value(&self.config, &self.tenures[app])
-    }
-
     /// [`Self::effective_benefit_w`] at the held rate, from the cached
     /// raw value: the same float without re-running the energy model.
     fn held_value_at(&self, app: usize, device: DeviceId) -> f64 {
@@ -714,11 +676,6 @@ impl FleetController {
                     self.fair_hold[i] = false;
                     self.pending_dirty.push(i);
                     self.pending_device_dirty[d.index()] = true;
-                    self.tenures[i].observe_shift(
-                        now,
-                        self.config.interval,
-                        self.config.tenure.ewma_alpha(),
-                    );
                     self.shifts.push(FleetShift {
                         at: now,
                         app: i,
@@ -976,11 +933,6 @@ impl FleetController {
                 self.down_streaks[i] = 0;
                 self.starved_streaks[i] = 0;
                 self.fair_hold[i] = s.fair_placed[i];
-                self.tenures[i].observe_shift(
-                    now,
-                    self.config.interval,
-                    self.config.tenure.ewma_alpha(),
-                );
                 let rate_pps = self.held_rates[i];
                 let benefit_w = match want {
                     Placement::Device(d) => self.effective_benefit_w(i, d, rate_pps),
@@ -1022,6 +974,7 @@ impl FleetController {
     fn solve_pod(&mut self, pod: u16, s: &mut Scratch) {
         let sustain = self.config.sustain_samples;
         let floor = pricing::floor_value(&self.config);
+        let migration = pricing::migration_value(&self.config);
         s.devices.clear();
         s.devices.extend(
             self.fabric
@@ -1048,7 +1001,7 @@ impl FleetController {
             let sustained = self.up_streaks[i] >= sustain;
             // A resident moving pays its switchover; a newcomer does not
             // (`x - 0.0` is `x`, bit for bit).
-            let debit = cur.map_or(0.0, |_| self.app_migration_w(i));
+            let debit = cur.map_or(0.0, |_| migration);
             for &d in &s.devices {
                 let score = if cur == Some(d) {
                     Some(self.sticky_score(i, d))
@@ -1096,6 +1049,7 @@ impl FleetController {
         let n = self.apps.len();
         let sustain = self.config.sustain_samples;
         let floor = pricing::floor_value(&self.config);
+        let migration = pricing::migration_value(&self.config);
 
         // (a) Cross-pod candidates: spills for apps their home pod could
         // not place, and moves (including repatriation) for cross-pod
@@ -1121,9 +1075,9 @@ impl FleetController {
                     let cross = self.fabric.pod(cur) != self.home_pod[i];
                     if cross && seat == Some(cur) {
                         let sticky = self.sticky_score(i, cur);
-                        (self.app_migration_w(i), Some((cur, sticky)))
+                        (migration, Some((cur, sticky)))
                     } else if !cross && seat.is_none() {
-                        (self.app_migration_w(i), None)
+                        (migration, None)
                     } else {
                         continue;
                     }
@@ -1198,7 +1152,6 @@ impl FleetController {
                     &self.fabric,
                     |j| selected[j],
                     |j| fair_placed[j],
-                    |j| self.app_migration_w(j),
                     i,
                     &self.held_rates,
                 );
@@ -1225,7 +1178,6 @@ impl FleetController {
 mod tests {
     use super::*;
     use crate::fleet::oracle::FlatOracle;
-    use crate::fleet::TenurePolicy;
     use crate::host::HostSample;
     use crate::PlacementAnalysis;
     use inc_hw::{PipelineBudget, ProgramResources, TierCost, Topology};
@@ -1809,9 +1761,9 @@ mod tests {
         );
     }
 
-    /// A clock that repeats or runs backwards between ticks is a tenure
-    /// gap of zero: a learned tenure never goes negative, so the
-    /// migration debit it prices stays finite and non-negative.
+    /// A clock that repeats or runs backwards between ticks changes no
+    /// decision rule: both modes still agree shift for shift, and
+    /// nothing panics on the rewound timestamps.
     #[test]
     fn repeated_and_backwards_timestamps_never_price_a_negative_tenure() {
         let build = |mode| {
@@ -1819,7 +1771,6 @@ mod tests {
                 FleetControllerConfig {
                     mode,
                     sustain_samples: 1,
-                    tenure: TenurePolicy::Learned { alpha: 0.5 },
                     ..cfg()
                 },
                 DeviceFabric::single(PipelineBudget::tofino_like()),
@@ -1832,9 +1783,6 @@ mod tests {
             for (k, &now) in clock.iter().enumerate() {
                 let r = if k % 2 == 0 { 100_000.0 } else { 0.0 };
                 tick(ctl, now, &[sample(r, r)]);
-                let (est, debit) = (ctl.tenure_estimator(0), ctl.app_migration_w(0));
-                assert!(est.observed_samples().is_none_or(|e| e >= 0.0), "{est:?}");
-                assert!(debit.is_finite() && debit >= 0.0, "debit {debit}");
             }
         });
         assert!(

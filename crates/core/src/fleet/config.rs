@@ -3,7 +3,7 @@
 
 use inc_sim::Nanos;
 
-use super::{Objective, TenurePolicy};
+use super::Objective;
 
 /// How a fairness claim chooses among feasible hand-over devices.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,21 +28,6 @@ pub enum ClaimPolicy {
     /// never clips more incumbent benefit than a best-score claim would
     /// on the same state.
     MinCost,
-}
-
-/// How a seat's dominant share is counted against its fair-share
-/// entitlement.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EntitlementPolicy {
-    /// A seat's dominant share counts at face value wherever it is
-    /// placed (the default, the historical behaviour).
-    Uniform,
-    /// A seat's dominant share is scaled by the locality factor of its
-    /// placement (`Topology::benefit_factor`, a function of
-    /// `Topology::distance`): a cross-core seat counts for less of the
-    /// fleet than a home-rack one, so tenants parked far from home are
-    /// clipped later than tenants hogging their own rack.
-    TierWeighted,
 }
 
 /// How the arbitration pipeline schedules re-scoring work.
@@ -104,14 +89,6 @@ pub struct FleetControllerConfig {
     /// through this rule. [`Objective::Joules`] (the default) is the
     /// historical watts-denominated behaviour bit for bit.
     pub objective: Objective,
-    /// How [`Self::migration_cost_j`] is amortised: over the fixed
-    /// [`Self::expected_tenure_samples`] (default) or over each app's
-    /// own learned tenure estimate.
-    pub tenure: TenurePolicy,
-    /// How a seat's dominant share is counted against its fair-share
-    /// entitlement (uniform by default; optionally discounted by
-    /// placement tier).
-    pub entitlement: EntitlementPolicy,
     /// Full re-score or incremental dirty-queue scheduling. Both make
     /// the same decisions; they differ in how much work a tick does.
     pub mode: ArbitrationMode,
@@ -129,9 +106,9 @@ impl FleetControllerConfig {
     /// contention resolves by benefit, only sustained starvation forces
     /// a fair-share hand-over), a 5 J switchover debit amortised over a
     /// 20-sample tenure, and min-cost hand-overs — priced in
-    /// [`Objective::Joules`] with a fixed tenure and uniform
-    /// entitlements (the historical behaviour, bit for bit), arbitrated
-    /// incrementally on the measured rates themselves (no dead band).
+    /// [`Objective::Joules`] (the historical behaviour, bit for bit),
+    /// arbitrated incrementally on the measured rates themselves (no
+    /// dead band).
     ///
     /// # Examples
     ///
@@ -165,8 +142,6 @@ impl FleetControllerConfig {
             expected_tenure_samples: 20,
             claim_policy: ClaimPolicy::MinCost,
             objective: Objective::Joules,
-            tenure: TenurePolicy::Fixed,
-            entitlement: EntitlementPolicy::Uniform,
             mode: ArbitrationMode::Incremental,
             rate_deadband: 0.0,
         }
@@ -175,10 +150,9 @@ impl FleetControllerConfig {
     /// Panics unless the knobs are usable: a non-zero sampling interval
     /// (the harness steps by it and migration debits divide by it), a
     /// non-zero sustain window, a finite non-negative offload floor,
-    /// migration cost and rate dead band, valid objective prices, and a
-    /// learned-tenure gain in `(0, 1]`. Called at construction so a bad value fails loudly
-    /// instead of hanging the harness or silently mis-ranking every
-    /// candidate.
+    /// migration cost and rate dead band, and valid objective prices.
+    /// Called at construction so a bad value fails loudly instead of
+    /// hanging the harness or silently mis-ranking every candidate.
     pub(crate) fn validate(&self) {
         assert!(
             self.interval > Nanos::ZERO,
@@ -200,12 +174,6 @@ impl FleetControllerConfig {
             self.migration_cost_j
         );
         self.objective.validate();
-        if let TenurePolicy::Learned { alpha } = self.tenure {
-            assert!(
-                alpha.is_finite() && alpha > 0.0 && alpha <= 1.0,
-                "learned-tenure alpha {alpha} must be in (0, 1]"
-            );
-        }
     }
 
     /// Panics unless `floor_w` is a usable offload floor (a NaN floor

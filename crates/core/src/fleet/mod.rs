@@ -17,8 +17,8 @@
 //! This module is the *specification* side of that controller: the types
 //! a caller hands it ([`FleetApp`], [`FleetSample`],
 //! [`FleetControllerConfig`]), the record it produces ([`FleetShift`]),
-//! and the pricing rules every decision goes through (`pricing`,
-//! [`Objective`], [`TenurePolicy`]). The engine that executes the policy
+//! and the pricing rules every decision goes through (`pricing` and
+//! [`Objective`]). The engine that executes the policy
 //! — the dirty-queue → pod-arbiter → coordinator pipeline — lives in
 //! [`crate::arbiter`]; `oracle` holds a flat sorted-scan reference
 //! implementation that the single-pod equivalence tests compare it with.
@@ -111,7 +111,6 @@ mod objective;
 #[doc(hidden)]
 pub mod oracle;
 pub(crate) mod pricing;
-mod tenure;
 
 use inc_hw::{DeviceId, Placement, ProgramResources};
 use inc_sim::Nanos;
@@ -120,10 +119,9 @@ use crate::decision::PlacementAnalysis;
 use crate::host::HostSample;
 
 pub use crate::arbiter::FleetController;
-pub use config::{ArbitrationMode, ClaimPolicy, EntitlementPolicy, FleetControllerConfig};
-pub use objective::{Objective, PriceRule};
+pub use config::{ArbitrationMode, ClaimPolicy, FleetControllerConfig};
+pub use objective::Objective;
 pub use pricing::ClaimPlan;
-pub use tenure::{TenureEstimator, TenurePolicy};
 
 /// One schedulable application sharing the device fabric.
 #[derive(Clone, Debug)]

@@ -5,45 +5,20 @@ use inc_hw::{DeviceFabric, DeviceId};
 #[cfg(doc)]
 use super::FleetControllerConfig;
 
-/// The pricing rule behind an [`Objective`]: how the raw §8 watts of an
-/// offload and the link power of a placement detour translate into the
-/// units the scheduler actually optimises. Factored as a trait so
-/// analysis code can price placements under any rule; the controllers
-/// consume it through the [`Objective`] enum carried by
-/// [`FleetControllerConfig::objective`].
-pub trait PriceRule {
-    /// Price `watts` of host-side §8 saving (or debit) in objective
-    /// units per second. Applied to raw benefits, the offload floor and
-    /// migration debits, so scale-only rules degenerate cleanly.
-    fn value_of_w(&self, watts: f64) -> f64;
-
-    /// The objective-priced cost of the detour a seat at `at` pays for
-    /// an app homed at `home` running `rate_pps` packets/second (zero at
-    /// home). Subtracted from the haircut benefit to form the effective
-    /// value of a placement.
-    fn detour_value(
-        &self,
-        fabric: &DeviceFabric,
-        home: DeviceId,
-        at: DeviceId,
-        rate_pps: f64,
-    ) -> f64;
-}
-
 /// What a placement is worth: the currency the fleet scheduler's
 /// knapsack, hysteresis floors, migration debits and fairness hand-over
 /// prices are all denominated in. Gray's *Distributed Computing
 /// Economics* argues placement is a price question, and the price is
 /// not always energy — the objective makes the currency pluggable while
-/// every decision formula stays the one in `pricing`.
+/// every decision formula stays the one in `pricing`. The controllers
+/// read it from [`FleetControllerConfig::objective`].
 ///
 /// [`Objective::Joules`] is the default and reproduces the historical
 /// watts-denominated behaviour bit for bit. A [`Objective::Dollar`]
 /// rule with `per_joule > 0` and `per_gb_moved = 0` is a uniform
 /// rescaling of every compared quantity, so it makes identical
 /// decisions to `Joules`; the economics only diverge when moved bytes
-/// are priced ([`Objective::Dollar::per_gb_moved`]) or carbon
-/// intensity differs across tiers ([`Objective::Carbon`]).
+/// are priced ([`Objective::Dollar::per_gb_moved`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Objective {
     /// Maximise estimated energy saving: values are watts (the paper's
@@ -59,17 +34,6 @@ pub enum Objective {
         /// Dollars per gigabyte of traffic a remote seat detours
         /// through the fabric. Must be finite and non-negative.
         per_gb_moved: f64,
-    },
-    /// Minimise carbon: energy priced by the grid intensity of the
-    /// power domain it is drawn in, indexed by hop tier.
-    Carbon {
-        /// Carbon intensity per joule by [`Topology::distance`]
-        /// (`[home, intra-pod, inter-pod]`): index 0 prices host-side
-        /// power, the seat's tier prices its detour link power. All
-        /// entries must be finite and positive.
-        ///
-        /// [`Topology::distance`]: inc_hw::Topology::distance
-        per_joule_by_tier: [f64; 3],
     },
 }
 
@@ -96,31 +60,27 @@ impl Objective {
                     "Dollar per_gb_moved {per_gb_moved} must be finite and non-negative"
                 );
             }
-            Objective::Carbon { per_joule_by_tier } => {
-                for (tier, &p) in per_joule_by_tier.iter().enumerate() {
-                    assert!(
-                        p.is_finite() && p > 0.0,
-                        "Carbon per_joule_by_tier[{tier}] {p} must be finite and positive"
-                    );
-                }
-            }
         }
     }
-}
 
-impl PriceRule for Objective {
-    fn value_of_w(&self, watts: f64) -> f64 {
+    /// Prices `watts` of host-side §8 saving (or debit) in objective
+    /// units per second. Applied to raw benefits, the offload floor and
+    /// migration debits, so scale-only rules degenerate cleanly.
+    pub fn value_of_w(&self, watts: f64) -> f64 {
         match *self {
             // The identity must literally return its input — no `1.0 ×`
             // — so Joules pricing is the historical arithmetic bit for
             // bit (pinned by the equivalence proptests).
             Objective::Joules => watts,
             Objective::Dollar { per_joule, .. } => per_joule * watts,
-            Objective::Carbon { per_joule_by_tier } => per_joule_by_tier[0] * watts,
         }
     }
 
-    fn detour_value(
+    /// The objective-priced cost of the detour a seat at `at` pays for
+    /// an app homed at `home` running `rate_pps` packets/second (zero at
+    /// home). Subtracted from the haircut benefit to form the effective
+    /// value of a placement.
+    pub fn detour_value(
         &self,
         fabric: &DeviceFabric,
         home: DeviceId,
@@ -143,9 +103,6 @@ impl PriceRule for Objective {
                     * 1e-9
                     * rate_pps;
                 per_joule * link_w + per_gb_moved * gb_per_s
-            }
-            Objective::Carbon { per_joule_by_tier } => {
-                per_joule_by_tier[fabric.distance(home, at) as usize] * link_w
             }
         }
     }

@@ -16,9 +16,7 @@
 use inc_hw::{DeviceFabric, DeviceId, Placement};
 use inc_sim::Nanos;
 
-use super::{
-    pricing, FleetApp, FleetControllerConfig, FleetSample, FleetShift, ShiftReason, TenureEstimator,
-};
+use super::{pricing, FleetApp, FleetControllerConfig, FleetSample, FleetShift, ShiftReason};
 
 /// The flat sorted-scan knapsack (see the module docs).
 #[derive(Clone, Debug)]
@@ -32,7 +30,6 @@ pub struct FlatOracle {
     starved_streaks: Vec<u32>,
     fair_hold: Vec<bool>,
     rejected: Vec<bool>,
-    tenures: Vec<TenureEstimator>,
     shifts: Vec<FleetShift>,
 }
 
@@ -61,7 +58,6 @@ impl FlatOracle {
             starved_streaks: vec![0; n],
             fair_hold: vec![false; n],
             rejected,
-            tenures: vec![TenureEstimator::new(); n],
             shifts: Vec::new(),
         }
     }
@@ -84,10 +80,6 @@ impl FlatOracle {
         pricing::per_capacity(&self.fabric, &self.apps[app], device, value)
     }
 
-    fn migration_value(&self, app: usize) -> f64 {
-        pricing::migration_value(&self.config, &self.tenures[app])
-    }
-
     /// Logs a placement change and resets the app's hysteresis.
     fn record(&mut self, shift: FleetShift, fair: bool) {
         let app = shift.app;
@@ -96,8 +88,6 @@ impl FlatOracle {
         self.down_streaks[app] = 0;
         self.starved_streaks[app] = 0;
         self.fair_hold[app] = fair;
-        let alpha = self.config.tenure.ewma_alpha();
-        self.tenures[app].observe_shift(shift.at, self.config.interval, alpha);
         self.shifts.push(shift);
     }
 
@@ -173,7 +163,7 @@ impl FlatOracle {
                     candidates.push((score, i, d));
                 } else if entering {
                     let value = match current {
-                        Some(_) => eff - self.migration_value(i),
+                        Some(_) => eff - pricing::migration_value(&self.config),
                         None => eff,
                     };
                     if value >= floor {
@@ -233,7 +223,6 @@ impl FlatOracle {
                 &chosen,
                 |j| selected[j],
                 |j| fair_placed[j],
-                |j| self.migration_value(j),
                 i,
                 &rates,
             );

@@ -5,10 +5,7 @@
 
 use inc_hw::{DeviceFabric, DeviceId};
 
-use super::{
-    ClaimPolicy, EntitlementPolicy, FleetApp, FleetControllerConfig, PriceRule, TenureEstimator,
-    TenurePolicy,
-};
+use super::{ClaimPolicy, FleetApp, FleetControllerConfig};
 #[cfg(doc)]
 use super::{FleetController, Objective};
 
@@ -28,8 +25,7 @@ pub struct ClaimPlan {
     pub clipped_benefit_w: f64,
     /// Amortised switchover debit of the hand-over, in objective units:
     /// one migration charge per clipped incumbent plus one for the
-    /// claimant (each tenant's own estimated tenure under
-    /// [`TenurePolicy::Learned`]).
+    /// claimant.
     pub migration_w: f64,
     /// The claimant's own knapsack score on this device (the
     /// [`ClaimPolicy::BestScore`] ranking key).
@@ -105,38 +101,21 @@ pub(crate) fn floor_value(config: &FleetControllerConfig) -> f64 {
     config.objective.value_of_w(config.min_benefit_w)
 }
 
-/// The amortised switchover debit of a placement expected to hold
-/// `tenure_samples` sampling intervals, watts.
-pub(crate) fn migration_w_for(config: &FleetControllerConfig, tenure_samples: f64) -> f64 {
+/// The amortised switchover debit of one move, watts: the migration
+/// cost spread over [`FleetControllerConfig::expected_tenure_samples`]
+/// sampling intervals (at least one).
+pub(crate) fn migration_w(config: &FleetControllerConfig) -> f64 {
     if config.migration_cost_j <= 0.0 {
         return 0.0;
     }
-    config.migration_cost_j / (tenure_samples.max(1.0) * config.interval.as_secs_f64())
+    let tenure_samples = f64::from(config.expected_tenure_samples.max(1));
+    config.migration_cost_j / (tenure_samples * config.interval.as_secs_f64())
 }
 
-/// The amortised switchover debit at the *configured* tenure, watts
-/// (the [`TenurePolicy::Fixed`] debit, and the learned policy's
-/// fallback before an app has any shift history).
-pub(crate) fn migration_w(config: &FleetControllerConfig) -> f64 {
-    migration_w_for(config, f64::from(config.expected_tenure_samples.max(1)))
-}
-
-/// The tenure a new placement is expected to hold, in sampling
-/// intervals: the config constant under [`TenurePolicy::Fixed`], the
-/// app's own estimate (config constant as fallback) when learned.
-pub(crate) fn expected_tenure(config: &FleetControllerConfig, est: &TenureEstimator) -> f64 {
-    match config.tenure {
-        TenurePolicy::Fixed => f64::from(config.expected_tenure_samples.max(1)),
-        TenurePolicy::Learned { .. } => est.expected_samples(config.expected_tenure_samples),
-    }
-}
-
-/// The objective-priced switchover debit of moving an app whose tenure
-/// estimate is `est` ([`migration_w`], priced, under the fixed policy).
-pub(crate) fn migration_value(config: &FleetControllerConfig, est: &TenureEstimator) -> f64 {
-    config
-        .objective
-        .value_of_w(migration_w_for(config, expected_tenure(config, est)))
+/// The objective-priced switchover debit of one move ([`migration_w`]
+/// pushed through the objective).
+pub(crate) fn migration_value(config: &FleetControllerConfig) -> f64 {
+    config.objective.value_of_w(migration_w(config))
 }
 
 /// Up-front admission verdicts: whether each app's demand fits no device
@@ -185,10 +164,7 @@ pub(crate) fn contending_weight(
 /// Plans a fairness hand-over for `app` on every feasible device of
 /// the assignment described by `fabric`/`resident_on` (see
 /// [`FleetController::claim_plans`]). `protected` marks incumbents a
-/// claim may not clip; `migration_value_of` prices each tenant's
-/// switchover in objective units (per-app under
-/// [`TenurePolicy::Learned`], the flat config debit under
-/// [`TenurePolicy::Fixed`]).
+/// claim may not clip.
 #[allow(clippy::too_many_arguments)] // free function shared by engine and oracle
 pub(crate) fn plan_handovers(
     config: &FleetControllerConfig,
@@ -197,7 +173,6 @@ pub(crate) fn plan_handovers(
     fabric: &DeviceFabric,
     resident_on: impl Fn(usize) -> Option<DeviceId>,
     protected: impl Fn(usize) -> bool,
-    migration_value_of: impl Fn(usize) -> f64,
     app: usize,
     rates: &[f64],
 ) -> Vec<ClaimPlan> {
@@ -212,19 +187,8 @@ pub(crate) fn plan_handovers(
         if effective_benefit_w(config, fabric, &apps[app], d, rates[app]) < floor {
             continue;
         }
-        // The share a seat counts for against its entitlement. Under
-        // tier-weighted entitlements a remote seat is discounted by
-        // the locality factor of its distance — a cross-core seat
-        // "occupies" less of the fleet than a home-rack one, so far
-        // incumbents are clipped later and claimants must starve
-        // longer to displace them.
-        let seat_share = |j: usize| -> f64 {
-            let share = fabric.device(d).dominant_share(j as u64);
-            match config.entitlement {
-                EntitlementPolicy::Uniform => share,
-                EntitlementPolicy::TierWeighted => share * fabric.benefit_factor(apps[j].home, d),
-            }
-        };
+        // The share a seat counts for against its entitlement.
+        let seat_share = |j: usize| fabric.device(d).dominant_share(j as u64);
         // Simulate the clip sequence on a scratch ledger: release the
         // most over-weighted over-entitled incumbents until the
         // claimant fits (or the clippable set runs out).
@@ -260,17 +224,8 @@ pub(crate) fn plan_handovers(
             .iter()
             .map(|&j| effective_benefit_w(config, fabric, &apps[j], d, rates[j]))
             .sum();
-        // Under the fixed policy every debit is the same, so the sum
-        // is kept as a multiply (bit-compatible with the historical
-        // arithmetic); per-app estimates must genuinely be summed.
-        let migration_w = match config.tenure {
-            TenurePolicy::Fixed => {
-                config.objective.value_of_w(migration_w(config)) * (clips.len() + 1) as f64
-            }
-            TenurePolicy::Learned { .. } => {
-                clips.iter().map(|&j| migration_value_of(j)).sum::<f64>() + migration_value_of(app)
-            }
-        };
+        // Every mover pays the same debit: the clips and the claimant.
+        let migration_w = migration_value(config) * (clips.len() + 1) as f64;
         plans.push(ClaimPlan {
             device: d,
             migration_w,

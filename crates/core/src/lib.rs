@@ -54,9 +54,8 @@ pub use arbiter::{ArbiterStats, FleetController, HierarchicalController};
 pub use decision::{dns_analysis, kvs_analysis, PlacementAnalysis};
 pub use envelope::{EnvelopePoint, OnDemandEnvelope};
 pub use fleet::{
-    AdmissionDecision, ArbitrationMode, ClaimPlan, ClaimPolicy, EntitlementPolicy, FleetApp,
-    FleetControllerConfig, FleetSample, FleetShift, Objective, PriceRule, ShiftReason,
-    TenureEstimator, TenurePolicy,
+    AdmissionDecision, ArbitrationMode, ClaimPlan, ClaimPolicy, FleetApp, FleetControllerConfig,
+    FleetSample, FleetShift, Objective, ShiftReason,
 };
 pub use host::{HostController, HostControllerConfig, HostSample, Shift};
 pub use system::{

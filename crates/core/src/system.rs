@@ -35,7 +35,9 @@ use crate::host::{HostController, HostSample};
 pub struct TimelineRow {
     /// Sample time (end of the interval).
     pub t: Nanos,
-    /// Length of the sampling interval ending at `t`.
+    /// Length of the sampling interval ending at `t`: the configured
+    /// interval, or less on the last step of a run cut short at
+    /// [`Nanos::MAX`].
     pub interval: Nanos,
     /// Responses completed in the interval.
     pub completed: u64,
@@ -274,6 +276,9 @@ pub struct IntervalObservation {
 /// * `probe` inspects the simulation and returns the interval observation
 ///   (it may mutate nodes to drain measurement windows);
 /// * `apply` executes a placement decision on the simulated hardware.
+///
+/// A step that would pass the end of time stops at [`Nanos::MAX`], and
+/// its row records the shorter span it covered.
 pub fn run_host_controlled<M: Payload>(
     sim: &mut Simulator<M>,
     controller: &mut HostController,
@@ -286,7 +291,9 @@ pub fn run_host_controlled<M: Payload>(
     let mut timeline = Timeline::new(mode);
     let mut t = sim.now();
     while t < until {
-        t += interval;
+        // Cut short at the end of time rather than overflow past it.
+        let step = t.saturating_add(interval) - t;
+        t += step;
         sim.run_until(t);
         let obs = probe(sim);
         if let Some(p) = controller.sample(t, obs.sample) {
@@ -295,9 +302,9 @@ pub fn run_host_controlled<M: Payload>(
         }
         timeline.push(TimelineRow {
             t,
-            interval,
+            interval: step,
             completed: obs.completed,
-            throughput_pps: obs.completed as f64 / interval.as_secs_f64(),
+            throughput_pps: obs.completed as f64 / step.as_secs_f64(),
             latency_p50_ns: obs.latency_p50_ns,
             latency_p99_ns: obs.latency_p99_ns,
             power_w: obs.power_w,
@@ -367,7 +374,9 @@ impl FleetTimeline {
 ///
 /// The run advances in whole sampling intervals, so when `until` is not
 /// an interval multiple the final interval extends past it; read the
-/// covered span off the recorded rows (last row `t`), not `until`.
+/// covered span off the recorded rows (last row `t`), not `until`. The
+/// one exception is the end of time: a step that would pass it stops at
+/// [`Nanos::MAX`], and its rows record the shorter span.
 pub fn run_fleet_controlled<M: Payload>(
     sim: &mut Simulator<M>,
     controller: &mut FleetController,
@@ -384,7 +393,9 @@ pub fn run_fleet_controlled<M: Payload>(
     };
     let mut t = sim.now();
     while t < until {
-        t += interval;
+        // Cut short at the end of time rather than overflow past it.
+        let step = t.saturating_add(interval) - t;
+        t += step;
         sim.run_until(t);
         let obs = probe(sim);
         assert_eq!(obs.len(), n, "probe must observe every app");
@@ -397,15 +408,15 @@ pub fn run_fleet_controlled<M: Payload>(
         for (app, o) in obs.iter().enumerate() {
             timeline.per_app[app].push(TimelineRow {
                 t,
-                interval,
+                interval: step,
                 completed: o.completed,
-                throughput_pps: o.completed as f64 / interval.as_secs_f64(),
+                throughput_pps: o.completed as f64 / step.as_secs_f64(),
                 latency_p50_ns: o.latency_p50_ns,
                 latency_p99_ns: o.latency_p99_ns,
                 power_w: o.power_w,
                 placement: controller.placements()[app],
             });
-            timeline.energy_j += o.power_w * interval.as_secs_f64();
+            timeline.energy_j += o.power_w * step.as_secs_f64();
         }
     }
     timeline.admission = (0..n).map(|i| controller.admission_decision(i)).collect();
@@ -605,6 +616,93 @@ mod tests {
         let summed: f64 = timeline.per_app.iter().map(Timeline::energy_j).sum();
         assert!((timeline.energy_j - summed).abs() < 1e-6);
         assert_eq!(timeline.per_app[0].rows().len(), 90);
+    }
+
+    /// An interval longer than half of time: the second step would
+    /// overflow, so it stops at `Nanos::MAX` and records the span left.
+    const HUGE: Nanos = Nanos::from_nanos(u64::MAX / 2 + 7);
+
+    fn idle_host() -> IntervalObservation {
+        IntervalObservation {
+            sample: HostSample {
+                rapl_w: 40.0,
+                app_cpu_util: 0.0,
+                hw_app_rate: 0.0,
+            },
+            completed: 3,
+            latency_p50_ns: 0,
+            latency_p99_ns: 0,
+            power_w: 40.0,
+        }
+    }
+
+    #[test]
+    fn host_harness_stops_at_the_end_of_time() {
+        let mut sim: Simulator<()> = Simulator::new(0);
+        let mut ctl = HostController::new(HostControllerConfig {
+            interval: HUGE,
+            ..HostControllerConfig::figure6(60.0, 0.2, 5_000.0)
+        });
+        let timeline = run_host_controlled(
+            &mut sim,
+            &mut ctl,
+            Nanos::MAX,
+            RowLog::Full,
+            |_| idle_host(),
+            |_, _, _| {},
+        );
+        let rows: Vec<(Nanos, Nanos)> = timeline.rows().iter().map(|r| (r.t, r.interval)).collect();
+        assert_eq!(rows, [(HUGE, HUGE), (Nanos::MAX, Nanos::MAX - HUGE)]);
+        assert_eq!(sim.now(), Nanos::MAX);
+    }
+
+    #[test]
+    fn fleet_harness_stops_at_the_end_of_time() {
+        use crate::decision::kvs_analysis;
+        use crate::fleet::{FleetApp, FleetControllerConfig};
+        use inc_hw::{DeviceFabric, DeviceId, PipelineBudget, ProgramResources};
+
+        let app = FleetApp {
+            name: "kvs".into(),
+            demand: ProgramResources {
+                stages: 7,
+                sram_bytes: 1 << 20,
+                parse_depth_bytes: 64,
+            },
+            analysis: kvs_analysis(),
+            home: DeviceId::LOCAL,
+            weight: 1.0,
+        };
+        let mut ctl = FleetController::new(
+            FleetControllerConfig::standard(HUGE),
+            DeviceFabric::single(PipelineBudget::tofino_like()),
+            vec![app],
+        );
+        let mut sim: Simulator<()> = Simulator::new(0);
+        let timeline = run_fleet_controlled(
+            &mut sim,
+            &mut ctl,
+            Nanos::MAX,
+            RowLog::Full,
+            |_| {
+                let host = idle_host();
+                vec![AppObservation {
+                    sample: FleetSample {
+                        host: host.sample,
+                        offered_pps: 0.0,
+                    },
+                    completed: host.completed,
+                    latency_p50_ns: 0,
+                    latency_p99_ns: 0,
+                    power_w: host.power_w,
+                }]
+            },
+            |_, _, _, _| {},
+        );
+        let rows = timeline.per_app[0].rows();
+        let got: Vec<(Nanos, Nanos)> = rows.iter().map(|r| (r.t, r.interval)).collect();
+        assert_eq!(got, [(HUGE, HUGE), (Nanos::MAX, Nanos::MAX - HUGE)]);
+        assert_eq!(sim.now(), Nanos::MAX);
     }
 
     fn row(t_ms: u64, interval_ms: u64, completed: u64, p50: u64, power: f64) -> TimelineRow {

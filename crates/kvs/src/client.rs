@@ -1,11 +1,9 @@
 //! KVS load generation and measurement.
 //!
-//! The paper uses OSNT for open-loop rate control (§4.1) and a
-//! mutilate-based client for the on-demand timeline experiment (§9.2).
-//! [`KvsClient`] provides both modes: open-loop (fixed offered rate) and
-//! closed-loop (fixed outstanding window). Values are derived
-//! deterministically from keys so every GET hit can be verified
-//! end-to-end, including across placement shifts.
+//! The paper uses OSNT for open-loop rate control (§4.1); [`KvsClient`]
+//! offers load the same way, at a fixed rate the harness can change
+//! mid-run. Values are derived deterministically from keys so every GET
+//! hit can be verified end-to-end, including across placement shifts.
 
 use inc_net::{build_udp_with, Endpoint, Packet, UdpFrame};
 use inc_sim::{impl_node_any, Ctx, FixedHashMap, Histogram, Nanos, Node, PortId, Rng, Timer};
@@ -83,34 +81,13 @@ fn is_expected_value(key: &[u8], value: &[u8]) -> bool {
         .all(|(v, p)| v == p)
 }
 
-/// Client pacing mode.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Pacing {
-    /// Open loop at a fixed offered rate (OSNT-style).
-    OpenLoop {
-        /// Offered rate, requests/second.
-        rate_pps: f64,
-    },
-    /// Closed loop with a fixed number of outstanding requests
-    /// (mutilate-style).
-    ClosedLoop {
-        /// Outstanding window size.
-        concurrency: u32,
-        /// Retransmit timeout for lost requests.
-        timeout: Nanos,
-    },
-}
-
 const TAG_SEND: u64 = 1;
-const TAG_TIMEOUT_BASE: u64 = 1 << 32;
 
 /// Cumulative client statistics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ClientStats {
-    /// Requests sent (excluding retransmissions).
+    /// Requests sent.
     pub sent: u64,
-    /// Retransmissions (closed loop only).
-    pub retries: u64,
     /// Responses received.
     pub received: u64,
     /// GET responses whose value failed verification.
@@ -123,7 +100,8 @@ pub struct ClientStats {
 pub struct KvsClient {
     src: Endpoint,
     dst: Endpoint,
-    pacing: Pacing,
+    /// Offered rate, requests/second (OSNT-style open loop).
+    rate_pps: f64,
     gen: Box<dyn OpGen + 'static>,
     verify: bool,
     stats: ClientStats,
@@ -140,12 +118,13 @@ pub struct KvsClient {
 }
 
 impl KvsClient {
-    /// Creates a client talking to `dst` from `src`.
-    pub fn new(src: Endpoint, dst: Endpoint, pacing: Pacing, gen: Box<dyn OpGen>) -> Self {
+    /// Creates a client offering `rate_pps` requests/second to `dst`
+    /// from `src`.
+    pub fn open_loop(src: Endpoint, dst: Endpoint, rate_pps: f64, gen: Box<dyn OpGen>) -> Self {
         KvsClient {
             src,
             dst,
-            pacing,
+            rate_pps,
             gen,
             verify: true,
             stats: ClientStats::default(),
@@ -158,23 +137,15 @@ impl KvsClient {
         }
     }
 
-    /// Convenience: client to a standard memcached endpoint.
-    pub fn open_loop(src: Endpoint, dst: Endpoint, rate_pps: f64, gen: Box<dyn OpGen>) -> Self {
-        KvsClient::new(src, dst, Pacing::OpenLoop { rate_pps }, gen)
-    }
-
     /// Disables value verification (for raw throughput harnesses).
     pub fn without_verification(mut self) -> Self {
         self.verify = false;
         self
     }
 
-    /// Changes the offered rate (open loop only; takes effect at the next
-    /// send timer).
+    /// Changes the offered rate (takes effect at the next send timer).
     pub fn set_rate(&mut self, rate_pps: f64) {
-        if let Pacing::OpenLoop { rate_pps: r } = &mut self.pacing {
-            *r = rate_pps;
-        }
+        self.rate_pps = rate_pps;
     }
 
     /// Stops offering load.
@@ -235,57 +206,34 @@ impl KvsClient {
         self.outstanding.insert(opaque, (now, op));
         self.stats.sent += 1;
         ctx.send(PortId::P0, pkt);
-        if let Pacing::ClosedLoop { timeout, .. } = self.pacing {
-            ctx.schedule_in(timeout, TAG_TIMEOUT_BASE + opaque as u64);
-        }
     }
 
     fn schedule_next_send(&mut self, ctx: &mut Ctx<'_, Packet>) {
         if self.stopped {
             return;
         }
-        if let Pacing::OpenLoop { rate_pps } = self.pacing {
-            if rate_pps > 0.0 {
-                ctx.schedule_in(Nanos::from_secs_f64(1.0 / rate_pps), TAG_SEND);
-            } else {
-                // Idle: re-check for a new rate every 10 ms.
-                ctx.schedule_in(Nanos::from_millis(10), TAG_SEND);
-            }
+        if self.rate_pps > 0.0 {
+            ctx.schedule_in(Nanos::from_secs_f64(1.0 / self.rate_pps), TAG_SEND);
+        } else {
+            // Idle: re-check for a new rate every 10 ms.
+            ctx.schedule_in(Nanos::from_millis(10), TAG_SEND);
         }
     }
 }
 
 impl Node<Packet> for KvsClient {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Packet>) {
-        match self.pacing {
-            Pacing::OpenLoop { .. } => self.schedule_next_send(ctx),
-            Pacing::ClosedLoop { concurrency, .. } => {
-                for _ in 0..concurrency {
-                    self.send_one(ctx);
-                }
-            }
-        }
+        self.schedule_next_send(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, timer: Timer) {
-        if timer.tag == TAG_SEND {
-            if self.stopped {
-                return;
-            }
-            if let Pacing::OpenLoop { rate_pps } = self.pacing {
-                if rate_pps > 0.0 {
-                    self.send_one(ctx);
-                }
-            }
-            self.schedule_next_send(ctx);
-        } else if timer.tag >= TAG_TIMEOUT_BASE {
-            // Closed-loop retransmission timeout.
-            let opaque = (timer.tag - TAG_TIMEOUT_BASE) as u32;
-            if self.outstanding.remove(&opaque).is_some() && !self.stopped {
-                self.stats.retries += 1;
-                self.send_one(ctx);
-            }
+        if timer.tag != TAG_SEND || self.stopped {
+            return;
         }
+        if self.rate_pps > 0.0 {
+            self.send_one(ctx);
+        }
+        self.schedule_next_send(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Packet>, _port: PortId, msg: Packet) {
@@ -296,7 +244,7 @@ impl Node<Packet> for KvsClient {
             return;
         };
         let Some((sent_at, op)) = self.outstanding.remove(&response.opaque) else {
-            return; // Late duplicate (already retried or completed).
+            return; // Late duplicate (already completed).
         };
         let now = ctx.now();
         self.stats.received += 1;
@@ -314,11 +262,6 @@ impl Node<Packet> for KvsClient {
                 }
                 Status::KeyNotFound => self.stats.not_found += 1,
                 _ => {}
-            }
-        }
-        if let Pacing::ClosedLoop { .. } = self.pacing {
-            if !self.stopped {
-                self.send_one(ctx);
             }
         }
     }

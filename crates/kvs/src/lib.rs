@@ -22,9 +22,7 @@ pub mod memcached;
 pub mod protocol;
 pub mod store;
 
-pub use client::{
-    expected_value, key_name, ClientStats, KvOp, KvsClient, OpGen, Pacing, UniformGen,
-};
+pub use client::{expected_value, key_name, ClientStats, KvOp, KvsClient, OpGen, UniformGen};
 pub use device::{LakeDevice, LakeDeviceStats, ParkPolicy, RECONFIG_HALT};
 pub use lake::{LakeCache, LakeCacheConfig, LakeStats, Lookup};
 pub use memcached::{MemcachedConfig, MemcachedServer};

@@ -13,7 +13,6 @@
 //!   and the software/hardware tipping point.
 //! * [`RaplCounter`] / [`RaplSampler`] — the counters the host-controlled
 //!   on-demand controller reads (§9.1).
-//! * [`Psu`] / [`WallMeter`] — wall-power metering (SHW 3A, §4.1).
 //! * [`LinkEnergyModel`] — per-packet link energy of placement detours,
 //!   calibrated from the switch port figures (§9.4).
 //! * [`calib`] — every constant calibrated against the paper's text.
@@ -24,7 +23,6 @@ pub mod device;
 pub mod efficiency;
 pub mod energy;
 pub mod link;
-pub mod meter;
 pub mod model;
 pub mod rapl;
 
@@ -33,6 +31,5 @@ pub use device::{DevicePower, Module, ModuleState, NoSuchModule};
 pub use efficiency::{ops_per_dynamic_watt, ops_per_watt, EfficiencyClass};
 pub use energy::{EnergyBreakdown, EnergyParams, PlacementComparison, StateTimes};
 pub use link::LinkEnergyModel;
-pub use meter::{Psu, WallMeter};
 pub use model::{crossover_fn, crossover_rate, CurveError, PiecewiseLinear};
 pub use rapl::{RaplCounter, RaplDomain, RaplSampler};

@@ -8,13 +8,13 @@
 //! crates layered above it:
 //!
 //! * [`Simulator`], [`Node`], [`Ctx`] — the event loop, component trait and
-//!   effect handle.
+//!   effect handle; [`Simulator::instant_power`] sums the draw of the
+//!   nodes a harness meters.
 //! * [`Nanos`] — integer nanosecond time.
 //! * [`Rng`] — seeded `xoshiro256**` randomness.
-//! * [`Histogram`], [`TimeSeries`], [`WindowRate`], [`Ewma`],
-//!   [`EnergyIntegrator`] — the measurement instruments.
+//! * [`Histogram`], [`StreamStats`], [`RecentRing`], [`TimeSeries`],
+//!   [`WindowRate`] — the measurement instruments.
 //! * [`ServiceStation`] — a multi-core FIFO service model for host software.
-//! * [`BoundedQueue`], [`TokenBucket`] — buffering and pacing primitives.
 //!
 //! # Examples
 //!
@@ -54,8 +54,6 @@
 //! ```
 
 mod event_queue;
-pub mod queue;
-pub mod ratelimit;
 pub mod rng;
 pub mod service;
 pub mod sim;
@@ -63,16 +61,10 @@ pub mod stats;
 pub mod time;
 
 pub use event_queue::QueueStats;
-pub use queue::BoundedQueue;
-pub use ratelimit::TokenBucket;
 pub use rng::Rng;
 pub use service::{Admission, ServiceStation};
-pub use sim::{
-    Ctx, LinkSpec, MeterConfig, Node, NodeId, Payload, PortId, Simulator, Timer, TimerId,
-};
-pub use stats::{
-    EnergyIntegrator, Ewma, Histogram, RecentRing, StreamStats, TimeSeries, WindowRate,
-};
+pub use sim::{Ctx, LinkSpec, Node, NodeId, Payload, PortId, Simulator, Timer, TimerId};
+pub use stats::{Histogram, RecentRing, StreamStats, TimeSeries, WindowRate};
 pub use time::Nanos;
 
 /// The hasher state of [`FixedHashMap`]: SipHash with constant keys.

@@ -1,5 +1,4 @@
-//! The discrete-event simulator: nodes, ports, links, timers, and a
-//! wall-power meter.
+//! The discrete-event simulator: nodes, ports, links and timers.
 //!
 //! The simulator is generic over the message type `M` so that the kernel has
 //! no dependency on any particular packet format; `inc-net` instantiates it
@@ -15,7 +14,6 @@ use std::any::Any;
 
 use crate::event_queue::{EventQueue, QueueStats};
 use crate::rng::Rng;
-use crate::stats::TimeSeries;
 use crate::time::Nanos;
 
 /// Identifies a node within one [`Simulator`].
@@ -201,7 +199,6 @@ struct Link {
 enum Event<M> {
     Deliver { node: NodeId, port: PortId, msg: M },
     Timer { node: NodeId, id: TimerId, tag: u64 },
-    MeterSample,
 }
 
 enum Action<M> {
@@ -302,18 +299,6 @@ impl<'a, M> Ctx<'a, M> {
     }
 }
 
-/// Configuration of the built-in wall-power meter.
-///
-/// Mirrors the paper's SHW 3A watt-hour meter: it samples the sum of the
-/// metered nodes' instantaneous draw at a fixed cadence (1 s in the paper).
-#[derive(Clone, Debug)]
-pub struct MeterConfig {
-    /// Sampling interval.
-    pub interval: Nanos,
-    /// Which nodes to include (the paper excludes the traffic source).
-    pub nodes: Vec<NodeId>,
-}
-
 /// The discrete-event simulator.
 ///
 /// # Examples
@@ -360,10 +345,6 @@ pub struct Simulator<M: Payload> {
     unrouted: u64,
     lost: u64,
     events_processed: u64,
-    meter: Option<MeterConfig>,
-    power_series: TimeSeries,
-    meter_energy_j: f64,
-    meter_last_sample: Option<(Nanos, f64)>,
     /// Reusable action buffer for [`Simulator::dispatch`]: the hot loop
     /// dispatches one node per event, and allocating a fresh `Vec` per
     /// dispatch dominated the per-event overhead at heavy-traffic event
@@ -391,10 +372,6 @@ impl<M: Payload> Simulator<M> {
             unrouted: 0,
             lost: 0,
             events_processed: 0,
-            meter: None,
-            power_series: TimeSeries::new(),
-            meter_energy_j: 0.0,
-            meter_last_sample: None,
             action_scratch: Vec::new(),
             link_tap: None,
         }
@@ -465,24 +442,6 @@ impl<M: Payload> Simulator<M> {
         self.connect(b, bp, a, ap, spec);
     }
 
-    /// Installs the wall-power meter.
-    ///
-    /// The first sample is taken at `interval` after the current time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero: the meter would re-arm at the
-    /// current instant forever.
-    pub fn set_meter(&mut self, cfg: MeterConfig) {
-        assert!(
-            cfg.interval > Nanos::ZERO,
-            "meter interval must be positive"
-        );
-        let at = self.now.saturating_add(cfg.interval);
-        self.meter = Some(cfg);
-        self.queue.push(at, Event::MeterSample);
-    }
-
     /// Installs an observer that sees every message a node puts on a
     /// connected link — `(now, sender, egress port, message)`, before
     /// the link's loss draw and serialisation — in the deterministic
@@ -491,16 +450,6 @@ impl<M: Payload> Simulator<M> {
     /// `Option` check.
     pub fn set_link_tap(&mut self, tap: impl FnMut(Nanos, NodeId, PortId, &M) + 'static) {
         self.link_tap = Some(Box::new(tap));
-    }
-
-    /// Returns the recorded wall-power series (watts over time).
-    pub fn power_series(&self) -> &TimeSeries {
-        &self.power_series
-    }
-
-    /// Returns the energy in joules integrated by the meter so far.
-    pub fn meter_energy_j(&self) -> f64 {
-        self.meter_energy_j
     }
 
     /// Sums the instantaneous power of the given nodes at the current time.
@@ -669,27 +618,6 @@ impl<M: Payload> Simulator<M> {
         self.action_scratch = actions;
     }
 
-    fn take_meter_sample(&mut self) {
-        // Take/restore rather than clone: cloning the config cloned its
-        // metered-node `Vec` on every sample, an allocation per meter
-        // tick on the hot loop.
-        let Some(cfg) = self.meter.take() else {
-            return;
-        };
-        let p = self.instant_power(&cfg.nodes);
-        if let Some((t0, p0)) = self.meter_last_sample {
-            self.meter_energy_j += p0 * (self.now - t0).as_secs_f64();
-        }
-        self.meter_last_sample = Some((self.now, p));
-        self.power_series.push(self.now, p);
-        let next = self.now.saturating_add(cfg.interval);
-        self.meter = Some(cfg);
-        // At the end of time there is no later sample to arm.
-        if next > self.now {
-            self.queue.push(next, Event::MeterSample);
-        }
-    }
-
     /// Processes events until `deadline` (inclusive), then sets the clock
     /// to `deadline`. Returns the number of events processed by this call.
     ///
@@ -733,7 +661,6 @@ impl<M: Payload> Simulator<M> {
                         self.dispatch(node, |n, ctx| n.on_timer(ctx, Timer { id, tag }));
                     }
                 }
-                Event::MeterSample => self.take_meter_sample(),
             }
         }
         self.events_processed += n;
@@ -778,9 +705,6 @@ mod tests {
             if self.fired < self.limit {
                 ctx.schedule_in(self.period, 0);
             }
-        }
-        fn power_w(&self, _now: Nanos) -> f64 {
-            7.5
         }
         impl_node_any!();
     }
@@ -944,45 +868,15 @@ mod tests {
         let wire = LinkSpec::ten_gbe(Nanos::from_micros(1));
         sim.connect(far, PortId::P0, c, PortId::P0, wire);
         sim.inject(c, PortId::P0, 0, Nanos::MAX);
-        sim.set_meter(MeterConfig {
-            interval: Nanos::MAX,
-            nodes: vec![far],
-        });
         let end = Nanos::from_nanos(u64::MAX - 1);
         assert_eq!(sim.run_until(end), 0, "something fired early");
-        assert_eq!(sim.queue_stats().pushed, 5);
-        // Five parked events plus the timer's send, all at the last
+        assert_eq!(sim.queue_stats().pushed, 4);
+        // Four parked events plus the timer's send, all at the last
         // instant, in the order they were scheduled.
-        assert_eq!(sim.run_until(Nanos::MAX), 6);
+        assert_eq!(sim.run_until(Nanos::MAX), 5);
         let seen = &sim.node_ref::<Counter>(c).seen;
         assert_eq!(seen.as_slice(), &[0, 1, 2, 3].map(|m| (Nanos::MAX, m)));
-        assert_eq!(sim.power_series().len(), 1);
         assert_eq!(sim.run_for(Nanos::MAX), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "meter interval must be positive")]
-    fn a_zero_meter_interval_is_rejected() {
-        let (mut sim, t, _c) = ticker_sim();
-        sim.set_meter(MeterConfig {
-            interval: Nanos::ZERO,
-            nodes: vec![t],
-        });
-    }
-
-    #[test]
-    fn meter_samples_power() {
-        let (mut sim, t, _c) = ticker_sim();
-        sim.set_meter(MeterConfig {
-            interval: Nanos::from_millis(100),
-            nodes: vec![t],
-        });
-        sim.run_until(Nanos::from_secs(1));
-        let series = sim.power_series();
-        assert_eq!(series.len(), 10);
-        assert!((series.mean() - 7.5).abs() < 1e-9);
-        // 7.5 W over 0.9 s between first and last sample.
-        assert!((sim.meter_energy_j() - 7.5 * 0.9).abs() < 1e-6);
     }
 
     #[test]

@@ -492,45 +492,6 @@ impl TimeSeries {
     }
 }
 
-/// An exponentially weighted moving average.
-#[derive(Clone, Copy, Debug)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// Creates an EWMA with smoothing factor `alpha` in `(0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha out of range: {alpha}");
-        Ewma { alpha, value: None }
-    }
-
-    /// Feeds an observation and returns the updated average.
-    pub fn update(&mut self, x: f64) -> f64 {
-        let v = match self.value {
-            None => x,
-            Some(prev) => prev + self.alpha * (x - prev),
-        };
-        self.value = Some(v);
-        v
-    }
-
-    /// Returns the current average, if any observation has been made.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-
-    /// Forgets all history.
-    pub fn reset(&mut self) {
-        self.value = None;
-    }
-}
-
 /// A sliding-window event-rate estimator.
 ///
 /// This is the measurement used by the paper's *network-controlled*
@@ -621,61 +582,6 @@ impl WindowRate {
         self.filled = 0;
         self.current_count = 0;
         self.current_epoch_start = now.align_down(self.epoch);
-    }
-}
-
-/// A lazily integrated energy accumulator.
-///
-/// Components update their instantaneous power draw as their state changes;
-/// the integrator accumulates exact joules without periodic sampling.
-#[derive(Clone, Copy, Debug)]
-pub struct EnergyIntegrator {
-    last: Nanos,
-    power_w: f64,
-    energy_j: f64,
-}
-
-impl EnergyIntegrator {
-    /// Creates an integrator starting at time zero with the given draw.
-    pub fn new(initial_power_w: f64) -> Self {
-        EnergyIntegrator {
-            last: Nanos::ZERO,
-            power_w: initial_power_w,
-            energy_j: 0.0,
-        }
-    }
-
-    /// Changes the instantaneous power at time `now`, accumulating the
-    /// energy consumed at the previous level.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `now` precedes an earlier update.
-    pub fn set_power(&mut self, now: Nanos, power_w: f64) {
-        self.advance(now);
-        self.power_w = power_w;
-    }
-
-    fn advance(&mut self, now: Nanos) {
-        assert!(
-            now >= self.last,
-            "time went backwards: {} -> {}",
-            self.last,
-            now
-        );
-        self.energy_j += self.power_w * (now - self.last).as_secs_f64();
-        self.last = now;
-    }
-
-    /// Returns the instantaneous power in watts.
-    pub fn power_w(&self) -> f64 {
-        self.power_w
-    }
-
-    /// Returns cumulative energy in joules up to `now`.
-    pub fn energy_j(&mut self, now: Nanos) -> f64 {
-        self.advance(now);
-        self.energy_j
     }
 }
 
@@ -908,17 +814,6 @@ mod tests {
     }
 
     #[test]
-    fn ewma_converges() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.value(), None);
-        e.update(10.0);
-        for _ in 0..50 {
-            e.update(20.0);
-        }
-        assert!((e.value().unwrap() - 20.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn window_rate_steady_stream() {
         let mut w = WindowRate::new(Nanos::from_millis(100), 10);
         // 1000 events/s for 2 seconds.
@@ -980,16 +875,5 @@ mod tests {
         w.reset(Nanos::from_millis(50));
         assert_eq!(w.rate(Nanos::from_millis(50)), 0.0);
         assert!(!w.primed());
-    }
-
-    #[test]
-    fn energy_integrator_piecewise() {
-        let mut e = EnergyIntegrator::new(5.0);
-        e.set_power(Nanos::from_secs(10), 50.0);
-        // 5 W * 10 s = 50 J so far.
-        assert!((e.energy_j(Nanos::from_secs(10)) - 50.0).abs() < 1e-9);
-        // Plus 50 W * 2 s = 100 J.
-        assert!((e.energy_j(Nanos::from_secs(12)) - 150.0).abs() < 1e-9);
-        assert_eq!(e.power_w(), 50.0);
     }
 }

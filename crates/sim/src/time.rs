@@ -206,32 +206,6 @@ impl fmt::Display for Nanos {
     }
 }
 
-/// Converts a rate in events per second to the inter-arrival gap.
-///
-/// Returns [`Nanos::MAX`] for a zero rate (i.e. "never").
-///
-/// # Examples
-///
-/// ```
-/// use inc_sim::time::rate_to_gap;
-///
-/// assert_eq!(rate_to_gap(1_000_000.0).as_nanos(), 1_000);
-/// ```
-pub fn rate_to_gap(per_sec: f64) -> Nanos {
-    if per_sec <= 0.0 {
-        return Nanos::MAX;
-    }
-    Nanos::from_secs_f64(1.0 / per_sec)
-}
-
-/// Converts an inter-arrival gap back to a rate in events per second.
-pub fn gap_to_rate(gap: Nanos) -> f64 {
-    if gap == Nanos::ZERO || gap == Nanos::MAX {
-        return 0.0;
-    }
-    1.0 / gap.as_secs_f64()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,17 +247,6 @@ mod tests {
         assert_eq!(Nanos::from_micros(7).to_string(), "7us");
         assert_eq!(Nanos::from_nanos(123).to_string(), "123ns");
         assert_eq!(Nanos::ZERO.to_string(), "0ns");
-    }
-
-    #[test]
-    fn rate_gap_round_trip() {
-        for rate in [1.0, 1_000.0, 250_000.0, 13_000_000.0] {
-            let gap = rate_to_gap(rate);
-            let back = gap_to_rate(gap);
-            assert!((back - rate).abs() / rate < 1e-3, "{rate} -> {back}");
-        }
-        assert_eq!(rate_to_gap(0.0), Nanos::MAX);
-        assert_eq!(gap_to_rate(Nanos::MAX), 0.0);
     }
 
     #[test]

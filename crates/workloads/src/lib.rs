@@ -1,8 +1,8 @@
 //! Workload generation and trace analysis for the *in-network computing
 //! on demand* reproduction.
 //!
-//! * [`OsntSource`] / [`RateProfile`] / [`PacketSink`] — the OSNT-style
-//!   open-loop traffic source behind every §4 sweep.
+//! * [`RateProfile`] — the OSNT-style offered-rate schedule behind every
+//!   rig's traffic.
 //! * [`Zipf`] — O(1) Zipf sampling for key popularity.
 //! * [`EtcWorkload`] — the Facebook ETC memcached mix used by Figure 6.
 //! * [`GoogleTrace`] — synthesized Google cluster trace + the §9.3
@@ -19,5 +19,5 @@ pub mod zipf;
 pub use dynamo::{suits_on_demand, variation, PowerTrace, PowerWalk, Variation, WorkloadClass};
 pub use etc::{EtcOpKind, EtcSample, EtcWorkload};
 pub use google::{GoogleTrace, Task};
-pub use osnt::{OsntSource, PacketFactory, PacketSink, RateProfile};
+pub use osnt::RateProfile;
 pub use zipf::Zipf;

@@ -1,12 +1,11 @@
-//! OSNT-style open-loop traffic generation (§4.1).
+//! OSNT-style offered-rate schedules (§4.1).
 //!
 //! The paper drives every power/throughput sweep with OSNT, an open-source
 //! tester that "control\[s\] data rates at very fine granularities and
-//! reproduce\[s\] results". [`OsntSource`] emits caller-built packets at a
-//! precisely paced rate that can follow a [`RateProfile`] over time.
+//! reproduce\[s\] results". A [`RateProfile`] is that schedule: the rate
+//! each rig's traffic follows over time.
 
-use inc_net::Packet;
-use inc_sim::{impl_node_any, Ctx, Nanos, Node, PortId, Rng, Timer};
+use inc_sim::Nanos;
 
 /// A piecewise-constant offered-rate schedule.
 ///
@@ -177,156 +176,30 @@ impl RateProfile {
     }
 }
 
-/// Builds the next packet to emit; `seq` counts emitted packets.
-pub type PacketFactory = Box<dyn FnMut(&mut Rng, u64) -> Packet>;
-
-const TAG_SEND: u64 = 1;
-
-/// An open-loop paced packet source.
-pub struct OsntSource {
-    profile: RateProfile,
-    factory: PacketFactory,
-    sent: u64,
-    stopped: bool,
-}
-
-impl OsntSource {
-    /// Creates a source following `profile`, emitting packets from
-    /// `factory` on port 0.
-    pub fn new(profile: RateProfile, factory: PacketFactory) -> Self {
-        OsntSource {
-            profile,
-            factory,
-            sent: 0,
-            stopped: false,
-        }
-    }
-
-    /// Packets emitted so far.
-    pub fn sent(&self) -> u64 {
-        self.sent
-    }
-
-    /// Replaces the rate profile (takes effect at the next send tick).
-    pub fn set_profile(&mut self, profile: RateProfile) {
-        self.profile = profile;
-    }
-
-    /// Stops the source permanently.
-    pub fn stop(&mut self) {
-        self.stopped = true;
-    }
-
-    fn schedule(&mut self, ctx: &mut Ctx<'_, Packet>) {
-        if self.stopped {
-            return;
-        }
-        let rate = self.profile.rate_at(ctx.now());
-        let delay = if rate > 0.0 {
-            Nanos::from_secs_f64(1.0 / rate)
-        } else {
-            Nanos::from_millis(1)
-        };
-        ctx.schedule_in(delay, TAG_SEND);
-    }
-}
-
-impl Node<Packet> for OsntSource {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Packet>) {
-        self.schedule(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, timer: Timer) {
-        if timer.tag != TAG_SEND || self.stopped {
-            return;
-        }
-        if self.profile.rate_at(ctx.now()) > 0.0 {
-            let mut pkt = (self.factory)(ctx.rng(), self.sent);
-            pkt.sent_at = ctx.now();
-            pkt.id = self.sent;
-            self.sent += 1;
-            ctx.send(PortId::P0, pkt);
-        }
-        self.schedule(ctx);
-    }
-
-    fn label(&self) -> String {
-        "osnt".to_string()
-    }
-
-    impl_node_any!();
-}
-
-/// A packet sink that counts and optionally tracks latency from
-/// `sent_at` stamps (the Endace DAG role in §4.1).
-#[derive(Default)]
-pub struct PacketSink {
-    /// Packets received.
-    pub received: u64,
-    /// Latency histogram from source timestamps.
-    pub latency: inc_sim::Histogram,
-}
-
-impl Node<Packet> for PacketSink {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Packet>, _port: PortId, msg: Packet) {
-        self.received += 1;
-        self.latency.record_nanos(ctx.now() - msg.sent_at);
-    }
-
-    fn label(&self) -> String {
-        "sink".to_string()
-    }
-
-    impl_node_any!();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use inc_net::{build_udp, Endpoint};
-    use inc_sim::{LinkSpec, Simulator};
 
-    fn factory() -> PacketFactory {
-        Box::new(|_rng, seq| {
-            build_udp(
-                Endpoint::host(1, 1000),
-                Endpoint::host(2, 2000),
-                &seq.to_be_bytes(),
-            )
-        })
+    #[test]
+    fn constant_rate_holds_everywhere() {
+        let p = RateProfile::constant(10_000.0);
+        for t in [Nanos::ZERO, Nanos::from_millis(7), Nanos::from_secs(1_000)] {
+            assert_eq!(p.rate_at(t), 10_000.0);
+        }
+        assert_eq!(p.mean_rate_pps(Nanos::from_secs(1)), 10_000.0);
     }
 
     #[test]
-    fn constant_rate_is_precise() {
-        let mut sim = Simulator::new(0);
-        let src = sim.add_node(OsntSource::new(RateProfile::constant(10_000.0), factory()));
-        let dst = sim.add_node(PacketSink::default());
-        sim.connect(src, PortId::P0, dst, PortId::P0, LinkSpec::ideal());
-        sim.run_until(Nanos::from_secs(1));
-        let got = sim.node_ref::<PacketSink>(dst).received;
-        assert!((9_990..=10_010).contains(&got), "{got}");
-    }
-
-    #[test]
-    fn profile_steps_change_rate() {
-        let mut sim = Simulator::new(0);
-        let profile = RateProfile::steps(vec![
+    fn a_step_change_takes_effect_at_its_start() {
+        let p = RateProfile::steps(vec![
             (Nanos::ZERO, 1_000.0),
             (Nanos::from_millis(500), 100_000.0),
         ]);
-        let src = sim.add_node(OsntSource::new(profile, factory()));
-        let dst = sim.add_node(PacketSink::default());
-        sim.connect(src, PortId::P0, dst, PortId::P0, LinkSpec::ideal());
-        sim.run_until(Nanos::from_millis(500));
-        let at_switch = sim.node_ref::<PacketSink>(dst).received;
-        sim.run_until(Nanos::from_secs(1));
-        let total = sim.node_ref::<PacketSink>(dst).received;
-        assert!((495..=505).contains(&at_switch), "{at_switch}");
-        assert!(
-            (49_000..=51_000).contains(&(total - at_switch)),
-            "{}",
-            total - at_switch
-        );
+        assert_eq!(p.rate_at(Nanos::from_nanos(499_999_999)), 1_000.0);
+        assert_eq!(p.rate_at(Nanos::from_millis(500)), 100_000.0);
+        // Half a second at each rate.
+        let mean = p.mean_rate_pps(Nanos::from_secs(1));
+        assert!((mean - 50_500.0).abs() < 1e-6, "{mean}");
     }
 
     #[test]
@@ -375,17 +248,13 @@ mod tests {
     }
 
     #[test]
-    fn diurnal_drives_a_source() {
-        let mut sim = Simulator::new(0);
+    fn diurnal_drives_traffic_at_half_its_peak() {
         let day = Nanos::from_millis(200);
         let profile = RateProfile::diurnal(0.0, 50_000.0, day, Nanos::ZERO, 1, 50);
-        let src = sim.add_node(OsntSource::new(profile, factory()));
-        let dst = sim.add_node(PacketSink::default());
-        sim.connect(src, PortId::P0, dst, PortId::P0, LinkSpec::ideal());
-        sim.run_until(Nanos::from_millis(400));
-        // Two full days at a mean of 25 kpps -> ~10k packets.
-        let got = sim.node_ref::<PacketSink>(dst).received;
-        assert!((9_000..=11_000).contains(&got), "{got}");
+        // sin² averages one half: two full days offer half the peak.
+        let mean = profile.mean_rate_pps(day + day);
+        assert!((mean - 25_000.0).abs() < 1.0, "{mean}");
+        assert!(profile.rate_at(day.div(2)) > 49_000.0);
     }
 
     #[test]
@@ -396,31 +265,15 @@ mod tests {
     }
 
     #[test]
-    fn zero_rate_emits_nothing_until_step() {
-        let mut sim = Simulator::new(0);
-        let profile = RateProfile::steps(vec![
+    fn zero_rate_is_silent_until_the_step() {
+        let p = RateProfile::steps(vec![
             (Nanos::ZERO, 0.0),
             (Nanos::from_millis(100), 10_000.0),
         ]);
-        let src = sim.add_node(OsntSource::new(profile, factory()));
-        let dst = sim.add_node(PacketSink::default());
-        sim.connect(src, PortId::P0, dst, PortId::P0, LinkSpec::ideal());
-        sim.run_until(Nanos::from_millis(99));
-        assert_eq!(sim.node_ref::<PacketSink>(dst).received, 0);
-        sim.run_until(Nanos::from_millis(200));
-        assert!(sim.node_ref::<PacketSink>(dst).received > 900);
-    }
-
-    #[test]
-    fn stop_halts_emission() {
-        let mut sim = Simulator::new(0);
-        let src = sim.add_node(OsntSource::new(RateProfile::constant(10_000.0), factory()));
-        let dst = sim.add_node(PacketSink::default());
-        sim.connect(src, PortId::P0, dst, PortId::P0, LinkSpec::ideal());
-        sim.run_until(Nanos::from_millis(100));
-        sim.node_mut::<OsntSource>(src).stop();
-        let before = sim.node_ref::<PacketSink>(dst).received;
-        sim.run_until(Nanos::from_millis(200));
-        assert_eq!(sim.node_ref::<PacketSink>(dst).received, before);
+        assert_eq!(p.rate_at(Nanos::from_millis(99)), 0.0);
+        assert_eq!(p.mean_rate_pps(Nanos::from_millis(100)), 0.0);
+        assert_eq!(p.rate_at(Nanos::from_millis(100)), 10_000.0);
+        // The second 100 ms carry the whole offered load.
+        assert_eq!(p.mean_rate_pps(Nanos::from_millis(200)), 5_000.0);
     }
 }

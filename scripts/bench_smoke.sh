@@ -6,8 +6,9 @@
 #
 # Artifacts land in bench-artifacts/ (CI uploads the directory): the
 # figure-6 CSV, the scenario reports with one JSON object per scenario
-# (the last line each `inc-bench scenario` prints) and the lint report. Nothing here is a
-# wall-clock gate — benchmark/run.sh owns timing, with baselines.
+# (the last line each `inc-bench scenario` prints), the lint report and
+# the size ledger (scripts/loc.sh). Nothing here is a wall-clock gate —
+# benchmark/run.sh owns timing, with baselines.
 #
 # Usage: scripts/bench_smoke.sh  (from the repo root; needs only cargo)
 set -euo pipefail
@@ -15,6 +16,9 @@ cd "$(dirname "$0")/.."
 
 out=bench-artifacts
 mkdir -p "$out"
+
+echo "== size ledger (library lines per crate) =="
+bash scripts/loc.sh | tee "$out/loc.txt"
 
 echo "== determinism & sans-IO contract check (inc-lint) =="
 cargo run --release -p inc-lint -- --check --json "$out/lint.json"
@@ -79,7 +83,7 @@ ls -l "$out"
 # without printing its data would slip through and CI would upload an
 # incomplete artifact: every expected file must exist and be non-empty,
 # and every scenario must have contributed its JSON line.
-for f in fig6.csv scenarios.jsonl lint.json; do
+for f in fig6.csv scenarios.jsonl lint.json loc.txt; do
   if [[ ! -s "$out/$f" ]]; then
     echo "bench smoke failed: missing or empty artifact $out/$f" >&2
     exit 1

@@ -18,7 +18,7 @@
 //! | [`kvs`] | `inc-kvs` | LaKe + memcached over the binary protocol (§3.1) |
 //! | [`paxos`] | `inc-paxos` | P4xos/libpaxos/DPDK consensus (§3.2) |
 //! | [`dns`] | `inc-dns` | Emu DNS + NSD (§3.3) |
-//! | [`workloads`] | `inc-workloads` | OSNT, ETC, Zipf, Google/Dynamo traces |
+//! | [`workloads`] | `inc-workloads` | OSNT rate profiles, ETC, Zipf, Google/Dynamo traces |
 //! | [`ondemand`] | `inc-ondemand` | **the paper's contribution**: controllers, envelope, decision analysis |
 //!
 //! # Quick start

@@ -7,7 +7,7 @@ use inc::dns::{DnsResponse, Name, Query, Rcode, TYPE_A};
 use inc::kvs::{decode as mc_decode, encode_request, FrameHeader, Message, Request};
 use inc::net::{build_udp, internet_checksum, Endpoint, UdpFrame};
 use inc::paxos::{MsgType, PaxosMsg};
-use inc::sim::{Histogram, Nanos, Rng, TokenBucket};
+use inc::sim::{Histogram, Nanos, Rng};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -247,28 +247,6 @@ proptest! {
         let exact = samples.iter().sum::<u64>() as f64 / samples.len() as f64;
         prop_assert!((h.mean() - exact).abs() < 1e-6);
     }
-
-    #[test]
-    fn token_bucket_never_exceeds_rate(
-        rate in 1_000.0f64..1_000_000.0,
-        burst in 1.0f64..64.0,
-        seed in any::<u64>(),
-    ) {
-        let mut tb = TokenBucket::new(rate, burst);
-        let mut rng = Rng::new(seed);
-        let mut granted = 0u64;
-        let horizon = Nanos::from_millis(100);
-        let mut t = Nanos::ZERO;
-        while t < horizon {
-            if tb.try_take(t, 1.0) {
-                granted += 1;
-            }
-            t += Nanos::from_nanos(rng.range_u64(100, 10_000));
-        }
-        // Can never exceed burst + rate * time.
-        let bound = burst + rate * horizon.as_secs_f64();
-        prop_assert!((granted as f64) <= bound + 1.0, "granted {} > bound {}", granted, bound);
-    }
 }
 
 // --- Model-based LRU check against a reference implementation. ---
@@ -456,27 +434,6 @@ proptest! {
         // infinite cost ⇒ can never fit (unless the demand is zero too).
         if cap.cost_units(&extra) == f64::INFINITY {
             prop_assert!(!fits);
-        }
-    }
-
-    /// `TokenBucket::next_available` names a time at which the take
-    /// really succeeds (the deficit conversion must round up, not to
-    /// nearest), for awkward rates and repeated take/wait cycles.
-    #[test]
-    fn token_bucket_next_available_satisfies_take(
-        rate in 0.1f64..10_000_000.0,
-        burst in 1.0f64..1_000.0,
-        take_frac in 0.01f64..1.0,
-        cycles in 1usize..50,
-    ) {
-        let n = (burst * take_frac).max(0.001);
-        let mut tb = TokenBucket::new(rate, burst);
-        let mut now = Nanos::ZERO;
-        for _ in 0..cycles {
-            let t = tb.next_available(now, n);
-            prop_assert!(t < Nanos::MAX);
-            prop_assert!(tb.try_take(t, n), "take of {} at predicted {} failed", n, t);
-            now = t;
         }
     }
 
@@ -1431,9 +1388,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Uniform prices are a unit relabel, not a policy change: pricing
-    /// the same trace in joules, in dollars at `$1/J` with no byte
-    /// charge, and in carbon with an all-ones tier intensity must
-    /// produce bit-identical shift logs and placements — scoring the
+    /// the same trace in joules and in dollars at `$1/J` with no byte
+    /// charge must produce bit-identical shift logs and placements —
+    /// scoring the
     /// measured rates directly and scoring held rates alike. `1.0 × x`
     /// and `x − 0.0` have to be the *same float* as `x` all the way
     /// through the scoring arithmetic for this to hold.
@@ -1490,7 +1447,6 @@ proptest! {
         let objectives = [
             Objective::Joules,
             Objective::Dollar { per_joule: 1.0, per_gb_moved: 0.0 },
-            Objective::Carbon { per_joule_by_tier: [1.0, 1.0, 1.0] },
         ];
         let interval = Nanos::from_secs(1);
         // Once on the measured rates themselves, once behind a 5 % hold.
