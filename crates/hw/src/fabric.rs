@@ -23,6 +23,8 @@
 //! traversals — so a scheduler pricing a spill prefers the nearest rack
 //! with room.
 
+use std::ops::Range;
+
 use inc_power::LinkEnergyModel;
 use inc_sim::{FixedHashMap, Nanos};
 
@@ -226,8 +228,10 @@ impl HopTier {
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct Topology {
-    /// Pod index of each device, indexed by [`DeviceId::index`].
+    /// Pod index of each device, indexed by [`DeviceId::index`]: pods
+    /// are contiguous runs of `tors_per_pod` devices.
     pod_of: Vec<u16>,
+    tors_per_pod: usize,
     intra_pod: TierCost,
     inter_pod: TierCost,
 }
@@ -311,6 +315,7 @@ impl Topology {
             pod_of: (0..pods * tors_per_pod)
                 .map(|i| (i / tors_per_pod) as u16)
                 .collect(),
+            tors_per_pod,
             intra_pod: intra_pod.validated("intra-pod"),
             inter_pod: inter_pod.validated("inter-pod"),
         }
@@ -332,18 +337,15 @@ impl Topology {
 
     /// Number of pods the matrix spans (pod indices are `0..pod_count`).
     pub fn pod_count(&self) -> usize {
-        self.pod_of.iter().copied().max().map_or(0, |p| p as usize) + 1
+        self.pod_of.len() / self.tors_per_pod
     }
 
-    /// Iterates the devices of `pod` in index order (empty for an unused
-    /// pod index). Constructors lay pods out contiguously, but the
-    /// iterator does not rely on that.
-    pub fn pod_devices(&self, pod: u16) -> impl Iterator<Item = DeviceId> + '_ {
-        self.pod_of
-            .iter()
-            .enumerate()
-            .filter(move |&(_, &p)| p == pod)
-            .map(|(i, _)| DeviceId(i as u16))
+    /// The device indices of `pod`, ascending (empty for an unused pod
+    /// index). Every constructor lays pods out contiguously — device `i`
+    /// sits in pod `i / tors_per_pod` — so a pod is one index range.
+    pub fn pod_range(&self, pod: u16) -> Range<usize> {
+        let start = (pod as usize * self.tors_per_pod).min(self.pod_of.len());
+        start..(start + self.tors_per_pod).min(self.pod_of.len())
     }
 
     /// The hop tier separating `home` from `at`.
@@ -424,6 +426,9 @@ impl Topology {
 #[derive(Clone, Debug)]
 pub struct DeviceFabric {
     devices: Vec<DeviceCapacity>,
+    /// Budget class of each device: devices with equal budgets share an
+    /// id, numbered in order of first appearance.
+    budget_class: Vec<u16>,
     topology: Topology,
     // Reverse residency index, maintained by `admit`/`release`/`clear`.
     // The one-residency invariant makes it total: an app is a key iff it
@@ -454,10 +459,22 @@ impl DeviceFabric {
             topology.device_count(),
             "budget list and topology must cover the same devices"
         );
+        let mut distinct: Vec<PipelineBudget> = Vec::new();
+        let budget_class = budgets
+            .iter()
+            .map(|b| match distinct.iter().position(|d| d == b) {
+                Some(class) => class as u16,
+                None => {
+                    distinct.push(*b);
+                    (distinct.len() - 1) as u16
+                }
+            })
+            .collect();
         let devices: Vec<DeviceCapacity> = budgets.into_iter().map(DeviceCapacity::new).collect();
         let online = vec![true; devices.len()];
         DeviceFabric {
             devices,
+            budget_class,
             topology,
             where_is: FixedHashMap::default(),
             online,
@@ -489,6 +506,7 @@ impl DeviceFabric {
                 .iter()
                 .map(|d| DeviceCapacity::new(d.budget()))
                 .collect(),
+            budget_class: self.budget_class.clone(),
             topology: self.topology.clone(),
             where_is: FixedHashMap::default(),
             online: self.online.clone(),
@@ -538,10 +556,20 @@ impl DeviceFabric {
         self.topology.pod_count()
     }
 
-    /// Iterates the devices of `pod` in index order (see
-    /// [`Topology::pod_devices`]).
-    pub fn pod_devices(&self, pod: u16) -> impl Iterator<Item = DeviceId> + '_ {
-        self.topology.pod_devices(pod)
+    /// The device indices of `pod` (see [`Topology::pod_range`]).
+    pub fn pod_range(&self, pod: u16) -> Range<usize> {
+        self.topology.pod_range(pod)
+    }
+
+    /// The budget class of `id`: two devices share a class exactly when
+    /// their budgets are equal, so a program costs the same
+    /// [`DeviceCapacity::cost_units`] on every device of a class.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    pub fn budget_class(&self, id: DeviceId) -> u16 {
+        self.budget_class[id.index()]
     }
 
     /// Whether `id` is online (alive and reachable). Devices start
@@ -771,11 +799,8 @@ mod tests {
         assert_eq!(t.pod_count(), 2);
         assert_eq!(t.pod(DeviceId(1)), 0);
         assert_eq!(t.pod(DeviceId(2)), 1);
-        assert_eq!(
-            t.pod_devices(1).collect::<Vec<_>>(),
-            vec![DeviceId(2), DeviceId(3)]
-        );
-        assert_eq!(t.pod_devices(7).count(), 0);
+        assert_eq!(t.pod_range(1), 2..4);
+        assert!(t.pod_range(7).is_empty());
         assert_eq!(t.tier(DeviceId(2), DeviceId(2)), HopTier::Local);
         assert_eq!(t.tier(DeviceId(2), DeviceId(3)), HopTier::IntraPod);
         assert_eq!(t.tier(DeviceId(1), DeviceId(2)), HopTier::InterPod);
@@ -797,6 +822,47 @@ mod tests {
             Topology::rack_pairs(3, intra, inter).tier(DeviceId(4), DeviceId(5)),
             HopTier::IntraPod
         );
+    }
+
+    /// Every constructor lays pods out contiguously, so each pod's range
+    /// is exactly the devices a scan of `pod` finds, and the ranges tile
+    /// the fabric.
+    #[test]
+    fn pod_ranges_match_a_scan_of_every_device() {
+        let (intra, inter) = (TierCost::NONE, TierCost::NONE);
+        let topologies = [
+            Topology::single(1),
+            Topology::single(5),
+            Topology::rack_pairs(3, intra, inter),
+            Topology::fat_tree(1, 4, intra, inter),
+            Topology::fat_tree(4, 3, intra, inter),
+            Topology::fat_tree(8, 16, intra, inter),
+        ];
+        for t in topologies {
+            let mut covered = 0;
+            for pod in 0..t.pod_count() as u16 + 2 {
+                let scanned: Vec<usize> = (0..t.device_count())
+                    .filter(|&i| t.pod(DeviceId(i as u16)) == pod)
+                    .collect();
+                assert_eq!(t.pod_range(pod).collect::<Vec<_>>(), scanned, "{t:?}");
+                covered += scanned.len();
+            }
+            assert_eq!(covered, t.device_count());
+        }
+    }
+
+    #[test]
+    fn equal_budgets_share_a_class_in_order_of_first_appearance() {
+        let small = PipelineBudget {
+            stages: 8,
+            ..PipelineBudget::tofino_like()
+        };
+        let big = PipelineBudget::tofino_like();
+        let f = DeviceFabric::new(vec![small, big, small, big, big], Topology::single(5));
+        let classes: Vec<u16> = f.device_ids().map(|d| f.budget_class(d)).collect();
+        assert_eq!(classes, vec![0, 1, 0, 1, 1]);
+        let g = f.fresh();
+        assert_eq!(g.budget_class(DeviceId(4)), 1);
     }
 
     #[test]

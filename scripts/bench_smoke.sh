@@ -41,13 +41,16 @@ cargo test --release -q --test streaming_equivalence
 cargo test --release -q --test economics
 cargo test --release -q --test golden_schedules
 # The two arbiter equivalence properties (incremental = full re-score
-# under operator levers at 5 and 70 tenants, one pod = the flat oracle),
-# with `check_indexes` after every tick: the debug leg of
-# `cargo test --workspace` runs them too, this is the optimised build
-# the benchmark measures.
+# under operator levers at 5 and 70 tenants, one pod of mixed budgets =
+# the flat oracle), with `check_indexes` after every tick, and the order
+# property (the pod arbiter's class candidates seat exactly what a
+# per-device sort seats): the debug leg of `cargo test --workspace` runs
+# them too, this is the optimised build the benchmark measures.
 cargo test --release -q --test properties -- \
   incremental_arbitration_equals_full_rescore \
   single_pod_hierarchy_degenerates_to_flat_oracle
+cargo test --release -q -p inc-ondemand --lib -- \
+  pod_arbiter_admits_in_the_documented_total_order
 
 # The chaos scenarios and goldens, plus the 40 000-slot cluster that must
 # stay bounded through leader and acceptor kills (its name is the second

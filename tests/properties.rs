@@ -1212,14 +1212,20 @@ proptest! {
     /// degenerates to exactly the flat sorted scan of the reference
     /// `FlatOracle`: the coordinator has no cross-pod candidates and the
     /// pod arbiter's one sorted candidate run is the flat greedy scan, so
-    /// engine and oracle must agree bit-for-bit on arbitrary traces.
+    /// engine and oracle must agree bit-for-bit on arbitrary traces. The
+    /// pod's 4–6 ToRs draw their budgets from a Tofino-class budget, its
+    /// twin that differs only in parse depth (the same capacity cost for
+    /// every demand, so the two classes tie) and a smaller one: the
+    /// oracle prices every device on its own, so it checks the engine's
+    /// per-class prices and its merged walk of tied classes through
+    /// moves, stickiness and fairness claims.
     #[test]
     fn single_pod_hierarchy_degenerates_to_flat_oracle(
-        rates in proptest::collection::vec(
-            (0u32..300_000, 0u32..300_000, 0u32..300_000, 0u32..300_000), 8..40),
-        slopes in proptest::collection::vec(0.02f64..0.2, 4),
-        stages in proptest::collection::vec(4u32..9, 4),
-        homes in proptest::collection::vec(0u16..2, 4),
+        rates in proptest::collection::vec(proptest::collection::vec(0u32..300_000, 8), 8..40),
+        slopes in proptest::collection::vec(0.02f64..0.2, 8),
+        stages in proptest::collection::vec(4u32..9, 8),
+        homes in proptest::collection::vec(0u16..6, 8),
+        budgets in proptest::collection::vec(0usize..3, 4..7),
     ) {
         use inc::hw::{DeviceFabric, DeviceId, PipelineBudget, ProgramResources,
                       TierCost, Topology};
@@ -1243,18 +1249,25 @@ proptest! {
                 peak_rate_pps: 10_000_000.0,
             },
         };
-        // One pod of two ToRs: contention, moves and fairness claims all
-        // happen, but everything is intra-pod.
-        let fabric = || DeviceFabric::homogeneous(
-            2,
-            PipelineBudget::tofino_like(),
-            Topology::rack_pairs(
+        // One pod: contention, moves and fairness claims all happen, but
+        // everything is intra-pod.
+        let tofino = PipelineBudget::tofino_like();
+        let palette = [
+            tofino,
+            PipelineBudget { parse_depth_bytes: 256, ..tofino },
+            PipelineBudget { stages: 8, sram_bytes: 24 << 20, parse_depth_bytes: 192 },
+        ];
+        let devices = budgets.len();
+        let fabric = || DeviceFabric::new(
+            budgets.iter().map(|&b| palette[b]).collect(),
+            Topology::fat_tree(
                 1,
+                devices,
                 TierCost::standard_intra_pod(),
                 TierCost::standard_inter_pod(),
             ),
         );
-        let apps: Vec<FleetApp> = (0..4).map(|i| FleetApp {
+        let apps: Vec<FleetApp> = (0..8).map(|i| FleetApp {
             name: format!("app{i}"),
             demand: ProgramResources {
                 stages: stages[i],
@@ -1262,18 +1275,17 @@ proptest! {
                 parse_depth_bytes: 64,
             },
             analysis: analysis(slopes[i]),
-            home: DeviceId(homes[i]),
+            home: DeviceId(homes[i] % devices as u16),
             weight: 1.0,
         }).collect();
         let cfg = FleetControllerConfig::standard(Nanos::from_secs(1));
         let mut flat = FlatOracle::new(cfg, fabric(), apps.clone());
         let mut hier = FleetController::new(cfg, fabric(), apps.clone());
         for (step, r) in rates.iter().enumerate() {
-            let rs = [r.0 as f64, r.1 as f64, r.2 as f64, r.3 as f64];
             let now = Nanos::from_secs(step as u64 + 1);
-            let samples: Vec<FleetSample> = rs.iter().map(|&r| FleetSample {
-                host: HostSample { rapl_w: 50.0, app_cpu_util: 0.5, hw_app_rate: r },
-                offered_pps: r,
+            let samples: Vec<FleetSample> = r.iter().map(|&r| FleetSample {
+                host: HostSample { rapl_w: 50.0, app_cpu_util: 0.5, hw_app_rate: f64::from(r) },
+                offered_pps: f64::from(r),
             }).collect();
             let df = flat.sample(now, &samples);
             let dh = hier.sample(now, &samples);
