@@ -8,10 +8,13 @@
 //!   delivered in random order (so reordering is the default, not an
 //!   injected special case), with seeded drop and duplication knobs,
 //!   node kills and a two-sided partition. Messages cross the wire
-//!   through `encode_into`/`decode`, so the codec is exercised on every
-//!   hop; the decode is the hop's one allocation (the encode reuses a
-//!   scratch buffer, fan-out and duplication share the value by
-//!   refcount).
+//!   through `encode_into`/`decode_sharing`, so the codec is exercised
+//!   on every hop, and a hop allocates nothing: the encode reuses a
+//!   scratch buffer, the decode hands back the sender's value once the
+//!   wire bytes match it, and fan-out and duplication share that value
+//!   by refcount. Outside an election (a promise carries the values it
+//!   reports in a batch of its own) a command's bytes are one buffer
+//!   from submit to execution.
 //! * [`ConsensusRig`] couples the cluster to a
 //!   [`FleetController`]: each acceptor and leader role is a
 //!   [`FleetApp`] tenant homed on a fabric device (P4xos on a ToR when
@@ -304,9 +307,11 @@ impl ChaosCluster {
     fn deliver(&mut self, env: Envelope) {
         // Every hop crosses the wire format, so garbage-tolerant decode
         // paths are exercised under the same schedules as the protocol.
+        // The decoded value is the sender's handle once the bytes agree.
         self.wire.clear();
         env.msg.encode_into(&mut self.wire);
-        let msg = PaxosMsg::decode(&self.wire).expect("encoded messages decode");
+        let msg =
+            PaxosMsg::decode_sharing(&self.wire, &env.msg.value).expect("encoded messages decode");
         let from = env.from;
         match env.dest {
             Dest::AllAcceptors => {

@@ -15,17 +15,25 @@
 //! panics loudly if a value exceeds [`MAX_VALUE_LEN`] rather than
 //! silently truncating the 16-bit length field.
 //!
-//! A value is allocated **at most once per wire hop**:
-//! [`PaxosMsg::decode`] copies it out of the datagram into one
-//! refcounted [`Bytes`], and from there every role machine stores,
-//! forwards and re-proposes it by bumping that count. A receiver that
-//! holds the datagram as [`Bytes`] already — a simulator node holds the
-//! packet — calls [`PaxosMsg::decode_shared`] instead and the value is
-//! a view of the datagram: no allocation, but whoever parks the value
-//! parks the frame it arrived in. The sending side need not allocate
-//! either — [`PaxosMsg::write_to`] appends to any [`BufMut`], a frame
-//! under construction included, and [`PaxosMsg::encode_into`] to a
-//! buffer the caller reuses.
+//! A decoded value is one refcounted [`Bytes`], and from there every
+//! role machine stores, forwards and re-proposes it by bumping that
+//! count. How the decoder gets that handle depends on what the receiver
+//! holds, and the three ways agree field for field:
+//!
+//! * [`PaxosMsg::decode`] has only the bytes: it copies the value out of
+//!   the datagram, one allocation (none for an empty value).
+//! * [`PaxosMsg::decode_shared`] has the datagram as [`Bytes`] — a
+//!   simulator node holds the packet — and the value is a view of it: no
+//!   allocation, but whoever parks the value parks the frame it arrived
+//!   in.
+//! * [`PaxosMsg::decode_sharing`] also has the value the sender sent —
+//!   an in-process hop, like the chaos harness's — and when the wire
+//!   bytes equal it, the value is that sender's handle: no allocation,
+//!   and one command's bytes stay one buffer across every hop.
+//!
+//! The sending side need not allocate either — [`PaxosMsg::write_to`]
+//! appends to any [`BufMut`], a frame under construction included, and
+//! [`PaxosMsg::encode_into`] to a buffer the caller reuses.
 
 use std::ops::Range;
 
@@ -221,8 +229,9 @@ impl PaxosMsg {
 
     /// Parses the header into a constructor awaiting the value, and says
     /// where in `buf` the value lies. The one decoder;
-    /// [`PaxosMsg::decode`] and [`PaxosMsg::decode_shared`] differ only
-    /// in how they take the value.
+    /// [`PaxosMsg::decode`], [`PaxosMsg::decode_shared`] and
+    /// [`PaxosMsg::decode_sharing`] differ only in how they take the
+    /// value.
     ///
     /// Panic-free by contract (`inc-lint` rule `panicking-decode`):
     /// malformed input maps to a [`MsgError`], never an out-of-bounds
@@ -277,6 +286,21 @@ impl PaxosMsg {
     pub fn decode_shared(buf: &Bytes) -> Result<PaxosMsg, MsgError> {
         let (finish, value) = Self::decode_header(buf)?;
         Ok(finish(buf.slice(value)))
+    }
+
+    /// Decodes from bytes when the receiver also holds the value the
+    /// sender sent (an in-process hop): if the value on the wire equals
+    /// `sent` byte for byte, the decoded value is a clone of `sent` and
+    /// nothing is allocated; otherwise it is copied as by
+    /// [`PaxosMsg::decode`]. Either way the result equals `decode(buf)`,
+    /// errors included — `sent` is compared, never trusted.
+    pub fn decode_sharing(buf: &[u8], sent: &Bytes) -> Result<PaxosMsg, MsgError> {
+        let (finish, value) = Self::decode_header(buf)?;
+        let value = buf.get(value).ok_or(MsgError::BadLength)?;
+        if value == sent.as_ref() {
+            return Ok(finish(sent.clone()));
+        }
+        Ok(finish(Bytes::copy_from_slice(value)))
     }
 }
 

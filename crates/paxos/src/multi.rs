@@ -29,15 +29,22 @@
 //!
 //! # Value ownership
 //!
-//! A command's bytes are allocated once per wire hop — by
-//! [`PaxosMsg::decode`](crate::msg::PaxosMsg::decode) on the way in, or
-//! by [`Replica::on_request`] for a command that enters here — and are
-//! never copied inside a machine. Everything that parks a value (every
-//! role's window, a replica's requests and log tail) and every outgoing
-//! message holds a [`Bytes`] handle on that allocation; pvalues read out
-//! of a phase-1b batch are slices of the batch. A step that sends at
-//! most one message allocates nothing: the [`Outbox`] is inline-first,
-//! quorums are counted in a fixed bit mask, a warm slot ring is an array.
+//! A command's bytes are allocated where they enter — by
+//! [`Replica::on_request`] — and are never copied inside a machine.
+//! What a hop costs is the harness's choice of decoder:
+//! [`PaxosMsg::decode`](crate::msg::PaxosMsg::decode) copies the value
+//! out of the datagram (one allocation per delivered message),
+//! [`PaxosMsg::decode_shared`](crate::msg::PaxosMsg::decode_shared)
+//! makes it a view of the frame that carried it, and
+//! [`PaxosMsg::decode_sharing`](crate::msg::PaxosMsg::decode_sharing)
+//! — the chaos rig's — hands back the sender's own handle, so a
+//! command stays the one buffer `on_request` made. Everything that
+//! parks a value (every role's window, a replica's requests and log
+//! tail) and every outgoing message holds a [`Bytes`] handle on that
+//! allocation; pvalues read out of a phase-1b batch are slices of the
+//! batch. A step that sends at most one message allocates nothing: the
+//! [`Outbox`] is inline-first, quorums are counted in a fixed bit mask,
+//! a warm slot ring is an array.
 //!
 //! # The window and its floor
 //!
@@ -166,9 +173,18 @@ impl std::fmt::Display for Ballot {
 /// reports so a new leader can re-propose instead of overwrite.
 pub type PValue = (u64, Ballot, Bytes);
 
+/// Bytes in front of a value in a phase-1b batch: slot, ballot, length.
+const PVALUE_HEADER_LEN: usize = 8 + 2 + 2;
+
+/// Longest command the cluster can order: an accepted value must fit a
+/// later promise's batch with its pvalue header, so an [`Acceptor`]
+/// refuses to vote for anything longer and a [`Replica`] refuses to
+/// propose it.
+pub const MAX_COMMAND_LEN: usize = MAX_VALUE_LEN - PVALUE_HEADER_LEN;
+
 /// Bytes one encoded pvalue occupies in a phase-1b batch.
 fn pvalue_len(value: &[u8]) -> usize {
-    8 + 2 + 2 + value.len()
+    PVALUE_HEADER_LEN + value.len()
 }
 
 /// Appends one pvalue in [`encode_pvalues`]' layout.
@@ -344,7 +360,7 @@ impl Acceptor {
                 // promise to report, and not below the floor (the ring
                 // has no room there), where no second value may land.
                 let votable = b >= self.promised
-                    && pvalue_len(&msg.value) <= MAX_VALUE_LEN
+                    && msg.value.len() <= MAX_COMMAND_LEN
                     && self.accepted.insert(msg.instance, (b, msg.value.clone()));
                 let (slot, none) = (msg.instance, Ballot::NONE.wire());
                 if !votable {
@@ -832,6 +848,10 @@ pub struct Replica {
     pub executed_count: u64,
     /// Duplicate command deliveries (retries that were ordered twice).
     pub duplicates: u64,
+    /// Commands [`Replica::on_request`] dropped as longer than
+    /// [`MAX_COMMAND_LEN`] (a `u32` to keep the struct's size, see
+    /// `role_structs_stay_small`).
+    pub oversized: u32,
     age: u32,
 }
 
@@ -866,6 +886,7 @@ impl Replica {
             log_digest: 0xcbf2_9ce4_8422_2325,
             executed_count: 0,
             duplicates: 0,
+            oversized: 0,
             age: 0,
         }
     }
@@ -908,8 +929,17 @@ impl Replica {
     /// slot (window permitting). A `Vec<u8>` is moved into its
     /// refcounted buffer here — the command's one allocation on this
     /// replica; a [`Bytes`] is taken as is.
+    ///
+    /// A command longer than [`MAX_COMMAND_LEN`] is dropped and counted
+    /// in [`Replica::oversized`]: no acceptor would vote for it, so
+    /// proposing it would stall the log behind its slot.
     pub fn on_request(&mut self, command: impl Into<Bytes>) -> Outbox {
-        self.requests.push_back(command.into());
+        let command = command.into();
+        if command.len() > MAX_COMMAND_LEN {
+            self.oversized = self.oversized.saturating_add(1);
+            return Outbox::Empty;
+        }
+        self.requests.push_back(command);
         self.drive()
     }
 
@@ -1222,10 +1252,28 @@ mod tests {
         // field here must pay for itself on that metric first: the
         // acceptor's ring (a base and a count next to the buffer) took
         // it from 40 to 48 B with no move over the ten `setup_s` pairs
-        // of `BENCH_20.json`.
+        // of `BENCH_20.json`. The replica's `oversized` counter is a
+        // `u32` because one fills the padding after its `u8` and two
+        // `u32`s; a `u64` made it 200 B.
         assert!(std::mem::size_of::<Acceptor>() <= 48);
         assert!(std::mem::size_of::<Replica>() <= 192);
         assert!(std::mem::size_of::<Leader>() <= 120);
+    }
+
+    #[test]
+    fn the_longest_command_is_ordered_and_a_longer_one_refused() {
+        let mut r = Replica::new(0, 3);
+        assert!(r.on_request(vec![0; MAX_COMMAND_LEN + 1]).is_empty());
+        assert_eq!((r.oversized, r.pending()), (1, 0));
+        let out = r.on_request(vec![0; MAX_COMMAND_LEN]);
+        assert_eq!((out.len(), r.oversized), (1, 1));
+        // It is votable, and a later promise reports it in one chunk.
+        let mut acc = Acceptor::new(0);
+        let b = Ballot::new(1, 0).wire();
+        let p2a = PaxosMsg::new(MsgType::Phase2a, 1, b, out[0].1.value.clone());
+        assert_eq!(acc.handle(&p2a)[0].1.vround, b);
+        let p1a = PaxosMsg::new(MsgType::Phase1a, 0, Ballot::new(2, 0).wire(), Vec::new());
+        assert_eq!(acc.handle(&p1a)[0].1.value.len(), MAX_VALUE_LEN);
     }
 
     #[test]

@@ -54,14 +54,22 @@ cargo test --release -q -p inc-ondemand --lib -- \
 
 # The chaos scenarios and goldens, plus the 40 000-slot cluster that must
 # stay bounded through leader and acceptor kills (its name is the second
-# filter; in release, where the slot arithmetic wraps instead of trapping).
+# filter; in release, where the slot arithmetic wraps instead of trapping),
+# and the two oversized commands a replica must refuse rather than stall
+# the log or panic a later tick. The sharing decoder every chaos hop uses
+# is held to the copying one by its property.
 echo "== consensus chaos suite =="
-cargo test --release -q --test failure_injection -- chaos one_long_lived_cluster
+cargo test --release -q --test failure_injection -- \
+  chaos one_long_lived_cluster oversized_command
+cargo test --release -q --test properties -- \
+  paxos_sharing_decode_matches_the_copying_decoder
 
 # Deterministic costs hard-fail here, wall-clock ones do not: a frame is
 # one allocation to build and none to read, a device hit is its reply
 # frame, the packet fabric stays <= 10 allocations per request, a
-# loss-free Paxos slot <= 9.45, and a warm 1 000-tenant arbitration tick
+# loss-free Paxos slot <= 2.1 (its payload and its one command buffer,
+# which every acceptor and replica shares), a chaos epoch <= 3.3 per
+# command, and a warm 1 000-tenant arbitration tick
 # allocates nothing when quiet, nothing on a full re-score that moves
 # nothing and only the list it returns when it shifts placements
 # (exact counts from a counting allocator). The mega_fabric leg above

@@ -490,3 +490,47 @@ fn one_long_lived_cluster_stays_bounded() {
         "the rounds saw an idle cluster"
     );
 }
+
+/// Submits one command with a `payload_len`-byte payload to a warm
+/// loss-free cluster, then 50 ordinary ones: the long one is refused at
+/// its replica and counted, and every later command executes.
+fn an_oversized_command_is_refused(payload_len: usize) {
+    use inc::paxos::multi::MAX_COMMAND_LEN;
+    use inc::paxos::ClientCommand;
+    use inc_bench::consensus::ChaosCluster;
+
+    let mut c = ChaosCluster::new(1, 2, 2, 3);
+    for _ in 0..40 {
+        c.submit(1, vec![1; 32]);
+        c.tick(1_000_000);
+    }
+    assert!(c.leaders[0].is_active(), "warm-up must elect a leader");
+    let executed = c.max_executed();
+    assert!(ClientCommand::HEADER_LEN + payload_len > MAX_COMMAND_LEN);
+    c.submit(1, vec![2; payload_len]);
+    for _ in 0..50 {
+        c.submit(1, vec![3; 32]);
+        c.tick(1_000_000);
+    }
+    for r in &c.replicas {
+        assert_eq!(r.executed_count, executed + 50, "replica {} stalled", r.id);
+    }
+    let oversized: u32 = c.replicas.iter().map(|r| r.oversized).sum();
+    assert_eq!(oversized, 1);
+    assert!(c.single_value_per_slot() && c.logs_prefix_agree());
+}
+
+#[test]
+fn an_oversized_command_does_not_stall_the_log() {
+    // 65 527 bytes encode, but no acceptor votes for a value a later
+    // promise could not report: the leader used to retransmit it forever
+    // and the log stopped behind its slot.
+    an_oversized_command_is_refused(65_515);
+}
+
+#[test]
+fn an_oversized_command_does_not_panic_a_later_tick() {
+    // 65 542 bytes overflow the 16-bit length field: the proposal used to
+    // reach `write_header`'s assert at its first delivery.
+    an_oversized_command_is_refused(65_530);
+}

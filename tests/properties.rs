@@ -2332,4 +2332,52 @@ proptest! {
         prop_assert_eq!(PaxosMsg::decode_shared(&short).err(), PaxosMsg::decode(&short).err());
         prop_assert!(PaxosMsg::decode(&short).is_err());
     }
+
+    /// Paxos: decoding against the value the sender holds gives what the
+    /// copying decoder gives — the message field for field, or the same
+    /// error — whatever the frame and whatever that value; the decoded
+    /// value is the sender's buffer exactly when the bytes match it.
+    #[test]
+    fn paxos_sharing_decode_matches_the_copying_decoder(
+        instance in any::<u64>(),
+        rounds in (any::<u16>(), any::<u16>()),
+        acceptor in any::<u8>(),
+        last_voted in any::<u64>(),
+        value in proptest::collection::vec(any::<u8>(), 0..300),
+        mtype_idx in 0u8..7,
+        (cut, flip) in (any::<usize>(), any::<usize>()),
+        garbage in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        use inc::net::Bytes;
+        let mtype = [
+            MsgType::ClientRequest, MsgType::Phase1a, MsgType::Phase1b,
+            MsgType::Phase2a, MsgType::Phase2b, MsgType::ClientReply,
+            MsgType::GapRequest,
+        ][mtype_idx as usize];
+        let m = PaxosMsg {
+            mtype, instance, round: rounds.0, vround: rounds.1, acceptor, last_voted,
+            value: value.clone().into(),
+        };
+        let wire = m.encode();
+        let trailed = [wire.as_slice(), garbage.as_slice()].concat();
+        let frames = [&wire[..], &wire[..cut % wire.len()], &garbage[..], &trailed[..]];
+        // The sender's value as sent, one byte off, one byte longer, empty.
+        let mut off = value.clone();
+        if let Some(b) = off.get_mut(flip % value.len().max(1)) {
+            *b ^= 0x5A;
+        }
+        let longer = [value.as_slice(), &[0]].concat();
+        let sents = [Bytes::from(value), Bytes::from(off), Bytes::from(longer), Bytes::new()];
+        for buf in frames {
+            let copied = PaxosMsg::decode(buf);
+            for sent in &sents {
+                let shared = PaxosMsg::decode_sharing(buf, sent);
+                prop_assert_eq!(&shared, &copied);
+                if let Ok(got) = shared {
+                    let matches = got.value.as_ref() == sent.as_ref();
+                    prop_assert_eq!(got.value.as_ptr() == sent.as_ptr(), matches);
+                }
+            }
+        }
+    }
 }
