@@ -13,7 +13,9 @@
 //! schedule goldens fail on the first slip).
 
 use inc_dns::{DnsClient, DnsServer, DnsServerConfig, EmuDevice, Zone};
-use inc_hw::{DeviceId, Placement, ProgramResources, TierCost, HOST_DMA_PORT};
+use inc_hw::{
+    CardShell, DeviceId, Placement, ProgramResources, ServerShell, TierCost, HOST_DMA_PORT,
+};
 use inc_kvs::{
     expected_value, key_name, KvsClient, LakeCacheConfig, LakeDevice, MemcachedConfig,
     MemcachedServer,
@@ -25,8 +27,9 @@ use inc_paxos::{
     Platform, RoleEngine, PAXOS_ACCEPTOR_PORT, PAXOS_LEADER_PORT, PAXOS_LEARNER_PORT,
 };
 use inc_power::{calib, EnergyParams};
-use inc_sim::{Histogram, LinkSpec, Nanos, Node, NodeId, PortId, Simulator};
+use inc_sim::{Histogram, LatencyWindow, LinkSpec, Nanos, Node, NodeId, PortId, Simulator};
 use std::cell::Cell;
+use std::ops::{Deref, DerefMut};
 
 use super::{MultiTorRig, SharedDeviceRig};
 
@@ -146,12 +149,45 @@ impl Chain {
         Chain::wire(sim, server, devices, client, sites)
     }
 
-    /// What the partition on `site` should do under placement `p`.
-    fn on(p: Placement, site: DeviceId) -> Placement {
-        if p == Placement::Device(site) {
-            Placement::HARDWARE
-        } else {
-            Placement::Software
+    /// [`Slice::observe`] for a chain of client `C`, server `S` and
+    /// partitions `D`: the three share one client window, one server shell
+    /// and one card shell whatever the application.
+    fn observe<C, S, D>(
+        &self,
+        sim: &mut Simulator<Packet>,
+        interval: Nanos,
+        offered_pps: f64,
+    ) -> AppObservation
+    where
+        C: Node<Packet> + DerefMut<Target = LatencyWindow>,
+        S: Node<Packet> + Deref<Target = ServerShell<Packet>>,
+        D: Node<Packet> + DerefMut<Target = CardShell>,
+    {
+        let now = sim.now();
+        let (done, lat) = sim.node_mut::<C>(self.client).take_window();
+        let server = sim.node_ref::<S>(self.server);
+        let host = HostSample {
+            rapl_w: Node::power_w(server, now),
+            app_cpu_util: server.app_utilization(),
+            hw_app_rate: match self.devices[..] {
+                [d] => sim.node_mut::<D>(d).measured_rate(now),
+                _ => done as f64 / interval.as_secs_f64(),
+            },
+        };
+        let power_w = sim.instant_power(&self.metered);
+        observation(host, offered_pps, done, &lat, power_w)
+    }
+
+    /// [`Slice::apply`] for a chain: `place` moves each partition to its
+    /// share of placement `p`.
+    fn apply(&self, p: Placement, mut place: impl FnMut(NodeId, Placement)) {
+        for (&d, &site) in self.devices.iter().zip(&self.sites) {
+            let share = if p == Placement::Device(site) {
+                Placement::HARDWARE
+            } else {
+                Placement::Software
+            };
+            place(d, share);
         }
     }
 }
@@ -395,9 +431,7 @@ impl Slice {
             active_w: LakeDevice::new(cfg, 5)
                 .started_in_hardware()
                 .power_w(Nanos::ZERO),
-            sw_dyn_at_fit_w: mc
-                .cpu
-                .dynamic_w(KVS_FIT_PPS * mc.service_time.as_secs_f64()),
+            sw_dyn_at_fit_w: mc.cpu.dynamic_w(KVS_FIT_PPS * mc.service.as_secs_f64()),
             fit_pps: KVS_FIT_PPS,
             hw_dyn_max_w: calib::LAKE_DYNAMIC_MAX_W,
             hw_peak_pps: calib::LAKE_LINE_RATE_PPS,
@@ -414,9 +448,7 @@ impl Slice {
             active_w: EmuDevice::new(Zone::synthetic(1))
                 .started_in_hardware()
                 .power_w(Nanos::ZERO),
-            sw_dyn_at_fit_w: nsd
-                .cpu
-                .dynamic_w(DNS_FIT_PPS * nsd.service_time.as_secs_f64()),
+            sw_dyn_at_fit_w: nsd.cpu.dynamic_w(DNS_FIT_PPS * nsd.service.as_secs_f64()),
             fit_pps: DNS_FIT_PPS,
             hw_dyn_max_w: calib::EMU_DNS_DYNAMIC_MAX_W,
             hw_peak_pps: calib::EMU_DNS_PEAK_RPS,
@@ -478,40 +510,12 @@ impl Slice {
         interval: Nanos,
         offered_pps: f64,
     ) -> AppObservation {
-        let now = sim.now();
-        let served = |done: u64| done as f64 / interval.as_secs_f64();
         match self {
             Slice::Kvs(c) => {
-                let (done, lat) = sim.node_mut::<KvsClient>(c.client).take_window();
-                let server = sim.node_ref::<MemcachedServer>(c.server);
-                let (rapl_w, app_cpu_util) = (server.power_w(now), server.app_utilization());
-                let hw_app_rate = match c.devices[..] {
-                    [d] => sim.node_mut::<LakeDevice>(d).measured_rate(now),
-                    _ => served(done),
-                };
-                let host = HostSample {
-                    rapl_w,
-                    app_cpu_util,
-                    hw_app_rate,
-                };
-                let power_w = sim.instant_power(&c.metered);
-                observation(host, offered_pps, done, &lat, power_w)
+                c.observe::<KvsClient, MemcachedServer, LakeDevice>(sim, interval, offered_pps)
             }
             Slice::Dns(c) => {
-                let (done, lat) = sim.node_mut::<DnsClient>(c.client).take_window();
-                let server = sim.node_ref::<DnsServer>(c.server);
-                let (rapl_w, app_cpu_util) = (Node::power_w(server, now), server.utilization());
-                let hw_app_rate = match c.devices[..] {
-                    [d] => sim.node_mut::<EmuDevice>(d).measured_rate(now),
-                    _ => served(done),
-                };
-                let host = HostSample {
-                    rapl_w,
-                    app_cpu_util,
-                    hw_app_rate,
-                };
-                let power_w = sim.instant_power(&c.metered);
-                observation(host, offered_pps, done, &lat, power_w)
+                c.observe::<DnsClient, DnsServer, EmuDevice>(sim, interval, offered_pps)
             }
             Slice::Paxos(p) => p.observe(sim, interval, offered_pps),
         }
@@ -522,18 +526,10 @@ impl Slice {
     /// re-steering for Paxos.
     pub(crate) fn apply(&self, sim: &mut Simulator<Packet>, t: Nanos, p: Placement) {
         match self {
-            Slice::Kvs(c) => {
-                for (&d, &site) in c.devices.iter().zip(&c.sites) {
-                    sim.node_mut::<LakeDevice>(d)
-                        .apply_placement(t, Chain::on(p, site));
-                }
-            }
-            Slice::Dns(c) => {
-                for (&d, &site) in c.devices.iter().zip(&c.sites) {
-                    sim.node_mut::<EmuDevice>(d)
-                        .apply_placement(t, Chain::on(p, site));
-                }
-            }
+            Slice::Kvs(c) => c.apply(p, |d, q| {
+                sim.node_mut::<LakeDevice>(d).apply_placement(t, q)
+            }),
+            Slice::Dns(c) => c.apply(p, |d, q| sim.node_mut::<EmuDevice>(d).apply_placement(t, q)),
             Slice::Paxos(s) => s.apply(sim, p),
         }
     }

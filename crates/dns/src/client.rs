@@ -1,7 +1,9 @@
 //! DNS load generation with answer verification.
 
+use std::ops::{Deref, DerefMut};
+
 use inc_net::{build_udp_with, Endpoint, Packet, UdpFrame};
-use inc_sim::{impl_node_any, Ctx, FixedHashMap, Histogram, Nanos, Node, PortId, Timer};
+use inc_sim::{impl_node_any, Ctx, FixedHashMap, LatencyWindow, Nanos, Node, Pacer, PortId, Timer};
 
 use crate::wire::{DnsResponseView, Name, Query, Rcode, TYPE_A};
 use crate::zone::Zone;
@@ -21,25 +23,22 @@ pub struct DnsClientStats {
     pub nxdomain: u64,
 }
 
-/// An open-loop DNS query generator over the synthetic zone names.
+/// An open-loop DNS query generator over the synthetic zone names. Its
+/// latency record (`latency`, `take_window`) is the [`LatencyWindow`] it
+/// derefs to.
 pub struct DnsClient {
     src: Endpoint,
     dst: Endpoint,
-    rate_pps: f64,
+    pacer: Pacer,
     /// Number of names to draw from (`host-{0..names}.example.com`).
     names: u64,
     /// Fraction of queries for names *outside* the zone (miss traffic).
     miss_ratio: f64,
     verify: bool,
     stats: DnsClientStats,
-    /// All-time latency histogram.
-    pub latency: Histogram,
-    /// Resettable window histogram.
-    pub window_latency: Histogram,
-    window_received_base: u64,
+    window: LatencyWindow,
     next_id: u16,
     outstanding: FixedHashMap<u16, (Nanos, u64, bool)>,
-    stopped: bool,
 }
 
 impl DnsClient {
@@ -49,17 +48,14 @@ impl DnsClient {
         DnsClient {
             src,
             dst,
-            rate_pps,
+            pacer: Pacer::new(rate_pps),
             names,
             miss_ratio: 0.0,
             verify: true,
             stats: DnsClientStats::default(),
-            latency: Histogram::new(),
-            window_latency: Histogram::new(),
-            window_received_base: 0,
+            window: LatencyWindow::default(),
             next_id: 0,
             outstanding: FixedHashMap::default(),
-            stopped: false,
         }
     }
 
@@ -71,24 +67,17 @@ impl DnsClient {
 
     /// Changes the offered rate.
     pub fn set_rate(&mut self, rate_pps: f64) {
-        self.rate_pps = rate_pps;
+        self.pacer.set_rate(rate_pps);
     }
 
     /// Stops offering load.
     pub fn stop(&mut self) {
-        self.stopped = true;
+        self.pacer.stop();
     }
 
     /// Returns cumulative statistics.
     pub fn stats(&self) -> DnsClientStats {
         self.stats
-    }
-
-    /// Drains the measurement window.
-    pub fn take_window(&mut self) -> (u64, Histogram) {
-        let n = self.stats.received - self.window_received_base;
-        self.window_received_base = self.stats.received;
-        (n, std::mem::take(&mut self.window_latency))
     }
 
     fn send_one(&mut self, ctx: &mut Ctx<'_, Packet>) {
@@ -117,34 +106,35 @@ impl DnsClient {
         self.stats.sent += 1;
         ctx.send(PortId::P0, pkt);
     }
+}
 
-    fn schedule_next(&mut self, ctx: &mut Ctx<'_, Packet>) {
-        if self.stopped {
-            return;
-        }
-        if self.rate_pps > 0.0 {
-            ctx.schedule_in(Nanos::from_secs_f64(1.0 / self.rate_pps), TAG_SEND);
-        } else {
-            ctx.schedule_in(Nanos::from_millis(10), TAG_SEND);
-        }
+impl Deref for DnsClient {
+    type Target = LatencyWindow;
+
+    fn deref(&self) -> &LatencyWindow {
+        &self.window
+    }
+}
+
+impl DerefMut for DnsClient {
+    fn deref_mut(&mut self) -> &mut LatencyWindow {
+        &mut self.window
     }
 }
 
 impl Node<Packet> for DnsClient {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Packet>) {
-        self.schedule_next(ctx);
+        self.pacer.schedule(ctx, TAG_SEND);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, timer: Timer) {
-        if timer.tag == TAG_SEND {
-            if self.stopped {
-                return;
-            }
-            if self.rate_pps > 0.0 {
-                self.send_one(ctx);
-            }
-            self.schedule_next(ctx);
+        if timer.tag != TAG_SEND || self.pacer.stopped() {
+            return;
         }
+        if self.pacer.sends() {
+            self.send_one(ctx);
+        }
+        self.pacer.schedule(ctx, TAG_SEND);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Packet>, _port: PortId, msg: Packet) {
@@ -159,9 +149,7 @@ impl Node<Packet> for DnsClient {
         };
         let now = ctx.now();
         self.stats.received += 1;
-        let lat = (now - sent_at).as_nanos();
-        self.latency.record(lat);
-        self.window_latency.record(lat);
+        self.window.record((now - sent_at).as_nanos());
         match response.rcode {
             Rcode::NoError => {
                 if self.verify {

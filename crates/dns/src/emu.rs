@@ -3,19 +3,17 @@
 //! Emu DNS runs as the main logical core on the NetFPGA shell (Figure 2),
 //! using only on-chip memory. The paper amended the original design with a
 //! LaKe-style packet classifier so the card also serves as a NIC for
-//! non-DNS traffic and can shift DNS serving on demand (§3.3, §9.2). The
-//! design is *not* pipelined, which caps it at roughly 1 M requests/second
-//! (§4.4) — modelled as a single-server station with a 1 µs occupancy.
+//! non-DNS traffic and can shift DNS serving on demand (§3.3, §9.2) — the
+//! card shell ([`CardShell`]) LaKe embeds too. The design is *not*
+//! pipelined, which caps it at roughly 1 M requests/second (§4.4) —
+//! modelled as a single-server station with a 1 µs occupancy.
 
-use inc_hw::{
-    NetRateController, Placement, SumeCard, HOST_DMA_PORT, PCIE_DMA_ONE_WAY, SHELL_PIPELINE_LATENCY,
-};
+use std::ops::{Deref, DerefMut};
+
+use inc_hw::{CardApp, CardShell, NetRateController, Placement, SumeCard, Verdict};
 use inc_net::{build_reply_with, Packet, UdpFrame};
 use inc_power::calib;
-use inc_sim::{
-    impl_node_any, Admission, Ctx, Histogram, Nanos, Node, PortId, ServiceStation, Timer,
-    WindowRate,
-};
+use inc_sim::{impl_node_any, Ctx, Nanos, Node, PortId, ServiceStation, Timer};
 
 use crate::engine::{answer, Resolution};
 use crate::wire::DNS_PORT;
@@ -31,60 +29,58 @@ const EMU_MAX_NAME_LEN: usize = 128;
 /// Bound on the on-chip resolution table (on-chip memory only, §3.4).
 pub const EMU_MAX_RECORDS: usize = 65_536;
 
-const TAG_POWER_TICK: u64 = 1;
-const POWER_TICK: Nanos = Nanos::from_millis(20);
-
-/// Cumulative device counters.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EmuDeviceStats {
-    /// Queries answered in hardware.
-    pub served_hw: u64,
-    /// DNS packets forwarded to the host (mode, depth, or capacity).
-    pub to_host: u64,
-    /// Non-DNS packets forwarded.
-    pub passthrough: u64,
-    /// Queries dropped by the (saturated) logic core.
-    pub dropped: u64,
-    /// Placement shifts.
-    pub shifts: u64,
-}
-
-/// What the card does with a packet from the network.
-enum Verdict {
-    /// Answer the query from the on-chip table.
-    Reply {
-        /// Device-internal latency before the reply leaves.
-        after: Nanos,
-        /// The reply frame.
-        reply: Packet,
-    },
-    /// DNS the card does not serve itself (placement, depth, garbage):
-    /// across PCIe to the host resolver.
-    ToHost,
-    /// Not DNS: forwarded like a plain NIC would.
-    Passthrough,
-    /// The logic core is saturated: the query is lost.
-    Drop,
-}
-
-fn is_dns(frame: &UdpFrame<'_>) -> bool {
-    frame.udp.dst_port == DNS_PORT || frame.udp.src_port == DNS_PORT
-}
-
-/// The Emu DNS card as a simulation node.
-pub struct EmuDevice {
-    card: SumeCard,
+/// What Emu adds to the card shell: the on-chip resolution table. It is
+/// static configuration, so unlike LaKe there is nothing to warm after a
+/// shift (§9.2: "much the same as shifting KVS" but simpler).
+struct Emu {
     zone: Zone,
-    core: ServiceStation,
-    placement: Placement,
-    controller: Option<NetRateController>,
-    stats: EmuDeviceStats,
-    rate_window: WindowRate,
-    current_load: f64,
-    /// Latency of hardware-answered queries.
-    pub hw_latency: Histogram,
-    /// Shift log: (time, new placement).
-    pub shift_log: Vec<(Nanos, Placement)>,
+}
+
+impl CardApp for Emu {
+    type Msg = Packet;
+    type Frame<'a> = UdpFrame<'a>;
+
+    fn classify<'a>(&self, pkt: &'a Packet) -> Option<UdpFrame<'a>> {
+        UdpFrame::parse(pkt)
+            .ok()
+            .filter(|f| f.udp.dst_port == DNS_PORT || f.udp.src_port == DNS_PORT)
+    }
+
+    fn serve(
+        &mut self,
+        shell: &mut CardShell,
+        now: Nanos,
+        frame: &UdpFrame<'_>,
+        pkt: &Packet,
+    ) -> Verdict<Packet> {
+        match answer(&self.zone, frame.payload, Some(EMU_MAX_NAME_LEN)) {
+            Ok(Resolution::Answered(response)) => {
+                let Some(queue_and_service) = shell.admit(now, EMU_SERVICE) else {
+                    return Verdict::Drop;
+                };
+                let mut reply = build_reply_with(frame, response.encoded_len(), |buf| {
+                    response.encode_into(buf)
+                });
+                reply.id = pkt.id;
+                reply.sent_at = pkt.sent_at;
+                Verdict::Reply {
+                    work: queue_and_service,
+                    reply,
+                }
+            }
+            // Names beyond the parser budget go to the host resolver;
+            // so does anything unparseable, like any unknown packet.
+            Ok(Resolution::TooDeep) | Err(_) => Verdict::ToHost(Nanos::ZERO),
+        }
+    }
+}
+
+/// The Emu DNS card as a simulation node: the card shell (placement,
+/// stats, shift log, rate meter — reached through `Deref`) around the
+/// zone.
+pub struct EmuDevice {
+    shell: CardShell,
+    emu: Emu,
 }
 
 impl EmuDevice {
@@ -102,178 +98,67 @@ impl EmuDevice {
             zone.len(),
             EMU_MAX_RECORDS
         );
-        let mut card = SumeCard::reference_nic().with_logic(
+        let card = SumeCard::reference_nic().with_logic(
             calib::EMU_DNS_STANDALONE_IDLE_W - calib::NETFPGA_REFERENCE_NIC_W,
             calib::EMU_DNS_DYNAMIC_MAX_W,
         );
-        card.park();
         EmuDevice {
-            card,
-            zone,
-            core: ServiceStation::new(1, Some(Nanos::from_micros(50))),
-            placement: Placement::Software,
-            controller: None,
-            stats: EmuDeviceStats::default(),
-            rate_window: WindowRate::new(Nanos::from_millis(100), 10),
-            current_load: 0.0,
-            hw_latency: Histogram::new(),
-            shift_log: Vec::new(),
+            shell: CardShell::new(
+                card,
+                ServiceStation::new(1, Some(Nanos::from_micros(50))),
+                calib::EMU_DNS_PEAK_RPS,
+            ),
+            emu: Emu { zone },
         }
     }
 
     /// Installs the network-controlled on-demand controller.
     pub fn with_controller(mut self, controller: NetRateController) -> Self {
-        self.controller = Some(controller);
+        self.shell.set_controller(controller);
         self
     }
 
     /// Starts serving in hardware (the always-on §4.4 configuration).
     pub fn started_in_hardware(mut self) -> Self {
-        self.apply_placement(Nanos::ZERO, Placement::HARDWARE);
-        self.shift_log.clear();
-        self.stats.shifts = 0;
+        self.shell.start_in_hardware(&mut self.emu);
         self
     }
 
-    /// Current placement.
-    pub fn placement(&self) -> Placement {
-        self.placement
-    }
-
-    /// Cumulative counters.
-    pub fn stats(&self) -> EmuDeviceStats {
-        self.stats
-    }
-
-    /// Hardware-measured DNS packet rate (network feedback for host
-    /// controllers).
-    pub fn measured_rate(&mut self, now: Nanos) -> f64 {
-        self.rate_window.rate(now)
-    }
-
-    /// Applies a placement change. Unlike LaKe there is no cache to warm:
-    /// the resolution table is static configuration, so serving can start
-    /// immediately (§9.2: "much the same as shifting KVS" but simpler).
+    /// Applies a placement change; serving starts at once.
     pub fn apply_placement(&mut self, now: Nanos, placement: Placement) {
-        if placement == self.placement {
-            return;
-        }
-        self.placement = placement;
-        self.stats.shifts += 1;
-        self.shift_log.push((now, placement));
-        match placement {
-            Placement::Device(_) => self.card.unpark(),
-            Placement::Software => {
-                self.card.park();
-                self.core.quiesce(now);
-            }
-        }
+        self.shell.place(&mut self.emu, now, placement);
     }
+}
 
-    /// Answers a DNS query in hardware, or says why it goes to the host.
-    fn serve_hw(&mut self, now: Nanos, frame: &UdpFrame<'_>, pkt: &Packet) -> Verdict {
-        match answer(&self.zone, frame.payload, Some(EMU_MAX_NAME_LEN)) {
-            Ok(Resolution::Answered(response)) => {
-                let finish = match self.core.submit(now, EMU_SERVICE) {
-                    Admission::Served { finish, .. } => finish,
-                    Admission::Dropped => {
-                        self.stats.dropped += 1;
-                        return Verdict::Drop;
-                    }
-                };
-                let total = SHELL_PIPELINE_LATENCY + (finish - now);
-                let mut reply = build_reply_with(frame, response.encoded_len(), |buf| {
-                    response.encode_into(buf)
-                });
-                reply.id = pkt.id;
-                reply.sent_at = pkt.sent_at;
-                self.stats.served_hw += 1;
-                self.hw_latency.record_nanos(total);
-                Verdict::Reply {
-                    after: total,
-                    reply,
-                }
-            }
-            // Names beyond the parser budget go to the host resolver;
-            // so does anything unparseable, like any unknown packet.
-            Ok(Resolution::TooDeep) | Err(_) => {
-                self.stats.to_host += 1;
-                Verdict::ToHost
-            }
-        }
+impl Deref for EmuDevice {
+    type Target = CardShell;
+
+    fn deref(&self) -> &CardShell {
+        &self.shell
+    }
+}
+
+impl DerefMut for EmuDevice {
+    fn deref_mut(&mut self) -> &mut CardShell {
+        &mut self.shell
     }
 }
 
 impl Node<Packet> for EmuDevice {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Packet>) {
-        ctx.schedule_in(POWER_TICK, TAG_POWER_TICK);
+        self.shell.on_start(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Packet>, port: PortId, msg: Packet) {
-        let now = ctx.now();
-        match port {
-            PortId::P0 => {
-                // One parse per packet: the verdict is reached while the
-                // parsed view borrows `msg`, and carried out after.
-                let verdict = match UdpFrame::parse(&msg) {
-                    Ok(frame) if is_dns(&frame) => {
-                        self.rate_window.record(now, 1);
-                        if let Some(ctl) = &mut self.controller {
-                            if let Some(p) = ctl.on_app_packet(now) {
-                                self.apply_placement(now, p);
-                            }
-                        }
-                        match self.placement {
-                            Placement::Device(_) => self.serve_hw(now, &frame, &msg),
-                            Placement::Software => {
-                                self.stats.to_host += 1;
-                                Verdict::ToHost
-                            }
-                        }
-                    }
-                    _ => Verdict::Passthrough,
-                };
-                match verdict {
-                    Verdict::Reply { after, reply } => ctx.send_after(after, PortId::P0, reply),
-                    Verdict::ToHost => ctx.send_after(
-                        SHELL_PIPELINE_LATENCY + PCIE_DMA_ONE_WAY,
-                        HOST_DMA_PORT,
-                        msg,
-                    ),
-                    Verdict::Passthrough => {
-                        self.stats.passthrough += 1;
-                        ctx.send_after(SHELL_PIPELINE_LATENCY, HOST_DMA_PORT, msg);
-                    }
-                    Verdict::Drop => {}
-                }
-            }
-            HOST_DMA_PORT => {
-                self.stats.passthrough += 1;
-                ctx.send_after(SHELL_PIPELINE_LATENCY, PortId::P0, msg);
-            }
-            _ => {
-                self.stats.passthrough += 1;
-                ctx.send_after(SHELL_PIPELINE_LATENCY, HOST_DMA_PORT, msg);
-            }
-        }
+        self.shell.on_message(&mut self.emu, ctx, port, msg);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, timer: Timer) {
-        if timer.tag == TAG_POWER_TICK {
-            let now = ctx.now();
-            let rate = self.rate_window.rate(now);
-            self.current_load = (rate / calib::EMU_DNS_PEAK_RPS).clamp(0.0, 1.0);
-            if let Some(ctl) = &mut self.controller {
-                if let Some(p) = ctl.on_tick(now) {
-                    self.apply_placement(now, p);
-                }
-            }
-            ctx.schedule_in(POWER_TICK, TAG_POWER_TICK);
-        }
+        self.shell.on_timer(&mut self.emu, ctx, timer);
     }
 
     fn power_w(&self, _now: Nanos) -> f64 {
-        self.card.power_w(self.current_load)
+        self.shell.power_w()
     }
 
     fn label(&self) -> String {
@@ -291,15 +176,15 @@ mod tests {
     fn standalone_power_matches_calibration() {
         let dev = EmuDevice::new(Zone::synthetic(16)).started_in_hardware();
         // §4.4 via calibration: 18.0 W standalone idle, <0.5 W dynamic.
-        assert!((dev.card.power_w(0.0) - 18.0).abs() < 1e-9);
-        assert!(dev.card.power_w(1.0) < 18.6);
+        assert!((dev.card().power_w(0.0) - 18.0).abs() < 1e-9);
+        assert!(dev.card().power_w(1.0) < 18.6);
     }
 
     #[test]
     fn parked_emu_saves_logic_power() {
         let dev = EmuDevice::new(Zone::synthetic(16));
         assert_eq!(dev.placement(), Placement::Software);
-        assert!(dev.card.power_w(0.0) < 18.0);
+        assert!(dev.card().power_w(0.0) < 18.0);
     }
 
     #[test]

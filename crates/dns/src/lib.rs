@@ -21,7 +21,7 @@ pub mod wire;
 pub mod zone;
 
 pub use client::{DnsClient, DnsClientStats};
-pub use emu::{EmuDevice, EmuDeviceStats, EMU_MAX_RECORDS};
+pub use emu::{EmuDevice, EMU_MAX_RECORDS};
 pub use engine::{answer, resolve, Resolution};
 pub use server::{DnsServer, DnsServerConfig};
 pub use wire::{

@@ -532,15 +532,6 @@ impl DeviceFabric {
         &self.devices[id.index()]
     }
 
-    /// Mutable access to one device's ledger (for bootstrap/ad-hoc edits;
-    /// note that going through the fabric's own [`DeviceFabric::admit`]
-    /// preserves the one-residency invariant and the fabric's residency
-    /// index, this does neither — [`DeviceFabric::residency`] will not see
-    /// allocations made behind its back).
-    pub fn device_mut(&mut self, id: DeviceId) -> &mut DeviceCapacity {
-        &mut self.devices[id.index()]
-    }
-
     /// The distance matrix pricing remote placements.
     pub fn topology(&self) -> &Topology {
         &self.topology

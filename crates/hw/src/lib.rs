@@ -8,6 +8,10 @@
 //!
 //! * [`SumeCard`] — the shared FPGA platform: module-composed power,
 //!   gating/reset/parking (§5.1, §9.2), port conventions, DMA timing.
+//! * [`CardShell`], [`ServerShell`] — the platform the packet
+//!   applications embed: the card as a bump in the wire with placement,
+//!   parking, the embedded controller and the rate meter; the host daemon
+//!   with its CPU, utilisation meter and deferred replies.
 //! * [`MemorySpec`] — BRAM/SRAM/DRAM capacity, latency and power (§5.3).
 //! * [`RegisterArray`], [`MatchTable`], [`PipelineBudget`] — P4-style
 //!   state and resource admission (§6, §10).
@@ -25,6 +29,7 @@ pub mod memory;
 pub mod netfpga;
 pub mod offload;
 pub mod pipeline;
+pub mod shell;
 pub mod smartnic;
 
 pub use asic::{TofinoModel, TofinoProgram};
@@ -36,4 +41,8 @@ pub use netfpga::{
 };
 pub use offload::{NetControllerConfig, NetRateController, Placement, RateTrigger};
 pub use pipeline::{MatchTable, PipelineBudget, PipelineError, ProgramResources, RegisterArray};
+pub use shell::{
+    CardApp, CardShell, CardStats, Deferred, HostConfig, LoadMeter, ParkPolicy, ServerApp,
+    ServerShell, UtilMeter, Verdict, POWER_TICK, RECONFIG_HALT, TAG_POWER_TICK,
+};
 pub use smartnic::{survey, SmartNicArch, SmartNicModel, PCIE_SLOT_BUDGET_W};

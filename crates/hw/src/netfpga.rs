@@ -3,10 +3,14 @@
 //! All three applications share this platform: four 10GE front-panel ports,
 //! a PCIe/DMA path to the host, NetFPGA shell modules (input/output
 //! arbiters), and an application core compiled from Verilog, P4 or C#. The
-//! [`SumeCard`] struct is embedded by the application device nodes
-//! (`inc-kvs::LakeDevice`, `inc-paxos::P4xosDevice`, `inc-dns::EmuDevice`)
-//! and supplies the shared pieces: the module-composed power model, port
-//! conventions, line-rate limits, and the DMA path timing.
+//! [`SumeCard`] struct supplies the physical pieces: the module-composed
+//! power model with its parking states, port conventions, line-rate
+//! limits, and the DMA path timing. The card shell
+//! ([`CardShell`](crate::CardShell)) wraps it into the bump in the wire
+//! that `inc-kvs::LakeDevice` and `inc-dns::EmuDevice` embed — classifier
+//! hook, placement, parking policy, embedded controller, rate meter and
+//! port forwarding — and `inc-paxos::Platform::fpga` pairs it with a
+//! pipeline station for P4xos.
 
 use inc_power::{calib, DevicePower, Module, ModuleState};
 use inc_sim::{Nanos, PortId};
@@ -112,11 +116,6 @@ impl SumeCard {
     /// Mutable access to the module power model (for gating experiments).
     pub fn power_mut(&mut self) -> &mut DevicePower {
         &mut self.power
-    }
-
-    /// Immutable access to the module power model.
-    pub fn power_model(&self) -> &DevicePower {
-        &self.power
     }
 
     /// Parks the card for on-demand idling (§9.2): memories held in reset,

@@ -99,14 +99,6 @@ impl<T: Default + Clone> RegisterArray<T> {
             })
     }
 
-    /// Mutably reads register `index`.
-    pub fn read_mut(&mut self, index: u64) -> Result<&mut T, PipelineError> {
-        let size = self.size();
-        self.slots
-            .get_mut(index as usize)
-            .ok_or(PipelineError::IndexOutOfRange { index, size })
-    }
-
     /// Writes register `index`.
     pub fn write(&mut self, index: u64, value: T) -> Result<(), PipelineError> {
         let size = self.size();

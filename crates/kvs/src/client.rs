@@ -5,8 +5,12 @@
 //! mid-run. Values are derived deterministically from keys so every GET
 //! hit can be verified end-to-end, including across placement shifts.
 
+use std::ops::{Deref, DerefMut};
+
 use inc_net::{build_udp_with, Endpoint, Packet, UdpFrame};
-use inc_sim::{impl_node_any, Ctx, FixedHashMap, Histogram, Nanos, Node, PortId, Rng, Timer};
+use inc_sim::{
+    impl_node_any, Ctx, FixedHashMap, LatencyWindow, Nanos, Node, Pacer, PortId, Rng, Timer,
+};
 
 use crate::protocol::{decode_view, FrameHeader, MessageView, Opcode, RequestView, Status};
 
@@ -96,25 +100,20 @@ pub struct ClientStats {
     pub not_found: u64,
 }
 
-/// The measuring load generator.
+/// The measuring load generator. Its latency record (`latency`,
+/// `take_window`) is the [`LatencyWindow`] it derefs to.
 pub struct KvsClient {
     src: Endpoint,
     dst: Endpoint,
-    /// Offered rate, requests/second (OSNT-style open loop).
-    rate_pps: f64,
+    /// Offered rate (OSNT-style open loop).
+    pacer: Pacer,
     gen: Box<dyn OpGen + 'static>,
     verify: bool,
     stats: ClientStats,
-    /// All-time latency distribution.
-    pub latency: Histogram,
-    /// Resettable window histogram for timeline plots.
-    pub window_latency: Histogram,
-    /// Received count at the last window reset (for throughput windows).
-    window_received_base: u64,
+    window: LatencyWindow,
     next_opaque: u32,
     /// Outstanding requests: opaque → (send time, op).
     outstanding: FixedHashMap<u32, (Nanos, KvOp)>,
-    stopped: bool,
 }
 
 impl KvsClient {
@@ -124,16 +123,13 @@ impl KvsClient {
         KvsClient {
             src,
             dst,
-            rate_pps,
+            pacer: Pacer::new(rate_pps),
             gen,
             verify: true,
             stats: ClientStats::default(),
-            latency: Histogram::new(),
-            window_latency: Histogram::new(),
-            window_received_base: 0,
+            window: LatencyWindow::default(),
             next_opaque: 0,
             outstanding: FixedHashMap::default(),
-            stopped: false,
         }
     }
 
@@ -145,26 +141,17 @@ impl KvsClient {
 
     /// Changes the offered rate (takes effect at the next send timer).
     pub fn set_rate(&mut self, rate_pps: f64) {
-        self.rate_pps = rate_pps;
+        self.pacer.set_rate(rate_pps);
     }
 
     /// Stops offering load.
     pub fn stop(&mut self) {
-        self.stopped = true;
+        self.pacer.stop();
     }
 
     /// Returns cumulative statistics.
     pub fn stats(&self) -> ClientStats {
         self.stats
-    }
-
-    /// Drains the measurement window: returns (responses in window,
-    /// window latency histogram) and resets both.
-    pub fn take_window(&mut self) -> (u64, Histogram) {
-        let n = self.stats.received - self.window_received_base;
-        self.window_received_base = self.stats.received;
-        let h = std::mem::take(&mut self.window_latency);
-        (n, h)
     }
 
     fn build_request(&mut self, op: &KvOp) -> (Packet, u32) {
@@ -207,33 +194,35 @@ impl KvsClient {
         self.stats.sent += 1;
         ctx.send(PortId::P0, pkt);
     }
+}
 
-    fn schedule_next_send(&mut self, ctx: &mut Ctx<'_, Packet>) {
-        if self.stopped {
-            return;
-        }
-        if self.rate_pps > 0.0 {
-            ctx.schedule_in(Nanos::from_secs_f64(1.0 / self.rate_pps), TAG_SEND);
-        } else {
-            // Idle: re-check for a new rate every 10 ms.
-            ctx.schedule_in(Nanos::from_millis(10), TAG_SEND);
-        }
+impl Deref for KvsClient {
+    type Target = LatencyWindow;
+
+    fn deref(&self) -> &LatencyWindow {
+        &self.window
+    }
+}
+
+impl DerefMut for KvsClient {
+    fn deref_mut(&mut self) -> &mut LatencyWindow {
+        &mut self.window
     }
 }
 
 impl Node<Packet> for KvsClient {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Packet>) {
-        self.schedule_next_send(ctx);
+        self.pacer.schedule(ctx, TAG_SEND);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, timer: Timer) {
-        if timer.tag != TAG_SEND || self.stopped {
+        if timer.tag != TAG_SEND || self.pacer.stopped() {
             return;
         }
-        if self.rate_pps > 0.0 {
+        if self.pacer.sends() {
             self.send_one(ctx);
         }
-        self.schedule_next_send(ctx);
+        self.pacer.schedule(ctx, TAG_SEND);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Packet>, _port: PortId, msg: Packet) {
@@ -248,9 +237,7 @@ impl Node<Packet> for KvsClient {
         };
         let now = ctx.now();
         self.stats.received += 1;
-        let lat = (now - sent_at).as_nanos();
-        self.latency.record(lat);
-        self.window_latency.record(lat);
+        self.window.record((now - sent_at).as_nanos());
         if response.opcode == Opcode::Get {
             match response.status {
                 Status::Ok if self.verify => {

@@ -8,10 +8,12 @@
 //! * [`protocol`] — the memcached UDP frame + binary protocol wire format.
 //! * [`LruCache`], [`ChunkAllocator`], [`KvStore`] — storage engines.
 //! * [`LakeCache`] — the two-level cache logic (§3.1, §5.3).
-//! * [`LakeDevice`] — the card as a simulation node: classifier, PE array,
-//!   DMA miss path, parking, and the embedded network controller (§9.1).
-//! * [`MemcachedServer`] — the software server with the calibrated i7
-//!   power model (§4.2).
+//! * [`LakeDevice`] — the card as a simulation node: the PE array and
+//!   DMA miss path on the shared card shell (`inc_hw::CardShell`), which
+//!   supplies the classifier, parking and the embedded network controller
+//!   (§9.1).
+//! * [`MemcachedServer`] — the software server on the shared server shell
+//!   (`inc_hw::ServerShell`) with the calibrated i7 power model (§4.2).
 //! * [`KvsClient`] — OSNT/mutilate-style load generation with end-to-end
 //!   value verification.
 
@@ -23,7 +25,8 @@ pub mod protocol;
 pub mod store;
 
 pub use client::{expected_value, key_name, ClientStats, KvOp, KvsClient, OpGen, UniformGen};
-pub use device::{LakeDevice, LakeDeviceStats, ParkPolicy, RECONFIG_HALT};
+pub use device::LakeDevice;
+pub use inc_hw::{ParkPolicy, RECONFIG_HALT};
 pub use lake::{LakeCache, LakeCacheConfig, LakeStats, Lookup};
 pub use memcached::{MemcachedConfig, MemcachedServer};
 pub use protocol::{

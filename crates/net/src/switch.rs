@@ -23,12 +23,10 @@ pub struct L2Switch {
     forwarded: u64,
     flooded: u64,
     steered: u64,
-    /// Fixed power draw attributed to the switch fabric, watts.
-    power_w: f64,
 }
 
 impl L2Switch {
-    /// Creates a switch with `ports` ports and zero attributed power.
+    /// Creates a switch with `ports` ports (it draws no metered power).
     ///
     /// # Panics
     ///
@@ -42,14 +40,7 @@ impl L2Switch {
             forwarded: 0,
             flooded: 0,
             steered: 0,
-            power_w: 0.0,
         }
-    }
-
-    /// Sets the fixed power attributed to this switch.
-    pub fn with_power(mut self, watts: f64) -> Self {
-        self.power_w = watts;
-        self
     }
 
     /// Installs a steering rule: packets matching `m` egress on `port`,
@@ -64,19 +55,9 @@ impl L2Switch {
         self.steer.retain(|&(_, p)| p != port);
     }
 
-    /// Removes all steering rules.
-    pub fn clear_steering(&mut self) {
-        self.steer.clear();
-    }
-
     /// Returns (forwarded, flooded, steered) packet counts.
     pub fn counters(&self) -> (u64, u64, u64) {
         (self.forwarded, self.flooded, self.steered)
-    }
-
-    /// Returns the learned MAC table size.
-    pub fn table_len(&self) -> usize {
-        self.table.len()
     }
 
     fn steering_decision(&self, pkt: &Packet) -> Option<PortId> {
@@ -142,10 +123,6 @@ impl Node<Packet> for L2Switch {
                 }
             }
         }
-    }
-
-    fn power_w(&self, _now: inc_sim::Nanos) -> f64 {
-        self.power_w
     }
 
     fn label(&self) -> String {

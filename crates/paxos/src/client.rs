@@ -14,8 +14,12 @@
 //! machines — whoever currently holds the leader role receives its
 //! requests.
 
+use std::ops::{Deref, DerefMut};
+
 use inc_net::{build_udp_with, BufMut, Bytes, Endpoint, Packet, UdpFrame};
-use inc_sim::{impl_node_any, Ctx, FixedHashMap, Histogram, Nanos, Node, PortId, Timer};
+use inc_sim::{
+    impl_node_any, pace_gap, Ctx, FixedHashMap, LatencyWindow, Nanos, Node, PortId, Timer,
+};
 
 use crate::msg::{ClientCommand, MsgType, PaxosMsg, PAXOS_CLIENT_PORT};
 
@@ -43,7 +47,8 @@ pub struct PaxosClientStats {
 /// commands, a new one issued per ack), or open-loop when built with
 /// [`PaxosClient::open_loop`] (commands paced at an offered rate,
 /// schedulable mid-run via [`PaxosClient::set_rate`] — the shape the
-/// diurnal fleet experiments drive).
+/// diurnal fleet experiments drive). Its latency record (`latency`,
+/// `take_window`) is the [`LatencyWindow`] it derefs to.
 pub struct PaxosClient {
     id: u32,
     own: Endpoint,
@@ -60,10 +65,7 @@ pub struct PaxosClient {
     outstanding: FixedHashMap<u64, (Nanos, u32)>,
     stats: PaxosClientStats,
     /// End-to-end command latency (first send → ack).
-    pub latency: Histogram,
-    /// Resettable window histogram.
-    pub window_latency: Histogram,
-    window_acked_base: u64,
+    window: LatencyWindow,
     stopped: bool,
 }
 
@@ -83,9 +85,7 @@ impl PaxosClient {
             next_seq: 0,
             outstanding: FixedHashMap::default(),
             stats: PaxosClientStats::default(),
-            latency: Histogram::new(),
-            window_latency: Histogram::new(),
-            window_acked_base: 0,
+            window: LatencyWindow::default(),
             stopped: false,
         }
     }
@@ -93,9 +93,9 @@ impl PaxosClient {
     /// Creates an open-loop client issuing commands at `rate_pps`
     /// regardless of acks (retries still fire per command after
     /// `timeout`). The rate can be rescheduled with
-    /// [`PaxosClient::set_rate`].
+    /// [`PaxosClient::set_rate`]; any rate is accepted (see
+    /// [`pace_gap`]).
     pub fn open_loop(id: u32, leader: Endpoint, rate_pps: f64, timeout: Nanos) -> Self {
-        assert!(rate_pps >= 0.0 && rate_pps.is_finite());
         PaxosClient {
             paced: Some(rate_pps),
             ..PaxosClient::new(id, leader, 0, timeout)
@@ -109,7 +109,6 @@ impl PaxosClient {
     ///
     /// Panics if the client is closed-loop.
     pub fn set_rate(&mut self, rate_pps: f64) {
-        assert!(rate_pps >= 0.0 && rate_pps.is_finite());
         assert!(self.paced.is_some(), "set_rate on a closed-loop client");
         self.paced = Some(rate_pps);
     }
@@ -122,13 +121,6 @@ impl PaxosClient {
     /// Stops issuing new commands.
     pub fn stop(&mut self) {
         self.stopped = true;
-    }
-
-    /// Drains the measurement window: (acks in window, latency histogram).
-    pub fn take_window(&mut self) -> (u64, Histogram) {
-        let n = self.stats.acked - self.window_acked_base;
-        self.window_acked_base = self.stats.acked;
-        (n, std::mem::take(&mut self.window_latency))
     }
 
     /// The request frame for command `seq`: the [`ClientCommand`]
@@ -161,15 +153,12 @@ impl PaxosClient {
     }
 
     /// The time the next open-loop command is due: one inter-arrival gap
-    /// after the previous issue, or never at rate zero.
+    /// after the previous issue, or never at a rate that sends nothing.
     fn pace_due(&self) -> Option<Nanos> {
         // Pacing only runs in open-loop mode; in closed-loop mode there
         // is simply no paced command due.
-        let rate = self.paced?;
-        // Clamp the gap to 1 ns: an absurd rate must not round it to
-        // zero and spin the simulator at one instant forever.
-        (rate > 0.0)
-            .then(|| self.last_issue + Nanos::from_secs_f64(1.0 / rate).max(Nanos::from_nanos(1)))
+        let gap = pace_gap(self.paced?)?;
+        Some(self.last_issue.saturating_add(gap))
     }
 
     /// Schedules the next pacing tick: at the due instant when it is
@@ -184,6 +173,20 @@ impl PaxosClient {
             None => PACE_POLL,
         };
         ctx.schedule_in(wait, TAG_PACE);
+    }
+}
+
+impl Deref for PaxosClient {
+    type Target = LatencyWindow;
+
+    fn deref(&self) -> &LatencyWindow {
+        &self.window
+    }
+}
+
+impl DerefMut for PaxosClient {
+    fn deref_mut(&mut self) -> &mut LatencyWindow {
+        &mut self.window
     }
 }
 
@@ -248,9 +251,7 @@ impl Node<Packet> for PaxosClient {
         };
         let now = ctx.now();
         self.stats.acked += 1;
-        let lat = (now - first_sent).as_nanos();
-        self.latency.record(lat);
-        self.window_latency.record(lat);
+        self.window.record((now - first_sent).as_nanos());
         // Closed-loop: every ack funds the next command. Open-loop issue
         // is driven by the pacing timer instead.
         if !self.stopped && self.paced.is_none() {

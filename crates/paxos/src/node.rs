@@ -5,22 +5,25 @@
 //! on a Tofino. [`PaxosNode`] wraps a [`RoleEngine`] with a [`Platform`]
 //! that supplies the timing and power of each variation.
 
-use inc_hw::{SumeCard, TofinoModel, TofinoProgram, SHELL_PIPELINE_LATENCY};
+use inc_hw::{
+    Deferred, LoadMeter, SumeCard, TofinoModel, TofinoProgram, UtilMeter, POWER_TICK,
+    SHELL_PIPELINE_LATENCY, TAG_POWER_TICK,
+};
 use inc_net::{build_udp_with, Endpoint, Packet, UdpFrame};
-use inc_power::{calib, CpuModel};
+use inc_power::calib;
 use inc_sim::{
-    impl_node_any, Admission, Ctx, FixedHashMap, Histogram, Nanos, Node, PortId, ServiceStation,
-    Timer, WindowRate,
+    impl_node_any, Admission, Ctx, Histogram, Nanos, Node, PortId, ServiceStation, Timer,
 };
 
 use crate::msg::{PaxosMsg, PAXOS_CLIENT_PORT};
 use crate::outbox::Outbox;
 use crate::roles::{Acceptor, Dest, Leader, Learner};
 
-const TAG_POWER_TICK: u64 = 1;
+/// Host software cost model: the one host model every software twin
+/// runs on.
+pub use inc_hw::HostConfig;
+
 const TAG_GAP_PROBE: u64 = 2;
-const TAG_WORK_BASE: u64 = 1 << 32;
-const POWER_TICK: Nanos = Nanos::from_millis(20);
 const GAP_PROBE_PERIOD: Nanos = Nanos::from_millis(25);
 
 /// Who the node can talk to.
@@ -72,80 +75,6 @@ impl RoleEngine {
     }
 }
 
-/// Host software cost model.
-#[derive(Clone, Copy, Debug)]
-pub struct HostConfig {
-    /// The host's CPU power model.
-    pub cpu: CpuModel,
-    /// Per-message CPU time.
-    pub service: Nanos,
-    /// Fixed kernel/stack latency per message.
-    pub fixed: Nanos,
-    /// NIC power, watts.
-    pub nic_w: f64,
-    /// `true` for DPDK: a core spins at 100 % regardless of load (§4.3:
-    /// "the power consumption for the DPDK implementation is high even
-    /// under low load ... since DPDK constantly polls").
-    pub polling: bool,
-}
-
-impl HostConfig {
-    /// libpaxos acceptor: one core, peak 178 Kmsg/s (§3.2).
-    pub fn libpaxos_acceptor() -> Self {
-        HostConfig {
-            cpu: CpuModel::i7_6700k_single_core_service(),
-            service: Nanos::from_nanos(5_618),
-            fixed: Nanos::from_micros(40),
-            nic_w: calib::INTEL_X520_NIC_W,
-            polling: false,
-        }
-    }
-
-    /// libpaxos leader: sequencing plus fan-out makes it the slowest and
-    /// most latency-dominant role.
-    pub fn libpaxos_leader() -> Self {
-        HostConfig {
-            cpu: CpuModel::i7_6700k_single_core_service(),
-            service: Nanos::from_nanos(6_250),
-            fixed: Nanos::from_micros(100),
-            nic_w: calib::INTEL_X520_NIC_W,
-            polling: false,
-        }
-    }
-
-    /// libpaxos learner.
-    pub fn libpaxos_learner() -> Self {
-        HostConfig {
-            fixed: Nanos::from_micros(40),
-            ..Self::libpaxos_acceptor()
-        }
-    }
-
-    /// DPDK acceptor: kernel bypass, ~900 Kmsg/s, constant high power.
-    pub fn dpdk_acceptor() -> Self {
-        HostConfig {
-            cpu: CpuModel::i7_6700k(),
-            service: Nanos::from_nanos(1_111),
-            fixed: Nanos::from_micros(3),
-            nic_w: calib::INTEL_X520_NIC_W,
-            polling: true,
-        }
-    }
-
-    /// DPDK leader: ~800 Kmsg/s.
-    pub fn dpdk_leader() -> Self {
-        HostConfig {
-            service: Nanos::from_nanos(1_250),
-            ..Self::dpdk_acceptor()
-        }
-    }
-
-    /// Peak message rate of this configuration.
-    pub fn peak_mps(&self) -> f64 {
-        1.0 / self.service.as_secs_f64()
-    }
-}
-
 /// The execution platform of a node.
 pub enum Platform {
     /// Host software (libpaxos or DPDK).
@@ -155,8 +84,7 @@ pub enum Platform {
         /// Single-core service station (libpaxos uses one core, §4.3).
         station: ServiceStation,
         /// Windowed utilisation for the power model.
-        current_util: f64,
-        last_busy_ns: u128,
+        util: UtilMeter,
     },
     /// P4xos on the NetFPGA SUME: fully pipelined, 10 Mmsg/s (§3.2).
     Fpga {
@@ -164,9 +92,8 @@ pub enum Platform {
         card: SumeCard,
         /// Pipeline initiation interval (100 ns → 10 Mmsg/s).
         station: ServiceStation,
-        /// Load fraction for dynamic power.
-        current_load: f64,
-        rate_window: WindowRate,
+        /// Message rate and load fraction for dynamic power.
+        meter: LoadMeter,
     },
     /// P4xos on a Tofino-class ASIC (§6): modelled analytically for power;
     /// event-simulated only at the rates the harnesses drive.
@@ -175,8 +102,8 @@ pub enum Platform {
         model: TofinoModel,
         /// Initiation interval (0.4 ns → 2.5 Gmsg/s).
         station: ServiceStation,
-        current_load: f64,
-        rate_window: WindowRate,
+        /// Message rate and load fraction for dynamic power.
+        meter: LoadMeter,
     },
 }
 
@@ -186,8 +113,7 @@ impl Platform {
         Platform::Host {
             config,
             station: ServiceStation::new(1, Some(Nanos::from_millis(2))),
-            current_util: 0.0,
-            last_busy_ns: 0,
+            util: UtilMeter::default(),
         }
     }
 
@@ -199,8 +125,7 @@ impl Platform {
                 calib::P4XOS_DYNAMIC_MAX_W,
             ),
             station: ServiceStation::new(1, Some(Nanos::from_micros(20))),
-            current_load: 0.0,
-            rate_window: WindowRate::new(Nanos::from_millis(100), 10),
+            meter: LoadMeter::new(calib::P4XOS_FPGA_PEAK_MPS),
         }
     }
 
@@ -209,100 +134,46 @@ impl Platform {
         Platform::Asic {
             model: TofinoModel::snake_32x40(),
             station: ServiceStation::new(64, Some(Nanos::from_micros(5))),
-            current_load: 0.0,
-            rate_window: WindowRate::new(Nanos::from_millis(100), 10),
+            meter: LoadMeter::new(calib::P4XOS_ASIC_PEAK_MPS),
         }
     }
 
-    fn admit(&mut self, now: Nanos) -> Option<(Nanos, Nanos)> {
-        // Returns (processing-complete time, extra fixed latency).
-        match self {
+    /// Queues a message arriving at `now`: when it has been processed and
+    /// its fixed latency has passed, or `None` when the platform drops it.
+    fn admit(&mut self, now: Nanos) -> Option<Nanos> {
+        let (station, service, fixed) = match self {
             Platform::Host {
                 config, station, ..
-            } => match station.submit(now, config.service) {
-                Admission::Served { finish, .. } => Some((finish, config.fixed)),
-                Admission::Dropped => None,
-            },
-            Platform::Fpga {
-                station,
-                rate_window,
-                ..
-            } => {
-                rate_window.record(now, 1);
-                match station.submit(now, Nanos::from_nanos(100)) {
-                    Admission::Served { finish, .. } => Some((finish, SHELL_PIPELINE_LATENCY)),
-                    Admission::Dropped => None,
-                }
+            } => (station, config.service, config.fixed),
+            Platform::Fpga { station, meter, .. } => {
+                meter.record(now);
+                (station, Nanos::from_nanos(100), SHELL_PIPELINE_LATENCY)
             }
-            Platform::Asic {
-                station,
-                rate_window,
-                ..
-            } => {
-                rate_window.record(now, 1);
-                match station.submit(now, Nanos::from_nanos(26)) {
-                    Admission::Served { finish, .. } => Some((finish, Nanos::from_nanos(400))),
-                    Admission::Dropped => None,
-                }
+            Platform::Asic { station, meter, .. } => {
+                meter.record(now);
+                (station, Nanos::from_nanos(26), Nanos::from_nanos(400))
             }
+        };
+        match station.submit(now, service) {
+            Admission::Served { finish, .. } => Some(finish + fixed),
+            Admission::Dropped => None,
         }
     }
 
     fn tick(&mut self, now: Nanos) {
         match self {
-            Platform::Host {
-                station,
-                current_util,
-                last_busy_ns,
-                ..
-            } => {
-                let busy = station.busy_core_ns(now);
-                *current_util =
-                    busy.saturating_sub(*last_busy_ns) as f64 / POWER_TICK.as_nanos() as f64;
-                *last_busy_ns = busy;
-            }
-            Platform::Fpga {
-                current_load,
-                rate_window,
-                ..
-            } => {
-                *current_load =
-                    (rate_window.rate(now) / calib::P4XOS_FPGA_PEAK_MPS).clamp(0.0, 1.0);
-            }
-            Platform::Asic {
-                current_load,
-                rate_window,
-                ..
-            } => {
-                *current_load =
-                    (rate_window.rate(now) / calib::P4XOS_ASIC_PEAK_MPS).clamp(0.0, 1.0);
-            }
+            Platform::Host { station, util, .. } => util.tick(station, now),
+            Platform::Fpga { meter, .. } | Platform::Asic { meter, .. } => meter.tick(now),
         }
     }
 
     fn power_w(&self) -> f64 {
         match self {
-            Platform::Host {
-                config,
-                current_util,
-                ..
-            } => {
-                let util = if config.polling {
-                    // A polling core is always at 100 %.
-                    current_util.max(1.0)
-                } else {
-                    *current_util
-                };
-                config.cpu.power_w(util) + config.nic_w
+            Platform::Host { config, util, .. } => config.power_w(util.util()),
+            Platform::Fpga { card, meter, .. } => card.power_w(meter.load()),
+            Platform::Asic { model, meter, .. } => {
+                model.power_w(TofinoProgram::L2WithP4xos, meter.load())
             }
-            Platform::Fpga {
-                card, current_load, ..
-            } => card.power_w(*current_load),
-            Platform::Asic {
-                model,
-                current_load,
-                ..
-            } => model.power_w(TofinoProgram::L2WithP4xos, *current_load),
         }
     }
 }
@@ -324,8 +195,9 @@ pub struct PaxosNode {
     platform: Platform,
     book: AddressBook,
     stats: PaxosNodeStats,
-    pending: FixedHashMap<u64, (PaxosMsg, Endpoint, Nanos)>,
-    next_tag: u64,
+    /// Messages waiting out their service time: (message, sender,
+    /// arrival).
+    pending: Deferred<(PaxosMsg, Endpoint, Nanos)>,
     /// Per-message processing latency at this node.
     pub node_latency: Histogram,
 }
@@ -338,8 +210,7 @@ impl PaxosNode {
             platform,
             book,
             stats: PaxosNodeStats::default(),
-            pending: FixedHashMap::default(),
-            next_tag: 0,
+            pending: Deferred::default(),
             node_latency: Histogram::new(),
         }
     }
@@ -382,18 +253,6 @@ impl PaxosNode {
             } else {
                 card.unpark();
             }
-        }
-    }
-
-    /// The §9.1-style network-measured application rate at this node
-    /// (hardware platforms meter it in the classifier; host platforms
-    /// report 0 — their rate is host-measured).
-    pub fn measured_rate(&mut self, now: Nanos) -> f64 {
-        match &mut self.platform {
-            Platform::Fpga { rate_window, .. } | Platform::Asic { rate_window, .. } => {
-                rate_window.rate(now)
-            }
-            Platform::Host { .. } => 0.0,
         }
     }
 
@@ -455,14 +314,11 @@ impl Node<Packet> for PaxosNode {
         let Ok(msg) = PaxosMsg::decode_shared(&frame.payload_bytes(&pkt)) else {
             return;
         };
-        let Some((finish, fixed)) = self.platform.admit(now) else {
+        let Some(ready) = self.platform.admit(now) else {
             self.stats.dropped += 1;
             return;
         };
-        self.next_tag += 1;
-        let tag = TAG_WORK_BASE + self.next_tag;
-        self.pending.insert(tag, (msg, frame.source(), now));
-        ctx.schedule_at(finish + fixed, tag);
+        self.pending.defer(ctx, ready, (msg, frame.source(), now));
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, timer: Timer) {
@@ -477,7 +333,7 @@ impl Node<Packet> for PaxosNode {
                 }
             }
             ctx.schedule_in(GAP_PROBE_PERIOD, TAG_GAP_PROBE);
-        } else if let Some((msg, src, arrived)) = self.pending.remove(&timer.tag) {
+        } else if let Some((msg, src, arrived)) = self.pending.take(timer.tag) {
             self.stats.handled += 1;
             self.node_latency.record_nanos(now - arrived);
             let out = self.engine.handle(&msg);

@@ -37,7 +37,6 @@ pub enum RaplDomain {
 #[derive(Clone, Debug)]
 pub struct RaplCounter {
     domain: RaplDomain,
-    quantum: Nanos,
     /// Exact accumulated energy in microjoules (not yet quantized).
     exact_uj: f64,
     /// Last time `advance` accounted up to.
@@ -47,7 +46,9 @@ pub struct RaplCounter {
 }
 
 impl RaplCounter {
-    /// Creates a counter for `domain` updating every `quantum`.
+    /// Creates a counter for `domain` updating every `quantum`; what a
+    /// reading sees of that cadence is its energy granularity (see
+    /// [`RaplCounter::read`]).
     ///
     /// # Panics
     ///
@@ -56,7 +57,6 @@ impl RaplCounter {
         assert!(quantum > Nanos::ZERO, "quantum must be positive");
         RaplCounter {
             domain,
-            quantum,
             exact_uj: 0.0,
             last: Nanos::ZERO,
             wrap_bits: 32,
@@ -66,11 +66,6 @@ impl RaplCounter {
     /// Returns the counter's domain.
     pub fn domain(&self) -> RaplDomain {
         self.domain
-    }
-
-    /// Returns the hardware update cadence of the counter.
-    pub fn update_quantum(&self) -> Nanos {
-        self.quantum
     }
 
     /// Accounts `power_w` as having been drawn from the last update until

@@ -15,6 +15,8 @@
 //! * [`Histogram`], [`StreamStats`], [`RecentRing`], [`TimeSeries`],
 //!   [`WindowRate`] — the measurement instruments.
 //! * [`ServiceStation`] — a multi-core FIFO service model for host software.
+//! * [`Pacer`], [`LatencyWindow`] — the open-loop send timer and the
+//!   latency record every load generator shares.
 //!
 //! # Examples
 //!
@@ -54,6 +56,7 @@
 //! ```
 
 mod event_queue;
+pub mod pacer;
 pub mod rng;
 pub mod service;
 pub mod sim;
@@ -61,10 +64,11 @@ pub mod stats;
 pub mod time;
 
 pub use event_queue::QueueStats;
+pub use pacer::{pace_gap, Pacer};
 pub use rng::Rng;
 pub use service::{Admission, ServiceStation};
 pub use sim::{Ctx, LinkSpec, Node, NodeId, Payload, PortId, Simulator, Timer, TimerId};
-pub use stats::{Histogram, RecentRing, StreamStats, TimeSeries, WindowRate};
+pub use stats::{Histogram, LatencyWindow, RecentRing, StreamStats, TimeSeries, WindowRate};
 pub use time::Nanos;
 
 /// The hasher state of [`FixedHashMap`]: SipHash with constant keys.

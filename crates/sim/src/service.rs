@@ -104,11 +104,6 @@ impl ServiceStation {
         self.busy_until.iter().filter(|&&t| t > now).count()
     }
 
-    /// Returns `true` if every core is busy at time `now`.
-    pub fn saturated(&self, now: Nanos) -> bool {
-        self.active_cores(now) == self.busy_until.len()
-    }
-
     /// Returns cumulative busy core-nanoseconds up to time `now`.
     ///
     /// Work already assigned but scheduled beyond `now` is excluded, so

@@ -169,15 +169,6 @@ impl LinkSpec {
         }
     }
 
-    /// A link with the given latency and infinite bandwidth.
-    pub fn with_latency(latency: Nanos) -> Self {
-        LinkSpec {
-            latency,
-            bandwidth_bps: None,
-            loss: 0.0,
-        }
-    }
-
     /// Returns the same link with a drop probability (failure injection).
     ///
     /// # Panics

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # The single source of truth for the CI bench-smoke job: the determinism
-# lint, one cheap paper figure, the figure-6 timeline, every scheduling
-# scenario under its fleet controller and static baselines, and the
-# release-mode e2e, chaos, allocation-budget and simulator suites.
+# lint, the paper figures and the study that drive every packet node (KVS,
+# DNS and Paxos on both platforms), every scheduling scenario under its
+# fleet controller and static baselines, and the release-mode e2e, chaos,
+# allocation-budget and simulator suites.
 #
 # Artifacts land in bench-artifacts/ (CI uploads the directory): the
-# figure-6 CSV, the scenario reports with one JSON object per scenario
+# figure CSVs (3c, 6, 7), the park-policy ablation, the scenario reports with one JSON object per scenario
 # (the last line each `inc-bench scenario` prints), the lint report and
 # the size ledger (scripts/loc.sh). Nothing here is a wall-clock gate —
 # benchmark/run.sh owns timing, with baselines.
@@ -23,13 +24,22 @@ bash scripts/loc.sh | tee "$out/loc.txt"
 echo "== determinism & sans-IO contract check (inc-lint) =="
 cargo run --release -p inc-lint -- --check --json "$out/lint.json"
 
+# Fig 3c is the Emu + NSD simulation check, fig 7 the libpaxos -> P4xos
+# leader shift through PaxosNode and PaxosClient, and the park ablation
+# the only run of LaKe's warm and reconfigure park policies.
 echo "== paper figures =="
 cargo run --release -p inc-bench -- fig 3a
+cargo run --release -p inc-bench -- fig 3c | tee "$out/fig3c.csv"
 cargo run --release -p inc-bench -- fig 6 | tee "$out/fig6.csv"
+cargo run --release -p inc-bench -- fig 7 | tee "$out/fig7.csv"
+cargo run --release -p inc-bench -- study park_ablation | tee "$out/park_ablation.txt"
 
 echo "== scheduling scenarios =="
 cargo run --release -p inc-bench -- scenario all | tee "$out/scenarios.txt"
 grep '^{"scenario":' "$out/scenarios.txt" > "$out/scenarios.jsonl"
+
+echo "== platform: one card routing table, hostile client rates =="
+cargo test --release -q --test platform
 
 echo "== release-mode scheduling e2e tests =="
 cargo test --release -q --test shared_device
@@ -94,7 +104,7 @@ ls -l "$out"
 # without printing its data would slip through and CI would upload an
 # incomplete artifact: every expected file must exist and be non-empty,
 # and every scenario must have contributed its JSON line.
-for f in fig6.csv scenarios.jsonl lint.json loc.txt; do
+for f in fig3c.csv fig6.csv fig7.csv park_ablation.txt scenarios.jsonl lint.json loc.txt; do
   if [[ ! -s "$out/$f" ]]; then
     echo "bench smoke failed: missing or empty artifact $out/$f" >&2
     exit 1
