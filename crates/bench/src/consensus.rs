@@ -654,6 +654,7 @@ fn warmup(rig: &mut ConsensusRig) {
 /// the spare pod-0 ToR; the surviving 2/3 acceptor quorum must keep
 /// executing commands throughout. `recovery_intervals` measures kill →
 /// acceptor 0 device-resident again.
+// inc-lint: allow(unreached-pub): tests/failure_injection.rs runs this chaos scenario and pins its golden
 pub fn run_device_kill(seed: u64) -> ScenarioReport {
     let mut rig = ConsensusRig::new(seed);
     warmup(&mut rig);
@@ -718,6 +719,7 @@ pub fn run_device_kill(seed: u64) -> ScenarioReport {
 /// placement must follow it: leader 1's tenant earns a pod-1 device
 /// while leader 0's is force-evicted. `recovery_intervals` measures
 /// partition → leader 1 active *and* device-resident.
+// inc-lint: allow(unreached-pub): tests/failure_injection.rs runs this chaos scenario and pins its golden
 pub fn run_tor_partition(seed: u64) -> ScenarioReport {
     let mut rig = ConsensusRig::new(seed);
     warmup(&mut rig);
@@ -779,6 +781,7 @@ pub fn run_tor_partition(seed: u64) -> ScenarioReport {
 /// it relaxes); a *fast* flap — shorter than the sustain window — must
 /// move nothing at all. `recovery_intervals` measures budget-relax →
 /// all roles device-resident again; `fast_flap_shifts` must be zero.
+// inc-lint: allow(unreached-pub): tests/failure_injection.rs runs this chaos scenario and pins its golden
 pub fn run_budget_flap(seed: u64) -> ScenarioReport {
     let mut rig = ConsensusRig::new(seed);
     warmup(&mut rig);

@@ -23,7 +23,7 @@
 //! distinguishes a genuinely pluggable objective from a rescaled one,
 //! and it is exactly what `tests/economics.rs` asserts.
 
-use inc_ondemand::{ClaimPolicy, FleetController, FleetControllerConfig, FleetShift, Objective};
+use inc_ondemand::{ClaimPolicy, FleetController, FleetControllerConfig, Objective};
 use inc_sim::Nanos;
 
 use crate::rigs::PodFabricRig;
@@ -32,11 +32,6 @@ use crate::rigs::PodFabricRig;
 pub const HORIZON: Nanos = Nanos::from_secs(10);
 /// Sampling interval of the control loop.
 pub const INTERVAL: Nanos = Nanos::from_millis(100);
-/// Probe instant for the steady contended placements: deep inside the
-/// plateau (which runs from 0.3 s to 7 s), after every spill and
-/// fairness claim has settled.
-pub const PROBE: Nanos = Nanos::from_secs(5);
-
 /// The skewed tariff: one dollar per joule plus a data-movement charge
 /// per detour gigabyte steep enough that the analytics tenant's
 /// intra-pod spill (≈ 0.27 GB/s of request+response bytes through the
@@ -70,20 +65,4 @@ impl EconomicsRig {
         };
         FleetController::new(config, PodFabricRig::fabric(), PodFabricRig::fleet_apps())
     }
-}
-
-/// Bitwise equality of two shift logs: every field, including the
-/// priced `benefit_w`, compared by `to_bits` — the degeneration
-/// contract (`x`, `1.0 × x` and `x − 0.0` must be the *same float*,
-/// not merely close).
-pub fn shift_logs_identical(a: &[FleetShift], b: &[FleetShift]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            x.at == y.at
-                && x.app == y.app
-                && x.to == y.to
-                && x.rate_pps.to_bits() == y.rate_pps.to_bits()
-                && x.benefit_w.to_bits() == y.benefit_w.to_bits()
-                && x.reason == y.reason
-        })
 }

@@ -56,6 +56,7 @@ impl ContendedFabricRig {
     /// Index of the Paxos tenant in the fleet's app vector.
     pub const PAX_APP: usize = 2;
     /// Index of the unsatisfiable bulk-analytics tenant.
+    // inc-lint: allow(unreached-pub): tests/fairness.rs names the bulk tenant by it
     pub const BULK_APP: usize = 3;
 
     /// ToR A's device (home of the KVS, Paxos and bulk tenants).
@@ -333,10 +334,12 @@ impl PodFabricRig {
     /// Index of the KVS tenant in the fleet's app vector.
     pub const KVS_APP: usize = 0;
     /// Index of the analytics tenant (the near-spiller).
+    // inc-lint: allow(unreached-pub): tests/topology.rs and tests/economics.rs name the analytics tenant by it
     pub const ANA_APP: usize = 1;
     /// Index of the DNS tenant.
     pub const DNS_APP: usize = 2;
     /// Index of the edge tenant (the cheapest clip).
+    // inc-lint: allow(unreached-pub): tests/topology.rs names the edge tenant by it
     pub const EDGE_APP: usize = 3;
     /// Index of the Paxos tenant (the fairness claimant).
     pub const PAX_APP: usize = 4;

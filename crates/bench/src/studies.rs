@@ -407,28 +407,29 @@ pub fn lake_design() {
             vec![
                 "DRAM 64B value chunks (half)".into(),
                 format!("{:.1} M", dram.entries(64) as f64 / 2e6),
-                "33 M".into(),
+                format!("{} M", calib::DRAM_VALUE_ENTRIES / 1_000_000),
             ],
             vec![
                 "DRAM hash entries (half)".into(),
                 format!("{:.0} M", dram.entries(8) as f64 / 2e6),
-                "268 M".into(),
+                format!("{} M", calib::DRAM_HASH_ENTRIES / 1_000_000),
             ],
             vec![
                 "SRAM free-list".into(),
                 format!("{:.1} M", sram.entries(4) as f64 / 1e6),
-                "4.7 M".into(),
+                format!("{:.1} M", calib::SRAM_FREELIST_ENTRIES as f64 / 1e6),
             ],
             vec![
                 "on-chip vs DRAM capacity".into(),
                 format!("x{}k", dram.capacity_bytes / bram.capacity_bytes / 1000),
-                "x65k".into(),
+                format!("x{}k", calib::ONCHIP_VS_DRAM_RATIO / 1000),
             ],
         ],
     );
 
     // §5.3 latency ladder, measured end-to-end in the event simulation at
     // 100 Kqps. The client-to-card link adds ~1 µs of the reported totals.
+    let paper_us = |ns: u64| ns as f64 / 1e3;
     let keys = 1_000u64;
     let mut rig = KvsRig::new(5, 100_000.0, keys, 64, KvsRig::gets(keys), true);
     rig.sim.run_until(Nanos::from_secs(2));
@@ -450,13 +451,17 @@ pub fn lake_design() {
                 "median".into(),
                 format!("{:.2} us", dev.hw_latency.quantile(0.5) as f64 / 1000.0),
                 format!("{:.2} us", warm.quantile(0.5) as f64 / 1000.0),
-                "1.4-1.67 us".into(),
+                format!(
+                    "{}-{} us",
+                    paper_us(calib::LAKE_L1_HIT_NS),
+                    paper_us(calib::LAKE_L2_HIT_MEDIAN_NS)
+                ),
             ],
             vec![
                 "p99".into(),
                 format!("{:.2} us", dev.hw_latency.quantile(0.99) as f64 / 1000.0),
                 format!("{:.2} us", warm.quantile(0.99) as f64 / 1000.0),
-                "1.9 us".into(),
+                format!("{} us", paper_us(calib::LAKE_L2_HIT_P99_NS)),
             ],
         ],
     );
@@ -475,12 +480,12 @@ pub fn lake_design() {
             vec![
                 "median".into(),
                 format!("{:.2} us", lat.quantile(0.5) as f64 / 1000.0),
-                "13.5 us".into(),
+                format!("{} us", paper_us(calib::LAKE_MISS_MEDIAN_NS)),
             ],
             vec![
                 "p99".into(),
                 format!("{:.2} us", lat.quantile(0.99) as f64 / 1000.0),
-                "14.3 us".into(),
+                format!("{} us", paper_us(calib::LAKE_MISS_P99_NS)),
             ],
         ],
     );
@@ -699,7 +704,7 @@ pub fn server() {
 
     // RAPL-monitored sweep, as the paper measures it: advance a counter
     // under each load level and difference readings one second apart.
-    let mut counter = RaplCounter::new(RaplDomain::Package, Nanos::from_millis(1));
+    let mut counter = RaplCounter::new(RaplDomain::Package);
     let mut sampler = RaplSampler::new();
     let mut series = Series {
         name: "rapl_w".to_string(),
@@ -719,8 +724,6 @@ pub fn server() {
         if let Some(measured) = sampler.sample(&counter, t) {
             series.points.push((util, measured));
             model_series.points.push((util, w));
-        } else {
-            sampler.sample(&counter, t);
         }
     }
 
@@ -806,7 +809,11 @@ pub fn trace() {
 
     let cut = Nanos::from_secs(2 * 3600);
     note(
-        "long-job utilization share (paper: 90% from 5% of jobs)",
+        &format!(
+            "long-job utilization share (paper: {:.0}% from {:.0}% of jobs)",
+            goog_ref::LONG_JOB_UTILIZATION_SHARE * 100.0,
+            goog_ref::LONG_JOB_COUNT_SHARE * 100.0
+        ),
         format!(
             "{:.0}% of core-seconds from {:.1}% of tasks",
             trace.utilization_share_of_long_tasks(cut) * 100.0,

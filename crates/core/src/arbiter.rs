@@ -234,7 +234,7 @@ fn band(deadband: f64, held: f64) -> f64 {
 /// ```
 /// use inc_hw::{DeviceFabric, DeviceId, Placement, PipelineBudget, ProgramResources};
 /// use inc_ondemand::{
-///     dns_analysis, kvs_analysis, FleetApp, FleetController, FleetControllerConfig,
+///     kvs_analysis, FleetApp, FleetController, FleetControllerConfig,
 /// };
 /// use inc_sim::Nanos;
 ///
@@ -248,9 +248,9 @@ fn band(deadband: f64, held: f64) -> f64 {
 ///         weight: 1.0,
 ///     },
 ///     FleetApp {
-///         name: "dns".into(),
+///         name: "kvs-b".into(),
 ///         demand: ProgramResources { stages: 6, sram_bytes: 20 << 20, parse_depth_bytes: 128 },
-///         analysis: dns_analysis(),
+///         analysis: kvs_analysis(),
 ///         home: DeviceId::LOCAL,
 ///         weight: 1.0,
 ///     },
@@ -468,16 +468,12 @@ impl FleetController {
         &self.last_dirty
     }
 
-    /// The held scoring rate of `app` (NaN before its first sample).
-    pub fn held_rate(&self, app: usize) -> f64 {
-        self.held_rates[app]
-    }
-
     /// Recomputes from scratch what a tick maintains incrementally — the
     /// warm set, the band and delivered-value columns, the offline count,
     /// the pending list — and reports the first disagreement (the test
     /// suites call this after every tick).
     #[doc(hidden)]
+    // inc-lint: allow(unreached-pub): tests/properties.rs and tests/mega_fabric.rs call it after every tick
     pub fn check_indexes(&self) -> Result<(), String> {
         let floor = pricing::floor_value(&self.config);
         if offline_devices(&self.fabric) != self.offline {
@@ -524,6 +520,7 @@ impl FleetController {
     }
 
     /// Consecutive samples `app` has currently spent queued.
+    // inc-lint: allow(unreached-pub): tests/properties.rs reads it in the fairness invariants
     pub fn starved_streak(&self, app: usize) -> u32 {
         self.starved_streaks[app]
     }
@@ -546,6 +543,7 @@ impl FleetController {
     /// weights of every tenant currently contending for the fabric
     /// (resident or queued), itself always included. 1.0 when it would
     /// contend alone.
+    // inc-lint: allow(unreached-pub): tests/properties.rs reads it in the fairness invariants
     pub fn entitlement(&self, app: usize) -> f64 {
         self.apps[app].weight
             / pricing::contending_weight(&self.apps, &self.starved_streaks, app, |i| {
@@ -573,6 +571,7 @@ impl FleetController {
     /// # Panics
     ///
     /// Panics if `rates.len()` differs from the number of apps.
+    // inc-lint: allow(unreached-pub): tests/properties.rs ranks the plans against both claim policies
     pub fn claim_plans(&self, app: usize, rates: &[f64]) -> Vec<ClaimPlan> {
         assert_eq!(rates.len(), self.apps.len(), "one rate per app");
         pricing::plan_handovers(
@@ -634,6 +633,7 @@ impl FleetController {
     /// decisions (an operator resizing a budget, a device draining for
     /// maintenance): next tick, every resident of that device's pod and
     /// every queued candidate homed there is re-scored.
+    // inc-lint: allow(unreached-pub): tests/properties.rs raises capacity events with it
     pub fn mark_device_dirty(&mut self, device: DeviceId) {
         self.pending_device_dirty[device.index()] = true;
     }
@@ -1546,7 +1546,7 @@ mod tests {
         let base = 100_000.0;
         ctl.sample(t(1), &[sample(base, base)]);
         assert_eq!(ctl.last_dirty(), &[0]);
-        assert_eq!(ctl.held_rate(0), base);
+        assert_eq!(ctl.held_rates[0], base);
         // Flap exactly on the band edge, alternating sides: |m - h| ==
         // deadband * h is NOT a crossing (strictly greater required).
         for step in 2..=7 {
@@ -1561,14 +1561,14 @@ mod tests {
                 "on-band flap re-scored at step {step}: {:?}",
                 ctl.last_dirty()
             );
-            assert_eq!(ctl.held_rate(0), base, "held rate moved at step {step}");
+            assert_eq!(ctl.held_rates[0], base, "held rate moved at step {step}");
         }
         // A real crossing: held moves, the app is enqueued exactly once
         // even though the rate event and (possibly) gate events coincide.
         let burst = base * 2.0;
         ctl.sample(t(8), &[sample(burst, burst)]);
         assert_eq!(ctl.last_dirty(), &[0]);
-        assert_eq!(ctl.held_rate(0), burst);
+        assert_eq!(ctl.held_rates[0], burst);
         let enqueued = ctl.stats().dirty_enqueued;
         assert_eq!(enqueued, 2, "the seed and the one genuine crossing");
         // Quiet tail: no further enqueues at all.
@@ -1695,7 +1695,7 @@ mod tests {
             let sustain = u64::from(ctl.config().sustain_samples);
             for step in 5..5 + sustain {
                 ctl.sample(t(step), &[sample(100_000.0, hostile)]);
-                assert_eq!(ctl.held_rate(0), 0.0, "{hostile} pps is read as idle");
+                assert_eq!(ctl.held_rates[0], 0.0, "{hostile} pps is read as idle");
             }
             assert_eq!(
                 ctl.placements(),
@@ -1723,7 +1723,7 @@ mod tests {
                     t(step),
                     &[sample(hostile, 100_000.0), sample(90_000.0, 90_000.0)],
                 );
-                assert_eq!(ctl.held_rate(0), 0.0, "{hostile} pps is read as idle");
+                assert_eq!(ctl.held_rates[0], 0.0, "{hostile} pps is read as idle");
             }
             assert_eq!(
                 ctl.placements(),
@@ -2208,9 +2208,10 @@ mod tests {
             assert_eq!(s.selected, expected, "seed {seed}: seat map");
             for d in ctl.fabric.device_ids() {
                 let residents = |f: &DeviceFabric| {
-                    let dev = f.device(d);
-                    let apps: Vec<usize> = (0..n).filter(|&i| dev.is_resident(i as u64)).collect();
-                    (apps, dev.resident_count())
+                    let apps: Vec<usize> = (0..n)
+                        .filter(|&i| f.residency(i as u64) == Some(d))
+                        .collect();
+                    (apps, f.device(d).used())
                 };
                 assert_eq!(
                     residents(&ctl.fabric),

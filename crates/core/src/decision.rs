@@ -23,14 +23,6 @@ pub struct PlacementAnalysis {
 }
 
 impl PlacementAnalysis {
-    /// Question 1: the idle-power penalty per second of replacing a
-    /// standard device with the programmable one (positive = programmable
-    /// idles hotter). §8: "the energy penalty of including it as part of
-    /// normal network operation is the one to worry about".
-    pub fn adoption_idle_penalty_w(&self, standard_idle_w: f64) -> f64 {
-        self.network.idle_w - standard_idle_w
-    }
-
     /// Question 2: the tipping-point rate where offloading starts paying
     /// (`Pd_net(R) = Pd_sw(R)` with the shared idle terms cancelled).
     ///
@@ -81,30 +73,6 @@ pub fn kvs_analysis() -> PlacementAnalysis {
     }
 }
 
-/// The §8 analysis for the DNS deployment (§4.4): NSD on the i7 against
-/// the Emu core on the SUME, derived from the calibrated models.
-pub fn dns_analysis() -> PlacementAnalysis {
-    use inc_power::calib;
-    PlacementAnalysis {
-        software: EnergyParams {
-            idle_w: calib::I7_PLATFORM_IDLE_W + calib::INTEL_X520_NIC_W,
-            sleep_w: 5.0,
-            // NSD fully loaded: the i7_6700k_nsd curve peaks near 92 W
-            // with the X520 added.
-            active_w: 92.0,
-            peak_rate_pps: calib::NSD_PEAK_RPS,
-        },
-        network: EnergyParams {
-            idle_w: calib::I7_PLATFORM_IDLE_W + calib::EMU_DNS_STANDALONE_IDLE_W,
-            sleep_w: 5.0,
-            active_w: calib::I7_PLATFORM_IDLE_W
-                + calib::EMU_DNS_STANDALONE_IDLE_W
-                + calib::EMU_DNS_DYNAMIC_MAX_W,
-            peak_rate_pps: calib::EMU_DNS_PEAK_RPS,
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,26 +84,6 @@ mod tests {
         // With idle terms cancelled, the hardware's tiny dynamic power
         // wins early — well before the Figure 3(a) total-power crossover.
         assert!(r < 100_000.0, "tipping point {r}");
-    }
-
-    #[test]
-    fn dns_offload_pays_from_low_rates() {
-        // §4.4 / §9.4 flavour: Emu's dynamic power is nearly flat, so the
-        // dynamic-terms tipping point sits at (almost) zero rate, while
-        // the *total*-power crossing (Figure 3c) is set by the idle gap.
-        let a = dns_analysis();
-        let r = a.tipping_point_pps().expect("curves must cross");
-        assert!(r < 20_000.0, "tipping point {r}");
-        let (sw_hi, hw_hi) = a.energy_per_second(400_000.0);
-        assert!(sw_hi > hw_hi, "offload must win at high rate");
-    }
-
-    #[test]
-    fn adoption_penalty_is_idle_difference() {
-        let a = kvs_analysis();
-        // Versus a 9.5 W standard NIC in the same host.
-        let penalty = a.adoption_idle_penalty_w(29.5 + 9.5);
-        assert!((penalty - (29.2 - 9.5)).abs() < 0.5, "{penalty}");
     }
 
     #[test]

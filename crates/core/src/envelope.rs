@@ -93,14 +93,6 @@ impl OnDemandEnvelope {
             })
             .collect()
     }
-
-    /// The §9 headline: the saving of on-demand versus always-hardware at
-    /// idle, as a fraction of the hardware power.
-    pub fn idle_saving_fraction(&self) -> f64 {
-        let od = self.software_placement_w(0.0);
-        let hw = self.hardware_placement_w(0.0);
-        (hw - od) / hw
-    }
 }
 
 #[cfg(test)]
@@ -152,7 +144,8 @@ mod tests {
     #[test]
     fn saves_power_at_idle_versus_always_on_hardware() {
         let env = kvs_envelope();
-        let saving = env.idle_saving_fraction();
+        let hw = env.hardware_placement_w(0.0);
+        let saving = (hw - env.software_placement_w(0.0)) / hw;
         // Parking the card at idle saves a meaningful fraction of the
         // always-on hardware level.
         assert!(saving > 0.05, "saving {saving}");

@@ -552,7 +552,7 @@ mod tests {
         };
         let mut ctl = FleetController::new(pinned, contended(), apps)
             .with_initial_placements(&[Placement::HARDWARE, Placement::Software]);
-        assert!(ctl.fabric().is_resident(0));
+        assert!(ctl.fabric().residency(0).is_some());
         for step in 1..=30 {
             // Wildly varying load in both directions.
             let r = if step % 2 == 0 { 500_000.0 } else { 0.0 };
@@ -590,7 +590,7 @@ mod tests {
         }
         assert_eq!(ctl.placements(), &adopted);
         assert!(ctl.shifts().is_empty());
-        assert!(ctl.fabric().is_resident(0));
+        assert!(ctl.fabric().residency(0).is_some());
 
         // Live controller, idle adopted resident: delivered benefit sits
         // under the eviction band from the first sample, so the eviction
@@ -602,7 +602,7 @@ mod tests {
         assert_eq!(live.last_dirty(), &[0, 1], "first tick is a full solve");
         assert!(live.sample(t(2), &idle).is_empty());
         assert_eq!(live.sample(t(3), &idle), vec![(0, Placement::Software)]);
-        assert!(!live.fabric().is_resident(0));
+        assert!(live.fabric().residency(0).is_none());
     }
 
     #[test]

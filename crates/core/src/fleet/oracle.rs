@@ -20,6 +20,7 @@ use super::{pricing, FleetApp, FleetControllerConfig, FleetSample, FleetShift, S
 
 /// The flat sorted-scan knapsack (see the module docs).
 #[derive(Clone, Debug)]
+// inc-lint: allow(unreached-pub): the equivalence oracle of tests/properties.rs and tests/economics.rs
 pub struct FlatOracle {
     config: FleetControllerConfig,
     fabric: DeviceFabric,

@@ -51,7 +51,7 @@ pub mod tor;
 
 pub use apps::Deployment;
 pub use arbiter::{ArbiterStats, FleetController, HierarchicalController};
-pub use decision::{dns_analysis, kvs_analysis, PlacementAnalysis};
+pub use decision::{kvs_analysis, PlacementAnalysis};
 pub use envelope::{EnvelopePoint, OnDemandEnvelope};
 pub use fleet::{
     AdmissionDecision, ArbitrationMode, ClaimPlan, ClaimPolicy, FleetApp, FleetControllerConfig,

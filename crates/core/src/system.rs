@@ -70,9 +70,8 @@ pub enum RowLog {
 /// The recorded timeline of a run.
 ///
 /// Rows are accessed through [`Timeline::rows`]; construction goes
-/// through [`Timeline::new`]/[`Timeline::push`] (or
-/// [`Timeline::from_rows`] for tests) so the streaming aggregates stay
-/// consistent with the rows.
+/// through [`Timeline::new`]/[`Timeline::push`] so the streaming
+/// aggregates stay consistent with the rows.
 #[derive(Clone, Debug)]
 pub struct Timeline {
     rows: RecentRing<TimelineRow>,
@@ -112,15 +111,6 @@ impl Timeline {
             latency_sketch: Histogram::new(),
             span: None,
         }
-    }
-
-    /// A fully-logged timeline built from pre-made rows (test helper).
-    pub fn from_rows(rows: Vec<TimelineRow>) -> Self {
-        let mut timeline = Timeline::new(RowLog::Full);
-        for row in rows {
-            timeline.push(row);
-        }
-        timeline
     }
 
     /// Appends a row, updating the streaming aggregates in push order
@@ -357,6 +347,7 @@ impl FleetTimeline {
     /// Shifts executed for one app (the app's own timeline records them;
     /// the global [`FleetTimeline::shifts`] keeps the cross-app decision
     /// order).
+    // inc-lint: allow(unreached-pub): tests/shared_device.rs, tests/fairness.rs and tests/multi_tor.rs read per-app shift logs through it
     pub fn shifts_for(&self, app: usize) -> &[(Nanos, Placement)] {
         &self.per_app[app].shifts
     }
@@ -428,6 +419,15 @@ pub fn run_fleet_controlled<M: Payload>(
 mod tests {
     use super::*;
     use crate::host::HostControllerConfig;
+
+    /// A fully-logged timeline built from pre-made rows.
+    fn from_rows(rows: Vec<TimelineRow>) -> Timeline {
+        let mut timeline = Timeline::new(RowLog::Full);
+        for row in rows {
+            timeline.push(row);
+        }
+        timeline
+    }
 
     /// A synthetic closed-form "system": software latency is high, power
     /// grows with rate; hardware flips both. Exercises the full control
@@ -723,7 +723,7 @@ mod tests {
     fn median_latency_even_window_uses_both_middle_rows() {
         // Regression: the old implementation returned l[len/2] — the
         // *upper* of the two middle elements on even-length windows.
-        let timeline = Timeline::from_rows(vec![
+        let timeline = from_rows(vec![
             row(100, 100, 10, 1_000, 50.0),
             row(200, 100, 10, 2_000, 50.0),
             row(300, 100, 10, 4_000, 50.0),
@@ -740,7 +740,7 @@ mod tests {
             Some(2_000)
         );
         // Rounding: (1000 + 2001 + 1) / 2 = 1501 (half away from zero).
-        let t2 = Timeline::from_rows(vec![
+        let t2 = from_rows(vec![
             row(100, 100, 1, 1_000, 0.0),
             row(200, 100, 1, 2_001, 0.0),
         ]);
@@ -754,7 +754,7 @@ mod tests {
     fn mean_throughput_weights_by_interval() {
         // Regression: a short busy interval must not count as much as a
         // long idle one. 100 ms at 10 kpps + 900 ms at 0 pps = 1 kpps.
-        let timeline = Timeline::from_rows(vec![
+        let timeline = from_rows(vec![
             row(100, 100, 1_000, 500, 40.0),
             row(1000, 900, 0, 0, 40.0),
         ]);
@@ -764,8 +764,7 @@ mod tests {
         // The old unweighted mean of per-row rates said 5 kpps.
         assert!((mean - 1_000.0).abs() < 1e-6, "mean {mean}");
         // Power is duration-weighted the same way.
-        let timeline =
-            Timeline::from_rows(vec![row(100, 100, 0, 0, 100.0), row(1000, 900, 0, 0, 50.0)]);
+        let timeline = from_rows(vec![row(100, 100, 0, 0, 100.0), row(1000, 900, 0, 0, 50.0)]);
         let p = timeline
             .mean_power_w(Nanos::ZERO, Nanos::from_secs(2))
             .unwrap();
@@ -775,7 +774,7 @@ mod tests {
 
     #[test]
     fn empty_windows_are_none_not_zero() {
-        let timeline = Timeline::from_rows(vec![row(100, 100, 0, 0, 40.0)]);
+        let timeline = from_rows(vec![row(100, 100, 0, 0, 40.0)]);
         let nowhere = (Nanos::from_secs(5), Nanos::from_secs(6));
         assert_eq!(timeline.mean_power_w(nowhere.0, nowhere.1), None);
         assert_eq!(timeline.mean_throughput_pps(nowhere.0, nowhere.1), None);
@@ -804,7 +803,7 @@ mod tests {
             row(450, 100, 500, 900, 44.25),
             row(550, 100, 750, 650, 43.0),
         ];
-        let full = Timeline::from_rows(rows.clone());
+        let full = from_rows(rows.clone());
         // A window strictly wider than the span takes the aggregate
         // path; one that merely touches the last row does not (to > last
         // is required).

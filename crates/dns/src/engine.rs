@@ -66,7 +66,10 @@ pub fn resolve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{Name, TYPE_AAAA};
+    use crate::wire::Name;
+
+    /// Record type AAAA, which Emu DNS does not serve.
+    const TYPE_AAAA: u16 = 28;
 
     fn query(name: &str, qtype: u16) -> Vec<u8> {
         Query {

@@ -26,6 +26,6 @@ pub use engine::{answer, resolve, Resolution};
 pub use server::{DnsServer, DnsServerConfig};
 pub use wire::{
     Answer, Answers, DnsError, DnsResponse, DnsResponseView, Labels, Name, Query, Rcode, CLASS_IN,
-    DNS_PORT, TYPE_A, TYPE_AAAA,
+    DNS_PORT, TYPE_A,
 };
 pub use zone::Zone;

@@ -78,8 +78,6 @@ impl Rcode {
 
 /// Record/query type A (IPv4 host address).
 pub const TYPE_A: u16 = 1;
-/// Record/query type AAAA (not served by Emu DNS).
-pub const TYPE_AAAA: u16 = 28;
 /// Class IN.
 pub const CLASS_IN: u16 = 1;
 
@@ -202,11 +200,6 @@ impl Name {
         Labels {
             rest: self.as_wire(),
         }
-    }
-
-    /// Number of labels.
-    pub fn label_count(&self) -> usize {
-        self.labels().count()
     }
 
     /// Encoded length in bytes (uncompressed).
@@ -642,9 +635,9 @@ mod tests {
     fn name_parse_and_display() {
         let n = Name::parse("Host.Example.COM").unwrap();
         assert_eq!(n.to_string(), "host.example.com");
-        assert_eq!(n.label_count(), 3);
+        assert_eq!(n.labels().count(), 3);
         assert_eq!(Name::parse("a.b.").unwrap().to_string(), "a.b");
-        assert_eq!(Name::parse("").unwrap().label_count(), 0);
+        assert_eq!(Name::parse("").unwrap().labels().count(), 0);
     }
 
     #[test]

@@ -70,18 +70,6 @@ impl TofinoModel {
         }
     }
 
-    /// Aggregate bandwidth in bits/second.
-    pub fn aggregate_bps(&self) -> f64 {
-        self.ports as f64 * self.port_gbps * 1e9
-    }
-
-    /// Packet capacity at a given frame size (headers + payload, excluding
-    /// FCS), with per-packet preamble/FCS/gap overhead.
-    pub fn capacity_pps(&self, frame_bytes: usize) -> f64 {
-        let on_wire_bits = (frame_bytes.max(60) + 24) as f64 * 8.0;
-        self.aggregate_bps() / on_wire_bits
-    }
-
     /// Normalized power (fraction of L2-forwarding full-load power) for a
     /// program at `rate_fraction` of capacity.
     ///
@@ -166,14 +154,17 @@ mod tests {
         // 1.28 Tb/s of minimum-size frames is ~1.9 Gpps; the 2.5 B msg/s
         // figure also counts the halved packet count of §10 (request in,
         // reply out). The model must at least reach the Gpps regime.
-        assert!(t.capacity_pps(64) > 1.5e9, "{}", t.capacity_pps(64));
+        // A 64 B frame is 88 B on the wire with preamble, FCS and gap.
+        let min_frame_pps = t.ports as f64 * t.port_gbps * 1e9 / (88.0 * 8.0);
+        assert!(min_frame_pps > 1.5e9, "{min_frame_pps}");
         assert_eq!(t.p4xos_peak_mps(), 2.5e9);
     }
 
     #[test]
     fn aggregate_bandwidth() {
         let t = TofinoModel::snake_32x40();
-        assert!((t.aggregate_bps() - 1.28e12).abs() < 1e6);
+        // 32 × 40 Gb/s = 1.28 Tb/s.
+        assert!((t.ports as f64 * t.port_gbps - 1_280.0).abs() < 1e-9);
     }
 
     #[test]

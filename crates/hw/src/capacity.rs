@@ -61,16 +61,6 @@ impl DeviceCapacity {
         self.budget
     }
 
-    /// Number of applications currently holding resources.
-    pub fn resident_count(&self) -> usize {
-        self.allocs.len()
-    }
-
-    /// Whether `app` currently holds an allocation.
-    pub fn is_resident(&self, app: AppSlot) -> bool {
-        self.allocs.contains_key(&app)
-    }
-
     /// Aggregate resources in use: stages and SRAM sum across residents,
     /// parse depth is the maximum any resident requires.
     pub fn used(&self) -> ProgramResources {
@@ -124,10 +114,7 @@ impl DeviceCapacity {
                 if let Some(p) = previous {
                     self.allocs.insert(app, p);
                 }
-                let why = match e {
-                    PipelineError::DoesNotFit(why) => why,
-                    other => other.to_string(),
-                };
+                let PipelineError::DoesNotFit(why) = e;
                 Err(PipelineError::DoesNotFit(format!(
                     "app {app}: {why} ({} stages / {} B SRAM held by other apps)",
                     used.stages, used.sram_bytes
@@ -147,13 +134,12 @@ impl DeviceCapacity {
     }
 
     /// Fraction of a budget dimension that `amount` represents, with one
-    /// convention shared by [`DeviceCapacity::cost_units`],
-    /// [`DeviceCapacity::occupancy`] and [`DeviceCapacity::shares`]:
-    /// demanding any amount of a dimension the device does not have is
-    /// infinitely expensive, demanding none of it is free. (The old
-    /// `occupancy` used `.max(1)` denominators and clamped to 1.0,
-    /// silently reporting a zero-sized dimension as healthy and masking
-    /// overcommit.)
+    /// convention shared by [`DeviceCapacity::cost_units`] and
+    /// [`DeviceCapacity::shares`]: demanding any amount of a dimension the
+    /// device does not have is infinitely expensive, demanding none of it
+    /// is free. (An old occupancy metric used `.max(1)` denominators and
+    /// clamped to 1.0, silently reporting a zero-sized dimension as
+    /// healthy and masking overcommit.)
     fn dimension_frac(amount: u64, budget: u64) -> f64 {
         match (amount, budget) {
             (0, 0) => 0.0,
@@ -193,15 +179,6 @@ impl DeviceCapacity {
     /// exceeds 1 can never fit.
     pub fn cost_units(&self, r: &ProgramResources) -> f64 {
         self.shares(r).dominant()
-    }
-
-    /// Fraction of the bottleneck dimension currently allocated. Every
-    /// allocation goes through [`DeviceCapacity::admit`], so this stays
-    /// in `[0, 1]` — it is deliberately *not* clamped, so an overcommit
-    /// introduced by a future bug (or a shrunk budget) reads as `> 1`
-    /// instead of being masked.
-    pub fn occupancy(&self) -> f64 {
-        self.shares(&self.used()).dominant()
     }
 }
 
@@ -254,17 +231,17 @@ mod tests {
     fn admits_until_stages_exhaust() {
         let mut cap = DeviceCapacity::new(PipelineBudget::tofino_like());
         cap.admit(0, kvs()).unwrap();
-        assert!(cap.is_resident(0));
+        assert!(cap.allocs.contains_key(&0));
         // 7 + 6 = 13 stages > 12: the second app does not fit.
         assert!(matches!(
             cap.admit(1, dns()),
             Err(PipelineError::DoesNotFit(_))
         ));
-        assert!(!cap.is_resident(1));
+        assert!(!cap.allocs.contains_key(&1));
         // Releasing the first makes room.
         assert!(cap.release(0));
         cap.admit(1, dns()).unwrap();
-        assert_eq!(cap.resident_count(), 1);
+        assert_eq!(cap.allocs.len(), 1);
     }
 
     #[test]
@@ -319,7 +296,7 @@ mod tests {
 
     #[test]
     fn zero_sized_budget_dimension_is_infinite_not_masked() {
-        // Regression: `occupancy` used `.max(1)` denominators and a
+        // Regression: an occupancy metric used `.max(1)` denominators and a
         // `.min(1.0)` clamp, so a zero-SRAM device looked healthily
         // occupied while `cost_units` called the same demand infinite.
         let no_sram = PipelineBudget {
@@ -341,10 +318,10 @@ mod tests {
         };
         assert!((cap.cost_units(&stateless) - 0.25).abs() < 1e-9);
         cap.admit(1, stateless).unwrap();
-        assert!((cap.occupancy() - 0.25).abs() < 1e-9);
+        assert!((cap.cost_units(&cap.used()) - 0.25).abs() < 1e-9);
         // An empty ledger on the degenerate device occupies nothing.
         cap.clear();
-        assert_eq!(cap.occupancy(), 0.0);
+        assert_eq!(cap.cost_units(&cap.used()), 0.0);
     }
 
     #[test]
@@ -395,12 +372,12 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_tracks_allocations() {
+    fn used_tracks_allocations() {
         let mut cap = DeviceCapacity::new(PipelineBudget::tofino_like());
-        assert_eq!(cap.occupancy(), 0.0);
+        assert_eq!(cap.cost_units(&cap.used()), 0.0);
         cap.admit(0, dns()).unwrap();
-        assert!((cap.occupancy() - 0.5).abs() < 1e-9);
+        assert!((cap.cost_units(&cap.used()) - 0.5).abs() < 1e-9);
         cap.clear();
-        assert_eq!(cap.occupancy(), 0.0);
+        assert_eq!(cap.cost_units(&cap.used()), 0.0);
     }
 }

@@ -651,11 +651,6 @@ impl DeviceFabric {
         }
     }
 
-    /// Whether `app` is resident on any device.
-    pub fn is_resident(&self, app: AppSlot) -> bool {
-        self.where_is.contains_key(&app)
-    }
-
     /// The dominant share `app` holds on the device where it is resident
     /// (0.0 when it is software-placed): the per-tenant quantity a DRF
     /// arbiter compares against a weighted entitlement. Shares are
@@ -672,14 +667,6 @@ impl DeviceFabric {
             dev.clear();
         }
         self.where_is.clear();
-    }
-
-    /// Total applications resident across the fabric.
-    pub fn resident_count(&self) -> usize {
-        self.devices
-            .iter()
-            .map(DeviceCapacity::resident_count)
-            .sum()
     }
 }
 
@@ -723,7 +710,7 @@ mod tests {
         f.admit(DeviceId(1), 1, dns()).unwrap();
         assert_eq!(f.residency(0), Some(DeviceId(0)));
         assert_eq!(f.residency(1), Some(DeviceId(1)));
-        assert_eq!(f.resident_count(), 2);
+        assert_eq!(f.where_is.len(), 2);
     }
 
     #[test]
@@ -732,7 +719,7 @@ mod tests {
         f.admit(DeviceId(0), 0, dns()).unwrap();
         f.admit(DeviceId(1), 0, dns()).unwrap();
         assert_eq!(f.residency(0), Some(DeviceId(1)));
-        assert!(!f.device(DeviceId(0)).is_resident(0));
+        assert_eq!(f.device(DeviceId(0)).used(), ProgramResources::default());
         // A failed move leaves the old residency in place.
         f.admit(DeviceId(0), 1, kvs()).unwrap();
         assert!(f.admit(DeviceId(0), 0, kvs()).is_err());
@@ -754,7 +741,7 @@ mod tests {
         assert!(f.admit(DeviceId(1), 0, kvs()).is_err());
         f.admit(DeviceId(0), 0, kvs()).unwrap();
         f.admit(DeviceId(1), 1, dns()).unwrap();
-        assert_eq!(f.device(DeviceId(1)).resident_count(), 1);
+        assert_eq!(f.device(DeviceId(1)).used(), dns());
     }
 
     #[test]
@@ -985,7 +972,7 @@ mod tests {
         let mut f = two_tors();
         f.admit(DeviceId(0), 7, dns()).unwrap();
         let g = f.fresh();
-        assert_eq!(g.resident_count(), 0);
+        assert!(g.where_is.is_empty());
         assert_eq!(g.device_count(), 2);
         assert_eq!(
             g.device(DeviceId(0)).budget(),
@@ -1021,11 +1008,11 @@ mod tests {
     fn release_and_clear() {
         let mut f = two_tors();
         f.admit(DeviceId(1), 3, dns()).unwrap();
-        assert!(f.is_resident(3));
+        assert_eq!(f.residency(3), Some(DeviceId(1)));
         assert!(f.release(3));
         assert!(!f.release(3));
         f.admit(DeviceId(0), 4, dns()).unwrap();
         f.clear();
-        assert_eq!(f.resident_count(), 0);
+        assert!(f.where_is.is_empty());
     }
 }

@@ -13,8 +13,7 @@
 //!   parking, the embedded controller and the rate meter; the host daemon
 //!   with its CPU, utilisation meter and deferred replies.
 //! * [`MemorySpec`] — BRAM/SRAM/DRAM capacity, latency and power (§5.3).
-//! * [`RegisterArray`], [`MatchTable`], [`PipelineBudget`] — P4-style
-//!   state and resource admission (§6, §10).
+//! * [`PipelineBudget`] — P4-style resource admission (§6, §10).
 //! * [`DeviceCapacity`] — multi-application capacity ledger over one
 //!   budget, for shared-device scheduling.
 //! * [`DeviceFabric`] — a set of such ledgers, one per ToR (§9.4), priced
@@ -36,11 +35,9 @@ pub use asic::{TofinoModel, TofinoProgram};
 pub use capacity::{AppSlot, DeviceCapacity, ResourceShares};
 pub use fabric::{DeviceFabric, DeviceId, HopTier, TierCost, Topology};
 pub use memory::{MemoryKind, MemorySpec};
-pub use netfpga::{
-    modules, SumeCard, HOST_DMA_PORT, NET_PORT_COUNT, PCIE_DMA_ONE_WAY, SHELL_PIPELINE_LATENCY,
-};
+pub use netfpga::{modules, SumeCard, HOST_DMA_PORT, PCIE_DMA_ONE_WAY, SHELL_PIPELINE_LATENCY};
 pub use offload::{NetControllerConfig, NetRateController, Placement, RateTrigger};
-pub use pipeline::{MatchTable, PipelineBudget, PipelineError, ProgramResources, RegisterArray};
+pub use pipeline::{PipelineBudget, PipelineError, ProgramResources};
 pub use shell::{
     CardApp, CardShell, CardStats, Deferred, HostConfig, LoadMeter, ParkPolicy, ServerApp,
     ServerShell, UtilMeter, Verdict, POWER_TICK, RECONFIG_HALT, TAG_POWER_TICK,

@@ -15,9 +15,6 @@
 use inc_power::{calib, DevicePower, Module, ModuleState};
 use inc_sim::{Nanos, PortId};
 
-/// Number of 10GE front-panel ports on the SUME.
-pub const NET_PORT_COUNT: u16 = 4;
-
 /// The node-local port used for the PCIe/DMA path to the host.
 pub const HOST_DMA_PORT: PortId = PortId(4);
 
@@ -166,24 +163,6 @@ impl SumeCard {
         self.power
             .set_state_prefix(modules::PE_PREFIX, ModuleState::Active);
     }
-
-    /// Returns `true` if any module is not active.
-    pub fn is_parked(&self) -> bool {
-        self.power
-            .module_names()
-            .map(|n| n.to_string())
-            .collect::<Vec<_>>()
-            .iter()
-            .any(|n| self.power.state(n).map(|s| s != ModuleState::Active) == Ok(true))
-    }
-
-    /// 10GE line rate in packets/second for a given frame size (headers +
-    /// payload, excluding FCS), accounting for preamble, FCS and the
-    /// inter-frame gap. Minimum-size frames give the classic 14.88 Mpps.
-    pub fn line_rate_pps(frame_bytes: usize) -> f64 {
-        let on_wire_bits = (frame_bytes.max(60) + 24) as f64 * 8.0;
-        10e9 / on_wire_bits
-    }
 }
 
 #[cfg(test)]
@@ -218,7 +197,6 @@ mod tests {
         card.park();
         let gap = card.power_w(0.0) - calib::NETFPGA_REFERENCE_NIC_W;
         assert!((4.0..7.0).contains(&gap), "gap {gap}");
-        assert!(card.is_parked());
     }
 
     #[test]
@@ -228,7 +206,6 @@ mod tests {
         card.park();
         card.unpark();
         assert_eq!(card.power_w(0.0), before);
-        assert!(!card.is_parked());
     }
 
     #[test]
@@ -252,16 +229,6 @@ mod tests {
         let saved = before - card.power_w(0.0);
         let expect = (calib::SUME_DRAM_W + calib::SUME_SRAM_W) * calib::MEMORY_RESET_SAVING;
         assert!((saved - expect).abs() < 1e-9, "saved {saved}");
-    }
-
-    #[test]
-    fn line_rate_matches_13mpps_for_small_frames() {
-        // §3.1: 10GE line rate is roughly 13 Mqps for small queries.
-        let pps = SumeCard::line_rate_pps(70);
-        assert!((12.5e6..15.0e6).contains(&pps), "{pps}");
-        // Minimum-size frames cap at 14.88 Mpps.
-        let min = SumeCard::line_rate_pps(0);
-        assert!((min - 14.88e6).abs() < 0.1e6, "{min}");
     }
 
     #[test]

@@ -241,16 +241,12 @@ impl HostConfig {
     }
 
     /// DPDK leader: ~800 Kmsg/s.
+    // inc-lint: allow(unreached-pub): crates/paxos/tests/consensus.rs runs the §4.3 DPDK deployment with it
     pub fn dpdk_leader() -> Self {
         HostConfig {
             service: Nanos::from_nanos(1_250),
             ..Self::dpdk_acceptor()
         }
-    }
-
-    /// Peak message rate of one core of this configuration.
-    pub fn peak_mps(&self) -> f64 {
-        1.0 / self.service.as_secs_f64()
     }
 
     /// Host power with `util` busy cores; a polling core counts as busy.

@@ -93,17 +93,20 @@ impl SmartNicModel {
     }
 
     /// Millions of operations per watt at the effective peak.
+    // inc-lint: allow(unreached-pub): tests/paper_claims.rs checks the §10 survey with it
     pub fn mops_per_watt(&self) -> f64 {
         self.effective_mpps() / self.power_w
     }
 
     /// Whether the device respects the PCIe slot budget.
+    // inc-lint: allow(unreached-pub): tests/paper_claims.rs checks the §10 survey with it
     pub fn within_pcie_budget(&self) -> bool {
         self.power_w <= PCIE_SLOT_BUDGET_W
     }
 }
 
 /// The full §10 comparison set.
+// inc-lint: allow(unreached-pub): tests/paper_claims.rs checks the §10 survey
 pub fn survey() -> Vec<SmartNicModel> {
     vec![
         SmartNicModel::accelnet_fpga(),

@@ -203,16 +203,6 @@ impl LakeCache {
     pub fn stats(&self) -> LakeStats {
         self.stats
     }
-
-    /// Returns (L1 entries, L2 entries) currently resident.
-    pub fn occupancy(&self) -> (usize, usize) {
-        (self.l1.len(), self.l2.len())
-    }
-
-    /// Fraction of DRAM value chunks in use.
-    pub fn chunk_occupancy(&self) -> f64 {
-        self.alloc.occupancy()
-    }
 }
 
 #[cfg(test)]
@@ -270,7 +260,7 @@ mod tests {
         });
         c.warm(b"a".to_vec(), vec![1; 256], 0);
         c.warm(b"b".to_vec(), vec![2; 256], 0);
-        assert!((c.chunk_occupancy() - 1.0).abs() < 1e-9);
+        assert_eq!(c.alloc.allocated(), 8);
         // Inserting "c" must evict "a" (LRU) to free chunks.
         c.warm(b"c".to_vec(), vec![3; 256], 0);
         assert_eq!(c.get(b"a"), Lookup::Miss);
@@ -290,7 +280,7 @@ mod tests {
         });
         c.warm(b"a".to_vec(), vec![1; 512], 0); // fills all 8 chunks
         c.warm(b"a".to_vec(), vec![1; 64], 0); // shrinks to 1 chunk
-        assert!((c.chunk_occupancy() - 0.125).abs() < 1e-9);
+        assert_eq!(c.alloc.allocated(), 1);
     }
 
     #[test]
@@ -299,7 +289,7 @@ mod tests {
         c.warm(b"k".to_vec(), b"v".to_vec(), 0);
         c.clear();
         assert_eq!(c.get(b"k"), Lookup::Miss);
-        assert_eq!(c.occupancy(), (0, 0));
+        assert_eq!((c.l1.len(), c.l2.len()), (0, 0));
         // And the cache still works after the cold restart.
         c.warm(b"k".to_vec(), b"v2".to_vec(), 0);
         assert!(matches!(c.get(b"k"), Lookup::L1Hit { .. }));

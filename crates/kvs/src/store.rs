@@ -287,11 +287,6 @@ impl ChunkAllocator {
         }
     }
 
-    /// The §5.3 configuration: 64 B chunks, bounded by the SRAM free list.
-    pub fn lake_dram() -> Self {
-        ChunkAllocator::new(64, 4_700_000)
-    }
-
     /// Chunks needed for a value of `len` bytes.
     pub fn chunks_for(&self, len: usize) -> u64 {
         (len.max(1)).div_ceil(self.chunk_bytes) as u64
@@ -316,11 +311,6 @@ impl ChunkAllocator {
     /// Chunks currently allocated.
     pub fn allocated(&self) -> u64 {
         self.allocated
-    }
-
-    /// Fraction of capacity in use.
-    pub fn occupancy(&self) -> f64 {
-        self.allocated as f64 / self.total_chunks as f64
     }
 }
 
@@ -495,12 +485,13 @@ mod tests {
 
     #[test]
     fn chunk_allocator_lake_capacity() {
-        let a = ChunkAllocator::lake_dram();
-        // §5.3: SRAM free list bounds the store at 4.7 M chunks.
+        // §5.3: 64 B chunks; the SRAM free list bounds the store at
+        // 4.7 M chunks.
+        let a = ChunkAllocator::new(64, 4_700_000);
         assert_eq!(a.chunks_for(64), 1);
         assert_eq!(a.chunks_for(1), 1);
         assert_eq!(a.chunks_for(200), 4);
-        assert!((a.occupancy() - 0.0).abs() < 1e-12);
+        assert_eq!(a.allocated(), 0);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! `inc-lint` — the workspace determinism & sans-IO contract checker.
+//! `inc-lint` — the workspace determinism & sans-IO contract checker,
+//! and the size rule that keeps the library to what the traffic reaches.
 //!
 //! Every headline claim this reproduction makes — the
 //! [`FleetController`]'s incremental ≡ full-re-score and engine ≡ flat
@@ -14,7 +15,7 @@
 //! Rust tokenizer ([`lexer`], aware of strings, raw strings, char
 //! literals and nested comments — no `syn`, the vendor tree is
 //! offline) feeding a declarative per-crate rule table ([`rules`]).
-//! The six rules:
+//! Six determinism rules and one size rule:
 //!
 //! | rule | contract |
 //! |------|----------|
@@ -24,15 +25,24 @@
 //! | `panicking-decode` | no `unwrap`/`expect`/`panic!`/indexing in codec decode paths |
 //! | `float-eq` | no `==`/`!=` against float literals outside tests |
 //! | `slot-keyed-tree` | no `BTreeMap<u64, _>`/`BTreeSet<u64>` in `inc-paxos::multi` outside tests and `encode_pvalues`' signature |
+//! | `unreached-pub` | no `pub` item under `crates/*/src` that no root names outside its own span and `impl` blocks (`pub use` does not count) |
+//!
+//! `unreached-pub` needs workspace-wide facts, so [`lint_workspace`]
+//! runs two passes: it collects the names every root reaches
+//! (non-test code under `crates/*/src`, `src/`, `examples/` and
+//! `benchmark/src/surface.rs`), then scans each file with that set.
 //!
 //! Violations are waived in-source with
 //! `// inc-lint: allow(<rule>): <reason>` (reason mandatory, waiver
 //! recorded in `lint.json`); the four sans-IO decision crates may not
-//! carry waivers at all — there, the fix is the only way out.
+//! waive a determinism rule — there, the fix is the only way out. The
+//! size rule may be waived anywhere; its reason names the test that
+//! calls the item.
 //!
 //! [`FleetController`]: https://example.invalid/inc-on-demand
 
 pub mod lexer;
+mod reach;
 pub mod report;
 pub mod rules;
 

@@ -4,8 +4,8 @@
 //! inc-lint [--root DIR] [--check] [--json PATH] [--list-rules]
 //! ```
 //!
-//! `--check` exits non-zero on any unwaived violation (or any waiver
-//! inside the sans-IO decision crates). `--json PATH` writes the
+//! `--check` exits non-zero on any unwaived violation (or any waiver of a
+//! determinism rule inside the sans-IO decision crates). `--json PATH` writes the
 //! machine-readable report CI uploads alongside the bench artifacts.
 
 use std::path::PathBuf;

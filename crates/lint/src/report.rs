@@ -1,11 +1,12 @@
 //! Workspace walking, aggregation, human diagnostics and `lint.json`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::rules::{scan_source, Violation, Waiver, DECISION_CRATES, RULES};
+use crate::reach::{collect_reached, is_root};
+use crate::rules::{rule_by_id, scan_source, Violation, Waiver, DECISION_CRATES, RULES};
 
 /// Directories never scanned: build output, vendored deps, VCS
 /// internals, the lint's own deliberately-violating fixtures, and the
@@ -34,12 +35,17 @@ impl Report {
         self.violations.iter().filter(|v| v.waived).count()
     }
 
-    /// Waived findings inside the sans-IO decision crates, which the
-    /// contract forbids: those crates must be clean, not quiet.
+    /// Waived determinism findings inside the sans-IO decision crates,
+    /// which the contract forbids: those crates must be clean, not
+    /// quiet. The size rule may be waived there like anywhere else.
     pub fn decision_crate_waivers(&self) -> usize {
         self.violations
             .iter()
-            .filter(|v| v.waived && DECISION_CRATES.iter().any(|c| v.file.starts_with(c)))
+            .filter(|v| {
+                v.waived
+                    && rule_by_id(v.rule).is_some_and(|r| r.determinism)
+                    && DECISION_CRATES.iter().any(|c| v.file.starts_with(c))
+            })
             .count()
     }
 
@@ -90,10 +96,14 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 /// Lints every `.rs` file under `root` (excluding `SKIP_DIRS`) and
 /// aggregates the findings. Paths in the report are root-relative with
 /// `/` separators regardless of platform.
+///
+/// Two passes: the first collects the names every root reaches, the
+/// second scans each file with that set, so `unreached-pub` waivers
+/// resolve per file like any other.
 pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     let mut files = Vec::new();
     walk(root, &mut files)?;
-    let mut report = Report::default();
+    let mut sources = Vec::with_capacity(files.len());
     for path in files {
         let rel = path
             .strip_prefix(root)
@@ -102,8 +112,17 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
             .map(|c| c.as_os_str().to_string_lossy())
             .collect::<Vec<_>>()
             .join("/");
-        let source = fs::read_to_string(&path)?;
-        let file_report = scan_source(&rel, &source);
+        sources.push((rel, fs::read_to_string(&path)?));
+    }
+    let mut reached = BTreeSet::new();
+    for (rel, source) in &sources {
+        if is_root(rel) {
+            collect_reached(source, &mut reached);
+        }
+    }
+    let mut report = Report::default();
+    for (rel, source) in sources {
+        let file_report = scan_source(&rel, &source, &reached);
         report.files_scanned += 1;
         report.violations.extend(file_report.violations);
         report.unused_waivers.extend(
@@ -226,8 +245,8 @@ pub fn to_human(report: &Report) -> String {
     let dcw = report.decision_crate_waivers();
     if dcw > 0 {
         s.push_str(&format!(
-            "error[decision-crate-waiver]: {dcw} waiver(s) inside sans-IO decision crates \
-             (these crates must be clean, not quiet)\n"
+            "error[decision-crate-waiver]: {dcw} determinism waiver(s) inside sans-IO \
+             decision crates (these crates must be clean, not quiet)\n"
         ));
     }
     s.push_str(&format!(

@@ -1,11 +1,12 @@
 //! The declarative rule table and the per-file scanners.
 //!
-//! Each rule is a *contract*: it names the invariant one of the
-//! repository's equivalence suites depends on, and the crates it
-//! guards. The scanners are token-level heuristics — they know nothing
-//! about types — so each one is written to be conservative about false
-//! positives and documents exactly what it matches. A violation can be
-//! waived in-source with
+//! Each determinism rule is a *contract*: it names the invariant one of
+//! the repository's equivalence suites depends on, and the crates it
+//! guards. The one size rule, `unreached-pub`, keeps the library to what
+//! the roots reach. The scanners are token-level heuristics — they know
+//! nothing about types — so each one is written to be conservative about
+//! false positives and documents exactly what it matches. A violation
+//! can be waived in-source with
 //!
 //! ```text
 //! // inc-lint: allow(<rule>): <reason>
@@ -14,31 +15,41 @@
 //! on the offending line or the line directly above it. The reason is
 //! mandatory: a waiver that does not say *why* is itself reported.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::{lex, Comment, TokKind, Token};
+use crate::reach::pub_items;
 
-/// One rule of the determinism contract.
+/// One rule of the contract.
 pub struct Rule {
     /// Stable identifier, used in waivers and `lint.json`.
     pub id: &'static str,
     /// One-line human description.
     pub summary: &'static str,
     /// Path prefixes (workspace-relative, `/`-separated) the rule
-    /// applies to; empty means the whole workspace.
+    /// applies to (a `*` segment matches any one segment); empty means
+    /// the whole workspace.
     pub include: &'static [&'static str],
     /// Path prefixes exempt from the rule.
     pub exclude: &'static [&'static str],
+    /// A determinism rule, which the decision crates may not waive; the
+    /// size rule may be waived anywhere, with a reason.
+    pub determinism: bool,
 }
 
 /// The sans-IO / decision-path crates: every headline equivalence claim
 /// (incremental ≡ full re-score ≡ flat oracle, streaming ≡ full-row,
 /// chaos replayability) is a function of state in these four crates, so
-/// they get the strictest rules and may not carry waivers.
+/// they get the strictest rules and may not waive a determinism rule.
 pub const DECISION_CRATES: &[&str] =
     &["crates/sim/", "crates/hw/", "crates/paxos/", "crates/core/"];
 
-/// The rule table. Order is the order diagnostics are reported in.
+/// Library source, `crates/<crate>/src/…`: where `unreached-pub` looks
+/// for items, and the first of its roots.
+pub(crate) const LIBRARY: &[&str] = &["crates/*/src/"];
+
+/// The rule table: the six determinism rules, then the size rule
+/// `unreached-pub`. Order is the order diagnostics are reported in.
 pub const RULES: &[Rule] = &[
     Rule {
         id: "unordered-iter",
@@ -46,12 +57,14 @@ pub const RULES: &[Rule] = &[
                   (use BTreeMap/BTreeSet or sort before iterating)",
         include: DECISION_CRATES,
         exclude: &[],
+        determinism: true,
     },
     Rule {
         id: "wall-clock",
         summary: "no Instant::now/SystemTime (simulated time only)",
         include: &[],
         exclude: &[],
+        determinism: true,
     },
     Rule {
         id: "ambient-rng",
@@ -61,6 +74,7 @@ pub const RULES: &[Rule] = &[
                   RandomState: use inc_sim::FixedHashMap)",
         include: &[],
         exclude: &[],
+        determinism: true,
     },
     Rule {
         id: "panicking-decode",
@@ -74,6 +88,7 @@ pub const RULES: &[Rule] = &[
             "crates/paxos/src/multi.rs",
         ],
         exclude: &[],
+        determinism: true,
     },
     Rule {
         id: "float-eq",
@@ -81,6 +96,7 @@ pub const RULES: &[Rule] = &[
                   (compare to_bits() or use an epsilon)",
         include: &["crates/", "src/"],
         exclude: &["crates/bench/", "crates/lint/"],
+        determinism: true,
     },
     Rule {
         id: "slot-keyed-tree",
@@ -89,6 +105,17 @@ pub const RULES: &[Rule] = &[
                   lives in a slot ring anchored at the floor, not a history)",
         include: &["crates/paxos/src/multi.rs"],
         exclude: &[],
+        determinism: true,
+    },
+    Rule {
+        id: "unreached-pub",
+        summary: "no pub item under crates/*/src that no root names outside \
+                  test code (roots: non-test code under crates/*/src, src/, \
+                  examples/ and benchmark/src/surface.rs; pub use re-exports, \
+                  the item's own span and its own impl blocks do not count)",
+        include: LIBRARY,
+        exclude: &[],
+        determinism: false,
     },
 ];
 
@@ -110,8 +137,19 @@ pub fn rule_by_id(id: &str) -> Option<&'static Rule> {
     RULES.iter().find(|r| r.id == id)
 }
 
-fn path_in(path: &str, prefixes: &[&str]) -> bool {
-    prefixes.iter().any(|p| path.starts_with(p))
+/// Whether `path` starts with one of `prefixes`, segment by segment: a
+/// `*` segment matches any one path segment.
+pub(crate) fn path_in(path: &str, prefixes: &[&str]) -> bool {
+    prefixes.iter().any(|p| {
+        let want: Vec<&str> = p.split('/').collect();
+        let have: Vec<&str> = path.split('/').collect();
+        let Some((last, dirs)) = want.split_last() else {
+            return true;
+        };
+        have.len() > dirs.len()
+            && dirs.iter().zip(&have).all(|(w, h)| *w == "*" || w == h)
+            && have[dirs.len()].starts_with(last)
+    })
 }
 
 impl Rule {
@@ -197,11 +235,11 @@ fn parse_waiver(c: &Comment) -> Option<Waiver> {
 }
 
 /// Token-index ranges (inclusive start, exclusive end).
-type Range = (usize, usize);
+pub(crate) type Range = (usize, usize);
 
 /// Finds the matching `}` for the `{` at `open`, returning the index
 /// one past it (or `tokens.len()` if unbalanced).
-fn matching_brace(tokens: &[Token], open: usize) -> usize {
+pub(crate) fn matching_brace(tokens: &[Token], open: usize) -> usize {
     let mut depth = 0usize;
     for (i, t) in tokens.iter().enumerate().skip(open) {
         if t.is_punct("{") {
@@ -217,8 +255,8 @@ fn matching_brace(tokens: &[Token], open: usize) -> usize {
 }
 
 /// Ranges of items guarded by `#[cfg(test)]` (test modules, test-only
-/// fns). Used to exempt test code from `float-eq`.
-fn cfg_test_ranges(tokens: &[Token]) -> Vec<Range> {
+/// fns). Used to exempt test code from `float-eq` and `unreached-pub`.
+pub(crate) fn cfg_test_ranges(tokens: &[Token]) -> Vec<Range> {
     let mut out = Vec::new();
     let mut i = 0;
     while i + 1 < tokens.len() {
@@ -309,7 +347,7 @@ fn decode_fn_ranges(tokens: &[Token]) -> Vec<Range> {
     out
 }
 
-fn in_ranges(ranges: &[Range], idx: usize) -> bool {
+pub(crate) fn in_ranges(ranges: &[Range], idx: usize) -> bool {
     ranges.iter().any(|&(s, e)| idx >= s && idx < e)
 }
 
@@ -644,6 +682,20 @@ fn scan_slot_keyed_tree(tokens: &[Token], lines: &[&str], file: &str, out: &mut 
     }
 }
 
+fn scan_unreached_pub(
+    tokens: &[Token],
+    lines: &[&str],
+    file: &str,
+    reached: &BTreeSet<String>,
+    out: &mut Vec<Violation>,
+) {
+    for item in pub_items(tokens, &cfg_test_ranges(tokens)) {
+        if !reached.contains(&item.name) {
+            out.push(mk_violation("unreached-pub", file, item.line, lines));
+        }
+    }
+}
+
 fn mk_violation(rule: &'static str, file: &str, line: u32, lines: &[&str]) -> Violation {
     let snippet = lines
         .get(line.saturating_sub(1) as usize)
@@ -661,7 +713,10 @@ fn mk_violation(rule: &'static str, file: &str, line: u32, lines: &[&str]) -> Vi
 
 /// Scans one file's source under its workspace-relative path, applying
 /// every rule whose scope covers the path, then resolves waivers.
-pub fn scan_source(rel_path: &str, source: &str) -> FileReport {
+/// `reached` is the set of names the workspace's roots reach (what
+/// [`lint_workspace`](crate::lint_workspace) collects in its first
+/// pass).
+pub fn scan_source(rel_path: &str, source: &str, reached: &BTreeSet<String>) -> FileReport {
     let lexed = lex(source);
     let lines: Vec<&str> = source.lines().collect();
     let mut report = FileReport::default();
@@ -686,6 +741,15 @@ pub fn scan_source(rel_path: &str, source: &str) -> FileReport {
             "float-eq" => scan_float_eq(&lexed.tokens, &lines, rel_path, &mut report.violations),
             "slot-keyed-tree" => {
                 scan_slot_keyed_tree(&lexed.tokens, &lines, rel_path, &mut report.violations);
+            }
+            "unreached-pub" => {
+                scan_unreached_pub(
+                    &lexed.tokens,
+                    &lines,
+                    rel_path,
+                    reached,
+                    &mut report.violations,
+                );
             }
             _ => {}
         }

@@ -12,16 +12,13 @@ use core::str::FromStr;
 ///
 /// let mac: MacAddr = "02:00:00:00:00:01".parse().unwrap();
 /// assert_eq!(mac.to_string(), "02:00:00:00:00:01");
-/// assert!(!mac.is_broadcast());
-/// assert!(MacAddr::BROADCAST.is_broadcast());
+/// assert!(!mac.is_multicast());
+/// assert!(MacAddr([0xff; 6]).is_multicast()); // broadcast
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
-    /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
-
     /// The all-zero address.
     pub const ZERO: MacAddr = MacAddr([0; 6]);
 
@@ -30,11 +27,6 @@ impl MacAddr {
     pub const fn local(n: u32) -> MacAddr {
         let b = n.to_be_bytes();
         MacAddr([0x02, 0x00, b[0], b[1], b[2], b[3]])
-    }
-
-    /// Returns `true` for the broadcast address.
-    pub fn is_broadcast(&self) -> bool {
-        *self == MacAddr::BROADCAST
     }
 
     /// Returns `true` for group (multicast/broadcast) addresses.
@@ -125,7 +117,7 @@ mod tests {
 
     #[test]
     fn multicast_bit() {
-        assert!(MacAddr::BROADCAST.is_multicast());
+        assert!(MacAddr([0xff; 6]).is_multicast()); // broadcast
         assert!(!MacAddr::local(1).is_multicast());
         assert!(MacAddr([0x01, 0, 0x5e, 0, 0, 1]).is_multicast());
     }

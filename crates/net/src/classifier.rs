@@ -35,19 +35,7 @@ impl Match {
         }
     }
 
-    /// A rule matching either UDP port (requests to, or replies from, a
-    /// service port).
-    pub fn udp_either(port: u16) -> (Self, Self) {
-        (
-            Match::udp_dst(port),
-            Match {
-                udp_src_port: Some(port),
-                ..Default::default()
-            },
-        )
-    }
-
-    fn matches(&self, frame: &UdpFrame<'_>) -> bool {
+    pub(crate) fn matches(&self, frame: &UdpFrame<'_>) -> bool {
         if let Some(p) = self.udp_dst_port {
             if frame.udp.dst_port != p {
                 return false;
@@ -89,8 +77,6 @@ impl Match {
 #[derive(Clone, Debug, Default)]
 pub struct Classifier {
     rules: Vec<(Match, Class)>,
-    hits: Vec<u64>,
-    misses: u64,
 }
 
 impl Classifier {
@@ -102,43 +88,10 @@ impl Classifier {
     /// Appends a rule; earlier rules take precedence.
     pub fn add_rule(&mut self, m: Match, class: Class) -> &mut Self {
         self.rules.push((m, class));
-        self.hits.push(0);
         self
     }
 
-    /// Removes all rules assigning `class`.
-    pub fn remove_class(&mut self, class: Class) {
-        let keep: Vec<bool> = self.rules.iter().map(|&(_, c)| c != class).collect();
-        // `retain` visits exactly `keep.len()` elements, so the
-        // iterator never runs dry; `unwrap_or(false)` keeps the path
-        // panic-free under `clippy::unwrap_used` all the same.
-        let mut it = keep.iter();
-        self.rules.retain(|_| it.next().copied().unwrap_or(false));
-        let mut it = keep.iter();
-        self.hits.retain(|_| it.next().copied().unwrap_or(false));
-    }
-
-    /// Classifies a packet, updating hit counters.
-    pub fn classify_mut(&mut self, packet: &Packet) -> Class {
-        match UdpFrame::parse(packet) {
-            Ok(frame) => {
-                for (i, (m, class)) in self.rules.iter().enumerate() {
-                    if m.matches(&frame) {
-                        self.hits[i] += 1;
-                        return *class;
-                    }
-                }
-                self.misses += 1;
-                CLASS_NORMAL
-            }
-            Err(_) => {
-                self.misses += 1;
-                CLASS_NORMAL
-            }
-        }
-    }
-
-    /// Classifies without touching counters.
+    /// Classifies a packet: the class of the first matching rule.
     pub fn classify(&self, packet: &Packet) -> Class {
         match UdpFrame::parse(packet) {
             Ok(frame) => self
@@ -149,26 +102,6 @@ impl Classifier {
                 .unwrap_or(CLASS_NORMAL),
             Err(_) => CLASS_NORMAL,
         }
-    }
-
-    /// Returns per-rule hit counts (parallel to insertion order).
-    pub fn hits(&self) -> &[u64] {
-        &self.hits
-    }
-
-    /// Returns how many packets matched no rule.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Number of installed rules.
-    pub fn len(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// Returns `true` if no rules are installed.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
     }
 }
 
@@ -192,25 +125,16 @@ mod tests {
     }
 
     #[test]
-    fn counters_track_hits_and_misses() {
+    fn source_port_rules_match_replies() {
         let mut c = Classifier::new();
-        c.add_rule(Match::udp_dst(11211), 1);
-        c.classify_mut(&pkt(11211));
-        c.classify_mut(&pkt(11211));
-        c.classify_mut(&pkt(80));
-        assert_eq!(c.hits(), &[2]);
-        assert_eq!(c.misses(), 1);
-    }
-
-    #[test]
-    fn either_direction_rules() {
-        let (req, rep) = Match::udp_either(53);
-        let mut c = Classifier::new();
-        c.add_rule(req, 3);
-        c.add_rule(rep, 3);
+        let from_dns = Match {
+            udp_src_port: Some(53),
+            ..Default::default()
+        };
+        c.add_rule(from_dns, 3);
         let request = build_udp(Endpoint::host(1, 555), Endpoint::host(2, 53), b"q");
         let reply = build_udp(Endpoint::host(2, 53), Endpoint::host(1, 555), b"r");
-        assert_eq!(c.classify(&request), 3);
+        assert_eq!(c.classify(&request), CLASS_NORMAL);
         assert_eq!(c.classify(&reply), 3);
     }
 
@@ -219,18 +143,6 @@ mod tests {
         let c = Classifier::new();
         let junk = Packet::from_bytes(bytes::Bytes::from_static(b"short"));
         assert_eq!(c.classify(&junk), CLASS_NORMAL);
-    }
-
-    #[test]
-    fn remove_class_drops_rules() {
-        let mut c = Classifier::new();
-        c.add_rule(Match::udp_dst(1), 1);
-        c.add_rule(Match::udp_dst(2), 2);
-        c.add_rule(Match::udp_dst(3), 1);
-        c.remove_class(1);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.classify(&pkt(1)), CLASS_NORMAL);
-        assert_eq!(c.classify(&pkt(2)), 2);
     }
 
     #[test]

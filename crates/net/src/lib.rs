@@ -33,8 +33,7 @@ pub use addr::{MacAddr, MacParseError};
 pub use bytes::{BufMut, Bytes, BytesMut};
 pub use classifier::{Class, Classifier, Match, CLASS_NORMAL};
 pub use packet::{
-    build_reply, build_reply_with, build_udp, build_udp_with, build_udp_with_ident, Endpoint,
-    Packet, UdpFrame,
+    build_reply_with, build_udp, build_udp_with, build_udp_with_ident, Endpoint, Packet, UdpFrame,
 };
 pub use switch::L2Switch;
 pub use wire::{

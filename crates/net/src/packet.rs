@@ -245,15 +245,11 @@ pub fn build_udp_with(
 }
 
 /// Builds the reply to a parsed request: swaps MAC/IP/ports and carries a
-/// new payload. This is exactly what the in-network services do (§10: the
-/// request "enters as the request, and comes out as the reply").
-pub fn build_reply(request: &UdpFrame<'_>, payload: &[u8]) -> Packet {
-    build_reply_with(request, payload.len(), |buf| buf.put_slice(payload))
-}
-
-/// [`build_reply`] with the payload encoded in place, like
-/// [`build_udp_with`]: the reply frame is the service's one allocation
-/// per answered request.
+/// new payload of `payload_len` bytes that `encode` writes in place, like
+/// [`build_udp_with`]. This is exactly what the in-network services do
+/// (§10: the request "enters as the request, and comes out as the
+/// reply"), and the reply frame is the service's one allocation per
+/// answered request.
 pub fn build_reply_with(
     request: &UdpFrame<'_>,
     payload_len: usize,
@@ -294,7 +290,7 @@ mod tests {
         let b = Endpoint::host(2, 53);
         let req = build_udp(a, b, b"query");
         let parsed = UdpFrame::parse(&req).unwrap();
-        let rep = build_reply(&parsed, b"answer");
+        let rep = build_reply_with(&parsed, 6, |buf| buf.put_slice(b"answer"));
         let f = UdpFrame::parse(&rep).unwrap();
         assert_eq!(f.eth.dst, a.mac);
         assert_eq!(f.ip.dst, a.ip);

@@ -286,20 +286,6 @@ impl UdpHeader {
         out.put_u16(self.checksum);
     }
 
-    /// Encodes header and payload, computing the checksum over the
-    /// pseudo-header as RFC 768 requires.
-    pub fn encode_with_payload<B: BufMut>(
-        src_port: u16,
-        dst_port: u16,
-        src_ip: Ipv4Addr,
-        dst_ip: Ipv4Addr,
-        payload: &[u8],
-        out: &mut B,
-    ) {
-        UdpHeader::for_payload(src_port, dst_port, src_ip, dst_ip, payload).encode(out);
-        out.put_slice(payload);
-    }
-
     /// Decodes and (if present) checksum-verifies a datagram.
     ///
     /// Returns the header and the payload slice.
@@ -334,6 +320,19 @@ impl UdpHeader {
 #[allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 mod tests {
     use super::*;
+
+    /// Header then payload, the checksum over the RFC 768 pseudo-header.
+    fn encode_with_payload(
+        src_port: u16,
+        dst_port: u16,
+        src_ip: Ipv4Addr,
+        dst_ip: Ipv4Addr,
+        payload: &[u8],
+        out: &mut Vec<u8>,
+    ) {
+        UdpHeader::for_payload(src_port, dst_port, src_ip, dst_ip, payload).encode(out);
+        out.extend_from_slice(payload);
+    }
 
     #[test]
     fn ethernet_round_trip() {
@@ -411,7 +410,7 @@ mod tests {
         for len in [0usize, 1, 2, 3, 4, 5, 63, 64, 65, 1471] {
             let payload: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
             let mut datagram = Vec::new();
-            UdpHeader::encode_with_payload(40_000, 53, src, dst, &payload, &mut datagram);
+            encode_with_payload(40_000, 53, src, dst, &payload, &mut datagram);
             // The concatenation the old implementation allocated.
             let mut concat = Vec::new();
             concat.extend_from_slice(&src.octets());
@@ -438,7 +437,7 @@ mod tests {
         let hdr = UdpHeader::for_payload(7, 9, src, dst, &payload);
         assert_eq!(hdr.checksum, 0xffff);
         let mut datagram = Vec::new();
-        UdpHeader::encode_with_payload(7, 9, src, dst, &payload, &mut datagram);
+        encode_with_payload(7, 9, src, dst, &payload, &mut datagram);
         let (got, body) = UdpHeader::decode(src, dst, &datagram).unwrap();
         assert_eq!((got, body), (hdr, &payload[..]));
     }
@@ -482,7 +481,7 @@ mod tests {
         let src = Ipv4Addr::new(10, 0, 0, 1);
         let dst = Ipv4Addr::new(10, 0, 0, 2);
         let mut buf = Vec::new();
-        UdpHeader::encode_with_payload(1111, 53, src, dst, b"hello dns", &mut buf);
+        encode_with_payload(1111, 53, src, dst, b"hello dns", &mut buf);
         let (hdr, payload) = UdpHeader::decode(src, dst, &buf).unwrap();
         assert_eq!(hdr.src_port, 1111);
         assert_eq!(hdr.dst_port, 53);
@@ -495,7 +494,7 @@ mod tests {
         let src = Ipv4Addr::new(10, 0, 0, 1);
         let dst = Ipv4Addr::new(10, 0, 0, 2);
         let mut buf = Vec::new();
-        UdpHeader::encode_with_payload(1, 2, src, dst, b"data!", &mut buf);
+        encode_with_payload(1, 2, src, dst, b"data!", &mut buf);
         let last = buf.len() - 1;
         buf[last] ^= 0x01;
         assert_eq!(

@@ -554,6 +554,7 @@ impl Leader {
     }
 
     /// Slots this leader holds state for (a scout's pvalues included).
+    // inc-lint: allow(unreached-pub): tests/properties.rs and tests/failure_injection.rs bound the window with it
     pub fn retained_slots(&self) -> usize {
         self.window.len() + self.scout.as_ref().map_or(0, |s| s.pvalues.len())
     }
@@ -897,6 +898,7 @@ impl Replica {
     }
 
     /// Slots proposed, voted on or decided, and not yet executed.
+    // inc-lint: allow(unreached-pub): tests/properties.rs and tests/failure_injection.rs bound the window with it
     pub fn retained_slots(&self) -> usize {
         self.window.len()
     }
@@ -910,6 +912,7 @@ impl Replica {
 
     /// The last `(slot, command)` entries of the executed log, oldest
     /// first: at least [`Replica::LOG_TAIL`] once that many have run.
+    // inc-lint: allow(unreached-pub): tests/properties.rs, tests/failure_injection.rs and tests/alloc_budget.rs read the executed log through it
     pub fn log_tail(&self) -> &[(u64, Bytes)] {
         self.log.as_ref().map_or(&[], RecentRing::as_slice)
     }

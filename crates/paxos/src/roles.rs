@@ -265,12 +265,6 @@ impl Leader {
         (l, Outbox::One((Dest::AllAcceptors, probe)))
     }
 
-    /// Returns `true` while the leader has not yet synced its instance
-    /// counter.
-    pub fn is_recovering(&self) -> bool {
-        self.recovering
-    }
-
     /// Returns the next unused instance number.
     pub fn next_instance(&self) -> u64 {
         self.next_instance
@@ -638,7 +632,7 @@ mod tests {
             }
         }
         let (mut leader, probe) = Leader::elected(2, 3);
-        assert!(leader.is_recovering());
+        assert!(leader.recovering);
         // Client requests during recovery are dropped (§9.2: the client
         // timeout covers them).
         assert!(leader
@@ -652,7 +646,7 @@ mod tests {
                 leader.handle(&m1b);
             }
         }
-        assert!(!leader.is_recovering());
+        assert!(!leader.recovering);
         // §9.2: the leader learned the most recent not-yet-used instance;
         // the client's retry proposes there.
         let retry = leader.handle(&PaxosMsg::new(MsgType::ClientRequest, 0, 0, cmd(9, 1)));

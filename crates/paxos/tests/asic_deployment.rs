@@ -38,7 +38,10 @@ fn asic_acceptors_with_ring_storage_sustain_wraparound() {
             PortId::P0,
             switch,
             p,
-            LinkSpec::forty_gbe(Nanos::from_micros(1)),
+            LinkSpec {
+                bandwidth_bps: Some(40e9),
+                ..LinkSpec::ten_gbe(Nanos::from_micros(1))
+            },
         );
         p
     };

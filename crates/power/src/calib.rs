@@ -134,10 +134,6 @@ pub const LAKE_MISS_MEDIAN_NS: u64 = 13_500;
 /// LaKe hardware-miss latency, 99th percentile, nanoseconds (§5.3).
 pub const LAKE_MISS_P99_NS: u64 = 14_300;
 
-/// Software (memcached via kernel stack) median service latency,
-/// nanoseconds. Matches the ~10× gap to hardware hits shown in Figure 6.
-pub const MEMCACHED_SW_LATENCY_NS: u64 = 13_500;
-
 /// Tofino: fraction of the L2-forwarding maximum power drawn when idle
 /// (§6: "the difference between the minimum and maximum consumption is
 /// less than 20%" — the value leaves that headroom even with the P4xos
@@ -163,9 +159,6 @@ pub const SRAM_FREELIST_ENTRIES: u64 = 4_700_000;
 
 /// On-chip-only design capacity ratio versus DRAM (§5.3: ×65k fewer).
 pub const ONCHIP_VS_DRAM_RATIO: u64 = 65_000;
-
-/// On-chip-only design capacity ratio versus SRAM free list (§5.3: ×32k).
-pub const ONCHIP_VS_SRAM_RATIO: u64 = 32_000;
 
 /// Arista-class switch: watts per 100G port (§9.4: "less than 5W per 100G
 /// port").

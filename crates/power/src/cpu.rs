@@ -16,8 +16,6 @@
 //! where `u` is total core-utilisation in core-seconds per second
 //! (0 ≤ u ≤ cores).
 
-use crate::model::PiecewiseLinear;
-
 /// Power model of a server CPU package (or pair of packages).
 ///
 /// # Examples
@@ -57,27 +55,6 @@ impl CpuModel {
     /// Dynamic power at `utilization`: total minus idle.
     pub fn dynamic_w(&self, utilization: f64) -> f64 {
         self.power_w(utilization) - self.idle_w
-    }
-
-    /// Peak power with every core saturated.
-    pub fn peak_w(&self) -> f64 {
-        self.power_w(self.cores as f64)
-    }
-
-    /// Samples the model into a curve over request rate, given the per-core
-    /// request capacity.
-    ///
-    /// `capacity_rps` is the peak rate the whole CPU sustains; utilisation
-    /// at rate `r` is `r / capacity_rps × cores`.
-    pub fn curve_over_rate(&self, capacity_rps: f64, points: usize) -> PiecewiseLinear {
-        let pts: Vec<(f64, f64)> = (0..=points)
-            .map(|i| {
-                let r = capacity_rps * i as f64 / points as f64;
-                let u = r / capacity_rps * self.cores as f64;
-                (r, self.power_w(u))
-            })
-            .collect();
-        PiecewiseLinear::new(pts).expect("strictly increasing by construction")
     }
 
     /// The i7-6700K 4-core desktop platform of §4.1 (platform power without
@@ -177,7 +154,7 @@ mod tests {
     #[test]
     fn i7_peak_near_110w_with_nic() {
         let m = CpuModel::i7_6700k();
-        let peak = m.peak_w() + 9.5;
+        let peak = m.power_w(m.cores as f64) + 9.5;
         assert!((100.0..120.0).contains(&peak), "peak {peak}");
     }
 
@@ -207,18 +184,5 @@ mod tests {
         let m = CpuModel::xeon_e5_2660_v4_dual();
         assert_eq!(m.dynamic_w(0.0), 0.0);
         assert!(m.dynamic_w(5.0) > 0.0);
-    }
-
-    #[test]
-    fn curve_over_rate_monotone() {
-        let m = CpuModel::i7_6700k();
-        let c = m.curve_over_rate(1_000_000.0, 32);
-        let mut prev = f64::MIN;
-        for &(_, y) in c.points() {
-            assert!(y >= prev);
-            prev = y;
-        }
-        assert!((c.eval(0.0) - m.idle_w).abs() < 1e-9);
-        assert!((c.eval(1_000_000.0) - m.peak_w()).abs() < 1e-9);
     }
 }

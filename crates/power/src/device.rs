@@ -169,32 +169,9 @@ impl DevicePower {
             .ok_or_else(|| NoSuchModule(name.to_string()))
     }
 
-    /// Returns the module names in deterministic (sorted) order.
-    pub fn module_names(&self) -> impl Iterator<Item = &str> {
-        self.modules.keys().map(|s| s.as_str())
-    }
-
     /// Total power with every module at the same `load` in `[0, 1]`.
     pub fn power_w(&self, load: f64) -> f64 {
         self.base_w + self.modules.values().map(|m| m.power_w(load)).sum::<f64>()
-    }
-
-    /// Total power with per-module loads; missing modules default to 0.
-    pub fn power_w_per_module(&self, loads: &BTreeMap<&str, f64>) -> f64 {
-        self.base_w
-            + self
-                .modules
-                .iter()
-                .map(|(n, m)| m.power_w(loads.get(n.as_str()).copied().unwrap_or(0.0)))
-                .sum::<f64>()
-    }
-
-    /// Returns one module's contribution at the given load.
-    pub fn module_power_w(&self, name: &str, load: f64) -> Result<f64, NoSuchModule> {
-        self.modules
-            .get(name)
-            .map(|m| m.power_w(load))
-            .ok_or_else(|| NoSuchModule(name.to_string()))
     }
 }
 
@@ -247,17 +224,6 @@ mod tests {
         let mut d = test_device();
         assert!(d.set_state("nope", ModuleState::Reset).is_err());
         assert!(d.state("nope").is_err());
-        assert!(d.module_power_w("nope", 0.0).is_err());
-    }
-
-    #[test]
-    fn per_module_loads() {
-        let d = test_device();
-        let mut loads = BTreeMap::new();
-        loads.insert("dram", 1.0);
-        // Only dram sees load; others are at 0.
-        let expect = 16.2 + 4.9 + 6.0 + 0.5;
-        assert!((d.power_w_per_module(&loads) - expect).abs() < 1e-9);
     }
 
     #[test]

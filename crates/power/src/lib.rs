@@ -9,8 +9,8 @@
 //! * [`DevicePower`] / [`Module`] / [`ModuleState`] — the module-composed
 //!   FPGA power model with clock gating, reset and power gating (§5.1).
 //! * [`EnergyParams`] — the `E = Pd·Td + Ps·Ts + Pi·Ti` equation (§8).
-//! * [`PiecewiseLinear`] / [`crossover_rate`] — power-versus-rate curves
-//!   and the software/hardware tipping point.
+//! * [`crossover_fn`] — the software/hardware tipping point of two
+//!   power-versus-rate curves.
 //! * [`RaplCounter`] / [`RaplSampler`] — the counters the host-controlled
 //!   on-demand controller reads (§9.1).
 //! * [`LinkEnergyModel`] — per-packet link energy of placement detours,
@@ -31,5 +31,5 @@ pub use device::{DevicePower, Module, ModuleState, NoSuchModule};
 pub use efficiency::{ops_per_dynamic_watt, ops_per_watt, EfficiencyClass};
 pub use energy::{EnergyBreakdown, EnergyParams, PlacementComparison, StateTimes};
 pub use link::LinkEnergyModel;
-pub use model::{crossover_fn, crossover_rate, CurveError, PiecewiseLinear};
+pub use model::crossover_fn;
 pub use rapl::{RaplCounter, RaplDomain, RaplSampler};

@@ -30,9 +30,7 @@
 //!
 //! The static term is deliberately *excluded* from the marginal price:
 //! the switch is powered whether or not the detour crosses it, so
-//! charging placements for it would double-count sunk cost. For
-//! total-cost-of-ownership studies, [`LinkEnergyModel::detour_nj_with_static`]
-//! amortises the static draw over an assumed port load instead.
+//! charging placements for it would double-count sunk cost.
 
 use crate::calib;
 use crate::device::Module;
@@ -105,12 +103,6 @@ impl LinkEnergyModel {
         self.port.power_w(1.0) - self.port.power_w(0.0)
     }
 
-    /// Marginal energy of forwarding one query (request + response)
-    /// through one switch, joules.
-    pub fn per_query_traversal_j(&self) -> f64 {
-        self.dynamic_w() / self.capacity_qps
-    }
-
     /// Marginal energy of one packet crossing one switch, nanojoules:
     /// the per-query energy split over the request and response packets.
     pub fn per_packet_traversal_nj(&self) -> f64 {
@@ -122,23 +114,6 @@ impl LinkEnergyModel {
     /// value for `TierCost::link_energy_nj`.
     pub fn detour_nj(&self, traversals: u32) -> f64 {
         f64::from(traversals) * self.per_packet_traversal_nj()
-    }
-
-    /// Total-cost variant of [`detour_nj`](Self::detour_nj): adds each
-    /// crossed switch's *static* draw amortised over `port_load_pps`
-    /// packets per second. Use for TCO studies where the fabric exists
-    /// only to serve the detour; schedulers should price marginally.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `port_load_pps` is finite and positive.
-    pub fn detour_nj_with_static(&self, traversals: u32, port_load_pps: f64) -> f64 {
-        assert!(
-            port_load_pps.is_finite() && port_load_pps > 0.0,
-            "amortisation load {port_load_pps} pps must be finite and positive"
-        );
-        let static_nj = self.static_w() * 1e9 / port_load_pps;
-        self.detour_nj(traversals) + f64::from(traversals) * static_nj
     }
 }
 
@@ -165,19 +140,8 @@ mod tests {
     #[test]
     fn per_query_energy_matches_the_paper_figures() {
         let link = LinkEnergyModel::arista_class();
-        assert!((link.per_query_traversal_j() - 1e-6).abs() < 1e-18);
         assert_eq!(link.static_w(), calib::SWITCH_W_PER_100G_PORT);
         assert_eq!(link.dynamic_w(), calib::SWITCH_W_PER_MQPS);
-    }
-
-    #[test]
-    fn static_amortisation_only_adds_cost() {
-        let link = LinkEnergyModel::arista_class();
-        let marginal = link.detour_nj(3);
-        let total = link.detour_nj_with_static(3, 1e6);
-        // 5 W over 1 Mpps = 5000 nJ static share per traversal.
-        assert!((total - (marginal + 3.0 * 5_000.0)).abs() < 1e-9);
-        assert!(total > marginal);
     }
 
     #[test]

@@ -1,139 +1,24 @@
-//! Generic power-versus-load curves.
+//! The software/hardware tipping point of two power-versus-load curves.
 
-/// A monotone piecewise-linear curve mapping a load metric to watts.
-///
-/// The load metric is caller-defined: packets/second for network devices,
-/// core-utilisation for CPUs, normalized rate for ASICs. Outside the
-/// configured domain the curve extends flat (clamped), which matches how
-/// the paper reports "power stays constant past peak".
-///
-/// # Examples
-///
-/// ```
-/// use inc_power::PiecewiseLinear;
-///
-/// let curve = PiecewiseLinear::new(vec![(0.0, 39.0), (1_000_000.0, 110.0)]).unwrap();
-/// assert_eq!(curve.eval(0.0), 39.0);
-/// assert_eq!(curve.eval(500_000.0), 74.5);
-/// assert_eq!(curve.eval(2_000_000.0), 110.0); // clamped
-/// ```
-#[derive(Clone, Debug, PartialEq)]
-pub struct PiecewiseLinear {
-    points: Vec<(f64, f64)>,
-}
-
-/// Errors constructing a [`PiecewiseLinear`] curve.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CurveError {
-    /// The point list was empty.
-    Empty,
-    /// The x coordinates were not strictly increasing.
-    NotIncreasing,
-    /// A coordinate was NaN or infinite.
-    NotFinite,
-}
-
-impl std::fmt::Display for CurveError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CurveError::Empty => write!(f, "curve needs at least one point"),
-            CurveError::NotIncreasing => write!(f, "curve x coordinates must strictly increase"),
-            CurveError::NotFinite => write!(f, "curve coordinates must be finite"),
-        }
-    }
-}
-
-impl std::error::Error for CurveError {}
-
-impl PiecewiseLinear {
-    /// Builds a curve from `(x, y)` points sorted by strictly increasing `x`.
-    pub fn new(points: Vec<(f64, f64)>) -> Result<Self, CurveError> {
-        if points.is_empty() {
-            return Err(CurveError::Empty);
-        }
-        for w in points.windows(2) {
-            if w[0].0 >= w[1].0 {
-                return Err(CurveError::NotIncreasing);
-            }
-        }
-        if points
-            .iter()
-            .any(|&(x, y)| !x.is_finite() || !y.is_finite())
-        {
-            return Err(CurveError::NotFinite);
-        }
-        Ok(PiecewiseLinear { points })
-    }
-
-    /// A curve that is `y` everywhere.
-    pub fn constant(y: f64) -> Self {
-        PiecewiseLinear {
-            points: vec![(0.0, y)],
-        }
-    }
-
-    /// Evaluates the curve at `x`, clamping outside the domain.
-    pub fn eval(&self, x: f64) -> f64 {
-        let pts = &self.points;
-        if x <= pts[0].0 {
-            return pts[0].1;
-        }
-        if x >= pts[pts.len() - 1].0 {
-            return pts[pts.len() - 1].1;
-        }
-        // Binary search for the segment containing x.
-        let idx = pts.partition_point(|&(px, _)| px <= x);
-        let (x0, y0) = pts[idx - 1];
-        let (x1, y1) = pts[idx];
-        y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-    }
-
-    /// Returns the control points.
-    pub fn points(&self) -> &[(f64, f64)] {
-        &self.points
-    }
-
-    /// Returns a new curve shifted vertically by `dy`.
-    pub fn offset(&self, dy: f64) -> Self {
-        PiecewiseLinear {
-            points: self.points.iter().map(|&(x, y)| (x, y + dy)).collect(),
-        }
-    }
-
-    /// Returns the largest y value on the curve.
-    pub fn max_y(&self) -> f64 {
-        self.points.iter().map(|&(_, y)| y).fold(f64::MIN, f64::max)
-    }
-
-    /// Returns the smallest y value on the curve.
-    pub fn min_y(&self) -> f64 {
-        self.points.iter().map(|&(_, y)| y).fold(f64::MAX, f64::min)
-    }
-}
-
-/// Finds the smallest load in `[lo, hi]` where curve `a` drops to or below
-/// curve `b`, scanning then bisecting.
+/// Finds the smallest load in `[lo, hi]` where power function `sw`
+/// rises to or above `hw`, scanning then bisecting.
 ///
 /// This is the paper's *tipping point*: the rate `R` where the software
 /// system's power first meets the in-network system's power
-/// (`P_sw(R) = P_hw(R)`, §8). Returns `None` if `a` stays below `b` on the
-/// whole interval (hardware never pays off) or `a` starts above `b` at `lo`.
+/// (`P_sw(R) = P_hw(R)`, §8). Returns `lo` if `sw` already meets `hw`
+/// there, and `None` if `sw` stays below `hw` on the whole interval
+/// (hardware never pays off).
 ///
 /// # Examples
 ///
 /// ```
-/// use inc_power::{crossover_rate, PiecewiseLinear};
+/// use inc_power::crossover_fn;
 ///
-/// let sw = PiecewiseLinear::new(vec![(0.0, 39.0), (1_000_000.0, 110.0)]).unwrap();
-/// let hw = PiecewiseLinear::constant(59.0);
-/// let r = crossover_rate(&sw, &hw, 0.0, 1_000_000.0).unwrap();
+/// // Software: 39 W idle to 110 W at 1 Mpps; hardware: a flat 59 W.
+/// let sw = |r: f64| 39.0 + 71.0 * r / 1e6;
+/// let r = crossover_fn(sw, |_| 59.0, 0.0, 1_000_000.0).unwrap();
 /// assert!((r - 281_690.0).abs() < 1_000.0);
 /// ```
-pub fn crossover_rate(sw: &PiecewiseLinear, hw: &PiecewiseLinear, lo: f64, hi: f64) -> Option<f64> {
-    crossover_fn(|r| sw.eval(r), |r| hw.eval(r), lo, hi)
-}
-
-/// Like [`crossover_rate`] but for arbitrary power functions.
 pub fn crossover_fn(
     sw: impl Fn(f64) -> f64,
     hw: impl Fn(f64) -> f64,
@@ -173,64 +58,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rejects_bad_input() {
-        assert_eq!(PiecewiseLinear::new(vec![]), Err(CurveError::Empty));
-        assert_eq!(
-            PiecewiseLinear::new(vec![(1.0, 0.0), (1.0, 1.0)]),
-            Err(CurveError::NotIncreasing)
-        );
-        assert_eq!(
-            PiecewiseLinear::new(vec![(0.0, f64::NAN)]),
-            Err(CurveError::NotFinite)
-        );
-    }
-
-    #[test]
-    fn interpolation_and_clamping() {
-        let c = PiecewiseLinear::new(vec![(0.0, 0.0), (10.0, 100.0), (20.0, 100.0)]).unwrap();
-        assert_eq!(c.eval(-5.0), 0.0);
-        assert_eq!(c.eval(5.0), 50.0);
-        assert_eq!(c.eval(15.0), 100.0);
-        assert_eq!(c.eval(25.0), 100.0);
-        assert_eq!(c.max_y(), 100.0);
-        assert_eq!(c.min_y(), 0.0);
-    }
-
-    #[test]
-    fn constant_curve() {
-        let c = PiecewiseLinear::constant(42.0);
-        assert_eq!(c.eval(-1e9), 42.0);
-        assert_eq!(c.eval(1e9), 42.0);
-    }
-
-    #[test]
-    fn offset_shifts_values() {
-        let c = PiecewiseLinear::new(vec![(0.0, 10.0), (1.0, 20.0)]).unwrap();
-        let d = c.offset(5.0);
-        assert_eq!(d.eval(0.0), 15.0);
-        assert_eq!(d.eval(1.0), 25.0);
-    }
-
-    #[test]
     fn crossover_found() {
         // sw: 39 + 71x/1e6, hw: constant 59 -> x = 20/71 * 1e6.
-        let sw = PiecewiseLinear::new(vec![(0.0, 39.0), (1e6, 110.0)]).unwrap();
-        let hw = PiecewiseLinear::constant(59.0);
-        let x = crossover_rate(&sw, &hw, 0.0, 1e6).unwrap();
+        let x = crossover_fn(|r| 39.0 + 71.0 * r / 1e6, |_| 59.0, 0.0, 1e6).unwrap();
         assert!((x - 20.0 / 71.0 * 1e6).abs() < 1.0, "{x}");
     }
 
     #[test]
     fn crossover_absent() {
-        let sw = PiecewiseLinear::constant(30.0);
-        let hw = PiecewiseLinear::constant(59.0);
-        assert_eq!(crossover_rate(&sw, &hw, 0.0, 1e6), None);
+        assert_eq!(crossover_fn(|_| 30.0, |_| 59.0, 0.0, 1e6), None);
     }
 
     #[test]
     fn crossover_immediate_when_hw_cheaper_everywhere() {
-        let sw = PiecewiseLinear::constant(80.0);
-        let hw = PiecewiseLinear::constant(59.0);
-        assert_eq!(crossover_rate(&sw, &hw, 0.0, 1e6), Some(0.0));
+        assert_eq!(crossover_fn(|_| 80.0, |_| 59.0, 0.0, 1e6), Some(0.0));
     }
 }

@@ -30,7 +30,7 @@
 //!         ctx.schedule_in(Nanos::from_millis(1), 0);
 //!     }
 //!     fn on_timer(&mut self, ctx: &mut Ctx<'_, u64>, _t: Timer) {
-//!         ctx.send(PortId::P0, ctx.now().as_millis());
+//!         ctx.send(PortId::P0, ctx.now().as_nanos());
 //!         ctx.schedule_in(Nanos::from_millis(1), 0);
 //!     }
 //!     fn on_message(&mut self, _: &mut Ctx<'_, u64>, _: PortId, _: u64) {}

@@ -47,14 +47,6 @@ impl Rng {
         Rng { s }
     }
 
-    /// Derives an independent child generator.
-    ///
-    /// Used to give each simulation component its own stream so that adding
-    /// a component does not perturb the draws seen by others.
-    pub fn fork(&mut self, stream: u64) -> Rng {
-        Rng::new(self.next_u64() ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
     /// Returns the next 64 uniformly distributed bits.
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
@@ -148,17 +140,6 @@ impl Rng {
         for i in (1..xs.len()).rev() {
             let j = self.index(i + 1);
             xs.swap(i, j);
-        }
-    }
-
-    /// Picks a uniformly random element of a slice.
-    ///
-    /// Returns `None` for an empty slice.
-    pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> Option<&'a T> {
-        if xs.is_empty() {
-            None
-        } else {
-            Some(&xs[self.index(xs.len())])
         }
     }
 }
@@ -255,22 +236,5 @@ mod tests {
             (0..100).collect::<Vec<_>>(),
             "shuffle left input sorted"
         );
-    }
-
-    #[test]
-    fn fork_streams_are_independent() {
-        let mut root = Rng::new(10);
-        let mut a = root.fork(1);
-        let mut b = root.fork(2);
-        let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert_eq!(same, 0);
-    }
-
-    #[test]
-    fn choose_empty_is_none() {
-        let mut r = Rng::new(11);
-        let empty: [u8; 0] = [];
-        assert!(r.choose(&empty).is_none());
-        assert_eq!(*r.choose(&[42]).unwrap(), 42);
     }
 }

@@ -99,11 +99,6 @@ impl ServiceStation {
         Admission::Served { start, finish }
     }
 
-    /// Returns the number of cores executing a job at time `now`.
-    pub fn active_cores(&self, now: Nanos) -> usize {
-        self.busy_until.iter().filter(|&&t| t > now).count()
-    }
-
     /// Returns cumulative busy core-nanoseconds up to time `now`.
     ///
     /// Work already assigned but scheduled beyond `now` is excluded, so
@@ -189,8 +184,9 @@ mod tests {
         let (_, f1) = served(s.submit(Nanos::ZERO, Nanos::from_micros(10)));
         assert_eq!(f0, Nanos::from_micros(10));
         assert_eq!(f1, Nanos::from_micros(10));
-        assert_eq!(s.active_cores(Nanos::from_micros(5)), 2);
-        assert_eq!(s.active_cores(Nanos::from_micros(15)), 0);
+        // Both cores busy for the first 5 us, idle by 15 us.
+        assert_eq!(s.busy_core_ns(Nanos::from_micros(5)), 10_000);
+        assert_eq!(s.busy_core_ns(Nanos::from_micros(15)), 20_000);
     }
 
     #[test]
@@ -238,7 +234,6 @@ mod tests {
         let mut s = ServiceStation::new(1, None);
         s.submit(Nanos::ZERO, Nanos::from_micros(100));
         s.quiesce(Nanos::from_micros(10));
-        assert_eq!(s.active_cores(Nanos::from_micros(11)), 0);
         // Counter reflects only the 10 us actually consumed.
         assert_eq!(s.busy_core_ns(Nanos::from_micros(50)), 10_000);
         // New work starts immediately.

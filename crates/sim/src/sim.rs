@@ -27,12 +27,6 @@ pub struct PortId(pub u16);
 impl PortId {
     /// Port 0, the conventional "first network interface".
     pub const P0: PortId = PortId(0);
-    /// Port 1.
-    pub const P1: PortId = PortId(1);
-    /// Port 2.
-    pub const P2: PortId = PortId(2);
-    /// Port 3.
-    pub const P3: PortId = PortId(3);
 }
 
 /// An opaque handle naming one scheduled timer; the fired [`Timer`]
@@ -160,20 +154,12 @@ impl LinkSpec {
         }
     }
 
-    /// A 40 Gb/s Ethernet link with the given propagation delay.
-    pub fn forty_gbe(latency: Nanos) -> Self {
-        LinkSpec {
-            latency,
-            bandwidth_bps: Some(40e9),
-            loss: 0.0,
-        }
-    }
-
     /// Returns the same link with a drop probability (failure injection).
     ///
     /// # Panics
     ///
     /// Panics if `loss` is outside `[0, 1]`.
+    // inc-lint: allow(unreached-pub): tests/failure_injection.rs' lossy links; the foundation of ROADMAP item 6b's fault knobs
     pub fn with_loss(mut self, loss: f64) -> Self {
         assert!((0.0..=1.0).contains(&loss), "loss out of range: {loss}");
         self.loss = loss;
@@ -230,6 +216,7 @@ impl<'a, M> Ctx<'a, M> {
     }
 
     /// Returns the id of the node being executed.
+    // inc-lint: allow(unreached-pub): crates/sim/tests/event_order.rs' nodes inject to themselves
     pub fn self_id(&self) -> NodeId {
         self.node
     }
@@ -439,6 +426,7 @@ impl<M: Payload> Simulator<M> {
     /// order the simulator applies sends. Wire-equivalence tests digest
     /// frames through it; with no tap installed a send pays one
     /// `Option` check.
+    // inc-lint: allow(unreached-pub): tests/multi_tor.rs digests every frame through it for the wire-frame golden
     pub fn set_link_tap(&mut self, tap: impl FnMut(Nanos, NodeId, PortId, &M) + 'static) {
         self.link_tap = Some(Box::new(tap));
     }
@@ -541,6 +529,7 @@ impl<M: Payload> Simulator<M> {
     }
 
     /// Returns the event queue's deterministic work counters.
+    // inc-lint: allow(unreached-pub): tests/alloc_budget.rs and crates/sim/tests/event_order.rs bound the relinks per event
     pub fn queue_stats(&self) -> QueueStats {
         self.queue.stats()
     }
@@ -657,11 +646,6 @@ impl<M: Payload> Simulator<M> {
         self.events_processed += n;
         self.now = deadline;
         n
-    }
-
-    /// Runs for an additional `span` of simulated time.
-    pub fn run_for(&mut self, span: Nanos) -> u64 {
-        self.run_until(self.now.saturating_add(span))
     }
 }
 
@@ -805,7 +789,7 @@ mod tests {
             fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
                 // P2 is wired; P0 sits below it in the port table, P3
                 // beyond its end.
-                for port in [PortId::P0, PortId::P2, PortId::P3] {
+                for port in [PortId::P0, PortId(2), PortId(3)] {
                     ctx.send(port, port.0 as u64);
                 }
             }
@@ -814,7 +798,7 @@ mod tests {
         let mut sim = Simulator::new(0);
         let s = sim.add_node(Sprayer);
         let c = sim.add_node(Counter { seen: Vec::new() });
-        sim.connect(s, PortId::P2, c, PortId::P0, LinkSpec::ideal());
+        sim.connect(s, PortId(2), c, PortId::P0, LinkSpec::ideal());
         sim.run_until(Nanos::from_millis(1));
         assert_eq!(sim.unrouted(), 2);
         assert_eq!(sim.node_ref::<Counter>(c).seen, vec![(Nanos::ZERO, 2)]);
@@ -824,14 +808,14 @@ mod tests {
     #[should_panic(expected = "already connected")]
     fn connecting_a_port_twice_panics() {
         let (mut sim, t, c) = ticker_sim();
-        sim.connect(t, PortId::P0, c, PortId::P1, LinkSpec::ideal());
+        sim.connect(t, PortId::P0, c, PortId(1), LinkSpec::ideal());
     }
 
     #[test]
     #[should_panic(expected = "no such node")]
     fn connecting_an_unknown_node_panics() {
         let (mut sim, t, _c) = ticker_sim();
-        sim.connect(t, PortId::P1, NodeId(9), PortId::P0, LinkSpec::ideal());
+        sim.connect(t, PortId(1), NodeId(9), PortId::P0, LinkSpec::ideal());
     }
 
     /// Event times saturate: a delay that would overflow the clock
@@ -867,7 +851,7 @@ mod tests {
         assert_eq!(sim.run_until(Nanos::MAX), 5);
         let seen = &sim.node_ref::<Counter>(c).seen;
         assert_eq!(seen.as_slice(), &[0, 1, 2, 3].map(|m| (Nanos::MAX, m)));
-        assert_eq!(sim.run_for(Nanos::MAX), 0);
+        assert_eq!(sim.run_until(Nanos::MAX), 0);
     }
 
     #[test]
@@ -897,7 +881,7 @@ mod tests {
     fn inject_delivers_external_messages() {
         let mut sim = Simulator::new(0);
         let c = sim.add_node(Counter { seen: Vec::new() });
-        sim.inject(c, PortId::P1, 5, Nanos::from_millis(3));
+        sim.inject(c, PortId(1), 5, Nanos::from_millis(3));
         sim.run_until(Nanos::from_secs(1));
         assert_eq!(
             sim.node_ref::<Counter>(c).seen,

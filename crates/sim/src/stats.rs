@@ -208,11 +208,6 @@ impl Histogram {
         self.min = u64::MAX;
         self.max = 0;
     }
-
-    /// Allocated bucket-range capacity (for allocation-stability tests).
-    pub fn bucket_capacity(&self) -> usize {
-        self.buckets.capacity()
-    }
 }
 
 /// A load generator's latency record: every completion since the start,
@@ -482,32 +477,6 @@ impl TimeSeries {
         self.points.iter().map(|&(_, v)| v).fold(0.0, f64::max)
     }
 
-    /// Integrates the series over time using left-step interpolation,
-    /// i.e. each value holds until the next observation.
-    ///
-    /// For a power series in watts this returns energy in joules.
-    pub fn integrate(&self) -> f64 {
-        let mut acc = 0.0;
-        for w in self.points.windows(2) {
-            let dt = (w[1].0 - w[0].0).as_secs_f64();
-            acc += w[0].1 * dt;
-        }
-        acc
-    }
-
-    /// Returns the time-weighted mean value over the observed span,
-    /// or 0.0 if fewer than two points were recorded.
-    pub fn time_weighted_mean(&self) -> f64 {
-        if self.points.len() < 2 {
-            return 0.0;
-        }
-        let span = (self.points.last().unwrap().0 - self.points[0].0).as_secs_f64();
-        if span <= 0.0 {
-            return 0.0;
-        }
-        self.integrate() / span
-    }
-
     /// Returns the subset of points within `[from, to)`.
     pub fn window(&self, from: Nanos, to: Nanos) -> impl Iterator<Item = (Nanos, f64)> + '_ {
         self.points
@@ -694,7 +663,7 @@ mod tests {
         let mut widest = Histogram::new();
         widest.record(2_000_000);
         sketch.merge(&widest);
-        let steady = sketch.bucket_capacity();
+        let steady = sketch.buckets.capacity();
         for round in 0..50u64 {
             let mut window = Histogram::new();
             window.record(1 + round);
@@ -702,7 +671,7 @@ mod tests {
             window.record(1_500_000 + round * 997);
             sketch.merge(&window);
             assert_eq!(
-                sketch.bucket_capacity(),
+                sketch.buckets.capacity(),
                 steady,
                 "merge {round} re-allocated bucket storage"
             );
@@ -714,13 +683,13 @@ mod tests {
     fn histogram_clear_keeps_capacity_for_refill() {
         let mut h = Histogram::new();
         h.record(1_000_000);
-        let cap = h.bucket_capacity();
+        let cap = h.buckets.capacity();
         assert!(cap > 0);
         for _ in 0..10 {
             h.clear();
             assert_eq!(h.count(), 0);
             h.record(999_983);
-            assert_eq!(h.bucket_capacity(), cap, "clear dropped the buckets");
+            assert_eq!(h.buckets.capacity(), cap, "clear dropped the buckets");
         }
     }
 
@@ -817,17 +786,6 @@ mod tests {
         h.record(3);
         assert_eq!(h.count(), 2);
         assert!(h.quantile(1.0) >= u64::MAX / 2);
-    }
-
-    #[test]
-    fn time_series_integration() {
-        let mut ts = TimeSeries::new();
-        ts.push(Nanos::ZERO, 10.0);
-        ts.push(Nanos::from_secs(2), 20.0);
-        ts.push(Nanos::from_secs(3), 0.0);
-        // 10 W for 2 s + 20 W for 1 s = 40 J.
-        assert!((ts.integrate() - 40.0).abs() < 1e-9);
-        assert!((ts.time_weighted_mean() - 40.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]

@@ -70,29 +70,9 @@ impl Nanos {
         self.0
     }
 
-    /// Returns the time in whole microseconds (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
-    /// Returns the time in whole milliseconds (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Returns the time as fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// Returns the time as fractional microseconds.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
-    /// Returns the time as fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
     }
 
     /// Saturating subtraction: returns [`Nanos::ZERO`] instead of
@@ -222,12 +202,12 @@ mod tests {
     fn arithmetic() {
         let a = Nanos::from_micros(10);
         let b = Nanos::from_micros(4);
-        assert_eq!((a + b).as_micros(), 14);
-        assert_eq!((a - b).as_micros(), 6);
+        assert_eq!(a + b, Nanos::from_micros(14));
+        assert_eq!(a - b, Nanos::from_micros(6));
         assert_eq!(b.saturating_sub(a), Nanos::ZERO);
-        assert_eq!(a.mul(3).as_micros(), 30);
-        assert_eq!(a.div(2).as_micros(), 5);
-        assert_eq!(a.mul_f64(0.5).as_micros(), 5);
+        assert_eq!(a.mul(3), Nanos::from_micros(30));
+        assert_eq!(a.div(2), Nanos::from_micros(5));
+        assert_eq!(a.mul_f64(0.5), Nanos::from_micros(5));
     }
 
     #[test]
@@ -253,7 +233,5 @@ mod tests {
     fn as_f64_conversions() {
         let t = Nanos::from_micros(2_500);
         assert!((t.as_secs_f64() - 0.0025).abs() < 1e-12);
-        assert!((t.as_micros_f64() - 2_500.0).abs() < 1e-9);
-        assert!((t.as_millis_f64() - 2.5).abs() < 1e-9);
     }
 }

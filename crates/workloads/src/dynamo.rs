@@ -162,8 +162,6 @@ pub mod reference {
     pub const RACK_P99_3S: f64 = 0.128;
     /// Rack-level p99 variation over 30 s.
     pub const RACK_P99_30S: f64 = 0.266;
-    /// Rack-level median variation.
-    pub const RACK_MEDIAN: f64 = 0.05;
     /// Cache median / p99 over 60 s.
     pub const CACHE_60S: (f64, f64) = (0.092, 0.262);
     /// Web server median / p99 over 60 s.

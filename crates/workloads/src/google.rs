@@ -143,89 +143,6 @@ impl GoogleTrace {
     }
 }
 
-/// The §9.3 alternative usage model: offload **as load diminishes**.
-///
-/// "When a multitude of jobs run on the same server, offloading to the
-/// network saves little power. However, as jobs end or are migrated from
-/// the server, moving the last (or first) job to the network will save
-/// power." This analysis walks a node's timeline and finds the windows
-/// where at most `max_resident` candidate jobs remain — the moments where
-/// shifting the remaining job(s) into the device lets the host reach idle.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DrainWindow {
-    /// Node concerned.
-    pub node: u32,
-    /// Start of the low-occupancy window.
-    pub from: Nanos,
-    /// End of the window.
-    pub to: Nanos,
-    /// Host watts saved by offloading the stragglers and idling the host
-    /// (the §7 uncore jump is the prize: the last job pins it).
-    pub saving_w: f64,
-}
-
-impl GoogleTrace {
-    /// Finds, per node, the 5-minute windows where at most `max_resident`
-    /// offload-candidate jobs are running, and estimates the §9.3 saving
-    /// of moving them to the network: the host drops its uncore-activation
-    /// power (`uncore_jump_w`) plus the jobs' dynamic share.
-    pub fn drain_windows(
-        &self,
-        min_cores: f64,
-        min_duration: Nanos,
-        max_resident: usize,
-        uncore_jump_w: f64,
-        per_core_w: f64,
-    ) -> Vec<DrainWindow> {
-        let window = Nanos::from_secs(300);
-        let windows = (self.horizon.as_nanos() / window.as_nanos()).max(1) as usize;
-        // Occupancy per (node, window): count + cores of candidate tasks.
-        let mut occupancy = vec![(0usize, 0.0f64); windows * self.nodes as usize];
-        for t in self.offload_candidates_iter(min_cores, min_duration) {
-            let first = (t.start.as_nanos() / window.as_nanos()) as usize;
-            let last = ((t.start + t.duration).as_nanos() / window.as_nanos()) as usize;
-            for w in first..=last.min(windows - 1) {
-                let slot = &mut occupancy[t.node as usize * windows + w];
-                slot.0 += 1;
-                slot.1 += t.cpu_cores;
-            }
-        }
-        let mut out = Vec::new();
-        for node in 0..self.nodes {
-            let base = node as usize * windows;
-            let mut w = 0;
-            while w < windows {
-                let (count, cores) = occupancy[base + w];
-                if count > 0 && count <= max_resident {
-                    // Extend the window while the condition holds.
-                    let start = w;
-                    let mut total_cores = 0.0;
-                    while w < windows {
-                        let (c, k) = occupancy[base + w];
-                        if c == 0 || c > max_resident {
-                            break;
-                        }
-                        total_cores += k;
-                        w += 1;
-                    }
-                    let span = w - start;
-                    let mean_cores = total_cores / span as f64;
-                    out.push(DrainWindow {
-                        node,
-                        from: window.mul(start as u64),
-                        to: window.mul(w as u64),
-                        saving_w: uncore_jump_w + per_core_w * mean_cores,
-                    });
-                    let _ = cores;
-                } else {
-                    w += 1;
-                }
-            }
-        }
-        out
-    }
-}
-
 /// The published §9.3 reference numbers, for the regeneration harness.
 pub mod reference {
     /// Offload candidates in the full trace ("more than 1.39 million
@@ -285,23 +202,6 @@ mod tests {
         let fewer = t.offload_candidates(0.50, Nanos::from_secs(3600)).len();
         assert!(some < all);
         assert!(fewer < some);
-    }
-
-    #[test]
-    fn drain_windows_identify_low_occupancy_periods() {
-        let t = trace();
-        // Generous residency bound: some windows must qualify.
-        let windows = t.drain_windows(0.10, Nanos::from_secs(300), 2, 15.6, 13.9);
-        assert!(!windows.is_empty(), "no drain windows found");
-        for w in &windows {
-            assert!(w.to > w.from);
-            assert!(w.node < t.nodes);
-            // Saving always includes the uncore jump the last job pins.
-            assert!(w.saving_w >= 15.6);
-        }
-        // Tightening the bound to 1 resident job yields fewer, not more.
-        let tighter = t.drain_windows(0.10, Nanos::from_secs(300), 1, 15.6, 13.9);
-        assert!(tighter.len() <= windows.len());
     }
 
     #[test]

@@ -31,14 +31,6 @@ pub struct RateProfile {
 }
 
 impl RateProfile {
-    /// A constant rate forever.
-    pub fn constant(rate_pps: f64) -> Self {
-        RateProfile {
-            steps: vec![(Nanos::ZERO, rate_pps)],
-            period: None,
-        }
-    }
-
     /// A schedule of `(start, rate)` steps.
     ///
     /// # Panics
@@ -50,24 +42,6 @@ impl RateProfile {
             steps.windows(2).all(|w| w[0].0 <= w[1].0),
             "steps must be time-sorted"
         );
-        RateProfile {
-            steps,
-            period: None,
-        }
-    }
-
-    /// A linear ramp approximated by `n` steps.
-    pub fn ramp(from_pps: f64, to_pps: f64, start: Nanos, duration: Nanos, n: usize) -> Self {
-        let n = n.max(1);
-        let steps = (0..n)
-            .map(|i| {
-                let f = i as f64 / n as f64;
-                (
-                    start + duration.mul_f64(f),
-                    from_pps + (to_pps - from_pps) * f,
-                )
-            })
-            .collect();
         RateProfile {
             steps,
             period: None,
@@ -131,62 +105,19 @@ impl RateProfile {
             self.steps[idx - 1].1
         }
     }
-
-    /// Duration-weighted mean rate over `[0, until)`, integrating the
-    /// piecewise-constant schedule exactly (uneven step spacing and
-    /// periodic wrap-around both handled).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `until` is zero.
-    pub fn mean_rate_pps(&self, until: Nanos) -> f64 {
-        assert!(until > Nanos::ZERO, "mean over an empty span");
-        let until_ns = until.as_nanos();
-        let mut acc = 0.0;
-        let mut t = 0u64;
-        while t < until_ns {
-            let rate = self.rate_at(Nanos::from_nanos(t));
-            let next = self.next_change_after(t).unwrap_or(until_ns).min(until_ns);
-            acc += rate * (next - t) as f64;
-            t = next;
-        }
-        acc / until_ns as f64
-    }
-
-    /// The first instant strictly after `t` (in absolute nanoseconds) at
-    /// which the schedule's rate can change.
-    fn next_change_after(&self, t: u64) -> Option<u64> {
-        match self.period {
-            Some(p) => {
-                let p_ns = p.as_nanos();
-                let base = t / p_ns * p_ns;
-                let local = Nanos::from_nanos(t % p_ns);
-                let idx = self.steps.partition_point(|&(s, _)| s <= local);
-                match self.steps.get(idx) {
-                    Some(&(s, _)) => Some(base + s.as_nanos()),
-                    // Wrap: the next change is the start of the next period.
-                    None => Some(base + p_ns),
-                }
-            }
-            None => {
-                let idx = self.steps.partition_point(|&(s, _)| s.as_nanos() <= t);
-                self.steps.get(idx).map(|&(s, _)| s.as_nanos())
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn constant_rate_holds_everywhere() {
-        let p = RateProfile::constant(10_000.0);
-        for t in [Nanos::ZERO, Nanos::from_millis(7), Nanos::from_secs(1_000)] {
-            assert_eq!(p.rate_at(t), 10_000.0);
-        }
-        assert_eq!(p.mean_rate_pps(Nanos::from_secs(1)), 10_000.0);
+    /// The mean of a periodic profile over one period, sampled at the
+    /// midpoint of each of its `n` equal steps.
+    fn day_mean(p: &RateProfile, day: Nanos, n: u64) -> f64 {
+        (0..n)
+            .map(|i| p.rate_at(day.mul(2 * i + 1).div(2 * n)))
+            .sum::<f64>()
+            / n as f64
     }
 
     #[test]
@@ -197,9 +128,8 @@ mod tests {
         ]);
         assert_eq!(p.rate_at(Nanos::from_nanos(499_999_999)), 1_000.0);
         assert_eq!(p.rate_at(Nanos::from_millis(500)), 100_000.0);
-        // Half a second at each rate.
-        let mean = p.mean_rate_pps(Nanos::from_secs(1));
-        assert!((mean - 50_500.0).abs() < 1e-6, "{mean}");
+        // An aperiodic profile holds its last rate forever.
+        assert_eq!(p.rate_at(Nanos::from_secs(1_000)), 100_000.0);
     }
 
     #[test]
@@ -227,41 +157,27 @@ mod tests {
         let broad = RateProfile::diurnal(0.0, 100_000.0, day, Nanos::ZERO, 1, 200);
         let narrow = RateProfile::diurnal(0.0, 100_000.0, day, Nanos::ZERO, 4, 200);
         // sin^2 averages 1/2 over the day; sin^8 averages 35/128.
-        assert!((broad.mean_rate_pps(day) - 50_000.0).abs() < 500.0);
-        assert!((narrow.mean_rate_pps(day) - 100_000.0 * 35.0 / 128.0).abs() < 500.0);
-        // The mean over two whole days equals the one-day mean.
-        assert!((broad.mean_rate_pps(day + day) - broad.mean_rate_pps(day)).abs() < 1e-9);
+        assert!((day_mean(&broad, day, 200) - 50_000.0).abs() < 500.0);
+        assert!((day_mean(&narrow, day, 200) - 100_000.0 * 35.0 / 128.0).abs() < 500.0);
+        // Every day repeats the first exactly.
+        for t in [Nanos::ZERO, Nanos::from_millis(1_234), Nanos::from_secs(7)] {
+            assert_eq!(
+                broad.rate_at(t).to_bits(),
+                broad.rate_at(t + day + day).to_bits()
+            );
+        }
         // Off-peak shoulder: the narrow profile is already quiet.
         assert!(narrow.rate_at(Nanos::from_secs(2)) < broad.rate_at(Nanos::from_secs(2)));
-    }
-
-    #[test]
-    fn mean_rate_weights_uneven_steps_by_duration() {
-        // 9 s at 100 kpps then quiet: the mean over 10 s is 90 kpps, not
-        // the unweighted step average of 50 kpps.
-        let p = RateProfile::steps(vec![(Nanos::ZERO, 100_000.0), (Nanos::from_secs(9), 0.0)]);
-        let mean = p.mean_rate_pps(Nanos::from_secs(10));
-        assert!((mean - 90_000.0).abs() < 1e-6, "{mean}");
-        // An aperiodic profile holds its last rate forever.
-        let mean20 = p.mean_rate_pps(Nanos::from_secs(20));
-        assert!((mean20 - 45_000.0).abs() < 1e-6, "{mean20}");
     }
 
     #[test]
     fn diurnal_drives_traffic_at_half_its_peak() {
         let day = Nanos::from_millis(200);
         let profile = RateProfile::diurnal(0.0, 50_000.0, day, Nanos::ZERO, 1, 50);
-        // sin² averages one half: two full days offer half the peak.
-        let mean = profile.mean_rate_pps(day + day);
+        // sin² averages one half: a day offers half the peak.
+        let mean = day_mean(&profile, day, 50);
         assert!((mean - 25_000.0).abs() < 1.0, "{mean}");
         assert!(profile.rate_at(day.div(2)) > 49_000.0);
-    }
-
-    #[test]
-    fn ramp_rate_monotone() {
-        let p = RateProfile::ramp(0.0, 1_000.0, Nanos::ZERO, Nanos::from_secs(10), 10);
-        assert!(p.rate_at(Nanos::from_secs(1)) < p.rate_at(Nanos::from_secs(9)));
-        assert_eq!(p.rate_at(Nanos::from_secs(20)), 900.0);
     }
 
     #[test]
@@ -271,9 +187,6 @@ mod tests {
             (Nanos::from_millis(100), 10_000.0),
         ]);
         assert_eq!(p.rate_at(Nanos::from_millis(99)), 0.0);
-        assert_eq!(p.mean_rate_pps(Nanos::from_millis(100)), 0.0);
         assert_eq!(p.rate_at(Nanos::from_millis(100)), 10_000.0);
-        // The second 100 ms carry the whole offered load.
-        assert_eq!(p.mean_rate_pps(Nanos::from_millis(200)), 5_000.0);
     }
 }

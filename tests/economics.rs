@@ -15,14 +15,34 @@
 
 use inc::hw::Placement;
 use inc::ondemand::{
-    FleetController, FleetControllerConfig, FleetSample, FleetTimeline, HostSample,
+    FleetController, FleetControllerConfig, FleetSample, FleetShift, FleetTimeline, HostSample,
 };
 use inc::sim::Nanos;
-use inc_bench::economics::{shift_logs_identical, PROBE};
 use inc_bench::rigs::PodFabricRig;
 use inc_bench::scenarios::scenario;
 
 const INTERVAL: Nanos = Nanos::from_secs(1);
+
+/// Probe instant for the steady contended placements: deep inside the
+/// plateau (which runs from 0.3 s to 7 s), after every spill and
+/// fairness claim has settled.
+const PROBE: Nanos = Nanos::from_secs(5);
+
+/// Bitwise equality of two shift logs: every field, including the
+/// priced `benefit_w`, compared by `to_bits` — the degeneration
+/// contract (`x`, `1.0 × x` and `x − 0.0` must be the *same float*,
+/// not merely close).
+fn shift_logs_identical(a: &[FleetShift], b: &[FleetShift]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            x.at == y.at
+                && x.app == y.app
+                && x.to == y.to
+                && x.rate_pps.to_bits() == y.rate_pps.to_bits()
+                && x.benefit_w.to_bits() == y.benefit_w.to_bits()
+                && x.reason == y.reason
+        })
+}
 
 /// One objective's run of the contended day: its controller, its
 /// metered timeline and the placements at [`PROBE`] (the row recorded

@@ -2013,7 +2013,9 @@ proptest! {
         prop_assert_eq!(&frame.payload_bytes(&pkt)[..], &payload[..]);
         prop_assert_eq!(pkt.data.len(), 42 + payload.len());
         // The reply builder swaps the direction of the same machinery.
-        let reply = inc::net::build_reply(&frame, &payload);
+        let reply = inc::net::build_reply_with(&frame, payload.len(), |buf| {
+            buf.put_slice(&payload);
+        });
         prop_assert_eq!(&reply.data[..], &reference_frame(dst, src, 0, &payload)[..]);
     }
 
@@ -2198,7 +2200,7 @@ proptest! {
             if let (Ok(new), Ok(old)) = (new, old) {
                 let labels: Vec<Vec<u8>> = new.labels().map(<[u8]>::to_vec).collect();
                 prop_assert_eq!(&labels, &old);
-                prop_assert_eq!(new.label_count(), old.len());
+                prop_assert_eq!(new.labels().count(), old.len());
                 prop_assert_eq!(new.to_string(), label_list_name::display(&old));
                 let encoded: usize = old.iter().map(|l| l.len() + 1).sum::<usize>() + 1;
                 prop_assert_eq!(new.encoded_len(), encoded);
