@@ -5,24 +5,89 @@
 //! mid-run. Values are derived deterministically from keys so every GET
 //! hit can be verified end-to-end, including across placement shifts.
 
+use std::collections::hash_map::Entry;
+use std::fmt;
+use std::io::Write;
 use std::ops::{Deref, DerefMut};
 
-use inc_net::{build_udp_with, Endpoint, Packet, UdpFrame};
+use inc_net::{build_udp_with, BufMut, Endpoint, Packet, UdpFrame};
 use inc_sim::{
     impl_node_any, Ctx, FixedHashMap, LatencyWindow, Nanos, Node, Pacer, PortId, Rng, Timer,
 };
 
 use crate::protocol::{decode_view, FrameHeader, MessageView, Opcode, RequestView, Status};
 
+/// Bytes a [`KvKey`] holds without allocating: `key-{u64::MAX}` is 24,
+/// an ETC key 20.
+const INLINE_KEY: usize = 24;
+
+/// The key of one generated operation: held inline when it fits
+/// [`INLINE_KEY`] bytes, as every key a generator makes does, and on
+/// the heap otherwise. It derefs to its bytes.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct KvKey(KeyRepr);
+
+/// A key's length alone decides its variant, and inline bytes past the
+/// length stay zero: equal keys have equal representations, which is
+/// what the derived `PartialEq` and `Hash` compare.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum KeyRepr {
+    Inline { len: u8, bytes: [u8; INLINE_KEY] },
+    Heap(Box<[u8]>),
+}
+
+impl KvKey {
+    /// A key holding a copy of `key`.
+    pub fn new(key: &[u8]) -> KvKey {
+        let mut bytes = [0; INLINE_KEY];
+        match bytes.get_mut(..key.len()) {
+            Some(room) => {
+                room.copy_from_slice(key);
+                KvKey(KeyRepr::Inline {
+                    len: key.len() as u8,
+                    bytes,
+                })
+            }
+            None => KvKey(KeyRepr::Heap(key.into())),
+        }
+    }
+
+    /// `key-{i}`, the [`key_name`] of `i`, rendered without allocating.
+    pub(crate) fn numbered(i: u64) -> KvKey {
+        let mut text = [0u8; INLINE_KEY];
+        let mut room = &mut text[..];
+        write!(room, "key-{i}").expect("`key-{u64::MAX}` fits inline");
+        let len = INLINE_KEY - room.len();
+        KvKey::new(&text[..len])
+    }
+}
+
+impl Deref for KvKey {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match &self.0 {
+            KeyRepr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            KeyRepr::Heap(bytes) => bytes,
+        }
+    }
+}
+
+impl fmt::Debug for KvKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// One generated operation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum KvOp {
     /// GET of a key.
-    Get(Vec<u8>),
+    Get(KvKey),
     /// SET of a key with a value of the given size.
-    Set(Vec<u8>, usize),
+    Set(KvKey, usize),
     /// DELETE of a key.
-    Delete(Vec<u8>),
+    Delete(KvKey),
 }
 
 /// A stream of operations (key popularity + op mix).
@@ -44,7 +109,7 @@ pub struct UniformGen {
 
 impl OpGen for UniformGen {
     fn next_op(&mut self, rng: &mut Rng) -> KvOp {
-        let key = key_name(rng.range_u64(0, self.keys));
+        let key = KvKey::numbered(rng.range_u64(0, self.keys));
         if rng.chance(self.get_ratio) {
             KvOp::Get(key)
         } else {
@@ -55,7 +120,7 @@ impl OpGen for UniformGen {
 
 /// Canonical key encoding used by generators and verification.
 pub fn key_name(i: u64) -> Vec<u8> {
-    format!("key-{i}").into_bytes()
+    KvKey::numbered(i).to_vec()
 }
 
 /// The 8 bytes a key's expected value repeats: FNV-1a of the key.
@@ -68,11 +133,22 @@ fn value_pattern(key: &[u8]) -> [u8; 8] {
     h.to_be_bytes()
 }
 
+/// Appends [`expected_value`]`(key, len)` to `out` from the pattern,
+/// without materialising it.
+fn put_expected_value<B: BufMut>(key: &[u8], len: usize, out: &mut B) {
+    let pattern = value_pattern(key);
+    for _ in 0..len / pattern.len() {
+        out.put_slice(&pattern);
+    }
+    out.put_slice(&pattern[..len % pattern.len()]);
+}
+
 /// The deterministic value every store holds for a key: derived from the
 /// key bytes, repeated to `len`. Lets clients verify GET payloads.
 pub fn expected_value(key: &[u8], len: usize) -> Vec<u8> {
-    let pattern = value_pattern(key);
-    (0..len).map(|i| pattern[i % 8]).collect()
+    let mut value = Vec::with_capacity(len);
+    put_expected_value(key, len, &mut value);
+    value
 }
 
 /// Whether `value` is [`expected_value`]`(key, value.len())`, checked
@@ -98,6 +174,10 @@ pub struct ClientStats {
     pub corrupt: u64,
     /// GET misses (KeyNotFound).
     pub not_found: u64,
+    /// Requests given up unanswered: the 16-bit request id wrapped and
+    /// a newer request took over its entry (a reply to it that arrives
+    /// later is ignored).
+    pub abandoned: u64,
 }
 
 /// The measuring load generator. Its latency record (`latency`,
@@ -112,8 +192,10 @@ pub struct KvsClient {
     stats: ClientStats,
     window: LatencyWindow,
     next_opaque: u32,
-    /// Outstanding requests: opaque → (send time, op).
-    outstanding: FixedHashMap<u32, (Nanos, KvOp)>,
+    /// Outstanding requests: memcached request id → (send time, opaque,
+    /// op). A dropped request never comes back, so the id's next use
+    /// replaces it: the table holds at most 65 536 entries.
+    outstanding: FixedHashMap<u16, (Nanos, u32, KvOp)>,
 }
 
 impl KvsClient {
@@ -157,29 +239,32 @@ impl KvsClient {
     fn build_request(&mut self, op: &KvOp) -> (Packet, u32) {
         self.next_opaque = self.next_opaque.wrapping_add(1);
         let opaque = self.next_opaque;
-        // Only a SET materialises bytes of its own; keys are borrowed
-        // from the op, which is then parked in `outstanding`.
-        let set_value;
-        let request = match op {
-            KvOp::Get(key) => RequestView::Get { key },
-            KvOp::Set(key, len) => {
-                set_value = expected_value(key, *len);
-                RequestView::Set {
-                    key,
-                    value: &set_value,
-                    flags: 0,
-                    expiry: 0,
-                }
-            }
-            KvOp::Delete(key) => RequestView::Delete { key },
-        };
         let frame = FrameHeader {
             request_id: (opaque & 0xffff) as u16,
             seq: 0,
             total: 1,
         };
-        let pkt = build_udp_with(self.src, self.dst, 0, request.encoded_len(), |buf| {
-            request.encode_into(frame, opaque, buf)
+        // The key is borrowed from the op, which is then parked in
+        // `outstanding`; a SET's value is written from the key's pattern.
+        let (request, value_len) = match op {
+            KvOp::Get(key) => (RequestView::Get { key }, 0),
+            KvOp::Delete(key) => (RequestView::Delete { key }, 0),
+            KvOp::Set(key, len) => {
+                let head = RequestView::Set {
+                    key,
+                    value: &[],
+                    flags: 0,
+                    expiry: 0,
+                };
+                (head, *len)
+            }
+        };
+        let len = request.encoded_len() + value_len;
+        let pkt = build_udp_with(self.src, self.dst, 0, len, |buf| {
+            request.encode_head_into(frame, opaque, value_len, buf);
+            if value_len > 0 {
+                put_expected_value(request.key(), value_len, buf);
+            }
         });
         (pkt, opaque)
     }
@@ -190,7 +275,10 @@ impl KvsClient {
         let now = ctx.now();
         pkt.sent_at = now;
         pkt.id = opaque as u64;
-        self.outstanding.insert(opaque, (now, op));
+        let id = (opaque & 0xffff) as u16;
+        if self.outstanding.insert(id, (now, opaque, op)).is_some() {
+            self.stats.abandoned += 1;
+        }
         self.stats.sent += 1;
         ctx.send(PortId::P0, pkt);
     }
@@ -229,12 +317,22 @@ impl Node<Packet> for KvsClient {
         let Ok(frame) = UdpFrame::parse(&msg) else {
             return;
         };
-        let Ok(MessageView::Response { response, .. }) = decode_view(frame.payload) else {
+        let Ok(MessageView::Response {
+            frame: mc_frame,
+            response,
+        }) = decode_view(frame.payload)
+        else {
             return;
         };
-        let Some((sent_at, op)) = self.outstanding.remove(&response.opaque) else {
-            return; // Late duplicate (already completed).
+        // Not outstanding: a late duplicate (already completed), or the
+        // answer to an abandoned request whose id a newer one now holds.
+        let Entry::Occupied(entry) = self.outstanding.entry(mc_frame.request_id) else {
+            return;
         };
+        if entry.get().1 != response.opaque {
+            return;
+        }
+        let (sent_at, _, op) = entry.remove();
         let now = ctx.now();
         self.stats.received += 1;
         self.window.record((now - sent_at).as_nanos());
@@ -293,6 +391,57 @@ mod tests {
     }
 
     #[test]
+    fn keys_render_like_the_formatted_name() {
+        for i in [0u64, 7, 10, 99, 512, 1 << 40, u64::MAX] {
+            let formatted = format!("key-{i}").into_bytes();
+            assert_eq!(&KvKey::numbered(i)[..], &formatted[..]);
+            assert_eq!(KvKey::numbered(i), KvKey::new(&formatted));
+            assert_eq!(key_name(i), formatted);
+        }
+        // Longer than the inline room: still the same key.
+        let long = vec![b'x'; INLINE_KEY + 9];
+        assert_eq!(&KvKey::new(&long)[..], &long[..]);
+        assert_ne!(KvKey::new(&long), KvKey::new(&long[1..]));
+        assert_eq!(
+            format!("{:?}", KvKey::numbered(3)),
+            format!("{:?}", b"key-3")
+        );
+    }
+
+    #[test]
+    fn a_set_writes_the_expected_value_in_place() {
+        let mut c = KvsClient::open_loop(
+            Endpoint::host(1, 4000),
+            Endpoint::host(2, MEMCACHED_PORT),
+            1000.0,
+            Box::new(UniformGen {
+                keys: 4,
+                get_ratio: 0.0,
+                value_len: 8,
+            }),
+        );
+        for (key, len) in [(KvKey::numbered(2), 0), (KvKey::numbered(9), 61)] {
+            let (pkt, opaque) = c.build_request(&KvOp::Set(key.clone(), len));
+            let value = expected_value(&key, len);
+            let set = RequestView::Set {
+                key: &key,
+                value: &value,
+                flags: 0,
+                expiry: 0,
+            };
+            let frame = FrameHeader {
+                request_id: opaque as u16,
+                seq: 0,
+                total: 1,
+            };
+            let want = build_udp_with(c.src, c.dst, 0, set.encoded_len(), |buf| {
+                set.encode_into(frame, opaque, buf)
+            });
+            assert_eq!(pkt.data, want.data, "value length {len}");
+        }
+    }
+
+    #[test]
     fn uniform_gen_mix() {
         let mut g = UniformGen {
             keys: 10,
@@ -320,7 +469,7 @@ mod tests {
                 value_len: 8,
             }),
         );
-        let (pkt, opaque) = c.build_request(&KvOp::Get(b"key-3".to_vec()));
+        let (pkt, opaque) = c.build_request(&KvOp::Get(KvKey::numbered(3)));
         let frame = UdpFrame::parse(&pkt).unwrap();
         assert_eq!(frame.udp.dst_port, MEMCACHED_PORT);
         match decode(frame.payload).unwrap() {

@@ -24,7 +24,9 @@ pub mod memcached;
 pub mod protocol;
 pub mod store;
 
-pub use client::{expected_value, key_name, ClientStats, KvOp, KvsClient, OpGen, UniformGen};
+pub use client::{
+    expected_value, key_name, ClientStats, KvKey, KvOp, KvsClient, OpGen, UniformGen,
+};
 pub use device::LakeDevice;
 pub use inc_hw::{ParkPolicy, RECONFIG_HALT};
 pub use lake::{LakeCache, LakeCacheConfig, LakeStats, Lookup};

@@ -288,20 +288,33 @@ impl<'a> RequestView<'a> {
 
     /// Appends the request datagram (frame header + binary message).
     pub fn encode_into<B: BufMut>(&self, frame: FrameHeader, opaque: u32, out: &mut B) {
+        let value = match *self {
+            RequestView::Set { value, .. } => value,
+            _ => &[],
+        };
+        self.encode_head_into(frame, opaque, value.len(), out);
+        out.put_slice(value);
+    }
+
+    /// [`RequestView::encode_into`] short of the value: announces one of
+    /// `value_len` bytes, in place of its own, for the caller to append.
+    /// How a client sends a SET value it derives rather than holds.
+    pub(crate) fn encode_head_into<B: BufMut>(
+        &self,
+        frame: FrameHeader,
+        opaque: u32,
+        value_len: usize,
+        out: &mut B,
+    ) {
         frame.encode(out);
         let mut extras = [0u8; 8];
-        let (extras, value): (&[u8], &[u8]) = match *self {
-            RequestView::Set {
-                value,
-                flags,
-                expiry,
-                ..
-            } => {
+        let extras: &[u8] = match *self {
+            RequestView::Set { flags, expiry, .. } => {
                 extras[..4].copy_from_slice(&flags.to_be_bytes());
                 extras[4..].copy_from_slice(&expiry.to_be_bytes());
-                (&extras, value)
+                &extras
             }
-            _ => (&[], &[]),
+            _ => &[],
         };
         encode_binary(
             MAGIC_REQUEST,
@@ -309,7 +322,7 @@ impl<'a> RequestView<'a> {
             0,
             extras,
             self.key(),
-            value,
+            value_len,
             opaque,
             out,
         );
@@ -395,10 +408,11 @@ impl ResponseView<'_> {
             self.status.to_u16(),
             extras,
             &[],
-            self.value,
+            self.value.len(),
             self.opaque,
             out,
         );
+        out.put_slice(self.value);
     }
 }
 
@@ -406,6 +420,8 @@ const BIN_HLEN: usize = 24;
 const MAGIC_REQUEST: u8 = 0x80;
 const MAGIC_RESPONSE: u8 = 0x81;
 
+/// Appends a binary message up to its value, announcing a value of
+/// `value_len` bytes for the caller to append.
 // The binary header simply has this many independent fields.
 #[allow(clippy::too_many_arguments)]
 fn encode_binary<B: BufMut>(
@@ -414,11 +430,11 @@ fn encode_binary<B: BufMut>(
     status_or_vbucket: u16,
     extras: &[u8],
     key: &[u8],
-    value: &[u8],
+    value_len: usize,
     opaque: u32,
     out: &mut B,
 ) {
-    let body_len = (extras.len() + key.len() + value.len()) as u32;
+    let body_len = (extras.len() + key.len() + value_len) as u32;
     let mut header = [0u8; BIN_HLEN]; // Data type and CAS stay 0.
     header[0] = magic;
     header[1] = opcode.to_byte();
@@ -430,7 +446,6 @@ fn encode_binary<B: BufMut>(
     out.put_slice(&header);
     out.put_slice(extras);
     out.put_slice(key);
-    out.put_slice(value);
 }
 
 /// Encodes a request datagram (frame header + binary message) into a

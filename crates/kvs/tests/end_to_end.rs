@@ -185,3 +185,24 @@ fn overload_saturates_at_memcached_peak() {
     let dropped = rig.sim.node_ref::<MemcachedServer>(rig.server).dropped();
     assert!(dropped > 0, "expected drops under overload");
 }
+
+#[test]
+fn an_overloaded_client_keeps_its_in_flight_table_bounded() {
+    // 2 Mpps against a ~1 Mpps server for 100 ms: ~100 000 requests are
+    // dropped and never answered, more than one turn of the 16-bit
+    // memcached request id.
+    let mut rig = build_rig(2_000_000.0, 32, 64, false);
+    rig.sim.run_until(Nanos::from_millis(100));
+    let stats = rig.sim.node_ref::<KvsClient>(rig.client).stats();
+    let dropped = rig.sim.node_ref::<MemcachedServer>(rig.server).dropped();
+    assert!(dropped > 65_536, "only {dropped} requests dropped");
+    // A request id's next use gives up the unanswered request that held
+    // it, so at most one turn of ids is ever outstanding.
+    let in_flight = stats.sent - stats.received - stats.abandoned;
+    assert!(
+        in_flight <= 65_536,
+        "{in_flight} requests in flight ({stats:?})"
+    );
+    assert!(stats.abandoned >= dropped - 65_536, "{stats:?}");
+    assert_eq!(stats.corrupt, 0);
+}

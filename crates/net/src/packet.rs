@@ -1,5 +1,7 @@
-//! The simulation's network frame.
+//! The simulation's network frame, and the free list its buffers
+//! recycle through.
 
+use std::cell::RefCell;
 use std::net::Ipv4Addr;
 
 use bytes::{BufMut, Bytes, BytesMut};
@@ -17,6 +19,9 @@ use crate::wire::{
 /// packet through switches and classifiers does not copy the payload.
 /// `sent_at` plays the role of the paper's Endace DAG capture timestamps:
 /// it is stamped by traffic sources and read by sinks to measure latency.
+///
+/// Dropping the last handle on a frame [`build_udp_with`] made returns
+/// its buffer to this thread's free list, for the next frame built here.
 #[derive(Clone, Debug)]
 pub struct Packet {
     /// The complete frame, starting at the Ethernet header.
@@ -54,6 +59,71 @@ impl Packet {
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
+}
+
+impl Drop for Packet {
+    fn drop(&mut self) {
+        // Still shared (a clone in flight, a payload view someone keeps):
+        // the last handle frees it as before.
+        if let Ok(buf) = std::mem::take(&mut self.data).try_into_mut() {
+            recycle(buf);
+        }
+    }
+}
+
+/// The capacity of every recycled frame buffer: a standard Ethernet
+/// frame, 1 500 bytes of MTU behind the 14-byte header. Every datagram
+/// the paper's applications send fits one (§3.4: small UDP requests and
+/// replies); a larger frame — ETC's tail of multi-kilobyte values — is
+/// allocated at its exact size and freed, never listed.
+const FRAME_CLASS: usize = 1_514;
+
+/// The most buffers one thread's free list keeps: 1.5 MiB at most. A
+/// buffer freed while the list is full goes back to the allocator, so a
+/// burst of frames in flight does not stay allocated once it drains.
+const FREE_FRAMES: usize = 1_024;
+
+thread_local! {
+    /// Frame buffers dropped on this thread, each of [`FRAME_CLASS`]
+    /// capacity and nobody else's.
+    static FREE: RefCell<Vec<BytesMut>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A buffer of `len` zero bytes to build a frame in: off this thread's
+/// free list when `len` fits the size class, else a fresh one of exactly
+/// `len` bytes.
+fn frame_buffer(len: usize) -> BytesMut {
+    let mut buf = if len > FRAME_CLASS {
+        BytesMut::with_capacity(len)
+    } else {
+        FREE.try_with(|free| free.borrow_mut().pop())
+            .ok()
+            .flatten()
+            .unwrap_or_else(|| BytesMut::with_capacity(FRAME_CLASS))
+    };
+    buf.clear();
+    buf.resize(len, 0);
+    buf
+}
+
+/// Lists `buf` for reuse if it is of the size class and the list has
+/// room; frees it otherwise (also once the thread's list is gone). Runs
+/// inside `Drop`, so it never panics.
+fn recycle(buf: BytesMut) {
+    if buf.capacity() != FRAME_CLASS {
+        return;
+    }
+    let _ = FREE.try_with(|free| {
+        let Ok(mut free) = free.try_borrow_mut() else {
+            return;
+        };
+        if free.len() < FREE_FRAMES {
+            // Sized once for the cap: a warm list never reallocates.
+            let room = FREE_FRAMES - free.len();
+            free.reserve_exact(room);
+            free.push(buf);
+        }
+    });
 }
 
 /// A fully parsed UDP-over-IPv4-over-Ethernet view of a [`Packet`].
@@ -148,8 +218,9 @@ impl Endpoint {
 
 /// Builds a complete UDP frame from `src` to `dst`.
 ///
-/// One allocation — the frame — whatever the payload: this is
-/// [`build_udp_with`] with a payload that is already bytes.
+/// At most one allocation — the frame, when the free list is empty —
+/// whatever the payload: this is [`build_udp_with`] with a payload that
+/// is already bytes.
 ///
 /// # Examples
 ///
@@ -180,12 +251,15 @@ pub fn build_udp_with_ident(src: Endpoint, dst: Endpoint, payload: &[u8], ident:
 /// Builds a UDP frame whose payload the caller encodes in place: the
 /// one frame builder every other one calls.
 ///
-/// The frame is allocated once, at its exact final size — 42 header
-/// bytes plus `payload_len` — as the refcounted buffer the returned
-/// [`Packet`] keeps. `encode` appends the payload behind the reserved
-/// header room; the headers are then written over that room, with the
-/// lengths and the UDP checksum taken from the payload where it lies.
-/// No temporary payload buffer, no copy into the `Arc`.
+/// The frame — 42 header bytes plus `payload_len` — is written into a
+/// buffer from this thread's free list, one a dropped [`Packet`] gave
+/// back, and only when the list is empty (or the frame is larger than a
+/// standard Ethernet frame) into a newly allocated one. `encode` gets
+/// the payload as one slice and writes all of it through [`BufMut`];
+/// the headers are then written in front, with the lengths and the UDP
+/// checksum taken from the payload where it lies. Every byte of the
+/// frame is written afresh, so a reused buffer yields the same frame as
+/// a new one. No temporary payload buffer, no copy into the `Arc`.
 ///
 /// # Panics
 ///
@@ -210,21 +284,20 @@ pub fn build_udp_with(
     dst: Endpoint,
     ident: u16,
     payload_len: usize,
-    encode: impl FnOnce(&mut BytesMut),
+    encode: impl FnOnce(&mut &mut [u8]),
 ) -> Packet {
     assert!(
         payload_len <= 65_507,
         "payload of {payload_len} bytes does not fit one UDP datagram"
     );
-    let mut buf = BytesMut::with_capacity(UDP_STACK_HLEN + payload_len);
-    buf.put_bytes(0, UDP_STACK_HLEN);
-    encode(&mut buf);
-    assert_eq!(
-        buf.len(),
-        UDP_STACK_HLEN + payload_len,
+    let mut buf = frame_buffer(UDP_STACK_HLEN + payload_len);
+    let (mut headers, payload) = buf.split_at_mut(UDP_STACK_HLEN);
+    let mut unwritten = &mut *payload;
+    encode(&mut unwritten);
+    assert!(
+        unwritten.is_empty(),
         "payload encoder wrote a different length than it announced"
     );
-    let (mut headers, payload) = buf.split_at_mut(UDP_STACK_HLEN);
     EthernetHeader {
         dst: dst.mac,
         src: src.mac,
@@ -248,12 +321,12 @@ pub fn build_udp_with(
 /// new payload of `payload_len` bytes that `encode` writes in place, like
 /// [`build_udp_with`]. This is exactly what the in-network services do
 /// (§10: the request "enters as the request, and comes out as the
-/// reply"), and the reply frame is the service's one allocation per
-/// answered request.
+/// reply"); once the free list is warm the reply reuses the buffer of a
+/// frame dropped earlier, and answering allocates nothing.
 pub fn build_reply_with(
     request: &UdpFrame<'_>,
     payload_len: usize,
-    encode: impl FnOnce(&mut BytesMut),
+    encode: impl FnOnce(&mut &mut [u8]),
 ) -> Packet {
     build_udp_with(
         request.destination(),

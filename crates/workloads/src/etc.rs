@@ -10,7 +10,7 @@
 //! * Zipf-like key popularity (a small fraction of keys takes most hits:
 //!   §5.3 cites 3–35 % of unique keys requested per hour).
 
-use inc_kvs::{KvOp, OpGen};
+use inc_kvs::{KvKey, KvOp, OpGen};
 use inc_sim::Rng;
 
 use crate::zipf::Zipf;
@@ -95,7 +95,7 @@ impl EtcWorkload {
     /// [`EtcWorkload::key_for_rank_into`]), the value by its size.
     ///
     /// This is the per-request hot path for heavy-traffic replays; the
-    /// [`OpGen`] impl wraps it and materialises the key bytes.
+    /// [`OpGen`] impl wraps it and renders the key inline.
     pub fn next_sample(&mut self, rng: &mut Rng) -> EtcSample {
         let rank = self.zipf.sample(rng);
         if rng.chance(self.get_ratio) {
@@ -137,7 +137,9 @@ pub struct EtcSample {
 impl OpGen for EtcWorkload {
     fn next_op(&mut self, rng: &mut Rng) -> KvOp {
         let s = self.next_sample(rng);
-        let key = Self::key_for_rank(s.rank);
+        let mut bytes = [0u8; Self::KEY_LEN];
+        Self::key_for_rank_into(s.rank, &mut bytes);
+        let key = KvKey::new(&bytes);
         match s.kind {
             EtcOpKind::Get => KvOp::Get(key),
             EtcOpKind::Set => KvOp::Set(key, s.value_len),
@@ -223,10 +225,10 @@ mod tests {
             let s = w_sample.next_sample(&mut rng_sample);
             match (op, s.kind) {
                 (KvOp::Get(k), EtcOpKind::Get) => {
-                    assert_eq!(k, EtcWorkload::key_for_rank(s.rank));
+                    assert_eq!(k.to_vec(), EtcWorkload::key_for_rank(s.rank));
                 }
                 (KvOp::Set(k, len), EtcOpKind::Set) => {
-                    assert_eq!(k, EtcWorkload::key_for_rank(s.rank));
+                    assert_eq!(k.to_vec(), EtcWorkload::key_for_rank(s.rank));
                     assert_eq!(len, s.value_len);
                 }
                 (op, kind) => panic!("diverged: {op:?} vs {kind:?}"),

@@ -78,8 +78,9 @@ cargo test --release -q --test properties -- \
   paxos_sharing_decode_matches_the_copying_decoder
 
 # Deterministic costs hard-fail here, wall-clock ones do not: a frame is
-# one allocation to build and none to read, a device hit is its reply
-# frame, the packet fabric stays <= 10 allocations per request, a
+# at most one allocation to build (none once a dropped frame's buffer is
+# free to reuse) and none to read, a warm device hit allocates nothing,
+# the packet fabric stays <= 0.56 allocations per request, a
 # loss-free Paxos slot <= 2.1 (its payload and its one command buffer,
 # which every acceptor and replica shares), a chaos epoch <= 3.3 per
 # command, and a warm 1 000-tenant arbitration tick

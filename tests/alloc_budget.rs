@@ -9,9 +9,11 @@
 //! it to a replica, and shared by refcount from there on: every hop
 //! decodes the value back into the sender's handle
 //! (`PaxosMsg::decode_sharing`), and role steps that send at most one
-//! message allocate nothing. A frame costs one allocation to build —
-//! the frame — and none to parse, checksum-verify and decode; a device
-//! that answers a request allocates its reply and nothing else. A warm
+//! message allocate nothing. A frame costs at most one allocation to
+//! build — the frame, when no dropped frame's buffer is free to reuse —
+//! and none to parse, checksum-verify and decode; a warm device that
+//! answers a request allocates nothing, its reply written into a buffer
+//! an earlier frame gave back. A warm
 //! event queue schedules and releases events without allocating. A warm
 //! arbitration tick works in the controller's own scratch buffers: it
 //! allocates nothing until it has a placement change to report, and then
@@ -252,10 +254,9 @@ fn a_frame_costs_one_allocation_to_build_and_none_to_read() {
     let server = Endpoint::host(2, MEMCACHED_PORT);
     let payload = [0xABu8; 64];
     let mut built = None;
-    assert_eq!(
-        allocations_in(|| built = Some(build_udp(client, server, &payload))),
-        1,
-        "build_udp allocates the frame and nothing else"
+    assert!(
+        allocations_in(|| built = Some(build_udp(client, server, &payload))) <= 1,
+        "build_udp allocates the frame at most"
     );
     let pkt = built.unwrap();
     assert_eq!(
@@ -302,7 +303,7 @@ fn a_frame_costs_one_allocation_to_build_and_none_to_read() {
     let p2a = PaxosMsg::new(MsgType::Phase2a, 123_456, 3, command.encode());
 
     let mut frames: Vec<Packet> = Vec::with_capacity(5);
-    let allocs = allocations_in(|| {
+    let build_all = |frames: &mut Vec<Packet>| {
         frames.push(build_udp_with(client, server, 0, get.encoded_len(), |b| {
             get.encode_into(frame, 9, b)
         }));
@@ -326,8 +327,14 @@ fn a_frame_costs_one_allocation_to_build_and_none_to_read() {
         frames.push(build_udp_with(client, server, 0, p2a.encoded_len(), |b| {
             p2a.write_to(b)
         }));
-    });
-    assert_eq!(allocs, 5, "one allocation per frame built");
+    };
+    let allocs = allocations_in(|| build_all(&mut frames));
+    assert!(allocs <= 5, "{allocs} allocations for 5 frames built");
+    // Dropped frames give their buffers back: building the same five
+    // again reuses them.
+    frames.clear();
+    let allocs = allocations_in(|| build_all(&mut frames));
+    assert_eq!(allocs, 0, "rebuilding dropped frames allocates nothing");
 
     let allocs = allocations_in(|| {
         let f = UdpFrame::parse(&frames[0]).unwrap();
@@ -379,8 +386,10 @@ impl Node<Packet> for Sink {
 
 /// Allocations a hardware-resident device makes while it answers
 /// `measured` requests, after `warm_up` identical ones have sized every
-/// queue, histogram bucket and scratch buffer. `request` builds request
-/// number `i`. Returns (allocations, replies received while measured).
+/// queue, histogram bucket and scratch buffer and filled the frame free
+/// list with the buffers of answered requests and consumed replies.
+/// `request` builds request number `i`. Returns (allocations, replies
+/// received while measured).
 fn allocations_answering(
     mut sim: Simulator<Packet>,
     device: NodeId,
@@ -406,7 +415,7 @@ fn allocations_answering(
 }
 
 #[test]
-fn a_warm_lake_device_allocates_only_the_reply_frame() {
+fn a_warm_lake_device_allocates_nothing() {
     const KEYS: u64 = 16;
     let mut sim = Simulator::new(7);
     let device =
@@ -441,14 +450,11 @@ fn a_warm_lake_device_allocates_only_the_reply_frame() {
         })
     });
     assert_eq!(replies, 200, "every GET must hit in hardware");
-    assert_eq!(
-        allocs, replies,
-        "one allocation per GET hit: the reply frame"
-    );
+    assert_eq!(allocs, 0, "a GET hit reuses a dropped frame's buffer");
 }
 
 #[test]
-fn a_warm_emu_device_allocates_only_the_reply_frame() {
+fn a_warm_emu_device_allocates_nothing() {
     const NAMES: u64 = 16;
     let mut sim = Simulator::new(7);
     let device = sim.add_node(EmuDevice::new(Zone::synthetic(NAMES)).started_in_hardware());
@@ -466,18 +472,18 @@ fn a_warm_emu_device_allocates_only_the_reply_frame() {
         })
     });
     assert_eq!(replies, 200, "every query must be answered in hardware");
-    assert_eq!(
-        allocs, replies,
-        "one allocation per A-record hit: the reply frame"
-    );
+    assert_eq!(allocs, 0, "an A-record hit reuses a dropped frame's buffer");
 }
 
 /// Allocations per completed request the benchmark's packet fabric may
-/// spend. Measured: 3.4 (26.3 before the in-place packet path). What is
-/// left is one frame per hop that builds one, the key a KVS request
-/// parks until its answer, the values a Paxos acceptor and learner keep,
-/// and the fleet controller's per-interval bookkeeping.
-const ALLOCS_PER_REQUEST_CEILING: u64 = 10;
+/// spend. Measured: 0.53, + 5 % (3.4 while every frame built was an
+/// allocation and every KVS op formatted its key, 26.3 before the
+/// in-place packet path). What is left is frames the free list cannot
+/// cover (more in flight than it keeps, or still shared when dropped),
+/// the keys and values LaKe's miss path and write-through SETs copy,
+/// the values a Paxos acceptor and learner keep, and the fleet
+/// controller's per-interval bookkeeping.
+const ALLOCS_PER_REQUEST_CEILING: f64 = 0.56;
 
 #[test]
 fn the_packet_fabric_stays_under_the_allocation_budget() {
@@ -498,12 +504,12 @@ fn the_packet_fabric_stays_under_the_allocation_budget() {
     let completed = kvs.received + dns.received + rig.pax_acked();
     assert!(completed > 50_000, "only {completed} requests completed");
     assert!(
-        allocs <= ALLOCS_PER_REQUEST_CEILING * completed,
-        "{allocs} allocations for {completed} requests ({:.2} per request, ceiling {ALLOCS_PER_REQUEST_CEILING})",
+        allocs as f64 <= ALLOCS_PER_REQUEST_CEILING * completed as f64,
+        "{allocs} allocations for {completed} requests ({:.3} per request, ceiling {ALLOCS_PER_REQUEST_CEILING})",
         allocs as f64 / completed as f64
     );
     println!(
-        "packet fabric: {:.2} allocations per completed request",
+        "packet fabric: {allocs} allocations for {completed} completed requests ({:.3} per request)",
         allocs as f64 / completed as f64
     );
     drop(timeline);

@@ -2005,7 +2005,7 @@ proptest! {
         if ident == 0 {
             prop_assert_eq!(&build_udp(src, dst, &payload).data[..], &want[..]);
         }
-        // The frame verifies, and it is exact-size: no slack in flight.
+        // The frame verifies, and its length is exactly the datagram.
         let frame = UdpFrame::parse(&pkt).unwrap();
         prop_assert_eq!(frame.payload, &payload[..]);
         prop_assert_eq!((frame.source(), frame.destination()), (src, dst));
@@ -2382,4 +2382,85 @@ proptest! {
             }
         }
     }
+}
+
+// --- Frame buffers are reused, and reuse is invisible on the wire. ---
+
+/// The frame `build_udp(src, dst, payload)` yields on a thread of its
+/// own, which has never dropped a frame.
+fn built_on_a_fresh_thread(src: Endpoint, dst: Endpoint, payload: &[u8]) -> Vec<u8> {
+    let payload = payload.to_vec();
+    std::thread::spawn(move || build_udp(src, dst, &payload).data.to_vec())
+        .join()
+        .unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A frame built after a longer one was dropped — its buffer free to
+    /// reuse, its bytes still in it — is the frame a fresh thread builds.
+    #[test]
+    fn a_frame_built_after_a_longer_one_is_the_fresh_frame(
+        long in proptest::collection::vec(any::<u8>(), 1..1600),
+        short_len in any::<usize>(),
+        fill in any::<u8>(),
+        hosts in (1u32..1000, 1u32..1000),
+    ) {
+        let (a, b) = (Endpoint::host(hosts.0, 40_000), Endpoint::host(hosts.1, 53));
+        let short = vec![fill; short_len % long.len()];
+        drop(build_udp(b, a, &long));
+        let pkt = build_udp(a, b, &short);
+        prop_assert_eq!(&pkt.data[..], &built_on_a_fresh_thread(a, b, &short)[..]);
+        prop_assert_eq!(UdpFrame::parse(&pkt).unwrap().payload, &short[..]);
+    }
+}
+
+#[test]
+fn a_packet_dropped_on_another_thread_is_harmless() {
+    let (a, b) = (Endpoint::host(1, 40_000), Endpoint::host(2, 11_211));
+    let frames: Vec<_> = (0..64u8).map(|i| build_udp(a, b, &[i; 100])).collect();
+    let kept = frames[7].clone();
+    // The other thread drops every frame (the last handle on all but
+    // one) and then builds its own.
+    let theirs = std::thread::spawn(move || {
+        drop(frames);
+        (0..64u8)
+            .map(|i| build_udp(b, a, &[i; 60]).data.to_vec())
+            .collect::<Vec<_>>()
+    })
+    .join()
+    .unwrap();
+    for (i, frame) in theirs.iter().enumerate() {
+        assert_eq!(frame, &built_on_a_fresh_thread(b, a, &[i as u8; 60]));
+    }
+    // This thread's frames, the one it kept included, are untouched.
+    assert_eq!(UdpFrame::parse(&kept).unwrap().payload, &[7; 100]);
+    for i in 0..64u8 {
+        let pkt = build_udp(a, b, &[i; 80]);
+        assert_eq!(pkt.data.to_vec(), built_on_a_fresh_thread(a, b, &[i; 80]));
+    }
+}
+
+#[test]
+fn a_frame_whose_payload_view_is_held_is_never_reused() {
+    let (a, b) = (Endpoint::host(1, 40_000), Endpoint::host(2, 53));
+    let pkt = build_udp(a, b, b"keep these bytes");
+    let view = UdpFrame::parse(&pkt).unwrap().payload_bytes(&pkt);
+    let copy = pkt.clone();
+    drop(pkt);
+    drop(copy);
+    // Far more frames than any free list keeps, built and dropped in
+    // turn, then all at once: none of them may land on the held bytes.
+    for i in 0..4_000u32 {
+        drop(build_udp(b, a, &i.to_be_bytes().repeat(8)));
+    }
+    let burst: Vec<_> = (0..4_000u32)
+        .map(|i| build_udp(b, a, &i.to_le_bytes().repeat(8)))
+        .collect();
+    drop(burst);
+    for _ in 0..4_000 {
+        drop(build_udp(b, a, &[0xff; 64]));
+    }
+    assert_eq!(&view[..], b"keep these bytes");
 }
