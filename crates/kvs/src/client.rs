@@ -21,9 +21,9 @@ use crate::protocol::{decode_view, FrameHeader, MessageView, Opcode, RequestView
 /// an ETC key 20.
 const INLINE_KEY: usize = 24;
 
-/// The key of one generated operation: held inline when it fits
-/// [`INLINE_KEY`] bytes, as every key a generator makes does, and on
-/// the heap otherwise. It derefs to its bytes.
+/// The key of one generated operation: held inline when it fits 24
+/// bytes, as every key a generator makes does, and on the heap
+/// otherwise. It derefs to its bytes.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct KvKey(KeyRepr);
 

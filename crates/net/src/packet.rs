@@ -1,11 +1,10 @@
 //! The simulation's network frame, and the free list its buffers
 //! recycle through.
 
-use std::cell::RefCell;
 use std::net::Ipv4Addr;
 
 use bytes::{BufMut, Bytes, BytesMut};
-use inc_sim::{Nanos, Payload};
+use inc_sim::{FreeList, Nanos, Payload};
 
 use crate::addr::MacAddr;
 use crate::wire::{
@@ -86,7 +85,7 @@ const FREE_FRAMES: usize = 1_024;
 thread_local! {
     /// Frame buffers dropped on this thread, each of [`FRAME_CLASS`]
     /// capacity and nobody else's.
-    static FREE: RefCell<Vec<BytesMut>> = const { RefCell::new(Vec::new()) };
+    static FREE: FreeList<BytesMut> = const { FreeList::new(FREE_FRAMES) };
 }
 
 /// A buffer of `len` zero bytes to build a frame in: off this thread's
@@ -96,7 +95,7 @@ fn frame_buffer(len: usize) -> BytesMut {
     let mut buf = if len > FRAME_CLASS {
         BytesMut::with_capacity(len)
     } else {
-        FREE.try_with(|free| free.borrow_mut().pop())
+        FREE.try_with(FreeList::take)
             .ok()
             .flatten()
             .unwrap_or_else(|| BytesMut::with_capacity(FRAME_CLASS))
@@ -110,20 +109,9 @@ fn frame_buffer(len: usize) -> BytesMut {
 /// room; frees it otherwise (also once the thread's list is gone). Runs
 /// inside `Drop`, so it never panics.
 fn recycle(buf: BytesMut) {
-    if buf.capacity() != FRAME_CLASS {
-        return;
+    if buf.capacity() == FRAME_CLASS {
+        let _ = FREE.try_with(|free| free.give(buf));
     }
-    let _ = FREE.try_with(|free| {
-        let Ok(mut free) = free.try_borrow_mut() else {
-            return;
-        };
-        if free.len() < FREE_FRAMES {
-            // Sized once for the cap: a warm list never reallocates.
-            let room = FREE_FRAMES - free.len();
-            free.reserve_exact(room);
-            free.push(buf);
-        }
-    });
 }
 
 /// A fully parsed UDP-over-IPv4-over-Ethernet view of a [`Packet`].

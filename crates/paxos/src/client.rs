@@ -32,6 +32,14 @@ const TAG_TIMEOUT_BASE: u64 = 1 << 32;
 /// picked up promptly.
 const PACE_POLL: Nanos = Nanos::from_millis(10);
 
+/// How far behind the newest command an unanswered one may fall before
+/// the client gives it up: 4 096 sequence numbers, four times what the
+/// fastest client here (the multi-ToR rig's 10 kpps Paxos tenant)
+/// issues over Figure 7's 100 ms outage. It bounds the outstanding
+/// table, and with it the retry timers: a dead or partitioned leader
+/// would otherwise have every command re-arm its timeout forever.
+const ABANDON_AFTER: u64 = 4_096;
+
 /// Cumulative client statistics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PaxosClientStats {
@@ -41,6 +49,9 @@ pub struct PaxosClientStats {
     pub retries: u64,
     /// Commands acknowledged.
     pub acked: u64,
+    /// Commands given up unanswered, 4 096 issues after their own (an
+    /// ack that arrives later is ignored).
+    pub abandoned: u64,
 }
 
 /// A Paxos client: closed-loop by default (`concurrency` outstanding
@@ -61,7 +72,8 @@ pub struct PaxosClient {
     timeout: Nanos,
     payload_len: usize,
     next_seq: u64,
-    /// Outstanding: seq → (first-send time, retry count).
+    /// Outstanding: seq → (first-send time, retry count); the last
+    /// [`ABANDON_AFTER`] sequence numbers at most.
     outstanding: FixedHashMap<u64, (Nanos, u32)>,
     stats: PaxosClientStats,
     /// End-to-end command latency (first send → ack).
@@ -146,10 +158,20 @@ impl PaxosClient {
     fn issue_new(&mut self, ctx: &mut Ctx<'_, Packet>) {
         self.next_seq += 1;
         let seq = self.next_seq;
+        let given_up = seq.checked_sub(ABANDON_AFTER);
+        let lost = given_up.and_then(|old| self.outstanding.remove(&old));
         self.outstanding.insert(seq, (ctx.now(), 0));
         self.stats.issued += 1;
         ctx.send(PortId::P0, self.request_packet(seq));
         ctx.schedule_in(self.timeout, TAG_TIMEOUT_BASE + seq);
+        if lost.is_some() {
+            self.stats.abandoned += 1;
+            // A closed loop keeps its concurrency: the loss funds the
+            // next command, as an ack would.
+            if self.paced.is_none() {
+                self.issue_new(ctx);
+            }
+        }
     }
 
     /// The time the next open-loop command is due: one inter-arrival gap
@@ -351,6 +373,73 @@ mod tests {
         // gap would deliver).
         let issued = sim.node_ref::<PaxosClient>(client).stats().issued;
         assert!(issued >= 150, "issued {issued}");
+    }
+
+    #[test]
+    fn a_silent_leader_leaves_the_client_bounded() {
+        // 10 kpps at a leader that never answers, a 50 ms timeout: 40
+        // timeouts, 20 000 commands. Without the abandon window every
+        // one would stay outstanding and keep a retry timer armed.
+        const RATE: f64 = 10_000.0;
+        let timeout = Nanos::from_millis(50);
+        let mut sim: Simulator<Packet> = Simulator::new(5);
+        let sink = sim.add_node(Sink { seen: 0 });
+        let leader = Endpoint::host(99, crate::msg::PAXOS_LEADER_PORT);
+        let client = sim.add_node(PaxosClient::open_loop(9, leader, RATE, timeout));
+        let link = inc_sim::LinkSpec::ideal();
+        sim.connect_duplex(client, PortId::P0, sink, PortId::P0, link);
+        // Timers of the outstanding commands, the last timeout's worth
+        // of abandoned ones (each fires once more, to no effect), the
+        // pacing tick and the requests on the wire.
+        let bound = ABANDON_AFTER + (RATE * timeout.as_secs_f64()) as u64 + 64;
+        for secs in 1..=2 {
+            sim.run_until(Nanos::from_secs(secs));
+            let c = sim.node_ref::<PaxosClient>(client);
+            let stats = c.stats();
+            assert!(stats.issued >= secs * 9_900, "issued {}", stats.issued);
+            assert_eq!(c.outstanding.len() as u64, ABANDON_AFTER);
+            assert_eq!(stats.abandoned, stats.issued - ABANDON_AFTER);
+            assert_eq!(stats.acked, 0);
+            let queue = sim.queue_stats();
+            assert!(queue.high_water <= bound, "{queue:?}, bound {bound}");
+        }
+        assert!(sim.node_ref::<Sink>(sink).seen > 20_000);
+    }
+
+    /// Acks every command at once, except the first one issued.
+    struct AckAllButFirst;
+
+    impl Node<Packet> for AckAllButFirst {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Packet>, port: PortId, pkt: Packet) {
+            let frame = UdpFrame::parse(&pkt).unwrap();
+            let msg = PaxosMsg::decode(frame.payload).unwrap();
+            if ClientCommand::header(&msg.value).unwrap().1 == 1 {
+                return;
+            }
+            let reply = PaxosMsg::new(MsgType::ClientReply, 1, 0, msg.value);
+            let (from, to) = (frame.destination(), frame.source());
+            ctx.send(port, inc_net::build_udp(from, to, &reply.encode()));
+        }
+        inc_sim::impl_node_any!();
+    }
+
+    #[test]
+    fn a_closed_loop_keeps_its_concurrency_past_an_abandoned_command() {
+        let mut sim: Simulator<Packet> = Simulator::new(6);
+        let server = sim.add_node(AckAllButFirst);
+        let leader = Endpoint::host(99, crate::msg::PAXOS_LEADER_PORT);
+        let client = sim.add_node(PaxosClient::new(4, leader, 2, Nanos::from_millis(1)));
+        let link = inc_sim::LinkSpec::ten_gbe(Nanos::from_nanos(100));
+        sim.connect_duplex(client, PortId::P0, server, PortId::P0, link);
+        sim.run_until(Nanos::from_millis(2));
+        let c = sim.node_ref::<PaxosClient>(client);
+        let stats = c.stats();
+        // Command 1 fell `ABANDON_AFTER` behind, was given up, and its
+        // place in the loop went to a new command.
+        assert!(stats.issued > ABANDON_AFTER + 3, "issued {}", stats.issued);
+        assert_eq!((stats.abandoned, stats.acked), (1, stats.issued - 3));
+        assert_eq!(c.outstanding.len(), 2);
+        assert!(!c.outstanding.contains_key(&1));
     }
 
     #[test]

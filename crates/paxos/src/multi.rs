@@ -42,9 +42,10 @@
 //! parks a value (every role's window, a replica's requests and log
 //! tail) and every outgoing message holds a [`Bytes`] handle on that
 //! allocation; pvalues read out of a phase-1b batch are slices of the
-//! batch. A step that sends at most one message allocates nothing: the
-//! [`Outbox`] is inline-first, quorums are counted in a fixed bit mask,
-//! a warm slot ring is an array.
+//! batch. A warm step allocates nothing, however many messages it
+//! sends: the [`Outbox`] holds one message inline and takes the buffer
+//! for more from the thread's free list of spills, quorums are counted
+//! in a fixed bit mask, a warm slot ring is an array.
 //!
 //! # The window and its floor
 //!
@@ -1250,8 +1251,10 @@ mod tests {
         // vectors: giving each machine its own reusable `Vec` outbox
         // (Acceptor 40 -> 64 B, Replica 216 -> 240 B, Leader 192 -> 224 B)
         // cost +75 % set-up time against a 25 % bound. That is why
-        // `handle` returns an inline-first `Outbox` by value, why the
-        // scout is boxed and why the log tail is made on first use. A new
+        // `handle` returns an inline-first `Outbox` by value (its spill
+        // buffers are reused through a per-thread free list instead, at
+        // no cost to any struct here), why the scout is boxed and why
+        // the log tail is made on first use. A new
         // field here must pay for itself on that metric first: the
         // acceptor's ring (a base and a count next to the buffer) took
         // it from 40 to 48 B with no move over the ten `setup_s` pairs

@@ -17,6 +17,8 @@
 //! * [`ServiceStation`] — a multi-core FIFO service model for host software.
 //! * [`Pacer`], [`LatencyWindow`] — the open-loop send timer and the
 //!   latency record every load generator shares.
+//! * [`FreeList`] — the bounded per-thread list frame buffers and
+//!   outbox spills recycle through.
 //!
 //! # Examples
 //!
@@ -56,6 +58,7 @@
 //! ```
 
 mod event_queue;
+mod free_list;
 pub mod pacer;
 pub mod rng;
 pub mod service;
@@ -64,6 +67,7 @@ pub mod stats;
 pub mod time;
 
 pub use event_queue::QueueStats;
+pub use free_list::FreeList;
 pub use pacer::{pace_gap, Pacer};
 pub use rng::Rng;
 pub use service::{Admission, ServiceStation};

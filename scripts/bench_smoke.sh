@@ -7,9 +7,11 @@
 #
 # Artifacts land in bench-artifacts/ (CI uploads the directory): the
 # figure CSVs (3c, 6, 7), the park-policy ablation, the scenario reports with one JSON object per scenario
-# (the last line each `inc-bench scenario` prints), the lint report and
-# the size ledger (scripts/loc.sh). Nothing here is a wall-clock gate —
-# benchmark/run.sh owns timing, with baselines.
+# (the last line each `inc-bench scenario` prints), the lint report,
+# the size ledger (scripts/loc.sh) and the allocation budgets' exact
+# counts (allocs.txt: the `chaos epoch`, `packet fabric` and `heavy
+# burst` lines tests/alloc_budget.rs prints). Nothing here is a
+# wall-clock gate — benchmark/run.sh owns timing, with baselines.
 #
 # Usage: scripts/bench_smoke.sh  (from the repo root; needs only cargo)
 set -euo pipefail
@@ -82,8 +84,10 @@ cargo test --release -q --test properties -- \
 # free to reuse) and none to read, a warm device hit allocates nothing,
 # the packet fabric stays <= 0.56 allocations per request, a
 # loss-free Paxos slot <= 2.1 (its payload and its one command buffer,
-# which every acceptor and replica shares), a chaos epoch <= 3.3 per
-# command, and a warm 1 000-tenant arbitration tick
+# which every acceptor and replica shares), a chaos epoch <= 2.15 per
+# command, a warm replica's backlog execution and a warm leader's
+# retransmit burst nothing (their outbox spills reuse the thread's free
+# list), and a warm 1 000-tenant arbitration tick
 # allocates nothing when quiet, nothing on a full re-score that moves
 # nothing and only the list it returns when it shifts placements
 # (exact counts from a counting allocator). The mega_fabric leg above
@@ -93,7 +97,9 @@ cargo test --release -q --test properties -- \
 # tenants x ticks on the 1 000-tenant trace, 0 for a fleet that never
 # clears the floor).
 echo "== allocation budgets =="
-cargo test --release -q --test alloc_budget
+cargo test --release -q --test alloc_budget -- --nocapture | tee "$out/alloc_budget.log"
+grep -oE '(chaos epoch|packet fabric|heavy burst): .*' "$out/alloc_budget.log" > "$out/allocs.txt"
+cat "$out/allocs.txt"
 
 # The event queue against its heap oracle at full size (the debug leg of
 # `cargo test --workspace` runs a fifth of it), and in release because
@@ -108,12 +114,16 @@ ls -l "$out"
 # without printing its data would slip through and CI would upload an
 # incomplete artifact: every expected file must exist and be non-empty,
 # and every scenario must have contributed its JSON line.
-for f in fig3c.csv fig6.csv fig7.csv park_ablation.txt scenarios.jsonl lint.json loc.txt; do
+for f in fig3c.csv fig6.csv fig7.csv park_ablation.txt scenarios.jsonl lint.json loc.txt allocs.txt; do
   if [[ ! -s "$out/$f" ]]; then
     echo "bench smoke failed: missing or empty artifact $out/$f" >&2
     exit 1
   fi
 done
+if [[ "$(wc -l < "$out/allocs.txt")" -ne 3 ]]; then
+  echo "bench smoke failed: allocs.txt does not hold the 3 allocation count lines" >&2
+  exit 1
+fi
 if [[ "$(wc -l < "$out/scenarios.jsonl")" -ne 5 ]]; then
   echo "bench smoke failed: scenarios.jsonl does not hold 5 scenario objects" >&2
   exit 1

@@ -33,7 +33,7 @@ use inc::kvs::{
 };
 use inc::net::{build_udp, build_udp_with, Bytes, Endpoint, Packet, UdpFrame};
 use inc::ondemand::{ArbitrationMode, FleetController};
-use inc::paxos::multi::{Acceptor, Ballot};
+use inc::paxos::multi::{Acceptor, Ballot, Leader, Replica};
 use inc::paxos::{ClientCommand, MsgType, PaxosMsg};
 use inc::sim::{impl_node_any, Ctx, LinkSpec, Nanos, Node, NodeId, PortId, Simulator};
 use inc_bench::consensus::{ChaosCluster, NodeRef};
@@ -123,11 +123,12 @@ fn loss_free_cluster_stays_under_the_allocation_budget() {
 
 /// Allocations per submitted command one epoch of the benchmark's
 /// `paxos_chaos` schedule may spend, its 32-byte payloads included.
-/// Measured: 3.15 (10.83 while each delivered message's decode copied
-/// its value). Past the payload and the command's buffer, 1.10 of the
-/// 1.15 left per command are outbox spills (an execution that answers
-/// for several slots, a retransmit burst).
-const CHAOS_ALLOCS_PER_COMMAND_CEILING: f64 = 3.3;
+/// Measured: 2.048, + 5 % (3.15 while every outbox spill — an execution
+/// that answers for several slots, a retransmit burst — was a fresh
+/// `Vec`, 10.83 while each delivered message's decode copied its
+/// value). Spills now reuse the thread's free list: past the payload
+/// and the command's buffer, 0.048 per command is left.
+const CHAOS_ALLOCS_PER_COMMAND_CEILING: f64 = 2.15;
 
 #[test]
 fn a_chaos_epoch_stays_under_the_allocation_budget() {
@@ -177,7 +178,9 @@ fn a_chaos_epoch_stays_under_the_allocation_budget() {
         per_command <= CHAOS_ALLOCS_PER_COMMAND_CEILING,
         "{allocs} allocations for {submitted} commands ({per_command:.2} per command, ceiling {CHAOS_ALLOCS_PER_COMMAND_CEILING})"
     );
-    println!("chaos epoch: {per_command:.2} allocations per command");
+    println!(
+        "chaos epoch: {allocs} allocations for {submitted} commands ({per_command:.3} per command)"
+    );
 }
 
 #[test]
@@ -246,6 +249,97 @@ fn a_warm_acceptor_votes_without_allocating() {
     );
     let stored = acceptor.accepted(7).map(|(_, v)| v.as_ptr());
     assert_eq!(stored, Some(value.as_ptr()));
+}
+
+/// A phase-2b vote from `acceptor` in `ballot` for `value` at `slot`.
+fn vote(slot: u64, ballot: Ballot, acceptor: u8, value: &Bytes) -> PaxosMsg {
+    let mut msg = PaxosMsg::new(MsgType::Phase2b, slot, ballot.wire(), value.clone());
+    (msg.vround, msg.acceptor) = (ballot.wire(), acceptor);
+    msg
+}
+
+#[test]
+fn a_warm_replica_executes_a_backlog_without_allocating() {
+    // Slots `first + 1 ..` are decided while `first` waits for its
+    // second vote; that vote executes all of them at once, one reply
+    // per slot: a spill. Round one warms the thread's spill list, the
+    // window and the log; round two is measured.
+    const BACKLOG: u64 = 8;
+    let ballot = Ballot::new(1, 0);
+    let mut replica = Replica::new(0, 3);
+    let round = |first: u64| -> Vec<(PaxosMsg, PaxosMsg)> {
+        (first..first + BACKLOG)
+            .map(|slot| {
+                let value = Bytes::from(
+                    ClientCommand {
+                        client: 1,
+                        seq: slot,
+                        payload: vec![0xEF; 32],
+                    }
+                    .encode(),
+                );
+                (vote(slot, ballot, 0, &value), vote(slot, ballot, 1, &value))
+            })
+            .collect()
+    };
+    let run = |replica: &mut Replica, votes: &[(PaxosMsg, PaxosMsg)]| {
+        assert!(replica.handle(&votes[0].0).is_empty());
+        for (a, b) in &votes[1..] {
+            assert!(replica.handle(a).is_empty() && replica.handle(b).is_empty());
+        }
+        let mut replies = 0;
+        let allocs = allocations_in(|| replies = replica.handle(&votes[0].1).len());
+        (replies, allocs)
+    };
+    let warm_up = round(1);
+    assert_eq!(run(&mut replica, &warm_up).0, BACKLOG as usize);
+    let measured = round(1 + BACKLOG);
+    assert_eq!(
+        run(&mut replica, &measured),
+        (BACKLOG as usize, 0),
+        "an execution that answers for several slots allocated"
+    );
+    assert_eq!(replica.executed_count, 2 * BACKLOG);
+}
+
+#[test]
+fn a_warm_leader_retransmit_burst_allocates_nothing() {
+    // Leader 0 adopts its ballot on two promises, pushes a few slots
+    // that no acceptor answers, and retransmits them all every
+    // `RETRANSMIT_TICKS` ticks. The first burst warms the spill list.
+    const SLOTS: u64 = 6;
+    let mut leader = Leader::new(0, 3, 1);
+    let p1a = leader.start_scout();
+    assert_eq!(p1a.len(), 1);
+    let ballot = leader.ballot();
+    for acceptor in 0..2 {
+        let mut promise = PaxosMsg::new(MsgType::Phase1b, 1, ballot.wire(), Bytes::new());
+        (promise.vround, promise.acceptor, promise.last_voted) = (ballot.wire(), acceptor, 1);
+        assert!(leader.handle(&promise).is_empty());
+    }
+    assert!(leader.is_active(), "two promises of three adopt the ballot");
+    let value = Bytes::from(vec![0xAB; 48]);
+    for slot in 1..=SLOTS {
+        let mut proposal = PaxosMsg::new(MsgType::ClientRequest, slot, 0, value.clone());
+        proposal.last_voted = 1;
+        assert_eq!(leader.handle(&proposal).len(), 1);
+    }
+    let burst = |leader: &mut Leader| {
+        let mut sent = [0; Leader::RETRANSMIT_TICKS as usize];
+        for n in &mut sent {
+            *n = leader.tick().len();
+        }
+        let (last, quiet) = sent.split_last().unwrap();
+        assert!(quiet.iter().all(|&n| n == 0), "{sent:?}");
+        assert_eq!(*last, SLOTS as usize, "one burst of every slot");
+    };
+    burst(&mut leader);
+    let allocs = allocations_in(|| {
+        for _ in 0..10 {
+            burst(&mut leader);
+        }
+    });
+    assert_eq!(allocs, 0, "a retransmit burst allocated");
 }
 
 #[test]

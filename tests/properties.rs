@@ -6,8 +6,8 @@ use proptest::prelude::*;
 use inc::dns::{DnsResponse, Name, Query, Rcode, TYPE_A};
 use inc::kvs::{decode as mc_decode, encode_request, FrameHeader, Message, Request};
 use inc::net::{build_udp, internet_checksum, Endpoint, UdpFrame};
-use inc::paxos::{MsgType, PaxosMsg};
-use inc::sim::{Histogram, Nanos, Rng};
+use inc::paxos::{Dest, MsgType, Outbox, PaxosMsg};
+use inc::sim::{FreeList, Histogram, Nanos, Rng};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -2463,4 +2463,174 @@ fn a_frame_whose_payload_view_is_held_is_never_reused() {
         drop(build_udp(b, a, &[0xff; 64]));
     }
     assert_eq!(&view[..], b"keep these bytes");
+}
+
+// --- Outbox spills are reused, and reuse is invisible to what is sent. ---
+
+/// A routed message whose instance numbers it.
+fn numbered(n: u64) -> (Dest, PaxosMsg) {
+    let value = n.to_be_bytes().to_vec();
+    (Dest::Leader, PaxosMsg::new(MsgType::Phase2a, n, 1, value))
+}
+
+/// The instances an outbox holds, in send order, each checked against
+/// the value it was built with.
+fn instances(out: &Outbox) -> Vec<u64> {
+    out.iter()
+        .map(|(_, m)| {
+            assert_eq!(m.value[..], m.instance.to_be_bytes());
+            m.instance
+        })
+        .collect()
+}
+
+/// The capacity of a spilled outbox's buffer (0 for an inline one).
+fn spill_capacity(out: &Outbox) -> usize {
+    match out {
+        Outbox::Many(all) => all.capacity(),
+        _ => 0,
+    }
+}
+
+/// On a fresh thread: holds `n` outboxes of 40 messages at once, drops
+/// them, then holds 64 of two messages. Returns how many of those got
+/// one of the long buffers back.
+fn long_spills_reused(n: usize) -> usize {
+    std::thread::spawn(move || {
+        let long: Vec<Outbox> = (0..n).map(|_| (0..40).map(numbered).collect()).collect();
+        drop(long);
+        let short: Vec<Outbox> = (0..64).map(|_| (0..2).map(numbered).collect()).collect();
+        short.iter().filter(|out| spill_capacity(out) >= 40).count()
+    })
+    .join()
+    .unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Any mix of pushes, clones, full and partial iterations and drops
+    /// over a few live outboxes sends exactly what a plain `Vec` model
+    /// of each holds: a recycled buffer brings nothing of its last use.
+    #[test]
+    fn spill_reuse_keeps_every_outbox_in_send_order(
+        ops in proptest::collection::vec((0u8..6, 0usize..4, 0usize..6), 1..120),
+    ) {
+        let mut live: Vec<(Outbox, Vec<u64>)> = Vec::new();
+        let mut next = 0u64;
+        for (op, pick, count) in ops {
+            let at = pick % live.len().max(1);
+            match (op, live.is_empty()) {
+                (0, _) | (_, true) => live.push(Default::default()),
+                (1, false) => {
+                    for _ in 0..count {
+                        live[at].0.push(numbered(next));
+                        live[at].1.push(next);
+                        next += 1;
+                    }
+                }
+                (2, false) => {
+                    let copy = live[at].clone();
+                    live.push(copy);
+                }
+                (3, false) => {
+                    let (out, model) = live.swap_remove(at);
+                    let sent: Vec<u64> = out.into_iter().map(|(_, m)| m.instance).collect();
+                    prop_assert_eq!(sent, model);
+                }
+                (4, false) => {
+                    let (out, model) = live.swap_remove(at);
+                    let taken = count.min(model.len());
+                    let mut it = out.into_iter();
+                    let sent: Vec<u64> = it.by_ref().take(taken).map(|(_, m)| m.instance).collect();
+                    prop_assert_eq!(&sent[..], &model[..taken]);
+                    prop_assert_eq!(it.len(), model.len() - taken);
+                }
+                _ => drop(live.swap_remove(at)),
+            }
+            for (out, model) in &live {
+                prop_assert_eq!(&instances(out), model);
+            }
+        }
+    }
+
+    /// A spill whose iterator stopped early goes back empty: the next
+    /// outbox on the thread holds only its own messages.
+    #[test]
+    fn a_partly_sent_spill_comes_back_empty(
+        len in 2u64..50,
+        sent in 0u64..50,
+        fresh in 2u64..50,
+    ) {
+        let out: Outbox = (0..len).map(numbered).collect();
+        let mut it = out.into_iter();
+        let first: Vec<u64> = it.by_ref().take(sent as usize).map(|(_, m)| m.instance).collect();
+        prop_assert_eq!(first, (0..sent.min(len)).collect::<Vec<_>>());
+        drop(it);
+        let next: Outbox = (100..100 + fresh).map(numbered).collect();
+        prop_assert!(spill_capacity(&next) >= len as usize, "the dropped buffer is reused");
+        prop_assert_eq!(instances(&next), (100..100 + fresh).collect::<Vec<_>>());
+    }
+
+    /// However many spills a thread drops, it keeps the same handful.
+    #[test]
+    fn the_spill_list_keeps_at_most_its_bound(n in 0usize..40) {
+        let bound = long_spills_reused(256);
+        prop_assert!((1..=16).contains(&bound), "kept {}", bound);
+        prop_assert_eq!(long_spills_reused(n), n.min(bound));
+    }
+
+    /// Any mix of gives and takes on a free list matches a stack that
+    /// refuses what would take it past its bound.
+    #[test]
+    fn a_free_list_is_a_bounded_stack(
+        bound in 0usize..8,
+        ops in proptest::collection::vec(any::<bool>(), 0..64),
+    ) {
+        let list = FreeList::new(bound);
+        let mut model = Vec::new();
+        for (n, give) in ops.into_iter().enumerate() {
+            if give {
+                list.give(n);
+                if model.len() < bound {
+                    model.push(n);
+                }
+            } else {
+                prop_assert_eq!(list.take(), model.pop());
+            }
+        }
+        let rest: Vec<usize> = std::iter::from_fn(|| list.take()).collect();
+        model.reverse();
+        prop_assert_eq!(rest, model);
+    }
+}
+
+#[test]
+fn a_spill_dropped_on_another_thread_is_harmless() {
+    let ours: Vec<Outbox> = (0..16u64)
+        .map(|n| (n * 10..n * 10 + 5).map(numbered).collect())
+        .collect();
+    let theirs: Vec<Outbox> = (0..16u64)
+        .map(|n| (n * 10..n * 10 + 7).map(numbered).collect())
+        .collect();
+    let kept = ours[3].clone();
+    // The other thread drops this thread's spills (onto its own list)
+    // and then builds outboxes from them.
+    let built = std::thread::spawn(move || {
+        drop(theirs);
+        (0..16u64)
+            .map(|n| instances(&(n..n + 3).map(numbered).collect()))
+            .collect::<Vec<_>>()
+    })
+    .join()
+    .unwrap();
+    for (n, got) in built.into_iter().enumerate() {
+        assert_eq!(got, (n as u64..n as u64 + 3).collect::<Vec<_>>());
+    }
+    assert_eq!(instances(&kept), [30, 31, 32, 33, 34]);
+    drop(ours);
+    for n in 0..16u64 {
+        let out: Outbox = (n..n + 4).map(numbered).collect();
+        assert_eq!(instances(&out), (n..n + 4).collect::<Vec<_>>());
+    }
 }
