@@ -336,12 +336,20 @@ impl FleetController {
     ///
     /// # Panics
     ///
-    /// Panics if an app's home device is not in the fabric, if a weight
-    /// is not finite and positive, or if the configuration is unusable
+    /// Panics if there are more apps than fabric slots
+    /// ([`DeviceFabric::SLOT_LIMIT`]: app `i` holds slot `i`), if an app's
+    /// home device is not in the fabric, if a weight is not finite and
+    /// positive, or if the configuration is unusable
     /// (a zero sampling interval or sustain window; a non-finite or
     /// negative offload floor, migration cost or rate dead band; invalid
     /// objective prices).
     pub fn new(config: FleetControllerConfig, fabric: DeviceFabric, apps: Vec<FleetApp>) -> Self {
+        assert!(
+            apps.len() as u64 <= DeviceFabric::SLOT_LIMIT,
+            "{} apps exceed the fabric's {} slots",
+            apps.len(),
+            DeviceFabric::SLOT_LIMIT
+        );
         for app in &apps {
             assert!(
                 app.home.index() < fabric.device_count(),
@@ -1094,6 +1102,9 @@ impl FleetController {
         };
         let mut scored = 0;
         for t in tally {
+            // The class's cost units, read once for all three tiers and
+            // only when some tier clears the floor.
+            let mut cost = None;
             // A pod arbiter's scope is the home pod itself.
             let in_pod = if scope == pod_range {
                 t.count
@@ -1120,7 +1131,10 @@ impl FleetController {
                 scored += u64::from(members);
                 let value = self.held_value_at(i, tier_devices[dist]) - debit;
                 if value >= floor {
-                    let score = pricing::per_capacity(fabric, &self.apps[i], t.first, value);
+                    let cost = *cost.get_or_insert_with(|| {
+                        pricing::capacity_cost(fabric, &self.apps[i], t.first)
+                    });
+                    let score = value / cost;
                     if beat.is_none_or(|b| score > b) {
                         out.push(Cand {
                             score,

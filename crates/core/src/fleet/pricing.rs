@@ -139,11 +139,17 @@ pub(crate) fn per_capacity(
     device: DeviceId,
     benefit_w: f64,
 ) -> f64 {
-    let cost = fabric
+    benefit_w / capacity_cost(fabric, app, device)
+}
+
+/// The denominator of [`per_capacity`]: `app`'s cost units on `device`,
+/// floored at the smallest positive float. A caller scoring several
+/// values against one device reads it once and divides each.
+pub(crate) fn capacity_cost(fabric: &DeviceFabric, app: &FleetApp, device: DeviceId) -> f64 {
+    fabric
         .device(device)
         .cost_units(&app.demand)
-        .max(f64::MIN_POSITIVE);
-    benefit_w / cost
+        .max(f64::MIN_POSITIVE)
 }
 
 /// Summed weights of the tenants contending for the fabric under the

@@ -17,8 +17,14 @@
 //! so a program that hogs half the SRAM is twice as expensive as one that
 //! hogs a quarter, regardless of how little of the other dimensions it
 //! needs.
-
-use std::collections::BTreeMap;
+//!
+//! A device holds a handful of residents and an arbitration tick re-seats
+//! them over and over, so the ledger is sized for that: one short flat
+//! list of residents next to the aggregate they occupy. `used` and `fits`
+//! read the aggregate in O(1); `admit` and `release` touch the one list.
+//! Every sum saturates, so a hostile demand (`u32::MAX` stages next to a
+//! resident) reads as the type's maximum and is refused instead of
+//! wrapping around to a small total.
 
 use crate::pipeline::{PipelineBudget, PipelineError, ProgramResources};
 
@@ -26,6 +32,12 @@ use crate::pipeline::{PipelineBudget, PipelineError, ProgramResources};
 pub type AppSlot = u64;
 
 /// A ledger of per-application resource allocations on one device.
+///
+/// The residents live in one flat list (an app appears at most once),
+/// and `used` is their aggregate: stages and SRAM summed with saturation,
+/// parse depth the maximum. Admission adds to the aggregate; a release,
+/// or a resident's re-admission, recomputes it over the remaining few
+/// residents, because a maximum cannot be subtracted.
 ///
 /// # Examples
 ///
@@ -44,7 +56,19 @@ pub type AppSlot = u64;
 #[derive(Clone, Debug)]
 pub struct DeviceCapacity {
     budget: PipelineBudget,
-    allocs: BTreeMap<AppSlot, ProgramResources>,
+    residents: Vec<(AppSlot, ProgramResources)>,
+    used: ProgramResources,
+}
+
+/// The one combine rule of the ledger: stages and SRAM add (saturating
+/// at the type's maximum, which no smaller budget admits), parse depth
+/// is a shared maximum.
+fn combine(a: ProgramResources, b: &ProgramResources) -> ProgramResources {
+    ProgramResources {
+        stages: a.stages.saturating_add(b.stages),
+        sram_bytes: a.sram_bytes.saturating_add(b.sram_bytes),
+        parse_depth_bytes: a.parse_depth_bytes.max(b.parse_depth_bytes),
+    }
 }
 
 impl DeviceCapacity {
@@ -52,7 +76,8 @@ impl DeviceCapacity {
     pub fn new(budget: PipelineBudget) -> Self {
         DeviceCapacity {
             budget,
-            allocs: BTreeMap::new(),
+            residents: Vec::new(),
+            used: ProgramResources::default(),
         }
     }
 
@@ -61,63 +86,56 @@ impl DeviceCapacity {
         self.budget
     }
 
-    /// Aggregate resources in use: stages and SRAM sum across residents,
-    /// parse depth is the maximum any resident requires.
+    /// Aggregate resources in use: stages and SRAM sum across residents
+    /// (saturating), parse depth is the maximum any resident requires.
     pub fn used(&self) -> ProgramResources {
-        self.allocs
-            .values()
-            .fold(ProgramResources::default(), |acc, r| ProgramResources {
-                stages: acc.stages + r.stages,
-                sram_bytes: acc.sram_bytes + r.sram_bytes,
-                parse_depth_bytes: acc.parse_depth_bytes.max(r.parse_depth_bytes),
-            })
+        self.used
     }
 
-    /// The single combine rule shared by [`DeviceCapacity::fits`] and
-    /// [`DeviceCapacity::admit`]: stages and SRAM add to the current
-    /// residents, parse depth is a shared maximum. The result must pass
-    /// the budget's own check.
-    fn alongside_residents(&self, extra: &ProgramResources) -> ProgramResources {
-        let used = self.used();
-        ProgramResources {
-            stages: used.stages + extra.stages,
-            sram_bytes: used.sram_bytes + extra.sram_bytes,
-            parse_depth_bytes: used.parse_depth_bytes.max(extra.parse_depth_bytes),
-        }
+    /// The aggregate of every resident except the one at `skip`.
+    fn used_without(&self, skip: usize) -> ProgramResources {
+        self.residents
+            .iter()
+            .enumerate()
+            .filter(|&(k, _)| k != skip)
+            .fold(ProgramResources::default(), |acc, (_, (_, r))| {
+                combine(acc, r)
+            })
     }
 
     /// Checks whether `extra` would fit alongside the current residents
     /// (the verdict only: a refusal builds no explanation).
     pub fn fits(&self, extra: &ProgramResources) -> bool {
-        self.budget.fits(&self.alongside_residents(extra))
+        self.budget.fits(&combine(self.used, extra))
     }
 
     /// Grants `app` the resources `r`, or explains why it cannot.
     ///
-    /// Re-admitting a resident app first releases its old allocation, so
-    /// an app can grow or shrink its share in place. Admission succeeds
-    /// exactly when [`DeviceCapacity::fits`] (with the app's own previous
-    /// share excluded) holds — both go through the same combine rule.
+    /// Re-admitting a resident app replaces its old allocation, so an app
+    /// can grow or shrink its share in place. Admission succeeds exactly
+    /// when [`DeviceCapacity::fits`] (with the app's own previous share
+    /// excluded) holds — both go through the same combine rule. A refusal
+    /// leaves the ledger untouched, the app's previous share included.
     pub fn admit(&mut self, app: AppSlot, r: ProgramResources) -> Result<(), PipelineError> {
-        let previous = self.allocs.remove(&app);
-        match self.budget.admit(&self.alongside_residents(&r)) {
+        let seat = self.residents.iter().position(|&(a, _)| a == app);
+        let others = seat.map_or(self.used, |k| self.used_without(k));
+        let total = combine(others, &r);
+        match self.budget.admit(&total) {
             Ok(()) => {
-                self.allocs.insert(app, r);
+                match seat {
+                    Some(k) => self.residents[k].1 = r,
+                    None => self.residents.push((app, r)),
+                }
+                self.used = total;
                 Ok(())
             }
-            Err(e) => {
-                let used = self.used();
-                // Roll back the speculative release; keep the budget's own
-                // diagnosis (it names the violated dimension) and add the
-                // contention the decision actually saw — the app's own
-                // previous share excluded.
-                if let Some(p) = previous {
-                    self.allocs.insert(app, p);
-                }
-                let PipelineError::DoesNotFit(why) = e;
+            Err(PipelineError::DoesNotFit(why)) => {
+                // Keep the budget's own diagnosis (it names the violated
+                // dimension) and add the contention the decision actually
+                // saw — the app's own previous share excluded.
                 Err(PipelineError::DoesNotFit(format!(
                     "app {app}: {why} ({} stages / {} B SRAM held by other apps)",
-                    used.stages, used.sram_bytes
+                    others.stages, others.sram_bytes
                 )))
             }
         }
@@ -125,12 +143,18 @@ impl DeviceCapacity {
 
     /// Releases whatever `app` holds; returns `true` if it held anything.
     pub fn release(&mut self, app: AppSlot) -> bool {
-        self.allocs.remove(&app).is_some()
+        let Some(k) = self.residents.iter().position(|&(a, _)| a == app) else {
+            return false;
+        };
+        self.used = self.used_without(k);
+        self.residents.swap_remove(k);
+        true
     }
 
     /// Releases every allocation.
     pub fn clear(&mut self) {
-        self.allocs.clear();
+        self.residents.clear();
+        self.used = ProgramResources::default();
     }
 
     /// Fraction of a budget dimension that `amount` represents, with one
@@ -168,9 +192,10 @@ impl DeviceCapacity {
     /// allocation, or 0.0 when it holds nothing. This is the quantity a
     /// DRF arbiter compares against a tenant's weighted entitlement.
     pub fn dominant_share(&self, app: AppSlot) -> f64 {
-        self.allocs
-            .get(&app)
-            .map_or(0.0, |r| self.shares(r).dominant())
+        self.residents
+            .iter()
+            .find(|&&(a, _)| a == app)
+            .map_or(0.0, |(_, r)| self.shares(r).dominant())
     }
 
     /// The scalar cost of a program: its dominant share — the largest
@@ -231,17 +256,17 @@ mod tests {
     fn admits_until_stages_exhaust() {
         let mut cap = DeviceCapacity::new(PipelineBudget::tofino_like());
         cap.admit(0, kvs()).unwrap();
-        assert!(cap.allocs.contains_key(&0));
+        assert_eq!(cap.residents, vec![(0, kvs())]);
         // 7 + 6 = 13 stages > 12: the second app does not fit.
         assert!(matches!(
             cap.admit(1, dns()),
             Err(PipelineError::DoesNotFit(_))
         ));
-        assert!(!cap.allocs.contains_key(&1));
+        assert_eq!(cap.residents.len(), 1);
         // Releasing the first makes room.
         assert!(cap.release(0));
         cap.admit(1, dns()).unwrap();
-        assert_eq!(cap.allocs.len(), 1);
+        assert_eq!(cap.residents, vec![(1, dns())]);
     }
 
     #[test]
@@ -369,6 +394,67 @@ mod tests {
         // Release returns the share to zero.
         cap.release(0);
         assert_eq!(cap.dominant_share(0), 0.0);
+    }
+
+    /// Checks that `huge`, whose sum with a small resident overflows,
+    /// is refused by `fits`, `DeviceCapacity::admit` and
+    /// `DeviceFabric::admit`, and leaves each ledger as it was.
+    fn overflowing_demand_is_refused(huge: ProgramResources) {
+        use crate::fabric::{DeviceFabric, DeviceId};
+        let small = ProgramResources {
+            stages: 2,
+            sram_bytes: 2 << 20,
+            parse_depth_bytes: 64,
+        };
+        let mut cap = DeviceCapacity::new(PipelineBudget::tofino_like());
+        cap.admit(0, small).unwrap();
+        assert!(!cap.fits(&huge));
+        assert!(cap.admit(1, huge).is_err());
+        assert_eq!(cap.used(), small);
+        assert_eq!(cap.dominant_share(1), 0.0);
+        let mut fabric = DeviceFabric::single(PipelineBudget::tofino_like());
+        fabric.admit(DeviceId(0), 0, small).unwrap();
+        assert!(fabric.admit(DeviceId(0), 1, huge).is_err());
+        assert_eq!(fabric.residency(1), None);
+        assert_eq!(fabric.device(DeviceId(0)).used(), small);
+    }
+
+    /// Regression: the stage sum used a plain `+`, so `u32::MAX` stages
+    /// beside a 2-stage resident wrapped to 1 and was admitted (release)
+    /// or panicked (debug).
+    #[test]
+    fn a_stage_demand_that_overflows_the_sum_is_refused() {
+        overflowing_demand_is_refused(ProgramResources {
+            stages: u32::MAX,
+            sram_bytes: 0,
+            parse_depth_bytes: 0,
+        });
+    }
+
+    /// Regression: the same wrap-around on the SRAM sum.
+    #[test]
+    fn an_sram_demand_that_overflows_the_sum_is_refused() {
+        overflowing_demand_is_refused(ProgramResources {
+            stages: 0,
+            sram_bytes: u64::MAX,
+            parse_depth_bytes: 0,
+        });
+    }
+
+    #[test]
+    fn release_lowers_the_shared_parse_depth() {
+        let mut cap = DeviceCapacity::new(PipelineBudget::tofino_like());
+        cap.admit(0, kvs()).unwrap();
+        let deep = ProgramResources {
+            stages: 1,
+            sram_bytes: 1 << 20,
+            parse_depth_bytes: 128,
+        };
+        cap.admit(1, deep).unwrap();
+        assert_eq!(cap.used().parse_depth_bytes, 128);
+        assert!(cap.release(1));
+        assert_eq!(cap.used(), kvs());
+        assert!(!cap.release(1));
     }
 
     #[test]

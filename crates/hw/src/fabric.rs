@@ -26,7 +26,7 @@
 use std::ops::Range;
 
 use inc_power::LinkEnergyModel;
-use inc_sim::{FixedHashMap, Nanos};
+use inc_sim::Nanos;
 
 use crate::capacity::{AppSlot, DeviceCapacity};
 use crate::pipeline::{PipelineBudget, PipelineError, ProgramResources};
@@ -430,13 +430,15 @@ pub struct DeviceFabric {
     /// id, numbered in order of first appearance.
     budget_class: Vec<u16>,
     topology: Topology,
-    // Reverse residency index, maintained by `admit`/`release`/`clear`.
-    // The one-residency invariant makes it total: an app is a key iff it
-    // is resident on exactly the mapped device. Keeping it turns both
-    // `residency` and the admit-time release of a previous seat into O(1)
-    // operations instead of fabric-wide sweeps — the difference between
-    // an incremental scheduler tick and an O(apps × devices) one.
-    where_is: FixedHashMap<AppSlot, DeviceId>,
+    // Reverse residency index, dense by slot and maintained by
+    // `admit`/`release`/`clear`. The one-residency invariant makes it
+    // exact: `where_is[app]` is `Some(d)` iff the app is resident on `d`.
+    // Keeping it turns both `residency` and the admit-time release of a
+    // previous seat into one indexed load instead of fabric-wide sweeps —
+    // the difference between an incremental scheduler tick and an
+    // O(apps × devices) one. It grows to the largest slot ever admitted
+    // (below `SLOT_LIMIT`) and never shrinks.
+    where_is: Vec<Option<DeviceId>>,
     // Liveness per device: a dead or partitioned device keeps its ledger
     // (its state is not recoverable, but its *budget* description is)
     // while refusing new admissions. Controllers treat offline devices
@@ -445,6 +447,13 @@ pub struct DeviceFabric {
 }
 
 impl DeviceFabric {
+    /// The first slot the fabric refuses. Slots index the dense residency
+    /// index, so the bound caps that index at 4 MiB (a 4-byte entry per
+    /// slot) while leaving three orders of magnitude of headroom over the
+    /// largest fleet modelled (1 000 tenants, one slot each). A slot at or
+    /// past it is refused like a demand that does not fit.
+    pub const SLOT_LIMIT: AppSlot = 1 << 20;
+
     /// Creates a fabric with one (empty) ledger per budget, priced by the
     /// given distance matrix.
     ///
@@ -476,7 +485,7 @@ impl DeviceFabric {
             devices,
             budget_class,
             topology,
-            where_is: FixedHashMap::default(),
+            where_is: Vec::new(),
             online,
         }
     }
@@ -508,7 +517,7 @@ impl DeviceFabric {
                 .collect(),
             budget_class: self.budget_class.clone(),
             topology: self.topology.clone(),
-            where_is: FixedHashMap::default(),
+            where_is: Vec::new(),
             online: self.online.clone(),
         }
     }
@@ -611,12 +620,14 @@ impl DeviceFabric {
 
     /// The device currently hosting `app`, if any.
     pub fn residency(&self, app: AppSlot) -> Option<DeviceId> {
-        self.where_is.get(&app).copied()
+        let slot = usize::try_from(app).ok()?;
+        self.where_is.get(slot).copied().flatten()
     }
 
     /// Grants `app` the resources `r` on device `id`, releasing any
     /// allocation it holds elsewhere (a program moves, it is not copied).
-    /// On failure every existing allocation is left untouched.
+    /// On failure every existing allocation is left untouched; a slot at
+    /// or past [`DeviceFabric::SLOT_LIMIT`] always fails.
     ///
     /// # Panics
     ///
@@ -633,8 +644,18 @@ impl DeviceFabric {
                 id.index()
             )));
         }
+        if app >= Self::SLOT_LIMIT {
+            return Err(PipelineError::DoesNotFit(format!(
+                "app {app}: slot past the fabric's limit of {}",
+                Self::SLOT_LIMIT
+            )));
+        }
         self.devices[id.index()].admit(app, r)?;
-        if let Some(prev) = self.where_is.insert(app, id) {
+        let slot = app as usize;
+        if slot >= self.where_is.len() {
+            self.where_is.resize(slot + 1, None);
+        }
+        if let Some(prev) = self.where_is[slot].replace(id) {
             if prev != id {
                 self.devices[prev.index()].release(app);
             }
@@ -645,10 +666,11 @@ impl DeviceFabric {
     /// Releases whatever `app` holds anywhere; returns `true` if it held
     /// anything.
     pub fn release(&mut self, app: AppSlot) -> bool {
-        match self.where_is.remove(&app) {
-            Some(d) => self.devices[d.index()].release(app),
-            None => false,
-        }
+        let seat = usize::try_from(app)
+            .ok()
+            .and_then(|slot| self.where_is.get_mut(slot))
+            .and_then(Option::take);
+        seat.is_some_and(|d| self.devices[d.index()].release(app))
     }
 
     /// The dominant share `app` holds on the device where it is resident
@@ -666,7 +688,7 @@ impl DeviceFabric {
         for dev in &mut self.devices {
             dev.clear();
         }
-        self.where_is.clear();
+        self.where_is.fill(None);
     }
 }
 
@@ -710,7 +732,7 @@ mod tests {
         f.admit(DeviceId(1), 1, dns()).unwrap();
         assert_eq!(f.residency(0), Some(DeviceId(0)));
         assert_eq!(f.residency(1), Some(DeviceId(1)));
-        assert_eq!(f.where_is.len(), 2);
+        assert_eq!(f.where_is.iter().flatten().count(), 2);
     }
 
     #[test]
@@ -1013,6 +1035,31 @@ mod tests {
         assert!(!f.release(3));
         f.admit(DeviceId(0), 4, dns()).unwrap();
         f.clear();
-        assert!(f.where_is.is_empty());
+        assert!(f.where_is.iter().all(Option::is_none));
+        assert_eq!(f.residency(4), None);
+        assert_eq!(f.device(DeviceId(0)).used(), ProgramResources::default());
+    }
+
+    /// A hostile slot is refused before any ledger is touched: no
+    /// residency, no growth of the dense index, no panic.
+    #[test]
+    fn a_slot_past_the_limit_is_refused_and_touches_nothing() {
+        let mut f = two_tors();
+        f.admit(DeviceId(0), 3, dns()).unwrap();
+        let before = f.where_is.clone();
+        for slot in [DeviceFabric::SLOT_LIMIT, u32::MAX as u64, u64::MAX] {
+            let err = f.admit(DeviceId(1), slot, dns()).unwrap_err();
+            assert!(err.to_string().contains("limit"), "{err}");
+            assert!(!f.release(slot));
+            assert_eq!(f.residency(slot), None);
+            assert_eq!(f.dominant_share(slot), 0.0);
+        }
+        assert_eq!(f.where_is, before);
+        assert_eq!(f.device(DeviceId(1)).used(), ProgramResources::default());
+        assert_eq!(f.device(DeviceId(0)).used(), dns());
+        // The last slot under the limit is an ordinary seat.
+        f.admit(DeviceId(1), DeviceFabric::SLOT_LIMIT - 1, dns())
+            .unwrap();
+        assert_eq!(f.residency(DeviceFabric::SLOT_LIMIT - 1), Some(DeviceId(1)));
     }
 }

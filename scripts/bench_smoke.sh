@@ -60,10 +60,15 @@ cargo test --release -q --test golden_schedules
 # the flat oracle), with `check_indexes` after every tick, and the order
 # property (the pod arbiter's class candidates seat exactly what a
 # per-device sort seats): the debug leg of `cargo test --workspace` runs
-# them too, this is the optimised build the benchmark measures.
+# them too, this is the optimised build the benchmark measures. Under
+# them sits the device fabric every seat goes through: its flat ledgers
+# and dense residency index against a map-per-device model, and the
+# inc-hw suite (saturating sums, hostile slots).
 cargo test --release -q --test properties -- \
   incremental_arbitration_equals_full_rescore \
-  single_pod_hierarchy_degenerates_to_flat_oracle
+  single_pod_hierarchy_degenerates_to_flat_oracle \
+  fabric_ledger_matches_the_map_model
+cargo test --release -q -p inc-hw
 cargo test --release -q -p inc-ondemand --lib -- \
   pod_arbiter_admits_in_the_documented_total_order
 

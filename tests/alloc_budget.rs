@@ -17,7 +17,10 @@
 //! event queue schedules and releases events without allocating. A warm
 //! arbitration tick works in the controller's own scratch buffers: it
 //! allocates nothing until it has a placement change to report, and then
-//! only the list it returns. This
+//! only the list it returns. A warm device fabric seats, moves and
+//! releases tenants without allocating: each ledger is a list that has
+//! already held its peak residents, and the residency index already
+//! covers every slot. This
 //! binary has its own counting `#[global_allocator]`, so it holds these
 //! tests only. The counter is per thread: libtest runs tests on parallel
 //! threads, and a test must not be billed for its neighbour's
@@ -27,6 +30,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use inc::dns::{DnsResponse, DnsResponseView, EmuDevice, Name, Query, Rcode, Zone, DNS_PORT};
+use inc::hw::{DeviceId, ProgramResources};
 use inc::kvs::{
     decode_view, expected_value, key_name, FrameHeader, LakeCacheConfig, LakeDevice, MessageView,
     RequestView, ResponseView, Status, MEMCACHED_PORT,
@@ -35,7 +39,7 @@ use inc::net::{build_udp, build_udp_with, Bytes, Endpoint, Packet, UdpFrame};
 use inc::ondemand::{ArbitrationMode, FleetController};
 use inc::paxos::multi::{Acceptor, Ballot, Leader, Replica};
 use inc::paxos::{ClientCommand, MsgType, PaxosMsg};
-use inc::sim::{impl_node_any, Ctx, LinkSpec, Nanos, Node, NodeId, PortId, Simulator};
+use inc::sim::{impl_node_any, Ctx, LinkSpec, Nanos, Node, NodeId, PortId, Rng, Simulator};
 use inc_bench::consensus::{ChaosCluster, NodeRef};
 use inc_bench::rigs::{MegaFabricRig, MultiTorRig};
 
@@ -790,4 +794,71 @@ fn building_a_fleet_controller_allocates_no_more_than_before() {
         "FleetController::new made {allocs} allocations (parent {PARENT_ALLOCS})"
     );
     assert_eq!(built.unwrap().placements().len(), 1_000);
+}
+
+/// A seat costs nothing once the ledgers are warm. Every device of the
+/// arbiter's 128-ToR fabric first holds its peak resident count (as many
+/// copies of the fleet's component-wise smallest program as fit, which
+/// bounds how many of its real programs can), and the residency index
+/// first covers the highest slot. Then 10 000 random seats, moves,
+/// in-place re-seats and releases of the fleet's 1 000 tenants allocate
+/// nothing. A seat is tried the way the arbiter tries one, `fits` first,
+/// so no refusal builds its diagnosis.
+#[test]
+fn a_warm_fabric_seats_and_releases_without_allocating() {
+    let apps = MegaFabricRig::new(1_000, 42)
+        .controller(ArbitrationMode::FullRescore)
+        .apps()
+        .to_vec();
+    let smallest = apps.iter().fold(apps[0].demand, |m, a| ProgramResources {
+        stages: m.stages.min(a.demand.stages),
+        sram_bytes: m.sram_bytes.min(a.demand.sram_bytes),
+        parse_depth_bytes: m.parse_depth_bytes.min(a.demand.parse_depth_bytes),
+    });
+    assert!(smallest.stages > 0, "a stageless program has no peak");
+    let mut fabric = MegaFabricRig::fabric();
+    let last = apps.len() as u64 - 1;
+    fabric.admit(DeviceId(0), last, smallest).unwrap();
+    fabric.clear();
+    let mut slot = 0;
+    for d in (0..MegaFabricRig::DEVICES).map(|d| DeviceId(d as u16)) {
+        while fabric.device(d).fits(&smallest) {
+            fabric.admit(d, slot, smallest).unwrap();
+            slot += 1;
+        }
+    }
+    assert!(
+        slot <= last,
+        "{slot} filler seats need more slots than tenants"
+    );
+    fabric.clear();
+
+    let mut rng = Rng::new(7);
+    let (mut seated, mut moved, mut released) = (0u32, 0u32, 0u32);
+    let allocs = allocations_in(|| {
+        for _ in 0..10_000 {
+            let app = rng.index(apps.len());
+            if rng.chance(0.3) {
+                released += u32::from(fabric.release(app as u64));
+                continue;
+            }
+            let d = DeviceId(rng.index(MegaFabricRig::DEVICES) as u16);
+            if fabric.device(d).fits(&apps[app].demand) {
+                let from = fabric.residency(app as u64);
+                fabric
+                    .admit(d, app as u64, apps[app].demand)
+                    .expect("a demand that fits is admitted");
+                seated += 1;
+                moved += u32::from(from.is_some_and(|f| f != d));
+            }
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "{seated} seats, {moved} moves, {released} releases"
+    );
+    assert!(
+        seated > 2_000 && moved > 500 && released > 1_000,
+        "{seated} seats, {moved} moves, {released} releases"
+    );
 }

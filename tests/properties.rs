@@ -437,6 +437,158 @@ proptest! {
         }
     }
 
+    /// The fabric's flat ledgers and dense residency index keep the map
+    /// ledger's semantics: a model with one `BTreeMap` per device and a
+    /// slot map replays random admits in place, moves, failing admits
+    /// (re-admits included, and demands whose sums overflow), releases,
+    /// clears and liveness flips over 2–6 devices of mixed budgets, and
+    /// after every operation each slot's residency, each device's `used`
+    /// and `fits` verdict, each slot's dominant-share bits and the
+    /// operation's own `Ok` / `Err` text must agree.
+    #[test]
+    fn fabric_ledger_matches_the_map_model(
+        budgets in proptest::collection::vec((4u32..16, 16u64..64, 64u32..256), 2..7),
+        ops in proptest::collection::vec(
+            (0u8..16, 0u8..6, 0u64..24, 0u32..8, 0u64..32, 0u32..256, any::<bool>()),
+            1..60,
+        ),
+        probe in (0u32..10, 0u64..40, 0u32..256),
+    ) {
+        use std::collections::BTreeMap;
+        use inc::hw::{DeviceFabric, DeviceId, PipelineBudget, ProgramResources, Topology};
+
+        /// The map ledger's combine rule over its residents, with sums
+        /// clamped the way a saturating add clamps them.
+        fn fold<'a>(rs: impl Iterator<Item = &'a ProgramResources>) -> ProgramResources {
+            let (mut stages, mut sram, mut parse) = (0u64, 0u128, 0u32);
+            for r in rs {
+                stages += u64::from(r.stages);
+                sram += u128::from(r.sram_bytes);
+                parse = parse.max(r.parse_depth_bytes);
+            }
+            ProgramResources {
+                stages: stages.min(u64::from(u32::MAX)) as u32,
+                sram_bytes: sram.min(u128::from(u64::MAX)) as u64,
+                parse_depth_bytes: parse,
+            }
+        }
+        fn frac(amount: u64, budget: u64) -> f64 {
+            match (amount, budget) {
+                (0, 0) => 0.0,
+                (_, 0) => f64::INFINITY,
+                (a, b) => a as f64 / b as f64,
+            }
+        }
+
+        let budgets: Vec<PipelineBudget> = budgets
+            .iter()
+            .map(|&(s, m, p)| PipelineBudget { stages: s, sram_bytes: m << 20, parse_depth_bytes: p })
+            .collect();
+        let n = budgets.len();
+        let mut fabric = DeviceFabric::new(budgets.clone(), Topology::single(n));
+        let mut ledgers: Vec<BTreeMap<u64, ProgramResources>> = vec![BTreeMap::new(); n];
+        let mut seat: BTreeMap<u64, usize> = BTreeMap::new();
+        let mut online = vec![true; n];
+        let probe = ProgramResources {
+            stages: probe.0,
+            sram_bytes: probe.1 << 20,
+            parse_depth_bytes: probe.2,
+        };
+
+        for (step, &(kind, dev, slot, stages, sram_mb, parse, flag)) in ops.iter().enumerate() {
+            let dev = dev as usize % n;
+            let mut demand = ProgramResources {
+                stages,
+                sram_bytes: sram_mb << 20,
+                parse_depth_bytes: parse,
+            };
+            match kind {
+                // Admit: 0–4 in place (on the slot's own device when it
+                // has one), 5–8 anywhere (a move when seated elsewhere),
+                // 9 a demand no device holds, 10 one whose sum overflows.
+                0..=10 => {
+                    let at = match kind {
+                        0..=4 => seat.get(&slot).copied().unwrap_or(dev),
+                        _ => dev,
+                    };
+                    if kind == 9 {
+                        demand.stages += 16;
+                    } else if kind == 10 {
+                        if flag {
+                            demand.stages = u32::MAX - stages;
+                        } else {
+                            demand.sram_bytes = u64::MAX - (sram_mb << 20);
+                        }
+                    }
+                    let got = fabric
+                        .admit(DeviceId(at as u16), slot, demand)
+                        .map_err(|e| e.to_string());
+                    let want = if !online[at] {
+                        Err(format!("program does not fit target: device {at} is offline"))
+                    } else {
+                        let previous = ledgers[at].remove(&slot);
+                        let others = fold(ledgers[at].values());
+                        let total = fold([others, demand].iter());
+                        match budgets[at].admit(&total) {
+                            Ok(()) => {
+                                ledgers[at].insert(slot, demand);
+                                if let Some(prev) = seat.insert(slot, at) {
+                                    if prev != at {
+                                        ledgers[prev].remove(&slot);
+                                    }
+                                }
+                                Ok(())
+                            }
+                            Err(e) => {
+                                if let Some(p) = previous {
+                                    ledgers[at].insert(slot, p);
+                                }
+                                Err(format!(
+                                    "{e} ({} stages / {} B SRAM held by other apps)",
+                                    others.stages, others.sram_bytes
+                                )
+                                .replacen("target: ", &format!("target: app {slot}: "), 1))
+                            }
+                        }
+                    };
+                    prop_assert_eq!(got, want, "step {}", step);
+                }
+                11..=13 => {
+                    let want = seat.remove(&slot).is_some_and(|d| ledgers[d].remove(&slot).is_some());
+                    prop_assert_eq!(fabric.release(slot), want, "step {}", step);
+                }
+                14 => {
+                    fabric.clear();
+                    ledgers.iter_mut().for_each(BTreeMap::clear);
+                    seat.clear();
+                }
+                _ => {
+                    fabric.set_online(DeviceId(dev as u16), flag);
+                    online[dev] = flag;
+                }
+            }
+            for s in 0..24 {
+                let at = seat.get(&s).copied();
+                prop_assert_eq!(fabric.residency(s), at.map(|d| DeviceId(d as u16)), "step {} slot {}", step, s);
+                let share = at.map_or(0.0, |d| {
+                    let (r, b) = (ledgers[d][&s], budgets[d]);
+                    frac(u64::from(r.stages), u64::from(b.stages)).max(frac(r.sram_bytes, b.sram_bytes))
+                });
+                prop_assert_eq!(fabric.dominant_share(s).to_bits(), share.to_bits(), "step {} slot {}", step, s);
+            }
+            for d in 0..n {
+                let ledger = fabric.device(DeviceId(d as u16));
+                let used = fold(ledgers[d].values());
+                prop_assert_eq!(ledger.used(), used, "step {} device {}", step, d);
+                prop_assert_eq!(
+                    ledger.fits(&probe),
+                    budgets[d].fits(&fold([used, probe].iter())),
+                    "step {} device {}", step, d
+                );
+            }
+        }
+    }
+
     /// Admission control is exact: a tenant is rejected up front *iff*
     /// its demand fits no device in the fabric even when empty — for
     /// arbitrary heterogeneous budgets and arbitrary demands, including
