@@ -438,7 +438,6 @@ pub fn fig6() {
                 sample: obs.sample.host,
                 completed: obs.completed,
                 latency_p50_ns: obs.latency_p50_ns,
-                latency_p99_ns: obs.latency_p99_ns,
                 power_w: obs.power_w,
             }
         },

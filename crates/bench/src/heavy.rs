@@ -133,10 +133,6 @@ pub struct HeavyTrafficRig {
 }
 
 impl HeavyTrafficRig {
-    /// Zipf exponent of the tenant rate ranking (the [`MegaFabricRig`]
-    /// fleet regime).
-    pub const ALPHA: f64 = MegaFabricRig::ALPHA;
-
     /// Offered rate of the rank-1 tenant, packets/second.
     pub const PEAK_PPS: f64 = 60_000.0;
 
@@ -188,11 +184,6 @@ impl HeavyTrafficRig {
     /// Number of tenants.
     pub fn tenants(&self) -> usize {
         self.apps.len()
-    }
-
-    /// The control-loop sampling interval.
-    pub fn interval(&self) -> Nanos {
-        self.interval
     }
 
     /// A fleet controller (incremental mode, 5 % dead band) over
@@ -334,11 +325,7 @@ impl HeavyTrafficRig {
                         let load = &cur[i];
                         let hist = &mut hists[i];
                         debug_assert_eq!(hist.count(), load.requests, "tenant {i} lost requests");
-                        let (p50, p99) = if hist.count() > 0 {
-                            (hist.quantile(0.5), hist.quantile(0.99))
-                        } else {
-                            (0, 0)
-                        };
+                        let p50 = hist.quantile(0.5); // 0 when empty
                         hist.clear();
                         let placement = placements.borrow()[i];
                         let (sw_w, hw_w) = self.apps[i].analysis.energy_per_second(load.rate_pps);
@@ -366,7 +353,6 @@ impl HeavyTrafficRig {
                             },
                             completed: load.requests,
                             latency_p50_ns: p50,
-                            latency_p99_ns: p99,
                             power_w,
                         }
                     })
@@ -470,7 +456,7 @@ mod tests {
             assert_eq!(a, b);
         }
         assert_eq!(bt.queued_intervals, st.queued_intervals);
-        let span = (Nanos::ZERO, rig.interval().mul(intervals + 1));
+        let span = (Nanos::ZERO, rig.interval.mul(intervals + 1));
         for (i, (full, recent)) in bt.per_app.iter().zip(&st.per_app).enumerate() {
             assert_eq!(full.total_rows(), intervals, "tenant {i}");
             assert_eq!(recent.total_rows(), intervals, "tenant {i}");

@@ -274,7 +274,6 @@ fn run_stylised_model(
                         },
                         completed: (rate * interval.as_secs_f64()) as u64,
                         latency_p50_ns: latency,
-                        latency_p99_ns: latency * 2,
                         power_w,
                     }
                 })
@@ -614,11 +613,6 @@ impl MegaFabricRig {
             base.push(floor_pps + peak_pps * zipf.popularity(rank));
         }
         (apps, base, rng)
-    }
-
-    /// Number of tenants.
-    pub fn tenants(&self) -> usize {
-        self.apps.len()
     }
 
     /// A fleet controller over the rig's fabric and tenants in the

@@ -23,8 +23,8 @@ use inc_kvs::{
 use inc_net::{Endpoint, L2Switch, Match, Packet};
 use inc_ondemand::{AppObservation, FleetApp, FleetSample, HostSample, PlacementAnalysis};
 use inc_paxos::{
-    Acceptor, AcceptorStorage, AddressBook, HostConfig, Leader, Learner, PaxosClient, PaxosNode,
-    Platform, RoleEngine, PAXOS_ACCEPTOR_PORT, PAXOS_LEADER_PORT, PAXOS_LEARNER_PORT,
+    Acceptor, AddressBook, HostConfig, Leader, Learner, PaxosClient, PaxosNode, Platform,
+    RoleEngine, PAXOS_ACCEPTOR_PORT, PAXOS_LEADER_PORT, PAXOS_LEARNER_PORT,
 };
 use inc_power::{calib, EnergyParams};
 use inc_sim::{Histogram, LatencyWindow, LinkSpec, Nanos, Node, NodeId, PortId, Simulator};
@@ -261,7 +261,7 @@ impl PaxosSlice {
         }
         for i in 0..N_ACCEPTORS as u32 {
             let n = sim.add_node(PaxosNode::new(
-                RoleEngine::Acceptor(Acceptor::new(i as u8, AcceptorStorage::unbounded())),
+                RoleEngine::Acceptor(Acceptor::new(i as u8)),
                 Platform::host(HostConfig::libpaxos_acceptor()),
                 Self::book(Endpoint::host(10 + i, PAXOS_ACCEPTOR_PORT)),
             ));
@@ -415,7 +415,6 @@ fn observation(
         sample: FleetSample { host, offered_pps },
         completed,
         latency_p50_ns: latency.quantile(0.5),
-        latency_p99_ns: latency.quantile(0.99),
         power_w,
     }
 }

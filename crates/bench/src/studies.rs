@@ -17,7 +17,7 @@ use inc_ondemand::apps::{dns_models, kvs_models, paxos_models};
 use inc_ondemand::{Deployment, HostController, HostControllerConfig, PlacementAnalysis, TorRack};
 use inc_power::{
     calib, ops_per_dynamic_watt, ops_per_watt, CpuModel, EfficiencyClass, EnergyParams,
-    PlacementComparison, RaplCounter, RaplDomain, RaplSampler,
+    PlacementComparison, RaplCounter, RaplSampler,
 };
 use inc_sim::{Nanos, Node, Rng, Simulator};
 use inc_workloads::{
@@ -704,7 +704,7 @@ pub fn server() {
 
     // RAPL-monitored sweep, as the paper measures it: advance a counter
     // under each load level and difference readings one second apart.
-    let mut counter = RaplCounter::new(RaplDomain::Package);
+    let mut counter = RaplCounter::new();
     let mut sampler = RaplSampler::new();
     let mut series = Series {
         name: "rapl_w".to_string(),

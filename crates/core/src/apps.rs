@@ -74,16 +74,6 @@ impl Deployment {
         }
     }
 
-    /// Dynamic power at `pps` (above idle).
-    pub fn dynamic_w(&self, pps: f64) -> f64 {
-        self.power_w(pps) - self.idle_w
-    }
-
-    /// Operations per watt at `pps`.
-    pub fn ops_per_watt(&self, pps: f64) -> f64 {
-        inc_power::ops_per_watt(pps.min(self.peak_pps), self.power_w(pps))
-    }
-
     fn software(
         name: &'static str,
         cpu: CpuModel,
@@ -408,7 +398,7 @@ mod tests {
             inc_power::ops_per_dynamic_watt(lib.peak_pps, lib.power_w(lib.peak_pps), lib.idle_w)
                 .unwrap();
         assert_eq!(EfficiencyClass::of(sw_dyn), EfficiencyClass::TensOfK);
-        let fpga = p4.ops_per_watt(p4.peak_pps);
+        let fpga = inc_power::ops_per_watt(p4.peak_pps, p4.power_w(p4.peak_pps));
         assert_eq!(EfficiencyClass::of(fpga), EfficiencyClass::HundredsOfK);
     }
 }

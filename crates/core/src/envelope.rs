@@ -8,8 +8,6 @@
 //! and the parked-card cost, and computes the §9 headline saving (up to
 //! ~50 % versus software-only at high load).
 
-use inc_hw::Placement;
-
 use crate::apps::Deployment;
 
 /// One point of the on-demand curve.
@@ -21,10 +19,6 @@ pub struct EnvelopePoint {
     pub on_demand_w: f64,
     /// Total power if pinned to software, watts.
     pub software_w: f64,
-    /// Total power if pinned to hardware, watts.
-    pub hardware_w: f64,
-    /// The placement the on-demand system uses at this rate.
-    pub placement: Placement,
 }
 
 /// Builder of Figure 5 curves.
@@ -74,12 +68,10 @@ impl OnDemandEnvelope {
         (0..=points)
             .map(|i| {
                 let rate = max_rate * i as f64 / points as f64;
-                let sw = self.software_placement_w(rate);
-                let hw = self.hardware_placement_w(rate);
-                let (placement, on_demand_w) = if rate >= shift {
-                    (Placement::HARDWARE, hw)
+                let on_demand_w = if rate >= shift {
+                    self.hardware_placement_w(rate)
                 } else {
-                    (Placement::Software, sw)
+                    self.software_placement_w(rate)
                 };
                 EnvelopePoint {
                     rate_pps: rate,
@@ -87,8 +79,6 @@ impl OnDemandEnvelope {
                     // The dashed Figure 5 baseline is the software system
                     // with its own NIC (no card at all).
                     software_w: self.software.power_w(rate),
-                    hardware_w: hw,
-                    placement,
                 }
             })
             .collect()
@@ -115,12 +105,13 @@ mod tests {
     fn low_rate_uses_software_high_rate_uses_hardware() {
         let env = kvs_envelope();
         let pts = env.sample(1_200_000.0, 60);
-        assert_eq!(pts.first().unwrap().placement, Placement::Software);
-        assert_eq!(pts.last().unwrap().placement, Placement::HARDWARE);
+        let on_hw = |p: &EnvelopePoint| p.on_demand_w == env.hardware_placement_w(p.rate_pps);
+        assert!(!on_hw(pts.first().unwrap()));
+        assert!(on_hw(pts.last().unwrap()));
         // The placement flips exactly once along the sweep.
         let flips = pts
             .windows(2)
-            .filter(|w| w[0].placement != w[1].placement)
+            .filter(|w| on_hw(&w[0]) != on_hw(&w[1]))
             .count();
         assert_eq!(flips, 1);
     }

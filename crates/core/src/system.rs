@@ -6,7 +6,9 @@
 //! that daemon against a simulation: it steps the simulator one sampling
 //! interval at a time, gathers a [`HostSample`] through a caller-provided
 //! probe, and applies the controller's decisions — while recording the
-//! timeline that Figure 6 plots.
+//! timeline that Figure 6 plots. A probe reports, and a row keeps, what
+//! the plots and window queries read: completions, throughput, the
+//! interval's median latency, metered power and the placement.
 //!
 //! # Row logging and streaming aggregates
 //!
@@ -46,8 +48,6 @@ pub struct TimelineRow {
     /// Median request latency over the interval, nanoseconds (0 if no
     /// requests completed).
     pub latency_p50_ns: u64,
-    /// 99th percentile latency, nanoseconds.
-    pub latency_p99_ns: u64,
     /// Metered system power, watts.
     pub power_w: f64,
     /// Placement in effect at the end of the interval.
@@ -144,11 +144,6 @@ impl Timeline {
     /// Rows currently held in memory.
     pub fn retained_rows(&self) -> usize {
         self.rows.len()
-    }
-
-    /// The row-retention mode.
-    pub fn mode(&self) -> RowLog {
-        self.mode
     }
 
     /// Responses completed across every row ever pushed.
@@ -254,8 +249,6 @@ pub struct IntervalObservation {
     pub completed: u64,
     /// Median latency over the interval, nanoseconds.
     pub latency_p50_ns: u64,
-    /// p99 latency over the interval, nanoseconds.
-    pub latency_p99_ns: u64,
     /// Metered power, watts.
     pub power_w: f64,
 }
@@ -296,7 +289,6 @@ pub fn run_host_controlled<M: Payload>(
             completed: obs.completed,
             throughput_pps: obs.completed as f64 / step.as_secs_f64(),
             latency_p50_ns: obs.latency_p50_ns,
-            latency_p99_ns: obs.latency_p99_ns,
             power_w: obs.power_w,
             placement: controller.placement(),
         });
@@ -314,8 +306,6 @@ pub struct AppObservation {
     pub completed: u64,
     /// Median latency over the interval, nanoseconds.
     pub latency_p50_ns: u64,
-    /// p99 latency over the interval, nanoseconds.
-    pub latency_p99_ns: u64,
     /// Metered power of this app's slice of the system (its server plus
     /// its share of the device), watts.
     pub power_w: f64,
@@ -403,7 +393,6 @@ pub fn run_fleet_controlled<M: Payload>(
                 completed: o.completed,
                 throughput_pps: o.completed as f64 / step.as_secs_f64(),
                 latency_p50_ns: o.latency_p50_ns,
-                latency_p99_ns: o.latency_p99_ns,
                 power_w: o.power_w,
                 placement: controller.placements()[app],
             });
@@ -470,7 +459,6 @@ mod tests {
                     },
                     completed: (rate / 10.0) as u64,
                     latency_p50_ns: if sw { 13_500 } else { 1_400 },
-                    latency_p99_ns: if sw { 20_000 } else { 2_000 },
                     power_w: if sw { 39.0 + rate / 1_500.0 } else { 59.0 },
                 }
             },
@@ -579,7 +567,6 @@ mod tests {
                             },
                             completed: (rate / 10.0) as u64,
                             latency_p50_ns: if hw { 1_500 } else { 12_000 },
-                            latency_p99_ns: if hw { 2_000 } else { 19_000 },
                             power_w: 40.0 + if hw { 2.0 } else { rate * 8e-5 },
                         }
                     })
@@ -631,7 +618,6 @@ mod tests {
             },
             completed: 3,
             latency_p50_ns: 0,
-            latency_p99_ns: 0,
             power_w: 40.0,
         }
     }
@@ -693,7 +679,6 @@ mod tests {
                     },
                     completed: host.completed,
                     latency_p50_ns: 0,
-                    latency_p99_ns: 0,
                     power_w: host.power_w,
                 }]
             },
@@ -713,7 +698,6 @@ mod tests {
             completed,
             throughput_pps: completed as f64 / interval.as_secs_f64(),
             latency_p50_ns: p50,
-            latency_p99_ns: p50 * 2,
             power_w: power,
             placement: Placement::Software,
         }

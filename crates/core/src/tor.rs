@@ -13,8 +13,6 @@ use inc_power::{calib, CpuModel};
 /// A rack with a programmable ToR switch.
 #[derive(Clone, Copy, Debug)]
 pub struct TorRack {
-    /// Number of server nodes in the rack.
-    pub nodes: u32,
     /// Per-server CPU model.
     pub server: CpuModel,
     /// Number of 100G-equivalent switch ports.
@@ -27,7 +25,6 @@ impl TorRack {
     /// A typical rack: 40 servers under a 32×100G ToR.
     pub fn typical() -> Self {
         TorRack {
-            nodes: 40,
             server: CpuModel::xeon_e5_2660_v4_dual(),
             switch_ports_100g: 32,
             server_peak_pps: 1_000_000.0,

@@ -61,11 +61,6 @@ impl DnsClient {
         self.pacer.set_rate(rate_pps);
     }
 
-    /// Stops offering load.
-    pub fn stop(&mut self) {
-        self.pacer.stop();
-    }
-
     /// Returns cumulative statistics.
     pub fn stats(&self) -> DnsClientStats {
         self.stats
@@ -117,7 +112,7 @@ impl Node<Packet> for DnsClient {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, timer: Timer) {
-        if timer.tag != TAG_SEND || self.pacer.stopped() {
+        if timer.tag != TAG_SEND {
             return;
         }
         if self.pacer.sends() {

@@ -10,7 +10,7 @@
 
 use std::ops::{Deref, DerefMut};
 
-use inc_hw::{CardApp, CardShell, NetRateController, Placement, SumeCard, Verdict};
+use inc_hw::{CardApp, CardShell, Placement, SumeCard, Verdict};
 use inc_net::{build_reply_with, Packet, UdpFrame};
 use inc_power::calib;
 use inc_sim::{impl_node_any, Ctx, Nanos, Node, PortId, ServiceStation, Timer};
@@ -110,12 +110,6 @@ impl EmuDevice {
             ),
             emu: Emu { zone },
         }
-    }
-
-    /// Installs the network-controlled on-demand controller.
-    pub fn with_controller(mut self, controller: NetRateController) -> Self {
-        self.shell.set_controller(controller);
-        self
     }
 
     /// Starts serving in hardware (the always-on §4.4 configuration).

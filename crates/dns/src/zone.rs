@@ -30,19 +30,9 @@ impl Zone {
         }
     }
 
-    /// Adds an A record by dotted name.
+    /// Adds an A record by dotted name, with the default TTL.
     pub fn insert(&mut self, name: &str, addr: Ipv4Addr) -> Result<(), DnsError> {
-        self.insert_with_ttl(name, addr, self.default_ttl)
-    }
-
-    /// Adds an A record with an explicit TTL.
-    pub fn insert_with_ttl(
-        &mut self,
-        name: &str,
-        addr: Ipv4Addr,
-        ttl: u32,
-    ) -> Result<(), DnsError> {
-        self.insert_name(&Name::parse(name)?, addr, ttl);
+        self.insert_name(&Name::parse(name)?, addr, self.default_ttl);
         Ok(())
     }
 
@@ -115,15 +105,6 @@ mod tests {
             let name = Name::parse(&format!("host-{i}.example.com")).unwrap();
             assert_eq!(z.lookup(&name).unwrap().0, Zone::synthetic_addr(i));
         }
-    }
-
-    #[test]
-    fn custom_ttl() {
-        let mut z = Zone::new();
-        z.insert_with_ttl("a.b", Ipv4Addr::new(9, 9, 9, 9), 60)
-            .unwrap();
-        let name = Name::parse("a.b").unwrap();
-        assert_eq!(z.lookup(&name).unwrap().1, 60);
     }
 
     #[test]

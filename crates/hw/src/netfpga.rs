@@ -63,7 +63,7 @@ impl SumeCard {
     /// The reference NIC bitstream: shell only, no application modules.
     pub fn reference_nic() -> Self {
         SumeCard {
-            power: DevicePower::new("netfpga-sume", calib::NETFPGA_REFERENCE_NIC_W),
+            power: DevicePower::new(calib::NETFPGA_REFERENCE_NIC_W),
         }
     }
 

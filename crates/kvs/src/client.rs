@@ -226,11 +226,6 @@ impl KvsClient {
         self.pacer.set_rate(rate_pps);
     }
 
-    /// Stops offering load.
-    pub fn stop(&mut self) {
-        self.pacer.stop();
-    }
-
     /// Returns cumulative statistics.
     pub fn stats(&self) -> ClientStats {
         self.stats
@@ -304,7 +299,7 @@ impl Node<Packet> for KvsClient {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, timer: Timer) {
-        if timer.tag != TAG_SEND || self.pacer.stopped() {
+        if timer.tag != TAG_SEND {
             return;
         }
         if self.pacer.sends() {

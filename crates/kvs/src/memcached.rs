@@ -118,11 +118,6 @@ impl MemcachedServer {
             self.app.store.set(k, v, 0);
         }
     }
-
-    /// Direct store access for verification in tests.
-    pub fn store(&self) -> &KvStore {
-        &self.app.store
-    }
 }
 
 impl Deref for MemcachedServer {

@@ -181,16 +181,6 @@ pub enum Request {
 }
 
 impl Request {
-    /// The opcode of this request.
-    pub fn opcode(&self) -> Opcode {
-        self.as_view().opcode()
-    }
-
-    /// The key this request addresses.
-    pub fn key(&self) -> &[u8] {
-        self.as_view().key()
-    }
-
     /// Borrows this request as the view the codec works on.
     pub fn as_view(&self) -> RequestView<'_> {
         match self {

@@ -137,11 +137,6 @@ impl LruCache {
         Some(self.slot(idx))
     }
 
-    /// Checks for presence without counting or refreshing.
-    pub fn contains(&self, key: &[u8]) -> bool {
-        self.index.contains_key(key)
-    }
-
     /// Inserts or updates an entry, evicting the LRU entry if full.
     ///
     /// Returns the evicted `(key, value)`, if any.
@@ -229,21 +224,6 @@ impl LruCache {
         self.tail = None;
     }
 
-    /// Number of resident entries.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Returns `true` when empty.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Returns (hits, misses, evictions).
     pub fn stats(&self) -> (u64, u64, u64) {
         (self.hits, self.misses, self.evictions)
@@ -307,11 +287,6 @@ impl ChunkAllocator {
         let n = self.chunks_for(len).min(self.allocated);
         self.allocated -= n;
     }
-
-    /// Chunks currently allocated.
-    pub fn allocated(&self) -> u64 {
-        self.allocated
-    }
 }
 
 /// The authoritative memcached-style store run by host software.
@@ -351,16 +326,6 @@ impl KvStore {
     pub fn delete(&mut self, key: &[u8]) -> bool {
         self.map.remove(key).is_some()
     }
-
-    /// Number of stored keys.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Returns `true` when empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -376,8 +341,10 @@ mod tests {
         assert!(c.get(b"a").is_some()); // a is now MRU
         let evicted = c.insert(b"d".to_vec(), b"4".to_vec());
         assert_eq!(evicted, Some((b"b".to_vec(), b"2".to_vec())));
-        assert_eq!(c.len(), 3);
-        assert!(c.contains(b"a") && c.contains(b"c") && c.contains(b"d"));
+        assert_eq!(c.index.len(), 3);
+        for key in [b"a", b"c", b"d"] {
+            assert!(c.index.contains_key(key.as_slice()));
+        }
     }
 
     #[test]
@@ -386,7 +353,7 @@ mod tests {
         c.insert(b"a".to_vec(), b"1".to_vec());
         c.insert(b"b".to_vec(), b"2".to_vec());
         c.insert(b"a".to_vec(), b"1b".to_vec()); // update, no eviction
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.index.len(), 2);
         let evicted = c.insert(b"c".to_vec(), b"3".to_vec());
         assert_eq!(evicted, Some((b"b".to_vec(), b"2".to_vec())));
         assert_eq!(c.get(b"a").unwrap(), b"1b");
@@ -398,10 +365,10 @@ mod tests {
         c.insert(b"a".to_vec(), b"1".to_vec());
         assert!(c.remove(b"a"));
         assert!(!c.remove(b"a"));
-        assert!(c.is_empty());
+        assert!(c.index.is_empty());
         c.insert(b"b".to_vec(), b"2".to_vec());
         c.insert(b"c".to_vec(), b"3".to_vec());
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.index.len(), 2);
         assert_eq!(c.get(b"b").unwrap(), b"2");
     }
 
@@ -476,10 +443,10 @@ mod tests {
         assert!(a.alloc(64)); // 1 chunk
         assert!(a.alloc(65)); // 2 chunks
         assert!(a.alloc(448)); // 7 chunks -> exactly 10
-        assert_eq!(a.allocated(), 10);
+        assert_eq!(a.allocated, 10);
         assert!(!a.alloc(1));
         a.free(65);
-        assert_eq!(a.allocated(), 8);
+        assert_eq!(a.allocated, 8);
         assert!(a.alloc(128));
     }
 
@@ -491,7 +458,7 @@ mod tests {
         assert_eq!(a.chunks_for(64), 1);
         assert_eq!(a.chunks_for(1), 1);
         assert_eq!(a.chunks_for(200), 4);
-        assert_eq!(a.allocated(), 0);
+        assert_eq!(a.allocated, 0);
     }
 
     #[test]

@@ -30,6 +30,8 @@ pub(crate) struct PubItem {
     pub line: u32,
     /// Tokens from `pub` to the end of the item.
     pub span: Range,
+    /// Whether the item is a `fn`.
+    pub is_fn: bool,
 }
 
 const ITEM_KEYWORDS: &[&str] = &[
@@ -95,6 +97,7 @@ pub(crate) fn pub_items(tokens: &[Token], tests: &[Range]) -> Vec<PubItem> {
                 name: t.text.clone(),
                 line: t.line,
                 span: (i, item_end(tokens, j)),
+                is_fn: tokens[j].is_ident("fn"),
             });
         }
     }
@@ -156,6 +159,26 @@ fn impl_blocks(tokens: &[Token]) -> Vec<(Range, Vec<&str>)> {
         }
     }
     out
+}
+
+/// The names of the plain-`pub` fns one library file defines inside
+/// `impl` blocks, outside test code. Where two `impl`s share a name, a
+/// root naming it reaches both, so the rule cannot tell whether either
+/// is used: [`lint_workspace`](crate::lint_workspace) counts these names
+/// as the rule's blind spot.
+pub(crate) fn impl_pub_fns(source: &str) -> Vec<String> {
+    let tokens = lex(source).tokens;
+    let impls = impl_blocks(&tokens);
+    pub_items(&tokens, &cfg_test_ranges(&tokens))
+        .into_iter()
+        .filter(|it| {
+            it.is_fn
+                && impls
+                    .iter()
+                    .any(|((from, to), _)| (*from..*to).contains(&it.span.0))
+        })
+        .map(|it| it.name)
+        .collect()
 }
 
 /// Adds to `reached` every name one root file reaches.

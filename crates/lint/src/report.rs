@@ -5,8 +5,10 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::reach::{collect_reached, is_root};
-use crate::rules::{rule_by_id, scan_source, Violation, Waiver, DECISION_CRATES, RULES};
+use crate::reach::{collect_reached, impl_pub_fns, is_root};
+use crate::rules::{
+    path_in, rule_by_id, scan_source, Violation, Waiver, DECISION_CRATES, LIBRARY, RULES,
+};
 
 /// Directories never scanned: build output, vendored deps, VCS
 /// internals, the lint's own deliberately-violating fixtures, and the
@@ -22,6 +24,19 @@ pub struct Report {
     pub unused_waivers: Vec<(String, Waiver)>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
+    /// What `unreached-pub` cannot see by name.
+    pub blind_spot: BlindSpot,
+}
+
+/// `unreached-pub`'s measured blind spot: the plain-`pub` fn names
+/// defined in more than one `impl` under `crates/*/src`, outside tests.
+/// A root naming one such method reaches every method of that name.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BlindSpot {
+    /// Names defined in more than one `impl`.
+    pub names: usize,
+    /// Definitions carrying those names.
+    pub definitions: usize,
 }
 
 impl Report {
@@ -115,12 +130,25 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
         sources.push((rel, fs::read_to_string(&path)?));
     }
     let mut reached = BTreeSet::new();
+    let mut methods: BTreeMap<String, usize> = BTreeMap::new();
     for (rel, source) in &sources {
         if is_root(rel) {
             collect_reached(source, &mut reached);
         }
+        if path_in(rel, LIBRARY) {
+            for name in impl_pub_fns(source) {
+                *methods.entry(name).or_default() += 1;
+            }
+        }
     }
-    let mut report = Report::default();
+    let shared = methods.values().filter(|&&n| n > 1);
+    let mut report = Report {
+        blind_spot: BlindSpot {
+            names: shared.clone().count(),
+            definitions: shared.sum(),
+        },
+        ..Report::default()
+    };
     for (rel, source) in sources {
         let file_report = scan_source(&rel, &source, &reached);
         report.files_scanned += 1;
@@ -161,6 +189,10 @@ pub fn to_json(report: &Report) -> String {
     s.push_str(&format!(
         "  \"decision_crate_waivers\": {},\n",
         report.decision_crate_waivers()
+    ));
+    s.push_str(&format!(
+        "  \"unreached_pub_blind_spot\": {{ \"names\": {}, \"definitions\": {} }},\n",
+        report.blind_spot.names, report.blind_spot.definitions
     ));
     s.push_str("  \"rules\": {\n");
     let per_rule = report.per_rule();
@@ -249,6 +281,11 @@ pub fn to_human(report: &Report) -> String {
              decision crates (these crates must be clean, not quiet)\n"
         ));
     }
+    s.push_str(&format!(
+        "unreached-pub blind spot: {} pub fn name(s) defined in more than one impl \
+         ({} definitions)\n",
+        report.blind_spot.names, report.blind_spot.definitions
+    ));
     s.push_str(&format!(
         "{} file(s) scanned: {} unwaived, {} waived, {} unused waiver(s)\n",
         report.files_scanned,

@@ -13,7 +13,7 @@
 
 use std::collections::BTreeSet;
 
-use inc_lint::{lint_workspace, scan_source, FileReport, Report};
+use inc_lint::{lint_workspace, scan_source, to_human, to_json, BlindSpot, FileReport, Report};
 
 /// Lines on which `rule` fired, in order.
 fn lines(report: &FileReport, rule: &str) -> Vec<u32> {
@@ -206,7 +206,7 @@ fn unreached_pub_fires_on_exactly_what_no_root_reaches() {
     let root =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/unreached_pub");
     let report = lint_workspace(&root).expect("fixture scan");
-    assert_eq!(report.files_scanned, 3);
+    assert_eq!(report.files_scanned, 4);
     let mut found: Vec<(&str, u32, &str, bool)> = report
         .violations
         .iter()
@@ -238,6 +238,32 @@ fn unreached_pub_fires_on_exactly_what_no_root_reaches() {
         .map(|(file, w)| (file.as_str(), w.line))
         .collect();
     assert_eq!(unused, vec![(lib, 40)]);
+}
+
+#[test]
+fn unreached_pub_blind_spot_counts_methods_that_share_a_name() {
+    let root =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/unreached_pub");
+    let report = lint_workspace(&root).expect("fixture scan");
+    // `gamma`: `run` in two `impl`s and `stats` in three. Neither the
+    // free `run`, the `pub(crate)` `hidden`s, the one-`impl` `alone` nor
+    // the test module's `run` counts; `alpha` contributes `make` once.
+    assert_eq!(
+        report.blind_spot,
+        BlindSpot {
+            names: 2,
+            definitions: 5
+        }
+    );
+    assert!(
+        to_json(&report)
+            .contains("\"unreached_pub_blind_spot\": { \"names\": 2, \"definitions\": 5 }"),
+        "{}",
+        to_json(&report)
+    );
+    assert!(to_human(&report).contains(
+        "unreached-pub blind spot: 2 pub fn name(s) defined in more than one impl (5 definitions)"
+    ));
 }
 
 #[test]

@@ -3,4 +3,7 @@
 fn main() {
     alpha::also_called_from_beta();
     println!("{}", alpha::called_from_beta());
+    let left = gamma::Left;
+    let _ = (gamma::Right, gamma::Third.alone(), gamma::run());
+    println!("{} {}", left.run(), left.stats());
 }

@@ -19,9 +19,6 @@ use core::str::FromStr;
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
-    /// The all-zero address.
-    pub const ZERO: MacAddr = MacAddr([0; 6]);
-
     /// Builds a locally administered unicast address from a small integer,
     /// convenient for tests and topology builders.
     pub const fn local(n: u32) -> MacAddr {
@@ -32,11 +29,6 @@ impl MacAddr {
     /// Returns `true` for group (multicast/broadcast) addresses.
     pub fn is_multicast(&self) -> bool {
         self.0[0] & 0x01 != 0
-    }
-
-    /// Returns the raw octets.
-    pub fn octets(&self) -> [u8; 6] {
-        self.0
     }
 }
 

@@ -78,7 +78,6 @@ pub struct PaxosClient {
     stats: PaxosClientStats,
     /// End-to-end command latency (first send → ack).
     window: LatencyWindow,
-    stopped: bool,
 }
 
 impl PaxosClient {
@@ -98,7 +97,6 @@ impl PaxosClient {
             outstanding: FixedHashMap::default(),
             stats: PaxosClientStats::default(),
             window: LatencyWindow::default(),
-            stopped: false,
         }
     }
 
@@ -128,11 +126,6 @@ impl PaxosClient {
     /// Returns cumulative statistics.
     pub fn stats(&self) -> PaxosClientStats {
         self.stats
-    }
-
-    /// Stops issuing new commands.
-    pub fn stop(&mut self) {
-        self.stopped = true;
     }
 
     /// The request frame for command `seq`: the [`ClientCommand`]
@@ -225,9 +218,6 @@ impl Node<Packet> for PaxosClient {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, timer: Timer) {
         if timer.tag == TAG_PACE {
-            if self.stopped {
-                return;
-            }
             if self.pace_due().is_some_and(|due| ctx.now() >= due) {
                 self.last_issue = ctx.now();
                 self.issue_new(ctx);
@@ -239,10 +229,6 @@ impl Node<Packet> for PaxosClient {
             return;
         }
         let seq = timer.tag - TAG_TIMEOUT_BASE;
-        if self.stopped {
-            self.outstanding.remove(&seq);
-            return;
-        }
         if let Some((_, retries)) = self.outstanding.get_mut(&seq) {
             // §9.2: resend the same command; the learner deduplicates.
             *retries += 1;
@@ -276,7 +262,7 @@ impl Node<Packet> for PaxosClient {
         self.window.record((now - first_sent).as_nanos());
         // Closed-loop: every ack funds the next command. Open-loop issue
         // is driven by the pacing timer instead.
-        if !self.stopped && self.paced.is_none() {
+        if self.paced.is_none() {
             self.issue_new(ctx);
         }
     }

@@ -2,9 +2,10 @@
 //!
 //! P4xos is the P4 implementation of Paxos from *Paxos Made Switch-y*,
 //! interchangeable with the libpaxos software library and its DPDK port.
-//! This crate implements the protocol once and deploys it four ways, as
-//! the paper compares: libpaxos, libpaxos+DPDK, P4xos-on-FPGA and
-//! P4xos-on-ASIC.
+//! This crate implements the protocol once and deploys it three of the
+//! four ways the paper compares: libpaxos, libpaxos+DPDK and
+//! P4xos-on-FPGA. The fourth, P4xos on a Tofino (§6), is priced
+//! analytically by `inc_hw::TofinoModel`.
 //!
 //! All state machines here are **sans-IO**: they consume one decoded
 //! [`msg::PaxosMsg`] at a time and return the messages to send, tagged
@@ -17,8 +18,7 @@
 //! * [`roles`] — the single-sequencer pipeline the paper measures:
 //!   leader/acceptor/learner machines with the §9.2 coordinator-driven
 //!   handover (instance sync from `last_voted`, client retry, learner
-//!   gap detection, safe no-op filling) and the bounded ring storage
-//!   that models ASIC register arrays.
+//!   gap detection, safe no-op filling).
 //! * [`multi`] — full Multi-Paxos: ballot-numbered replica/leader
 //!   (scout + commander)/acceptor machines with timeout-driven leader
 //!   *election* (not just handover), slot-ordered execution and
@@ -43,4 +43,4 @@ pub use msg::{
 };
 pub use node::{AddressBook, HostConfig, PaxosNode, PaxosNodeStats, Platform, RoleEngine};
 pub use outbox::Outbox;
-pub use roles::{Acceptor, AcceptorStorage, Dest, InstanceState, Leader, Learner};
+pub use roles::{Acceptor, Dest, InstanceState, Leader, Learner};

@@ -343,23 +343,12 @@ impl ClientCommand {
 
     /// Peeks `(client, seq)` out of a Paxos value's 12-byte header
     /// without copying the payload — all a replica, learner or client
-    /// needs to deduplicate and route a reply. `None` for no-ops/foreign
-    /// values, exactly when [`ClientCommand::decode`] is `None`.
+    /// needs to deduplicate and route a reply. `None` for values shorter
+    /// than the header (no-ops).
     pub fn header(value: &[u8]) -> Option<(u32, u64)> {
         let client = u32::from_be_bytes(value.get(0..4)?.try_into().ok()?);
         let seq = u64::from_be_bytes(value.get(4..12)?.try_into().ok()?);
         Some((client, seq))
-    }
-
-    /// Decodes from a Paxos value; `None` for no-ops/foreign values.
-    pub fn decode(value: &[u8]) -> Option<ClientCommand> {
-        let (client, seq) = Self::header(value)?;
-        let payload = value.get(Self::HEADER_LEN..)?.to_vec();
-        Some(ClientCommand {
-            client,
-            seq,
-            payload,
-        })
     }
 }
 
@@ -427,9 +416,10 @@ mod tests {
             seq: 1000,
             payload: b"put x=1".to_vec(),
         };
-        assert_eq!(ClientCommand::decode(&c.encode()), Some(c.clone()));
-        assert_eq!(ClientCommand::decode(NOOP_VALUE), None);
-        assert_eq!(ClientCommand::decode(&[0u8; 5]), None);
+        let value = c.encode();
+        assert_eq!(ClientCommand::header(&value), Some((42, 1000)));
+        assert_eq!(value[ClientCommand::HEADER_LEN..], c.payload);
+        assert_eq!(ClientCommand::header(&[0u8; 5]), None);
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //! §3.2 compares four variations of the acceptor/leader: the libpaxos
 //! software library, libpaxos over DPDK, P4xos on the NetFPGA, and P4xos
 //! on a Tofino. [`PaxosNode`] wraps a [`RoleEngine`] with a [`Platform`]
-//! that supplies the timing and power of each variation.
+//! that supplies the timing and power of the packet-simulated three:
+//! [`Platform::Host`] (libpaxos, or DPDK with a polling core) and
+//! [`Platform::Fpga`]. §6's Tofino is priced analytically by
+//! [`inc_hw::TofinoModel`] (`inc-bench study asic`), never as a node.
 
 use inc_hw::{
-    Deferred, LoadMeter, SumeCard, TofinoModel, TofinoProgram, UtilMeter, POWER_TICK,
-    SHELL_PIPELINE_LATENCY, TAG_POWER_TICK,
+    Deferred, LoadMeter, SumeCard, UtilMeter, POWER_TICK, SHELL_PIPELINE_LATENCY, TAG_POWER_TICK,
 };
 use inc_net::{build_udp_with, Endpoint, Packet, UdpFrame};
 use inc_power::calib;
@@ -95,16 +97,6 @@ pub enum Platform {
         /// Message rate and load fraction for dynamic power.
         meter: LoadMeter,
     },
-    /// P4xos on a Tofino-class ASIC (§6): modelled analytically for power;
-    /// event-simulated only at the rates the harnesses drive.
-    Asic {
-        /// The normalized-power switch model.
-        model: TofinoModel,
-        /// Initiation interval (0.4 ns → 2.5 Gmsg/s).
-        station: ServiceStation,
-        /// Message rate and load fraction for dynamic power.
-        meter: LoadMeter,
-    },
 }
 
 impl Platform {
@@ -129,15 +121,6 @@ impl Platform {
         }
     }
 
-    /// Tofino P4xos platform.
-    pub fn asic() -> Self {
-        Platform::Asic {
-            model: TofinoModel::snake_32x40(),
-            station: ServiceStation::new(64, Some(Nanos::from_micros(5))),
-            meter: LoadMeter::new(calib::P4XOS_ASIC_PEAK_MPS),
-        }
-    }
-
     /// Queues a message arriving at `now`: when it has been processed and
     /// its fixed latency has passed, or `None` when the platform drops it.
     fn admit(&mut self, now: Nanos) -> Option<Nanos> {
@@ -149,10 +132,6 @@ impl Platform {
                 meter.record(now);
                 (station, Nanos::from_nanos(100), SHELL_PIPELINE_LATENCY)
             }
-            Platform::Asic { station, meter, .. } => {
-                meter.record(now);
-                (station, Nanos::from_nanos(26), Nanos::from_nanos(400))
-            }
         };
         match station.submit(now, service) {
             Admission::Served { finish, .. } => Some(finish + fixed),
@@ -163,7 +142,7 @@ impl Platform {
     fn tick(&mut self, now: Nanos) {
         match self {
             Platform::Host { station, util, .. } => util.tick(station, now),
-            Platform::Fpga { meter, .. } | Platform::Asic { meter, .. } => meter.tick(now),
+            Platform::Fpga { meter, .. } => meter.tick(now),
         }
     }
 
@@ -171,9 +150,6 @@ impl Platform {
         match self {
             Platform::Host { config, util, .. } => config.power_w(util.util()),
             Platform::Fpga { card, meter, .. } => card.power_w(meter.load()),
-            Platform::Asic { model, meter, .. } => {
-                model.power_w(TofinoProgram::L2WithP4xos, meter.load())
-            }
         }
     }
 }
@@ -243,9 +219,8 @@ impl PaxosNode {
     }
 
     /// Parks or unparks an FPGA platform (§9.2: an idle standby leader
-    /// need not burn full logic power). No-op for host and ASIC
-    /// platforms — the host's power already follows utilisation, and the
-    /// ASIC is a shared switch that cannot power-gate per program.
+    /// need not burn full logic power). No-op for the host platform,
+    /// whose power already follows utilisation.
     pub fn set_parked(&mut self, parked: bool) {
         if let Platform::Fpga { card, .. } = &mut self.platform {
             if parked {
@@ -358,7 +333,6 @@ impl Node<Packet> for PaxosNode {
             Platform::Host { config, .. } if config.polling => "dpdk",
             Platform::Host { .. } => "libpaxos",
             Platform::Fpga { .. } => "p4xos-fpga",
-            Platform::Asic { .. } => "p4xos-asic",
         };
         format!("{platform}-{role}")
     }
@@ -411,7 +385,7 @@ mod tests {
     #[test]
     fn node_labels() {
         let n = PaxosNode::new(
-            RoleEngine::Acceptor(Acceptor::new(0, crate::roles::AcceptorStorage::unbounded())),
+            RoleEngine::Acceptor(Acceptor::new(0)),
             Platform::host(HostConfig::libpaxos_acceptor()),
             book(),
         );

@@ -10,11 +10,12 @@
 //! received frame ([`PaxosMsg::decode_shared`]). State that outlives the
 //! message — an acceptor's voted value, the learner's vote table — is
 //! never such a view: it is copied out once into an allocation of its
-//! own, so unbounded acceptor storage retains values, not frames.
-//! The same code therefore runs inside the libpaxos-style
-//! software nodes, the DPDK variant, and the P4xos FPGA/ASIC devices —
-//! only storage bounds, timing and power differ. That sharing is what
-//! makes the leader shift of §9.2 possible.
+//! own, so acceptor state retains values, not frames. An acceptor keeps
+//! its instances in one ordered map, unbounded like the host's and the
+//! FPGA's DRAM. The same code therefore runs inside the libpaxos-style
+//! software nodes, the DPDK variant, and the P4xos FPGA device — only
+//! timing and power differ. That sharing is what makes the leader shift
+//! of §9.2 possible.
 //!
 //! There is exactly one leader at a time here: the deployment (the
 //! switch steering the leader VIP, see
@@ -87,67 +88,15 @@ pub struct InstanceState {
     pub vval: Bytes,
 }
 
-/// Acceptor instance storage: unbounded (host / FPGA with DRAM) or a
-/// bounded ring (switch ASIC register arrays, where the instance number
-/// wraps onto a fixed array — the "architecture-specific changes to the
-/// code for memory accesses" of §6).
-#[derive(Clone, Debug)]
-pub enum AcceptorStorage {
-    /// Ordered-map backed, effectively unbounded. `BTreeMap` rather
-    /// than `HashMap` so every traversal of acceptor state is
-    /// deterministic (`inc-lint` rule `unordered-iter`).
-    Unbounded(BTreeMap<u64, InstanceState>),
-    /// Fixed ring of `slots.len()` instances; a newer instance landing on
-    /// an occupied slot recycles it.
-    Ring {
-        /// Slot states.
-        slots: Vec<InstanceState>,
-        /// Which instance each slot currently holds.
-        tags: Vec<u64>,
-    },
-}
-
-impl AcceptorStorage {
-    /// Unbounded storage.
-    pub fn unbounded() -> Self {
-        AcceptorStorage::Unbounded(BTreeMap::new())
-    }
-
-    /// Ring storage with `size` slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size` is zero.
-    pub fn ring(size: usize) -> Self {
-        assert!(size > 0);
-        AcceptorStorage::Ring {
-            slots: vec![InstanceState::default(); size],
-            tags: vec![u64::MAX; size],
-        }
-    }
-
-    fn entry(&mut self, instance: u64) -> &mut InstanceState {
-        match self {
-            AcceptorStorage::Unbounded(map) => map.entry(instance).or_default(),
-            AcceptorStorage::Ring { slots, tags } => {
-                let idx = (instance % slots.len() as u64) as usize;
-                if tags[idx] != instance {
-                    // Recycle the slot for this instance.
-                    tags[idx] = instance;
-                    slots[idx] = InstanceState::default();
-                }
-                &mut slots[idx]
-            }
-        }
-    }
-}
-
 /// The acceptor role.
 #[derive(Clone, Debug)]
 pub struct Acceptor {
     /// This acceptor's identity.
     pub id: u8,
-    storage: AcceptorStorage,
+    /// Per-instance state. `BTreeMap` rather than `HashMap` so every
+    /// traversal of acceptor state is deterministic (`inc-lint` rule
+    /// `unordered-iter`).
+    instances: BTreeMap<u64, InstanceState>,
     /// Highest instance voted in (attached to every response, §9.2).
     last_voted: u64,
     /// Votes cast (statistics).
@@ -156,10 +105,10 @@ pub struct Acceptor {
 
 impl Acceptor {
     /// Creates an acceptor.
-    pub fn new(id: u8, storage: AcceptorStorage) -> Self {
+    pub fn new(id: u8) -> Self {
         Acceptor {
             id,
-            storage,
+            instances: BTreeMap::new(),
             last_voted: 0,
             votes: 0,
         }
@@ -169,7 +118,7 @@ impl Acceptor {
     pub fn handle(&mut self, msg: &PaxosMsg) -> Outbox {
         match msg.mtype {
             MsgType::Phase1a => {
-                let state = self.storage.entry(msg.instance);
+                let state = self.instances.entry(msg.instance).or_default();
                 if msg.round > state.rnd {
                     state.rnd = msg.round;
                 }
@@ -186,7 +135,7 @@ impl Acceptor {
                 Outbox::One((Dest::Reply, reply))
             }
             MsgType::Phase2a => {
-                let state = self.storage.entry(msg.instance);
+                let state = self.instances.entry(msg.instance).or_default();
                 if msg.round >= state.rnd {
                     state.rnd = msg.round;
                     state.vrnd = msg.round;
@@ -263,11 +212,6 @@ impl Leader {
         l.recovering = true;
         let probe = PaxosMsg::new(MsgType::Phase1a, 1, round, Bytes::new());
         (l, Outbox::One((Dest::AllAcceptors, probe)))
-    }
-
-    /// Returns the next unused instance number.
-    pub fn next_instance(&self) -> u64 {
-        self.next_instance
     }
 
     fn observe_last_voted(&mut self, last_voted: u64) {
@@ -399,11 +343,6 @@ impl Learner {
         }
     }
 
-    /// Returns the next instance the learner is waiting to deliver.
-    pub fn next_deliver(&self) -> u64 {
-        self.next_deliver
-    }
-
     /// Returns `true` if a decided-but-undeliverable gap exists.
     pub fn has_gap(&self) -> bool {
         self.decided
@@ -523,9 +462,7 @@ mod tests {
     #[test]
     fn happy_path_delivers_in_order() {
         let mut leader = Leader::bootstrap(1, 3);
-        let mut accs: Vec<_> = (0..3)
-            .map(|i| Acceptor::new(i, AcceptorStorage::unbounded()))
-            .collect();
+        let mut accs: Vec<_> = (0..3).map(Acceptor::new).collect();
         let mut learner = Learner::new(3);
         for seq in 1..=5u64 {
             let replies = run_round(&mut leader, &mut accs, &mut learner, cmd(7, seq));
@@ -542,7 +479,7 @@ mod tests {
 
     #[test]
     fn acceptor_rejects_stale_round() {
-        let mut acc = Acceptor::new(0, AcceptorStorage::unbounded());
+        let mut acc = Acceptor::new(0);
         let new = PaxosMsg::new(MsgType::Phase2a, 1, 5, b"new".to_vec());
         assert_eq!(acc.handle(&new).len(), 1);
         let stale = PaxosMsg::new(MsgType::Phase2a, 1, 3, b"old".to_vec());
@@ -551,7 +488,7 @@ mod tests {
 
     #[test]
     fn acceptor_phase1_promise_carries_vote() {
-        let mut acc = Acceptor::new(2, AcceptorStorage::unbounded());
+        let mut acc = Acceptor::new(2);
         acc.handle(&PaxosMsg::new(MsgType::Phase2a, 4, 1, b"v".to_vec()));
         let out = acc.handle(&PaxosMsg::new(MsgType::Phase1a, 4, 9, Vec::new()));
         let (_, promise) = &out[0];
@@ -560,18 +497,6 @@ mod tests {
         assert_eq!(promise.value, b"v"[..]);
         assert_eq!(promise.last_voted, 4);
         assert_eq!(promise.acceptor, 2);
-    }
-
-    #[test]
-    fn ring_storage_recycles_slots() {
-        let mut acc = Acceptor::new(0, AcceptorStorage::ring(4));
-        // Vote in instance 1, then instance 5 (same slot, 5 % 4 == 1).
-        acc.handle(&PaxosMsg::new(MsgType::Phase2a, 1, 3, b"a".to_vec()));
-        let out = acc.handle(&PaxosMsg::new(MsgType::Phase2a, 5, 1, b"b".to_vec()));
-        // Round 1 < old slot round 3, but the slot was recycled for the
-        // new instance, so the vote goes through.
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].1.value, b"b"[..]);
     }
 
     #[test]
@@ -623,9 +548,7 @@ mod tests {
     #[test]
     fn elected_leader_syncs_instance_counter() {
         // Acceptors have history up to instance 40.
-        let mut accs: Vec<_> = (0..3)
-            .map(|i| Acceptor::new(i, AcceptorStorage::unbounded()))
-            .collect();
+        let mut accs: Vec<_> = (0..3).map(Acceptor::new).collect();
         for acc in &mut accs {
             for inst in 1..=40u64 {
                 acc.handle(&PaxosMsg::new(MsgType::Phase2a, inst, 1, cmd(1, inst)));
@@ -652,7 +575,7 @@ mod tests {
         let retry = leader.handle(&PaxosMsg::new(MsgType::ClientRequest, 0, 0, cmd(9, 1)));
         assert_eq!(retry.len(), 1);
         assert_eq!(retry[0].1.instance, 41);
-        assert_eq!(leader.next_instance(), 42);
+        assert_eq!(leader.next_instance, 42);
     }
 
     #[test]
@@ -660,9 +583,7 @@ mod tests {
         // Acceptors voted for "v" in instance 1 at round 1, but the
         // learner never saw a quorum. The new leader must re-propose "v",
         // not a no-op, to stay safe.
-        let mut accs: Vec<_> = (0..3)
-            .map(|i| Acceptor::new(i, AcceptorStorage::unbounded()))
-            .collect();
+        let mut accs: Vec<_> = (0..3).map(Acceptor::new).collect();
         for acc in accs.iter_mut().take(2) {
             acc.handle(&PaxosMsg::new(MsgType::Phase2a, 1, 1, b"v".to_vec()));
         }
@@ -687,9 +608,7 @@ mod tests {
 
     #[test]
     fn gap_recovery_fills_empty_instance_with_noop() {
-        let mut accs: Vec<_> = (0..3)
-            .map(|i| Acceptor::new(i, AcceptorStorage::unbounded()))
-            .collect();
+        let mut accs: Vec<_> = (0..3).map(Acceptor::new).collect();
         let mut leader = Leader::bootstrap(2, 3);
         leader.observe_last_voted(5);
         let out = leader.handle(&PaxosMsg::new(MsgType::GapRequest, 3, 0, Vec::new()));

@@ -10,8 +10,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 use inc_net::{Endpoint, L2Switch, Match, Packet};
 use inc_paxos::{
-    Acceptor, AcceptorStorage, AddressBook, HostConfig, Leader, Learner, PaxosClient, PaxosNode,
-    Platform, RoleEngine, PAXOS_ACCEPTOR_PORT, PAXOS_LEADER_PORT, PAXOS_LEARNER_PORT,
+    Acceptor, AddressBook, HostConfig, Leader, Learner, PaxosClient, PaxosNode, Platform,
+    RoleEngine, PAXOS_ACCEPTOR_PORT, PAXOS_LEADER_PORT, PAXOS_LEARNER_PORT,
 };
 use inc_sim::{LinkSpec, Nanos, NodeId, PortId, Simulator};
 
@@ -78,7 +78,7 @@ fn build_rig(n_clients: u32, timeout: Nanos) -> Rig {
     for i in 0..N_ACCEPTORS as u32 {
         let ep = Endpoint::host(10 + i, PAXOS_ACCEPTOR_PORT);
         let node = sim.add_node(PaxosNode::new(
-            RoleEngine::Acceptor(Acceptor::new(i as u8, AcceptorStorage::unbounded())),
+            RoleEngine::Acceptor(Acceptor::new(i as u8)),
             Platform::host(HostConfig::libpaxos_acceptor()),
             book(ep),
         ));
@@ -294,7 +294,7 @@ fn dpdk_deployment_also_reaches_consensus() {
     for i in 0..N_ACCEPTORS as u32 {
         let ep = Endpoint::host(10 + i, PAXOS_ACCEPTOR_PORT);
         let n = sim.add_node(PaxosNode::new(
-            RoleEngine::Acceptor(Acceptor::new(i as u8, AcceptorStorage::unbounded())),
+            RoleEngine::Acceptor(Acceptor::new(i as u8)),
             Platform::host(HostConfig::dpdk_acceptor()),
             book(ep),
         ));

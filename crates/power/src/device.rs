@@ -84,7 +84,7 @@ impl Module {
 /// ```
 /// use inc_power::{DevicePower, Module, ModuleState};
 ///
-/// let mut dev = DevicePower::new("card", 10.0);
+/// let mut dev = DevicePower::new(10.0);
 /// dev.add_module("dram", Module::new(4.8, 0.2));
 /// dev.add_module("logic", Module::new(2.0, 1.0));
 /// assert!((dev.power_w(0.0) - 16.8).abs() < 1e-9);
@@ -93,7 +93,6 @@ impl Module {
 /// ```
 #[derive(Clone, Debug)]
 pub struct DevicePower {
-    name: String,
     base_w: f64,
     modules: BTreeMap<String, Module>,
 }
@@ -112,22 +111,11 @@ impl std::error::Error for NoSuchModule {}
 
 impl DevicePower {
     /// Creates a device with only its base platform draw.
-    pub fn new(name: impl Into<String>, base_w: f64) -> Self {
+    pub fn new(base_w: f64) -> Self {
         DevicePower {
-            name: name.into(),
             base_w,
             modules: BTreeMap::new(),
         }
-    }
-
-    /// Returns the device name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Returns the base platform draw in watts.
-    pub fn base_w(&self) -> f64 {
-        self.base_w
     }
 
     /// Adds (or replaces) a named module.
@@ -161,14 +149,6 @@ impl DevicePower {
         n
     }
 
-    /// Returns a module's current state.
-    pub fn state(&self, name: &str) -> Result<ModuleState, NoSuchModule> {
-        self.modules
-            .get(name)
-            .map(|m| m.state)
-            .ok_or_else(|| NoSuchModule(name.to_string()))
-    }
-
     /// Total power with every module at the same `load` in `[0, 1]`.
     pub fn power_w(&self, load: f64) -> f64 {
         self.base_w + self.modules.values().map(|m| m.power_w(load)).sum::<f64>()
@@ -180,7 +160,7 @@ mod tests {
     use super::*;
 
     fn test_device() -> DevicePower {
-        let mut d = DevicePower::new("test", 16.2);
+        let mut d = DevicePower::new(16.2);
         d.add_module("dram", Module::new(4.8, 0.1).with_reset_saving(0.4));
         d.add_module("sram", Module::new(6.0, 0.1).with_reset_saving(0.4));
         d.add_module("pe0", Module::new(0.25, 0.05));
@@ -213,7 +193,7 @@ mod tests {
 
     #[test]
     fn clock_gating_kills_dynamic_power() {
-        let mut d = DevicePower::new("d", 0.0);
+        let mut d = DevicePower::new(0.0);
         d.add_module("m", Module::new(1.0, 9.0).with_clock_gate_saving(0.5));
         d.set_state("m", ModuleState::ClockGated).unwrap();
         assert!((d.power_w(1.0) - 0.5).abs() < 1e-9);
@@ -223,7 +203,6 @@ mod tests {
     fn unknown_module_is_error() {
         let mut d = test_device();
         assert!(d.set_state("nope", ModuleState::Reset).is_err());
-        assert!(d.state("nope").is_err());
     }
 
     #[test]

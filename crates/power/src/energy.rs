@@ -46,13 +46,6 @@ pub struct StateTimes {
     pub idle: Nanos,
 }
 
-impl StateTimes {
-    /// Total accounted time.
-    pub fn total(&self) -> Nanos {
-        self.active + self.sleep + self.idle
-    }
-}
-
 /// Energy by state, joules.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EnergyBreakdown {

@@ -32,4 +32,4 @@ pub use efficiency::{ops_per_dynamic_watt, ops_per_watt, EfficiencyClass};
 pub use energy::{EnergyBreakdown, EnergyParams, PlacementComparison, StateTimes};
 pub use link::LinkEnergyModel;
 pub use model::crossover_fn;
-pub use rapl::{RaplCounter, RaplDomain, RaplSampler};
+pub use rapl::{RaplCounter, RaplSampler};

@@ -93,11 +93,6 @@ impl LinkEnergyModel {
         LinkEnergyModel::new(calib::SWITCH_W_PER_100G_PORT, calib::SWITCH_W_PER_MQPS, 1e6)
     }
 
-    /// Idle (static) draw of the modelled port, watts.
-    pub fn static_w(&self) -> f64 {
-        self.port.power_w(0.0)
-    }
-
     /// Marginal draw of the port at full forwarding load, watts.
     pub fn dynamic_w(&self) -> f64 {
         self.port.power_w(1.0) - self.port.power_w(0.0)
@@ -140,7 +135,7 @@ mod tests {
     #[test]
     fn per_query_energy_matches_the_paper_figures() {
         let link = LinkEnergyModel::arista_class();
-        assert_eq!(link.static_w(), calib::SWITCH_W_PER_100G_PORT);
+        assert_eq!(link.port.power_w(0.0), calib::SWITCH_W_PER_100G_PORT);
         assert_eq!(link.dynamic_w(), calib::SWITCH_W_PER_MQPS);
     }
 

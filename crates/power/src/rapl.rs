@@ -4,9 +4,9 @@
 //! RAPL (§9.1), and §7 monitors the Xeon with it. Real RAPL exposes a
 //! monotonically increasing energy counter in microjoules per domain,
 //! which software differentiates over a sampling window to estimate
-//! watts. This module reproduces that interface, including the counter's
-//! energy granularity and wrap-around, so the controller code consumes
-//! realistic readings.
+//! watts. This module reproduces that interface for the one domain both
+//! read, the package, including the counter's energy granularity and
+//! wrap-around, so the controller code consumes realistic readings.
 
 use inc_sim::Nanos;
 
@@ -20,33 +20,22 @@ const ENERGY_STEP_UJ: u64 = 61;
 /// modulo 2^32.
 const WRAP_MASK: u64 = u32::MAX as u64;
 
-/// RAPL domains exposed by the simulated package.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum RaplDomain {
-    /// Whole package (cores + uncore).
-    Package,
-    /// Cores only (PP0).
-    Cores,
-    /// Attached DRAM.
-    Dram,
-}
-
-/// A monotonically increasing energy counter.
+/// A monotonically increasing energy counter: the package domain, the
+/// one the host controller and §7 read.
 ///
 /// # Examples
 ///
 /// ```
-/// use inc_power::{RaplCounter, RaplDomain};
+/// use inc_power::RaplCounter;
 /// use inc_sim::Nanos;
 ///
-/// let mut rapl = RaplCounter::new(RaplDomain::Package);
+/// let mut rapl = RaplCounter::new();
 /// rapl.advance(Nanos::from_secs(1), 50.0); // 50 W for 1 s
 /// let uj = rapl.read();
 /// assert!((uj as f64 - 50e6).abs() < 100_000.0); // ~50 J in µJ
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RaplCounter {
-    domain: RaplDomain,
     /// Exact accumulated energy in microjoules (not yet quantized).
     exact_uj: f64,
     /// Last time `advance` accounted up to.
@@ -54,18 +43,12 @@ pub struct RaplCounter {
 }
 
 impl RaplCounter {
-    /// Creates a zeroed counter for `domain`.
-    pub fn new(domain: RaplDomain) -> Self {
+    /// Creates a zeroed counter.
+    pub fn new() -> Self {
         RaplCounter {
-            domain,
             exact_uj: 0.0,
             last: Nanos::ZERO,
         }
-    }
-
-    /// Returns the counter's domain.
-    pub fn domain(&self) -> RaplDomain {
-        self.domain
     }
 
     /// Accounts `power_w` as having been drawn from the last update until
@@ -138,11 +121,6 @@ impl RaplSampler {
         self.last_reading = Some((now, reading));
         result
     }
-
-    /// Forgets history (used when the monitored process restarts).
-    pub fn reset(&mut self) {
-        self.last_reading = None;
-    }
 }
 
 #[cfg(test)]
@@ -151,7 +129,7 @@ mod tests {
 
     #[test]
     fn accumulates_energy() {
-        let mut c = RaplCounter::new(RaplDomain::Package);
+        let mut c = RaplCounter::new();
         c.advance(Nanos::from_secs(2), 100.0);
         // 200 J = 200e6 µJ, quantized to 61 µJ steps.
         let r = c.read();
@@ -160,7 +138,7 @@ mod tests {
 
     #[test]
     fn piecewise_power_levels() {
-        let mut c = RaplCounter::new(RaplDomain::Cores);
+        let mut c = RaplCounter::new();
         c.advance(Nanos::from_secs(1), 10.0);
         c.advance(Nanos::from_secs(3), 50.0);
         let r = c.read();
@@ -170,7 +148,7 @@ mod tests {
 
     #[test]
     fn watts_between_inverts_accumulation() {
-        let mut c = RaplCounter::new(RaplDomain::Package);
+        let mut c = RaplCounter::new();
         c.advance(Nanos::from_secs(1), 75.0);
         let a = c.read();
         c.advance(Nanos::from_secs(2), 75.0);
@@ -181,7 +159,7 @@ mod tests {
 
     #[test]
     fn wraparound_is_handled() {
-        let c = RaplCounter::new(RaplDomain::Package);
+        let c = RaplCounter::new();
         // Near the 32-bit µJ wrap (~4295 J): earlier close to max, later small.
         let earlier = (1u64 << 32) - 1_000_000;
         let later = 500_000u64;
@@ -191,7 +169,7 @@ mod tests {
 
     #[test]
     fn sampler_needs_two_samples() {
-        let mut c = RaplCounter::new(RaplDomain::Package);
+        let mut c = RaplCounter::new();
         let mut s = RaplSampler::new();
         c.advance(Nanos::from_secs(1), 30.0);
         assert_eq!(s.sample(&c, Nanos::from_secs(1)), None);
@@ -203,7 +181,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "backwards")]
     fn advance_rejects_time_travel() {
-        let mut c = RaplCounter::new(RaplDomain::Package);
+        let mut c = RaplCounter::new();
         c.advance(Nanos::from_secs(1), 1.0);
         c.advance(Nanos::ZERO, 1.0);
     }

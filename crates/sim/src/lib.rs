@@ -13,10 +13,14 @@
 //! * [`Nanos`] — integer nanosecond time.
 //! * [`Rng`] — seeded `xoshiro256**` randomness.
 //! * [`Histogram`], [`StreamStats`], [`RecentRing`], [`TimeSeries`],
-//!   [`WindowRate`] — the measurement instruments.
+//!   [`WindowRate`] — the measurement instruments: quantiles exact at
+//!   both ends, exact weighted integrals, a bounded row tail, a plotted
+//!   series, and a sliding rate window that closes a gap of any length
+//!   in one step. Each keeps only what a reader of it asks for.
 //! * [`ServiceStation`] — a multi-core FIFO service model for host software.
-//! * [`Pacer`], [`LatencyWindow`] — the open-loop send timer and the
-//!   latency record every load generator shares.
+//! * [`Pacer`], [`LatencyWindow`] — the open-loop send timer (a rate of
+//!   0 is silence; there is no separate stop) and the latency record
+//!   every load generator shares.
 //! * [`FreeList`] — the bounded per-thread list frame buffers and
 //!   outbox spills recycle through.
 //!

@@ -37,12 +37,12 @@ pub fn pace_gap(rate_pps: f64) -> Option<Nanos> {
 ///
 /// The owner schedules the first tick with [`Pacer::schedule`]; on each
 /// of its timers it sends when [`Pacer::sends`] says so and then calls
-/// [`Pacer::schedule`] again. Once stopped, the pacer schedules nothing.
+/// [`Pacer::schedule`] again. A rig that wants silence sets the rate
+/// to 0: the pacer then only re-reads its rate.
 #[derive(Clone, Copy, Debug)]
 pub struct Pacer {
     /// [`pace_gap`] of the offered rate.
     gap: Option<Nanos>,
-    stopped: bool,
 }
 
 impl Pacer {
@@ -50,23 +50,12 @@ impl Pacer {
     pub fn new(rate_pps: f64) -> Self {
         Pacer {
             gap: pace_gap(rate_pps),
-            stopped: false,
         }
     }
 
     /// Changes the offered rate; takes effect at the next tick.
     pub fn set_rate(&mut self, rate_pps: f64) {
         self.gap = pace_gap(rate_pps);
-    }
-
-    /// Stops offering load for good.
-    pub fn stop(&mut self) {
-        self.stopped = true;
-    }
-
-    /// Whether the pacer has been stopped.
-    pub fn stopped(&self) -> bool {
-        self.stopped
     }
 
     /// Whether a tick at the current rate sends.
@@ -77,9 +66,6 @@ impl Pacer {
     /// Schedules the next tick as timer `tag`: one gap ahead, or a 10 ms
     /// re-check while the rate sends nothing.
     pub fn schedule<M>(&self, ctx: &mut Ctx<'_, M>, tag: u64) {
-        if self.stopped {
-            return;
-        }
         ctx.schedule_in(self.gap.unwrap_or(IDLE_POLL), tag);
     }
 }

@@ -50,7 +50,6 @@ pub struct ServiceStation {
     /// Total service nanoseconds ever assigned (including not-yet-elapsed).
     assigned_busy_ns: u128,
     max_queue_delay: Option<Nanos>,
-    served: u64,
     dropped: u64,
 }
 
@@ -67,14 +66,8 @@ impl ServiceStation {
             busy_until: vec![Nanos::ZERO; cores],
             assigned_busy_ns: 0,
             max_queue_delay,
-            served: 0,
             dropped: 0,
         }
-    }
-
-    /// Returns the number of cores.
-    pub fn cores(&self) -> usize {
-        self.busy_until.len()
     }
 
     /// Submits a job arriving at `now` requiring `service` core time.
@@ -95,7 +88,6 @@ impl ServiceStation {
         let finish = start + service;
         self.busy_until[idx] = finish;
         self.assigned_busy_ns += service.as_nanos() as u128;
-        self.served += 1;
         Admission::Served { start, finish }
     }
 
@@ -111,27 +103,6 @@ impl ServiceStation {
             .map(|&t| t.saturating_sub(now).as_nanos() as u128)
             .sum();
         self.assigned_busy_ns.saturating_sub(overhang)
-    }
-
-    /// Returns the mean utilisation in `[0, 1]` over `[from, to]`.
-    ///
-    /// Callers typically remember `busy_core_ns(from)` and difference it;
-    /// this convenience recomputes from absolute counters, which is exact
-    /// only if no work was assigned before `from` that still overhung it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `to <= from`.
-    pub fn utilization(&self, busy_at_from: u128, from: Nanos, to: Nanos) -> f64 {
-        assert!(to > from, "empty window");
-        let span = (to - from).as_nanos() as u128 * self.busy_until.len() as u128;
-        let busy = self.busy_core_ns(to).saturating_sub(busy_at_from);
-        (busy as f64 / span as f64).clamp(0.0, 1.0)
-    }
-
-    /// Returns how many jobs were admitted since creation.
-    pub fn served(&self) -> u64 {
-        self.served
     }
 
     /// Returns how many jobs were rejected since creation.
@@ -205,7 +176,6 @@ mod tests {
             s.submit(Nanos::ZERO, Nanos::from_micros(10)),
             Admission::Dropped
         );
-        assert_eq!(s.served(), 2);
         assert_eq!(s.dropped(), 1);
     }
 
@@ -216,17 +186,6 @@ mod tests {
         assert_eq!(s.busy_core_ns(Nanos::from_micros(30)), 30_000);
         assert_eq!(s.busy_core_ns(Nanos::from_micros(100)), 100_000);
         assert_eq!(s.busy_core_ns(Nanos::from_micros(200)), 100_000);
-    }
-
-    #[test]
-    fn utilization_window() {
-        let mut s = ServiceStation::new(2, None);
-        s.submit(Nanos::ZERO, Nanos::from_micros(50));
-        let from = Nanos::ZERO;
-        let busy0 = s.busy_core_ns(from);
-        // One of two cores busy for 50 of 100 us -> 25 %.
-        let u = s.utilization(busy0, from, Nanos::from_micros(100));
-        assert!((u - 0.25).abs() < 1e-9, "{u}");
     }
 
     #[test]

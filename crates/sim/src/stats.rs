@@ -9,6 +9,10 @@ use crate::time::Nanos;
 
 /// A log-linear bucketed histogram of non-negative integer samples.
 ///
+/// It answers counts and quantiles. It keeps bucket counts and the
+/// exact extremes, not a running sum, so recording a sample is a bucket
+/// increment and two compares.
+///
 /// Buckets are arranged HDR-histogram style: 32 sub-buckets of linearly
 /// increasing width per power-of-two range, giving a worst-case relative
 /// quantile error of about 3 % while using constant memory regardless of
@@ -32,7 +36,8 @@ pub struct Histogram {
     /// `buckets[range][sub]` counts samples in that slot.
     buckets: Vec<[u64; Histogram::SUB]>,
     count: u64,
-    sum: u128,
+    /// The exact endpoints [`Histogram::quantile`] returns at `q == 0`
+    /// and clamps to at `q == 1`.
     min: u64,
     max: u64,
 }
@@ -52,7 +57,6 @@ impl Histogram {
         Histogram {
             buckets: Vec::new(),
             count: 0,
-            sum: 0,
             min: u64::MAX,
             max: 0,
         }
@@ -95,7 +99,6 @@ impl Histogram {
         let idx = if range == 0 { slot } else { slot - Self::SUB };
         self.buckets[range][idx] += n;
         self.count += n;
-        self.sum += value as u128 * n as u128;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
     }
@@ -108,29 +111,6 @@ impl Histogram {
     /// Returns the number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Returns the smallest recorded sample, or 0 if empty.
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Returns the largest recorded sample, or 0 if empty.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Returns the arithmetic mean, or 0.0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
     }
 
     /// Returns an upper bound on the `q`-quantile (e.g. `0.99` for p99).
@@ -193,7 +173,6 @@ impl Histogram {
             }
         }
         self.count += other.count;
-        self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
@@ -204,7 +183,6 @@ impl Histogram {
     pub fn clear(&mut self) {
         self.buckets.clear();
         self.count = 0;
-        self.sum = 0;
         self.min = u64::MAX;
         self.max = 0;
     }
@@ -235,15 +213,15 @@ impl LatencyWindow {
     }
 }
 
-/// An O(1)-memory streaming accumulator for weighted means and integrals.
+/// An O(1)-memory streaming accumulator for weighted integrals.
 ///
 /// The measurement-plane counterpart of [`Histogram`]: where the
 /// histogram sketches quantiles, `StreamStats` accumulates exact sums —
-/// count, total weight, weighted sum, min and max — so a run of any
-/// length answers mean/integral queries from constant state. Pushing a
-/// power reading weighted by its interval length makes
-/// [`StreamStats::weighted_sum`] the energy integral (joules) and
-/// [`StreamStats::mean`] the duration-weighted mean power.
+/// count, total weight and weighted sum — so a run of any length
+/// answers integral queries from constant state. Pushing a power reading
+/// weighted by its interval length makes [`StreamStats::weighted_sum`]
+/// the energy integral (joules) and [`StreamStats::total_weight`] the
+/// sampled seconds.
 ///
 /// Accumulation is a single running `+=` per push, so two accumulators
 /// fed the same values in the same order agree bit-for-bit — the
@@ -258,7 +236,7 @@ impl LatencyWindow {
 /// s.push_weighted(100.0, 0.1); // 100 W for 0.1 s
 /// s.push_weighted(50.0, 0.9); // 50 W for 0.9 s
 /// assert!((s.weighted_sum() - 55.0).abs() < 1e-12); // joules
-/// assert!((s.mean().unwrap() - 55.0).abs() < 1e-12); // watts
+/// assert!((s.total_weight() - 1.0).abs() < 1e-12); // seconds
 /// assert_eq!(s.count(), 2);
 /// ```
 #[derive(Clone, Copy, Debug, Default)]
@@ -266,25 +244,12 @@ pub struct StreamStats {
     count: u64,
     weight: f64,
     weighted_sum: f64,
-    min: f64,
-    max: f64,
 }
 
 impl StreamStats {
     /// Creates an empty accumulator.
     pub fn new() -> Self {
-        StreamStats {
-            count: 0,
-            weight: 0.0,
-            weighted_sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Accumulates an observation with unit weight.
-    pub fn push(&mut self, value: f64) {
-        self.push_weighted(value, 1.0);
+        StreamStats::default()
     }
 
     /// Accumulates an observation with the given weight (e.g. the
@@ -293,8 +258,6 @@ impl StreamStats {
         self.count += 1;
         self.weight += weight;
         self.weighted_sum += value * weight;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
     }
 
     /// Number of observations pushed.
@@ -310,26 +273,6 @@ impl StreamStats {
     /// Sum of `value × weight` (the integral: joules for power/duration).
     pub fn weighted_sum(&self) -> f64 {
         self.weighted_sum
-    }
-
-    /// Weighted mean, or `None` while the total weight is zero.
-    pub fn mean(&self) -> Option<f64> {
-        (self.weight > 0.0).then(|| self.weighted_sum / self.weight)
-    }
-
-    /// Smallest observed value, or `None` if empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observed value, or `None` if empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Forgets all observations.
-    pub fn reset(&mut self) {
-        *self = StreamStats::new();
     }
 }
 
@@ -407,19 +350,9 @@ impl<T> RecentRing<T> {
         self.items.is_empty()
     }
 
-    /// Items evicted from the front since creation.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
     /// Total items ever pushed (retained plus evicted).
     pub fn total(&self) -> u64 {
         self.evicted + self.items.len() as u64
-    }
-
-    /// The retention bound, or `None` for an unbounded ring.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
     }
 }
 
@@ -453,37 +386,6 @@ impl TimeSeries {
     pub fn points(&self) -> &[(Nanos, f64)] {
         &self.points
     }
-
-    /// Returns the number of observations.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Returns `true` if the series is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Returns the mean of the observed values (unweighted), or 0.0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64
-    }
-
-    /// Returns the largest observed value, or 0.0 if empty.
-    pub fn max(&self) -> f64 {
-        self.points.iter().map(|&(_, v)| v).fold(0.0, f64::max)
-    }
-
-    /// Returns the subset of points within `[from, to)`.
-    pub fn window(&self, from: Nanos, to: Nanos) -> impl Iterator<Item = (Nanos, f64)> + '_ {
-        self.points
-            .iter()
-            .copied()
-            .filter(move |&(t, _)| t >= from && t < to)
-    }
 }
 
 /// A sliding-window event-rate estimator.
@@ -491,6 +393,8 @@ impl TimeSeries {
 /// This is the measurement used by the paper's *network-controlled*
 /// on-demand controller: the average message rate over a configurable
 /// window, updated per epoch. The window is a ring of per-epoch counts.
+/// A read after any idle gap costs at most one step per ring slot, and
+/// a clock anywhere up to [`Nanos::MAX`] is safe.
 #[derive(Clone, Debug)]
 pub struct WindowRate {
     epoch: Nanos,
@@ -526,14 +430,33 @@ impl WindowRate {
         self.current_count += n;
     }
 
+    /// Closes every epoch that ended by `now`. The in-progress epoch
+    /// closes first with its count; each later one closed empty. When
+    /// more epochs closed than the ring holds, every slot it keeps is an
+    /// empty one, so a gap of any length is one step, and the clock is
+    /// compared by difference so a start near [`Nanos::MAX`] cannot
+    /// overflow.
     fn roll(&mut self, now: Nanos) {
-        while now >= self.current_epoch_start + self.epoch {
-            self.ring[self.head] = self.current_count;
-            self.head = (self.head + 1) % self.ring.len();
-            self.filled = (self.filled + 1).min(self.ring.len());
-            self.current_count = 0;
-            self.current_epoch_start += self.epoch;
+        let closed =
+            now.saturating_sub(self.current_epoch_start).as_nanos() / self.epoch.as_nanos();
+        if closed == 0 {
+            return;
         }
+        let len = self.ring.len();
+        if closed > len as u64 {
+            self.ring.fill(0);
+            self.head = (self.head + (closed % len as u64) as usize) % len;
+            self.filled = len;
+            self.current_count = 0;
+        } else {
+            for _ in 0..closed {
+                self.ring[self.head] = self.current_count;
+                self.head = (self.head + 1) % len;
+                self.filled = (self.filled + 1).min(len);
+                self.current_count = 0;
+            }
+        }
+        self.current_epoch_start += self.epoch.mul(closed);
     }
 
     /// Returns the average rate (events/second) over the window as of
@@ -555,11 +478,6 @@ impl WindowRate {
             return 0.0;
         }
         total as f64 / span
-    }
-
-    /// Returns the window length covered once fully primed.
-    pub fn window(&self) -> Nanos {
-        self.epoch.mul(self.ring.len() as u64)
     }
 
     /// Returns `true` once a full window of epochs has elapsed.
@@ -587,10 +505,9 @@ mod tests {
     fn histogram_empty() {
         let h = Histogram::new();
         assert_eq!(h.count(), 0);
-        assert_eq!(h.mean(), 0.0);
+        assert_eq!(h.quantile(0.0), 0);
         assert_eq!(h.quantile(0.99), 0);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 0);
+        assert_eq!(h.quantile(1.0), 0);
     }
 
     #[test]
@@ -600,10 +517,9 @@ mod tests {
             h.record(v);
         }
         // Values below 32 land in exact unit-width buckets.
+        assert_eq!(h.quantile(0.0), 0);
+        assert_eq!(h.quantile(0.5), 15);
         assert_eq!(h.quantile(1.0), 31);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 31);
-        assert!((h.mean() - 15.5).abs() < 1e-9);
     }
 
     #[test]
@@ -635,7 +551,6 @@ mod tests {
         other.record(37);
         h.merge(&other);
         assert_eq!(h.quantile(0.0), 37);
-        assert_eq!(h.min(), 37);
     }
 
     #[test]
@@ -646,8 +561,8 @@ mod tests {
         b.record_n(1000, 5);
         a.merge(&b);
         assert_eq!(a.count(), 10);
-        assert_eq!(a.min(), 10);
-        assert!(a.max() >= 1000);
+        assert_eq!(a.quantile(0.0), 10);
+        assert_eq!(a.quantile(1.0), 1000);
     }
 
     #[test]
@@ -696,19 +611,13 @@ mod tests {
     #[test]
     fn stream_stats_weighted_accumulation() {
         let mut s = StreamStats::new();
-        assert_eq!(s.mean(), None);
-        assert_eq!(s.min(), None);
+        assert_eq!(s.count(), 0);
+        assert_eq!(s.total_weight(), 0.0);
         s.push_weighted(100.0, 0.1);
         s.push_weighted(50.0, 0.9);
         assert_eq!(s.count(), 2);
         assert!((s.total_weight() - 1.0).abs() < 1e-12);
         assert!((s.weighted_sum() - 55.0).abs() < 1e-12);
-        assert!((s.mean().unwrap() - 55.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(50.0));
-        assert_eq!(s.max(), Some(100.0));
-        s.reset();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), None);
     }
 
     #[test]
@@ -729,7 +638,6 @@ mod tests {
         }
         assert_eq!(s.weighted_sum().to_bits(), joules.to_bits());
         assert_eq!(s.total_weight().to_bits(), secs.to_bits());
-        assert_eq!(s.mean().unwrap().to_bits(), (joules / secs).to_bits());
     }
 
     #[test]
@@ -746,16 +654,16 @@ mod tests {
             assert!(s.windows(2).all(|w| w[1] == w[0] + 1));
         }
         assert_eq!(r.total(), 100);
-        assert_eq!(r.evicted() + r.len() as u64, 100);
-        assert_eq!(r.capacity(), Some(4));
+        assert_eq!(r.evicted + r.len() as u64, 100);
+        assert_eq!(r.capacity, Some(4));
 
         let mut u: RecentRing<u64> = RecentRing::unbounded();
         for i in 0..100u64 {
             u.push(i);
         }
         assert_eq!(u.len(), 100);
-        assert_eq!(u.evicted(), 0);
-        assert_eq!(u.capacity(), None);
+        assert_eq!(u.evicted, 0);
+        assert_eq!(u.capacity, None);
     }
 
     #[test]
@@ -858,5 +766,32 @@ mod tests {
         w.reset(Nanos::from_millis(50));
         assert_eq!(w.rate(Nanos::from_millis(50)), 0.0);
         assert!(!w.primed());
+    }
+
+    #[test]
+    fn window_rate_reads_near_the_end_of_time() {
+        // Regression: `roll` compared `now >= start + epoch` with a plain
+        // `+`, which overflowed (a debug panic) once the epoch start sat
+        // within one epoch of `Nanos::MAX`, and in release wrapped to a
+        // small start and spun one epoch per iteration forever.
+        let mut w = WindowRate::new(Nanos::from_millis(100), 10);
+        w.reset(Nanos::from_nanos(u64::MAX - 150_000_000));
+        w.record(Nanos::from_nanos(u64::MAX - 120_000_000), 7);
+        let r = w.rate(Nanos::from_nanos(u64::MAX - 1));
+        assert!(r.is_finite() && r > 0.0, "rate {r}");
+    }
+
+    #[test]
+    fn window_rate_first_read_after_a_long_idle_is_one_step() {
+        // Regression: a first read at 10^10 s (near the end of `Nanos`)
+        // stepped 10^11 epochs one by one; every slot the ring keeps is
+        // empty, so it is one step.
+        let mut w = WindowRate::new(Nanos::from_millis(100), 10);
+        w.record(Nanos::from_millis(5), 3);
+        let now = Nanos::from_secs(10_000_000_000);
+        assert_eq!(w.rate(now), 0.0);
+        assert!(w.primed());
+        w.record(now, 4);
+        assert!(w.rate(now + Nanos::from_millis(50)) > 0.0);
     }
 }

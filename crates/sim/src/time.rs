@@ -81,14 +81,6 @@ impl Nanos {
         Nanos(self.0.saturating_sub(rhs.0))
     }
 
-    /// Checked addition.
-    pub const fn checked_add(self, rhs: Nanos) -> Option<Nanos> {
-        match self.0.checked_add(rhs.0) {
-            Some(v) => Some(Nanos(v)),
-            None => None,
-        }
-    }
-
     /// Saturating addition: returns [`Nanos::MAX`] instead of
     /// overflowing. Every event time the simulator computes goes
     /// through this, so a huge delay parks an event at the end of time

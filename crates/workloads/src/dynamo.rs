@@ -51,8 +51,6 @@ impl WorkloadClass {
 pub struct PowerTrace {
     /// The samples (1 s cadence, like Dynamo's collection).
     pub series: TimeSeries,
-    /// The class it models.
-    pub class: WorkloadClass,
 }
 
 impl PowerTrace {
@@ -65,7 +63,7 @@ impl PowerTrace {
             let level = walk.next_w(rng);
             series.push(Nanos::from_secs(s), level);
         }
-        PowerTrace { series, class }
+        PowerTrace { series }
     }
 }
 
@@ -76,7 +74,6 @@ impl PowerTrace {
 /// walk collected into a series (same draws, same levels).
 #[derive(Clone, Copy, Debug)]
 pub struct PowerWalk {
-    class: WorkloadClass,
     level: f64,
     mean: f64,
     sigma: f64,
@@ -87,16 +84,10 @@ impl PowerWalk {
     pub fn new(class: WorkloadClass) -> Self {
         let mean = class.mean_w();
         PowerWalk {
-            class,
             level: mean,
             mean,
             sigma: class.step_sigma(),
         }
-    }
-
-    /// The class this walk models.
-    pub fn class(&self) -> WorkloadClass {
-        self.class
     }
 
     /// The class mean, watts.

@@ -18,8 +18,6 @@ use crate::zipf::Zipf;
 /// The ETC workload generator.
 #[derive(Clone, Debug)]
 pub struct EtcWorkload {
-    /// Distinct keys in the population.
-    pub keys: u64,
     /// Fraction of GET operations.
     pub get_ratio: f64,
     zipf: Zipf,
@@ -33,7 +31,6 @@ impl EtcWorkload {
     /// Panics if `keys` is zero.
     pub fn new(keys: u64) -> Self {
         EtcWorkload {
-            keys,
             get_ratio: 0.97,
             zipf: Zipf::new(keys, 0.99).expect("keys > 0"),
         }

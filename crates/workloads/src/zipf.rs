@@ -70,11 +70,6 @@ impl Zipf {
         }
     }
 
-    /// The population size.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
     /// The unnormalised popularity weight `k^(-α)` of rank `k` (rank 1 is
     /// the hottest). Useful for mapping a rank to a deterministic demand
     /// level — e.g. pricing tenant `k`'s offered rate as `peak ×

@@ -84,7 +84,6 @@ fn main() {
                 },
                 completed,
                 latency_p50_ns: lat.quantile(0.5),
-                latency_p99_ns: lat.quantile(0.99),
                 power_w: sim.instant_power(&[device, server]),
             }
         },

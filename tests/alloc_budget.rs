@@ -20,10 +20,13 @@
 //! only the list it returns. A warm device fabric seats, moves and
 //! releases tenants without allocating: each ledger is a list that has
 //! already held its peak residents, and the residency index already
-//! covers every slot. This
+//! covers every slot. A long-lived client under a hostile regime —
+//! every frame lost, a leader that never answers — holds its live heap
+//! flat once warm: the soak cells read the allocator's live bytes at
+//! 10 % of a long run and at its end. This
 //! binary has its own counting `#[global_allocator]`, so it holds these
-//! tests only. The counter is per thread: libtest runs tests on parallel
-//! threads, and a test must not be billed for its neighbour's
+//! tests only. The counters are per thread: libtest runs tests on
+//! parallel threads, and a test must not be billed for its neighbour's
 //! allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -32,13 +35,13 @@ use std::cell::Cell;
 use inc::dns::{DnsResponse, DnsResponseView, EmuDevice, Name, Query, Rcode, Zone, DNS_PORT};
 use inc::hw::{DeviceId, ProgramResources};
 use inc::kvs::{
-    decode_view, expected_value, key_name, FrameHeader, LakeCacheConfig, LakeDevice, MessageView,
-    RequestView, ResponseView, Status, MEMCACHED_PORT,
+    decode_view, expected_value, key_name, FrameHeader, KvsClient, LakeCacheConfig, LakeDevice,
+    MessageView, RequestView, ResponseView, Status, UniformGen, MEMCACHED_PORT,
 };
 use inc::net::{build_udp, build_udp_with, Bytes, Endpoint, Packet, UdpFrame};
 use inc::ondemand::{ArbitrationMode, FleetController};
 use inc::paxos::multi::{Acceptor, Ballot, Leader, Replica};
-use inc::paxos::{ClientCommand, MsgType, PaxosMsg};
+use inc::paxos::{ClientCommand, MsgType, PaxosClient, PaxosMsg, PAXOS_LEADER_PORT};
 use inc::sim::{impl_node_any, Ctx, LinkSpec, Nanos, Node, NodeId, PortId, Rng, Simulator};
 use inc_bench::consensus::{ChaosCluster, NodeRef};
 use inc_bench::rigs::{MegaFabricRig, MultiTorRig};
@@ -47,6 +50,20 @@ thread_local! {
     // Const-initialised and without a destructor: safe to touch from
     // inside the allocator at any point of a thread's life.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    // Bytes this thread allocated minus bytes it freed, and the most
+    // that difference has been since the mark was last reset. A block
+    // freed on another thread than its own moves bytes between the two
+    // threads' counts, so a count can go negative.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
+}
+
+/// Adds `bytes` (negative when freeing) to this thread's live count.
+fn grow_live(bytes: i64) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + bytes);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 struct Counting;
@@ -58,10 +75,15 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
         // SAFETY: the caller's obligations are passed through to `System`.
-        unsafe { System.alloc(layout) }
+        let block = unsafe { System.alloc(layout) };
+        if !block.is_null() {
+            grow_live(layout.size() as i64);
+        }
+        block
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        grow_live(-(layout.size() as i64));
         // SAFETY: `ptr` was returned by `System` for this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -70,7 +92,11 @@ unsafe impl GlobalAlloc for Counting {
         // A growth is a request of its own: `Vec` doubling is counted.
         let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
         // SAFETY: `ptr`/`layout` describe a live `System` block.
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let block = unsafe { System.realloc(ptr, layout, new_size) };
+        if !block.is_null() {
+            grow_live(new_size as i64 - layout.size() as i64);
+        }
+        block
     }
 }
 
@@ -82,6 +108,106 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.with(Cell::get);
     f();
     ALLOCS.with(Cell::get) - before
+}
+
+/// What a live-heap soak cell saw on this thread past its warm-up: live
+/// bytes at 10 % of the run and at its end, and the high-water mark in
+/// between.
+struct Soak {
+    at_tenth: i64,
+    at_end: i64,
+    peak: i64,
+}
+
+/// How far live bytes may rise between 10 % of a soak and its end: a
+/// histogram's next bucket range or a queue slab's one more doubling.
+/// Each failure the cells stand guard against keeps at least one table
+/// entry (≥ 24 bytes) per request, thousands of requests past the mark.
+const SOAK_SLACK_BYTES: i64 = 16 * 1024;
+
+/// Runs `sim` through `warm_up`, then [`SOAK_RUN`] × `warm_up` more,
+/// reading this thread's live bytes at 10 % of that run and at its end.
+fn soak(sim: &mut Simulator<Packet>, warm_up: Nanos) -> Soak {
+    sim.run_until(warm_up);
+    let run = warm_up.mul_f64(SOAK_RUN);
+    sim.run_until(warm_up + run.div(10));
+    let at_tenth = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(at_tenth));
+    sim.run_until(warm_up + run);
+    Soak {
+        at_tenth,
+        at_end: LIVE.with(Cell::get),
+        peak: PEAK.with(Cell::get),
+    }
+}
+
+/// A soak's run past its warm-up, in warm-ups: 10 in release (what
+/// `scripts/bench_smoke.sh` runs), half of one in debug.
+const SOAK_RUN: f64 = if cfg!(debug_assertions) { 0.5 } else { 10.0 };
+
+fn assert_bounded(cell: &str, soak: &Soak) {
+    let line = format!(
+        "{} B at 10 % of the run, {} B at its end, high-water {} B",
+        soak.at_tenth, soak.at_end, soak.peak
+    );
+    println!("live heap, {cell}: {line}");
+    assert!(
+        soak.at_end <= soak.at_tenth + SOAK_SLACK_BYTES,
+        "{cell}: live bytes grew past the {SOAK_SLACK_BYTES} B slack: {line}"
+    );
+}
+
+#[test]
+fn a_kvs_client_under_total_loss_stays_bounded() {
+    // 1 Mpps of GETs and SETs over a link that drops every frame. The
+    // in-flight table is keyed by the 16-bit request id, so it fills at
+    // 65 536 entries (66 ms) and a newer request takes over each entry
+    // from then on; a table keyed by anything that keeps counting grows
+    // by one entry per request for good.
+    let mut sim: Simulator<Packet> = Simulator::new(7);
+    let client = sim.add_node(KvsClient::open_loop(
+        Endpoint::host(1, 40_000),
+        Endpoint::host(2, MEMCACHED_PORT),
+        1_000_000.0,
+        Box::new(UniformGen {
+            keys: 1_024,
+            get_ratio: 0.9,
+            value_len: 64,
+        }),
+    ));
+    let hole = sim.add_node(Sink::default());
+    let lossy = LinkSpec::ideal().with_loss(1.0);
+    sim.connect_duplex(client, PortId::P0, hole, PortId::P0, lossy);
+    let soak = soak(&mut sim, Nanos::from_millis(80));
+    assert_bounded("KvsClient under 100 % loss", &soak);
+    let stats = sim.node_ref::<KvsClient>(client).stats();
+    assert_eq!(stats.received, 0);
+    assert_eq!(stats.abandoned, stats.sent - 65_536, "{stats:?}");
+}
+
+#[test]
+fn a_paxos_client_with_a_silent_leader_stays_bounded() {
+    // 20 kpps at a leader that never answers, a 150 ms timeout: a
+    // command is retried once and given up 4 096 issues (205 ms)
+    // behind the newest, so the outstanding table and the armed timers
+    // stop growing once that window has passed. The table's hash map
+    // then fills with tombstones and doubles its buckets once, about
+    // 32 000 commands later (1.9 s); the warm-up runs past that.
+    let mut sim: Simulator<Packet> = Simulator::new(9);
+    let leader = Endpoint::host(99, PAXOS_LEADER_PORT);
+    let client = sim.add_node(PaxosClient::open_loop(
+        9,
+        leader,
+        20_000.0,
+        Nanos::from_millis(150),
+    ));
+    let hole = sim.add_node(Sink::default());
+    sim.connect_duplex(client, PortId::P0, hole, PortId::P0, LinkSpec::ideal());
+    let soak = soak(&mut sim, Nanos::from_millis(2_500));
+    assert_bounded("PaxosClient with a silent leader", &soak);
+    let stats = sim.node_ref::<PaxosClient>(client).stats();
+    assert_eq!(stats.acked, 0);
+    assert_eq!(stats.abandoned, stats.issued - 4_096, "{stats:?}");
 }
 
 /// Allocations per decided slot a loss-free 2-replica/2-leader/3-acceptor
@@ -204,7 +330,7 @@ fn a_command_is_one_buffer_from_submit_to_execution() {
     });
     assert_eq!(allocs, 2, "a hop copied the command");
     let (slot, command) = c.replicas[0].log_tail().last().cloned().unwrap();
-    assert_eq!(ClientCommand::decode(&command).unwrap().payload, [0xCD; 32]);
+    assert_eq!(command[ClientCommand::HEADER_LEN..], [0xCD; 32]);
     for r in &c.replicas {
         let last = r.log_tail().last().map(|(s, v)| (*s, v.as_ptr()));
         assert_eq!(last, Some((slot, command.as_ptr())), "replica {}", r.id);

@@ -13,8 +13,8 @@ use inc::kvs::{
 };
 use inc::net::{Endpoint, L2Switch, Match, Packet};
 use inc::paxos::{
-    Acceptor, AcceptorStorage, AddressBook, HostConfig, Leader, Learner, PaxosClient, PaxosNode,
-    Platform, RoleEngine, PAXOS_ACCEPTOR_PORT, PAXOS_LEADER_PORT, PAXOS_LEARNER_PORT,
+    Acceptor, AddressBook, HostConfig, Leader, Learner, PaxosClient, PaxosNode, Platform,
+    RoleEngine, PAXOS_ACCEPTOR_PORT, PAXOS_LEADER_PORT, PAXOS_LEARNER_PORT,
 };
 use inc::sim::{LinkSpec, Nanos, NodeId, PortId, Simulator};
 
@@ -88,7 +88,7 @@ fn paxos_stays_safe_and_live_over_lossy_links() {
     let lp = attach(&mut sim, leader);
     for i in 0..N_ACCEPTORS as u32 {
         let n = sim.add_node(PaxosNode::new(
-            RoleEngine::Acceptor(Acceptor::new(i as u8, AcceptorStorage::unbounded())),
+            RoleEngine::Acceptor(Acceptor::new(i as u8)),
             Platform::host(HostConfig::libpaxos_acceptor()),
             book(Endpoint::host(10 + i, PAXOS_ACCEPTOR_PORT)),
         ));

@@ -2,15 +2,19 @@
 //! controller designs driving real shifts over simulated hardware, and a
 //! DNS rig exercising the Emu parse-depth punting path.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use inc::dns::{
     DnsClient, DnsServer, DnsServerConfig, EmuDevice, Name, Query, Zone, DNS_PORT, TYPE_A,
 };
 use inc::hw::{NetControllerConfig, NetRateController, Placement, RateTrigger, HOST_DMA_PORT};
 use inc::kvs::{
-    expected_value, key_name, KvsClient, LakeCacheConfig, LakeDevice, MemcachedConfig,
-    MemcachedServer, UniformGen, MEMCACHED_PORT,
+    decode_view, encode_request, expected_value, key_name, FrameHeader, KvsClient, LakeCacheConfig,
+    LakeDevice, MemcachedConfig, MemcachedServer, MessageView, Request, Status, UniformGen,
+    MEMCACHED_PORT,
 };
-use inc::net::{build_udp, Endpoint, Packet};
+use inc::net::{build_udp, Endpoint, Packet, UdpFrame};
 use inc::ondemand::{
     run_host_controlled, HostController, HostControllerConfig, HostSample, IntervalObservation,
     RowLog,
@@ -140,7 +144,6 @@ fn host_controller_drives_the_figure6_loop() {
                 },
                 completed,
                 latency_p50_ns: lat.quantile(0.5),
-                latency_p99_ns: lat.quantile(0.99),
                 power_w: sim.instant_power(&[device, server]),
             }
         },
@@ -278,17 +281,56 @@ fn shift_under_sets_keeps_store_authoritative() {
     sim.node_mut::<LakeDevice>(device)
         .apply_placement(now, Placement::Software);
     sim.run_until(Nanos::from_secs(2));
-    let store = sim.node_ref::<MemcachedServer>(server).store();
-    let mut updated = 0;
-    for i in 0..128u64 {
-        let k = key_name(i);
-        if let Some((v, _)) = store.get(&k) {
-            if v.len() == 96 {
-                assert_eq!(v, expected_value(&k, 96));
-                updated += 1;
+    // Read the store back through memcached's own protocol: one GET per
+    // key straight into the server, each hit read off the server's link
+    // by its opaque (the top bit keeps it clear of the clients' opaques):
+    // (keys found, keys holding the 96-byte value).
+    const READ_BACK: u32 = 1 << 31;
+    let found: Rc<Cell<(u32, u32)>> = Rc::default();
+    let tap = Rc::clone(&found);
+    sim.set_link_tap(move |_, node, _, pkt: &Packet| {
+        let Ok(frame) = UdpFrame::parse(pkt) else {
+            return;
+        };
+        if let (true, Ok(MessageView::Response { response, .. })) =
+            (node == server, decode_view(frame.payload))
+        {
+            if response.status == Status::Ok && response.opaque & READ_BACK != 0 {
+                let key = key_name(u64::from(response.opaque & !READ_BACK));
+                let (hits, updated) = tap.get();
+                let written = response.value.len() == 96;
+                if written {
+                    assert_eq!(response.value, expected_value(&key, 96));
+                }
+                tap.set((hits + 1, updated + u32::from(written)));
             }
         }
+    });
+    for i in 0..128u32 {
+        let frame = FrameHeader {
+            request_id: i as u16,
+            seq: 0,
+            total: 1,
+        };
+        let get = Request::Get {
+            key: key_name(u64::from(i)),
+        };
+        let payload = encode_request(frame, &get, READ_BACK | i);
+        let pkt = build_udp(
+            Endpoint::host(4, 40_002),
+            Endpoint::host(2, MEMCACHED_PORT),
+            &payload,
+        );
+        sim.inject(
+            server,
+            PortId::P0,
+            pkt,
+            Nanos::from_micros(100 * u64::from(i)),
+        );
     }
+    sim.run_until(Nanos::from_millis(2_020));
+    let (hits, updated) = found.get();
+    assert_eq!(hits, 128, "every key is stored");
     assert!(updated > 100, "only {updated} keys written through");
     // And GET clients never saw corruption.
     assert_eq!(sim.node_ref::<KvsClient>(client).stats().corrupt, 0);

@@ -4,7 +4,7 @@
 use inc::hw::{SmartNicModel, TofinoModel, TofinoProgram};
 use inc::ondemand::apps::{crossover, dns_models, kvs_memcached_x520, kvs_models, paxos_models};
 use inc::ondemand::{OnDemandEnvelope, TorRack};
-use inc::power::{calib, ops_per_dynamic_watt, CpuModel, EfficiencyClass};
+use inc::power::{calib, ops_per_dynamic_watt, ops_per_watt, CpuModel, EfficiencyClass};
 
 fn find<'a>(models: &'a [inc::ondemand::Deployment], name: &str) -> &'a inc::ondemand::Deployment {
     models
@@ -138,7 +138,7 @@ fn claim_efficiency_ladder_sw_fpga_asic() {
     let fpga = find(&models, "Standalone Acceptor");
     let t = TofinoModel::snake_32x40();
     let sw = ops_per_dynamic_watt(lib.peak_pps, lib.power_w(lib.peak_pps), lib.idle_w).unwrap();
-    let fpga_eff = fpga.ops_per_watt(fpga.peak_pps);
+    let fpga_eff = ops_per_watt(fpga.peak_pps, fpga.power_w(fpga.peak_pps));
     let asic_eff = calib::P4XOS_ASIC_PEAK_MPS / t.power_w(TofinoProgram::L2WithP4xos, 1.0);
     assert_eq!(EfficiencyClass::of(sw), EfficiencyClass::TensOfK);
     assert_eq!(EfficiencyClass::of(fpga_eff), EfficiencyClass::HundredsOfK);
