@@ -29,6 +29,7 @@
 //!   ~100 ms outage visible in Figure 7.
 
 pub mod client;
+mod history;
 pub mod msg;
 pub mod multi;
 pub mod node;
@@ -43,4 +44,4 @@ pub use msg::{
 };
 pub use node::{AddressBook, HostConfig, PaxosNode, PaxosNodeStats, Platform, RoleEngine};
 pub use outbox::Outbox;
-pub use roles::{Acceptor, Dest, InstanceState, Leader, Learner};
+pub use roles::{Acceptor, Dest, Leader, Learner};

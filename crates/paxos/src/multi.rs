@@ -99,8 +99,8 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use inc_net::Bytes;
-use inc_sim::RecentRing;
 
+use crate::history::{ExecutedLog, SeqRuns};
 use crate::msg::{ClientCommand, MsgType, PaxosMsg, MAX_VALUE_LEN};
 use crate::outbox::{Outbox, Routed};
 use crate::ring::SlotRing;
@@ -792,37 +792,6 @@ struct ReplicaSlot {
     decided: bool,
 }
 
-/// One client's executed sequence numbers as sorted disjoint inclusive
-/// runs: one run for a client that counts in order, one more per number
-/// it skips for good.
-#[derive(Clone, Debug, Default)]
-struct SeqRuns(Vec<(u64, u64)>);
-
-impl SeqRuns {
-    /// Adds `seq`; `false` if it was there already.
-    fn insert(&mut self, seq: u64) -> bool {
-        let runs = &mut self.0;
-        // `after`: one past the last run starting at or below `seq`.
-        let after = runs.iter().rposition(|r| r.0 <= seq).map_or(0, |at| at + 1);
-        if after > 0 && seq <= runs[after - 1].1 {
-            return false;
-        }
-        // `seq` lies strictly between the runs around it: no overflow.
-        let joins_before = after > 0 && runs[after - 1].1 + 1 == seq;
-        let joins_after = after < runs.len() && seq + 1 == runs[after].0;
-        match (joins_before, joins_after) {
-            (true, true) => {
-                runs[after - 1].1 = runs[after].1;
-                runs.remove(after);
-            }
-            (true, false) => runs[after - 1].1 = seq,
-            (false, true) => runs[after].0 = seq,
-            (false, false) => runs.insert(after, (seq, seq)),
-        }
-        true
-    }
-}
-
 /// The replica: assigns client commands to slots, proposes them to the
 /// leaders, learns decisions from phase-2b quorums, executes in slot
 /// order and answers clients exactly once. Of the executed history it
@@ -842,10 +811,8 @@ pub struct Replica {
     requests: VecDeque<Bytes>,
     /// Executed commands by client (at-most-once bookkeeping).
     executed: BTreeMap<u32, SeqRuns>,
-    /// The last executed `(slot, command)` entries; made on the first
-    /// execution (`bounded` allocates, `Replica::new` must not).
-    log: Option<RecentRing<(u64, Bytes)>>,
-    log_digest: u64,
+    /// The executed `(slot, command)` log: a digest and a short tail.
+    log: ExecutedLog,
     /// Commands executed (excluding no-op fills and duplicates).
     pub executed_count: u64,
     /// Duplicate command deliveries (retries that were ordered twice).
@@ -865,9 +832,6 @@ impl Replica {
     /// Retransmit interval for undecided proposals, ticks.
     pub const RETRANSMIT_TICKS: u32 = 6;
 
-    /// Executed entries [`Replica::log_tail`] retains at least.
-    pub const LOG_TAIL: usize = 64;
-
     /// Creates a replica for a cluster of `n_acceptors`.
     ///
     /// # Panics
@@ -883,9 +847,7 @@ impl Replica {
             open: 0,
             requests: VecDeque::new(),
             executed: BTreeMap::new(),
-            log: None,
-            // The FNV-1a offset basis.
-            log_digest: 0xcbf2_9ce4_8422_2325,
+            log: ExecutedLog::default(),
             executed_count: 0,
             duplicates: 0,
             oversized: 0,
@@ -912,16 +874,17 @@ impl Replica {
     }
 
     /// The last `(slot, command)` entries of the executed log, oldest
-    /// first: at least [`Replica::LOG_TAIL`] once that many have run.
+    /// first: at least 64 once that many have run.
     // inc-lint: allow(unreached-pub): tests/properties.rs, tests/failure_injection.rs and tests/alloc_budget.rs read the executed log through it
     pub fn log_tail(&self) -> &[(u64, Bytes)] {
-        self.log.as_ref().map_or(&[], RecentRing::as_slice)
+        self.log.tail()
     }
 
     /// A digest of the whole executed log: every entry's slot, length
     /// and bytes, folded FNV-1a-style eight bytes to a step.
+    // inc-lint: allow(unreached-pub): tests/properties.rs and tests/failure_injection.rs compare the replicas' whole logs with it
     pub fn log_digest(&self) -> u64 {
-        self.log_digest
+        self.log.digest()
     }
 
     /// Commands queued or in flight but not yet executed.
@@ -1013,20 +976,6 @@ impl Replica {
         self.perform()
     }
 
-    /// Appends one entry to the executed log (digest and tail).
-    fn record(&mut self, slot: u64, value: Bytes) {
-        let words = [slot.to_le_bytes(), (value.len() as u64).to_le_bytes()];
-        for chunk in words.iter().map(|w| &w[..]).chain(value.chunks(8)) {
-            let mut word = [0; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.log_digest =
-                (self.log_digest ^ u64::from_le_bytes(word)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        let log = &mut self.log;
-        log.get_or_insert_with(|| RecentRing::bounded(Self::LOG_TAIL))
-            .push((slot, value));
-    }
-
     /// Executes decided slots in order; re-queues our own commands that
     /// lost their slot to someone else's value.
     fn perform(&mut self) -> Outbox {
@@ -1048,7 +997,7 @@ impl Replica {
             if let Some((client, seq)) = ClientCommand::header(&value) {
                 if self.executed.entry(client).or_default().insert(seq) {
                     self.executed_count += 1;
-                    self.record(slot, value.clone());
+                    self.log.record(slot, value.clone());
                 } else {
                     self.duplicates += 1;
                 }
@@ -1601,20 +1550,6 @@ mod tests {
         // A vote below `slot_out` finds no room.
         assert!(r.handle(&vote(1, b, 2, b"one")).is_empty());
         assert_eq!(r.retained_slots(), 0);
-    }
-
-    #[test]
-    fn executed_sequence_numbers_are_kept_as_runs() {
-        let mut runs = SeqRuns::default();
-        for seq in [1, 2, 3, 5, 4, 9, 7, 8] {
-            assert!(runs.insert(seq), "{seq} is new");
-        }
-        assert_eq!(runs.0, [(1, 5), (7, 9)]);
-        for seq in [1, 3, 5, 7, 9] {
-            assert!(!runs.insert(seq), "{seq} ran already");
-        }
-        assert!(runs.insert(0) && runs.insert(6) && runs.insert(u64::MAX));
-        assert_eq!(runs.0, [(0, 9), (u64::MAX, u64::MAX)]);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 /// Slots a ring may span above its base: bounds what a garbage slot
 /// number can allocate, and how far a cluster runs ahead of a stalled
 /// floor (a dead replica).
-const MAX_SPAN: u64 = 1 << 16;
+pub(crate) const MAX_SPAN: u64 = 1 << 16;
 
 /// Smallest buffer allocated: a replica's window fits without regrowing.
 const MIN_CAPACITY: u64 = 32;

@@ -82,17 +82,19 @@ cargo test --release -q -p inc-ondemand --lib -- \
 # filter; in release, where the slot arithmetic wraps instead of trapping),
 # and the two oversized commands a replica must refuse rather than stall
 # the log or panic a later tick. The sharing decoder every chaos hop uses
-# is held to the copying one by its property.
+# is held to the copying one by its property, and the §9.2 acceptor and
+# learner to the map implementations they replaced.
 echo "== consensus chaos suite =="
 cargo test --release -q --test failure_injection -- \
   chaos one_long_lived_cluster oversized_command
 cargo test --release -q --test properties -- \
-  paxos_sharing_decode_matches_the_copying_decoder
+  paxos_sharing_decode_matches_the_copying_decoder \
+  roles_match_the_map_reference
 
 # Deterministic costs hard-fail here, wall-clock ones do not: a frame is
 # at most one allocation to build (none once a dropped frame's buffer is
 # free to reuse) and none to read, a warm device hit allocates nothing,
-# the packet fabric stays <= 0.56 allocations per request, a
+# the packet fabric stays <= 0.448 allocations per request, a
 # loss-free Paxos slot <= 2.1 (its payload and its one command buffer,
 # which every acceptor and replica shares), a chaos epoch <= 2.15 per
 # command, a warm replica's backlog execution and a warm leader's
@@ -106,10 +108,13 @@ cargo test --release -q --test properties -- \
 # (`ArbiterStats::gates_evaluated` — identical in both modes, <= 20 % of
 # tenants x ticks on the 1 000-tenant trace, 0 for a fleet that never
 # clears the floor).
-# The same binary's live-heap cells soak a KvsClient under 100 % loss
-# and a PaxosClient whose leader never answers 10 warm-ups past their
-# warm-up: live bytes at the end may not exceed those at 10 % of the
-# run by more than the stated slack.
+# The same binary's live-heap cells soak a KvsClient under 100 % loss,
+# a PaxosClient whose leader never answers and the §9.2 leader,
+# acceptors and learner at steady load 10 warm-ups past their warm-up:
+# live bytes at the end may not exceed those at 10 % of the run by more
+# than the stated slack, and an acceptor may keep at most 40 B per
+# instance it voted in. Four lines: the two clients, the §9.2 learner
+# and leader, the §9.2 acceptors.
 echo "== allocation budgets and live-heap soak =="
 cargo test --release -q --test alloc_budget -- --nocapture | tee "$out/alloc_budget.log"
 grep -oE '(chaos epoch|packet fabric|heavy burst): .*' "$out/alloc_budget.log" > "$out/allocs.txt"
@@ -149,10 +154,16 @@ if [[ "$(wc -l < "$out/allocs.txt")" -ne 3 ]]; then
   echo "bench smoke failed: allocs.txt does not hold the 3 allocation count lines" >&2
   exit 1
 fi
-if [[ "$(wc -l < "$out/live_heap.txt")" -ne 2 ]]; then
-  echo "bench smoke failed: live_heap.txt does not hold the 2 soak cell lines" >&2
+if [[ "$(wc -l < "$out/live_heap.txt")" -ne 4 ]]; then
+  echo "bench smoke failed: live_heap.txt does not hold the 4 soak cell lines" >&2
   exit 1
 fi
+for cell in '§9.2 learner and leader' '§9.2 acceptors'; do
+  if ! grep -q "^live heap, $cell: " "$out/live_heap.txt"; then
+    echo "bench smoke failed: live_heap.txt has no line for $cell" >&2
+    exit 1
+  fi
+done
 if [[ "$(wc -l < "$out/scenarios.jsonl")" -ne 5 ]]; then
   echo "bench smoke failed: scenarios.jsonl does not hold 5 scenario objects" >&2
   exit 1

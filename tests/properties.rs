@@ -411,6 +411,8 @@ proptest! {
     /// Two leaders race; messages are dropped, duplicated and reordered.
     /// Safety: the learner must deliver, per instance, a value some leader
     /// actually proposed, and two independent learners never disagree.
+    /// Each learner's client replies are its delivered log: every value
+    /// here is a command, so every delivered instance is answered.
     #[test]
     fn paxos_agreement_under_drops_dups_reorder(
         seed in any::<u64>(),
@@ -418,20 +420,21 @@ proptest! {
         drop_pct in 0u32..40,
         dup_pct in 0u32..30,
     ) {
-        use inc::paxos::{Acceptor, Dest, Leader, Learner};
+        use inc::paxos::{Acceptor, ClientCommand, Dest, Leader, Learner};
 
         let mut rng = Rng::new(seed);
         let mut leaders = vec![Leader::bootstrap(1, 3), Leader::bootstrap(2, 3)];
         let mut acceptors: Vec<_> = (0..3)
             .map(Acceptor::new)
             .collect();
-        let mut learner_a = Learner::new(3);
-        let mut learner_b = Learner::new(3);
+        let mut learners = [Learner::new(3), Learner::new(3)];
+        let mut replies: [Vec<(u64, inc::net::Bytes)>; 2] = Default::default();
 
         // Pending (destination-kind, message) bag with adversarial order.
         let mut bag: Vec<(Dest, PaxosMsg)> = Vec::new();
         for i in 0..n_commands {
-            let value = format!("cmd-{i}").into_bytes();
+            let payload = format!("cmd-{i}").into_bytes();
+            let value = ClientCommand { client: 1, seq: i as u64, payload }.encode();
             let req = PaxosMsg::new(MsgType::ClientRequest, 0, 0, value);
             let leader = rng.index(2);
             bag.extend(leaders[leader].handle(&req));
@@ -455,8 +458,12 @@ proptest! {
                     }
                 }
                 Dest::AllLearners => {
-                    learner_a.handle(&msg);
-                    learner_b.handle(&msg);
+                    for (learner, seen) in learners.iter_mut().zip(&mut replies) {
+                        for (to, reply) in learner.handle(&msg) {
+                            prop_assert_eq!(to, Dest::Client(1));
+                            seen.push((reply.instance, reply.value));
+                        }
+                    }
                     for l in &mut leaders {
                         l.handle(&msg);
                     }
@@ -472,20 +479,293 @@ proptest! {
 
         // Agreement between independent learners on every shared instance.
         let a: std::collections::HashMap<u64, inc::net::Bytes> =
-            learner_a.delivered.iter().cloned().collect();
-        for (inst, value) in &learner_b.delivered {
+            replies[0].iter().cloned().collect();
+        for (inst, value) in &replies[1] {
             if let Some(va) = a.get(inst) {
                 prop_assert_eq!(va, value, "learners disagree on instance {}", inst);
             }
         }
-        // Every delivered value is one of the proposed commands (validity).
-        for (_, value) in &learner_a.delivered {
-            let s = String::from_utf8_lossy(value);
-            prop_assert!(s.starts_with("cmd-"), "fabricated value {:?}", s);
+        for (learner, seen) in learners.iter().zip(&replies) {
+            // Every delivered value is one of the proposed commands
+            // (validity).
+            for (_, value) in seen {
+                let s = String::from_utf8_lossy(&value[ClientCommand::HEADER_LEN..]);
+                prop_assert!(s.starts_with("cmd-"), "fabricated value {:?}", s);
+            }
+            // In-order delivery, every delivered instance answered.
+            for (i, (inst, _)) in seen.iter().enumerate() {
+                prop_assert_eq!(*inst, i as u64 + 1);
+            }
+            prop_assert_eq!(learner.delivered_count, seen.len() as u64);
         }
-        // In-order delivery.
-        for (i, (inst, _)) in learner_a.delivered.iter().enumerate() {
-            prop_assert_eq!(*inst, i as u64 + 1);
+    }
+}
+
+/// The §9.2 acceptor and learner as they were before their state was
+/// bounded — an ordered map per acceptor, a learner that keeps every
+/// vote and its whole delivered log — kept as the reference
+/// `roles_match_the_map_reference` holds the library's roles to. The
+/// acceptor has the library's refusal rule in front of it.
+mod map_roles {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use inc::net::Bytes;
+    use inc::paxos::{ClientCommand, Dest, MsgType, PaxosMsg};
+
+    /// How far above `last_voted` an acceptor takes a Phase 1a or 2a.
+    pub const MAX_LEAD: u64 = 1 << 16;
+
+    pub type Out = Vec<(Dest, PaxosMsg)>;
+
+    #[derive(Default)]
+    pub struct Acceptor {
+        pub id: u8,
+        /// Instance → (rnd, vrnd, vval).
+        instances: BTreeMap<u64, (u16, u16, Bytes)>,
+        pub last_voted: u64,
+        pub votes: u64,
+        pub refused: u64,
+    }
+
+    impl Acceptor {
+        pub fn new(id: u8) -> Self {
+            Acceptor {
+                id,
+                ..Default::default()
+            }
+        }
+
+        pub fn handle(&mut self, msg: &PaxosMsg) -> Out {
+            let lead = msg.instance.saturating_sub(self.last_voted);
+            let reaches = msg.instance != 0 && lead <= MAX_LEAD;
+            if matches!(msg.mtype, MsgType::Phase1a | MsgType::Phase2a) && !reaches {
+                self.refused += 1;
+                return Vec::new();
+            }
+            match msg.mtype {
+                MsgType::Phase1a => {
+                    let state = self.instances.entry(msg.instance).or_default();
+                    if msg.round > state.0 {
+                        state.0 = msg.round;
+                    }
+                    let reply = PaxosMsg {
+                        mtype: MsgType::Phase1b,
+                        instance: msg.instance,
+                        round: state.0,
+                        vround: state.1,
+                        acceptor: self.id,
+                        last_voted: self.last_voted,
+                        value: state.2.clone(),
+                    };
+                    vec![(Dest::Reply, reply)]
+                }
+                MsgType::Phase2a => {
+                    let state = self.instances.entry(msg.instance).or_default();
+                    if msg.round < state.0 {
+                        return Vec::new();
+                    }
+                    *state = (msg.round, msg.round, msg.value.clone());
+                    self.last_voted = self.last_voted.max(msg.instance);
+                    self.votes += 1;
+                    let vote = PaxosMsg {
+                        mtype: MsgType::Phase2b,
+                        instance: msg.instance,
+                        round: msg.round,
+                        vround: msg.round,
+                        acceptor: self.id,
+                        last_voted: self.last_voted,
+                        value: msg.value.clone(),
+                    };
+                    vec![(Dest::AllLearners, vote)]
+                }
+                _ => Vec::new(),
+            }
+        }
+    }
+
+    pub struct Learner {
+        quorum: usize,
+        /// Instance → (round, voters, value), never dropped.
+        pub votes: BTreeMap<u64, (u16, BTreeSet<u8>, Bytes)>,
+        decided: BTreeMap<u64, Bytes>,
+        pub next_deliver: u64,
+        executed: BTreeSet<(u32, u64)>,
+        /// Every delivered `(instance, value)`.
+        pub delivered: Vec<(u64, Bytes)>,
+        pub duplicates: u64,
+    }
+
+    impl Learner {
+        pub fn new(n_acceptors: usize) -> Self {
+            Learner {
+                quorum: n_acceptors / 2 + 1,
+                votes: BTreeMap::new(),
+                decided: BTreeMap::new(),
+                next_deliver: 1,
+                executed: BTreeSet::new(),
+                delivered: Vec::new(),
+                duplicates: 0,
+            }
+        }
+
+        pub fn has_gap(&self) -> bool {
+            self.decided
+                .keys()
+                .next()
+                .is_some_and(|&first| first > self.next_deliver)
+        }
+
+        pub fn handle(&mut self, msg: &PaxosMsg) -> Out {
+            if msg.mtype != MsgType::Phase2b {
+                return Vec::new();
+            }
+            let fresh = (msg.round, BTreeSet::new(), msg.value.clone());
+            let entry = self
+                .votes
+                .entry(msg.instance)
+                .or_insert_with(|| fresh.clone());
+            if msg.round > entry.0 {
+                *entry = fresh;
+            }
+            if msg.round < entry.0 {
+                return Vec::new();
+            }
+            entry.1.insert(msg.acceptor);
+            if entry.1.len() < self.quorum {
+                return Vec::new();
+            }
+            let value = entry.2.clone();
+            if msg.instance >= self.next_deliver {
+                self.decided.entry(msg.instance).or_insert(value);
+            }
+            let mut out = Vec::new();
+            while let Some(value) = self.decided.remove(&self.next_deliver) {
+                let instance = self.next_deliver;
+                self.next_deliver += 1;
+                self.delivered.push((instance, value.clone()));
+                if let Some((client, seq)) = ClientCommand::header(&value) {
+                    if !self.executed.insert((client, seq)) {
+                        self.duplicates += 1;
+                    }
+                    let mut reply = PaxosMsg::new(MsgType::ClientReply, instance, 0, value);
+                    reply.acceptor = 0;
+                    out.push((Dest::Client(client), reply));
+                }
+            }
+            out
+        }
+
+        /// The delivered log's digest: every entry's instance, length
+        /// and bytes, folded FNV-1a-style eight bytes to a step.
+        pub fn digest(&self) -> u64 {
+            let mut digest = 0xcbf2_9ce4_8422_2325u64;
+            for (instance, value) in &self.delivered {
+                let words = [instance.to_le_bytes(), (value.len() as u64).to_le_bytes()];
+                for chunk in words.iter().map(|w| &w[..]).chain(value.chunks(8)) {
+                    let mut word = [0; 8];
+                    word[..chunk.len()].copy_from_slice(chunk);
+                    digest = (digest ^ u64::from_le_bytes(word)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+            digest
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The §9.2 acceptor's paged instance table and the learner that
+    /// lets go of what it delivered send what the map reference sends,
+    /// message by message. Three acceptor pairs take Phase 1a and 2a at
+    /// instance 0, at the sync probe's instance 1, around the learner's
+    /// delivery point, at the edge of the acceptor's reach and past it,
+    /// and at 2⁴⁰, in stale, equal and higher rounds, with values of 0,
+    /// 28, 29 and 100 bytes and the no-op; every vote they cast also
+    /// reaches the learner pair, and so do direct Phase 2b votes (from
+    /// a fourth id too) below, at and above the delivery point —
+    /// duplicates and late third votes included. After every step the
+    /// learners agree on the delivered count, duplicates, the log's
+    /// digest and tail, the gap probe and which instances hold votes.
+    #[test]
+    fn roles_match_the_map_reference(
+        ops in proptest::collection::vec((0u8..10, 0u8..4, 0u8..13, 0u16..6, 0u8..8), 1..300),
+    ) {
+        use inc::paxos::{Acceptor, ClientCommand, Learner, NOOP_VALUE};
+        use map_roles::MAX_LEAD;
+
+        let mut acceptors: Vec<Acceptor> = (0..3).map(Acceptor::new).collect();
+        let mut models: Vec<map_roles::Acceptor> = (0..3)
+            .map(map_roles::Acceptor::new)
+            .collect();
+        let (mut learner, mut model) = (Learner::new(3), map_roles::Learner::new(3));
+        let outbox = |out: Outbox| out.into_iter().collect::<Vec<_>>();
+
+        for (step, &(kind, who, at, round, pick)) in ops.iter().enumerate() {
+            let acc = usize::from(who % 3);
+            let last_voted = models[acc].last_voted;
+            let instance = match at {
+                0 => 0,
+                1 => 1,
+                // Two below the delivery point to two above it, mostly at it.
+                2..=9 => (model.next_deliver + [0, 1, 2, 2, 2, 2, 3, 4][usize::from(at - 2)])
+                    .saturating_sub(2)
+                    .max(1),
+                10 => last_voted + MAX_LEAD,
+                11 => last_voted + MAX_LEAD + 1,
+                _ => 1 << 40,
+            };
+            let value: Vec<u8> = match pick {
+                0 => Vec::new(),
+                1 => NOOP_VALUE.to_vec(),
+                _ => {
+                    // 28 bytes (16 of payload) inline, 29 and 100 parked.
+                    let payload_len = [16, 16, 16, 16, 17, 88][usize::from(pick - 2)];
+                    let (client, seq) = (u32::from(pick % 3), u64::from(at % 4));
+                    ClientCommand { client, seq, payload: vec![0xAB; payload_len] }.encode()
+                }
+            };
+            let mtype = match kind {
+                0..=3 => MsgType::Phase2a,
+                4 | 5 => MsgType::Phase1a,
+                6..=8 => MsgType::Phase2b,
+                _ => [MsgType::ClientRequest, MsgType::Phase1b, MsgType::GapRequest][acc],
+            };
+            // Mostly round 1; stale round 0 and higher rounds 2 and 3.
+            let round = [0, 1, 1, 1, 2, 3][usize::from(round)];
+            let mut msg = PaxosMsg::new(mtype, instance, round, value);
+            msg.acceptor = who;
+
+            let mut votes = Vec::new();
+            if mtype != MsgType::Phase2b {
+                let got = outbox(acceptors[acc].handle(&msg));
+                let want = models[acc].handle(&msg);
+                prop_assert_eq!(&got, &want, "step {}: acceptor {} on {:?}", step, acc, msg);
+                prop_assert_eq!(
+                    (acceptors[acc].votes, acceptors[acc].refused),
+                    (models[acc].votes, models[acc].refused)
+                );
+                votes.extend(got.into_iter().filter(|(_, m)| m.mtype == MsgType::Phase2b));
+            }
+            if mtype != MsgType::Phase1a && mtype != MsgType::Phase2a {
+                votes.push((Dest::AllLearners, msg));
+            }
+            for (_, vote) in &votes {
+                let got = outbox(learner.handle(vote));
+                prop_assert_eq!(&got, &model.handle(vote), "step {}: learner on {:?}", step, vote);
+            }
+            let delivered = &model.delivered;
+            prop_assert_eq!(learner.delivered_count, delivered.len() as u64);
+            prop_assert_eq!(learner.duplicates, model.duplicates);
+            prop_assert_eq!(learner.log_digest(), model.digest());
+            let tail = learner.log_tail();
+            prop_assert!(tail.len() >= delivered.len().min(64) && tail.len() <= 128);
+            prop_assert_eq!(tail, &delivered[delivered.len() - tail.len()..]);
+            prop_assert_eq!(learner.has_gap(), model.has_gap());
+            let probe = learner.gap_probe().map(|(_, m)| m.instance);
+            prop_assert_eq!(probe, model.has_gap().then_some(model.next_deliver));
+            let undelivered = model.votes.range(model.next_deliver..).count();
+            prop_assert_eq!(learner.retained_instances(), undelivered);
         }
     }
 }
