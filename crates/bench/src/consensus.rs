@@ -587,8 +587,6 @@ impl ConsensusRig {
 /// placement accounting.
 #[derive(Clone, Copy, Debug)]
 pub struct ScenarioReport {
-    /// Scenario name.
-    pub name: &'static str,
     /// Safety property 1 held: no slot learned two values.
     pub safe: bool,
     /// Safety property 2 held: executed log prefixes agree.
@@ -604,17 +602,14 @@ pub struct ScenarioReport {
     pub commands_executed: u64,
     /// [`ShiftReason::DeviceLoss`] shifts recorded.
     pub device_loss_shifts: u64,
-    /// All placement shifts recorded.
-    pub total_shifts: u64,
     /// Shifts recorded during the fast-flap phase (budget scenario
     /// only; zero is the stability verdict).
     pub fast_flap_shifts: u64,
 }
 
 impl ScenarioReport {
-    fn from_rig(name: &'static str, rig: &ConsensusRig, recovery_intervals: u64) -> Self {
+    fn from_rig(rig: &ConsensusRig, recovery_intervals: u64) -> Self {
         ScenarioReport {
-            name,
             safe: rig.cluster.single_value_per_slot(),
             prefix_ok: rig.cluster.logs_prefix_agree(),
             recovery_intervals,
@@ -622,7 +617,6 @@ impl ScenarioReport {
             quorum_availability: rig.quorum_intervals as f64 / rig.intervals.max(1) as f64,
             commands_executed: rig.cluster.max_executed(),
             device_loss_shifts: rig.device_loss_shifts(),
-            total_shifts: rig.ctl.shifts().len() as u64,
             fast_flap_shifts: 0,
         }
     }
@@ -710,7 +704,7 @@ pub fn run_device_kill(seed: u64) -> ScenarioReport {
         rig.cluster.max_executed() > executed_before,
         "commands must keep executing on the surviving quorum"
     );
-    ScenarioReport::from_rig("device_kill", &rig, recovery)
+    ScenarioReport::from_rig(&rig, recovery)
 }
 
 /// Scenario 2 — ToR partition. Pod 0 (devices 0 and 1) is cut off,
@@ -772,7 +766,7 @@ pub fn run_tor_partition(seed: u64) -> ScenarioReport {
         rig.cluster.max_executed() > executed_before,
         "the surviving quorum must keep executing commands"
     );
-    ScenarioReport::from_rig("tor_partition", &rig, recovery)
+    ScenarioReport::from_rig(&rig, recovery)
 }
 
 /// Scenario 3 — power-budget flap. No failures: the offload floor
@@ -840,7 +834,7 @@ pub fn run_budget_flap(seed: u64) -> ScenarioReport {
         "the sustained tighten must have moved tenants"
     );
 
-    let mut report = ScenarioReport::from_rig("budget_flap", &rig, recovery);
+    let mut report = ScenarioReport::from_rig(&rig, recovery);
     report.fast_flap_shifts = fast_flap_shifts;
     report
 }

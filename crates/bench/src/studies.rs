@@ -140,7 +140,7 @@ pub fn asic() {
     note(
         "absolute-power assumption",
         format!(
-            "ASIC envelope {} W (documented in EXPERIMENTS.md; §6 reports normalized only)",
+            "ASIC envelope {} W (an assumption held to §6's ladder in tests/paper_claims.rs; §6 reports normalized only)",
             tofino.max_power_w
         ),
     );

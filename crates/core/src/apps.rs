@@ -4,8 +4,9 @@
 //! (13 Mpps); regenerating them point-by-point with the event simulator
 //! would be wasteful, so each deployment also exposes a *steady-state*
 //! power model built from the same calibration constants the simulation
-//! nodes use. The simulator validates spot points against these curves
-//! (see `tests/model_vs_sim.rs`).
+//! nodes use. The simulator validates spot points against these curves:
+//! the `sim check` rows of `inc-bench fig 3a` and `fig 3c`
+//! (`inc_bench::figures::{fig3a, fig3c}`).
 
 use inc_power::{calib, CpuModel};
 

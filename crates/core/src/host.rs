@@ -64,17 +64,6 @@ impl HostControllerConfig {
     }
 }
 
-/// A record of one placement decision.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Shift {
-    /// When the decision fired.
-    pub at: Nanos,
-    /// The new placement.
-    pub to: Placement,
-    /// The sample that completed the sustained condition.
-    pub trigger: HostSample,
-}
-
 /// The host-controlled on-demand controller.
 ///
 /// # Examples
@@ -94,7 +83,8 @@ pub struct HostController {
     placement: Placement,
     up_streak: u32,
     down_streak: u32,
-    shifts: Vec<Shift>,
+    /// When each placement shift fired.
+    shifts: Vec<Nanos>,
 }
 
 impl HostController {
@@ -128,8 +118,8 @@ impl HostController {
         self.config
     }
 
-    /// Returns the decision log.
-    pub fn shifts(&self) -> &[Shift] {
+    /// Returns when each placement shift fired, oldest first.
+    pub fn shifts(&self) -> &[Nanos] {
         &self.shifts
     }
 
@@ -147,7 +137,7 @@ impl HostController {
                     self.up_streak = 0;
                 }
                 if self.up_streak >= self.config.sustain_samples {
-                    self.transition(now, Placement::HARDWARE, s);
+                    self.transition(now, Placement::HARDWARE);
                     return Some(Placement::HARDWARE);
                 }
             }
@@ -164,7 +154,7 @@ impl HostController {
                     self.down_streak = 0;
                 }
                 if self.down_streak >= self.config.sustain_samples {
-                    self.transition(now, Placement::Software, s);
+                    self.transition(now, Placement::Software);
                     return Some(Placement::Software);
                 }
             }
@@ -172,15 +162,11 @@ impl HostController {
         None
     }
 
-    fn transition(&mut self, now: Nanos, to: Placement, trigger: HostSample) {
+    fn transition(&mut self, now: Nanos, to: Placement) {
         self.placement = to;
         self.up_streak = 0;
         self.down_streak = 0;
-        self.shifts.push(Shift {
-            at: now,
-            to,
-            trigger,
-        });
+        self.shifts.push(now);
     }
 }
 
@@ -233,7 +219,7 @@ mod tests {
         assert_eq!(c.sample(t(5), hot()), None);
         assert_eq!(c.sample(t(6), hot()), Some(Placement::HARDWARE));
         assert_eq!(c.shifts().len(), 1);
-        assert_eq!(c.shifts()[0].at, t(6));
+        assert_eq!(c.shifts()[0], t(6));
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub use fleet::{
     AdmissionDecision, ArbitrationMode, ClaimPlan, ClaimPolicy, FleetApp, FleetControllerConfig,
     FleetSample, FleetShift, Objective, ShiftReason,
 };
-pub use host::{HostController, HostControllerConfig, HostSample, Shift};
+pub use host::{HostController, HostControllerConfig, HostSample};
 pub use system::{
     run_fleet_controlled, run_host_controlled, AppObservation, FleetTimeline, IntervalObservation,
     RowLog, Timeline, TimelineRow,

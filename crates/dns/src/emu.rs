@@ -13,7 +13,7 @@ use std::ops::{Deref, DerefMut};
 use inc_hw::{CardApp, CardShell, Placement, SumeCard, Verdict};
 use inc_net::{build_reply_with, Packet, UdpFrame};
 use inc_power::calib;
-use inc_sim::{impl_node_any, Ctx, Nanos, Node, PortId, ServiceStation, Timer};
+use inc_sim::{impl_node_any, Ctx, Nanos, Node, PortId, ServiceStation};
 
 use crate::engine::{answer, Resolution};
 use crate::wire::DNS_PORT;
@@ -51,18 +51,15 @@ impl CardApp for Emu {
         shell: &mut CardShell,
         now: Nanos,
         frame: &UdpFrame<'_>,
-        pkt: &Packet,
     ) -> Verdict<Packet> {
         match answer(&self.zone, frame.payload, Some(EMU_MAX_NAME_LEN)) {
             Ok(Resolution::Answered(response)) => {
                 let Some(queue_and_service) = shell.admit(now, EMU_SERVICE) else {
                     return Verdict::Drop;
                 };
-                let mut reply = build_reply_with(frame, response.encoded_len(), |buf| {
+                let reply = build_reply_with(frame, response.encoded_len(), |buf| {
                     response.encode_into(buf)
                 });
-                reply.id = pkt.id;
-                reply.sent_at = pkt.sent_at;
                 Verdict::Reply {
                     work: queue_and_service,
                     reply,
@@ -105,7 +102,7 @@ impl EmuDevice {
         EmuDevice {
             shell: CardShell::new(
                 card,
-                ServiceStation::new(1, Some(Nanos::from_micros(50))),
+                ServiceStation::new(1, Nanos::from_micros(50)),
                 calib::EMU_DNS_PEAK_RPS,
             ),
             emu: Emu { zone },
@@ -147,8 +144,8 @@ impl Node<Packet> for EmuDevice {
         self.shell.on_message(&mut self.emu, ctx, port, msg);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, timer: Timer) {
-        self.shell.on_timer(&mut self.emu, ctx, timer);
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, tag: u64) {
+        self.shell.on_timer(&mut self.emu, ctx, tag);
     }
 
     fn power_w(&self, _now: Nanos) -> f64 {

@@ -5,7 +5,7 @@ use std::ops::{Deref, DerefMut};
 
 use inc_hw::{ServerApp, ServerShell};
 use inc_net::{build_reply_with, Packet, UdpFrame};
-use inc_sim::{impl_node_any, Ctx, Nanos, Node, PortId, Timer};
+use inc_sim::{impl_node_any, Ctx, Nanos, Node, PortId};
 
 use crate::engine::{answer, Resolution};
 use crate::zone::Zone;
@@ -34,11 +34,9 @@ impl ServerApp for Nsd {
             return None;
         };
         let ready = host.admit(ctx.now())?;
-        let mut reply = build_reply_with(&frame, response.encoded_len(), |buf| {
+        let reply = build_reply_with(&frame, response.encoded_len(), |buf| {
             response.encode_into(buf)
         });
-        reply.id = msg.id;
-        reply.sent_at = msg.sent_at;
         Some((reply, ready))
     }
 }
@@ -84,8 +82,8 @@ impl Node<Packet> for DnsServer {
         self.shell.on_message(&mut self.nsd, ctx, port, msg);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, timer: Timer) {
-        self.shell.on_timer(ctx, timer);
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, tag: u64) {
+        self.shell.on_timer(ctx, tag);
     }
 
     fn power_w(&self, _now: Nanos) -> f64 {

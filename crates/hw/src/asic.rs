@@ -45,7 +45,7 @@ pub struct TofinoModel {
     pub idle_fraction: f64,
     /// Assumed absolute power at full L2 load, watts. *Not* a paper
     /// number: §6 normalizes; this envelope is used only for the ops/W
-    /// ladder and is documented in `EXPERIMENTS.md`.
+    /// ladder, which `tests/paper_claims.rs` holds to §6's.
     pub max_power_w: f64,
 }
 

@@ -34,7 +34,7 @@ pub mod smartnic;
 pub use asic::{TofinoModel, TofinoProgram};
 pub use capacity::{AppSlot, DeviceCapacity, ResourceShares};
 pub use fabric::{DeviceFabric, DeviceId, HopTier, TierCost, Topology};
-pub use memory::{MemoryKind, MemorySpec};
+pub use memory::MemorySpec;
 pub use netfpga::{modules, SumeCard, HOST_DMA_PORT, PCIE_DMA_ONE_WAY, SHELL_PIPELINE_LATENCY};
 pub use offload::{NetControllerConfig, NetRateController, Placement, RateTrigger};
 pub use pipeline::{PipelineBudget, PipelineError, ProgramResources};

@@ -8,22 +8,9 @@
 
 use inc_sim::Nanos;
 
-/// The kind of memory, ordered roughly by distance from the logic.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum MemoryKind {
-    /// On-chip block RAM.
-    Bram,
-    /// On-board QDR SRAM.
-    Sram,
-    /// On-board DDR DRAM.
-    Dram,
-}
-
 /// Static description of one memory resource.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MemorySpec {
-    /// Technology.
-    pub kind: MemoryKind,
     /// Usable capacity in bytes.
     pub capacity_bytes: u64,
     /// Random access latency.
@@ -37,7 +24,6 @@ impl MemorySpec {
     /// 268 M hash entries).
     pub fn sume_dram() -> Self {
         MemorySpec {
-            kind: MemoryKind::Dram,
             capacity_bytes: 4 << 30,
             access_latency: Nanos::from_nanos(270),
             power_w: 4.8,
@@ -48,7 +34,6 @@ impl MemorySpec {
     /// list).
     pub fn sume_sram() -> Self {
         MemorySpec {
-            kind: MemoryKind::Sram,
             capacity_bytes: 18 << 20,
             access_latency: Nanos::from_nanos(40),
             power_w: 6.0,
@@ -62,7 +47,6 @@ impl MemorySpec {
     /// out of the chip's few-MB total BRAM.
     pub fn lake_l1_bram() -> Self {
         MemorySpec {
-            kind: MemoryKind::Bram,
             capacity_bytes: 64 << 10,
             access_latency: Nanos::from_nanos(10),
             power_w: 0.0, // Folded into the logic module's power.

@@ -28,9 +28,7 @@
 //! call is static — no trait object sits on the per-packet path.
 
 use inc_power::{calib, CpuModel};
-use inc_sim::{
-    Admission, Ctx, FixedHashMap, Histogram, Nanos, PortId, ServiceStation, Timer, WindowRate,
-};
+use inc_sim::{Admission, Ctx, FixedHashMap, Histogram, Nanos, PortId, ServiceStation, WindowRate};
 
 use crate::netfpga::{SumeCard, HOST_DMA_PORT, PCIE_DMA_ONE_WAY, SHELL_PIPELINE_LATENCY};
 use crate::offload::{NetRateController, Placement};
@@ -282,8 +280,6 @@ pub struct ServerShell<M> {
     background_util: f64,
     replies: Deferred<(M, PortId)>,
     served: u64,
-    /// Latency from request arrival at the server to reply emission.
-    pub service_latency: Histogram,
 }
 
 impl<M> ServerShell<M> {
@@ -292,12 +288,11 @@ impl<M> ServerShell<M> {
         let cores = config.cpu.cores as usize;
         ServerShell {
             config,
-            cpu: ServiceStation::new(cores, Some(Nanos::from_micros(500))),
+            cpu: ServiceStation::new(cores, Nanos::from_micros(500)),
             util: UtilMeter::default(),
             background_util: 0.0,
             replies: Deferred::default(),
             served: 0,
-            service_latency: Histogram::new(),
         }
     }
 
@@ -356,21 +351,19 @@ impl<M> ServerShell<M> {
         port: PortId,
         msg: M,
     ) {
-        let now = ctx.now();
         let Some((reply, done)) = app.serve(self, ctx, &msg) else {
             return;
         };
-        self.service_latency.record_nanos(done - now);
         self.replies.defer(ctx, done, (reply, port));
     }
 
     /// [`Node::on_timer`](inc_sim::Node::on_timer): the power tick, or a
     /// reply whose service time is up.
-    pub fn on_timer(&mut self, ctx: &mut Ctx<'_, M>, timer: Timer) {
-        if timer.tag == TAG_POWER_TICK {
+    pub fn on_timer(&mut self, ctx: &mut Ctx<'_, M>, tag: u64) {
+        if tag == TAG_POWER_TICK {
             self.util.tick(&self.cpu, ctx.now());
             ctx.schedule_in(POWER_TICK, TAG_POWER_TICK);
-        } else if let Some((reply, port)) = self.replies.take(timer.tag) {
+        } else if let Some((reply, port)) = self.replies.take(tag) {
             self.served += 1;
             ctx.send(port, reply);
         }
@@ -457,7 +450,6 @@ pub trait CardApp {
         shell: &mut CardShell,
         now: Nanos,
         frame: &Self::Frame<'_>,
-        msg: &Self::Msg,
     ) -> Verdict<Self::Msg>;
 
     /// The card moved to `placement` under `policy`; application state
@@ -666,7 +658,7 @@ impl CardShell {
             self.place(app, now, p);
         }
         match self.placement {
-            Placement::Device(_) => app.serve(self, now, &frame, msg),
+            Placement::Device(_) => app.serve(self, now, &frame),
             Placement::Software => Verdict::ToHost(Nanos::ZERO),
         }
     }
@@ -678,8 +670,8 @@ impl CardShell {
 
     /// [`Node::on_timer`](inc_sim::Node::on_timer): the power tick
     /// refreshes the load and lets the controller shift on silence.
-    pub fn on_timer<A: CardApp>(&mut self, app: &mut A, ctx: &mut Ctx<'_, A::Msg>, timer: Timer) {
-        if timer.tag != TAG_POWER_TICK {
+    pub fn on_timer<A: CardApp>(&mut self, app: &mut A, ctx: &mut Ctx<'_, A::Msg>, tag: u64) {
+        if tag != TAG_POWER_TICK {
             return;
         }
         let now = ctx.now();

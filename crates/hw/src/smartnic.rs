@@ -32,9 +32,6 @@ pub struct SmartNicModel {
     /// offloaded network function before hitting the resource wall (§10:
     /// SoCs "face earlier the resource wall").
     pub usable_fraction: f64,
-    /// Relative implementation flexibility, 0–10 (qualitative, from §10's
-    /// discussion; FPGA highest).
-    pub flexibility: u8,
 }
 
 /// The PCIe slot power budget that bounds SmartNICs (§10).
@@ -49,7 +46,6 @@ impl SmartNicModel {
             power_w: 18.0,
             peak_mpps: 70.0,
             usable_fraction: 0.95,
-            flexibility: 9,
         }
     }
 
@@ -60,7 +56,6 @@ impl SmartNicModel {
             power_w: 20.0,
             peak_mpps: 100.0,
             usable_fraction: 0.9,
-            flexibility: 5,
         }
     }
 
@@ -71,7 +66,6 @@ impl SmartNicModel {
             power_w: 22.0,
             peak_mpps: 80.0,
             usable_fraction: 0.9,
-            flexibility: 7,
         }
     }
 
@@ -83,7 +77,6 @@ impl SmartNicModel {
             power_w: 24.0,
             peak_mpps: 40.0,
             usable_fraction: 0.6,
-            flexibility: 8,
         }
     }
 

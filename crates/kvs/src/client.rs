@@ -11,9 +11,7 @@ use std::io::Write;
 use std::ops::{Deref, DerefMut};
 
 use inc_net::{build_udp_with, BufMut, Endpoint, Packet, UdpFrame};
-use inc_sim::{
-    impl_node_any, Ctx, FixedHashMap, LatencyWindow, Nanos, Node, Pacer, PortId, Rng, Timer,
-};
+use inc_sim::{impl_node_any, Ctx, FixedHashMap, LatencyWindow, Nanos, Node, Pacer, PortId, Rng};
 
 use crate::protocol::{decode_view, FrameHeader, MessageView, Opcode, RequestView, Status};
 
@@ -180,8 +178,8 @@ pub struct ClientStats {
     pub abandoned: u64,
 }
 
-/// The measuring load generator. Its latency record (`latency`,
-/// `take_window`) is the [`LatencyWindow`] it derefs to.
+/// The measuring load generator. Its latency record (`take_window`) is
+/// the [`LatencyWindow`] it derefs to.
 pub struct KvsClient {
     src: Endpoint,
     dst: Endpoint,
@@ -255,7 +253,7 @@ impl KvsClient {
             }
         };
         let len = request.encoded_len() + value_len;
-        let pkt = build_udp_with(self.src, self.dst, 0, len, |buf| {
+        let pkt = build_udp_with(self.src, self.dst, len, |buf| {
             request.encode_head_into(frame, opaque, value_len, buf);
             if value_len > 0 {
                 put_expected_value(request.key(), value_len, buf);
@@ -266,10 +264,8 @@ impl KvsClient {
 
     fn send_one(&mut self, ctx: &mut Ctx<'_, Packet>) {
         let op = self.gen.next_op(ctx.rng());
-        let (mut pkt, opaque) = self.build_request(&op);
+        let (pkt, opaque) = self.build_request(&op);
         let now = ctx.now();
-        pkt.sent_at = now;
-        pkt.id = opaque as u64;
         let id = (opaque & 0xffff) as u16;
         if self.outstanding.insert(id, (now, opaque, op)).is_some() {
             self.stats.abandoned += 1;
@@ -298,8 +294,8 @@ impl Node<Packet> for KvsClient {
         self.pacer.schedule(ctx, TAG_SEND);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, timer: Timer) {
-        if timer.tag != TAG_SEND {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, tag: u64) {
+        if tag != TAG_SEND {
             return;
         }
         if self.pacer.sends() {
@@ -429,7 +425,7 @@ mod tests {
                 seq: 0,
                 total: 1,
             };
-            let want = build_udp_with(c.src, c.dst, 0, set.encoded_len(), |buf| {
+            let want = build_udp_with(c.src, c.dst, set.encoded_len(), |buf| {
                 set.encode_into(frame, opaque, buf)
             });
             assert_eq!(pkt.data, want.data, "value length {len}");

@@ -13,7 +13,7 @@ use std::ops::{Deref, DerefMut};
 use inc_hw::{CardApp, CardShell, NetRateController, ParkPolicy, Placement, SumeCard, Verdict};
 use inc_net::{build_reply_with, Packet, UdpFrame};
 use inc_power::calib;
-use inc_sim::{impl_node_any, Ctx, FixedHashMap, Nanos, Node, PortId, ServiceStation, Timer};
+use inc_sim::{impl_node_any, Ctx, FixedHashMap, Nanos, Node, PortId, ServiceStation};
 
 use crate::lake::{LakeCache, LakeCacheConfig, Lookup};
 use crate::protocol::{
@@ -64,7 +64,6 @@ impl CardApp for Lake {
         shell: &mut CardShell,
         now: Nanos,
         frame: &UdpFrame<'_>,
-        pkt: &Packet,
     ) -> Verdict<Packet> {
         // Not a memcached request (garbage, or a response from outside):
         // normal traffic.
@@ -100,11 +99,9 @@ impl CardApp for Lake {
                     flags,
                     opaque,
                 };
-                let mut reply = build_reply_with(frame, resp.encoded_len(), |buf| {
+                let reply = build_reply_with(frame, resp.encoded_len(), |buf| {
                     resp.encode_into(mc_frame, buf)
                 });
-                reply.id = pkt.id;
-                reply.sent_at = pkt.sent_at;
                 return Verdict::Reply {
                     work: queue_and_service + extra,
                     reply,
@@ -178,7 +175,7 @@ impl LakeDevice {
         LakeDevice {
             shell: CardShell::new(
                 card,
-                ServiceStation::new(pes as usize, Some(Nanos::from_micros(100))),
+                ServiceStation::new(pes as usize, Nanos::from_micros(100)),
                 calib::LAKE_PE_CAPACITY_QPS * pes as f64,
             ),
             lake: Lake {
@@ -246,8 +243,8 @@ impl Node<Packet> for LakeDevice {
         self.shell.on_message(&mut self.lake, ctx, port, msg);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, timer: Timer) {
-        self.shell.on_timer(&mut self.lake, ctx, timer);
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, tag: u64) {
+        self.shell.on_timer(&mut self.lake, ctx, tag);
     }
 
     fn power_w(&self, _now: Nanos) -> f64 {

@@ -80,8 +80,6 @@ pub struct LakeStats {
     pub l2_hits: u64,
     /// Full misses forwarded to software.
     pub misses: u64,
-    /// Entries inserted (warm-ups plus write-through sets).
-    pub inserts: u64,
     /// Invalidations via DELETE.
     pub invalidations: u64,
 }
@@ -176,7 +174,6 @@ impl LakeCache {
             self.l1.remove(&evicted_key);
         }
         self.l1.insert_with_flags(key, value, flags);
-        self.stats.inserts += 1;
     }
 
     /// Invalidates a key in both levels (DELETE).

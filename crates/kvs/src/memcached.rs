@@ -11,7 +11,7 @@ use std::ops::{Deref, DerefMut};
 
 use inc_hw::{ServerApp, ServerShell};
 use inc_net::{build_reply_with, Packet, UdpFrame};
-use inc_sim::{impl_node_any, Ctx, Nanos, Node, PortId, Timer};
+use inc_sim::{impl_node_any, Ctx, Nanos, Node, PortId};
 
 use crate::protocol::{decode_view, MessageView, RequestView, ResponseView, Status};
 use crate::store::KvStore;
@@ -80,11 +80,9 @@ impl ServerApp for Memcached {
         // and total order at sub-µs scale does not affect the study);
         // the *reply* waits for the modelled CPU + kernel time.
         let response = self.execute(request, opaque);
-        let mut reply = build_reply_with(&frame, response.encoded_len(), |buf| {
+        let reply = build_reply_with(&frame, response.encoded_len(), |buf| {
             response.encode_into(mc_frame, buf)
         });
-        reply.id = msg.id;
-        reply.sent_at = msg.sent_at;
         // Kernel-path jitter (softirq batching, scheduler): exponential
         // with a ~300 ns mean, giving the paper's 13.5/14.3 µs p50/p99
         // spread on the miss path (§5.3).
@@ -143,8 +141,8 @@ impl Node<Packet> for MemcachedServer {
         self.shell.on_message(&mut self.app, ctx, port, msg);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, timer: Timer) {
-        self.shell.on_timer(ctx, timer);
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, tag: u64) {
+        self.shell.on_timer(ctx, tag);
     }
 
     fn power_w(&self, _now: Nanos) -> f64 {

@@ -93,7 +93,8 @@ fn software_mode_serves_correct_values() {
 fn software_mode_latency_matches_paper() {
     let mut rig = build_rig(20_000.0, 32, 64, false);
     rig.sim.run_until(Nanos::from_secs(1));
-    let lat = &rig.sim.node_ref::<KvsClient>(rig.client).latency;
+    // The window has not been drained: it holds every completion.
+    let (_, lat) = rig.sim.node_mut::<KvsClient>(rig.client).take_window();
     let p50 = lat.quantile(0.5);
     // §5.3: software-served queries land around 13.5 µs (plus the 1 µs
     // of client-side link latency in this topology).
@@ -113,7 +114,8 @@ fn hardware_mode_warms_and_hits() {
     assert!(cache.hit_ratio() > 0.95, "hit ratio {}", cache.hit_ratio());
     assert!(dev.stats().served_hw > 90_000);
     // Hardware hits are ~10x faster than the software path (§9.2).
-    let lat = &rig.sim.node_ref::<KvsClient>(rig.client).latency;
+    // The window has not been drained: it holds every completion.
+    let (_, lat) = rig.sim.node_mut::<KvsClient>(rig.client).take_window();
     let p50 = lat.quantile(0.5);
     assert!((2_000..4_500).contains(&p50), "p50 {p50} ns");
 }

@@ -32,9 +32,7 @@ pub use addr::{MacAddr, MacParseError};
 /// buffer type.
 pub use bytes::{BufMut, Bytes, BytesMut};
 pub use classifier::{Class, Classifier, Match, CLASS_NORMAL};
-pub use packet::{
-    build_reply_with, build_udp, build_udp_with, build_udp_with_ident, Endpoint, Packet, UdpFrame,
-};
+pub use packet::{build_reply_with, build_udp, build_udp_with, Endpoint, Packet, UdpFrame};
 pub use switch::L2Switch;
 pub use wire::{
     internet_checksum, read_array, EthernetHeader, Ipv4Header, UdpHeader, WireError,

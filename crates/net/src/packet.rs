@@ -4,7 +4,7 @@
 use std::net::Ipv4Addr;
 
 use bytes::{BufMut, Bytes, BytesMut};
-use inc_sim::{FreeList, Nanos, Payload};
+use inc_sim::{FreeList, Payload};
 
 use crate::addr::MacAddr;
 use crate::wire::{
@@ -12,12 +12,13 @@ use crate::wire::{
     UDP_HLEN, UDP_STACK_HLEN,
 };
 
-/// An Ethernet frame in flight, with measurement metadata.
+/// An Ethernet frame in flight: nothing but its bytes.
 ///
 /// The frame bytes are reference-counted ([`Bytes`]), so forwarding a
 /// packet through switches and classifiers does not copy the payload.
-/// `sent_at` plays the role of the paper's Endace DAG capture timestamps:
-/// it is stamped by traffic sources and read by sinks to measure latency.
+/// Latency is measured where the paper measures it, at the traffic
+/// sources: each client times a request from its own in-flight table,
+/// so a frame carries no timestamp or request id of its own.
 ///
 /// Dropping the last handle on a frame [`build_udp_with`] made returns
 /// its buffer to this thread's free list, for the next frame built here.
@@ -25,10 +26,6 @@ use crate::wire::{
 pub struct Packet {
     /// The complete frame, starting at the Ethernet header.
     pub data: Bytes,
-    /// When the original request left its source (for latency measurement).
-    pub sent_at: Nanos,
-    /// Source-assigned identifier correlating requests and replies.
-    pub id: u64,
 }
 
 impl Payload for Packet {
@@ -42,11 +39,7 @@ impl Payload for Packet {
 impl Packet {
     /// Wraps raw frame bytes.
     pub fn from_bytes(data: Bytes) -> Self {
-        Packet {
-            data,
-            sent_at: Nanos::ZERO,
-            id: 0,
-        }
+        Packet { data }
     }
 
     /// Frame length in bytes (excluding preamble/FCS/IFG overhead).
@@ -222,18 +215,13 @@ impl Endpoint {
 /// assert_eq!(frame.udp.dst_port, 11211);
 /// assert_eq!(frame.payload, b"get foo");
 /// ```
-pub fn build_udp(src: Endpoint, dst: Endpoint, payload: &[u8]) -> Packet {
-    build_udp_with_ident(src, dst, payload, 0)
-}
-
-/// Like [`build_udp`] with an explicit IPv4 identification field.
 ///
 /// # Panics
 ///
 /// Panics if `payload` exceeds the 65,507-byte UDP maximum (fragmentation
 /// is not modelled; the paper's applications use small datagrams).
-pub fn build_udp_with_ident(src: Endpoint, dst: Endpoint, payload: &[u8], ident: u16) -> Packet {
-    build_udp_with(src, dst, ident, payload.len(), |buf| buf.put_slice(payload))
+pub fn build_udp(src: Endpoint, dst: Endpoint, payload: &[u8]) -> Packet {
+    build_udp_with(src, dst, payload.len(), |buf| buf.put_slice(payload))
 }
 
 /// Builds a UDP frame whose payload the caller encodes in place: the
@@ -261,7 +249,7 @@ pub fn build_udp_with_ident(src: Endpoint, dst: Endpoint, payload: &[u8], ident:
 /// use inc_net::{build_udp, build_udp_with, BufMut, Endpoint};
 ///
 /// let (a, b) = (Endpoint::host(1, 4000), Endpoint::host(2, 53));
-/// let in_place = build_udp_with(a, b, 0, 6, |buf| {
+/// let in_place = build_udp_with(a, b, 6, |buf| {
 ///     buf.put_u16(0xbeef);
 ///     buf.put_slice(b"body");
 /// });
@@ -270,7 +258,6 @@ pub fn build_udp_with_ident(src: Endpoint, dst: Endpoint, payload: &[u8], ident:
 pub fn build_udp_with(
     src: Endpoint,
     dst: Endpoint,
-    ident: u16,
     payload_len: usize,
     encode: impl FnOnce(&mut &mut [u8]),
 ) -> Packet {
@@ -298,7 +285,7 @@ pub fn build_udp_with(
         protocol: IPPROTO_UDP,
         ttl: 64,
         total_len: (IPV4_HLEN + UDP_HLEN + payload_len) as u16,
-        ident,
+        ident: 0,
     }
     .encode(&mut headers);
     UdpHeader::for_payload(src.port, dst.port, src.ip, dst.ip, payload).encode(&mut headers);
@@ -316,13 +303,7 @@ pub fn build_reply_with(
     payload_len: usize,
     encode: impl FnOnce(&mut &mut [u8]),
 ) -> Packet {
-    build_udp_with(
-        request.destination(),
-        request.source(),
-        0,
-        payload_len,
-        encode,
-    )
+    build_udp_with(request.destination(), request.source(), payload_len, encode)
 }
 
 #[cfg(test)]
@@ -374,6 +355,12 @@ mod tests {
             UdpFrame::parse(&pkt).unwrap_err(),
             WireError::WrongEtherType(0x0806)
         );
+    }
+
+    #[test]
+    fn a_packet_is_its_frame_handle_and_nothing_more() {
+        // Every event that carries a packet carries this much of it.
+        assert_eq!(std::mem::size_of::<Packet>(), std::mem::size_of::<Bytes>());
     }
 
     #[test]

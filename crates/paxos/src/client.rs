@@ -17,9 +17,7 @@
 use std::ops::{Deref, DerefMut};
 
 use inc_net::{build_udp_with, BufMut, Bytes, Endpoint, Packet, UdpFrame};
-use inc_sim::{
-    impl_node_any, pace_gap, Ctx, FixedHashMap, LatencyWindow, Nanos, Node, PortId, Timer,
-};
+use inc_sim::{impl_node_any, pace_gap, Ctx, FixedHashMap, LatencyWindow, Nanos, Node, PortId};
 
 use crate::msg::{ClientCommand, MsgType, PaxosMsg, PAXOS_CLIENT_PORT};
 
@@ -58,8 +56,8 @@ pub struct PaxosClientStats {
 /// commands, a new one issued per ack), or open-loop when built with
 /// [`PaxosClient::open_loop`] (commands paced at an offered rate,
 /// schedulable mid-run via [`PaxosClient::set_rate`] — the shape the
-/// diurnal fleet experiments drive). Its latency record (`latency`,
-/// `take_window`) is the [`LatencyWindow`] it derefs to.
+/// diurnal fleet experiments drive). Its latency record (`take_window`)
+/// is the [`LatencyWindow`] it derefs to.
 pub struct PaxosClient {
     id: u32,
     own: Endpoint,
@@ -138,7 +136,6 @@ impl PaxosClient {
         build_udp_with(
             self.own,
             self.leader,
-            0,
             PaxosMsg::HEADER_LEN + value_len,
             |buf| {
                 request.write_header(value_len, buf);
@@ -216,8 +213,8 @@ impl Node<Packet> for PaxosClient {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, timer: Timer) {
-        if timer.tag == TAG_PACE {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, tag: u64) {
+        if tag == TAG_PACE {
             if self.pace_due().is_some_and(|due| ctx.now() >= due) {
                 self.last_issue = ctx.now();
                 self.issue_new(ctx);
@@ -225,10 +222,10 @@ impl Node<Packet> for PaxosClient {
             self.schedule_pace(ctx);
             return;
         }
-        if timer.tag < TAG_TIMEOUT_BASE {
+        if tag < TAG_TIMEOUT_BASE {
             return;
         }
-        let seq = timer.tag - TAG_TIMEOUT_BASE;
+        let seq = tag - TAG_TIMEOUT_BASE;
         if let Some((_, retries)) = self.outstanding.get_mut(&seq) {
             // §9.2: resend the same command; the learner deduplicates.
             *retries += 1;

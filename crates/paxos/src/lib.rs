@@ -42,6 +42,6 @@ pub use msg::{
     ClientCommand, MsgError, MsgType, PaxosMsg, MAX_VALUE_LEN, NOOP_VALUE, PAXOS_ACCEPTOR_PORT,
     PAXOS_CLIENT_PORT, PAXOS_LEADER_PORT, PAXOS_LEARNER_PORT,
 };
-pub use node::{AddressBook, HostConfig, PaxosNode, PaxosNodeStats, Platform, RoleEngine};
+pub use node::{AddressBook, HostConfig, PaxosNode, Platform, RoleEngine};
 pub use outbox::Outbox;
 pub use roles::{Acceptor, Dest, Leader, Learner};

@@ -485,8 +485,6 @@ pub struct Leader {
     countdown: u32,
     /// Times this leader was preempted by a higher ballot.
     pub preemptions: u64,
-    /// Ballots this leader successfully adopted.
-    pub adoptions: u64,
     /// Phase-2a messages sent (statistics; the chaos rig meters the
     /// leader tenant's offered rate off this).
     pub proposals_sent: u64,
@@ -528,7 +526,6 @@ impl Leader {
             scout: None,
             countdown: Self::election_backoff(id),
             preemptions: 0,
-            adoptions: 0,
             proposals_sent: 0,
         }
     }
@@ -715,7 +712,6 @@ impl Leader {
                     return Outbox::Empty;
                 };
                 self.active = true;
-                self.adoptions += 1;
                 for (slot, (_, value)) in scout.pvalues.iter() {
                     let held = self.window.get_or_insert_with(slot, LeaderSlot::default);
                     if let Some(rec) = held.filter(|rec| rec.phase != Phase::Decided) {

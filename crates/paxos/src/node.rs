@@ -13,9 +13,7 @@ use inc_hw::{
 };
 use inc_net::{build_udp_with, Endpoint, Packet, UdpFrame};
 use inc_power::calib;
-use inc_sim::{
-    impl_node_any, Admission, Ctx, Histogram, Nanos, Node, PortId, ServiceStation, Timer,
-};
+use inc_sim::{impl_node_any, Admission, Ctx, Nanos, Node, PortId, ServiceStation};
 
 use crate::msg::{PaxosMsg, PAXOS_CLIENT_PORT};
 use crate::outbox::Outbox;
@@ -104,7 +102,7 @@ impl Platform {
     pub fn host(config: HostConfig) -> Self {
         Platform::Host {
             config,
-            station: ServiceStation::new(1, Some(Nanos::from_millis(2))),
+            station: ServiceStation::new(1, Nanos::from_millis(2)),
             util: UtilMeter::default(),
         }
     }
@@ -116,7 +114,7 @@ impl Platform {
                 calib::P4XOS_STANDALONE_IDLE_W - calib::NETFPGA_REFERENCE_NIC_W,
                 calib::P4XOS_DYNAMIC_MAX_W,
             ),
-            station: ServiceStation::new(1, Some(Nanos::from_micros(20))),
+            station: ServiceStation::new(1, Nanos::from_micros(20)),
             meter: LoadMeter::new(calib::P4XOS_FPGA_PEAK_MPS),
         }
     }
@@ -154,28 +152,15 @@ impl Platform {
     }
 }
 
-/// Cumulative node counters.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PaxosNodeStats {
-    /// Messages processed.
-    pub handled: u64,
-    /// Messages dropped (overload).
-    pub dropped: u64,
-    /// Messages emitted.
-    pub emitted: u64,
-}
-
 /// A Paxos participant as a simulation node.
 pub struct PaxosNode {
     engine: RoleEngine,
     platform: Platform,
     book: AddressBook,
-    stats: PaxosNodeStats,
-    /// Messages waiting out their service time: (message, sender,
-    /// arrival).
-    pending: Deferred<(PaxosMsg, Endpoint, Nanos)>,
-    /// Per-message processing latency at this node.
-    pub node_latency: Histogram,
+    /// Messages processed.
+    handled: u64,
+    /// Messages waiting out their service time, with their sender.
+    pending: Deferred<(PaxosMsg, Endpoint)>,
 }
 
 impl PaxosNode {
@@ -185,15 +170,14 @@ impl PaxosNode {
             engine,
             platform,
             book,
-            stats: PaxosNodeStats::default(),
+            handled: 0,
             pending: Deferred::default(),
-            node_latency: Histogram::new(),
         }
     }
 
-    /// Returns cumulative counters.
-    pub fn stats(&self) -> PaxosNodeStats {
-        self.stats
+    /// Messages processed since creation.
+    pub fn handled(&self) -> u64 {
+        self.handled
     }
 
     /// Returns a reference to the engine (inspection).
@@ -209,7 +193,7 @@ impl PaxosNode {
         let (leader, probe) = Leader::elected(round, n);
         self.engine = RoleEngine::Leader(leader);
         for (dest, msg) in probe {
-            self.emit(ctx, Nanos::ZERO, dest, msg, None);
+            self.emit(ctx, dest, msg, None);
         }
     }
 
@@ -232,9 +216,8 @@ impl PaxosNode {
     }
 
     fn emit(
-        &mut self,
+        &self,
         ctx: &mut Ctx<'_, Packet>,
-        delay: Nanos,
         dest: Dest,
         msg: PaxosMsg,
         reply_to: Option<Endpoint>,
@@ -242,11 +225,9 @@ impl PaxosNode {
         // One frame per target, the message encoded straight into each:
         // no payload buffer and no target list in between.
         let (own, len) = (self.book.own, msg.encoded_len());
-        let emitted = &mut self.stats.emitted;
         let mut send = |target: Endpoint| {
-            let pkt = build_udp_with(own, target, 0, len, |buf| msg.write_to(buf));
-            *emitted += 1;
-            ctx.send_after(delay, PortId::P0, pkt);
+            let pkt = build_udp_with(own, target, len, |buf| msg.write_to(buf));
+            ctx.send(PortId::P0, pkt);
         };
         match dest {
             Dest::AllAcceptors => self.book.acceptors.iter().copied().for_each(send),
@@ -290,30 +271,28 @@ impl Node<Packet> for PaxosNode {
             return;
         };
         let Some(ready) = self.platform.admit(now) else {
-            self.stats.dropped += 1;
             return;
         };
-        self.pending.defer(ctx, ready, (msg, frame.source(), now));
+        self.pending.defer(ctx, ready, (msg, frame.source()));
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, timer: Timer) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, tag: u64) {
         let now = ctx.now();
-        if timer.tag == TAG_POWER_TICK {
+        if tag == TAG_POWER_TICK {
             self.platform.tick(now);
             ctx.schedule_in(POWER_TICK, TAG_POWER_TICK);
-        } else if timer.tag == TAG_GAP_PROBE {
+        } else if tag == TAG_GAP_PROBE {
             if let RoleEngine::Learner(l) = &self.engine {
                 if let Some((dest, msg)) = l.gap_probe() {
-                    self.emit(ctx, Nanos::ZERO, dest, msg, None);
+                    self.emit(ctx, dest, msg, None);
                 }
             }
             ctx.schedule_in(GAP_PROBE_PERIOD, TAG_GAP_PROBE);
-        } else if let Some((msg, src, arrived)) = self.pending.take(timer.tag) {
-            self.stats.handled += 1;
-            self.node_latency.record_nanos(now - arrived);
+        } else if let Some((msg, src)) = self.pending.take(tag) {
+            self.handled += 1;
             let out = self.engine.handle(&msg);
             for (dest, m) in out {
-                self.emit(ctx, Nanos::ZERO, dest, m, Some(src));
+                self.emit(ctx, dest, m, Some(src));
             }
         }
     }

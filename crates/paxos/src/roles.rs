@@ -273,8 +273,6 @@ pub struct Leader {
     gaps: BTreeMap<u64, GapRecovery>,
     /// The highest `last_voted` each acceptor has reported, by id.
     reported: Vec<u64>,
-    /// Proposals issued (statistics).
-    pub proposals: u64,
 }
 
 impl Leader {
@@ -290,7 +288,6 @@ impl Leader {
             dropped_while_recovering: 0,
             gaps: BTreeMap::new(),
             reported: vec![0; n_acceptors],
-            proposals: 0,
         }
     }
 
@@ -339,7 +336,6 @@ impl Leader {
     fn propose(&mut self, value: Bytes) -> (Dest, PaxosMsg) {
         let instance = self.next_instance;
         self.next_instance += 1;
-        self.proposals += 1;
         (
             Dest::AllAcceptors,
             PaxosMsg::new(MsgType::Phase2a, instance, self.round, value),
@@ -377,7 +373,6 @@ impl Leader {
                                 .max_by_key(|(vr, _)| *vr)
                                 .map(|(_, v)| v.clone())
                                 .unwrap_or_else(|| Bytes::from_static(NOOP_VALUE));
-                            self.proposals += 1;
                             out.push((
                                 Dest::AllAcceptors,
                                 PaxosMsg::new(MsgType::Phase2a, msg.instance, self.round, value),
@@ -419,17 +414,28 @@ impl Leader {
     }
 }
 
+/// How many rounds' votes the learner tallies for one instance: the
+/// round of the leader that proposed it, a successor's recovery round
+/// (§9.2) and room to spare. A vote in a further round is dropped, so
+/// votes in rounds nobody proposes in — forged ones — cost at most this
+/// many tallies per instance, and never take the place of another
+/// round's.
+const ROUNDS_PER_INSTANCE: usize = 4;
+
 /// The learner role: detects quorums, delivers in instance order, answers
 /// clients, and reports gaps to the leader after a timeout (§9.2).
 ///
 /// It keeps what it reads again: the votes and decisions of instances
 /// not yet delivered, which sequence numbers each client has had run,
-/// and of the delivered log a digest and a short tail.
+/// and of the delivered log a digest and a short tail. An instance is
+/// decided by a quorum of votes within one round; a vote in another
+/// round is tallied apart and changes no other round's count.
 #[derive(Clone, Debug)]
 pub struct Learner {
     quorum: usize,
-    /// Vote accumulation per undelivered instance: round → voters.
-    votes: BTreeMap<u64, (u16, AcceptorSet, Bytes)>,
+    /// Voters and value per `(instance, round)` of undelivered
+    /// instances, at most [`ROUNDS_PER_INSTANCE`] rounds each.
+    votes: BTreeMap<(u64, u16), (AcceptorSet, Bytes)>,
     /// Decided but not yet delivered (out of order).
     decided: BTreeMap<u64, Bytes>,
     /// Next instance to deliver.
@@ -486,7 +492,10 @@ impl Learner {
     /// has reached.
     // inc-lint: allow(unreached-pub): tests/properties.rs and tests/alloc_budget.rs hold the vote table to the undelivered instances with it
     pub fn retained_instances(&self) -> usize {
-        self.votes.len()
+        // Keys are in instance order: count where the instance changes.
+        let mut last = None;
+        let instances = self.votes.keys().map(|&(instance, _)| instance);
+        instances.filter(|&i| last.replace(i) != Some(i)).count()
     }
 
     /// Handles one message; delivers in order and emits client replies.
@@ -496,22 +505,24 @@ impl Learner {
         if msg.mtype != MsgType::Phase2b || msg.instance < self.next_deliver {
             return Outbox::Empty;
         }
-        let entry = self
+        let key = (msg.instance, msg.round);
+        if !self.votes.contains_key(&key) {
+            let rounds = self
+                .votes
+                .range((msg.instance, 0)..=(msg.instance, u16::MAX));
+            if rounds.count() >= ROUNDS_PER_INSTANCE {
+                return Outbox::Empty;
+            }
+        }
+        let (voters, value) = self
             .votes
-            .entry(msg.instance)
-            .or_insert_with(|| (msg.round, AcceptorSet::default(), parked(&msg.value)));
-        if msg.round > entry.0 {
-            // Newer round supersedes accumulated votes.
-            *entry = (msg.round, AcceptorSet::default(), parked(&msg.value));
-        }
-        if msg.round < entry.0 {
+            .entry(key)
+            .or_insert_with(|| (AcceptorSet::default(), parked(&msg.value)));
+        voters.insert(msg.acceptor);
+        if voters.len() < self.quorum {
             return Outbox::Empty;
         }
-        entry.1.insert(msg.acceptor);
-        if entry.1.len() < self.quorum {
-            return Outbox::Empty;
-        }
-        let value = entry.2.clone();
+        let value = value.clone();
         self.decided.entry(msg.instance).or_insert(value);
         self.drain()
     }
@@ -520,7 +531,14 @@ impl Learner {
         let mut out = Outbox::Empty;
         while let Some(value) = self.decided.remove(&self.next_deliver) {
             let instance = self.next_deliver;
-            self.votes.remove(&instance);
+            // Every round's tally of the instance goes; earlier
+            // instances' went before it, so they are the first keys.
+            while let Some(tally) = self.votes.first_entry() {
+                if tally.key().0 != instance {
+                    break;
+                }
+                tally.remove();
+            }
             self.next_deliver += 1;
             self.delivered_count += 1;
             self.log.record(instance, value.clone());
@@ -695,6 +713,51 @@ mod tests {
             assert!(!learner.has_gap());
             assert_eq!(accs[0].refused, u64::from(forged > 5 + MAX_LEAD));
         }
+    }
+
+    #[test]
+    fn a_forged_vote_in_a_higher_round_does_not_stall_the_log() {
+        // Five commands decided, then one forged Phase 2b for instance 6
+        // in round 9 reaches the learner first. It used to replace the
+        // instance's tally, so every honest round-1 vote for instance 6
+        // was ignored; the gap probe's re-proposal counted as done, and
+        // the log stopped at 5 for good.
+        let mut leader = Leader::bootstrap(1, 3);
+        let mut accs: Vec<_> = (0..3).map(Acceptor::new).collect();
+        let mut learner = Learner::new(3);
+        for seq in 1..=5u64 {
+            run_round(&mut leader, &mut accs, &mut learner, cmd(7, seq));
+        }
+        let mut forged = PaxosMsg::new(MsgType::Phase2b, 6, 9, cmd(66, 1));
+        forged.acceptor = 0;
+        assert!(learner.handle(&forged).is_empty());
+        for seq in 6..=10u64 {
+            let replies = run_round(&mut leader, &mut accs, &mut learner, cmd(7, seq));
+            assert_eq!(replies.len(), 1, "command {seq} is answered");
+            assert_eq!(replies[0].1.instance, seq);
+        }
+        assert_eq!(learner.delivered_count, 10);
+        assert!(!learner.has_gap());
+        assert_eq!(learner.retained_instances(), 0);
+    }
+
+    #[test]
+    fn a_learner_tallies_a_bounded_number_of_rounds_per_instance() {
+        let mut learner = Learner::new(3);
+        let vote = |acceptor, round| {
+            let mut v = PaxosMsg::new(MsgType::Phase2b, 1, round, cmd(1, 1));
+            v.acceptor = acceptor;
+            v
+        };
+        for round in 1..=40 {
+            assert!(learner.handle(&vote(0, round)).is_empty());
+        }
+        assert_eq!(learner.votes.len(), ROUNDS_PER_INSTANCE);
+        // A round past the bound is not tallied: a quorum in it decides
+        // nothing, and the rounds already tallied keep their votes.
+        assert!(learner.handle(&vote(1, 40)).is_empty());
+        assert_eq!(learner.handle(&vote(1, 1)).len(), 1);
+        assert_eq!((learner.delivered_count, learner.votes.len()), (1, 0));
     }
 
     #[test]

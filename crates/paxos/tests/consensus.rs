@@ -266,7 +266,7 @@ fn shift_back_to_software_leader() {
     // Acceptor votes kept flowing throughout.
     for &a in &rig.acceptors {
         let node = rig.sim.node_ref::<PaxosNode>(a);
-        assert!(node.stats().handled > 1_000);
+        assert!(node.handled() > 1_000);
     }
 }
 

@@ -3,7 +3,8 @@
 //! Every constant cites the section it reproduces. Where the paper's own
 //! numbers are loosely specified or mutually inconsistent, the value chosen
 //! here favours reproducing the *headline* figure of each experiment; the
-//! cases are noted in `EXPERIMENTS.md`.
+//! cases are noted at their constants, and `tests/paper_claims.rs` holds
+//! each headline claim to these values.
 
 /// i7-6700K platform idle power without any network card, watts.
 ///

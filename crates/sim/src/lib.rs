@@ -27,7 +27,7 @@
 //! # Examples
 //!
 //! ```
-//! use inc_sim::{impl_node_any, Ctx, LinkSpec, Nanos, Node, PortId, Simulator, Timer};
+//! use inc_sim::{impl_node_any, Ctx, LinkSpec, Nanos, Node, PortId, Simulator};
 //!
 //! /// Emits one message per millisecond.
 //! struct Source;
@@ -35,7 +35,7 @@
 //!     fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
 //!         ctx.schedule_in(Nanos::from_millis(1), 0);
 //!     }
-//!     fn on_timer(&mut self, ctx: &mut Ctx<'_, u64>, _t: Timer) {
+//!     fn on_timer(&mut self, ctx: &mut Ctx<'_, u64>, _tag: u64) {
 //!         ctx.send(PortId::P0, ctx.now().as_nanos());
 //!         ctx.schedule_in(Nanos::from_millis(1), 0);
 //!     }
@@ -75,7 +75,7 @@ pub use free_list::FreeList;
 pub use pacer::{pace_gap, Pacer};
 pub use rng::Rng;
 pub use service::{Admission, ServiceStation};
-pub use sim::{Ctx, LinkSpec, Node, NodeId, Payload, PortId, Simulator, Timer, TimerId};
+pub use sim::{Ctx, LinkSpec, Node, NodeId, Payload, PortId, Simulator};
 pub use stats::{Histogram, LatencyWindow, RecentRing, StreamStats, TimeSeries, WindowRate};
 pub use time::Nanos;
 

@@ -35,7 +35,7 @@ pub enum Admission {
 /// ```
 /// use inc_sim::{Admission, Nanos, ServiceStation};
 ///
-/// let mut cpu = ServiceStation::new(2, Some(Nanos::from_millis(1)));
+/// let mut cpu = ServiceStation::new(2, Nanos::from_millis(1));
 /// match cpu.submit(Nanos::ZERO, Nanos::from_micros(10)) {
 ///     Admission::Served { start, finish } => {
 ///         assert_eq!(start, Nanos::ZERO);
@@ -49,18 +49,18 @@ pub struct ServiceStation {
     busy_until: Vec<Nanos>,
     /// Total service nanoseconds ever assigned (including not-yet-elapsed).
     assigned_busy_ns: u128,
-    max_queue_delay: Option<Nanos>,
+    max_queue_delay: Nanos,
     dropped: u64,
 }
 
 impl ServiceStation {
-    /// Creates a station with `cores` cores and an optional admission bound
-    /// on queueing delay.
+    /// Creates a station with `cores` cores that drops a job once it
+    /// would wait longer than `max_queue_delay` for a core.
     ///
     /// # Panics
     ///
     /// Panics if `cores` is zero.
-    pub fn new(cores: usize, max_queue_delay: Option<Nanos>) -> Self {
+    pub fn new(cores: usize, max_queue_delay: Nanos) -> Self {
         assert!(cores > 0, "need at least one core");
         ServiceStation {
             busy_until: vec![Nanos::ZERO; cores],
@@ -79,11 +79,9 @@ impl ServiceStation {
             .min_by_key(|&(_, &t)| t)
             .expect("at least one core");
         let start = free_at.max(now);
-        if let Some(limit) = self.max_queue_delay {
-            if start.saturating_sub(now) > limit {
-                self.dropped += 1;
-                return Admission::Dropped;
-            }
+        if start.saturating_sub(now) > self.max_queue_delay {
+            self.dropped += 1;
+            return Admission::Dropped;
         }
         let finish = start + service;
         self.busy_until[idx] = finish;
@@ -139,7 +137,7 @@ mod tests {
 
     #[test]
     fn single_core_fifo() {
-        let mut s = ServiceStation::new(1, None);
+        let mut s = ServiceStation::new(1, Nanos::MAX);
         let (a0, f0) = served(s.submit(Nanos::ZERO, Nanos::from_micros(10)));
         let (a1, f1) = served(s.submit(Nanos::ZERO, Nanos::from_micros(10)));
         assert_eq!(a0, Nanos::ZERO);
@@ -150,7 +148,7 @@ mod tests {
 
     #[test]
     fn two_cores_run_in_parallel() {
-        let mut s = ServiceStation::new(2, None);
+        let mut s = ServiceStation::new(2, Nanos::MAX);
         let (_, f0) = served(s.submit(Nanos::ZERO, Nanos::from_micros(10)));
         let (_, f1) = served(s.submit(Nanos::ZERO, Nanos::from_micros(10)));
         assert_eq!(f0, Nanos::from_micros(10));
@@ -162,7 +160,7 @@ mod tests {
 
     #[test]
     fn admission_bound_drops_backlog() {
-        let mut s = ServiceStation::new(1, Some(Nanos::from_micros(15)));
+        let mut s = ServiceStation::new(1, Nanos::from_micros(15));
         // Each job is 10 us; the third would wait 20 us > 15 us bound.
         assert!(matches!(
             s.submit(Nanos::ZERO, Nanos::from_micros(10)),
@@ -181,7 +179,7 @@ mod tests {
 
     #[test]
     fn busy_accounting_excludes_future_work() {
-        let mut s = ServiceStation::new(1, None);
+        let mut s = ServiceStation::new(1, Nanos::MAX);
         s.submit(Nanos::ZERO, Nanos::from_micros(100));
         assert_eq!(s.busy_core_ns(Nanos::from_micros(30)), 30_000);
         assert_eq!(s.busy_core_ns(Nanos::from_micros(100)), 100_000);
@@ -190,7 +188,7 @@ mod tests {
 
     #[test]
     fn quiesce_discards_backlog() {
-        let mut s = ServiceStation::new(1, None);
+        let mut s = ServiceStation::new(1, Nanos::MAX);
         s.submit(Nanos::ZERO, Nanos::from_micros(100));
         s.quiesce(Nanos::from_micros(10));
         // Counter reflects only the 10 us actually consumed.

@@ -29,20 +29,6 @@ impl PortId {
     pub const P0: PortId = PortId(0);
 }
 
-/// An opaque handle naming one scheduled timer; the fired [`Timer`]
-/// carries the handle its `schedule_*` call returned.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TimerId(u64);
-
-/// A fired timer, carrying the node-chosen `tag` it was scheduled with.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Timer {
-    /// The handle returned by [`Ctx::schedule_at`]/[`Ctx::schedule_in`].
-    pub id: TimerId,
-    /// Opaque tag chosen by the node to distinguish timer purposes.
-    pub tag: u64,
-}
-
 /// Messages carried by the simulator must expose their wire size so links
 /// can model serialization delay.
 pub trait Payload: 'static {
@@ -76,8 +62,9 @@ pub trait Node<M: Payload>: Any {
     /// pure sources and timers.
     fn on_message(&mut self, _ctx: &mut Ctx<'_, M>, _port: PortId, _msg: M) {}
 
-    /// Called when a timer scheduled by this node fires.
-    fn on_timer(&mut self, _ctx: &mut Ctx<'_, M>, _timer: Timer) {}
+    /// Called when a timer scheduled by this node fires, with the opaque
+    /// `tag` the node chose for it ([`Ctx::schedule_at`]).
+    fn on_timer(&mut self, _ctx: &mut Ctx<'_, M>, _tag: u64) {}
 
     /// Instantaneous power draw in watts at time `now` (0 for unmetered
     /// components). `now` lets nodes report power derived from windowed
@@ -175,7 +162,7 @@ struct Link {
 
 enum Event<M> {
     Deliver { node: NodeId, port: PortId, msg: M },
-    Timer { node: NodeId, id: TimerId, tag: u64 },
+    Timer { node: NodeId, tag: u64 },
 }
 
 enum Action<M> {
@@ -192,7 +179,6 @@ enum Action<M> {
     },
     Schedule {
         at: Nanos,
-        id: TimerId,
         tag: u64,
     },
 }
@@ -206,7 +192,6 @@ pub struct Ctx<'a, M> {
     node: NodeId,
     rng: &'a mut Rng,
     actions: Vec<Action<M>>,
-    timer_seq: &'a mut u64,
 }
 
 impl<'a, M> Ctx<'a, M> {
@@ -257,23 +242,22 @@ impl<'a, M> Ctx<'a, M> {
         });
     }
 
-    /// Schedules a timer to fire at absolute time `at`.
+    /// Schedules a timer to fire at absolute time `at`; [`Node::on_timer`]
+    /// then gets `tag`, an opaque value the node chooses to tell its
+    /// timers apart.
     ///
     /// # Panics
     ///
     /// Panics if `at` is in the past.
-    pub fn schedule_at(&mut self, at: Nanos, tag: u64) -> TimerId {
+    pub fn schedule_at(&mut self, at: Nanos, tag: u64) {
         assert!(at >= self.now, "timer in the past: {at} < {}", self.now);
-        *self.timer_seq += 1;
-        let id = TimerId(*self.timer_seq);
-        self.actions.push(Action::Schedule { at, id, tag });
-        id
+        self.actions.push(Action::Schedule { at, tag });
     }
 
     /// Schedules a timer to fire after `delay` (at [`Nanos::MAX`] if the
     /// sum overflows).
-    pub fn schedule_in(&mut self, delay: Nanos, tag: u64) -> TimerId {
-        self.schedule_at(self.now.saturating_add(delay), tag)
+    pub fn schedule_in(&mut self, delay: Nanos, tag: u64) {
+        self.schedule_at(self.now.saturating_add(delay), tag);
     }
 }
 
@@ -318,7 +302,6 @@ pub struct Simulator<M: Payload> {
     /// a node or port past the end of its table is unconnected.
     links: Vec<Vec<Option<Link>>>,
     now: Nanos,
-    timer_seq: u64,
     rng: Rng,
     unrouted: u64,
     lost: u64,
@@ -345,7 +328,6 @@ impl<M: Payload> Simulator<M> {
             queue: EventQueue::new(),
             links: Vec::new(),
             now: Nanos::ZERO,
-            timer_seq: 0,
             rng: Rng::new(seed),
             unrouted: 0,
             lost: 0,
@@ -543,7 +525,6 @@ impl<M: Payload> Simulator<M> {
             node: id,
             rng: &mut self.rng,
             actions: std::mem::take(&mut self.action_scratch),
-            timer_seq: &mut self.timer_seq,
         };
         f(&mut node, &mut ctx);
         let mut actions = ctx.actions;
@@ -583,13 +564,8 @@ impl<M: Payload> Simulator<M> {
                     msg,
                     delay,
                 } => self.inject(to, port, msg, delay),
-                Action::Schedule { at, id: tid, tag } => {
-                    let timer = Event::Timer {
-                        node: id,
-                        id: tid,
-                        tag,
-                    };
-                    self.queue.push(at, timer);
+                Action::Schedule { at, tag } => {
+                    self.queue.push(at, Event::Timer { node: id, tag });
                 }
             }
         }
@@ -636,9 +612,9 @@ impl<M: Payload> Simulator<M> {
                         self.dispatch(node, |n, ctx| n.on_message(ctx, port, msg));
                     }
                 }
-                Event::Timer { node, id, tag } => {
+                Event::Timer { node, tag } => {
                     if self.nodes[node.0 as usize].is_some() {
-                        self.dispatch(node, |n, ctx| n.on_timer(ctx, Timer { id, tag }));
+                        self.dispatch(node, |n, ctx| n.on_timer(ctx, tag));
                     }
                 }
             }
@@ -674,7 +650,7 @@ mod tests {
         fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
             ctx.schedule_in(self.period, 0);
         }
-        fn on_timer(&mut self, ctx: &mut Ctx<'_, u64>, _t: Timer) {
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, u64>, _tag: u64) {
             self.fired += 1;
             ctx.send(PortId::P0, self.fired as u64);
             if self.fired < self.limit {
@@ -682,6 +658,14 @@ mod tests {
             }
         }
         impl_node_any!();
+    }
+
+    #[test]
+    fn a_u64_event_stays_small() {
+        // Every pending event sits in the queue's slab, so its size is
+        // paid per event in flight: a timer is its node and its tag, a
+        // delivery its node, port and message, and nothing more.
+        assert_eq!(std::mem::size_of::<Event<u64>>(), 16);
     }
 
     #[test]
@@ -831,8 +815,8 @@ mod tests {
                 ctx.inject(NodeId(1), PortId::P0, 2, Nanos::MAX);
                 ctx.schedule_in(Nanos::MAX, 3);
             }
-            fn on_timer(&mut self, ctx: &mut Ctx<'_, u64>, t: Timer) {
-                ctx.send(PortId::P0, t.tag);
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, u64>, tag: u64) {
+                ctx.send(PortId::P0, tag);
             }
             impl_node_any!();
         }

@@ -188,27 +188,23 @@ impl Histogram {
     }
 }
 
-/// A load generator's latency record: every completion since the start,
-/// and the completions since a harness last drained the window.
+/// A load generator's latency record: the completions since a harness
+/// last drained the window.
 #[derive(Clone, Debug, Default)]
 pub struct LatencyWindow {
-    /// All-time latency distribution.
-    pub latency: Histogram,
-    /// Resettable window histogram for timeline plots.
-    pub window_latency: Histogram,
+    window: Histogram,
 }
 
 impl LatencyWindow {
     /// Records one completion's latency in nanoseconds.
     pub fn record(&mut self, ns: u64) {
-        self.latency.record(ns);
-        self.window_latency.record(ns);
+        self.window.record(ns);
     }
 
     /// Drains the measurement window: (completions in the window, their
     /// latency histogram), and starts a new one.
     pub fn take_window(&mut self) -> (u64, Histogram) {
-        let window = std::mem::take(&mut self.window_latency);
+        let window = std::mem::take(&mut self.window);
         (window.count(), window)
     }
 }

@@ -15,7 +15,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use inc_sim::{impl_node_any, Ctx, Nanos, Node, NodeId, PortId, Rng, Simulator, Timer};
+use inc_sim::{impl_node_any, Ctx, Nanos, Node, NodeId, PortId, Rng, Simulator};
 
 /// What the node does with `payload`: up to three follow-ups, each
 /// `(delay, payload)`, a pure function so the oracle can replay it. The
@@ -60,8 +60,8 @@ impl Node<u64> for Chatter {
     fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, _port: PortId, msg: u64) {
         self.on_event(ctx, msg);
     }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, u64>, timer: Timer) {
-        self.on_event(ctx, timer.tag);
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, u64>, tag: u64) {
+        self.on_event(ctx, tag);
     }
     impl_node_any!();
 }

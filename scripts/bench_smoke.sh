@@ -108,13 +108,13 @@ cargo test --release -q --test properties -- \
 # (`ArbiterStats::gates_evaluated` — identical in both modes, <= 20 % of
 # tenants x ticks on the 1 000-tenant trace, 0 for a fleet that never
 # clears the floor).
-# The same binary's live-heap cells soak a KvsClient under 100 % loss,
-# a PaxosClient whose leader never answers and the §9.2 leader,
-# acceptors and learner at steady load 10 warm-ups past their warm-up:
-# live bytes at the end may not exceed those at 10 % of the run by more
-# than the stated slack, and an acceptor may keep at most 40 B per
-# instance it voted in. Four lines: the two clients, the §9.2 learner
-# and leader, the §9.2 acceptors.
+# The same binary's live-heap cells soak a KvsClient and a DnsClient
+# under 100 % loss, a PaxosClient whose leader never answers and the
+# §9.2 leader, acceptors and learner at steady load 10 warm-ups past
+# their warm-up: live bytes at the end may not exceed those at 10 % of
+# the run by more than the stated slack, and an acceptor may keep at
+# most 40 B per instance it voted in. Five lines: the three clients,
+# the §9.2 learner and leader, the §9.2 acceptors.
 echo "== allocation budgets and live-heap soak =="
 cargo test --release -q --test alloc_budget -- --nocapture | tee "$out/alloc_budget.log"
 grep -oE '(chaos epoch|packet fabric|heavy burst): .*' "$out/alloc_budget.log" > "$out/allocs.txt"
@@ -154,11 +154,11 @@ if [[ "$(wc -l < "$out/allocs.txt")" -ne 3 ]]; then
   echo "bench smoke failed: allocs.txt does not hold the 3 allocation count lines" >&2
   exit 1
 fi
-if [[ "$(wc -l < "$out/live_heap.txt")" -ne 4 ]]; then
-  echo "bench smoke failed: live_heap.txt does not hold the 4 soak cell lines" >&2
+if [[ "$(wc -l < "$out/live_heap.txt")" -ne 5 ]]; then
+  echo "bench smoke failed: live_heap.txt does not hold the 5 soak cell lines" >&2
   exit 1
 fi
-for cell in '§9.2 learner and leader' '§9.2 acceptors'; do
+for cell in 'DnsClient under 100 % loss' '§9.2 learner and leader' '§9.2 acceptors'; do
   if ! grep -q "^live heap, $cell: " "$out/live_heap.txt"; then
     echo "bench smoke failed: live_heap.txt has no line for $cell" >&2
     exit 1

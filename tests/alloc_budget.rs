@@ -34,7 +34,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use inc::dns::{DnsResponse, DnsResponseView, EmuDevice, Name, Query, Rcode, Zone, DNS_PORT};
+use inc::dns::{
+    DnsClient, DnsResponse, DnsResponseView, EmuDevice, Name, Query, Rcode, Zone, DNS_PORT,
+};
 use inc::hw::{DeviceId, ProgramResources};
 use inc::kvs::{
     decode_view, expected_value, key_name, FrameHeader, KvsClient, LakeCacheConfig, LakeDevice,
@@ -185,6 +187,29 @@ fn a_kvs_client_under_total_loss_stays_bounded() {
     let stats = sim.node_ref::<KvsClient>(client).stats();
     assert_eq!(stats.received, 0);
     assert_eq!(stats.abandoned, stats.sent - 65_536, "{stats:?}");
+}
+
+#[test]
+fn a_dns_client_under_total_loss_stays_bounded() {
+    // 1 Mpps of A queries over a link that drops every frame. The
+    // in-flight table is keyed by the 16-bit query id, so it fills at
+    // 65 536 entries (66 ms) and a newer query takes over each entry
+    // from then on, as the KVS client's does.
+    let mut sim: Simulator<Packet> = Simulator::new(11);
+    let client = sim.add_node(DnsClient::new(
+        Endpoint::host(1, 40_000),
+        Endpoint::host(2, DNS_PORT),
+        1_000_000.0,
+        1_024,
+    ));
+    let hole = sim.add_node(Sink::default());
+    let lossy = LinkSpec::ideal().with_loss(1.0);
+    sim.connect_duplex(client, PortId::P0, hole, PortId::P0, lossy);
+    let soak = soak(&mut sim, Nanos::from_millis(80));
+    assert_bounded("DnsClient under 100 % loss", &soak);
+    let stats = sim.node_ref::<DnsClient>(client).stats();
+    assert_eq!(stats.received, 0);
+    assert!(stats.sent > 65_536, "{stats:?}");
 }
 
 #[test]
@@ -653,27 +678,19 @@ fn a_frame_costs_one_allocation_to_build_and_none_to_read() {
 
     let mut frames: Vec<Packet> = Vec::with_capacity(5);
     let build_all = |frames: &mut Vec<Packet>| {
-        frames.push(build_udp_with(client, server, 0, get.encoded_len(), |b| {
+        frames.push(build_udp_with(client, server, get.encoded_len(), |b| {
             get.encode_into(frame, 9, b)
         }));
-        frames.push(build_udp_with(server, client, 0, hit.encoded_len(), |b| {
+        frames.push(build_udp_with(server, client, hit.encoded_len(), |b| {
             hit.encode_into(frame, b)
         }));
-        frames.push(build_udp_with(
-            client,
-            server,
-            0,
-            query.encoded_len(),
-            |b| query.encode_into(b),
-        ));
-        frames.push(build_udp_with(
-            server,
-            client,
-            0,
-            answer.encoded_len(),
-            |b| answer.encode_into(b),
-        ));
-        frames.push(build_udp_with(client, server, 0, p2a.encoded_len(), |b| {
+        frames.push(build_udp_with(client, server, query.encoded_len(), |b| {
+            query.encode_into(b)
+        }));
+        frames.push(build_udp_with(server, client, answer.encoded_len(), |b| {
+            answer.encode_into(b)
+        }));
+        frames.push(build_udp_with(client, server, p2a.encoded_len(), |b| {
             p2a.write_to(b)
         }));
     };
@@ -786,7 +803,7 @@ fn a_warm_lake_device_allocates_nothing() {
             flags: 0,
             expiry: 0,
         };
-        let pkt = build_udp_with(client, server, 0, set.encoded_len(), |b| {
+        let pkt = build_udp_with(client, server, set.encoded_len(), |b| {
             set.encode_into(frame(i), i as u32, b)
         });
         sim.inject(device, PortId::P0, pkt, Nanos::from_nanos(i + 1));
@@ -794,7 +811,7 @@ fn a_warm_lake_device_allocates_nothing() {
     let (allocs, replies) = allocations_answering(sim, device, |i| {
         let key = key_name(i % KEYS);
         let get = RequestView::Get { key: &key };
-        build_udp_with(client, server, 0, get.encoded_len(), |b| {
+        build_udp_with(client, server, get.encoded_len(), |b| {
             get.encode_into(frame(i), i as u32, b)
         })
     });
@@ -816,7 +833,7 @@ fn a_warm_emu_device_allocates_nothing() {
             qtype: inc::dns::TYPE_A,
             recursion_desired: false,
         };
-        build_udp_with(client, server, 0, query.encoded_len(), |b| {
+        build_udp_with(client, server, query.encoded_len(), |b| {
             query.encode_into(b)
         })
     });

@@ -20,13 +20,13 @@ use inc::sim::{LinkSpec, Nanos, NodeId, PortId, Simulator};
 
 #[test]
 fn link_loss_rate_is_respected() {
-    use inc::sim::{impl_node_any, Ctx, Node, Timer};
+    use inc::sim::{impl_node_any, Ctx, Node};
     struct Source;
     impl Node<u64> for Source {
         fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
             ctx.schedule_in(Nanos::from_micros(1), 0);
         }
-        fn on_timer(&mut self, ctx: &mut Ctx<'_, u64>, _t: Timer) {
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, u64>, _tag: u64) {
             ctx.send(PortId::P0, 1);
             ctx.schedule_in(Nanos::from_micros(1), 0);
         }

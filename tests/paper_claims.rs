@@ -1,5 +1,6 @@
 //! One test per headline claim of the paper, evaluated against the
-//! calibrated models. This is the regression net for `EXPERIMENTS.md`.
+//! calibrated models. This is the regression net for the calibration
+//! constants of `crates/power/src/calib.rs`.
 
 use inc::hw::{SmartNicModel, TofinoModel, TofinoProgram};
 use inc::ondemand::apps::{crossover, dns_models, kvs_memcached_x520, kvs_models, paxos_models};

@@ -142,7 +142,7 @@ fn kvs_frame(request: RequestView<'_>, id: u16) -> Packet {
         total: 1,
     };
     let (client, server) = (Endpoint::host(1, 40_000), Endpoint::host(2, MEMCACHED_PORT));
-    build_udp_with(client, server, 0, request.encoded_len(), |b| {
+    build_udp_with(client, server, request.encoded_len(), |b| {
         request.encode_into(header, u32::from(id), b)
     })
 }
@@ -155,7 +155,7 @@ fn dns_frame(name: &str) -> Packet {
         recursion_desired: false,
     };
     let (client, server) = (Endpoint::host(3, 41_000), Endpoint::host(4, DNS_PORT));
-    build_udp_with(client, server, 0, query.encoded_len(), |b| {
+    build_udp_with(client, server, query.encoded_len(), |b| {
         query.encode_into(b)
     })
 }

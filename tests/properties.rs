@@ -505,7 +505,9 @@ proptest! {
 /// bounded — an ordered map per acceptor, a learner that keeps every
 /// vote and its whole delivered log — kept as the reference
 /// `roles_match_the_map_reference` holds the library's roles to. The
-/// acceptor has the library's refusal rule in front of it.
+/// acceptor has the library's refusal rule in front of it; the learner
+/// tallies each round of an instance apart, up to the library's bound
+/// on rounds.
 mod map_roles {
     use std::collections::{BTreeMap, BTreeSet};
 
@@ -583,10 +585,14 @@ mod map_roles {
         }
     }
 
+    /// Rounds a learner tallies per instance.
+    pub const ROUNDS_PER_INSTANCE: usize = 4;
+
     pub struct Learner {
         quorum: usize,
-        /// Instance → (round, voters, value), never dropped.
-        pub votes: BTreeMap<u64, (u16, BTreeSet<u8>, Bytes)>,
+        /// (Instance, round) → (voters, value), never dropped; at most
+        /// [`ROUNDS_PER_INSTANCE`] rounds per instance.
+        pub votes: BTreeMap<(u64, u16), (BTreeSet<u8>, Bytes)>,
         decided: BTreeMap<u64, Bytes>,
         pub next_deliver: u64,
         executed: BTreeSet<(u32, u64)>,
@@ -619,22 +625,23 @@ mod map_roles {
             if msg.mtype != MsgType::Phase2b {
                 return Vec::new();
             }
-            let fresh = (msg.round, BTreeSet::new(), msg.value.clone());
+            let rounds = self
+                .votes
+                .range((msg.instance, 0)..=(msg.instance, u16::MAX));
+            let tallied = rounds.count();
+            let key = (msg.instance, msg.round);
+            if !self.votes.contains_key(&key) && tallied >= ROUNDS_PER_INSTANCE {
+                return Vec::new();
+            }
             let entry = self
                 .votes
-                .entry(msg.instance)
-                .or_insert_with(|| fresh.clone());
-            if msg.round > entry.0 {
-                *entry = fresh;
-            }
-            if msg.round < entry.0 {
+                .entry(key)
+                .or_insert_with(|| (BTreeSet::new(), msg.value.clone()));
+            entry.0.insert(msg.acceptor);
+            if entry.0.len() < self.quorum {
                 return Vec::new();
             }
-            entry.1.insert(msg.acceptor);
-            if entry.1.len() < self.quorum {
-                return Vec::new();
-            }
-            let value = entry.2.clone();
+            let value = entry.1.clone();
             if msg.instance >= self.next_deliver {
                 self.decided.entry(msg.instance).or_insert(value);
             }
@@ -689,7 +696,7 @@ proptest! {
     /// digest and tail, the gap probe and which instances hold votes.
     #[test]
     fn roles_match_the_map_reference(
-        ops in proptest::collection::vec((0u8..10, 0u8..4, 0u8..13, 0u16..6, 0u8..8), 1..300),
+        ops in proptest::collection::vec((0u8..10, 0u8..4, 0u8..13, 0u16..7, 0u8..8), 1..300),
     ) {
         use inc::paxos::{Acceptor, ClientCommand, Learner, NOOP_VALUE};
         use map_roles::MAX_LEAD;
@@ -731,8 +738,9 @@ proptest! {
                 6..=8 => MsgType::Phase2b,
                 _ => [MsgType::ClientRequest, MsgType::Phase1b, MsgType::GapRequest][acc],
             };
-            // Mostly round 1; stale round 0 and higher rounds 2 and 3.
-            let round = [0, 1, 1, 1, 2, 3][usize::from(round)];
+            // Mostly round 1; stale round 0 and higher rounds 2 to 4, one
+            // more than a learner tallies per instance.
+            let round = [0, 1, 1, 1, 2, 3, 4][usize::from(round)];
             let mut msg = PaxosMsg::new(mtype, instance, round, value);
             msg.acceptor = who;
 
@@ -764,7 +772,12 @@ proptest! {
             prop_assert_eq!(learner.has_gap(), model.has_gap());
             let probe = learner.gap_probe().map(|(_, m)| m.instance);
             prop_assert_eq!(probe, model.has_gap().then_some(model.next_deliver));
-            let undelivered = model.votes.range(model.next_deliver..).count();
+            let undelivered = model
+                .votes
+                .range((model.next_deliver, 0)..)
+                .map(|(&(instance, _), _)| instance)
+                .collect::<std::collections::BTreeSet<_>>()
+                .len();
             prop_assert_eq!(learner.retained_instances(), undelivered);
         }
     }
@@ -2512,7 +2525,8 @@ proptest! {
     /// The in-place builder — header room reserved, payload encoded
     /// behind it, lengths and checksums patched over it — emits exactly
     /// the frame of the append-and-concatenate reference, for arbitrary
-    /// addresses, idents and payloads of 0..=2048 bytes, odd and even.
+    /// addresses and payloads of 0..=2048 bytes, odd and even. Frames
+    /// carry IPv4 ident 0; the header codec itself round-trips any.
     #[test]
     fn in_place_frames_match_the_reference_builder(
         macs in (any::<u64>(), any::<u64>()),
@@ -2522,27 +2536,24 @@ proptest! {
         payload in proptest::collection::vec(any::<u8>(), 0..2049),
         split in any::<usize>(),
     ) {
-        use inc::net::{build_udp_with, build_udp_with_ident, BufMut};
+        use inc::net::{build_udp_with, BufMut, Ipv4Header, IPPROTO_UDP};
         let src = endpoint(macs.0, ips.0, ports.0);
         let dst = endpoint(macs.1, ips.1, ports.1);
-        let want = reference_frame(src, dst, ident, &payload);
-        let pkt = build_udp_with_ident(src, dst, &payload, ident);
+        let want = reference_frame(src, dst, 0, &payload);
+        let pkt = build_udp(src, dst, &payload);
         prop_assert_eq!(&pkt.data[..], &want[..]);
         // Encoding the payload piecewise changes nothing.
         let (head, tail) = payload.split_at(split % (payload.len() + 1));
-        let pieces = build_udp_with(src, dst, ident, payload.len(), |buf| {
+        let pieces = build_udp_with(src, dst, payload.len(), |buf| {
             buf.put_slice(head);
             buf.put_slice(tail);
         });
         prop_assert_eq!(&pieces.data[..], &want[..]);
-        if ident == 0 {
-            prop_assert_eq!(&build_udp(src, dst, &payload).data[..], &want[..]);
-        }
         // The frame verifies, and its length is exactly the datagram.
         let frame = UdpFrame::parse(&pkt).unwrap();
         prop_assert_eq!(frame.payload, &payload[..]);
         prop_assert_eq!((frame.source(), frame.destination()), (src, dst));
-        prop_assert_eq!(frame.ip.ident, ident);
+        prop_assert_eq!(frame.ip.ident, 0);
         prop_assert_eq!(&frame.payload_bytes(&pkt)[..], &payload[..]);
         prop_assert_eq!(pkt.data.len(), 42 + payload.len());
         // The reply builder swaps the direction of the same machinery.
@@ -2550,6 +2561,22 @@ proptest! {
             buf.put_slice(&payload);
         });
         prop_assert_eq!(&reply.data[..], &reference_frame(dst, src, 0, &payload)[..]);
+        // An IPv4 header with any ident encodes to the reference's bytes
+        // and decodes back to itself in front of the same datagram.
+        let header = Ipv4Header {
+            src: src.ip,
+            dst: dst.ip,
+            protocol: IPPROTO_UDP,
+            ttl: 64,
+            total_len: (20 + 8 + payload.len()) as u16,
+            ident,
+        };
+        let mut packet = Vec::new();
+        header.encode(&mut packet);
+        packet.extend_from_slice(&want[34..]);
+        prop_assert_eq!(&packet[..], &reference_frame(src, dst, ident, &payload)[14..]);
+        let (decoded, datagram) = Ipv4Header::decode(&packet).unwrap();
+        prop_assert_eq!((decoded, datagram), (header, &want[34..]));
     }
 
     /// Memcached: encoding a view straight into a frame equals encoding
@@ -2580,7 +2607,7 @@ proptest! {
             };
             let view = req.as_view();
             prop_assert_eq!(view.to_owned(), req.clone());
-            let pkt = build_udp_with(a, b, 0, view.encoded_len(), |buf| {
+            let pkt = build_udp_with(a, b, view.encoded_len(), |buf| {
                 view.encode_into(frame, opaque, buf)
             });
             let bytes = encode_request(frame, &req, opaque);
@@ -2596,7 +2623,7 @@ proptest! {
             let resp = Response { opcode, status, value, flags, opaque };
             let view = resp.as_view();
             prop_assert_eq!(view.to_owned(), resp.clone());
-            let pkt = build_udp_with(a, b, 0, view.encoded_len(), |buf| {
+            let pkt = build_udp_with(a, b, view.encoded_len(), |buf| {
                 view.encode_into(frame, buf)
             });
             let bytes = encode_response(frame, &resp);
@@ -2674,7 +2701,7 @@ proptest! {
         let q = Query { id, name: name.clone(), qtype, recursion_desired: rd };
         let qbytes = q.encode();
         prop_assert_eq!(qbytes.len(), q.encoded_len());
-        let pkt = build_udp_with(a, b, 0, q.encoded_len(), |buf| q.encode_into(buf));
+        let pkt = build_udp_with(a, b, q.encoded_len(), |buf| q.encode_into(buf));
         prop_assert_eq!(&pkt.data[..], &build_udp(a, b, &qbytes).data[..]);
         prop_assert_eq!(Query::decode(&qbytes).unwrap(), q);
         // QCLASS is never read; everything before it is.
@@ -2690,7 +2717,7 @@ proptest! {
         let r = DnsResponse { id, rcode, name: name.clone(), answers: answers.clone() };
         let rbytes = r.encode();
         prop_assert_eq!(rbytes.len(), r.encoded_len());
-        let pkt = build_udp_with(b, a, 0, r.encoded_len(), |buf| r.encode_into(buf));
+        let pkt = build_udp_with(b, a, r.encoded_len(), |buf| r.encode_into(buf));
         prop_assert_eq!(&pkt.data[..], &build_udp(b, a, &rbytes).data[..]);
         let view = DnsResponseView::decode(&rbytes).unwrap();
         prop_assert_eq!((view.id, view.rcode, &view.name), (id, rcode, &name));
@@ -2852,7 +2879,7 @@ proptest! {
         };
         let bytes = m.encode();
         let (a, b) = (Endpoint::host(20, 8600), Endpoint::host(10, 8601));
-        let pkt = build_udp_with(a, b, 0, m.encoded_len(), |buf| m.write_to(buf));
+        let pkt = build_udp_with(a, b, m.encoded_len(), |buf| m.write_to(buf));
         prop_assert_eq!(&pkt.data[..], &build_udp(a, b, &bytes).data[..]);
         let frame = UdpFrame::parse(&pkt).unwrap();
         let shared = PaxosMsg::decode_shared(&frame.payload_bytes(&pkt)).unwrap();
