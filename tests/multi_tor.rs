@@ -306,93 +306,171 @@ fn per_app_timelines_record_the_placement_windows() {
     );
 }
 
-/// What one simulated second of the benchmark's rig put on its links.
-#[derive(Debug, PartialEq, Eq)]
-struct WireGolden {
-    /// Frames handed to a link.
-    frames: u64,
-    /// FNV-1a over every frame in send order: time, sender, egress
-    /// port, length and bytes.
-    frame_digest: u64,
-    /// FNV-1a over the controller's shift log.
-    shift_digest: u64,
-    /// `FleetTimeline::energy_j`, bit for bit.
-    energy_bits: u64,
-}
-
-fn wire_golden_run(seed: u64) -> WireGolden {
-    use std::cell::Cell;
+/// The wire-frame golden of one seed: what one simulated second of the
+/// benchmark's rig put on its links, as text. One line per link per
+/// [`WIRE_WINDOW`] that carried frames — `window_ms node port frames
+/// bytes digest`, the digest an FNV-1a over that link's frames in the
+/// window (time, length and bytes) folded to 32 bits — and a last `total` line: every
+/// frame, the FNV-1a over all of them in send order (time, sender,
+/// egress port, length, bytes), the controller's shift-log digest and
+/// `FleetTimeline::energy_j`'s bits.
+fn wire_golden_text(seed: u64) -> String {
+    use std::cell::RefCell;
+    use std::collections::BTreeMap;
+    use std::fmt::Write;
     use std::rc::Rc;
 
+    /// `(window, node, port)` → frames, bytes, digest; and the run's
+    /// frame count and send-order digest.
+    type Tally = (BTreeMap<(u64, u32, u16), (u64, u64, u64)>, u64, u64);
     let mut rig = MultiTorRig::new(seed, KEYS, NAMES, MultiTorRig::contended_profiles(PERIOD));
     let mut ctl = MultiTorRig::fleet_controller(INTERVAL);
-    let tapped = Rc::new(Cell::new((0u64, FNV_OFFSET)));
+    let tapped: Rc<RefCell<Tally>> = Rc::new(RefCell::new((BTreeMap::new(), 0, FNV_OFFSET)));
     let tap = Rc::clone(&tapped);
     rig.sim.set_link_tap(move |now, from, port, pkt| {
-        let (frames, mut h) = tap.get();
-        fnv(&mut h, &now.as_nanos().to_le_bytes());
-        fnv(&mut h, &from.0.to_le_bytes());
-        fnv(&mut h, &port.0.to_le_bytes());
-        fnv(&mut h, &(pkt.data.len() as u64).to_le_bytes());
-        fnv(&mut h, &pkt.data);
-        tap.set((frames + 1, h));
+        let (links, frames, h) = &mut *tap.borrow_mut();
+        fnv(h, &now.as_nanos().to_le_bytes());
+        fnv(h, &from.0.to_le_bytes());
+        fnv(h, &port.0.to_le_bytes());
+        fnv(h, &(pkt.data.len() as u64).to_le_bytes());
+        fnv(h, &pkt.data);
+        *frames += 1;
+        let window = now.as_nanos() / WIRE_WINDOW.as_nanos() * WIRE_WINDOW_MS;
+        let link = links
+            .entry((window, from.0, port.0))
+            .or_insert((0, 0, FNV_OFFSET));
+        link.0 += 1;
+        link.1 += pkt.data.len() as u64;
+        fnv(&mut link.2, &now.as_nanos().to_le_bytes());
+        fnv(&mut link.2, &(pkt.data.len() as u64).to_le_bytes());
+        fnv(&mut link.2, &pkt.data);
     });
     let timeline = rig.run(&mut ctl, Nanos::from_secs(1));
 
-    let (frames, frame_digest) = tapped.get();
-    WireGolden {
-        frames,
-        frame_digest,
-        shift_digest: shift_log_digest(ctl.shifts()),
-        energy_bits: timeline.energy_j.to_bits(),
+    let (links, frames, digest) = &*tapped.borrow();
+    let mut text = String::new();
+    for ((window, node, port), (n, bytes, h)) in links {
+        let h = (h ^ (h >> 32)) as u32;
+        let _ = writeln!(text, "{window} {node} {port} {n} {bytes} {h:08x}");
     }
+    let (shift, energy) = (shift_log_digest(ctl.shifts()), timeline.energy_j.to_bits());
+    let _ = writeln!(text, "total {frames} {digest} {shift} {energy}");
+    text
+}
+
+/// The window a wire-frame golden line covers, in ms.
+const WIRE_WINDOW_MS: u64 = 10;
+const WIRE_WINDOW: Nanos = Nanos::from_millis(WIRE_WINDOW_MS);
+
+/// The seeds with a wire-frame golden.
+const WIRE_SEEDS: [u64; 3] = [1, 7, 42];
+
+fn wire_golden_path(seed: u64) -> std::path::PathBuf {
+    let file = format!("tests/golden/multi_tor_wire_{seed}.txt");
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(file)
+}
+
+/// The first line where `got` and `want` differ, with three lines of
+/// context on either side; `None` when they are the same.
+fn first_divergence(got: &str, want: &str) -> Option<String> {
+    let (got, want): (Vec<&str>, Vec<&str>) = (got.lines().collect(), want.lines().collect());
+    let at = (0..got.len().max(want.len())).find(|&i| got.get(i) != want.get(i))?;
+    let context = |lines: &[&str]| {
+        let span = at.saturating_sub(3)..(at + 4).min(lines.len());
+        let shown: Vec<String> = span
+            .map(|i| format!("  {:>5} {}", i + 1, lines[i]))
+            .collect();
+        shown.join("\n")
+    };
+    Some(format!(
+        "first divergent line {}\nrecorded:\n{}\nthis run:\n{}",
+        at + 1,
+        context(&want),
+        context(&got)
+    ))
 }
 
 #[test]
 fn wire_frames_match_the_recorded_golden_runs() {
-    // Recorded from the commit before the allocation-free packet path
-    // (checksum over a concatenated `Vec`, frames built in a `Vec` and
-    // copied into their `Arc`, `Name` as `Vec<Vec<u8>>`, owned decodes).
     // A frame's length feeds link serialisation time and its bytes feed
     // every parser downstream, so one byte of drift in any codec, the
-    // IPv4 ident or a checksum changes these.
-    let golden = |frames, frame_digest, energy_bits| WireGolden {
-        frames,
-        frame_digest,
-        shift_digest: 942_826_334_730_858_929,
-        energy_bits,
-    };
+    // IPv4 ident or a checksum moves a line here. Re-record on purpose
+    // with `cargo test --release --test multi_tor -- --ignored
+    // record_the_wire_frame_goldens`.
+    for seed in WIRE_SEEDS {
+        let path = wire_golden_path(seed);
+        let want =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let got = wire_golden_text(seed);
+        if let Some(diff) = first_divergence(&got, &want) {
+            panic!(
+                "seed {seed} drifted on the wire ({}):\n{diff}",
+                path.display()
+            );
+        }
+    }
+}
+
+#[test]
+#[ignore = "rewrites tests/golden/multi_tor_wire_*.txt"]
+fn record_the_wire_frame_goldens() {
+    for seed in WIRE_SEEDS {
+        let path = wire_golden_path(seed);
+        std::fs::write(&path, wire_golden_text(seed))
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    }
+}
+
+#[test]
+fn the_wire_frame_goldens_fold_back_to_their_totals() {
+    // The per-link lines account for every frame the total line counts,
+    // and the total line is the constant the golden used to pin:
+    // `(frames, frame digest, shift digest, energy bits)` per seed.
     let recorded = [
         (
             1,
-            golden(
+            [
                 363_026,
                 15_413_183_598_330_839_581,
+                942_826_334_730_858_929,
                 4_642_401_086_476_333_030,
-            ),
+            ],
         ),
         (
             7,
-            golden(
+            [
                 362_950,
                 17_710_658_803_537_428_679,
+                942_826_334_730_858_929,
                 4_642_400_844_879_921_779,
-            ),
+            ],
         ),
         (
             42,
-            golden(
+            [
                 362_930,
                 10_928_744_400_971_176_832,
+                942_826_334_730_858_929,
                 4_642_401_328_545_833_348,
-            ),
+            ],
         ),
     ];
-    for (seed, want) in recorded {
+    for (seed, constant) in recorded {
+        let text = std::fs::read_to_string(wire_golden_path(seed)).unwrap();
+        let (lines, total) = text.trim_end().rsplit_once('\n').unwrap();
+        let total: Vec<u64> = total
+            .split(' ')
+            .skip(1)
+            .map(|w| w.parse().unwrap())
+            .collect();
+        let frames: u64 = lines
+            .lines()
+            .map(|l| l.split(' ').nth(3).unwrap().parse::<u64>().unwrap())
+            .sum();
+        assert_eq!(frames, total[0], "seed {seed}: lines and total disagree");
         assert_eq!(
-            wire_golden_run(seed),
-            want,
-            "seed {seed} drifted on the wire"
+            total, constant,
+            "seed {seed}: the total is not the recorded constant"
         );
     }
 }
