@@ -114,6 +114,13 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
     ALLOCS.with(Cell::get) - before
 }
 
+/// Runs `f` on a new thread and returns what it returns: the thread's
+/// frame and spill free lists start empty, so what `f` allocates does
+/// not depend on which tests ran before it on the caller's thread.
+fn on_a_fresh_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+    std::thread::scope(|scope| scope.spawn(f).join().expect("the measured thread panicked"))
+}
+
 /// What a live-heap soak cell saw on this thread past its warm-up: live
 /// bytes at 10 % of the run and at its end, and the high-water mark in
 /// between.
@@ -403,11 +410,12 @@ fn loss_free_cluster_stays_under_the_allocation_budget() {
 
 /// Allocations per submitted command one epoch of the benchmark's
 /// `paxos_chaos` schedule may spend, its 32-byte payloads included.
-/// Measured: 2.048, + 5 % (3.15 while every outbox spill — an execution
-/// that answers for several slots, a retransmit burst — was a fresh
-/// `Vec`, 10.83 while each delivered message's decode copied its
-/// value). Spills now reuse the thread's free list: past the payload
-/// and the command's buffer, 0.048 per command is left.
+/// Measured from an empty spill list, on a thread of its own: 2.049,
+/// + 5 % (3.15 while every outbox spill — an execution that answers for
+/// several slots, a retransmit burst — was a fresh `Vec`, 10.83 while
+/// each delivered message's decode copied its value). Spills now reuse
+/// the thread's free list: past the payload and the command's buffer,
+/// 0.049 per command is left, the first spills included.
 const CHAOS_ALLOCS_PER_COMMAND_CEILING: f64 = 2.15;
 
 #[test]
@@ -418,6 +426,9 @@ fn a_chaos_epoch_stays_under_the_allocation_budget() {
     // after every tick, then a drain until every command executed.
     const ROUNDS: u64 = 500;
     const KILL_ROUND: u64 = 200;
+    fn all_executed(c: &ChaosCluster, n: u64) -> bool {
+        c.replicas.iter().all(|r| r.executed_count == n)
+    }
     fn settle(c: &mut ChaosCluster) {
         c.tick(1_000_000);
         let floor = c.replicas.iter().map(|r| r.slot_out()).min().unwrap_or(1);
@@ -425,29 +436,34 @@ fn a_chaos_epoch_stays_under_the_allocation_budget() {
             a.compact(floor);
         }
     }
-    let mut c = ChaosCluster::new(42, 2, 2, 3);
-    c.drop_p = 0.05;
-    c.dup_p = 0.02;
-    let mut submitted = 0;
-    let all_executed = |c: &ChaosCluster, n| c.replicas.iter().all(|r| r.executed_count == n);
-    let allocs = allocations_in(|| {
-        for round in 0..ROUNDS {
-            if round == KILL_ROUND {
-                let active = c.leaders.iter().position(|l| l.is_active()).unwrap_or(0);
-                c.kill(NodeRef::Leader(active as u8));
+    // Spill buffers recycle through a per-thread free list, so the count
+    // depends on what the thread ran before: the epoch runs on a thread
+    // of its own, whose list starts empty, alone or in the full binary.
+    let (c, submitted, allocs) = on_a_fresh_thread(|| {
+        let mut c = ChaosCluster::new(42, 2, 2, 3);
+        c.drop_p = 0.05;
+        c.dup_p = 0.02;
+        let mut submitted = 0;
+        let allocs = allocations_in(|| {
+            for round in 0..ROUNDS {
+                if round == KILL_ROUND {
+                    let active = c.leaders.iter().position(|l| l.is_active()).unwrap_or(0);
+                    c.kill(NodeRef::Leader(active as u8));
+                }
+                for _ in 0..2 {
+                    c.submit(1, vec![0xAB; 32]);
+                    submitted += 1;
+                }
+                settle(&mut c);
             }
-            for _ in 0..2 {
-                c.submit(1, vec![0xAB; 32]);
-                submitted += 1;
+            for _ in 0..5_000 {
+                if all_executed(&c, submitted) {
+                    break;
+                }
+                settle(&mut c);
             }
-            settle(&mut c);
-        }
-        for _ in 0..5_000 {
-            if all_executed(&c, submitted) {
-                break;
-            }
-            settle(&mut c);
-        }
+        });
+        (c, submitted, allocs)
     });
 
     assert!(all_executed(&c, submitted), "the drain did not finish");
