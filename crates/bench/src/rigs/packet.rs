@@ -9,6 +9,7 @@ use inc_net::{Endpoint, L2Switch, Match, Packet};
 use inc_ondemand::{
     run_fleet_controlled, FleetApp, FleetController, FleetControllerConfig, FleetTimeline, RowLog,
 };
+use inc_paxos::multi::Leader;
 use inc_paxos::{PaxosClient, PaxosNode, PAXOS_LEADER_PORT};
 use inc_sim::{Nanos, NodeId, Simulator};
 use inc_workloads::RateProfile;
@@ -137,7 +138,7 @@ impl DnsRig {
 }
 
 /// The Figure 7 Paxos topology: clients + software/hardware leaders +
-/// three acceptors + learner, joined by a steerable switch.
+/// three acceptors + replica, joined by a steerable switch.
 pub struct PaxosRig {
     /// The simulator.
     pub sim: Simulator<Packet>,
@@ -170,10 +171,9 @@ impl PaxosRig {
         } else {
             [hw, sw]
         };
-        let round = self.slice.next_round();
         // Stop the old leader; traffic keeps flowing to it (and dying)
         // while the controller replaces the forwarding rule.
-        let old = self.sim.node_mut::<PaxosNode>(from.0);
+        let old = self.sim.node_mut::<PaxosNode<Leader>>(from.0);
         old.deactivate();
         old.set_parked(true);
         let now = self.sim.now();
@@ -181,9 +181,11 @@ impl PaxosRig {
         let switch = self.sim.node_mut::<L2Switch>(self.slice.switch);
         switch.unsteer_port(from.1);
         switch.steer(Match::udp_dst(PAXOS_LEADER_PORT), to.1);
-        self.sim.node_mut::<PaxosNode>(to.0).set_parked(false);
         self.sim
-            .with_node_ctx::<PaxosNode, _>(to.0, |n, ctx| n.activate_leader(ctx, round));
+            .node_mut::<PaxosNode<Leader>>(to.0)
+            .set_parked(false);
+        self.sim
+            .with_node_ctx::<PaxosNode<Leader>, _>(to.0, |n, ctx| n.activate(ctx));
     }
 }
 
@@ -388,6 +390,8 @@ pub struct MultiTorRig {
     pub dns_client: NodeId,
     /// Open-loop Paxos client.
     pub pax_client: NodeId,
+    /// The Paxos tenant's three acceptors.
+    pub pax_acceptors: Vec<NodeId>,
     /// Offered-rate schedules, indexed like the fleet app vector.
     pub profiles: [RateProfile; 3],
     /// Timeline row retention of [`MultiTorRig::run`].
@@ -483,6 +487,7 @@ impl MultiTorRig {
             kvs_client: kvs.client,
             dns_client: dns.client,
             pax_client: pax.clients[0],
+            pax_acceptors: pax.acceptors.clone(),
             profiles,
             row_log: RowLog::Full,
             slices: [Slice::Kvs(kvs), Slice::Dns(dns), Slice::Paxos(pax)],

@@ -22,13 +22,13 @@ use inc_kvs::{
 };
 use inc_net::{Endpoint, L2Switch, Match, Packet};
 use inc_ondemand::{AppObservation, FleetApp, FleetSample, HostSample, PlacementAnalysis};
+use inc_paxos::multi::{Acceptor, Leader, Replica};
 use inc_paxos::{
-    Acceptor, AddressBook, HostConfig, Leader, Learner, PaxosClient, PaxosNode, Platform,
-    RoleEngine, PAXOS_ACCEPTOR_PORT, PAXOS_LEADER_PORT, PAXOS_LEARNER_PORT,
+    AddressBook, HostConfig, PaxosClient, PaxosNode, Platform, PAXOS_ACCEPTOR_PORT,
+    PAXOS_LEADER_PORT, PAXOS_LEARNER_PORT,
 };
 use inc_power::{calib, EnergyParams};
 use inc_sim::{Histogram, LatencyWindow, LinkSpec, Nanos, Node, NodeId, PortId, Simulator};
-use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
 
 use super::{MultiTorRig, SharedDeviceRig};
@@ -195,24 +195,23 @@ impl Chain {
 /// The §9.2 virtual-leader machinery: a steerable switch in front of one
 /// software leader and one P4xos FPGA leader per site (each remote one
 /// attached through the longer inter-ToR path), three acceptors, a
-/// learner and the clients.
+/// replica and the clients. Every role is an `inc_paxos::multi` machine:
+/// the leader numbers the clients' requests, the replica's slot reports
+/// move the floor the acceptors forget below.
 pub(crate) struct PaxosSlice {
     pub(crate) switch: NodeId,
     pub(crate) clients: Vec<NodeId>,
     /// Every leader with its switch port: the software leader, then the
     /// FPGA leader of each site (home first).
     pub(crate) leaders: Vec<(NodeId, PortId)>,
-    pub(crate) learner: NodeId,
+    pub(crate) acceptors: Vec<NodeId>,
+    pub(crate) replica: NodeId,
     sites: Vec<DeviceId>,
     /// The leader platforms, which is what the slice meters: acceptors
     /// and learner draw the same power under every placement, so they
     /// cancel out of every comparison and are left out of both the meter
     /// and the analysis.
     metered: Vec<NodeId>,
-    /// Next election round: every leader shift must elect with a strictly
-    /// higher round (§9.2). A `Cell` so the run loop's observe and apply
-    /// closures can share the slice.
-    round: Cell<u16>,
 }
 
 impl PaxosSlice {
@@ -227,8 +226,9 @@ impl PaxosSlice {
         }
     }
 
-    /// Wires the deployment: the software leader elected and steered to,
-    /// every FPGA leader idle and parked (§9.2).
+    /// Wires the deployment: the software leader steered to (it scouts
+    /// for its ballot at start), every FPGA leader idle and parked
+    /// (§9.2).
     pub(crate) fn wire(
         sim: &mut Simulator<Packet>,
         sites: &[DeviceId],
@@ -244,35 +244,41 @@ impl PaxosSlice {
             sim.connect_duplex(node, PortId::P0, switch, p, link);
             p
         };
+        let leader = |id: u8| Leader::new(id, N_ACCEPTORS, 1);
         let sw_leader = sim.add_node(PaxosNode::new(
-            RoleEngine::Leader(Leader::bootstrap(1, N_ACCEPTORS)),
+            leader(0),
             Platform::host(HostConfig::libpaxos_leader()),
             Self::book(Endpoint::host(20, PAXOS_LEADER_PORT)),
         ));
         let mut leaders = vec![(sw_leader, attach(sim, sw_leader, Nanos::ZERO))];
         for i in 0..sites.len() as u32 {
-            let n = sim.add_node(PaxosNode::new(
-                RoleEngine::Idle,
+            let mut fpga = PaxosNode::new(
+                leader(1 + i as u8),
                 Platform::fpga(),
                 Self::book(Endpoint::host(21 + i, PAXOS_LEADER_PORT)),
-            ));
+            );
+            fpga.deactivate();
+            fpga.set_parked(true);
+            let n = sim.add_node(fpga);
             let extra = if i == 0 { Nanos::ZERO } else { detour() };
             leaders.push((n, attach(sim, n, extra)));
         }
+        let mut acceptors = Vec::new();
         for i in 0..N_ACCEPTORS as u32 {
             let n = sim.add_node(PaxosNode::new(
-                RoleEngine::Acceptor(Acceptor::new(i as u8)),
+                Acceptor::new(i as u8),
                 Platform::host(HostConfig::libpaxos_acceptor()),
                 Self::book(Endpoint::host(10 + i, PAXOS_ACCEPTOR_PORT)),
             ));
             attach(sim, n, Nanos::ZERO);
+            acceptors.push(n);
         }
-        let learner = sim.add_node(PaxosNode::new(
-            RoleEngine::Learner(Learner::new(N_ACCEPTORS)),
+        let replica = sim.add_node(PaxosNode::new(
+            Replica::new(0, N_ACCEPTORS),
             Platform::host(HostConfig::libpaxos_learner()),
             Self::book(Endpoint::host(30, PAXOS_LEARNER_PORT)),
         ));
-        attach(sim, learner, Nanos::ZERO);
+        attach(sim, replica, Nanos::ZERO);
         let clients: Vec<NodeId> = clients
             .into_iter()
             .map(|c| {
@@ -283,25 +289,15 @@ impl PaxosSlice {
             .collect();
         sim.node_mut::<L2Switch>(switch)
             .steer(Match::udp_dst(PAXOS_LEADER_PORT), leaders[0].1);
-        for &(n, _) in &leaders[1..] {
-            sim.node_mut::<PaxosNode>(n).set_parked(true);
-        }
         PaxosSlice {
             switch,
             clients,
             metered: leaders.iter().map(|&(n, _)| n).collect(),
             leaders,
-            learner,
+            acceptors,
+            replica,
             sites: sites.to_vec(),
-            round: Cell::new(2),
         }
-    }
-
-    /// The next election round (strictly increasing).
-    pub(crate) fn next_round(&self) -> u16 {
-        let round = self.round.get();
-        self.round.set(round + 1);
-        round
     }
 
     /// [`Slice::observe`] for the Paxos kind (Figure 7 samples its
@@ -320,7 +316,10 @@ impl PaxosSlice {
             lat.merge(&h);
         }
         let host = HostSample {
-            rapl_w: Node::power_w(sim.node_ref::<PaxosNode>(self.leaders[0].0), sim.now()),
+            rapl_w: Node::power_w(
+                sim.node_ref::<PaxosNode<Leader>>(self.leaders[0].0),
+                sim.now(),
+            ),
             app_cpu_util: 0.0,
             hw_app_rate: done as f64 / interval.as_secs_f64(),
         };
@@ -329,8 +328,8 @@ impl PaxosSlice {
     }
 
     /// The fleet executor's leader shift: quiesce and park every other
-    /// leader, unpark and re-steer to the target, elect it with a higher
-    /// round — all at one instant (Figure 7's non-atomic 1 ms rule
+    /// leader, unpark and re-steer to the target and activate it, which
+    /// scouts for a higher ballot — all at one instant (Figure 7's non-atomic 1 ms rule
     /// replacement is `PaxosRig::shift_leader`, a different procedure on
     /// purpose).
     fn apply(&self, sim: &mut Simulator<Packet>, p: Placement) {
@@ -342,16 +341,15 @@ impl PaxosSlice {
             }
         };
         for &(n, port) in self.leaders.iter().filter(|&&(n, _)| n != to_node) {
-            let node = sim.node_mut::<PaxosNode>(n);
+            let node = sim.node_mut::<PaxosNode<Leader>>(n);
             node.deactivate();
             node.set_parked(true);
             sim.node_mut::<L2Switch>(self.switch).unsteer_port(port);
         }
-        sim.node_mut::<PaxosNode>(to_node).set_parked(false);
+        sim.node_mut::<PaxosNode<Leader>>(to_node).set_parked(false);
         sim.node_mut::<L2Switch>(self.switch)
             .steer(Match::udp_dst(PAXOS_LEADER_PORT), to_port);
-        let round = self.next_round();
-        sim.with_node_ctx::<PaxosNode, _>(to_node, |n, ctx| n.activate_leader(ctx, round));
+        sim.with_node_ctx::<PaxosNode<Leader>, _>(to_node, |n, ctx| n.activate(ctx));
     }
 }
 
@@ -459,11 +457,12 @@ impl Slice {
     /// "host" term is the idle libpaxos leader platform.
     pub(crate) fn paxos_app(home: DeviceId, k: usize) -> FleetApp {
         let book = PaxosSlice::book(Endpoint::host(21, PAXOS_LEADER_PORT));
-        let mut fpga = PaxosNode::new(RoleEngine::Idle, Platform::fpga(), book.clone());
+        let leader = || Leader::new(1, N_ACCEPTORS, 1);
+        let mut fpga = PaxosNode::new(leader(), Platform::fpga(), book.clone());
         let active_w = Node::power_w(&fpga, Nanos::ZERO);
         fpga.set_parked(true);
         let lp = HostConfig::libpaxos_leader();
-        let host = PaxosNode::new(RoleEngine::Idle, Platform::host(lp), book);
+        let host = PaxosNode::new(leader(), Platform::host(lp), book);
         let powers = Powers {
             host_idle_w: Node::power_w(&host, Nanos::ZERO),
             parked_w: Node::power_w(&fpga, Nanos::ZERO),

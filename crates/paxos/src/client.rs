@@ -8,11 +8,9 @@
 //!
 //! The client is a simulator [`Node`], not a sans-IO machine: it owns
 //! timers and builds UDP packets, addressing the leader *service*
-//! endpoint rather than any particular leader. That indirection is why
-//! the same client works unchanged against the coordinator-steered
-//! [`crate::roles`] pipeline and the self-electing [`crate::multi`]
-//! machines — whoever currently holds the leader role receives its
-//! requests.
+//! endpoint rather than any particular leader: whichever
+//! [`crate::multi::Leader`] the coordinator has steered that address to
+//! receives its requests, and numbers them.
 
 use std::ops::{Deref, DerefMut};
 

@@ -2,9 +2,8 @@
 //! sequence numbers each client has had run, and the executed log as a
 //! digest of all of it plus a short tail.
 //!
-//! Both pipelines keep exactly this — the [`multi`](crate::multi)
-//! replica and the §9.2 [`Learner`](crate::roles::Learner) — so a run's
-//! length costs them nothing: a client that counts in order is one run,
+//! The [`multi`](crate::multi) replica keeps exactly this, so a run's
+//! length costs it nothing: a client that counts in order is one run,
 //! and the log is 8 bytes of digest beside at most
 //! 2 × [`ExecutedLog::TAIL`] entries.
 

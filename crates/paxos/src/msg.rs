@@ -6,11 +6,10 @@
 //! them a canonical `(client, sequence, payload)` encoding so learners can
 //! answer clients and tests can verify end-to-end delivery.
 //!
-//! This codec is the boundary of the sans-IO contract: both role
-//! pipelines — the single-sequencer [`crate::roles`] machines and the
-//! ballot-numbered [`crate::multi`] machines — speak exclusively in
-//! [`PaxosMsg`] values, so one `encode`/`decode` pair covers software
-//! hosts, P4 dataplanes and every test harness. `decode` is total over
+//! This codec is the boundary of the sans-IO contract: the
+//! [`crate::multi`] machines speak exclusively in [`PaxosMsg`] values,
+//! so one `encode`/`decode` pair covers software hosts, P4 dataplanes
+//! and every test harness. `decode` is total over
 //! arbitrary bytes (it returns [`MsgError`], never panics); `encode`
 //! panics loudly if a value exceeds [`MAX_VALUE_LEN`] rather than
 //! silently truncating the 16-bit length field.
@@ -52,9 +51,10 @@ pub enum MsgType {
     Phase2a,
     /// Acceptor → learners (and leader): phase 2b (vote).
     Phase2b,
-    /// Learner → client: the command was delivered.
+    /// Replica → client: the command was executed.
     ClientReply,
-    /// Learner → leader: an instance appears stuck; re-initiate it (§9.2).
+    /// Replica → leader: the replica's slot report — its `slot_out`, the
+    /// slot it waits on (§9.2's gap request).
     GapRequest,
 }
 
@@ -282,7 +282,8 @@ impl PaxosMsg {
     /// a [`Bytes::slice`] of `buf`, so nothing is allocated or copied.
     /// The value keeps all of `buf`'s allocation alive — fine while a
     /// message is handled and forwarded, a cost for a role that parks
-    /// it (see [`crate::roles`]).
+    /// it (a [`PaxosNode`](crate::PaxosNode) copies a longer value out
+    /// before a role can).
     pub fn decode_shared(buf: &Bytes) -> Result<PaxosMsg, MsgError> {
         let (finish, value) = Self::decode_header(buf)?;
         Ok(finish(buf.slice(value)))

@@ -101,10 +101,85 @@ use std::collections::{BTreeMap, VecDeque};
 use inc_net::Bytes;
 
 use crate::history::{ExecutedLog, SeqRuns};
-use crate::msg::{ClientCommand, MsgType, PaxosMsg, MAX_VALUE_LEN};
-use crate::outbox::{Outbox, Routed};
+use crate::msg::{ClientCommand, MsgType, PaxosMsg, MAX_VALUE_LEN, NOOP_VALUE};
+use crate::outbox::{Dest, Outbox, Routed};
 use crate::ring::SlotRing;
-use crate::roles::{AcceptorSet, Dest};
+
+/// A set of acceptor ids — who promised, who voted — as a fixed 256-bit
+/// mask: one bit per possible `u8` id, so counting a quorum never
+/// allocates (a `BTreeSet<u8>` costs a node per slot per machine).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct AcceptorSet([u64; 4]);
+
+impl AcceptorSet {
+    /// Adds `id`; a repeated id (a duplicated vote) changes nothing.
+    fn insert(&mut self, id: u8) {
+        self.0[usize::from(id >> 6)] |= 1 << (id & 63);
+    }
+
+    /// Number of distinct ids inserted.
+    fn len(&self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+}
+
+/// The longest value a role keeps inline: a [`ClientCommand`] with a
+/// 16-byte payload, as every [`PaxosClient`](crate::PaxosClient) sends.
+pub(crate) const INLINE: usize = 28;
+
+/// A value a role keeps past the message that brought it. A short one
+/// is copied inline, so keeping it allocates nothing and holds on to no
+/// received frame; a longer one is the handle it came with, which the
+/// packet path makes a buffer of its own (see
+/// [`PaxosNode`](crate::PaxosNode)) and the chaos rig shares with the
+/// command's first buffer.
+#[derive(Clone, Debug)]
+enum Kept {
+    Inline(u8, [u8; INLINE]),
+    Shared(Bytes),
+}
+
+impl Default for Kept {
+    fn default() -> Self {
+        Kept::Inline(0, [0; INLINE])
+    }
+}
+
+impl Kept {
+    fn new(value: &Bytes) -> Kept {
+        let mut inline = [0; INLINE];
+        let Some(head) = inline.get_mut(..value.len()) else {
+            return Kept::Shared(value.clone());
+        };
+        head.copy_from_slice(value);
+        Kept::Inline(value.len() as u8, inline)
+    }
+
+    /// The value for a message: `sent`'s handle when it holds the same
+    /// bytes, else ours, copied out of line if it is inline.
+    fn bytes_or(&self, sent: &Bytes) -> Bytes {
+        match self {
+            Kept::Shared(value) => value.clone(),
+            Kept::Inline(..) if **self == **sent => sent.clone(),
+            Kept::Inline(..) => Bytes::copy_from_slice(self),
+        }
+    }
+
+    fn to_bytes(&self) -> Bytes {
+        self.bytes_or(&Bytes::new())
+    }
+}
+
+impl std::ops::Deref for Kept {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Kept::Inline(len, bytes) => &bytes[..usize::from(*len)],
+            Kept::Shared(value) => value,
+        }
+    }
+}
 
 /// A Multi-Paxos ballot: an attempt number qualified by the proposing
 /// leader's identity, totally ordered and packable into the P4xos
@@ -263,10 +338,9 @@ pub fn decode_pvalues(batch: &Bytes) -> Vec<PValue> {
 /// The ballot-aware acceptor: one promise across all slots, one
 /// accepted pvalue per slot at or above its floor.
 ///
-/// Unlike the per-instance [`roles::Acceptor`](crate::roles::Acceptor),
-/// promises here are global — a phase-1a covers every slot at once and
-/// its phase-1b reports every accepted pvalue still held, which is what
-/// lets a new leader adopt mid-stream without a per-slot round trip.
+/// Promises are global — a phase-1a covers every slot at once and its
+/// phase-1b reports every accepted pvalue still held, which is what lets
+/// a new leader adopt mid-stream without a per-slot round trip.
 #[derive(Clone, Debug)]
 pub struct Acceptor {
     /// This acceptor's identity.
@@ -274,7 +348,7 @@ pub struct Acceptor {
     /// Highest ballot promised (across all slots).
     promised: Ballot,
     /// Accepted pvalues, slot → (ballot, value), from the floor up.
-    accepted: SlotRing<(Ballot, Bytes)>,
+    accepted: SlotRing<(Ballot, Kept)>,
     /// Votes cast (statistics; the chaos rig meters offered rate off
     /// this).
     pub votes: u64,
@@ -297,8 +371,10 @@ impl Acceptor {
     }
 
     /// The accepted pvalue at `slot`, if any.
-    pub fn accepted(&self, slot: u64) -> Option<&(Ballot, Bytes)> {
-        self.accepted.get(slot)
+    pub fn accepted(&self, slot: u64) -> Option<(Ballot, &[u8])> {
+        self.accepted
+            .get(slot)
+            .map(|(ballot, value)| (*ballot, &**value))
     }
 
     /// Number of slots with an accepted pvalue.
@@ -362,7 +438,9 @@ impl Acceptor {
                 // has no room there), where no second value may land.
                 let votable = b >= self.promised
                     && msg.value.len() <= MAX_COMMAND_LEN
-                    && self.accepted.insert(msg.instance, (b, msg.value.clone()));
+                    && self
+                        .accepted
+                        .insert(msg.instance, (b, Kept::new(&msg.value)));
                 let (slot, none) = (msg.instance, Ballot::NONE.wire());
                 if !votable {
                     // `vround = 0` marks a refusal: the sender reads who
@@ -433,7 +511,7 @@ enum Phase {
 /// kept, or the adopted pvalue) and the commander pushing it.
 #[derive(Clone, Debug, Default)]
 struct LeaderSlot {
-    value: Bytes,
+    value: Kept,
     phase: Phase,
     /// Acceptors that voted for our ballot at this slot.
     voters: AcceptorSet,
@@ -462,10 +540,23 @@ fn stamped(mtype: MsgType, slot: u64, ballot: Ballot, floor: u64, value: Bytes) 
 ///
 /// Its floor is the lowest `slot_out` the replicas have reported, or a
 /// higher floor an acceptor reports back.
+///
+/// A request that arrives unnumbered (`instance = 0`, the §9.2 client's)
+/// is numbered by the leader itself, if it holds a ballot or is scouting
+/// for one: into the next slot it holds nothing for. Safety still rests
+/// on ballots: a scout learns every value a lower ballot may have
+/// chosen, and overrides what the leader numbered there while it
+/// scouted. At-most-once still rests on the replicas' sequence numbers.
+/// Such replicas propose nothing; their slot reports
+/// ([`Replica::report`]) move the floor, and a replica that waits on one
+/// slot over two reports, a slot the leader has decided or numbered past
+/// and holds nothing for, is sent that slot's phase-2a, or a no-op's.
 #[derive(Clone, Debug)]
 pub struct Leader {
     /// This leader's identity (must fit [`Ballot::LEADER_BITS`]).
     pub id: u8,
+    /// Where numbering resumes: past every slot numbered or adopted.
+    next_slot: u64,
     quorum: usize,
     /// The ballot this leader currently owns (or last owned).
     ballot: Ballot,
@@ -516,6 +607,7 @@ impl Leader {
         assert!(n_acceptors > 0, "a cluster needs at least one acceptor");
         Leader {
             id,
+            next_slot: 1,
             quorum: n_acceptors / 2 + 1,
             ballot: Ballot::NONE,
             active: false,
@@ -565,6 +657,60 @@ impl Leader {
         }
     }
 
+    /// Takes `replica`'s report of its `slot_out`: the floor follows the
+    /// lowest once every replica has reported one. Whether the replica
+    /// reported this `slot_out` before: it has not moved since.
+    fn note_slot_out(&mut self, replica: u8, slot_out: u64) -> bool {
+        self.slot_outs.resize(self.n_replicas, 0);
+        let Some(seen) = self.slot_outs.get_mut(usize::from(replica)) else {
+            return false;
+        };
+        let stuck = *seen == slot_out;
+        *seen = (*seen).max(slot_out);
+        let lowest = self.slot_outs.iter().copied().min().unwrap_or(0);
+        self.raise_floor(lowest);
+        stuck
+    }
+
+    /// The slot an unnumbered request goes to: the first from where
+    /// numbering resumes that holds nothing.
+    fn number(&mut self) -> u64 {
+        let mut slot = self.next_slot.max(self.floor());
+        while self.window.get(slot).is_some() {
+            slot += 1;
+        }
+        self.next_slot = slot + 1;
+        slot
+    }
+
+    /// Answers a replica that waits on `slot`: if we decided it, its
+    /// phase-2a again, so the votes reach the replica anew; if we
+    /// numbered past it and hold nothing there, a no-op, which is safe
+    /// because our scout learned no value there and we proposed none.
+    fn catch_up(&mut self, slot: u64) -> Outbox {
+        let waits = (self.window.get(slot)).is_none_or(|rec| rec.phase == Phase::Decided);
+        if !self.active || slot >= self.next_slot || !waits {
+            return Outbox::Empty;
+        }
+        let noop = || LeaderSlot {
+            value: Kept::new(&Bytes::from_static(NOOP_VALUE)),
+            phase: Phase::Pushing,
+            ..LeaderSlot::default()
+        };
+        let Some(rec) = self.window.get_or_insert_with(slot, noop) else {
+            return Outbox::Empty;
+        };
+        let value = rec.value.to_bytes();
+        self.proposals_sent += 1;
+        Outbox::One(stamped(
+            MsgType::Phase2a,
+            slot,
+            self.ballot,
+            self.floor(),
+            value,
+        ))
+    }
+
     /// Stands every commander down (its votes were for a ballot we no
     /// longer own).
     fn park(&mut self) {
@@ -594,7 +740,7 @@ impl Leader {
             }
             if rec.phase == Phase::Pushing && rec.age >= Self::RETRANSMIT_TICKS {
                 rec.age = 0;
-                let value = rec.value.clone();
+                let value = rec.value.to_bytes();
                 out.push(stamped(MsgType::Phase2a, slot, ballot, floor, value));
             }
         }
@@ -617,14 +763,8 @@ impl Leader {
     }
 
     fn p1a(&self) -> Outbox {
-        let floor = self.floor();
-        Outbox::One(stamped(
-            MsgType::Phase1a,
-            0,
-            self.ballot,
-            floor,
-            Bytes::new(),
-        ))
+        let (ballot, floor) = (self.ballot, self.floor());
+        Outbox::One(stamped(MsgType::Phase1a, 0, ballot, floor, Bytes::new()))
     }
 
     /// Records a higher ballot sighted at `wire`: preemption if we were
@@ -644,36 +784,43 @@ impl Leader {
     /// Handles one message.
     pub fn handle(&mut self, msg: &PaxosMsg) -> Outbox {
         match msg.mtype {
-            // A replica's proposal: a value for a specific slot, with
-            // the replica's id and `slot_out`. The floor follows the
-            // lowest `slot_out` once every replica has reported one.
-            MsgType::ClientRequest if msg.instance > 0 => {
-                self.slot_outs.resize(self.n_replicas, 0);
-                if let Some(seen) = self.slot_outs.get_mut(usize::from(msg.acceptor)) {
-                    *seen = (*seen).max(msg.last_voted);
-                    let lowest = self.slot_outs.iter().copied().min().unwrap_or(0);
-                    self.raise_floor(lowest);
-                }
+            MsgType::ClientRequest => {
+                let slot = if msg.instance > 0 {
+                    // A replica's proposal: a value for a specific slot,
+                    // with the replica's id and `slot_out`.
+                    let _ = self.note_slot_out(msg.acceptor, msg.last_voted);
+                    msg.instance
+                } else if self.active || self.scout.is_some() {
+                    self.number()
+                } else {
+                    return Outbox::Empty;
+                };
                 // First come, first kept: a rival proposal for a slot we
                 // already hold a value for is ignored. No room: below
                 // the floor.
                 let fresh = || LeaderSlot {
-                    value: msg.value.clone(),
-                    phase: Phase::Parked,
-                    voters: AcceptorSet::default(),
-                    age: 0,
+                    value: Kept::new(&msg.value),
+                    ..LeaderSlot::default()
                 };
-                let Some(rec) = self.window.get_or_insert_with(msg.instance, fresh) else {
+                let Some(rec) = self.window.get_or_insert_with(slot, fresh) else {
                     return Outbox::Empty;
                 };
                 if !self.active || rec.phase != Phase::Parked {
                     return Outbox::Empty;
                 }
                 (rec.phase, rec.age) = (Phase::Pushing, 0);
-                let (value, floor) = (rec.value.clone(), self.floor());
+                let (value, floor) = (rec.value.bytes_or(&msg.value), self.floor());
                 self.proposals_sent += 1;
-                let p2a = stamped(MsgType::Phase2a, msg.instance, self.ballot, floor, value);
-                Outbox::One(p2a)
+                Outbox::One(stamped(MsgType::Phase2a, slot, self.ballot, floor, value))
+            }
+            MsgType::GapRequest => {
+                // A replica's slot report: its `slot_out`, which is also
+                // the slot it waits on once two reports name it (a slot
+                // we decided a moment ago may still be on its way).
+                if !self.note_slot_out(msg.acceptor, msg.last_voted) {
+                    return Outbox::Empty;
+                }
+                self.catch_up(msg.last_voted)
             }
             MsgType::Phase1b => {
                 self.raise_floor(msg.last_voted);
@@ -713,9 +860,10 @@ impl Leader {
                 };
                 self.active = true;
                 for (slot, (_, value)) in scout.pvalues.iter() {
+                    self.next_slot = self.next_slot.max(slot + 1);
                     let held = self.window.get_or_insert_with(slot, LeaderSlot::default);
                     if let Some(rec) = held.filter(|rec| rec.phase != Phase::Decided) {
-                        rec.value = value.clone();
+                        rec.value = Kept::new(value);
                     }
                 }
                 self.command(true)
@@ -784,7 +932,7 @@ struct ReplicaSlot {
     ballot: u16,
     voters: AcceptorSet,
     /// What `voters` voted for: the decision, once they are a quorum.
-    value: Bytes,
+    value: Kept,
     decided: bool,
 }
 
@@ -866,7 +1014,7 @@ impl Replica {
     /// chaos oracle reads them; the executed ones it saw as replies).
     pub fn decisions(&self) -> impl Iterator<Item = (u64, &[u8])> {
         let decided = self.window.iter().filter(|(_, rec)| rec.decided);
-        decided.map(|(slot, rec)| (slot, rec.value.as_ref()))
+        decided.map(|(slot, rec)| (slot, &*rec.value))
     }
 
     /// The last `(slot, command)` entries of the executed log, oldest
@@ -906,12 +1054,20 @@ impl Replica {
         self.drive()
     }
 
-    /// A proposal; `acceptor` and `last_voted` carry our id and `slot_out`.
-    fn proposal(&self, slot: u64, command: Bytes) -> Routed {
-        let mut msg = PaxosMsg::new(MsgType::ClientRequest, slot, 0, command);
-        msg.acceptor = self.id;
-        msg.last_voted = self.slot_out();
+    /// A proposal (a `ClientRequest`) or a slot report; `acceptor` and
+    /// `last_voted` carry our id and `slot_out`.
+    fn to_leader(&self, mtype: MsgType, slot: u64, value: Bytes) -> Routed {
+        let mut msg = PaxosMsg::new(mtype, slot, 0, value);
+        (msg.acceptor, msg.last_voted) = (self.id, self.slot_out());
         (Dest::Leader, msg)
+    }
+
+    /// The slot report of a replica whose leader numbers the requests
+    /// (the §9.2 deployment; it proposes nothing itself): its
+    /// `slot_out`, which the leader's floor follows and whose slot it
+    /// answers if the replica waits on it.
+    pub fn report(&self) -> Routed {
+        self.to_leader(MsgType::GapRequest, self.slot_out(), Bytes::new())
     }
 
     /// Assigns queued commands to slots and emits proposals to the
@@ -935,7 +1091,8 @@ impl Replica {
             }
             rec.proposal = Some(command.clone());
             self.open += 1;
-            out.extend(self.requests.pop_front().map(|c| self.proposal(slot, c)));
+            let command = self.requests.pop_front();
+            out.extend(command.map(|c| self.to_leader(MsgType::ClientRequest, slot, c)));
         }
         out
     }
@@ -961,7 +1118,7 @@ impl Replica {
             // A newer ballot supersedes the accumulated votes.
             rec.ballot = msg.round;
             rec.voters = AcceptorSet::default();
-            rec.value = msg.value.clone();
+            rec.value = Kept::new(&msg.value);
         }
         rec.voters.insert(msg.acceptor);
         if rec.voters.len() < self.quorum {
@@ -982,14 +1139,14 @@ impl Replica {
                 break;
             };
             self.age = 0;
+            let value = rec.value.to_bytes();
             if let Some(ours) = rec.proposal {
                 self.open -= 1;
-                if ours != rec.value {
+                if ours != value {
                     // Our command lost this slot: send it around again.
                     self.requests.push_back(ours);
                 }
             }
-            let value = rec.value;
             if let Some((client, seq)) = ClientCommand::header(&value) {
                 if self.executed.entry(client).or_default().insert(seq) {
                     self.executed_count += 1;
@@ -1021,7 +1178,7 @@ impl Replica {
         self.age = 0;
         let ours = self.window.iter().filter_map(|(slot, rec)| {
             let command = rec.proposal.as_ref()?;
-            Some(self.proposal(slot, command.clone()))
+            Some(self.to_leader(MsgType::ClientRequest, slot, command.clone()))
         });
         let mut out: Outbox = ours.collect();
         out.extend(self.drive());
@@ -1228,14 +1385,20 @@ mod tests {
     }
 
     #[test]
-    fn a_vote_shares_the_proposal_bytes() {
+    fn a_long_vote_shares_the_proposal_bytes_and_a_short_one_is_kept_inline() {
         let mut acc = Acceptor::new(0);
-        let value = Bytes::from(cmd(1, 1));
-        let p2a = PaxosMsg::new(MsgType::Phase2a, 1, Ballot::new(1, 0).wire(), value.clone());
-        let out = acc.handle(&p2a);
-        let stored = &acc.accepted(1).unwrap().1;
-        assert_eq!(stored.as_ptr(), value.as_ptr());
-        assert_eq!(out[0].1.value.as_ptr(), value.as_ptr());
+        let b = Ballot::new(1, 0).wire();
+        let long = Bytes::from(vec![7; INLINE + 1]);
+        let out = acc.handle(&PaxosMsg::new(MsgType::Phase2a, 1, b, long.clone()));
+        assert_eq!(acc.accepted(1).unwrap().1.as_ptr(), long.as_ptr());
+        assert_eq!(out[0].1.value.as_ptr(), long.as_ptr());
+        // A short value is copied inline: the vote still carries the
+        // proposal's bytes, the acceptor keeps its own.
+        let short = Bytes::from(vec![7; INLINE]);
+        let out = acc.handle(&PaxosMsg::new(MsgType::Phase2a, 2, b, short.clone()));
+        let kept = acc.accepted(2).unwrap().1;
+        assert_eq!((kept, kept.as_ptr() == short.as_ptr()), (&short[..], false));
+        assert_eq!(out[0].1.value.as_ptr(), short.as_ptr());
     }
 
     #[test]
@@ -1295,7 +1458,7 @@ mod tests {
         assert!(net.leaders[1].is_active());
         // The adopted commander re-proposed and decided "old" at slot 1.
         let chosen = net.acceptors[0].accepted(1).unwrap();
-        assert_eq!(chosen.1, b"old"[..]);
+        assert_eq!(chosen.1, b"old");
         assert!(chosen.0 > b0);
     }
 
@@ -1546,6 +1709,123 @@ mod tests {
         // A vote below `slot_out` finds no room.
         assert!(r.handle(&vote(1, b, 2, b"one")).is_empty());
         assert_eq!(r.retained_slots(), 0);
+    }
+
+    /// A leader adopted on three empty acceptors.
+    fn adopted(id: u8, acceptors: &mut [Acceptor]) -> Leader {
+        let mut leader = Leader::new(id, acceptors.len(), 1);
+        for (_, p1a) in leader.start_scout() {
+            for acc in acceptors.iter_mut() {
+                for (_, p1b) in acc.handle(&p1a) {
+                    leader.handle(&p1b);
+                }
+            }
+        }
+        assert!(leader.is_active());
+        leader
+    }
+
+    fn unnumbered(client: u32, seq: u64) -> PaxosMsg {
+        PaxosMsg::new(MsgType::ClientRequest, 0, 0, cmd(client, seq))
+    }
+
+    #[test]
+    fn a_leader_numbers_unnumbered_requests_only_while_it_bids() {
+        // Passive, with no scout out: dropped. Scouting: numbered and
+        // parked, then pushed on adoption. Active: numbered and pushed.
+        let mut acceptors: Vec<Acceptor> = (0..3).map(Acceptor::new).collect();
+        let mut leader = Leader::new(0, 3, 1);
+        assert!(leader.handle(&unnumbered(1, 1)).is_empty());
+        assert_eq!(leader.retained_slots(), 0);
+        let p1a = leader.start_scout();
+        assert!(leader.handle(&unnumbered(1, 2)).is_empty());
+        let mut adoption = Outbox::Empty;
+        for acc in &mut acceptors {
+            for (_, p1b) in acc.handle(&p1a[0].1) {
+                adoption.extend(leader.handle(&p1b));
+            }
+        }
+        assert_eq!(adoption.len(), 1);
+        assert_eq!(
+            (adoption[0].1.instance, &adoption[0].1.value[..]),
+            (1, &cmd(1, 2)[..])
+        );
+        let out = leader.handle(&unnumbered(1, 3));
+        assert_eq!(
+            (out[0].0, out[0].1.mtype, out[0].1.instance),
+            (Dest::AllAcceptors, MsgType::Phase2a, 2)
+        );
+        // A replica's proposal holds slot 3: numbering goes past it.
+        let mut proposal = PaxosMsg::new(MsgType::ClientRequest, 3, 0, cmd(2, 1));
+        proposal.last_voted = 1;
+        assert_eq!(leader.handle(&proposal)[0].1.instance, 3);
+        assert_eq!(leader.handle(&unnumbered(1, 4))[0].1.instance, 4);
+    }
+
+    #[test]
+    fn a_replica_stuck_over_two_reports_is_sent_its_slot_again() {
+        let mut acceptors: Vec<Acceptor> = (0..3).map(Acceptor::new).collect();
+        let mut leader = adopted(0, &mut acceptors);
+        let mut replica = Replica::new(0, 3);
+        // Slot 1 is decided at the leader; the replica saw one vote.
+        let p2a = leader.handle(&unnumbered(1, 1));
+        for (k, acc) in acceptors.iter_mut().enumerate() {
+            for (_, vote) in acc.handle(&p2a[0].1) {
+                leader.handle(&vote);
+                if k == 0 {
+                    replica.handle(&vote);
+                }
+            }
+        }
+        assert_eq!(replica.slot_out(), 1);
+        // The first report may race the votes; the second is answered
+        // with the decided slot's phase-2a, whose votes execute it.
+        let report = replica.report().1;
+        assert_eq!((report.mtype, report.last_voted), (MsgType::GapRequest, 1));
+        assert!(leader.handle(&report).is_empty());
+        let again = leader.handle(&report);
+        assert_eq!(
+            (again[0].1.instance, &again[0].1.value[..]),
+            (1, &cmd(1, 1)[..])
+        );
+        for acc in &mut acceptors {
+            for (_, vote) in acc.handle(&again[0].1) {
+                replica.handle(&vote);
+            }
+        }
+        assert_eq!((replica.slot_out(), replica.executed_count), (2, 1));
+        // Caught up: a report at the end of the log asks for nothing.
+        let report = replica.report().1;
+        assert!(leader.handle(&report).is_empty() && leader.handle(&report).is_empty());
+    }
+
+    #[test]
+    fn a_hole_below_where_numbering_resumes_is_filled_with_a_no_op() {
+        // Leader 0 numbers slots 1 and 2; only slot 2's phase-2a reaches
+        // the acceptors. Leader 1 adopts slot 2 and numbers on past it;
+        // slot 1 holds nothing, so the stuck replica gets a no-op there.
+        let mut acceptors: Vec<Acceptor> = (0..3).map(Acceptor::new).collect();
+        let mut old = adopted(0, &mut acceptors);
+        let _lost = old.handle(&unnumbered(1, 1));
+        let p2a = old.handle(&unnumbered(1, 2));
+        for acc in &mut acceptors {
+            acc.handle(&p2a[0].1);
+        }
+        let mut new = adopted(1, &mut acceptors);
+        assert_eq!(new.handle(&unnumbered(1, 3))[0].1.instance, 3);
+        let mut replica = Replica::new(0, 3);
+        let report = replica.report().1;
+        assert!(new.handle(&report).is_empty());
+        let fill = new.handle(&report);
+        assert_eq!((fill[0].1.instance, fill[0].1.value.len()), (1, 0));
+        for acc in &mut acceptors {
+            for (_, vote) in acc.handle(&fill[0].1) {
+                replica.handle(&vote);
+            }
+        }
+        // The no-op runs nothing and answers no one; slot 2 waits on
+        // its own votes.
+        assert_eq!((replica.slot_out(), replica.executed_count), (2, 0));
     }
 
     #[test]

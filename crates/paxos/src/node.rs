@@ -1,30 +1,44 @@
-//! Paxos deployment nodes: the same role engines on different platforms.
+//! Paxos deployment nodes: the [`multi`](crate::multi) roles on the
+//! platforms of §3.2.
 //!
 //! §3.2 compares four variations of the acceptor/leader: the libpaxos
 //! software library, libpaxos over DPDK, P4xos on the NetFPGA, and P4xos
-//! on a Tofino. [`PaxosNode`] wraps a [`RoleEngine`] with a [`Platform`]
-//! that supplies the timing and power of the packet-simulated three:
-//! [`Platform::Host`] (libpaxos, or DPDK with a polling core) and
-//! [`Platform::Fpga`]. §6's Tofino is priced analytically by
-//! [`inc_hw::TofinoModel`] (`inc-bench study asic`), never as a node.
+//! on a Tofino. A [`PaxosNode`] runs one [`Role`] — a leader, an acceptor
+//! or a replica — on a [`Platform`] that supplies the timing and power of
+//! the packet-simulated three: [`Platform::Host`] (libpaxos, or DPDK with
+//! a polling core) and [`Platform::Fpga`]. §6's Tofino is priced
+//! analytically by [`inc_hw::TofinoModel`] (`inc-bench study asic`),
+//! never as a node.
+//!
+//! The §9.2 deployment makes one node leader at a time: the coordinator
+//! steers the leader service address to it and [`PaxosNode::activate`]s
+//! it, and the leader scouts for a ballot above every one it has seen.
+//! A node serves only between its activation and its
+//! [`PaxosNode::deactivate`]: its role's periodic step (a leader's tick,
+//! a replica's slot report) is a simulator timer that steps the role
+//! only while it serves, so an idle standby leader never elects itself.
 
 use inc_hw::{
     Deferred, LoadMeter, SumeCard, UtilMeter, POWER_TICK, SHELL_PIPELINE_LATENCY, TAG_POWER_TICK,
 };
-use inc_net::{build_udp_with, Endpoint, Packet, UdpFrame};
+use inc_net::{build_udp_with, Bytes, Endpoint, Packet, UdpFrame};
 use inc_power::calib;
 use inc_sim::{impl_node_any, Admission, Ctx, Nanos, Node, PortId, ServiceStation};
 
 use crate::msg::{PaxosMsg, PAXOS_CLIENT_PORT};
-use crate::outbox::Outbox;
-use crate::roles::{Acceptor, Dest, Leader, Learner};
+use crate::multi::{Acceptor, Leader, Replica, INLINE};
+use crate::outbox::{Dest, Outbox};
 
 /// Host software cost model: the one host model every software twin
 /// runs on.
 pub use inc_hw::HostConfig;
 
-const TAG_GAP_PROBE: u64 = 2;
-const GAP_PROBE_PERIOD: Nanos = Nanos::from_millis(25);
+const TAG_STEP: u64 = 2;
+
+/// The period of a leader's tick and of a replica's slot report: a
+/// lost phase-2a is re-sent after four ticks, and the acceptors' floor
+/// trails execution by about one period's commands.
+pub const TICK: Nanos = Nanos::from_millis(1);
 
 /// Who the node can talk to.
 #[derive(Clone, Debug)]
@@ -33,45 +47,62 @@ pub struct AddressBook {
     pub own: Endpoint,
     /// The leader *service* endpoint ([`crate::PAXOS_LEADER_PORT`]): a
     /// virtual address the switch steers to whichever node the
-    /// coordinator has made leader (§9.2). Leadership here is assigned
-    /// by the deployment, not elected — ballot-based election between
-    /// competing leaders lives in [`crate::multi`].
+    /// coordinator has made leader (§9.2).
     pub leader: Endpoint,
     /// All acceptor endpoints.
     pub acceptors: Vec<Endpoint>,
-    /// All learner endpoints.
+    /// All replica endpoints.
     pub learners: Vec<Endpoint>,
 }
 
-impl AddressBook {
-    /// Resolves a client id to its conventional endpoint
-    /// (`Endpoint::host(id, PAXOS_CLIENT_PORT)`).
-    pub fn client(&self, id: u32) -> Endpoint {
-        Endpoint::host(id, PAXOS_CLIENT_PORT)
+/// A [`multi`](crate::multi) role as a node's engine.
+pub trait Role: 'static {
+    /// The role half of the node's label.
+    const NAME: &'static str;
+    /// Whether the role takes a periodic [`Role::step`] every [`TICK`].
+    const STEPS: bool;
+    /// Handles one message.
+    fn handle(&mut self, msg: &PaxosMsg) -> Outbox;
+    /// What the role sends when its node starts serving.
+    fn start(&mut self) -> Outbox {
+        Outbox::Empty
+    }
+    /// The role's periodic step.
+    fn step(&mut self) -> Outbox {
+        Outbox::Empty
     }
 }
 
-/// The active role of a node.
-#[derive(Clone, Debug)]
-pub enum RoleEngine {
-    /// Sequencer.
-    Leader(Leader),
-    /// Voter.
-    Acceptor(Acceptor),
-    /// Quorum detector and deliverer.
-    Learner(Learner),
-    /// Deactivated standby (a hardware leader before its shift).
-    Idle,
+impl Role for Acceptor {
+    const NAME: &'static str = "acceptor";
+    const STEPS: bool = false;
+    fn handle(&mut self, msg: &PaxosMsg) -> Outbox {
+        Acceptor::handle(self, msg)
+    }
 }
 
-impl RoleEngine {
+impl Role for Leader {
+    const NAME: &'static str = "leader";
+    const STEPS: bool = true;
     fn handle(&mut self, msg: &PaxosMsg) -> Outbox {
-        match self {
-            RoleEngine::Leader(l) => l.handle(msg),
-            RoleEngine::Acceptor(a) => a.handle(msg),
-            RoleEngine::Learner(l) => l.handle(msg),
-            RoleEngine::Idle => Outbox::Empty,
-        }
+        Leader::handle(self, msg)
+    }
+    fn start(&mut self) -> Outbox {
+        self.start_scout()
+    }
+    fn step(&mut self) -> Outbox {
+        self.tick()
+    }
+}
+
+impl Role for Replica {
+    const NAME: &'static str = "replica";
+    const STEPS: bool = true;
+    fn handle(&mut self, msg: &PaxosMsg) -> Outbox {
+        Replica::handle(self, msg)
+    }
+    fn step(&mut self) -> Outbox {
+        Outbox::One(self.report())
     }
 }
 
@@ -153,53 +184,47 @@ impl Platform {
 }
 
 /// A Paxos participant as a simulation node.
-pub struct PaxosNode {
-    engine: RoleEngine,
+pub struct PaxosNode<R> {
+    role: R,
     platform: Platform,
     book: AddressBook,
-    /// Messages processed.
-    handled: u64,
-    /// Messages waiting out their service time, with their sender.
-    pending: Deferred<(PaxosMsg, Endpoint)>,
+    /// Whether the node takes part (see the module documentation).
+    serving: bool,
+    /// Messages waiting out their service time, with the frame they are
+    /// a view of and their sender.
+    pending: Deferred<(PaxosMsg, Packet, Endpoint)>,
 }
 
-impl PaxosNode {
-    /// Creates a node.
-    pub fn new(engine: RoleEngine, platform: Platform, book: AddressBook) -> Self {
+impl<R: Role> PaxosNode<R> {
+    /// Creates a node that serves from the start.
+    pub fn new(role: R, platform: Platform, book: AddressBook) -> Self {
         PaxosNode {
-            engine,
+            role,
             platform,
             book,
-            handled: 0,
+            serving: true,
             pending: Deferred::default(),
         }
     }
 
-    /// Messages processed since creation.
-    pub fn handled(&self) -> u64 {
-        self.handled
+    /// The role (inspection).
+    pub fn role(&self) -> &R {
+        &self.role
     }
 
-    /// Returns a reference to the engine (inspection).
-    pub fn engine(&self) -> &RoleEngine {
-        &self.engine
-    }
-
-    /// Becomes the leader with the given (higher) round, emitting the
-    /// §9.2 sync probe. The coordinator calls this during a shift via
+    /// Starts serving: the role's start (a leader's scout) goes out and
+    /// its steps run. The coordinator calls this during a shift via
     /// `Simulator::with_node_ctx`.
-    pub fn activate_leader(&mut self, ctx: &mut Ctx<'_, Packet>, round: u16) {
-        let n = self.book.acceptors.len();
-        let (leader, probe) = Leader::elected(round, n);
-        self.engine = RoleEngine::Leader(leader);
-        for (dest, msg) in probe {
-            self.emit(ctx, dest, msg, None);
-        }
+    pub fn activate(&mut self, ctx: &mut Ctx<'_, Packet>) {
+        self.serving = true;
+        let out = self.role.start();
+        self.emit(ctx, out, None);
     }
 
-    /// Stops acting as leader (the old leader after a shift).
+    /// Stops serving: the node drops what reaches it and its role takes
+    /// no step (the old leader after a shift, an idle standby).
     pub fn deactivate(&mut self) {
-        self.engine = RoleEngine::Idle;
+        self.serving = false;
     }
 
     /// Parks or unparks an FPGA platform (§9.2: an idle standby leader
@@ -215,39 +240,41 @@ impl PaxosNode {
         }
     }
 
-    fn emit(
-        &self,
-        ctx: &mut Ctx<'_, Packet>,
-        dest: Dest,
-        msg: PaxosMsg,
-        reply_to: Option<Endpoint>,
-    ) {
-        // One frame per target, the message encoded straight into each:
-        // no payload buffer and no target list in between.
-        let (own, len) = (self.book.own, msg.encoded_len());
-        let mut send = |target: Endpoint| {
-            let pkt = build_udp_with(own, target, len, |buf| msg.write_to(buf));
-            ctx.send(PortId::P0, pkt);
-        };
-        match dest {
-            Dest::AllAcceptors => self.book.acceptors.iter().copied().for_each(send),
-            Dest::AllLearners => {
-                // 2b goes to learners plus the leader (instance feedback).
-                self.book.learners.iter().copied().for_each(&mut send);
-                send(self.book.leader);
+    /// Sends `out`; a [`Dest::Reply`] goes to `reply_to`.
+    fn emit(&self, ctx: &mut Ctx<'_, Packet>, out: Outbox, reply_to: Option<Endpoint>) {
+        for (dest, msg) in out {
+            // One frame per target, the message encoded straight into
+            // each: no payload buffer and no target list in between.
+            let (own, len) = (self.book.own, msg.encoded_len());
+            let mut send = |target: Endpoint| {
+                let pkt = build_udp_with(own, target, len, |buf| msg.write_to(buf));
+                ctx.send(PortId::P0, pkt);
+            };
+            match dest {
+                Dest::AllAcceptors => self.book.acceptors.iter().copied().for_each(send),
+                Dest::AllLearners => {
+                    // 2b goes to the replicas plus the leader (commander
+                    // progress and preemption).
+                    self.book.learners.iter().copied().for_each(&mut send);
+                    send(self.book.leader);
+                }
+                Dest::Leader => send(self.book.leader),
+                // A client's conventional endpoint.
+                Dest::Client(id) => send(Endpoint::host(id, PAXOS_CLIENT_PORT)),
+                Dest::Reply => send(reply_to.unwrap_or(self.book.leader)),
             }
-            Dest::Leader => send(self.book.leader),
-            Dest::Client(id) => send(self.book.client(id)),
-            Dest::Reply => send(reply_to.unwrap_or(self.book.leader)),
         }
     }
 }
 
-impl Node<Packet> for PaxosNode {
+impl<R: Role> Node<Packet> for PaxosNode<R> {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Packet>) {
         ctx.schedule_in(POWER_TICK, TAG_POWER_TICK);
-        if matches!(self.engine, RoleEngine::Learner(_)) {
-            ctx.schedule_in(GAP_PROBE_PERIOD, TAG_GAP_PROBE);
+        if R::STEPS {
+            ctx.schedule_in(TICK, TAG_STEP);
+        }
+        if self.serving {
+            self.activate(ctx);
         }
     }
 
@@ -257,23 +284,28 @@ impl Node<Packet> for PaxosNode {
             return;
         };
         // Accept only traffic addressed to this node, or to the virtual
-        // leader service when acting as leader (flooded switch copies of
+        // leader service when this is a leader (flooded switch copies of
         // other members' traffic must not be processed).
-        let to_me = frame.ip.dst == self.book.own.ip && frame.udp.dst_port == self.book.own.port;
-        let to_leader_vip = frame.udp.dst_port == self.book.leader.port
-            && matches!(self.engine, RoleEngine::Leader(_));
-        if !to_me && !to_leader_vip {
+        let (own, port) = (self.book.own, frame.udp.dst_port);
+        let to_me = port == own.port && (frame.ip.dst == own.ip || port == self.book.leader.port);
+        if !self.serving || !to_me {
             return;
         }
         // The value is a view of the packet: nothing is copied while
-        // the message waits out its service time in `pending`.
-        let Ok(msg) = PaxosMsg::decode_shared(&frame.payload_bytes(&pkt)) else {
+        // the message waits out its service time in `pending`. A role
+        // keeps a short value inline; a longer one gets a buffer of its
+        // own here, so no role keeps a frame.
+        let Ok(mut msg) = PaxosMsg::decode_shared(&frame.payload_bytes(&pkt)) else {
             return;
         };
+        if msg.value.len() > INLINE {
+            msg.value = Bytes::copy_from_slice(&msg.value);
+        }
         let Some(ready) = self.platform.admit(now) else {
             return;
         };
-        self.pending.defer(ctx, ready, (msg, frame.source()));
+        let src = frame.source();
+        self.pending.defer(ctx, ready, (msg, pkt, src));
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, tag: u64) {
@@ -281,19 +313,21 @@ impl Node<Packet> for PaxosNode {
         if tag == TAG_POWER_TICK {
             self.platform.tick(now);
             ctx.schedule_in(POWER_TICK, TAG_POWER_TICK);
-        } else if tag == TAG_GAP_PROBE {
-            if let RoleEngine::Learner(l) = &self.engine {
-                if let Some((dest, msg)) = l.gap_probe() {
-                    self.emit(ctx, dest, msg, None);
-                }
+        } else if tag == TAG_STEP {
+            if self.serving {
+                let out = self.role.step();
+                self.emit(ctx, out, None);
             }
-            ctx.schedule_in(GAP_PROBE_PERIOD, TAG_GAP_PROBE);
-        } else if let Some((msg, src)) = self.pending.take(tag) {
-            self.handled += 1;
-            let out = self.engine.handle(&msg);
-            for (dest, m) in out {
-                self.emit(ctx, dest, m, Some(src));
+            ctx.schedule_in(TICK, TAG_STEP);
+        } else if let Some((msg, pkt, src)) = self.pending.take(tag) {
+            if self.serving {
+                let out = self.role.handle(&msg);
+                self.emit(ctx, out, Some(src));
             }
+            // The view goes first: the frame is then the last handle on
+            // its buffer, which goes back to the free list.
+            drop(msg);
+            drop(pkt);
         }
     }
 
@@ -302,12 +336,7 @@ impl Node<Packet> for PaxosNode {
     }
 
     fn label(&self) -> String {
-        let role = match &self.engine {
-            RoleEngine::Leader(_) => "leader",
-            RoleEngine::Acceptor(_) => "acceptor",
-            RoleEngine::Learner(_) => "learner",
-            RoleEngine::Idle => "idle",
-        };
+        let role = if self.serving { R::NAME } else { "idle" };
         let platform = match &self.platform {
             Platform::Host { config, .. } if config.polling => "dpdk",
             Platform::Host { .. } => "libpaxos",
@@ -364,12 +393,13 @@ mod tests {
     #[test]
     fn node_labels() {
         let n = PaxosNode::new(
-            RoleEngine::Acceptor(Acceptor::new(0)),
+            Acceptor::new(0),
             Platform::host(HostConfig::libpaxos_acceptor()),
             book(),
         );
         assert_eq!(n.label(), "libpaxos-acceptor");
-        let n = PaxosNode::new(RoleEngine::Idle, Platform::fpga(), book());
+        let mut n = PaxosNode::new(Leader::new(1, 3, 1), Platform::fpga(), book());
+        n.deactivate();
         assert_eq!(n.label(), "p4xos-fpga-idle");
     }
 }

@@ -1,6 +1,6 @@
 //! The messages one role step produces, held inline until there are two.
 //!
-//! Most steps of either pipeline send nothing (a vote below quorum, a
+//! Most role steps send nothing (a vote below quorum, a
 //! stale ballot) or exactly one message (a vote, a promise, a proposal),
 //! so an [`Outbox`] keeps its first message in the value itself and only
 //! spills to a heap buffer for the second — an execution that answers
@@ -17,7 +17,24 @@
 use inc_sim::FreeList;
 
 use crate::msg::PaxosMsg;
-use crate::roles::Dest;
+
+/// Where an emitted message should be sent.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Dest {
+    /// Every acceptor.
+    AllAcceptors,
+    /// Every replica, plus the leaders (phase-2b votes, which also carry
+    /// commander progress and preemption to the leader).
+    AllLearners,
+    /// The leader service: the coordinator-steered virtual address on
+    /// the packet path, every competing leader in the chaos rig (stale
+    /// ones ignore traffic for ballots they no longer hold).
+    Leader,
+    /// A specific client.
+    Client(u32),
+    /// Back to whoever sent the message being handled.
+    Reply,
+}
 
 /// One routed message.
 pub type Routed = (Dest, PaxosMsg);

@@ -1,17 +1,19 @@
 //! Full-system Paxos integration: clients, a steerable switch, software
-//! and hardware leaders, three acceptors, and a learner.
+//! and hardware leaders, three acceptors, and a replica.
 //!
 //! Reproduces the Figure 7 mechanics: consensus runs against the software
 //! leader; the coordinator re-steers the virtual leader address to the
 //! P4xos device and activates it; clients stall for about one retry
-//! timeout; the new leader recovers the instance counter; throughput
-//! resumes (higher) with no safety violation.
+//! timeout; the new leader scouts a higher ballot and numbers on past
+//! every slot it adopts; throughput resumes (higher) with no safety
+//! violation.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 use inc_net::{Endpoint, L2Switch, Match, Packet};
+use inc_paxos::multi::{Acceptor, Leader, Replica};
 use inc_paxos::{
-    Acceptor, AddressBook, HostConfig, Leader, Learner, PaxosClient, PaxosNode, Platform,
-    RoleEngine, PAXOS_ACCEPTOR_PORT, PAXOS_LEADER_PORT, PAXOS_LEARNER_PORT,
+    AddressBook, HostConfig, PaxosClient, PaxosNode, Platform, PAXOS_ACCEPTOR_PORT,
+    PAXOS_LEADER_PORT, PAXOS_LEARNER_PORT,
 };
 use inc_sim::{LinkSpec, Nanos, NodeId, PortId, Simulator};
 
@@ -24,7 +26,7 @@ struct Rig {
     sw_leader: NodeId,
     hw_leader: NodeId,
     acceptors: Vec<NodeId>,
-    learner: NodeId,
+    replica: NodeId,
     sw_leader_port: PortId,
     hw_leader_port: PortId,
 }
@@ -60,25 +62,27 @@ fn build_rig(n_clients: u32, timeout: Nanos) -> Rig {
 
     // Software leader (active at start of day).
     let sw_leader = sim.add_node(PaxosNode::new(
-        RoleEngine::Leader(Leader::bootstrap(1, N_ACCEPTORS)),
+        Leader::new(0, N_ACCEPTORS, 1),
         Platform::host(HostConfig::libpaxos_leader()),
         book(Endpoint::host(20, PAXOS_LEADER_PORT)),
     ));
     let sw_leader_port = attach(&mut sim, sw_leader);
 
     // Hardware leader (idle standby).
-    let hw_leader = sim.add_node(PaxosNode::new(
-        RoleEngine::Idle,
+    let mut standby = PaxosNode::new(
+        Leader::new(1, N_ACCEPTORS, 1),
         Platform::fpga(),
         book(Endpoint::host(21, PAXOS_LEADER_PORT)),
-    ));
+    );
+    standby.deactivate();
+    let hw_leader = sim.add_node(standby);
     let hw_leader_port = attach(&mut sim, hw_leader);
 
     let mut acceptors = Vec::new();
     for i in 0..N_ACCEPTORS as u32 {
         let ep = Endpoint::host(10 + i, PAXOS_ACCEPTOR_PORT);
         let node = sim.add_node(PaxosNode::new(
-            RoleEngine::Acceptor(Acceptor::new(i as u8)),
+            Acceptor::new(i as u8),
             Platform::host(HostConfig::libpaxos_acceptor()),
             book(ep),
         ));
@@ -86,12 +90,12 @@ fn build_rig(n_clients: u32, timeout: Nanos) -> Rig {
         acceptors.push(node);
     }
 
-    let learner = sim.add_node(PaxosNode::new(
-        RoleEngine::Learner(Learner::new(N_ACCEPTORS)),
+    let replica = sim.add_node(PaxosNode::new(
+        Replica::new(0, N_ACCEPTORS),
         Platform::host(HostConfig::libpaxos_learner()),
         book(Endpoint::host(30, PAXOS_LEARNER_PORT)),
     ));
-    attach(&mut sim, learner);
+    attach(&mut sim, replica);
 
     let mut clients = Vec::new();
     for id in 0..n_clients {
@@ -116,10 +120,31 @@ fn build_rig(n_clients: u32, timeout: Nanos) -> Rig {
         sw_leader,
         hw_leader,
         acceptors,
-        learner,
+        replica,
         sw_leader_port,
         hw_leader_port,
     }
+}
+
+fn replica(rig: &Rig) -> &Replica {
+    rig.sim.node_ref::<PaxosNode<Replica>>(rig.replica).role()
+}
+
+/// The replica's executed log tail runs slot by slot up to `slot_out`.
+fn assert_log_runs_to_slot_out(r: &Replica) {
+    let slots: Vec<u64> = r.log_tail().iter().map(|e| e.0).collect();
+    assert!(slots.windows(2).all(|w| w[0] < w[1]), "log out of order");
+    assert!(slots.last().is_some_and(|&s| s < r.slot_out()));
+}
+
+/// Moves leadership from `from` to `to` as the coordinator does (§9.2).
+fn shift(rig: &mut Rig, from: (NodeId, PortId), to: (NodeId, PortId)) {
+    rig.sim.node_mut::<PaxosNode<Leader>>(from.0).deactivate();
+    let sw = rig.sim.node_mut::<L2Switch>(rig.switch);
+    sw.unsteer_port(from.1);
+    sw.steer(Match::udp_dst(PAXOS_LEADER_PORT), to.1);
+    rig.sim
+        .with_node_ctx::<PaxosNode<Leader>, _>(to.0, |n, ctx| n.activate(ctx));
 }
 
 fn total_acked(rig: &Rig) -> u64 {
@@ -135,17 +160,13 @@ fn consensus_reaches_clients() {
     rig.sim.run_until(Nanos::from_secs(1));
     let acked = total_acked(&rig);
     assert!(acked > 1_000, "only {acked} commands acked");
-    // The learner delivered in order with no duplicates (no retries in a
-    // loss-free run).
-    let learner = rig.sim.node_ref::<PaxosNode>(rig.learner);
-    if let RoleEngine::Learner(l) = learner.engine() {
-        assert_eq!(l.duplicates, 0);
-        assert!(!l.has_gap(), "a decided instance held behind a gap");
-        assert_eq!(l.log_tail().last().map(|e| e.0), Some(l.delivered_count));
-        assert!(l.delivered_count >= acked, "{acked} acked past the log");
-    } else {
-        panic!("learner role changed");
-    }
+    // The replica executed in order with no duplicates (no retries in a
+    // loss-free run) and no no-op fills (no leader change).
+    let r = replica(&rig);
+    assert_eq!(r.duplicates, 0);
+    assert_log_runs_to_slot_out(r);
+    assert_eq!(r.slot_out() - 1, r.executed_count);
+    assert!(r.executed_count >= acked, "{acked} acked past the log");
 }
 
 #[test]
@@ -161,22 +182,13 @@ fn leader_shift_recovers_and_doubles_throughput() {
         sw_window.push((n, lat));
     }
 
-    // The §9.2 shift: deactivate software leader, re-steer, activate the
-    // P4xos leader with a higher round.
-    let now = rig.sim.now();
-    let _ = now;
-    rig.sim.node_mut::<PaxosNode>(rig.sw_leader).deactivate();
-    let hw_port = rig.hw_leader_port;
-    let sw_port = rig.sw_leader_port;
-    {
-        let sw = rig.sim.node_mut::<L2Switch>(rig.switch);
-        sw.unsteer_port(sw_port);
-        sw.steer(Match::udp_dst(PAXOS_LEADER_PORT), hw_port);
-    }
-    rig.sim
-        .with_node_ctx::<PaxosNode, _>(rig.hw_leader, |node, ctx| {
-            node.activate_leader(ctx, 2);
-        });
+    // The §9.2 shift: deactivate the software leader, re-steer, activate
+    // the P4xos leader, which scouts for a higher ballot.
+    let (sw, hw) = (
+        (rig.sw_leader, rig.sw_leader_port),
+        (rig.hw_leader, rig.hw_leader_port),
+    );
+    shift(&mut rig, sw, hw);
 
     // Phase 2: hardware leader for 2 s (plus recovery).
     rig.sim.run_until(Nanos::from_secs(4));
@@ -217,16 +229,10 @@ fn leader_shift_recovers_and_doubles_throughput() {
         "latency sw {sw_p50} vs hw {hw_p50}"
     );
 
-    // Safety: in-order delivery, and the new leader did not overwrite
-    // decided instances (no gaps or duplicate instance deliveries).
-    let learner = rig.sim.node_ref::<PaxosNode>(rig.learner);
-    if let RoleEngine::Learner(l) = learner.engine() {
-        assert!(
-            !l.has_gap(),
-            "a decided instance held behind a gap after shift"
-        );
-        assert_eq!(l.log_tail().last().map(|e| e.0), Some(l.delivered_count));
-    }
+    // Safety: in-order execution, and every acked command ran once.
+    let r = replica(&rig);
+    assert_log_runs_to_slot_out(r);
+    assert!(r.executed_count >= total_acked(&rig));
 }
 
 #[test]
@@ -235,26 +241,16 @@ fn shift_back_to_software_leader() {
     rig.sim.run_until(Nanos::from_secs(1));
 
     // Shift to hardware...
-    rig.sim.node_mut::<PaxosNode>(rig.sw_leader).deactivate();
-    let (sw_port, hw_port) = (rig.sw_leader_port, rig.hw_leader_port);
-    {
-        let sw = rig.sim.node_mut::<L2Switch>(rig.switch);
-        sw.unsteer_port(sw_port);
-        sw.steer(Match::udp_dst(PAXOS_LEADER_PORT), hw_port);
-    }
-    rig.sim
-        .with_node_ctx::<PaxosNode, _>(rig.hw_leader, |n, ctx| n.activate_leader(ctx, 2));
+    let (sw, hw) = (
+        (rig.sw_leader, rig.sw_leader_port),
+        (rig.hw_leader, rig.hw_leader_port),
+    );
+    shift(&mut rig, sw, hw);
     rig.sim.run_until(Nanos::from_secs(2));
 
-    // ...and back to software with round 3 (Figure 7 shifts both ways).
-    rig.sim.node_mut::<PaxosNode>(rig.hw_leader).deactivate();
-    {
-        let sw = rig.sim.node_mut::<L2Switch>(rig.switch);
-        sw.unsteer_port(hw_port);
-        sw.steer(Match::udp_dst(PAXOS_LEADER_PORT), sw_port);
-    }
-    rig.sim
-        .with_node_ctx::<PaxosNode, _>(rig.sw_leader, |n, ctx| n.activate_leader(ctx, 3));
+    // ...and back to software, whose next scout outbids the P4xos
+    // leader's ballot (Figure 7 shifts both ways).
+    shift(&mut rig, hw, sw);
     let before = total_acked(&rig);
     rig.sim.run_until(Nanos::from_secs(3));
     let after = total_acked(&rig);
@@ -263,10 +259,24 @@ fn shift_back_to_software_leader() {
         "consensus stalled after shifting back: {before} -> {after}"
     );
 
-    // Acceptor votes kept flowing throughout.
+    // Acceptor votes kept flowing throughout, and the replica's slot
+    // reports kept each acceptor's floor within a few reports of the
+    // end of the log.
+    let slot_out = replica(&rig).slot_out();
     for &a in &rig.acceptors {
-        let node = rig.sim.node_ref::<PaxosNode>(a);
-        assert!(node.handled() > 1_000);
+        let node = rig.sim.node_ref::<PaxosNode<Acceptor>>(a);
+        let acceptor = node.role();
+        assert!(acceptor.votes > 1_000);
+        assert!(
+            acceptor.accepted_len() < 200,
+            "{} slots",
+            acceptor.accepted_len()
+        );
+        assert!(
+            acceptor.floor() + 200 > slot_out,
+            "floor {}",
+            acceptor.floor()
+        );
     }
 }
 
@@ -283,7 +293,7 @@ fn dpdk_deployment_also_reaches_consensus() {
         p
     };
     let leader = sim.add_node(PaxosNode::new(
-        RoleEngine::Leader(Leader::bootstrap(1, N_ACCEPTORS)),
+        Leader::new(0, N_ACCEPTORS, 1),
         Platform::host(HostConfig::dpdk_leader()),
         book(Endpoint::host(20, PAXOS_LEADER_PORT)),
     ));
@@ -291,18 +301,18 @@ fn dpdk_deployment_also_reaches_consensus() {
     for i in 0..N_ACCEPTORS as u32 {
         let ep = Endpoint::host(10 + i, PAXOS_ACCEPTOR_PORT);
         let n = sim.add_node(PaxosNode::new(
-            RoleEngine::Acceptor(Acceptor::new(i as u8)),
+            Acceptor::new(i as u8),
             Platform::host(HostConfig::dpdk_acceptor()),
             book(ep),
         ));
         attach(&mut sim, n);
     }
-    let learner = sim.add_node(PaxosNode::new(
-        RoleEngine::Learner(Learner::new(N_ACCEPTORS)),
+    let replica = sim.add_node(PaxosNode::new(
+        Replica::new(0, N_ACCEPTORS),
         Platform::host(HostConfig::dpdk_acceptor()),
         book(Endpoint::host(30, PAXOS_LEARNER_PORT)),
     ));
-    attach(&mut sim, learner);
+    attach(&mut sim, replica);
     let client = sim.add_node(PaxosClient::new(
         100,
         Endpoint::host(99, PAXOS_LEADER_PORT),

@@ -22,9 +22,8 @@
 //! already held its peak residents, and the residency index already
 //! covers every slot. A long-lived client under a hostile regime —
 //! every frame lost, a leader that never answers — holds its live heap
-//! flat once warm, and so do the §9.2 Paxos leader and learner at
-//! steady load, while an acceptor keeps a bounded few bytes per
-//! instance: the soak cells read the allocator's live bytes at 10 % of
+//! flat once warm, and so does every role of the §9.2 Paxos pipeline at
+//! steady load: the soak cells read the allocator's live bytes at 10 % of
 //! a long run and at its end. This
 //! binary has its own counting `#[global_allocator]`, so it holds these
 //! tests only. The counters are per thread: libtest runs tests on
@@ -244,12 +243,6 @@ fn a_paxos_client_with_a_silent_leader_stays_bounded() {
     assert_eq!(stats.abandoned, stats.issued - 4_096, "{stats:?}");
 }
 
-/// Live bytes a §9.2 acceptor may keep per instance it votes in: its
-/// 34-byte cell, the page directory's 8 bytes per 1 024 instances and
-/// the page allocation's rounding, with room to spare (a parked copy of
-/// each 28-byte command and a map node, as before, was ≈ 150).
-const ACCEPTOR_BYTES_PER_INSTANCE: f64 = 40.0;
-
 /// Runs `f`, adding the live bytes it leaves allocated to `kept`.
 fn kept_by<R>(kept: &mut i64, f: impl FnOnce() -> R) -> R {
     let before = LIVE.with(Cell::get);
@@ -261,22 +254,33 @@ fn kept_by<R>(kept: &mut i64, f: impl FnOnce() -> R) -> R {
 #[test]
 fn a_paxos_pipeline_at_steady_load_stays_bounded() {
     // The §9.2 pipeline at steady load, every role's live bytes tallied
-    // by who kept them: a leader, three acceptors and a learner; 16
-    // clients' commands of 28 bytes (16 of payload), each decided at
-    // its second vote, the third arriving late. The learner lets go of
-    // a delivered instance's votes and keeps 64 to 128 log entries, so
-    // it and the leader stay flat; an acceptor keeps a 34-byte cell per
-    // instance, its value inline.
-    use inc::paxos::roles;
-
+    // by who kept them: a leader that numbers 16 clients' unnumbered
+    // 28-byte commands (16 of payload), three acceptors and a replica,
+    // each command decided at its second vote, the third arriving late.
+    // Every 16 commands the replica reports its `slot_out`, the leader's
+    // floor follows it and its next phase-2as carry the floor to the
+    // acceptors, which forget every slot below it. The replica keeps 64
+    // to 128 log entries. Nothing of it grows with the run: the acceptor
+    // table before it grew 34 B per voted instance (3.76 MB over one
+    // `packet_fabric` trial).
     const WARM_UP: u64 = 20_000;
-    let mut leader = roles::Leader::bootstrap(1, 3);
-    let mut acceptors: Vec<roles::Acceptor> = (0..3).map(roles::Acceptor::new).collect();
-    let mut learner = roles::Learner::new(3);
-    // [leader and learner, acceptors], and the first's high-water mark.
-    let (mut kept, mut peak) = ([0i64; 2], 0i64);
+    const REPORT_EVERY: u64 = 16;
+    let mut leader = Leader::new(0, 3, 1);
+    let mut acceptors: Vec<Acceptor> = (0..3).map(Acceptor::new).collect();
+    let mut replica = Replica::new(0, 3);
+    // Scout and adopt on empty acceptors.
+    for (_, p1a) in leader.start_scout() {
+        for acceptor in &mut acceptors {
+            for (_, promise) in acceptor.handle(&p1a) {
+                assert!(leader.handle(&promise).is_empty());
+            }
+        }
+    }
+    assert!(leader.is_active());
+    // [leader and replica, acceptors], and each one's high-water mark.
+    let (mut kept, mut peak) = ([0i64; 2], [0i64; 2]);
     let mut seq = 0u64;
-    let mut run = |commands: u64, kept: &mut [i64; 2], peak: &mut i64| {
+    let mut run = |commands: u64, kept: &mut [i64; 2], peak: &mut [i64; 2]| {
         for _ in 0..commands {
             seq += 1;
             let command = ClientCommand {
@@ -290,81 +294,87 @@ fn a_paxos_pipeline_at_steady_load_stays_bounded() {
                     for (_, vote) in kept_by(&mut kept[1], || acceptor.handle(&p2a)) {
                         kept_by(&mut kept[0], || {
                             leader.handle(&vote);
-                            learner.handle(&vote)
+                            replica.handle(&vote)
                         });
                     }
                 }
             }
-            *peak = (*peak).max(kept[0]);
+            if seq.is_multiple_of(REPORT_EVERY) {
+                let (_, report) = replica.report();
+                assert!(kept_by(&mut kept[0], || leader.handle(&report)).is_empty());
+            }
+            for (peak, kept) in peak.iter_mut().zip(kept.iter()) {
+                *peak = (*peak).max(*kept);
+            }
         }
     };
     run(WARM_UP, &mut kept, &mut peak);
     let past = (WARM_UP as f64 * SOAK_RUN) as u64;
     run(past / 10, &mut kept, &mut peak);
     let at_tenth = kept;
-    peak = at_tenth[0];
+    peak = at_tenth;
     run(past - past / 10, &mut kept, &mut peak);
-    assert_eq!(learner.delivered_count, WARM_UP + past);
-    assert_eq!(learner.retained_instances(), 0);
-    let soak = Soak {
-        at_tenth: at_tenth[0],
-        at_end: kept[0],
-        peak,
-    };
-    assert_bounded("§9.2 learner and leader", &soak);
-    let voted = 3 * (past - past / 10);
-    let per_instance = (kept[1] - at_tenth[1]) as f64 / voted as f64;
-    println!(
-        "live heap, §9.2 acceptors: {per_instance:.2} B per voted instance past 10 % of the run \
-         ({} B at 10 %, {} B at its end)",
-        at_tenth[1], kept[1]
-    );
-    assert!(
-        per_instance <= ACCEPTOR_BYTES_PER_INSTANCE,
-        "{per_instance:.1} B per voted instance, bound {ACCEPTOR_BYTES_PER_INSTANCE}"
-    );
+    assert_eq!(replica.executed_count, WARM_UP + past);
+    let cells = ["§9.2 leader and replica", "§9.2 acceptors"];
+    for (i, cell) in cells.into_iter().enumerate() {
+        let (at_tenth, at_end, peak) = (at_tenth[i], kept[i], peak[i]);
+        assert_bounded(
+            cell,
+            &Soak {
+                at_tenth,
+                at_end,
+                peak,
+            },
+        );
+    }
+    // What bounds them: the floor trails execution by a report period.
+    for acceptor in &acceptors {
+        assert!(acceptor.accepted_len() as u64 <= 2 * REPORT_EVERY);
+    }
+    assert!(leader.retained_slots() as u64 <= 2 * REPORT_EVERY);
+    assert_eq!(replica.retained_slots(), 0);
 }
 
 #[test]
 fn a_paxos_acceptor_votes_a_short_command_in_place() {
-    // A command of up to 28 bytes is voted into the acceptor's table:
-    // the only allocations are its pages, one per 1 024 instances, and
-    // the directory that points at them. A longer one is copied out.
-    use inc::paxos::roles;
-
-    let proposal = |instance, payload_len| {
+    // A command of up to 28 bytes is voted into the acceptor's ring: the
+    // only allocations are the ring's, each a doubling, and none once it
+    // covers the window. A longer one is kept as the handle it came in.
+    let proposal = |slot, payload_len| {
         let payload = vec![0xAB; payload_len];
         let value = ClientCommand {
             client: 1,
-            seq: instance,
+            seq: slot,
             payload,
         }
         .encode();
-        PaxosMsg::new(MsgType::Phase2a, instance, 1, value)
+        let mut p2a = PaxosMsg::new(MsgType::Phase2a, slot, Ballot::new(1, 0).wire(), value);
+        // The leader's floor: a window of 1 024 slots.
+        p2a.last_voted = slot.saturating_sub(1_023).max(1);
+        p2a
     };
     let (short, long): (Vec<_>, Vec<_>) = (1..=10_240u64)
-        .map(|instance| (proposal(instance, 16), proposal(instance, 17)))
+        .map(|slot| (proposal(slot, 16), proposal(slot, 17)))
         .unzip();
-    let mut acceptor = roles::Acceptor::new(0);
+    let mut acceptor = Acceptor::new(0);
     let allocs = allocations_in(|| {
         for p2a in &short {
             assert_eq!(acceptor.handle(p2a).len(), 1);
         }
     });
-    // 11 pages (instance 10 240 opens the eleventh), at most 4 directory growths.
-    assert!(allocs <= 11 + 4, "{allocs} allocations for 10 240 votes");
+    // 32, 64, …, 1 024 slots: six buffers.
+    assert!(allocs <= 6, "{allocs} allocations for 10 240 votes");
+    assert_eq!(acceptor.accepted_len(), 1_024);
     let revotes = allocations_in(|| {
-        for p2a in &short {
+        for p2a in &short[10_240 - 1_024..] {
             acceptor.handle(p2a);
         }
     });
-    assert_eq!(revotes, 0, "a warm table votes without allocating");
-    let parked = allocations_in(|| {
-        for p2a in &long {
-            acceptor.handle(p2a);
-        }
-    });
-    assert!(parked >= 10_240, "a 29-byte value is parked: {parked}");
+    assert_eq!(revotes, 0, "a warm ring votes without allocating");
+    let value = &long[10_239].value;
+    acceptor.handle(&long[10_239]);
+    let kept = acceptor.accepted(10_240).map(|(_, v)| v.as_ptr());
+    assert_eq!(kept, Some(value.as_ptr()), "a 29-byte value is a handle");
 }
 
 /// Allocations per decided slot a loss-free 2-replica/2-leader/3-acceptor
@@ -410,10 +420,10 @@ fn loss_free_cluster_stays_under_the_allocation_budget() {
 
 /// Allocations per submitted command one epoch of the benchmark's
 /// `paxos_chaos` schedule may spend, its 32-byte payloads included.
-/// Measured from an empty spill list, on a thread of its own: 2.049,
-/// + 5 % (3.15 while every outbox spill — an execution that answers for
-/// several slots, a retransmit burst — was a fresh `Vec`, 10.83 while
-/// each delivered message's decode copied its value). Spills now reuse
+/// Measured from an empty spill list, on a thread of its own: 2.049, and
+/// 5 % over it (3.15 while every outbox spill — an execution that answers
+/// for several slots, a retransmit burst — was a fresh `Vec`, 10.83
+/// while each delivered message's decode copied its value). Spills now reuse
 /// the thread's free list: past the payload and the command's buffer,
 /// 0.049 per command is left, the first spills included.
 const CHAOS_ALLOCS_PER_COMMAND_CEILING: f64 = 2.15;
@@ -858,17 +868,17 @@ fn a_warm_emu_device_allocates_nothing() {
 }
 
 /// Allocations per completed request the benchmark's packet fabric may
-/// spend. Measured: 0.427, + 5 % (0.53 while each Paxos acceptor
+/// spend. Measured: 0.162 (0.427 while a Paxos node kept each received
+/// frame past its last use, which sent every Paxos frame back to the
+/// allocator instead of the free list; 0.53 while each Paxos acceptor
 /// parked a copy of every value it voted for, 3.4 while every frame
 /// built was an allocation and every KVS op formatted its key, 26.3
 /// before the in-place packet path). What is left is frames the free
 /// list cannot cover (more in flight than it keeps, or still shared
 /// when dropped), the keys and values LaKe's miss path and
-/// write-through SETs copy, the one copy of each value the Paxos
-/// learner keeps until it is delivered and out of its log tail, the
-/// learner's vote and decision map nodes, an acceptor's table page per
-/// 1 024 instances, and the fleet controller's per-interval
-/// bookkeeping.
+/// write-through SETs copy, the one copy of each command the Paxos
+/// replica makes when it executes it, and the fleet controller's
+/// per-interval bookkeeping.
 const ALLOCS_PER_REQUEST_CEILING: f64 = 0.448;
 
 #[test]

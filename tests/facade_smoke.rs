@@ -27,7 +27,7 @@ fn every_facade_module_is_reachable() {
     // inc::kvs
     let _ = inc::kvs::LruCache::new(4);
     // inc::paxos
-    let _ = inc::paxos::Learner::new(3);
+    let _ = inc::paxos::multi::Replica::new(0, 3);
     // inc::dns
     let _ = inc::dns::Name::parse("example.com").unwrap();
     // inc::workloads

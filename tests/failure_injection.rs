@@ -12,9 +12,10 @@ use inc::kvs::{
     MemcachedServer, UniformGen, MEMCACHED_PORT,
 };
 use inc::net::{Endpoint, L2Switch, Match, Packet};
+use inc::paxos::multi::{Acceptor, Leader, Replica};
 use inc::paxos::{
-    Acceptor, AddressBook, HostConfig, Leader, Learner, PaxosClient, PaxosNode, Platform,
-    RoleEngine, PAXOS_ACCEPTOR_PORT, PAXOS_LEADER_PORT, PAXOS_LEARNER_PORT,
+    AddressBook, HostConfig, PaxosClient, PaxosNode, Platform, PAXOS_ACCEPTOR_PORT,
+    PAXOS_LEADER_PORT, PAXOS_LEARNER_PORT,
 };
 use inc::sim::{LinkSpec, Nanos, NodeId, PortId, Simulator};
 
@@ -81,25 +82,25 @@ fn paxos_stays_safe_and_live_over_lossy_links() {
         p
     };
     let leader = sim.add_node(PaxosNode::new(
-        RoleEngine::Leader(Leader::bootstrap(1, N_ACCEPTORS)),
+        Leader::new(0, N_ACCEPTORS, 1),
         Platform::host(HostConfig::libpaxos_leader()),
         book(Endpoint::host(20, PAXOS_LEADER_PORT)),
     ));
     let lp = attach(&mut sim, leader);
     for i in 0..N_ACCEPTORS as u32 {
         let n = sim.add_node(PaxosNode::new(
-            RoleEngine::Acceptor(Acceptor::new(i as u8)),
+            Acceptor::new(i as u8),
             Platform::host(HostConfig::libpaxos_acceptor()),
             book(Endpoint::host(10 + i, PAXOS_ACCEPTOR_PORT)),
         ));
         attach(&mut sim, n);
     }
-    let learner = sim.add_node(PaxosNode::new(
-        RoleEngine::Learner(Learner::new(N_ACCEPTORS)),
+    let replica = sim.add_node(PaxosNode::new(
+        Replica::new(0, N_ACCEPTORS),
         Platform::host(HostConfig::libpaxos_learner()),
         book(Endpoint::host(30, PAXOS_LEARNER_PORT)),
     ));
-    attach(&mut sim, learner);
+    attach(&mut sim, replica);
     let mut clients = Vec::new();
     for id in 0..3u32 {
         let c = sim.add_node(PaxosClient::new(
@@ -129,16 +130,15 @@ fn paxos_stays_safe_and_live_over_lossy_links() {
     assert!(retries > 0, "loss must force retries");
     assert!(sim.lost() > 0);
 
-    // Safety: in-order, gapless delivery at the learner even with drops
-    // (the gap-probe / no-op machinery fills holes).
-    let node = sim.node_ref::<PaxosNode>(learner);
-    if let RoleEngine::Learner(l) = node.engine() {
-        assert!(!l.has_gap(), "a decided instance held behind a gap");
-        assert_eq!(l.log_tail().last().map(|e| e.0), Some(l.delivered_count));
-        assert!(l.delivered_count > 1_500);
-    } else {
-        panic!("learner role changed");
-    }
+    // Safety and progress: the replica executes in slot order even with
+    // drops (a lost phase-2a is re-sent on the leader's tick, lost votes
+    // on the replica's slot report), every acked command ran once, and
+    // its log runs up to `slot_out`.
+    let r = sim.node_ref::<PaxosNode<Replica>>(replica).role();
+    let slots: Vec<u64> = r.log_tail().iter().map(|e| e.0).collect();
+    assert!(slots.windows(2).all(|w| w[0] < w[1]), "log out of order");
+    assert_eq!(slots.last().map(|s| s + 1), Some(r.slot_out()));
+    assert!(r.executed_count >= acked && r.executed_count > 1_500);
 }
 
 #[test]

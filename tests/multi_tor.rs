@@ -19,6 +19,8 @@ use std::sync::OnceLock;
 use common::{fnv, shift_log_digest, FNV_OFFSET};
 use inc::hw::{DeviceId, Placement, ProgramResources};
 use inc::ondemand::{FleetShift, FleetTimeline};
+use inc::paxos::multi::Acceptor;
+use inc::paxos::PaxosNode;
 use inc::sim::Nanos;
 use inc_bench::rigs::MultiTorRig;
 
@@ -303,6 +305,40 @@ fn per_app_timelines_record_the_placement_windows() {
     assert!(
         pax_hw > detour_ns,
         "remote paxos median {pax_hw} ns cannot be below the detour {detour_ns} ns"
+    );
+}
+
+/// The most slots a §9.2 acceptor holds at the end of a run: the floor
+/// trails the replica's `slot_out` by about one slot report period
+/// (`inc::paxos::node::TICK`), a few commands at the Paxos tenant's
+/// rates, with room to spare. An acceptor that kept the log held one
+/// slot per command, about 36 000 on the benchmark's trial.
+const ACCEPTOR_SLOTS_CEILING: usize = 64;
+
+#[test]
+fn the_floor_reaches_the_acceptors() {
+    let kept = |horizon: Nanos| {
+        let mut rig = MultiTorRig::new(42, KEYS, NAMES, MultiTorRig::contended_profiles(PERIOD));
+        let mut ctl = MultiTorRig::fleet_controller(INTERVAL);
+        rig.run(&mut ctl, horizon);
+        assert!(rig.pax_acked() > 1_000);
+        let acceptors = rig.pax_acceptors.iter().map(|&a| {
+            let node = rig.sim.node_ref::<PaxosNode<Acceptor>>(a);
+            node.role().accepted_len()
+        });
+        acceptors.max().unwrap()
+    };
+    // At the end of one diurnal period and of two, and in the Paxos
+    // tenant's busy stretch, when commands arrive fastest.
+    let (once, twice) = (kept(HORIZON), kept(HORIZON + HORIZON));
+    let busy = kept(PERIOD.mul_f64(0.42));
+    println!("acceptor slots: {once} after one period, {twice} after two, {busy} when busy");
+    for slots in [once, busy] {
+        assert!(slots <= ACCEPTOR_SLOTS_CEILING, "{slots} slots");
+    }
+    assert!(
+        twice <= once,
+        "{twice} slots after twice the run, {once} after one"
     );
 }
 
