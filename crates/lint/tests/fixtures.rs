@@ -130,8 +130,8 @@ fn slot_keyed_tree_catches_per_slot_maps_in_the_multi_paxos_roles() {
     // body. The client-keyed map (line 6), `encode_pvalues`' signature
     // (line 11) and the `#[cfg(test)]` module stay legal.
     assert_eq!(lines(&report, "slot-keyed-tree"), vec![3, 4, 12]);
-    // The single-sequencer pipeline keeps its unbounded instance map.
-    let report = scan_source("crates/paxos/src/roles.rs", src, &BTreeSet::new());
+    // The rule holds the role machines' file only.
+    let report = scan_source("crates/paxos/src/node.rs", src, &BTreeSet::new());
     assert_eq!(lines(&report, "slot-keyed-tree"), Vec::<u32>::new());
 }
 

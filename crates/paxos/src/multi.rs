@@ -1,17 +1,28 @@
-//! Full Multi-Paxos role state machines: ballots, scouts, commanders.
+//! Multi-Paxos role state machines: ballots, scouts, commanders — the
+//! one consensus implementation, run two ways.
 //!
-//! The [`roles`](crate::roles) module implements the single-sequencer
-//! pipeline the paper's Figure 7 measures: one leader per round, handed
-//! over by the coordinator, with the §9.2 recovery extensions. That is
-//! faithful to the P4xos deployment but it cannot *elect* — if the
-//! sequencer dies, the experiment ends. This module implements the rest
-//! of Multi-Paxos in the style of *Paxos Made Moderately Complex*
-//! (PMMC): ballot-numbered [`Leader`]s that run a **scout** (phase 1)
-//! to adopt a ballot and one **commander** (phase 2) per slot,
-//! [`Acceptor`]s that promise and vote per ballot, and [`Replica`]s
-//! that assign commands to slots, detect decision quorums, execute the
-//! log in slot order and answer clients. Any number of leaders may
-//! compete; safety never depends on timing.
+//! The machines follow *Paxos Made Moderately Complex* (PMMC):
+//! ballot-numbered [`Leader`]s run a **scout** (phase 1) to adopt a
+//! ballot and one **commander** (phase 2) per slot, [`Acceptor`]s
+//! promise and vote per ballot, and [`Replica`]s detect decision
+//! quorums, execute the log in slot order and answer clients. Any
+//! number of leaders may compete; safety never depends on timing.
+//!
+//! * **The chaos suite** (`inc-bench`'s `ChaosCluster`) runs them as
+//!   PMMC does: a replica numbers each command into a slot and proposes
+//!   it, and a passive leader elects itself when its backoff expires.
+//! * **The §9.2 deployment** ([`PaxosNode`](crate::PaxosNode)) runs the
+//!   same machines the way P4xos is deployed: clients send unnumbered
+//!   requests to a leader service address the coordinator steers, and
+//!   the leader numbers them; the coordinator activates one leader at a
+//!   time, which scouts for a ballot above any it has seen, and only
+//!   the active leader is ticked, so a standby never elects itself. The
+//!   replica proposes nothing; its slot reports ([`Replica::report`])
+//!   carry its `slot_out`, which moves the floor.
+//!
+//! The wire says which way a request goes: an unnumbered
+//! `ClientRequest` (`instance = 0`) is the leader's to number, a
+//! numbered one is a replica's proposal.
 //!
 //! # Sans-IO contract
 //!
@@ -29,33 +40,41 @@
 //!
 //! # Value ownership
 //!
-//! A command's bytes are allocated where they enter — by
-//! [`Replica::on_request`] — and are never copied inside a machine.
-//! What a hop costs is the harness's choice of decoder:
+//! A value a role keeps past its message — a window's proposal, an
+//! accepted pvalue, a vote tally's value — is kept inline when it is at
+//! most 28 bytes, a command with a 16-byte payload as every
+//! [`PaxosClient`](crate::PaxosClient) sends: keeping it allocates
+//! nothing and holds on to no buffer. A longer value is kept as the
+//! [`Bytes`] handle it came with. What that handle is depends on the
+//! harness's decoder:
 //! [`PaxosMsg::decode`](crate::msg::PaxosMsg::decode) copies the value
 //! out of the datagram (one allocation per delivered message),
 //! [`PaxosMsg::decode_shared`](crate::msg::PaxosMsg::decode_shared)
-//! makes it a view of the frame that carried it, and
+//! makes it a view of the frame that carried it — a
+//! [`PaxosNode`](crate::PaxosNode) copies a longer value out, so no
+//! role keeps a frame — and
 //! [`PaxosMsg::decode_sharing`](crate::msg::PaxosMsg::decode_sharing)
 //! — the chaos rig's — hands back the sender's own handle, so a
-//! command stays the one buffer `on_request` made. Everything that
-//! parks a value (every role's window, a replica's requests and log
-//! tail) and every outgoing message holds a [`Bytes`] handle on that
-//! allocation; pvalues read out of a phase-1b batch are slices of the
-//! batch. A warm step allocates nothing, however many messages it
-//! sends: the [`Outbox`] holds one message inline and takes the buffer
-//! for more from the thread's free list of spills, quorums are counted
-//! in a fixed bit mask, a warm slot ring is an array.
+//! longer command stays the one buffer [`Replica::on_request`] made,
+//! from submit to execution. Every outgoing message holds a handle on
+//! the message that provoked it where it can; pvalues read out of a
+//! phase-1b batch are slices of the batch. A warm step allocates
+//! nothing, however many messages it sends: the [`Outbox`] holds one
+//! message inline and takes the buffer for more from the thread's free
+//! list of spills, quorums are counted in a fixed bit mask, a warm slot
+//! ring is an array. The one copy a short command costs is made where
+//! a replica executes it, for its reply and its log.
 //!
 //! # The window and its floor
 //!
 //! No role keeps a history: each keeps one slot ring (`ring.rs`) from
 //! its **floor** up. A floor only ever comes from a minimum of
-//! `slot_out` over all replicas (carried on proposals, phase-1a/2a and
-//! every acceptor reply), so all below it is executed everywhere; no
-//! role stores, votes on, proposes or reports a slot below its floor;
-//! and a floor may lag, never lead. ARCHITECTURE.md ("Consensus & fault
-//! tolerance") has the argument and what a dead replica does to it.
+//! `slot_out` over all replicas (carried on proposals, slot reports,
+//! phase-1a/2a and every acceptor reply), so all below it is executed
+//! everywhere; no role stores, votes on, proposes or reports a slot
+//! below its floor; and a floor may lag, never lead. ARCHITECTURE.md
+//! ("Consensus & fault tolerance") has the argument and what a dead
+//! replica does to it.
 //!
 //! # Ballots on the wire
 //!
@@ -71,28 +90,37 @@
 //! | PMMC message            | [`PaxosMsg`] encoding | routed to |
 //! |-------------------------|------------------------|-----------|
 //! | request (client→replica)| [`Replica::on_request`] (no message: the harness hands the command over) | — |
+//! | request (client→leader, §9.2) | `ClientRequest`, `instance = 0`, `value` = the command | [`Dest::Leader`] |
 //! | propose (replica→leader)| `ClientRequest`, `instance = slot`, `value` = the command, `acceptor` = replica id, `last_voted` = its `slot_out` | [`Dest::Leader`] |
+//! | slot report (replica→leader, §9.2) | `GapRequest`, `instance = last_voted` = the replica's `slot_out`, `acceptor` = replica id | [`Dest::Leader`] |
 //! | p1a (scout)             | `Phase1a`, `round = ballot`, empty `value`, `last_voted` = leader's floor | [`Dest::AllAcceptors`] |
 //! | p1b (promise)           | `Phase1b`, `round = promised`, `vround` echoes the scouted ballot, `value` = accepted pvalues laid out as by [`encode_pvalues`], `instance = chunk index << 1 \| is-last` (one chunk unless the pvalues exceed `MAX_VALUE_LEN`), `last_voted` = acceptor's floor | [`Dest::Reply`] |
 //! | p2a (commander)         | `Phase2a`, `instance = slot`, `round = ballot`, `value` shared with the proposal, `last_voted` = leader's floor | [`Dest::AllAcceptors`] |
 //! | p2b (vote)              | `Phase2b`, `round = vround = ballot`, `value` shared with the p2a, `last_voted` = acceptor's floor | [`Dest::AllLearners`] |
 //! | p2b (refusal)           | `Phase2b`, `round = promised`, `vround = 0`, empty `value`, `last_voted` = acceptor's floor | [`Dest::Reply`] |
 //! | decision                | none — replicas count `Phase2b` quorums themselves | — |
-//! | reply (replica→client)  | `ClientReply`, `instance = slot`, `acceptor` = replica id, `value` shared with the decision | [`Dest::Client`] |
+//! | reply (replica→client)  | `ClientReply`, `instance = slot`, `acceptor` = replica id, `value` = the executed command | [`Dest::Client`] |
 //!
 //! # Safety invariants
 //!
-//! The two properties the chaos suite pins (see
-//! `tests/failure_injection.rs`):
+//! The properties the chaos suite and `tests/properties.rs` pin:
 //!
 //! 1. **Single value per slot** — once a quorum of acceptors votes for
 //!    a value in some ballot at a slot, every later ballot's scout
 //!    learns that pvalue (quorums intersect) and re-proposes it, so no
-//!    conflicting value can gather a quorum.
+//!    conflicting value can gather a quorum. A leader that numbers a
+//!    request numbers it into a slot it holds nothing for: while it
+//!    scouts, what it numbered is overridden by any pvalue the scout
+//!    learns there; once active, no lower ballot can have chosen a
+//!    value in a slot its scout learned nothing about, which is also
+//!    why it may fill such a hole with a no-op.
 //! 2. **Identical executed prefixes** — replicas execute decisions in
-//!    strict slot order ([`Replica::tick`] re-proposes rather than
-//!    skips), so any two replicas' executed logs agree on their common
-//!    prefix.
+//!    strict slot order (a PMMC replica's [`Replica::tick`] re-proposes
+//!    rather than skips; a §9.2 replica's stuck slot is re-sent or
+//!    filled by the leader), so any two replicas' executed logs agree
+//!    on their common prefix.
+//! 3. **At most once** — a replica runs a `(client, seq)` once, however
+//!    many slots it was ordered into.
 //!
 //! [`PaxosMsg`]: crate::msg::PaxosMsg
 

@@ -82,14 +82,15 @@ cargo test --release -q -p inc-ondemand --lib -- \
 # filter; in release, where the slot arithmetic wraps instead of trapping),
 # and the two oversized commands a replica must refuse rather than stall
 # the log or panic a later tick. The sharing decoder every chaos hop uses
-# is held to the copying one by its property, and the §9.2 acceptor and
-# learner to the map implementations they replaced.
+# is held to the copying one by its property, and the §9.2 deployment's
+# leader numbering to its safety property (drops, duplicates, reorders
+# and a leader shift).
 echo "== consensus chaos suite =="
 cargo test --release -q --test failure_injection -- \
   chaos one_long_lived_cluster oversized_command
 cargo test --release -q --test properties -- \
   paxos_sharing_decode_matches_the_copying_decoder \
-  roles_match_the_map_reference
+  leader_numbering_stays_safe_across_a_leader_shift
 
 # Deterministic costs hard-fail here, wall-clock ones do not: a frame is
 # at most one allocation to build (none once a dropped frame's buffer is
@@ -110,11 +111,10 @@ cargo test --release -q --test properties -- \
 # clears the floor).
 # The same binary's live-heap cells soak a KvsClient and a DnsClient
 # under 100 % loss, a PaxosClient whose leader never answers and the
-# §9.2 leader, acceptors and learner at steady load 10 warm-ups past
+# §9.2 leader, acceptors and replica at steady load 10 warm-ups past
 # their warm-up: live bytes at the end may not exceed those at 10 % of
-# the run by more than the stated slack, and an acceptor may keep at
-# most 40 B per instance it voted in. Five lines: the three clients,
-# the §9.2 learner and leader, the §9.2 acceptors.
+# the run by more than the stated slack. Five lines: the three clients,
+# the §9.2 leader and replica, the §9.2 acceptors.
 echo "== allocation budgets and live-heap soak =="
 cargo test --release -q --test alloc_budget -- --nocapture | tee "$out/alloc_budget.log"
 grep -oE '(chaos epoch|packet fabric|heavy burst): .*' "$out/alloc_budget.log" > "$out/allocs.txt"
@@ -158,7 +158,7 @@ if [[ "$(wc -l < "$out/live_heap.txt")" -ne 5 ]]; then
   echo "bench smoke failed: live_heap.txt does not hold the 5 soak cell lines" >&2
   exit 1
 fi
-for cell in 'DnsClient under 100 % loss' '§9.2 learner and leader' '§9.2 acceptors'; do
+for cell in 'DnsClient under 100 % loss' '§9.2 leader and replica' '§9.2 acceptors'; do
   if ! grep -q "^live heap, $cell: " "$out/live_heap.txt"; then
     echo "bench smoke failed: live_heap.txt has no line for $cell" >&2
     exit 1

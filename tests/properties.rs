@@ -530,54 +530,68 @@ proptest! {
         use inc::paxos::multi::{Acceptor, Leader, Replica};
         use inc::paxos::ClientCommand;
 
-        /// In flight: where it goes, and which leader sent it (replies).
-        type Flight = (Dest, PaxosMsg, usize);
+        /// Who one copy of a message is for: the leader service (the
+        /// leader steered when it arrives), leader `l` itself (a reply),
+        /// acceptor `i` or replica `i`. Each copy is dropped, duplicated
+        /// and reordered on its own.
+        #[derive(Clone, Copy)]
+        enum To {
+            Service,
+            Leader(usize),
+            Acceptor(usize),
+            Replica(usize),
+        }
+        /// In flight: the copy's receiver, the message, and the leader
+        /// whose exchange it belongs to (where a reply goes).
+        type Flight = (To, PaxosMsg, usize);
+        fn fan_out(out: Outbox, from: usize) -> Vec<Flight> {
+            let mut flights = Vec::new();
+            for (dest, msg) in out {
+                let to: Vec<To> = match dest {
+                    Dest::AllAcceptors => (0..3).map(To::Acceptor).collect(),
+                    Dest::AllLearners => vec![To::Replica(0), To::Replica(1), To::Service],
+                    Dest::Leader => vec![To::Service],
+                    Dest::Reply => vec![To::Leader(from)],
+                    Dest::Client(_) => Vec::new(),
+                };
+                flights.extend(to.into_iter().map(|to| (to, msg.clone(), from)));
+            }
+            flights
+        }
+
         let mut rng = Rng::new(seed);
         let mut leaders = [Leader::new(0, 3, 2), Leader::new(1, 3, 2)];
         let mut acceptors: Vec<Acceptor> = (0..3).map(Acceptor::new).collect();
         let mut replicas = [Replica::new(0, 3), Replica::new(1, 3)];
         let mut replies: [Vec<(u64, inc::net::Bytes)>; 2] = Default::default();
         let mut steered = 0;
-        let mut bag: Vec<Flight> = Vec::new();
-        bag.extend(leaders[0].start_scout().into_iter().map(|(d, m)| (d, m, 0)));
+        let mut bag: Vec<Flight> = fan_out(leaders[0].start_scout(), 0);
         let mut next_seq = [0u64; 3];
 
-        let deliver = |(dest, msg, from): Flight,
+        let deliver = |(to, msg, from): Flight,
                        steered: usize,
                        leaders: &mut [Leader; 2],
                        acceptors: &mut [Acceptor],
                        replicas: &mut [Replica; 2],
                        replies: &mut [Vec<(u64, inc::net::Bytes)>; 2]|
          -> Vec<Flight> {
-            let mut out = Vec::new();
             // Every phase-2a and vote is stamped with its sender's floor,
             // and no role acts on a slot below it.
             if matches!(msg.mtype, MsgType::Phase2a | MsgType::Phase2b) && msg.vround == msg.round {
                 assert!(msg.instance >= msg.last_voted, "{msg:?} below its floor");
             }
-            let leader = match dest {
-                Dest::Leader => Some(steered),
-                Dest::Reply => (from == steered).then_some(from),
-                _ => None,
-            };
-            if let Some(l) = leader {
-                out.extend(leaders[l].handle(&msg).into_iter().map(|(d, m)| (d, m, l)));
-            }
-            if dest == Dest::AllAcceptors {
-                for a in acceptors.iter_mut() {
-                    out.extend(a.handle(&msg).into_iter().map(|(d, m)| (d, m, from)));
-                }
-            }
-            if dest == Dest::AllLearners {
-                for (r, seen) in replicas.iter_mut().zip(replies.iter_mut()) {
-                    for (_, reply) in r.handle(&msg) {
-                        seen.push((reply.instance, reply.value));
+            match to {
+                To::Service => fan_out(leaders[steered].handle(&msg), steered),
+                To::Leader(l) if l == steered => fan_out(leaders[l].handle(&msg), l),
+                To::Leader(_) => Vec::new(),
+                To::Acceptor(i) => fan_out(acceptors[i].handle(&msg), from),
+                To::Replica(i) => {
+                    for (_, reply) in replicas[i].handle(&msg) {
+                        replies[i].push((reply.instance, reply.value));
                     }
+                    Vec::new()
                 }
-                let l = steered;
-                out.extend(leaders[l].handle(&msg).into_iter().map(|(d, m)| (d, m, l)));
             }
-            out
         };
 
         let check = |leaders: &[Leader; 2],
@@ -614,7 +628,7 @@ proptest! {
         for (step, &(kind, x)) in ops.iter().enumerate() {
             if step == shift_at {
                 steered = 1;
-                bag.extend(leaders[1].start_scout().into_iter().map(|(d, m)| (d, m, 1)));
+                bag.extend(fan_out(leaders[1].start_scout(), 1));
             }
             match kind {
                 0..=4 if !bag.is_empty() => {
@@ -635,12 +649,12 @@ proptest! {
                     let seq = next_seq[client] - u64::from(retry);
                     next_seq[client] = seq + 1;
                     let value = ClientCommand { client: client as u32, seq, payload: vec![x; 16] }.encode();
-                    bag.push((Dest::Leader, PaxosMsg::new(MsgType::ClientRequest, 0, 0, value), steered));
+                    bag.push((To::Service, PaxosMsg::new(MsgType::ClientRequest, 0, 0, value), steered));
                 }
-                7 => bag.extend(leaders[steered].tick().into_iter().map(|(d, m)| (d, m, steered))),
+                7 => bag.extend(fan_out(leaders[steered].tick(), steered)),
                 8 | 9 => {
-                    let (d, m) = replicas[usize::from(x % 2)].report();
-                    bag.push((d, m, steered));
+                    let (_, report) = replicas[usize::from(x % 2)].report();
+                    bag.push((To::Service, report, steered));
                 }
                 _ => {}
             }
@@ -657,10 +671,9 @@ proptest! {
             if bag.is_empty() && replicas[0].slot_out() == replicas[1].slot_out() && leaders[steered].is_active() {
                 break;
             }
-            bag.extend(leaders[steered].tick().into_iter().map(|(d, m)| (d, m, steered)));
+            bag.extend(fan_out(leaders[steered].tick(), steered));
             for r in &replicas {
-                let (d, m) = r.report();
-                bag.push((d, m, steered));
+                bag.push((To::Service, r.report().1, steered));
             }
         }
         check(&leaders, &acceptors, &replicas, &replies);
