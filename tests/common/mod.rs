@@ -1,4 +1,4 @@
-//! Helpers shared by the golden-digest integration tests.
+//! Helpers shared by the golden integration tests.
 
 // Each test crate that mounts this module uses a different subset.
 #![allow(dead_code)]
@@ -29,4 +29,24 @@ pub fn shift_log_digest(shifts: &[FleetShift]) -> u64 {
         fnv(&mut h, format!("{:?}", s.reason).as_bytes());
     }
     h
+}
+
+/// The first line where `got` and `want` differ, with three lines of
+/// context on either side; `None` when they are the same.
+pub fn first_divergence(got: &str, want: &str) -> Option<String> {
+    let (got, want): (Vec<&str>, Vec<&str>) = (got.lines().collect(), want.lines().collect());
+    let at = (0..got.len().max(want.len())).find(|&i| got.get(i) != want.get(i))?;
+    let context = |lines: &[&str]| {
+        let span = at.saturating_sub(3)..(at + 4).min(lines.len());
+        let shown: Vec<String> = span
+            .map(|i| format!("  {:>5} {}", i + 1, lines[i]))
+            .collect();
+        shown.join("\n")
+    };
+    Some(format!(
+        "first divergent line {}\nrecorded:\n{}\nthis run:\n{}",
+        at + 1,
+        context(&want),
+        context(&got)
+    ))
 }

@@ -1,15 +1,17 @@
 //! Golden schedules: the full decision record of every scheduling rig,
-//! pinned bit for bit.
+//! pinned bit for bit as text a reviewer can read.
 //!
-//! Each entry is a digest of the controller's whole `FleetShift` log
-//! (`at`, `app`, `to`, `reason`, `rate_pps` bits, `benefit_w` bits), the
-//! metered `FleetTimeline::energy_j` bits and the per-app
-//! `queued_intervals`. They were recorded from the commit that still had
-//! the flat sorted-scan controller behind these rigs, so a change to the
-//! arbitration engine that moves a single decision, priced float or
-//! queued interval on any rig fails here. (`MultiTorRig` is pinned the
-//! same way, with its wire frames, in
-//! `tests/multi_tor.rs::wire_frames_match_the_recorded_golden_runs`.)
+//! Each run is one file, `tests/golden/schedule_<scenario>_<label>.txt`:
+//! one `at app to rate benefit reason` line per `FleetShift` (`at` in
+//! nanoseconds, each float as its `to_bits` hex and a rounded decimal
+//! for the eye), then an `energy` line with the metered
+//! `FleetTimeline::energy_j` and one `queued app intervals` line per
+//! app. A change to the arbitration engine that moves a single
+//! decision, priced float or queued interval on any rig fails here with
+//! the first divergent line. (`MultiTorRig` is pinned the same way, with
+//! its wire frames, in `tests/multi_tor.rs`.) Re-record on purpose with
+//! `cargo test --release --test golden_schedules -- --ignored
+//! record_the_schedule_goldens`.
 //!
 //! Every rig and controller comes out of `inc_bench::scenarios::SCENARIOS`
 //! by scenario name and controller label, so what
@@ -17,131 +19,167 @@
 
 mod common;
 
-use common::shift_log_digest;
+use std::fmt::Write;
+use std::path::PathBuf;
+
+use common::{first_divergence, fnv, shift_log_digest, FNV_OFFSET};
 use inc_bench::scenarios::scenario;
 
-/// What one rig run decided and metered.
-#[derive(Debug, PartialEq, Eq)]
-struct Golden {
-    shifts: usize,
-    shift_digest: u64,
-    energy_bits: u64,
-    queued_intervals: Vec<u64>,
+/// Every pinned run: (scenario, controller label).
+const RUNS: [(&str, &str); 8] = [
+    ("shared_device", "fleet"),
+    ("fairness", "fleet"),
+    ("fairness", "pure-benefit"),
+    ("topology", "fleet"),
+    ("topology", "best-score"),
+    ("economics", "joules"),
+    ("economics", "uniform-dollar"),
+    ("economics", "skewed-dollar"),
+];
+
+fn golden_path(name: &str, label: &str) -> PathBuf {
+    let file = format!("tests/golden/schedule_{name}_{label}.txt");
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(file)
 }
 
 /// Runs the controller `label` of scenario `name` — the very row
-/// `inc-bench scenario <name>` prints.
-fn golden(name: &str, label: &str) -> Golden {
+/// `inc-bench scenario <name>` prints — and writes down what it decided
+/// and metered.
+fn schedule_text(name: &str, label: &str) -> String {
     let (ctl, timeline) = scenario(name).expect("a SCENARIOS row").run(label);
-    assert_eq!(timeline.queued_intervals, ctl.queued_intervals());
-    Golden {
-        shifts: ctl.shifts().len(),
-        shift_digest: shift_log_digest(ctl.shifts()),
-        energy_bits: timeline.energy_j.to_bits(),
-        queued_intervals: timeline.queued_intervals.clone(),
+    let mut text = String::new();
+    for s in ctl.shifts() {
+        let _ = writeln!(
+            text,
+            "{} {} {:?} {:016x} {:.3} {:016x} {:.6} {:?}",
+            s.at.as_nanos(),
+            s.app,
+            s.to,
+            s.rate_pps.to_bits(),
+            s.rate_pps,
+            s.benefit_w.to_bits(),
+            s.benefit_w,
+            s.reason
+        );
     }
+    let energy = timeline.energy_j;
+    let _ = writeln!(text, "energy {:016x} {energy:.6}", energy.to_bits());
+    for (app, queued) in ctl.queued_intervals().iter().enumerate() {
+        let _ = writeln!(text, "queued {app} {queued}");
+    }
+    text
 }
 
-fn recorded(
-    shifts: usize,
-    shift_digest: u64,
-    energy_bits: u64,
-    queued_intervals: &[u64],
-) -> Golden {
-    Golden {
-        shifts,
-        shift_digest,
-        energy_bits,
-        queued_intervals: queued_intervals.to_vec(),
+#[test]
+fn schedules_match_the_recorded_golden_runs() {
+    for (name, label) in RUNS {
+        let path = golden_path(name, label);
+        let want =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        if let Some(diff) = first_divergence(&schedule_text(name, label), &want) {
+            panic!("{name} / {label} drifted ({}):\n{diff}", path.display());
+        }
     }
 }
 
 #[test]
-fn shared_device_rig_schedule_is_pinned() {
-    assert_eq!(
-        golden("shared_device", "fleet"),
-        recorded(
+#[ignore = "rewrites tests/golden/schedule_*.txt"]
+fn record_the_schedule_goldens() {
+    for (name, label) in RUNS {
+        let path = golden_path(name, label);
+        std::fs::write(&path, schedule_text(name, label))
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    }
+}
+
+/// What the digest goldens pinned before the text files: shift count,
+/// `shift_log_digest`, energy bits and queued intervals.
+type Digest = (usize, u64, u64, Vec<u64>);
+
+/// Folds one golden file back into the digest goldens' terms.
+fn fold(text: &str) -> Digest {
+    let (mut shifts, mut h, mut energy, mut queued) = (0, FNV_OFFSET, 0, Vec::new());
+    for line in text.lines() {
+        let f: Vec<&str> = line.split(' ').collect();
+        let hex = |s: &str| u64::from_str_radix(s, 16).unwrap();
+        match f[0] {
+            "energy" => energy = hex(f[1]),
+            "queued" => queued.push(f[2].parse().unwrap()),
+            at => {
+                shifts += 1;
+                fnv(&mut h, &at.parse::<u64>().unwrap().to_le_bytes());
+                fnv(&mut h, &f[1].parse::<u64>().unwrap().to_le_bytes());
+                fnv(&mut h, f[2].as_bytes());
+                fnv(&mut h, &hex(f[3]).to_le_bytes());
+                fnv(&mut h, &hex(f[5]).to_le_bytes());
+                fnv(&mut h, f[7].as_bytes());
+            }
+        }
+    }
+    (shifts, h, energy, queued)
+}
+
+#[test]
+fn the_schedule_goldens_fold_back_to_the_recorded_digests() {
+    let recorded: [Digest; 8] = [
+        (
             3,
             3_453_567_609_075_054_925,
             4_645_412_704_636_938_699,
-            &[0, 0]
-        )
-    );
-}
-
-#[test]
-fn contended_fabric_rig_schedules_are_pinned() {
-    let got = ["fleet", "pure-benefit"].map(|label| golden("fairness", label));
-    assert_eq!(
-        got,
-        [
-            recorded(
-                16,
-                12_512_209_672_113_739_835,
-                4_655_464_188_539_632_048,
-                &[0, 24, 26, 0]
-            ),
-            recorded(
-                4,
-                3_363_546_433_188_832_276,
-                4_655_402_807_790_199_237,
-                &[0, 0, 68, 0]
-            ),
-        ],
-        "[fleet (weighted DRF), pure-benefit]"
-    );
-}
-
-#[test]
-fn pod_fabric_rig_schedules_are_pinned() {
-    let got = ["fleet", "best-score"].map(|label| golden("topology", label));
-    assert_eq!(
-        got,
-        [
-            recorded(
-                20,
-                16_345_425_671_335_014_589,
-                4_657_940_843_537_961_411,
-                &[0, 0, 0, 24, 24]
-            ),
-            recorded(
-                20,
-                3_035_041_926_078_851_860,
-                4_657_990_214_554_100_889,
-                &[24, 0, 0, 0, 24]
-            ),
-        ],
-        "[fleet (min-cost), best-score]"
-    );
-}
-
-#[test]
-fn economics_rig_schedules_are_pinned() {
-    let labels = ["joules", "uniform-dollar", "skewed-dollar"];
-    let got = labels.map(|label| golden("economics", label));
-    assert_eq!(
-        got,
-        [
-            recorded(
-                20,
-                16_345_425_671_335_014_589,
-                4_657_940_843_537_961_411,
-                &[0, 0, 0, 24, 24]
-            ),
-            // A uniform tariff is a pure unit relabel of the joule schedule.
-            recorded(
-                20,
-                16_345_425_671_335_014_589,
-                4_657_940_843_537_961_411,
-                &[0, 0, 0, 24, 24]
-            ),
-            recorded(
-                20,
-                15_817_301_002_118_637_180,
-                4_658_003_079_457_631_600,
-                &[24, 24, 0, 0, 0]
-            ),
-        ],
-        "{labels:?}"
-    );
+            vec![0, 0],
+        ),
+        (
+            16,
+            12_512_209_672_113_739_835,
+            4_655_464_188_539_632_048,
+            vec![0, 24, 26, 0],
+        ),
+        (
+            4,
+            3_363_546_433_188_832_276,
+            4_655_402_807_790_199_237,
+            vec![0, 0, 68, 0],
+        ),
+        (
+            20,
+            16_345_425_671_335_014_589,
+            4_657_940_843_537_961_411,
+            vec![0, 0, 0, 24, 24],
+        ),
+        (
+            20,
+            3_035_041_926_078_851_860,
+            4_657_990_214_554_100_889,
+            vec![24, 0, 0, 0, 24],
+        ),
+        (
+            20,
+            16_345_425_671_335_014_589,
+            4_657_940_843_537_961_411,
+            vec![0, 0, 0, 24, 24],
+        ),
+        (
+            20,
+            16_345_425_671_335_014_589,
+            4_657_940_843_537_961_411,
+            vec![0, 0, 0, 24, 24],
+        ),
+        (
+            20,
+            15_817_301_002_118_637_180,
+            4_658_003_079_457_631_600,
+            vec![24, 24, 0, 0, 0],
+        ),
+    ];
+    for ((name, label), want) in RUNS.iter().zip(recorded) {
+        let text = std::fs::read_to_string(golden_path(name, label)).unwrap();
+        assert_eq!(fold(&text), want, "{name} / {label}");
+        // The fold reads the same fields `shift_log_digest` does.
+        let (ctl, _) = scenario(name).unwrap().run(label);
+        assert_eq!(
+            fold(&text).1,
+            shift_log_digest(ctl.shifts()),
+            "{name} / {label}"
+        );
+    }
 }

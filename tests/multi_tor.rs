@@ -16,7 +16,7 @@ mod common;
 
 use std::sync::OnceLock;
 
-use common::{fnv, shift_log_digest, FNV_OFFSET};
+use common::{first_divergence, fnv, shift_log_digest, FNV_OFFSET};
 use inc::hw::{DeviceId, Placement, ProgramResources};
 use inc::ondemand::{FleetShift, FleetTimeline};
 use inc::paxos::multi::Acceptor;
@@ -404,26 +404,6 @@ const WIRE_SEEDS: [u64; 3] = [1, 7, 42];
 fn wire_golden_path(seed: u64) -> std::path::PathBuf {
     let file = format!("tests/golden/multi_tor_wire_{seed}.txt");
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(file)
-}
-
-/// The first line where `got` and `want` differ, with three lines of
-/// context on either side; `None` when they are the same.
-fn first_divergence(got: &str, want: &str) -> Option<String> {
-    let (got, want): (Vec<&str>, Vec<&str>) = (got.lines().collect(), want.lines().collect());
-    let at = (0..got.len().max(want.len())).find(|&i| got.get(i) != want.get(i))?;
-    let context = |lines: &[&str]| {
-        let span = at.saturating_sub(3)..(at + 4).min(lines.len());
-        let shown: Vec<String> = span
-            .map(|i| format!("  {:>5} {}", i + 1, lines[i]))
-            .collect();
-        shown.join("\n")
-    };
-    Some(format!(
-        "first divergent line {}\nrecorded:\n{}\nthis run:\n{}",
-        at + 1,
-        context(&want),
-        context(&got)
-    ))
 }
 
 #[test]
