@@ -3,6 +3,8 @@
 
 use std::process::ExitCode;
 
+use inc_sim::Nanos;
+
 use crate::scenarios::{scenario, Scenario, SCENARIOS};
 use crate::{figures, studies};
 
@@ -70,12 +72,19 @@ pub fn run(args: &[String]) -> ExitCode {
             true
         }
         ["scenario", name] => scenario(name).map(Scenario::report).is_some(),
+        ["explain", name, app, secs] => match (scenario(name), secs.parse::<f64>()) {
+            (Some(s), Ok(t)) if (0.0..=s.horizon.as_secs_f64()).contains(&t) => {
+                s.explain(app, Nanos::from_nanos((t * 1e9).round() as u64))
+            }
+            _ => false,
+        },
         _ => false,
     };
     if found {
         return ExitCode::SUCCESS;
     }
-    let usage = "usage: inc-bench fig <id> | study <name> | scenario <name>|all | list";
+    let usage = "usage: inc-bench fig <id> | study <name> | scenario <name>|all \
+                 | explain <scenario> <app> <seconds> | list";
     eprint!("{usage}\n\n{}", list());
     ExitCode::from(2)
 }

@@ -455,7 +455,6 @@ mod tests {
         for (a, b) in bt.shifts.iter().zip(&st.shifts) {
             assert_eq!(a, b);
         }
-        assert_eq!(bt.queued_intervals, st.queued_intervals);
         let span = (Nanos::ZERO, rig.interval.mul(intervals + 1));
         for (i, (full, recent)) in bt.per_app.iter().zip(&st.per_app).enumerate() {
             assert_eq!(full.total_rows(), intervals, "tenant {i}");

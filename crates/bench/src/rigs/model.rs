@@ -694,26 +694,32 @@ mod tests {
         for app in [kvs, dns, pax, bulk] {
             let peak = ContendedFabricRig::contended_profiles(Nanos::from_secs(8))[app]
                 .rate_at(Nanos::from_secs(4));
-            assert!(ctl.benefit_w(app, 1_000.0) < 0.0, "app {app} hot at idle");
-            assert!(ctl.benefit_w(app, peak) > 2.0, "app {app} cold at peak");
+            assert!(
+                ctl.price(app, DeviceId::LOCAL, 1_000.0).raw_w < 0.0,
+                "app {app} hot at idle"
+            );
+            assert!(
+                ctl.price(app, DeviceId::LOCAL, peak).raw_w > 2.0,
+                "app {app} cold at peak"
+            );
         }
         // Paxos clears the offload floor even across the detour...
         let pax_peak = 12_000.0;
-        let remote = ctl.effective_benefit_w(pax, ContendedFabricRig::TOR_B, pax_peak);
+        let remote = ctl.price(pax, ContendedFabricRig::TOR_B, pax_peak).value;
         assert!(remote >= ctl.config().min_benefit_w);
         // ...but cannot out-score either incumbent, sticky or not.
-        let pax_score = ctl.score(pax, ContendedFabricRig::TOR_A, pax_peak);
-        assert!(ctl.score(kvs, ContendedFabricRig::TOR_A, 120_000.0) > pax_score);
-        assert!(ctl.score(dns, ContendedFabricRig::TOR_B, 90_000.0) > pax_score);
+        let pax_score = ctl.price(pax, ContendedFabricRig::TOR_A, pax_peak).score;
+        assert!(ctl.price(kvs, ContendedFabricRig::TOR_A, 120_000.0).score > pax_score);
+        assert!(ctl.price(dns, ContendedFabricRig::TOR_B, 90_000.0).score > pax_score);
         // Admission control: only the bulk tenant is unsatisfiable.
         for app in [kvs, dns, pax] {
             assert_eq!(
-                ctl.admission_decision(app),
+                ctl.explain(app).admission,
                 inc_ondemand::AdmissionDecision::Admit
             );
         }
         assert_eq!(
-            ctl.admission_decision(bulk),
+            ctl.explain(bulk).admission,
             inc_ondemand::AdmissionDecision::Reject
         );
         let device = ContendedFabricRig::fabric()
@@ -751,8 +757,14 @@ mod tests {
         for app in [kvs, ana, dns, edge, pax] {
             let peak = PodFabricRig::contended_profiles(Nanos::from_secs(10))[app]
                 .rate_at(Nanos::from_secs(4));
-            assert!(ctl.benefit_w(app, 1_000.0) < 0.0, "app {app} hot at idle");
-            assert!(ctl.benefit_w(app, peak) > 1.5, "app {app} cold at peak");
+            assert!(
+                ctl.price(app, DeviceId::LOCAL, 1_000.0).raw_w < 0.0,
+                "app {app} hot at idle"
+            );
+            assert!(
+                ctl.price(app, DeviceId::LOCAL, peak).raw_w > 1.5,
+                "app {app} cold at peak"
+            );
         }
         // KVS fits only the big ToRs.
         let fabric = PodFabricRig::fabric();
@@ -770,8 +782,8 @@ mod tests {
         );
         let ana_rate = 90_000.0;
         assert!(
-            ctl.score(ana, PodFabricRig::TOR_A1, ana_rate)
-                > ctl.score(ana, PodFabricRig::TOR_B1, ana_rate)
+            ctl.price(ana, PodFabricRig::TOR_A1, ana_rate).score
+                > ctl.price(ana, PodFabricRig::TOR_B1, ana_rate).score
         );
         assert_eq!(
             fabric.distance(PodFabricRig::TOR_A0, PodFabricRig::TOR_A1),
@@ -783,21 +795,29 @@ mod tests {
         );
         // Paxos: floor-clearing everywhere, outscored everywhere.
         for d in fabric.device_ids() {
-            assert!(ctl.effective_benefit_w(pax, d, 12_000.0) >= ctl.config().min_benefit_w);
+            assert!(ctl.price(pax, d, 12_000.0).value >= ctl.config().min_benefit_w);
         }
         // ...each resident out-scores the claimant on its own device, so
         // the knapsack never seats Paxos anywhere.
-        let pax_at = |d| ctl.score(pax, d, 12_000.0);
-        assert!(ctl.score(kvs, PodFabricRig::TOR_A0, 120_000.0) > pax_at(PodFabricRig::TOR_A0));
-        assert!(ctl.score(ana, PodFabricRig::TOR_A1, ana_rate) > pax_at(PodFabricRig::TOR_A1));
-        assert!(ctl.score(dns, PodFabricRig::TOR_B0, 90_000.0) > pax_at(PodFabricRig::TOR_B0));
-        assert!(ctl.score(edge, PodFabricRig::TOR_B1, 60_000.0) > pax_at(PodFabricRig::TOR_B1));
+        let pax_at = |d| ctl.price(pax, d, 12_000.0).score;
+        assert!(
+            ctl.price(kvs, PodFabricRig::TOR_A0, 120_000.0).score > pax_at(PodFabricRig::TOR_A0)
+        );
+        assert!(
+            ctl.price(ana, PodFabricRig::TOR_A1, ana_rate).score > pax_at(PodFabricRig::TOR_A1)
+        );
+        assert!(
+            ctl.price(dns, PodFabricRig::TOR_B0, 90_000.0).score > pax_at(PodFabricRig::TOR_B0)
+        );
+        assert!(
+            ctl.price(edge, PodFabricRig::TOR_B1, 60_000.0).score > pax_at(PodFabricRig::TOR_B1)
+        );
         // The edge tenant delivers the least benefit of the four
         // residents: the min-cost clip target.
-        let edge_w = ctl.effective_benefit_w(edge, PodFabricRig::TOR_B1, 60_000.0);
-        assert!(edge_w < ctl.effective_benefit_w(kvs, PodFabricRig::TOR_A0, 120_000.0));
-        assert!(edge_w < ctl.effective_benefit_w(ana, PodFabricRig::TOR_A1, ana_rate));
-        assert!(edge_w < ctl.effective_benefit_w(dns, PodFabricRig::TOR_B0, 90_000.0));
+        let edge_w = ctl.price(edge, PodFabricRig::TOR_B1, 60_000.0).value;
+        assert!(edge_w < ctl.price(kvs, PodFabricRig::TOR_A0, 120_000.0).value);
+        assert!(edge_w < ctl.price(ana, PodFabricRig::TOR_A1, ana_rate).value);
+        assert!(edge_w < ctl.price(dns, PodFabricRig::TOR_B0, 90_000.0).value);
         // With the natural assignment resident, Paxos fits nowhere.
         let mut full = PodFabricRig::fabric();
         full.admit(PodFabricRig::TOR_A0, 0, SharedDeviceRig::kvs_demand())

@@ -565,14 +565,14 @@ mod tests {
             (dns, 2_000.0, 80_000.0),
             (pax, 500.0, 10_000.0),
         ] {
-            let b_lo = ctl.benefit_w(app, valley);
-            let b_hi = ctl.benefit_w(app, peak);
+            let b_lo = ctl.price(app, DeviceId::LOCAL, valley).raw_w;
+            let b_hi = ctl.price(app, DeviceId::LOCAL, peak).raw_w;
             println!("app {app}: benefit({valley}) = {b_lo:.2} W, benefit({peak}) = {b_hi:.2} W");
             assert!(b_lo < 0.0, "app {app} profitable at valley: {b_lo:.2} W");
             assert!(b_hi > 2.0, "app {app} not profitable at peak: {b_hi:.2} W");
         }
-        let kvs_score = ctl.score(kvs, MultiTorRig::TOR_A, 110_000.0);
-        let pax_score = ctl.score(pax, MultiTorRig::TOR_A, 10_000.0);
+        let kvs_score = ctl.price(kvs, MultiTorRig::TOR_A, 110_000.0).score;
+        let pax_score = ctl.price(pax, MultiTorRig::TOR_A, 10_000.0).score;
         println!("scores at overlap: kvs {kvs_score:.2}, pax {pax_score:.2}");
         assert!(
             kvs_score * 1.25 > pax_score,

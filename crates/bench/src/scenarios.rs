@@ -33,29 +33,31 @@ pub struct Scenario {
     pub busy: (Nanos, Nanos),
     /// The labelled controllers: the fleet schedule, then each baseline.
     pub controllers: &'static [Labelled],
-    /// Builds a fresh rig and runs the controller on it to the horizon.
-    rig: fn(&mut FleetController, Nanos) -> FleetTimeline,
+    /// Builds a fresh rig whose rate profiles span the horizon (the
+    /// first time) and runs the controller on it until the stop time
+    /// (the second).
+    rig: fn(&mut FleetController, Nanos, Nanos) -> FleetTimeline,
 }
 
 const PACKET_DAY: Nanos = Nanos::from_millis(3_500);
 const SW: Placement = Placement::Software;
 
-fn shared_device(ctl: &mut FleetController, until: Nanos) -> FleetTimeline {
-    let (kvs, dns) = SharedDeviceRig::contended_profiles(PACKET_DAY);
+fn shared_device(ctl: &mut FleetController, horizon: Nanos, until: Nanos) -> FleetTimeline {
+    let (kvs, dns) = SharedDeviceRig::contended_profiles(horizon);
     SharedDeviceRig::new(42, 512, 512, kvs, dns).run(ctl, until)
 }
 
-fn multi_tor(ctl: &mut FleetController, until: Nanos) -> FleetTimeline {
-    let profiles = MultiTorRig::contended_profiles(PACKET_DAY);
+fn multi_tor(ctl: &mut FleetController, horizon: Nanos, until: Nanos) -> FleetTimeline {
+    let profiles = MultiTorRig::contended_profiles(horizon);
     MultiTorRig::new(42, 512, 512, profiles).run(ctl, until)
 }
 
-fn contended_fabric(ctl: &mut FleetController, until: Nanos) -> FleetTimeline {
-    ContendedFabricRig::new(ContendedFabricRig::contended_profiles(until)).run(ctl, until)
+fn contended_fabric(ctl: &mut FleetController, horizon: Nanos, until: Nanos) -> FleetTimeline {
+    ContendedFabricRig::new(ContendedFabricRig::contended_profiles(horizon)).run(ctl, until)
 }
 
-fn pod_fabric(ctl: &mut FleetController, until: Nanos) -> FleetTimeline {
-    PodFabricRig::new(PodFabricRig::contended_profiles(until)).run(ctl, until)
+fn pod_fabric(ctl: &mut FleetController, horizon: Nanos, until: Nanos) -> FleetTimeline {
+    PodFabricRig::new(PodFabricRig::contended_profiles(horizon)).run(ctl, until)
 }
 
 /// The table: every scheduling scenario the repository runs.
@@ -178,10 +180,15 @@ impl Scenario {
     ///
     /// Panics if the scenario has no such label.
     pub fn run(&self, label: &str) -> (FleetController, FleetTimeline) {
+        self.run_until(label, self.horizon)
+    }
+
+    /// [`Scenario::run`], stopped at the first tick at or after `stop`.
+    fn run_until(&self, label: &str, stop: Nanos) -> (FleetController, FleetTimeline) {
         let entry = self.controllers.iter().find(|(l, _)| *l == label);
         let (_, build) = entry.unwrap_or_else(|| panic!("{} has no controller {label}", self.name));
         let mut controller = build(self.interval);
-        let timeline = (self.rig)(&mut controller, self.horizon);
+        let timeline = (self.rig)(&mut controller, self.horizon, stop);
         (controller, timeline)
     }
 
@@ -212,12 +219,13 @@ impl Scenario {
                 let rows = t.rows().iter().filter(busy).count();
                 let resident = t.rows().iter().filter(busy);
                 let resident = resident.filter(|r| r.placement.is_offloaded()).count();
+                let record = controller.explain(app);
                 println!(
                     "  {:>9}: {:>5.1} % of the busy window on a device, {:>3} intervals queued, {:?}",
                     controller.apps()[app].name,
                     100.0 * resident as f64 / rows as f64,
-                    timeline.queued_intervals[app],
-                    timeline.admission[app],
+                    record.queued_intervals,
+                    record.admission,
                 );
             }
             let shifts = controller.shifts().len();
@@ -234,6 +242,127 @@ impl Scenario {
             self.interval.as_secs_f64(),
             summary.join(",")
         );
+    }
+}
+
+/// A float as a JSON number: `null` when it has none.
+fn num(x: f64) -> String {
+    if x.is_finite() {
+        format!("{x}")
+    } else {
+        "null".to_string()
+    }
+}
+
+impl Scenario {
+    /// Replays the fleet schedule (the first controller) to the first
+    /// tick at or after `at` and prints why `app` sits where it does:
+    /// its [`AppRecord`](inc_ondemand::AppRecord), each bid's
+    /// [`Price`](inc_ondemand::Price) terms and whether the bid's device
+    /// has room now, and the app's last shift; then the same as one JSON
+    /// object (the last line). Returns `false`, printing nothing, when
+    /// the scenario has no such app or `at` lies past the horizon.
+    pub fn explain(&self, app: &str, at: Nanos) -> bool {
+        let (label, build) = self.controllers[0];
+        let apps = build(self.interval).apps().to_vec();
+        let Some(i) = apps.iter().position(|a| a.name == app) else {
+            return false;
+        };
+        if at > self.horizon {
+            return false;
+        }
+        // The first tick comes one interval in: stopping at 0 runs it.
+        let (ctl, timeline) = self.run_until(label, at.max(Nanos::from_nanos(1)));
+        let tick = timeline.per_app[i]
+            .rows()
+            .last()
+            .map_or(0.0, |r| r.t.as_secs_f64());
+        let rec = ctl.explain(i);
+        println!(
+            "# explain {} / {label}: {app} at the tick of {tick:.2} s",
+            self.name
+        );
+        println!("{rec:#?}");
+        let mut bids = Vec::new();
+        for b in &rec.bids {
+            let p = ctl.price(i, b.device, rec.held_rate_pps);
+            let seated = Some(b.device) == rec.placement.device();
+            let room = seated || ctl.fabric().device(b.device).fits(&apps[i].demand);
+            println!(
+                "bid on {} (tier {}): raw {:+.3} W, value {:+.3}, debit {:.3}, cost {:.3}, \
+                 score {:+.3}; {}",
+                b.device,
+                b.dist,
+                p.raw_w,
+                p.value,
+                p.debit,
+                p.cost_units,
+                p.score,
+                match (seated, room) {
+                    (true, _) => "its seat",
+                    (false, true) => "room now",
+                    (false, false) => "no room now",
+                }
+            );
+            bids.push(format!(
+                "{{\"device\":\"{}\",\"tier\":{},\"raw_w\":{},\"value\":{},\"debit\":{},\
+                 \"cost_units\":{},\"score\":{},\"seated\":{seated},\"room\":{room}}}",
+                b.device,
+                b.dist,
+                num(p.raw_w),
+                num(p.value),
+                num(p.debit),
+                num(p.cost_units),
+                num(p.score)
+            ));
+        }
+        let last = ctl.shifts().iter().rev().find(|s| s.app == i);
+        let last = last.map_or("null".to_string(), |s| {
+            println!(
+                "last shift at {:.2} s to {} at {:.1} kpps, {:+.3}: {:?}",
+                s.at.as_secs_f64(),
+                plc(s.to),
+                s.rate_pps / 1e3,
+                s.benefit_w,
+                s.reason
+            );
+            format!(
+                "{{\"t_s\":{},\"to\":\"{}\",\"rate_pps\":{},\"benefit_w\":{},\"reason\":\"{:?}\"}}",
+                s.at.as_secs_f64(),
+                plc(s.to),
+                num(s.rate_pps),
+                num(s.benefit_w),
+                s.reason
+            )
+        });
+        println!(
+            "{{\"scenario\":\"{}\",\"controller\":\"{label}\",\"app\":\"{app}\",\"t_s\":{tick},\
+             \"placement\":\"{}\",\"admission\":\"{:?}\",\"dirty\":{},\"held_rate_pps\":{},\
+             \"held_value\":{},\"floor\":{},\"delivered\":{},\"up_streak\":{},\"down_streak\":{},\
+             \"starved_streak\":{},\"sustain_samples\":{},\"starvation_threshold\":{},\
+             \"queued_intervals\":{},\"entitlement\":{},\"dominant_share\":{},\"fair_hold\":{},\
+             \"claims\":{},\"bids\":[{}],\"last_shift\":{last}}}",
+            self.name,
+            plc(rec.placement),
+            rec.admission,
+            rec.dirty,
+            num(rec.held_rate_pps),
+            num(rec.held_value),
+            num(rec.floor),
+            rec.delivered.map_or("null".into(), num),
+            rec.up_streak,
+            rec.down_streak,
+            rec.starved_streak,
+            ctl.config().sustain_samples,
+            rec.starvation_threshold,
+            rec.queued_intervals,
+            num(rec.entitlement),
+            num(rec.dominant_share),
+            rec.fair_hold,
+            rec.claims.len(),
+            bids.join(",")
+        );
+        true
     }
 }
 

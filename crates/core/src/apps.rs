@@ -33,14 +33,10 @@ enum Kind {
         /// A polling (DPDK) deployment keeps one core at 100 %.
         polling: bool,
     },
-    /// An accelerator card inside a host: host idle + card power.
-    CardInHost {
+    /// An accelerator card: the idle power of the host it sits in (none
+    /// for the "standalone" curves of Figure 3) plus the card's own.
+    Card {
         host_idle_w: f64,
-        card_idle_w: f64,
-        card_dyn_max_w: f64,
-    },
-    /// The card alone (the "standalone" curves of Figure 3).
-    CardStandalone {
         card_idle_w: f64,
         card_dyn_max_w: f64,
     },
@@ -63,15 +59,11 @@ impl Deployment {
                 }
                 cpu.power_w(util) + nic_w
             }
-            Kind::CardInHost {
+            Kind::Card {
                 host_idle_w,
                 card_idle_w,
                 card_dyn_max_w,
             } => host_idle_w + card_idle_w + card_dyn_max_w * (r / self.peak_pps),
-            Kind::CardStandalone {
-                card_idle_w,
-                card_dyn_max_w,
-            } => card_idle_w + card_dyn_max_w * (r / self.peak_pps),
         }
     }
 
@@ -99,8 +91,11 @@ impl Deployment {
         d
     }
 
-    fn card_in_host(
+    /// A card in a host idling at `host_idle_w` (0.0 for a standalone
+    /// card: `0.0 + x` is `x`, bit for bit).
+    fn card(
         name: &'static str,
+        host_idle_w: f64,
         card_idle_w: f64,
         card_dyn_max_w: f64,
         peak_pps: f64,
@@ -108,26 +103,9 @@ impl Deployment {
         Deployment {
             name,
             peak_pps,
-            idle_w: calib::I7_PLATFORM_IDLE_W + card_idle_w,
-            kind: Kind::CardInHost {
-                host_idle_w: calib::I7_PLATFORM_IDLE_W,
-                card_idle_w,
-                card_dyn_max_w,
-            },
-        }
-    }
-
-    fn standalone(
-        name: &'static str,
-        card_idle_w: f64,
-        card_dyn_max_w: f64,
-        peak_pps: f64,
-    ) -> Self {
-        Deployment {
-            name,
-            peak_pps,
-            idle_w: card_idle_w,
-            kind: Kind::CardStandalone {
+            idle_w: host_idle_w + card_idle_w,
+            kind: Kind::Card {
+                host_idle_w,
                 card_idle_w,
                 card_dyn_max_w,
             },
@@ -136,7 +114,8 @@ impl Deployment {
 }
 
 /// One software deployment with one (single-core) libpaxos worker: the
-/// core-seconds per request equal `1 / peak`.
+/// core-seconds per request equal `1 / peak` (idle power does not
+/// depend on them).
 fn software_single_core(
     name: &'static str,
     cpu: CpuModel,
@@ -144,19 +123,10 @@ fn software_single_core(
     peak_pps: f64,
     polling: bool,
 ) -> Deployment {
-    let kind = Kind::Software {
-        cpu,
-        nic_w,
-        core_s_per_req: 1.0 / peak_pps,
-        polling,
-    };
-    let mut d = Deployment {
-        name,
-        peak_pps,
-        idle_w: 0.0,
-        kind,
-    };
-    d.idle_w = d.power_w(0.0);
+    let mut d = Deployment::software(name, cpu, nic_w, peak_pps, polling);
+    if let Kind::Software { core_s_per_req, .. } = &mut d.kind {
+        *core_s_per_req = 1.0 / peak_pps;
+    }
     d
 }
 
@@ -170,14 +140,16 @@ pub fn kvs_models() -> Vec<Deployment> {
             calib::MEMCACHED_PEAK_PPS,
             false,
         ),
-        Deployment::card_in_host(
+        Deployment::card(
             "LaKe",
+            calib::I7_PLATFORM_IDLE_W,
             calib::LAKE_STANDALONE_IDLE_W,
             calib::LAKE_DYNAMIC_MAX_W,
             calib::LAKE_LINE_RATE_PPS,
         ),
-        Deployment::standalone(
+        Deployment::card(
             "LaKe standalone",
+            0.0,
             calib::LAKE_STANDALONE_IDLE_W,
             calib::LAKE_DYNAMIC_MAX_W,
             calib::LAKE_LINE_RATE_PPS,
@@ -215,14 +187,16 @@ pub fn paxos_models() -> Vec<Deployment> {
             calib::DPDK_LEADER_PEAK_MPS,
             true,
         ),
-        Deployment::card_in_host(
+        Deployment::card(
             "P4xos Leader",
+            calib::I7_PLATFORM_IDLE_W,
             calib::P4XOS_STANDALONE_IDLE_W,
             calib::P4XOS_DYNAMIC_MAX_W,
             calib::P4XOS_FPGA_PEAK_MPS,
         ),
-        Deployment::standalone(
+        Deployment::card(
             "Standalone Leader",
+            0.0,
             calib::P4XOS_STANDALONE_IDLE_W,
             calib::P4XOS_DYNAMIC_MAX_W,
             calib::P4XOS_FPGA_PEAK_MPS,
@@ -241,14 +215,16 @@ pub fn paxos_models() -> Vec<Deployment> {
             calib::DPDK_ACCEPTOR_PEAK_MPS,
             true,
         ),
-        Deployment::card_in_host(
+        Deployment::card(
             "P4xos Acceptor",
+            calib::I7_PLATFORM_IDLE_W,
             calib::P4XOS_STANDALONE_IDLE_W,
             calib::P4XOS_DYNAMIC_MAX_W,
             calib::P4XOS_FPGA_PEAK_MPS,
         ),
-        Deployment::standalone(
+        Deployment::card(
             "Standalone Acceptor",
+            0.0,
             calib::P4XOS_STANDALONE_IDLE_W,
             calib::P4XOS_DYNAMIC_MAX_W,
             calib::P4XOS_FPGA_PEAK_MPS,
@@ -266,14 +242,16 @@ pub fn dns_models() -> Vec<Deployment> {
             calib::NSD_PEAK_RPS,
             false,
         ),
-        Deployment::card_in_host(
+        Deployment::card(
             "Emu (HW)",
+            calib::I7_PLATFORM_IDLE_W,
             calib::EMU_DNS_STANDALONE_IDLE_W,
             calib::EMU_DNS_DYNAMIC_MAX_W,
             calib::EMU_DNS_PEAK_RPS,
         ),
-        Deployment::standalone(
+        Deployment::card(
             "Standalone",
+            0.0,
             calib::EMU_DNS_STANDALONE_IDLE_W,
             calib::EMU_DNS_DYNAMIC_MAX_W,
             calib::EMU_DNS_PEAK_RPS,

@@ -76,8 +76,8 @@ use inc_sim::Nanos;
 
 pub use crate::fleet::ArbitrationMode;
 use crate::fleet::{
-    pricing, AdmissionDecision, ClaimPlan, FleetApp, FleetControllerConfig, FleetSample,
-    FleetShift, ShiftReason,
+    pricing, AdmissionDecision, AppRecord, Bid, FleetApp, FleetControllerConfig, FleetSample,
+    FleetShift, Price, ShiftReason,
 };
 
 /// Work counters of the hierarchical pipeline: the deterministic
@@ -172,6 +172,26 @@ fn tally_classes(fabric: &DeviceFabric, scope: Range<usize>, out: &mut Vec<Class
                 count: 1,
                 first: d,
             }),
+        }
+    }
+}
+
+/// Whether `c`, a candidate of an app homed at `home` and seated at
+/// `seat`, offers it device `d`.
+fn offers(
+    fabric: &DeviceFabric,
+    home: DeviceId,
+    seat: Option<DeviceId>,
+    c: &Cand,
+    d: DeviceId,
+) -> bool {
+    match c.seats {
+        Seats::Device(x) => x == d,
+        Seats::Class(class) => {
+            Some(d) != seat
+                && fabric.is_online(d)
+                && fabric.budget_class(d) == class
+                && fabric.distance(home, d) == c.dist
         }
     }
 }
@@ -315,10 +335,10 @@ pub struct FleetController {
     /// (placement changes, queue membership changes, claims coming due).
     pending_dirty: Vec<usize>,
     /// Devices whose occupancy changed last tick (or were marked via
-    /// [`FleetController::mark_device_dirty`]).
+    /// [`FleetController::set_device_online`]).
     pending_device_dirty: Vec<bool>,
     /// The dirty queue drained by the last tick, sorted by app index
-    /// and deduplicated (test/analysis introspection).
+    /// and deduplicated; the next tick builds its queue in this buffer.
     last_dirty: Vec<usize>,
     scratch: Scratch,
     stats: ArbiterStats,
@@ -331,8 +351,8 @@ impl FleetController {
     /// Creates a scheduler with every app starting in software placement.
     ///
     /// Tenants whose demand fits no device in the fabric even when empty
-    /// are rejected up front (see [`FleetController::admission_decision`]):
-    /// they are never candidates and never queue.
+    /// are rejected up front ([`AppRecord::admission`]): they are never
+    /// candidates and never queue.
     ///
     /// # Panics
     ///
@@ -469,13 +489,6 @@ impl FleetController {
         self.stats
     }
 
-    /// The dirty queue drained by the most recent tick, sorted by app
-    /// index. Each app appears at most once however many dirty events it
-    /// raised that interval.
-    pub fn last_dirty(&self) -> &[usize] {
-        &self.last_dirty
-    }
-
     /// Recomputes from scratch what a tick maintains incrementally — the
     /// warm set, the band and delivered-value columns, the offline count,
     /// the pending list — and reports the first disagreement (the test
@@ -512,138 +525,116 @@ impl FleetController {
         Ok(())
     }
 
-    /// The current admission verdict for `app`: [`AdmissionDecision::Reject`]
-    /// when its demand fits no device even empty (decided up front and
-    /// permanent for a fixed fabric), [`AdmissionDecision::Queue`] while
-    /// it sustains a profitable demand in software without receiving
-    /// capacity, [`AdmissionDecision::Admit`] otherwise.
-    pub fn admission_decision(&self, app: usize) -> AdmissionDecision {
-        if self.rejected[app] {
-            AdmissionDecision::Reject
-        } else if self.starved_streaks[app] > 0 {
-            AdmissionDecision::Queue
-        } else {
-            AdmissionDecision::Admit
-        }
-    }
-
-    /// Consecutive samples `app` has currently spent queued.
-    // inc-lint: allow(unreached-pub): tests/properties.rs reads it in the fairness invariants
-    pub fn starved_streak(&self, app: usize) -> u32 {
-        self.starved_streaks[app]
-    }
-
-    /// Cumulative queued samples per app over the run — the back-pressure
-    /// each tenant has absorbed, indexed like the `apps` vector.
-    pub fn queued_intervals(&self) -> &[u64] {
-        &self.queued_intervals
-    }
-
-    /// Queued samples after which `app` files a fairness claim: the
-    /// configured starvation window scaled down by the app's weight,
-    /// floored by the sustain window (shares must never change faster
-    /// than ordinary hysteresis allows).
-    pub fn starvation_threshold(&self, app: usize) -> u32 {
-        self.thresholds[app]
-    }
-
-    /// The weighted-DRF entitlement of `app`: its weight over the summed
-    /// weights of every tenant currently contending for the fabric
-    /// (resident or queued), itself always included. 1.0 when it would
-    /// contend alone.
-    // inc-lint: allow(unreached-pub): tests/properties.rs reads it in the fairness invariants
-    pub fn entitlement(&self, app: usize) -> f64 {
-        self.apps[app].weight
-            / pricing::contending_weight(&self.apps, &self.starved_streaks, app, |i| {
-                self.placements[i].is_offloaded()
-            })
-    }
-
-    /// The dominant share `app` currently holds on its device (0.0 in
-    /// software): the quantity fairness compares against
-    /// [`FleetController::entitlement`].
-    pub fn dominant_share(&self, app: usize) -> f64 {
-        self.fabric.dominant_share(app as u64)
-    }
-
-    /// The fairness hand-over plans available to `app` against the
-    /// **current** placements, given one trusted rate per app: every
-    /// device where its penalty-adjusted benefit clears the floor and a
-    /// clip sequence of over-entitled incumbents frees enough room, with
-    /// the forfeited benefit and migration debits of each. Unordered;
-    /// rank with the configured policy's rule ([`ClaimPlan::total_cost_w`]
-    /// ascending for min-cost, [`ClaimPlan::score`] descending for
-    /// best-score). What a claim would see if it fired this instant —
-    /// exposed for analysis and property tests.
+    /// Why `app` sits where it does: its placement and admission, its
+    /// gates and streaks, its fairness standing, the bids a solve prices
+    /// for it and the hand-overs a claim by it would weigh. A pure read
+    /// of what the tick already keeps, computed when asked: the tick
+    /// itself records nothing for it.
+    ///
+    /// The bids come in arbitration order (score descending, ties to
+    /// the nearer tier): its current seat at the sticky price (while the
+    /// device is online), and one fresh bid per (hop tier × budget class)
+    /// over the whole fabric that clears the floor, priced by the same
+    /// class walk a solve uses. A solve prices the
+    /// fresh bids only once the up streak reaches
+    /// [`FleetControllerConfig::sustain_samples`], and a rejected app
+    /// bids nothing.
     ///
     /// # Panics
     ///
-    /// Panics if `rates.len()` differs from the number of apps.
-    // inc-lint: allow(unreached-pub): tests/properties.rs ranks the plans against both claim policies
-    pub fn claim_plans(&self, app: usize, rates: &[f64]) -> Vec<ClaimPlan> {
-        assert_eq!(rates.len(), self.apps.len(), "one rate per app");
-        pricing::plan_handovers(
-            &self.config,
-            &self.apps,
-            &self.starved_streaks,
-            &self.fabric,
-            |j| self.placements[j].device(),
-            |_| false,
-            app,
-            rates,
-        )
+    /// Panics if `app` is out of range.
+    pub fn explain(&self, app: usize) -> AppRecord {
+        let (fabric, home) = (&self.fabric, self.apps[app].home);
+        let seat = self.placements[app].device();
+        let mut cands = Vec::new();
+        if let Some(d) = seat.filter(|&d| fabric.is_online(d)) {
+            cands.push(self.sticky_cand(app, d));
+        }
+        if !self.rejected[app] {
+            let (scope, mut tally) = (0..fabric.device_count(), Vec::new());
+            tally_classes(fabric, scope.clone(), &mut tally);
+            self.class_cands(app, scope, &tally, true, None, &mut cands);
+        }
+        cands.sort_by(Cand::order);
+        let bids = cands.iter().map(|c| Bid {
+            score: c.score,
+            dist: c.dist,
+            device: (fabric.device_ids())
+                .find(|&d| offers(fabric, home, seat, c, d))
+                .expect("a bid offers a device"),
+        });
+        let claims = match seat {
+            // A resident files no claim.
+            Some(_) => Vec::new(),
+            None => pricing::plan_handovers(
+                &self.config,
+                &self.apps,
+                &self.starved_streaks,
+                fabric,
+                |j| self.placements[j].device(),
+                |_| false,
+                app,
+                &self.held_rates,
+            ),
+        };
+        let starved = self.starved_streaks[app];
+        let contending = pricing::contending_weight(&self.apps, &self.starved_streaks, app, |i| {
+            self.placements[i].is_offloaded()
+        });
+        AppRecord {
+            placement: self.placements[app],
+            admission: match (self.rejected[app], starved) {
+                (true, _) => AdmissionDecision::Reject,
+                (false, 0) => AdmissionDecision::Admit,
+                _ => AdmissionDecision::Queue,
+            },
+            dirty: self.last_dirty.binary_search(&app).is_ok(),
+            held_rate_pps: self.held_rates[app],
+            held_value: self.held_raw_w[app],
+            floor: pricing::floor_value(&self.config),
+            delivered: seat.map(|_| self.delivered[app]),
+            up_streak: self.up_streaks[app],
+            down_streak: self.down_streaks[app],
+            starved_streak: starved,
+            starvation_threshold: self.thresholds[app],
+            queued_intervals: self.queued_intervals[app],
+            entitlement: self.apps[app].weight / contending,
+            dominant_share: fabric.dominant_share(app as u64),
+            fair_hold: self.fair_hold[app],
+            bids: bids.collect(),
+            claims,
+        }
     }
 
-    /// Estimated power saved by offloading `app` at `rate_pps` (§8 dynamic
-    /// terms): software watts minus network watts, before any locality
-    /// penalty. Negative when software is cheaper. Always watts — the
-    /// configured objective prices this into decision units.
-    pub fn benefit_w(&self, app: usize, rate_pps: f64) -> f64 {
-        pricing::raw_benefit_w(&self.apps[app], rate_pps)
-    }
-
-    /// The objective value of placing `app` on `device` at `rate_pps`:
-    /// the objective-priced raw benefit scaled by the topology's
-    /// locality factor (1.0 at home, the hop tier's haircut elsewhere),
-    /// minus the objective-priced detour cost at that rate. Watts under
-    /// the default [`Objective::Joules`](crate::fleet::Objective::Joules).
-    pub fn effective_benefit_w(&self, app: usize, device: DeviceId, rate_pps: f64) -> f64 {
-        pricing::effective_benefit_w(
-            &self.config,
-            &self.fabric,
-            &self.apps[app],
-            device,
-            rate_pps,
-        )
-    }
-
-    /// The amortised switchover debit at the configured tenure, watts:
-    /// the migration cost spread over
-    /// [`FleetControllerConfig::expected_tenure_samples`].
-    pub fn migration_w(&self) -> f64 {
-        pricing::migration_w(&self.config)
-    }
-
-    /// Benefit per capacity unit of placing `app` on `device`: the
-    /// knapsack ranking key. The cost is floored so a degenerate
-    /// zero-demand app yields an (enormous) finite score rather than a
-    /// NaN from 0/0.
-    pub fn score(&self, app: usize, device: DeviceId, rate_pps: f64) -> f64 {
-        pricing::per_capacity(
-            &self.fabric,
-            &self.apps[app],
-            device,
-            self.effective_benefit_w(app, device, rate_pps),
-        )
-    }
-
-    /// Flags a device whose capacity changed outside the scheduler's own
-    /// decisions (an operator resizing a budget, a device draining for
-    /// maintenance): next tick, every resident of that device's pod and
-    /// every queued candidate homed there is re-scored.
-    // inc-lint: allow(unreached-pub): tests/properties.rs raises capacity events with it
-    pub fn mark_device_dirty(&mut self, device: DeviceId) {
-        self.pending_device_dirty[device.index()] = true;
+    /// What placing `app` on `device` at `rate_pps` is worth, term by
+    /// term, as a solve would rank it now: the §8 raw watts, the
+    /// objective value behind the hop tier's haircut and detour, the
+    /// migration debit a move there pays (none for a newcomer or for
+    /// the app's own seat), the capacity cost and the score. On the
+    /// app's own seat the score carries the stickiness premium. At the
+    /// held rate, every bid of [`FleetController::explain`] carries
+    /// exactly this score.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `app` or `device` is out of range.
+    pub fn price(&self, app: usize, device: DeviceId, rate_pps: f64) -> Price {
+        let (a, seat) = (&self.apps[app], self.placements[app].device());
+        let value = pricing::effective_benefit_w(&self.config, &self.fabric, a, device, rate_pps);
+        let cost_units = pricing::capacity_cost(&self.fabric, a, device);
+        // As a solve scores: `x - 0.0` and `x * 1.0` are `x`, bit for bit.
+        let (debit, premium) = match seat {
+            Some(s) if s == device => (0.0, self.config.stickiness),
+            Some(_) => (pricing::migration_value(&self.config), 1.0),
+            None => (0.0, 1.0),
+        };
+        Price {
+            raw_w: pricing::raw_benefit_w(a, rate_pps),
+            value,
+            debit,
+            cost_units,
+            score: (value - debit) / cost_units * premium,
+        }
     }
 
     /// Marks a fabric device alive or dead (the chaos suite's
@@ -653,6 +644,9 @@ impl FleetController {
     /// shifts; the death raises a capacity event, so the device's pod
     /// re-arbitrates the same tick, and the device is skipped as a
     /// candidate until revived (which raises another capacity event).
+    /// Restating a device's current state raises the capacity event
+    /// alone: every resident of its pod and every queued candidate homed
+    /// there is re-scored next tick.
     pub fn set_device_online(&mut self, id: DeviceId, online: bool) {
         self.offline += usize::from(self.fabric.is_online(id));
         self.offline -= usize::from(online);
@@ -685,8 +679,8 @@ impl FleetController {
         }
     }
 
-    /// [`Self::effective_benefit_w`] at the held rate, from the cached
-    /// raw value: the same float without re-running the energy model.
+    /// [`Price::value`] at the held rate, from the cached raw value: the
+    /// same float without re-running the energy model.
     fn held_value_at(&self, app: usize, device: DeviceId) -> f64 {
         pricing::effective_value_of(
             &self.config,
@@ -703,6 +697,16 @@ impl FleetController {
     fn sticky_score(&self, app: usize, seat: DeviceId) -> f64 {
         let eff = self.delivered[app];
         pricing::per_capacity(&self.fabric, &self.apps[app], seat, eff) * self.config.stickiness
+    }
+
+    /// A resident's candidacy on its own `seat`, at the sticky price.
+    fn sticky_cand(&self, app: usize, seat: DeviceId) -> Cand {
+        Cand {
+            score: self.sticky_score(app, seat),
+            app,
+            dist: self.fabric.distance(self.apps[app].home, seat),
+            seats: Seats::Device(seat),
+        }
     }
 
     /// Feeds one sample per app; returns the placement changes to
@@ -1004,7 +1008,13 @@ impl FleetController {
                 self.fair_hold[i] = s.fair_placed[i];
                 let rate_pps = self.held_rates[i];
                 let benefit_w = match want {
-                    Placement::Device(d) => self.effective_benefit_w(i, d, rate_pps),
+                    Placement::Device(d) => pricing::effective_benefit_w(
+                        &self.config,
+                        &self.fabric,
+                        &self.apps[i],
+                        d,
+                        rate_pps,
+                    ),
                     Placement::Software => {
                         pricing::raw_value(&self.config, &self.apps[i], rate_pps)
                     }
@@ -1041,22 +1051,10 @@ impl FleetController {
             Seats::Device(d) if run.len() == 1 => d.index()..d.index() + 1,
             _ => scope,
         };
-        let home = self.apps[app].home;
-        let seat = self.placements[app].device();
-        let offered = |fabric: &DeviceFabric, d: DeviceId| {
-            run.iter().any(|c| match c.seats {
-                Seats::Device(x) => x == d,
-                Seats::Class(class) => {
-                    Some(d) != seat
-                        && fabric.is_online(d)
-                        && fabric.budget_class(d) == class
-                        && fabric.distance(home, d) == c.dist
-                }
-            })
-        };
-        scope
-            .map(|d| DeviceId(d as u16))
-            .find(|&d| offered(&self.fabric, d) && self.try_seat(app, d))
+        let (home, seat) = (self.apps[app].home, self.placements[app].device());
+        scope.map(|d| DeviceId(d as u16)).find(|&d| {
+            run.iter().any(|c| offers(&self.fabric, home, seat, c, d)) && self.try_seat(app, d)
+        })
     }
 
     /// Prices app `i`'s fresh candidates over the online devices of
@@ -1185,12 +1183,7 @@ impl FleetController {
             };
             if let Some(cur) = cur.filter(|&d| self.fabric.is_online(d)) {
                 self.stats.candidates_scored += 1;
-                s.cands.push(Cand {
-                    score: self.sticky_score(i, cur),
-                    app: i,
-                    dist: self.fabric.distance(self.apps[i].home, cur),
-                    seats: Seats::Device(cur),
-                });
+                s.cands.push(self.sticky_cand(i, cur));
             }
             if self.up_streaks[i] >= sustain {
                 self.stats.candidates_scored +=
@@ -1559,7 +1552,7 @@ mod tests {
         // First sample seeds the held rate: one enqueue.
         let base = 100_000.0;
         ctl.sample(t(1), &[sample(base, base)]);
-        assert_eq!(ctl.last_dirty(), &[0]);
+        assert_eq!(dirty(&ctl), [0]);
         assert_eq!(ctl.held_rates[0], base);
         // Flap exactly on the band edge, alternating sides: |m - h| ==
         // deadband * h is NOT a crossing (strictly greater required).
@@ -1571,9 +1564,8 @@ mod tests {
             };
             ctl.sample(t(step), &[sample(m, m)]);
             assert!(
-                !ctl.last_dirty().contains(&0),
-                "on-band flap re-scored at step {step}: {:?}",
-                ctl.last_dirty()
+                !ctl.explain(0).dirty,
+                "on-band flap re-scored at step {step}"
             );
             assert_eq!(ctl.held_rates[0], base, "held rate moved at step {step}");
         }
@@ -1581,14 +1573,14 @@ mod tests {
         // even though the rate event and (possibly) gate events coincide.
         let burst = base * 2.0;
         ctl.sample(t(8), &[sample(burst, burst)]);
-        assert_eq!(ctl.last_dirty(), &[0]);
+        assert_eq!(dirty(&ctl), [0]);
         assert_eq!(ctl.held_rates[0], burst);
         let enqueued = ctl.stats().dirty_enqueued;
         assert_eq!(enqueued, 2, "the seed and the one genuine crossing");
         // Quiet tail: no further enqueues at all.
         for step in 9..=13 {
             ctl.sample(t(step), &[sample(burst, burst)]);
-            assert!(ctl.last_dirty().is_empty(), "step {step}");
+            assert!(dirty(&ctl).is_empty(), "step {step}");
         }
         assert_eq!(ctl.stats().dirty_enqueued, enqueued);
     }
@@ -1642,18 +1634,18 @@ mod tests {
         assert_eq!(ctl.placements()[0], Placement::Device(DeviceId(0)));
         assert_eq!(ctl.placements()[2], Placement::Device(DeviceId(1)));
         assert_eq!(ctl.placements()[1], Placement::Software);
-        assert_eq!(ctl.admission_decision(1), AdmissionDecision::Queue);
+        assert_eq!(ctl.explain(1).admission, AdmissionDecision::Queue);
         // Settle: a quiet tick with an empty dirty queue.
         ctl.sample(t(9), &s);
-        assert_eq!(ctl.last_dirty(), &[] as &[usize]);
+        assert!(dirty(&ctl).is_empty());
         // A capacity event on pod 0's device dirties its resident (a) and
         // the starved candidate homed there (b) — but not pod 1's c.
-        ctl.mark_device_dirty(DeviceId(0));
+        ctl.set_device_online(DeviceId(0), true);
         ctl.sample(t(10), &s);
-        assert_eq!(ctl.last_dirty(), &[0, 1]);
+        assert_eq!(dirty(&ctl), [0, 1]);
         // And the event is consumed: the next tick is clean again.
         ctl.sample(t(11), &s);
-        assert_eq!(ctl.last_dirty(), &[] as &[usize]);
+        assert!(dirty(&ctl).is_empty());
     }
 
     /// Quiet ticks in incremental mode skip the solve entirely: no pod
@@ -1769,9 +1761,28 @@ mod tests {
         assert!(last.benefit_w.is_finite());
     }
 
+    /// The apps the last tick's dirty queue held, read off their records.
+    fn dirty(ctl: &FleetController) -> Vec<usize> {
+        let apps = 0..ctl.apps().len();
+        apps.filter(|&i| ctl.explain(i).dirty).collect()
+    }
+
+    /// Every app's record but its dirty bit, as text: `{:?}` prints
+    /// every float exactly, so equal text is equal bits.
+    fn records(ctl: &FleetController) -> Vec<String> {
+        let record = |i| AppRecord {
+            dirty: false,
+            ..ctl.explain(i)
+        };
+        (0..ctl.apps().len())
+            .map(|i| format!("{:?}", record(i)))
+            .collect()
+    }
+
     /// Drives one controller per arbitration mode through `drive` and
-    /// returns the incremental one, its shift log, placements and queue
-    /// metric proven equal to the full re-score's.
+    /// returns the incremental one, its shift log, placements and
+    /// records (but for the dirty bit) proven equal to the full
+    /// re-score's.
     fn in_both_modes(
         build: impl Fn(ArbitrationMode) -> FleetController,
         drive: impl Fn(&mut FleetController),
@@ -1785,7 +1796,7 @@ mod tests {
             inc.shifts().iter().map(shift_key).collect::<Vec<_>>()
         );
         assert_eq!(full.placements(), inc.placements());
-        assert_eq!(full.queued_intervals(), inc.queued_intervals());
+        assert_eq!(records(&full), records(&inc));
         inc
     }
 
@@ -1916,7 +1927,7 @@ mod tests {
                 ctl.set_device_online(DeviceId(2), false);
                 ctl.set_min_benefit_w(3.0);
                 assert!(tick(ctl, 2, &[]).is_empty());
-                assert_eq!(ctl.last_dirty(), &[] as &[usize]);
+                assert!(dirty(ctl).is_empty());
                 assert_eq!(ctl.stats().candidates_scored, 0);
             },
         );

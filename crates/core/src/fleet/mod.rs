@@ -246,6 +246,102 @@ pub struct FleetShift {
     pub reason: ShiftReason,
 }
 
+/// Why an app sits where it does: what [`FleetController::explain`]
+/// reads off the controller when asked. Values are in objective units
+/// (watts under the default [`Objective::Joules`]).
+#[derive(Clone, Debug)]
+pub struct AppRecord {
+    /// Where the app runs now.
+    pub placement: Placement,
+    /// Its admission verdict: rejected up front, queued for capacity, or
+    /// admitted.
+    pub admission: AdmissionDecision,
+    /// Whether the last tick's dirty queue held it, i.e. re-scored it.
+    pub dirty: bool,
+    /// The held scoring rate, packets/second: the last measurement that
+    /// left the dead band (NaN before the first sample).
+    pub held_rate_pps: f64,
+    /// The objective-priced raw benefit at the held rate.
+    pub held_value: f64,
+    /// The offload floor a value must clear.
+    pub floor: f64,
+    /// What the app delivers where it sits (the held value behind its
+    /// seat's haircut and detour); `None` in software.
+    pub delivered: Option<f64>,
+    /// Consecutive samples its held value cleared the floor: a fresh bid
+    /// needs [`FleetControllerConfig::sustain_samples`] of them.
+    pub up_streak: u32,
+    /// Consecutive samples a resident delivered below the eviction
+    /// band: it leaves at [`FleetControllerConfig::sustain_samples`].
+    pub down_streak: u32,
+    /// Consecutive samples it has spent queued.
+    pub starved_streak: u32,
+    /// The starved streak at which it files a fairness claim: the
+    /// starvation window scaled down by its weight, floored by the
+    /// sustain window.
+    pub starvation_threshold: u32,
+    /// Samples it has spent queued over the run: the back-pressure it
+    /// has absorbed.
+    pub queued_intervals: u64,
+    /// Its weighted-DRF entitlement: its weight over the summed weights
+    /// of every tenant contending for the fabric (resident or queued),
+    /// itself included.
+    pub entitlement: f64,
+    /// The largest budget fraction its program holds on its device (0.0
+    /// in software): what fairness compares with the entitlement.
+    pub dominant_share: f64,
+    /// Whether it holds fair-share tenure (placed by a claim, so no raw
+    /// score can preempt it).
+    pub fair_hold: bool,
+    /// The bids a solve prices for it, in arbitration order.
+    pub bids: Vec<Bid>,
+    /// The fairness hand-overs a claim by it would weigh now, at every
+    /// app's held rate: one per device where it clears the floor and a
+    /// clip sequence of over-entitled incumbents frees room. Unordered:
+    /// rank with [`ClaimPlan::total_cost_w`] ascending for
+    /// [`ClaimPolicy::MinCost`], [`ClaimPlan::score`] descending for
+    /// [`ClaimPolicy::BestScore`]. Empty for a resident or a rejected
+    /// app, which file no claims.
+    pub claims: Vec<ClaimPlan>,
+}
+
+/// One bid of an [`AppRecord`]: one price for its app on every device it
+/// offers.
+#[derive(Clone, Copy, Debug)]
+pub struct Bid {
+    /// Benefit per capacity unit: the arbitration key
+    /// ([`FleetController::price`]'s score at the held rate).
+    pub score: f64,
+    /// Hop tiers from the app's home (0 home, 1 same pod, 2 across the
+    /// core).
+    pub dist: u32,
+    /// The device it offers, or the first of them in ascending index
+    /// (a class bid offers every online device of one budget class at
+    /// this distance but the seat): where a solve tries to seat the app
+    /// first. The app's own device makes this its sticky bid.
+    pub device: DeviceId,
+}
+
+/// The terms of one placement's price ([`FleetController::price`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Price {
+    /// The §8 saving of offloading at the rate, watts, before any
+    /// locality penalty (negative when software is cheaper).
+    pub raw_w: f64,
+    /// The objective-priced raw benefit behind the hop tier's haircut,
+    /// minus the objective-priced detour cost.
+    pub value: f64,
+    /// The amortised migration debit a move to this device pays: zero
+    /// for a software app and on the app's own seat.
+    pub debit: f64,
+    /// The app's capacity cost on the device, in budget fractions
+    /// (floored so a zero-demand app scores finite).
+    pub cost_units: f64,
+    /// `(value - debit) / cost_units`, times the stickiness premium on
+    /// the app's own seat.
+    pub score: f64,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,7 +550,7 @@ mod tests {
             ctl.placements(),
             &[Placement::Software, Placement::HARDWARE]
         );
-        assert_eq!(ctl.admission_decision(0), AdmissionDecision::Queue);
+        assert_eq!(ctl.explain(0).admission, AdmissionDecision::Queue);
         // b's rate decays to 4.8 kpps: delivered benefit 0.4 W — inside
         // the eviction band (< 0.5 W) but its sticky score (0.4 × 12 ×
         // 1.25 = 6) still out-ranks a's 3, so b leaves only when its
@@ -599,7 +695,8 @@ mod tests {
             FleetController::new(cfg(), contended(), apps()).with_initial_placements(&adopted);
         let idle = [sample(0.0, 0.0), sample(0.0, 0.0)];
         assert!(live.sample(t(1), &idle).is_empty());
-        assert_eq!(live.last_dirty(), &[0, 1], "first tick is a full solve");
+        let dirty = [0, 1].map(|i| live.explain(i).dirty);
+        assert_eq!(dirty, [true; 2], "first tick is a full solve");
         assert!(live.sample(t(2), &idle).is_empty());
         assert_eq!(live.sample(t(3), &idle), vec![(0, Placement::Software)]);
         assert!(live.fabric().residency(0).is_none());
@@ -678,7 +775,7 @@ mod tests {
         );
         // The spilled app's recorded benefit carries the haircut.
         let spill = ctl.shifts().iter().find(|s| s.app == 1).unwrap();
-        let raw = ctl.benefit_w(1, 100_000.0);
+        let raw = ctl.price(1, DeviceId::LOCAL, 100_000.0).raw_w;
         let haircut = TierCost::standard_intra_pod().benefit_factor;
         assert!((spill.benefit_w - raw * haircut).abs() < 1e-9);
         // Stable thereafter: no ping-pong between the ToRs.
@@ -797,8 +894,8 @@ mod tests {
             ctl.placements(),
             &[Placement::HARDWARE, Placement::Software]
         );
-        assert_eq!(ctl.admission_decision(1), AdmissionDecision::Queue);
-        assert!(ctl.queued_intervals()[1] > 50);
+        assert_eq!(ctl.explain(1).admission, AdmissionDecision::Queue);
+        assert!(ctl.explain(1).queued_intervals > 50);
         assert_eq!(ctl.shifts().len(), 1);
     }
 
@@ -849,8 +946,8 @@ mod tests {
         // The dominant-share accounting the claims were priced with.
         let held = ctl.placements().iter().position(|p| p.is_offloaded());
         let held = held.expect("someone holds the device");
-        assert!((ctl.dominant_share(held) - 7.0 / 12.0).abs() < 1e-9);
-        assert_eq!(ctl.dominant_share(1 - held), 0.0);
+        assert!((ctl.explain(held).dominant_share - 7.0 / 12.0).abs() < 1e-9);
+        assert_eq!(ctl.explain(1 - held).dominant_share, 0.0);
     }
 
     #[test]
@@ -866,8 +963,8 @@ mod tests {
             weighted("meek", 7, 0.05, 1.0),
         ];
         let mut ctl = FleetController::new(fair_cfg(20), contended(), apps);
-        assert_eq!(ctl.starvation_threshold(0), 10);
-        assert_eq!(ctl.starvation_threshold(1), 20);
+        assert_eq!(ctl.explain(0).starvation_threshold, 10);
+        assert_eq!(ctl.explain(1).starvation_threshold, 20);
         let s = [sample(100_000.0, 100_000.0), sample(100_000.0, 100_000.0)];
         let mut resident = [0u32; 2];
         for step in 1..=400 {
@@ -885,8 +982,8 @@ mod tests {
             "weighted split off: {resident:?} (ratio {ratio:.2})"
         );
         // While contended, both tenants' entitlements reflect the weights.
-        assert!((ctl.entitlement(0) - 2.0 / 3.0).abs() < 1e-9);
-        assert!((ctl.entitlement(1) - 1.0 / 3.0).abs() < 1e-9);
+        assert!((ctl.explain(0).entitlement - 2.0 / 3.0).abs() < 1e-9);
+        assert!((ctl.explain(1).entitlement - 1.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
@@ -910,8 +1007,8 @@ mod tests {
         );
         assert_eq!(ctl.shifts().len(), 1);
         // The rival stays queued — visible back-pressure, no thrash.
-        assert_eq!(ctl.admission_decision(1), AdmissionDecision::Queue);
-        assert!(ctl.starved_streak(1) > 20);
+        assert_eq!(ctl.explain(1).admission, AdmissionDecision::Queue);
+        assert!(ctl.explain(1).starved_streak > 20);
     }
 
     #[test]
@@ -920,18 +1017,18 @@ mod tests {
         // never becomes a candidate, never queues, never shifts.
         let apps = vec![app("fits", 6, 0.10, 2.0), app("giant", 14, 0.30, 2.0)];
         let mut ctl = FleetController::new(cfg(), two_tors(), apps);
-        assert_eq!(ctl.admission_decision(1), AdmissionDecision::Reject);
+        assert_eq!(ctl.explain(1).admission, AdmissionDecision::Reject);
         let s = [sample(100_000.0, 100_000.0), sample(400_000.0, 400_000.0)];
         for step in 1..=50 {
             ctl.sample(t(step), &s);
         }
         assert_eq!(ctl.placements()[1], Placement::Software);
         assert!(ctl.shifts().iter().all(|s| s.app != 1));
-        assert_eq!(ctl.queued_intervals()[1], 0);
-        assert_eq!(ctl.admission_decision(1), AdmissionDecision::Reject);
+        assert_eq!(ctl.explain(1).queued_intervals, 0);
+        assert_eq!(ctl.explain(1).admission, AdmissionDecision::Reject);
         // The satisfiable tenant is unaffected.
         assert_eq!(ctl.placements()[0], Placement::Device(DeviceId(0)));
-        assert_eq!(ctl.admission_decision(0), AdmissionDecision::Admit);
+        assert_eq!(ctl.explain(0).admission, AdmissionDecision::Admit);
     }
 
     #[test]
@@ -1014,8 +1111,9 @@ mod tests {
 
         // With the debit: the same marginal hop is suppressed.
         let mut priced = setup(30.0);
-        assert!((priced.migration_w() - 1.5).abs() < 1e-9);
         drive(&mut priced);
+        let hop = priced.price(1, DeviceId(0), 100_000.0);
+        assert!((hop.debit - 1.5).abs() < 1e-9);
         assert_eq!(
             priced.placements()[1],
             Placement::Device(DeviceId(1)),
@@ -1132,7 +1230,9 @@ mod tests {
         }
         assert_eq!(ctl.placements()[2], Placement::Software);
         let rates = [100_000.0; 3];
-        let plans = ctl.claim_plans(2, &rates);
+        let claimant = ctl.explain(2);
+        assert_eq!(claimant.held_rate_pps, rates[2]);
+        let plans = claimant.claims;
         assert_eq!(plans.len(), 2, "{plans:?}");
         let by_dev = |d: DeviceId| plans.iter().find(|p| p.device == d).unwrap();
         let home = by_dev(DeviceId(0));
@@ -1141,15 +1241,17 @@ mod tests {
         // clips the poor one, forfeiting its full un-haircut 3 W (it is
         // at home on ToR 1).
         assert_eq!(home.clips, vec![0]);
-        let rich_delivered = ctl.effective_benefit_w(0, DeviceId(0), rates[0]);
+        let rich_delivered = ctl.explain(0).delivered.unwrap();
         assert!((home.clipped_benefit_w - rich_delivered).abs() < 1e-9);
         assert!((rich_delivered - 12.0).abs() < 0.01);
         assert_eq!(remote.clips, vec![1]);
-        let poor_delivered = ctl.effective_benefit_w(1, DeviceId(1), rates[1]);
+        let poor_delivered = ctl.explain(1).delivered.unwrap();
         assert!((remote.clipped_benefit_w - poor_delivered).abs() < 1e-9);
         assert!((poor_delivered - 3.0).abs() < 0.01);
-        // Both hand-overs move two programs (clip + claimant).
-        assert!((home.migration_w - 2.0 * ctl.migration_w()).abs() < 1e-12);
+        // Both hand-overs move two programs (clip + claimant): twice the
+        // debit the rich incumbent would pay to move.
+        let debit = ctl.price(0, DeviceId(1), rates[0]).debit;
+        assert!((home.migration_w - 2.0 * debit).abs() < 1e-12);
         // The claimant's own score prefers home; the total cost prefers
         // the remote hand-over.
         assert!(home.score > remote.score);

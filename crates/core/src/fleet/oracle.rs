@@ -73,6 +73,11 @@ impl FlatOracle {
         &self.shifts
     }
 
+    /// Consecutive samples `app` has spent queued.
+    pub fn starved_streak(&self, app: usize) -> u32 {
+        self.starved_streaks[app]
+    }
+
     fn effective(&self, app: usize, device: DeviceId, rate: f64) -> f64 {
         pricing::effective_benefit_w(&self.config, &self.fabric, &self.apps[app], device, rate)
     }

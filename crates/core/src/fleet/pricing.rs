@@ -5,9 +5,9 @@
 
 use inc_hw::{DeviceFabric, DeviceId};
 
-use super::{ClaimPolicy, FleetApp, FleetControllerConfig};
 #[cfg(doc)]
-use super::{FleetController, Objective};
+use super::{AppRecord, Objective};
+use super::{ClaimPolicy, FleetApp, FleetControllerConfig};
 
 /// One feasible fairness hand-over: where a claimant could be placed,
 /// whom that would clip, and what the move forfeits.
@@ -101,21 +101,17 @@ pub(crate) fn floor_value(config: &FleetControllerConfig) -> f64 {
     config.objective.value_of_w(config.min_benefit_w)
 }
 
-/// The amortised switchover debit of one move, watts: the migration
+/// The objective-priced switchover debit of one move: the migration
 /// cost spread over [`FleetControllerConfig::expected_tenure_samples`]
-/// sampling intervals (at least one).
-pub(crate) fn migration_w(config: &FleetControllerConfig) -> f64 {
+/// sampling intervals (at least one), in watts, pushed through the
+/// objective (a free migration costs nothing under any objective).
+pub(crate) fn migration_value(config: &FleetControllerConfig) -> f64 {
     if config.migration_cost_j <= 0.0 {
         return 0.0;
     }
     let tenure_samples = f64::from(config.expected_tenure_samples.max(1));
-    config.migration_cost_j / (tenure_samples * config.interval.as_secs_f64())
-}
-
-/// The objective-priced switchover debit of one move ([`migration_w`]
-/// pushed through the objective).
-pub(crate) fn migration_value(config: &FleetControllerConfig) -> f64 {
-    config.objective.value_of_w(migration_w(config))
+    let w = config.migration_cost_j / (tenure_samples * config.interval.as_secs_f64());
+    config.objective.value_of_w(w)
 }
 
 /// Up-front admission verdicts: whether each app's demand fits no device
@@ -154,7 +150,7 @@ pub(crate) fn capacity_cost(fabric: &DeviceFabric, app: &FleetApp, device: Devic
 
 /// Summed weights of the tenants contending for the fabric under the
 /// given residency view, with `include` always counted (see
-/// [`FleetController::entitlement`]).
+/// [`AppRecord::entitlement`]).
 pub(crate) fn contending_weight(
     apps: &[FleetApp],
     starved: &[u32],
@@ -169,8 +165,8 @@ pub(crate) fn contending_weight(
 
 /// Plans a fairness hand-over for `app` on every feasible device of
 /// the assignment described by `fabric`/`resident_on` (see
-/// [`FleetController::claim_plans`]). `protected` marks incumbents a
-/// claim may not clip.
+/// [`AppRecord::claims`]). `protected` marks incumbents a claim may not
+/// clip.
 #[allow(clippy::too_many_arguments)] // free function shared by engine and oracle
 pub(crate) fn plan_handovers(
     config: &FleetControllerConfig,

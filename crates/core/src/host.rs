@@ -81,10 +81,9 @@ impl HostControllerConfig {
 pub struct HostController {
     config: HostControllerConfig,
     placement: Placement,
-    up_streak: u32,
-    down_streak: u32,
-    /// When each placement shift fired.
-    shifts: Vec<Nanos>,
+    /// Consecutive samples the condition for leaving the current
+    /// placement has held (a shift starts the count over).
+    streak: u32,
 }
 
 impl HostController {
@@ -102,9 +101,7 @@ impl HostController {
         HostController {
             config,
             placement: Placement::Software,
-            up_streak: 0,
-            down_streak: 0,
-            shifts: Vec::new(),
+            streak: 0,
         }
     }
 
@@ -118,55 +115,33 @@ impl HostController {
         self.config
     }
 
-    /// Returns when each placement shift fired, oldest first.
-    pub fn shifts(&self) -> &[Nanos] {
-        &self.shifts
-    }
-
-    /// Feeds one sample; returns a new placement when a sustained
-    /// condition completes.
-    pub fn sample(&mut self, now: Nanos, s: HostSample) -> Option<Placement> {
-        match self.placement {
-            Placement::Software => {
-                self.down_streak = 0;
-                let hot =
-                    s.rapl_w >= self.config.power_up_w && s.app_cpu_util >= self.config.cpu_up_util;
-                if hot {
-                    self.up_streak += 1;
-                } else {
-                    self.up_streak = 0;
-                }
-                if self.up_streak >= self.config.sustain_samples {
-                    self.transition(now, Placement::HARDWARE);
-                    return Some(Placement::HARDWARE);
-                }
-            }
-            Placement::Device(_) => {
-                self.up_streak = 0;
-                // Shift-back needs the network-side rate feedback (host
-                // power is no longer attributable to the app) plus host
-                // headroom, so a busy co-tenant blocks the return.
-                let cold = s.hw_app_rate < self.config.rate_down_pps
-                    && s.rapl_w < self.config.power_down_w;
-                if cold {
-                    self.down_streak += 1;
-                } else {
-                    self.down_streak = 0;
-                }
-                if self.down_streak >= self.config.sustain_samples {
-                    self.transition(now, Placement::Software);
-                    return Some(Placement::Software);
-                }
-            }
+    /// Feeds one sample, taken at `_now`; returns a new placement when a
+    /// sustained condition completes. The state machine counts samples,
+    /// not time, and keeps no log: the caller records when a shift fired
+    /// ([`run_host_controlled`](crate::system::run_host_controlled)'s
+    /// timeline does).
+    pub fn sample(&mut self, _now: Nanos, s: HostSample) -> Option<Placement> {
+        let c = &self.config;
+        let (holds, next) = match self.placement {
+            Placement::Software => (
+                s.rapl_w >= c.power_up_w && s.app_cpu_util >= c.cpu_up_util,
+                Placement::HARDWARE,
+            ),
+            // Shift-back needs the network-side rate feedback (host
+            // power is no longer attributable to the app) plus host
+            // headroom, so a busy co-tenant blocks the return.
+            Placement::Device(_) => (
+                s.hw_app_rate < c.rate_down_pps && s.rapl_w < c.power_down_w,
+                Placement::Software,
+            ),
+        };
+        self.streak = if holds { self.streak + 1 } else { 0 };
+        if self.streak < c.sustain_samples {
+            return None;
         }
-        None
-    }
-
-    fn transition(&mut self, now: Nanos, to: Placement) {
-        self.placement = to;
-        self.up_streak = 0;
-        self.down_streak = 0;
-        self.shifts.push(now);
+        self.placement = next;
+        self.streak = 0;
+        Some(next)
     }
 }
 
@@ -218,8 +193,6 @@ mod tests {
         assert_eq!(c.sample(t(4), hot()), None);
         assert_eq!(c.sample(t(5), hot()), None);
         assert_eq!(c.sample(t(6), hot()), Some(Placement::HARDWARE));
-        assert_eq!(c.shifts().len(), 1);
-        assert_eq!(c.shifts()[0], t(6));
     }
 
     #[test]
@@ -240,9 +213,8 @@ mod tests {
     #[test]
     fn shift_back_uses_network_feedback() {
         let mut c = HostController::new(cfg());
-        for s in 1..=3 {
-            c.sample(t(s), hot());
-        }
+        let shifts: Vec<_> = (1..=3).filter_map(|s| c.sample(t(s), hot())).collect();
+        assert_eq!(shifts, [Placement::HARDWARE]);
         assert_eq!(c.placement(), Placement::HARDWARE);
         // Hardware still busy: no shift back even if host power is low.
         let busy = HostSample {
@@ -262,15 +234,13 @@ mod tests {
         assert_eq!(c.sample(t(11), idle), None);
         assert_eq!(c.sample(t(12), idle), None);
         assert_eq!(c.sample(t(13), idle), Some(Placement::Software));
-        assert_eq!(c.shifts().len(), 2);
     }
 
     #[test]
     fn no_bouncing_within_band() {
         let mut c = HostController::new(cfg());
-        for s in 1..=3 {
-            c.sample(t(s), hot());
-        }
+        let shifts: Vec<_> = (1..=3).filter_map(|s| c.sample(t(s), hot())).collect();
+        assert_eq!(shifts, [Placement::HARDWARE]);
         // A moderate rate above the down-threshold holds hardware
         // placement indefinitely.
         let moderate = HostSample {
@@ -282,6 +252,5 @@ mod tests {
             assert_eq!(c.sample(t(s), moderate), None);
         }
         assert_eq!(c.placement(), Placement::HARDWARE);
-        assert_eq!(c.shifts().len(), 1);
     }
 }

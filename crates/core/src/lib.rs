@@ -54,8 +54,8 @@ pub use arbiter::{ArbiterStats, FleetController, HierarchicalController};
 pub use decision::{kvs_analysis, PlacementAnalysis};
 pub use envelope::{EnvelopePoint, OnDemandEnvelope};
 pub use fleet::{
-    AdmissionDecision, ArbitrationMode, ClaimPlan, ClaimPolicy, FleetApp, FleetControllerConfig,
-    FleetSample, FleetShift, Objective, ShiftReason,
+    AdmissionDecision, AppRecord, ArbitrationMode, Bid, ClaimPlan, ClaimPolicy, FleetApp,
+    FleetControllerConfig, FleetSample, FleetShift, Objective, Price, ShiftReason,
 };
 pub use host::{HostController, HostControllerConfig, HostSample};
 pub use system::{

@@ -29,7 +29,7 @@
 use inc_hw::Placement;
 use inc_sim::{Histogram, Nanos, Payload, RecentRing, Simulator, StreamStats};
 
-use crate::fleet::{AdmissionDecision, FleetController, FleetSample};
+use crate::fleet::{FleetController, FleetSample};
 use crate::host::{HostController, HostSample};
 
 /// One timeline row (the Figure 6/7 plot data).
@@ -75,7 +75,8 @@ pub enum RowLog {
 #[derive(Clone, Debug)]
 pub struct Timeline {
     rows: RecentRing<TimelineRow>,
-    /// Times at which the placement changed.
+    /// Times at which the placement of a host-controlled run changed (a
+    /// fleet run logs its shifts once, in [`FleetTimeline::shifts`]).
     pub shifts: Vec<(Nanos, Placement)>,
     mode: RowLog,
     /// Duration-weighted power: `weighted_sum()` is the energy integral
@@ -324,23 +325,6 @@ pub struct FleetTimeline {
     /// decisions in: prices steer placements, meters stay watts — which
     /// is what makes energy comparable across objectives.
     pub energy_j: f64,
-    /// Each app's admission verdict at the end of the run: the
-    /// back-pressure surface — `Reject` names tenants whose demand can
-    /// never fit the fabric, `Queue` tenants still waiting for capacity.
-    pub admission: Vec<AdmissionDecision>,
-    /// Cumulative sampling intervals each app spent queued (wanting
-    /// capacity without receiving it), indexed like `per_app`.
-    pub queued_intervals: Vec<u64>,
-}
-
-impl FleetTimeline {
-    /// Shifts executed for one app (the app's own timeline records them;
-    /// the global [`FleetTimeline::shifts`] keeps the cross-app decision
-    /// order).
-    // inc-lint: allow(unreached-pub): tests/shared_device.rs, tests/fairness.rs and tests/multi_tor.rs read per-app shift logs through it
-    pub fn shifts_for(&self, app: usize) -> &[(Nanos, Placement)] {
-        &self.per_app[app].shifts
-    }
 }
 
 /// Runs a fleet-controlled multi-application experiment until `until`,
@@ -351,7 +335,9 @@ impl FleetTimeline {
 /// [`AppObservation`] per app (same order as the controller's app
 /// vector); the controller re-arbitrates its placements; `apply`
 /// executes each placement change on the simulated hardware. Records one
-/// [`Timeline`] per app plus the fleet-level energy total.
+/// [`Timeline`] per app, the shift log and the fleet-level energy total;
+/// why each app ended where it did is the controller's to answer
+/// ([`FleetController::explain`]).
 ///
 /// The run advances in whole sampling intervals, so when `until` is not
 /// an interval multiple the final interval extends past it; read the
@@ -384,7 +370,6 @@ pub fn run_fleet_controlled<M: Payload>(
         for (app, placement) in controller.sample(t, &samples) {
             apply(sim, t, app, placement);
             timeline.shifts.push((t, app, placement));
-            timeline.per_app[app].shifts.push((t, placement));
         }
         for (app, o) in obs.iter().enumerate() {
             timeline.per_app[app].push(TimelineRow {
@@ -399,8 +384,6 @@ pub fn run_fleet_controlled<M: Payload>(
             timeline.energy_j += o.power_w * step.as_secs_f64();
         }
     }
-    timeline.admission = (0..n).map(|i| controller.admission_decision(i)).collect();
-    timeline.queued_intervals = controller.queued_intervals().to_vec();
     timeline
 }
 
@@ -578,11 +561,15 @@ mod tests {
         // App 1 offloads first (its burst starts first AND it scores
         // higher); app 0 must wait for app 1's eviction, then offloads;
         // both end in software.
-        let s1 = timeline.shifts_for(1);
+        let shifts_for = |app| -> Vec<(Nanos, Placement)> {
+            let of_app = timeline.shifts.iter().filter(|s| s.1 == app);
+            of_app.map(|&(t, _, p)| (t, p)).collect()
+        };
+        let s1 = shifts_for(1);
         assert_eq!(s1.len(), 2, "app 1 round-trips: {s1:?}");
         assert_eq!(s1[0].1, Placement::HARDWARE);
         assert!(s1[0].0 < Nanos::from_secs(2));
-        let s0 = timeline.shifts_for(0);
+        let s0 = shifts_for(0);
         assert_eq!(s0.len(), 2, "app 0 round-trips: {s0:?}");
         assert_eq!(s0[0].1, Placement::HARDWARE);
         // App 0 could only enter after app 1 left (one slot).

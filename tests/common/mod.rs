@@ -3,7 +3,15 @@
 // Each test crate that mounts this module uses a different subset.
 #![allow(dead_code)]
 
-use inc::ondemand::FleetShift;
+use inc::hw::Placement;
+use inc::ondemand::{FleetShift, FleetTimeline};
+use inc::sim::Nanos;
+
+/// `app`'s shifts out of a fleet run's log, in decision order.
+pub fn shifts_of(timeline: &FleetTimeline, app: usize) -> Vec<(Nanos, Placement)> {
+    let of_app = timeline.shifts.iter().filter(|s| s.1 == app);
+    of_app.map(|&(at, _, to)| (at, to)).collect()
+}
 
 /// FNV-1a offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -91,7 +91,8 @@ fn economics_report_headline_claims_hold_end_to_end() {
 }
 
 /// Every move is debited the same switchover cost, amortised over the
-/// configured tenure; a zero tenure still charges one interval.
+/// configured tenure; a zero tenure still charges one interval. Read off
+/// the price of moving the KVS tenant from its home ToR to the far pod.
 #[test]
 fn no_history_uses_the_config_default() {
     let debit_w = |expected_tenure_samples| {
@@ -99,8 +100,11 @@ fn no_history_uses_the_config_default() {
             expected_tenure_samples,
             ..FleetControllerConfig::standard(INTERVAL)
         };
+        let kvs = PodFabricRig::KVS_APP;
         FleetController::new(config, PodFabricRig::fabric(), PodFabricRig::fleet_apps())
-            .migration_w()
+            .with_initial_placements(&PodFabricRig::natural_static())
+            .price(kvs, PodFabricRig::TOR_B0, 100_000.0)
+            .debit
     };
     // The standard 5 J switchover.
     assert_eq!(debit_w(20), 5.0 / 20.0);

@@ -16,7 +16,9 @@
 use std::sync::OnceLock;
 
 use inc::hw::{DeviceCapacity, Placement, ProgramResources};
-use inc::ondemand::{AdmissionDecision, FleetShift, FleetTimeline, ShiftReason};
+use inc::ondemand::{
+    AdmissionDecision, AppRecord, FleetController, FleetShift, FleetTimeline, ShiftReason,
+};
 use inc::sim::Nanos;
 use inc_bench::rigs::ContendedFabricRig;
 
@@ -33,11 +35,14 @@ const PAX: usize = ContendedFabricRig::PAX_APP;
 const BULK: usize = ContendedFabricRig::BULK_APP;
 
 struct Runs {
-    /// The weighted-DRF run and its decision log.
+    /// The weighted-DRF run, its decision log and each app's record at
+    /// the end.
     fair: FleetTimeline,
     fair_decisions: Vec<FleetShift>,
+    fair_records: Vec<AppRecord>,
     /// The same scenario under pure benefit-maximising scheduling.
     pure: FleetTimeline,
+    pure_records: Vec<AppRecord>,
     /// The all-software pinned baseline's energy.
     sw_energy_j: f64,
 }
@@ -57,10 +62,13 @@ fn runs() -> &'static Runs {
             "pinned baseline moved: {:?}",
             sw.shifts
         );
+        let records = |ctl: &FleetController| (0..4).map(|i| ctl.explain(i)).collect();
         Runs {
             fair,
             fair_decisions: fair_ctl.shifts().to_vec(),
+            fair_records: records(&fair_ctl),
             pure,
+            pure_records: records(&pure_ctl),
             sw_energy_j: sw.energy_j,
         }
     })
@@ -85,10 +93,10 @@ fn starved_tenant_receives_its_entitled_share_under_drf() {
     // — and the controller knows it was queued, not idle: the demand sat
     // in the admission queue for most of the plateau.
     assert_eq!(resident_fraction(&runs.pure, PAX), 0.0);
+    let queued = runs.pure_records[PAX].queued_intervals;
     assert!(
-        runs.pure.queued_intervals[PAX] > 40,
-        "paxos absorbed too little back-pressure: {:?}",
-        runs.pure.queued_intervals
+        queued > 40,
+        "paxos absorbed too little back-pressure: {queued}"
     );
 
     // Under weighted DRF every admitted tenant gets a material share of
@@ -160,16 +168,19 @@ fn starved_tenant_receives_its_entitled_share_under_drf() {
 #[test]
 fn unsatisfiable_tenant_is_rejected_not_thrashed() {
     let runs = runs();
-    // Rejected up front: surfaced through the timeline's back-pressure
-    // fields, zero shifts attributed to it, zero queue time burned on it
-    // — in both scheduling modes.
-    for timeline in [&runs.fair, &runs.pure] {
-        assert_eq!(timeline.admission[BULK], AdmissionDecision::Reject);
-        assert_eq!(timeline.queued_intervals[BULK], 0);
+    // Rejected up front: surfaced through its record, zero shifts
+    // attributed to it, zero queue time burned on it — in both
+    // scheduling modes.
+    for (timeline, records) in [
+        (&runs.fair, &runs.fair_records),
+        (&runs.pure, &runs.pure_records),
+    ] {
+        assert_eq!(records[BULK].admission, AdmissionDecision::Reject);
+        assert_eq!(records[BULK].queued_intervals, 0);
         assert!(
-            timeline.shifts_for(BULK).is_empty(),
+            timeline.shifts.iter().all(|s| s.1 != BULK),
             "bulk tenant thrashed: {:?}",
-            timeline.shifts_for(BULK)
+            timeline.shifts
         );
         assert!(timeline.per_app[BULK]
             .rows()
@@ -180,7 +191,7 @@ fn unsatisfiable_tenant_is_rejected_not_thrashed() {
     // The admitted tenants pass admission; the Paxos queue drained by
     // the end of the run (its demand died with the plateau).
     for app in [KVS, DNS, PAX] {
-        assert_eq!(runs.fair.admission[app], AdmissionDecision::Admit);
+        assert_eq!(runs.fair_records[app].admission, AdmissionDecision::Admit);
     }
 }
 

@@ -64,7 +64,8 @@ fn schedule_text(name: &str, label: &str) -> String {
     }
     let energy = timeline.energy_j;
     let _ = writeln!(text, "energy {:016x} {energy:.6}", energy.to_bits());
-    for (app, queued) in ctl.queued_intervals().iter().enumerate() {
+    for app in 0..ctl.apps().len() {
+        let queued = ctl.explain(app).queued_intervals;
         let _ = writeln!(text, "queued {app} {queued}");
     }
     text

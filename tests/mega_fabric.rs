@@ -125,3 +125,35 @@ fn the_same_seed_replays_the_same_schedule() {
     assert!(!a.is_empty());
     assert_same_shifts(&a, &b);
 }
+
+/// Asking why moves nothing: a controller asked to explain every tenant
+/// after every tick logs the schedule of one never asked, bit for bit,
+/// and every bid it reports scores exactly what `price` says at the
+/// tenant's held rate.
+#[test]
+fn explaining_every_tenant_after_every_tick_moves_nothing() {
+    const TENANTS: usize = 80;
+    const TICKS: u64 = 150;
+    let (unasked, _) = run(TENANTS, TICKS, ArbitrationMode::Incremental);
+    let mut rig = MegaFabricRig::new(TENANTS, SEED);
+    let mut ctl = rig.controller(ArbitrationMode::Incremental);
+    let mut bids = 0;
+    for tick in 1..=TICKS {
+        ctl.sample(Nanos::from_secs(tick), rig.tick_samples(tick));
+        for app in 0..TENANTS {
+            let record = ctl.explain(app);
+            for b in &record.bids {
+                let priced = ctl.price(app, b.device, record.held_rate_pps);
+                assert_eq!(
+                    b.score.to_bits(),
+                    priced.score.to_bits(),
+                    "tick {tick}, {b:?}"
+                );
+                bids += 1;
+            }
+        }
+    }
+    assert!(unasked.len() >= 10, "only {} shifts", unasked.len());
+    assert!(bids > 1_000, "only {bids} bids");
+    assert_same_shifts(&unasked, ctl.shifts());
+}

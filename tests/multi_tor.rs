@@ -16,7 +16,7 @@ mod common;
 
 use std::sync::OnceLock;
 
-use common::{first_divergence, fnv, shift_log_digest, FNV_OFFSET};
+use common::{first_divergence, fnv, shift_log_digest, shifts_of, FNV_OFFSET};
 use inc::hw::{DeviceId, Placement, ProgramResources};
 use inc::ondemand::{FleetShift, FleetTimeline};
 use inc::paxos::multi::Acceptor;
@@ -130,7 +130,7 @@ fn fleet_places_across_the_fabric_and_beats_static_schedules() {
         fleet.shifts
     );
     for app in [KVS, DNS, PAX] {
-        let shifts = fleet.shifts_for(app);
+        let shifts = shifts_of(fleet, app);
         assert!(
             (1..=2).contains(&shifts.len()),
             "app {app} shifted {} times: {shifts:?}",
@@ -150,17 +150,17 @@ fn fleet_places_across_the_fabric_and_beats_static_schedules() {
     // --- The home placements: KVS on its own ToR A, DNS on its own
     // ToR B (no reason to pay a detour when home has room).
     assert_eq!(
-        fleet.shifts_for(KVS)[0].1,
+        shifts_of(fleet, KVS)[0].1,
         Placement::Device(MultiTorRig::TOR_A)
     );
     assert_eq!(
-        fleet.shifts_for(DNS)[0].1,
+        shifts_of(fleet, DNS)[0].1,
         Placement::Device(MultiTorRig::TOR_B)
     );
 
     // --- The spill: the Paxos program is homed on ToR A but lands on
     // ToR B, at a time when the KVS held its home device full.
-    let (spill_at, spill_to) = fleet.shifts_for(PAX)[0];
+    let (spill_at, spill_to) = shifts_of(fleet, PAX)[0];
     assert_eq!(spill_to, Placement::Device(MultiTorRig::TOR_B));
     let kvs_at_spill = fleet.per_app[KVS]
         .rows()
@@ -183,7 +183,7 @@ fn fleet_places_across_the_fabric_and_beats_static_schedules() {
         .find(|s| s.app == PAX && s.to == spill_to)
         .expect("spill decision recorded");
     let ctl = MultiTorRig::fleet_controller(INTERVAL);
-    let raw = ctl.benefit_w(PAX, spill.rate_pps);
+    let raw = ctl.price(PAX, DeviceId::LOCAL, spill.rate_pps).raw_w;
     let haircut = MultiTorRig::penalty().benefit_factor;
     assert!(
         (spill.benefit_w - raw * haircut).abs() < 1e-9,

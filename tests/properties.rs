@@ -945,7 +945,7 @@ proptest! {
             }],
         );
         prop_assert_eq!(
-            ctl.admission_decision(0) == AdmissionDecision::Reject,
+            ctl.explain(0).admission == AdmissionDecision::Reject,
             unfit_everywhere
         );
     }
@@ -1029,7 +1029,7 @@ proptest! {
                 })
                 .collect();
             for i in 0..3 {
-                if ctl.benefit_w(i, rs[i]) >= ctl.config().min_benefit_w {
+                if ctl.price(i, DeviceId::LOCAL, rs[i]).raw_w >= ctl.config().min_benefit_w {
                     hot[i] += 1;
                 } else {
                     hot[i] = 0;
@@ -1143,7 +1143,7 @@ proptest! {
             ),
         );
         let mut ctl = FleetController::new(config, fabric, apps.clone());
-        prop_assert_eq!(ctl.admission_decision(BULK), AdmissionDecision::Reject);
+        prop_assert_eq!(ctl.explain(BULK).admission, AdmissionDecision::Reject);
 
         // Oracle: consecutive profitable samples per app since its last
         // placement change.
@@ -1162,7 +1162,7 @@ proptest! {
                 })
                 .collect();
             for i in 0..4 {
-                if ctl.benefit_w(i, rs[i]) >= ctl.config().min_benefit_w {
+                if ctl.price(i, DeviceId::LOCAL, rs[i]).raw_w >= ctl.config().min_benefit_w {
                     hot[i] += 1;
                 } else {
                     hot[i] = 0;
@@ -1184,11 +1184,12 @@ proptest! {
                 hot[i] = 0;
             }
 
+            let rec: Vec<_> = (0..4).map(|i| ctl.explain(i)).collect();
             // Invariant 1: the unsatisfiable tenant is rejected, inert,
             // and costs nothing.
-            prop_assert_eq!(ctl.admission_decision(BULK), AdmissionDecision::Reject);
+            prop_assert_eq!(rec[BULK].admission, AdmissionDecision::Reject);
             prop_assert_eq!(ctl.placements()[BULK], Placement::Software);
-            prop_assert_eq!(ctl.queued_intervals()[BULK], 0);
+            prop_assert_eq!(rec[BULK].queued_intervals, 0);
             prop_assert!(ctl.shifts().iter().all(|s| s.app != BULK));
 
             // Invariant 2: budget replay, fairness clips included.
@@ -1217,10 +1218,10 @@ proptest! {
             // dropped), which can only shrink the clippable set — the
             // check never flags a clip the controller could not see.
             let contending: Vec<bool> = (0..4)
-                .map(|j| ctl.placements()[j].is_offloaded() || ctl.starved_streak(j) >= 2)
+                .map(|j| ctl.placements()[j].is_offloaded() || rec[j].starved_streak >= 2)
                 .collect();
             for i in 0..3 {
-                if ctl.starved_streak(i) <= ctl.starvation_threshold(i) + 1 {
+                if rec[i].starved_streak <= rec[i].starvation_threshold + 1 {
                     continue;
                 }
                 let total_w: f64 = (0..4)
@@ -1228,7 +1229,7 @@ proptest! {
                     .map(|j| apps[j].weight)
                     .sum();
                 for dev in [DeviceId(0), DeviceId(1)] {
-                    let eff = ctl.effective_benefit_w(i, dev, rs[i]);
+                    let eff = ctl.price(i, dev, rs[i]).value;
                     if eff < ctl.config().min_benefit_w {
                         continue;
                     }
@@ -1237,7 +1238,7 @@ proptest! {
                         if ctl.placements()[j] != Placement::Device(dev) {
                             continue;
                         }
-                        let share = ctl.dominant_share(j);
+                        let share = rec[j].dominant_share;
                         let fair_placed_now = ctl.shifts().iter().any(|s| {
                             s.app == j && s.at == now && s.reason == ShiftReason::FairShare
                         });
@@ -1249,7 +1250,7 @@ proptest! {
                         !ledger.fits(&apps[i].demand),
                         "step {}: app {} starved {} samples past its window \
                          while {:?} had clippable room",
-                        step, i, ctl.starved_streak(i), dev
+                        step, i, rec[i].starved_streak, dev
                     );
                 }
             }
@@ -1386,7 +1387,7 @@ proptest! {
         use inc::hw::{DeviceFabric, DeviceId, PipelineBudget, ProgramResources,
                       TierCost, Topology};
         use inc::ondemand::{FleetApp, FleetController, FleetControllerConfig,
-                            Placement, PlacementAnalysis};
+                            FleetSample, HostSample, Placement, PlacementAnalysis};
         use inc::power::EnergyParams;
         use inc::sim::Nanos;
 
@@ -1455,7 +1456,7 @@ proptest! {
             migration_cost_j: 0.0,
             ..FleetControllerConfig::standard(Nanos::from_millis(100))
         };
-        let ctl = FleetController::new(
+        let mut ctl = FleetController::new(
             config,
             DeviceFabric::homogeneous(
                 4,
@@ -1475,7 +1476,15 @@ proptest! {
             .chain(std::iter::repeat(10_000.0))
             .take(apps.len())
             .collect();
-        let plans = ctl.claim_plans(0, &rates);
+        // One sample holds every rate; no streak can move a tenant yet,
+        // so the claimant's record plans against the adopted placements.
+        let samples: Vec<FleetSample> = rates.iter().map(|&r| FleetSample {
+            host: HostSample { rapl_w: 50.0, app_cpu_util: 0.5, hw_app_rate: r },
+            offered_pps: r,
+        }).collect();
+        prop_assert!(ctl.sample(Nanos::from_millis(100), &samples).is_empty());
+        prop_assert_eq!(ctl.placements(), &placements[..]);
+        let plans = ctl.explain(0).claims;
         if let (Some(min_cost), Some(best_score)) = (
             plans
                 .iter()
@@ -1503,7 +1512,7 @@ proptest! {
             for plan in &plans {
                 for &j in &plan.clips {
                     prop_assert_eq!(ctl.placements()[j], Placement::Device(plan.device));
-                    prop_assert!(ctl.dominant_share(j) > apps[j].weight / total_w - 1e-12);
+                    prop_assert!(ctl.explain(j).dominant_share > apps[j].weight / total_w - 1e-12);
                 }
             }
         }
@@ -1518,12 +1527,16 @@ proptest! {
     /// The incremental dirty-queue pipeline and a full re-score of every
     /// pod make bit-identical decisions on the same trace: same shift
     /// sequence (time, app, target, reason, priced rate and benefit),
-    /// same placements and the same back-pressure metric, whatever the
-    /// dead band — both modes share the held-rate semantics, so skipping
-    /// clean pods and cold tenants must never change an outcome, only the
-    /// work done. Each step may also pull one operator lever (a device
-    /// dies or revives, the offload floor doubles or halves, a device is
-    /// marked dirty, one meter reports a hostile rate), and the fleet is
+    /// same placements and, after every tick, the same record for every
+    /// app but its dirty bit, whatever the dead band — both modes share
+    /// the held-rate semantics, so skipping clean pods and cold tenants
+    /// must never change an outcome, only the work done. The records are
+    /// faithful: every bid scores exactly what `price` says at the held
+    /// rate, and a third controller that is never asked to explain
+    /// itself logs the same shifts bit for bit. Each step may also pull
+    /// one operator lever (a device dies or revives, the offload floor
+    /// doubles or halves, a device's state is restated, which raises a
+    /// capacity event alone, one meter reports a hostile rate), and the fleet is
     /// 5 tenants on 2 pods or 70 on 4 — the second so the warm set spans
     /// two words. Two or three tenants' rates move per step and tenant
     /// `i`'s is scaled down by `1 + i % 8`, so quiet ticks, clean pods
@@ -1541,7 +1554,7 @@ proptest! {
     ) {
         use inc::hw::{DeviceFabric, DeviceId, PipelineBudget, ProgramResources,
                       TierCost, Topology};
-        use inc::ondemand::{ArbitrationMode, FleetApp, FleetController,
+        use inc::ondemand::{AppRecord, ArbitrationMode, FleetApp, FleetController,
                             FleetControllerConfig, FleetSample, HostSample,
                             PlacementAnalysis};
         use inc::power::EnergyParams;
@@ -1598,6 +1611,7 @@ proptest! {
         );
         let mut full = build(ArbitrationMode::FullRescore);
         let mut inc = build(ArbitrationMode::Incremental);
+        let mut quiet = build(ArbitrationMode::Incremental);
         let mut rs = vec![0.0f64; n];
         for (step, r) in rates.iter().enumerate() {
             for (i, (held, &x)) in rs.iter_mut().zip(r).enumerate() {
@@ -1617,35 +1631,49 @@ proptest! {
                 samples[app % n].offered_pps = hostile;
                 samples[app % n].host.hw_app_rate = hostile;
             }
-            for ctl in [&mut full, &mut inc] {
+            for ctl in [&mut full, &mut inc, &mut quiet] {
                 let floor_w = ctl.config().min_benefit_w;
                 match lever {
                     0 => ctl.set_device_online(device, false),
                     1 => ctl.set_device_online(device, true),
                     2 => ctl.set_min_benefit_w((floor_w * 2.0).min(16.0)),
                     3 => ctl.set_min_benefit_w(floor_w / 2.0),
-                    4 => ctl.mark_device_dirty(device),
+                    4 => ctl.set_device_online(device, ctl.fabric().is_online(device)),
                     _ => {}
                 }
             }
             let df = full.sample(now, &samples);
             let di = inc.sample(now, &samples);
+            quiet.sample(now, &samples);
             prop_assert_eq!(full.check_indexes(), Ok(()), "full, step {}", step);
             prop_assert_eq!(inc.check_indexes(), Ok(()), "incremental, step {}", step);
             prop_assert_eq!(df, di, "decisions diverged at step {}", step);
             prop_assert_eq!(full.placements(), inc.placements(),
                             "placements diverged at step {}", step);
-            prop_assert_eq!(full.queued_intervals(), inc.queued_intervals(),
-                            "queued intervals diverged at step {}", step);
+            // Every record field but `dirty`, the one that tells the
+            // modes apart; `{:?}` prints each float exactly.
+            for i in 0..n {
+                let (f, r) = (full.explain(i), inc.explain(i));
+                for b in &r.bids {
+                    let priced = inc.price(i, b.device, r.held_rate_pps).score;
+                    prop_assert_eq!(b.score.to_bits(), priced.to_bits(),
+                                    "app {}'s bid on {:?} at step {}", i, b.device, step);
+                }
+                prop_assert_eq!(format!("{:?}", AppRecord { dirty: false, ..f }),
+                                format!("{:?}", AppRecord { dirty: false, ..r }),
+                                "app {}'s record diverged at step {}", i, step);
+            }
         }
-        prop_assert_eq!(full.shifts().len(), inc.shifts().len());
-        for (f, i) in full.shifts().iter().zip(inc.shifts()) {
-            prop_assert_eq!(f.at, i.at);
-            prop_assert_eq!(f.app, i.app);
-            prop_assert_eq!(f.to, i.to);
-            prop_assert_eq!(f.reason, i.reason);
-            prop_assert_eq!(f.rate_pps.to_bits(), i.rate_pps.to_bits());
-            prop_assert_eq!(f.benefit_w.to_bits(), i.benefit_w.to_bits());
+        for other in [&full, &quiet] {
+            prop_assert_eq!(other.shifts().len(), inc.shifts().len());
+            for (f, i) in other.shifts().iter().zip(inc.shifts()) {
+                prop_assert_eq!(f.at, i.at);
+                prop_assert_eq!(f.app, i.app);
+                prop_assert_eq!(f.to, i.to);
+                prop_assert_eq!(f.reason, i.reason);
+                prop_assert_eq!(f.rate_pps.to_bits(), i.rate_pps.to_bits());
+                prop_assert_eq!(f.benefit_w.to_bits(), i.benefit_w.to_bits());
+            }
         }
         // And the incremental run must actually have been incremental:
         // never more pod solves than the full re-score, the same gates.
@@ -1676,8 +1704,9 @@ proptest! {
         use inc::hw::{DeviceFabric, DeviceId, PipelineBudget, ProgramResources,
                       TierCost, Topology};
         use inc::ondemand::fleet::oracle::FlatOracle;
-        use inc::ondemand::{FleetApp, FleetController, FleetControllerConfig,
-                            FleetSample, HostSample, PlacementAnalysis};
+        use inc::ondemand::{AdmissionDecision, FleetApp, FleetController,
+                            FleetControllerConfig, FleetSample, HostSample,
+                            PlacementAnalysis};
         use inc::power::EnergyParams;
         use inc::sim::Nanos;
 
@@ -1739,6 +1768,19 @@ proptest! {
             prop_assert_eq!(df, dh, "decisions diverged at step {}", step);
             prop_assert_eq!(flat.placements(), hier.placements(),
                             "placements diverged at step {}", step);
+            // Admission and starvation agree too: an app is queued
+            // exactly while the oracle's streak runs.
+            for i in 0..8 {
+                let record = hier.explain(i);
+                let streak = flat.starved_streak(i);
+                prop_assert_eq!(record.starved_streak, streak, "app {} at step {}", i, step);
+                let admission = if streak > 0 {
+                    AdmissionDecision::Queue
+                } else {
+                    AdmissionDecision::Admit
+                };
+                prop_assert_eq!(record.admission, admission, "app {} at step {}", i, step);
+            }
         }
         prop_assert_eq!(flat.shifts().len(), hier.shifts().len());
         for (f, h) in flat.shifts().iter().zip(hier.shifts()) {

@@ -9,8 +9,11 @@
 //! tenant's benefit-per-capacity overtakes, and an energy total that
 //! beats every static alternative.
 
+mod common;
+
 use std::sync::OnceLock;
 
+use common::shifts_of;
 use inc::hw::{DeviceCapacity, Placement};
 use inc::kvs::KvsClient;
 use inc::ondemand::{FleetController, FleetShift, FleetTimeline};
@@ -83,8 +86,8 @@ fn fleet_arbitrates_the_shared_device_and_beats_every_static_schedule() {
 
     // --- Placements stabilised: one offload window per tenant, no
     // flapping (the hand-over makes at most 4-5 shifts total).
-    let kvs_shifts = fleet.shifts_for(KVS);
-    let dns_shifts = fleet.shifts_for(DNS);
+    let kvs_shifts = shifts_of(fleet, KVS);
+    let dns_shifts = shifts_of(fleet, DNS);
     assert!(
         fleet.shifts.len() <= 5,
         "flapping: {} shifts {:?}",

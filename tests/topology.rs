@@ -132,7 +132,7 @@ fn spill_prefers_the_near_rack_over_an_equally_feasible_far_one() {
     // haircut and link energy, and still cleared the offload floor.
     let spill = ana_entries[0];
     let probe = PodFabricRig::fleet_controller(INTERVAL, ClaimPolicy::MinCost);
-    let expected = probe.effective_benefit_w(ANA, PodFabricRig::TOR_A1, spill.rate_pps);
+    let expected = probe.price(ANA, PodFabricRig::TOR_A1, spill.rate_pps).value;
     assert!((spill.benefit_w - expected).abs() < 1e-9);
     assert!(spill.benefit_w >= probe.config().min_benefit_w);
 
