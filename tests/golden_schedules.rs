@@ -22,20 +22,28 @@ mod common;
 use std::fmt::Write;
 use std::path::PathBuf;
 
-use common::{first_divergence, fnv, shift_log_digest, FNV_OFFSET};
+use common::first_divergence;
 use inc_bench::scenarios::scenario;
 
-/// Every pinned run: (scenario, controller label).
-const RUNS: [(&str, &str); 8] = [
-    ("shared_device", "fleet"),
-    ("fairness", "fleet"),
-    ("fairness", "pure-benefit"),
-    ("topology", "fleet"),
-    ("topology", "best-score"),
+/// Every pinned run: (scenario, controller label), one group per rig.
+const SHARED_DEVICE: [(&str, &str); 1] = [("shared_device", "fleet")];
+const CONTENDED_FABRIC: [(&str, &str); 2] = [("fairness", "fleet"), ("fairness", "pure-benefit")];
+const POD_FABRIC: [(&str, &str); 2] = [("topology", "fleet"), ("topology", "best-score")];
+const ECONOMICS: [(&str, &str); 3] = [
     ("economics", "joules"),
     ("economics", "uniform-dollar"),
     ("economics", "skewed-dollar"),
 ];
+
+fn runs() -> impl Iterator<Item = (&'static str, &'static str)> {
+    let rigs = [
+        &SHARED_DEVICE[..],
+        &CONTENDED_FABRIC,
+        &POD_FABRIC,
+        &ECONOMICS,
+    ];
+    rigs.into_iter().flatten().copied()
+}
 
 fn golden_path(name: &str, label: &str) -> PathBuf {
     let file = format!("tests/golden/schedule_{name}_{label}.txt");
@@ -71,9 +79,9 @@ fn schedule_text(name: &str, label: &str) -> String {
     text
 }
 
-#[test]
-fn schedules_match_the_recorded_golden_runs() {
-    for (name, label) in RUNS {
+/// Fails with the first line where a run drifted from its golden file.
+fn assert_pinned(runs: &[(&str, &str)]) {
+    for &(name, label) in runs {
         let path = golden_path(name, label);
         let want =
             std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
@@ -84,103 +92,35 @@ fn schedules_match_the_recorded_golden_runs() {
 }
 
 #[test]
-#[ignore = "rewrites tests/golden/schedule_*.txt"]
-fn record_the_schedule_goldens() {
-    for (name, label) in RUNS {
-        let path = golden_path(name, label);
-        std::fs::write(&path, schedule_text(name, label))
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    }
+fn shared_device_rig_schedule_is_pinned() {
+    assert_pinned(&SHARED_DEVICE);
 }
 
-/// What the digest goldens pinned before the text files: shift count,
-/// `shift_log_digest`, energy bits and queued intervals.
-type Digest = (usize, u64, u64, Vec<u64>);
+/// Weighted DRF and pure benefit.
+#[test]
+fn contended_fabric_rig_schedules_are_pinned() {
+    assert_pinned(&CONTENDED_FABRIC);
+}
 
-/// Folds one golden file back into the digest goldens' terms.
-fn fold(text: &str) -> Digest {
-    let (mut shifts, mut h, mut energy, mut queued) = (0, FNV_OFFSET, 0, Vec::new());
-    for line in text.lines() {
-        let f: Vec<&str> = line.split(' ').collect();
-        let hex = |s: &str| u64::from_str_radix(s, 16).unwrap();
-        match f[0] {
-            "energy" => energy = hex(f[1]),
-            "queued" => queued.push(f[2].parse().unwrap()),
-            at => {
-                shifts += 1;
-                fnv(&mut h, &at.parse::<u64>().unwrap().to_le_bytes());
-                fnv(&mut h, &f[1].parse::<u64>().unwrap().to_le_bytes());
-                fnv(&mut h, f[2].as_bytes());
-                fnv(&mut h, &hex(f[3]).to_le_bytes());
-                fnv(&mut h, &hex(f[5]).to_le_bytes());
-                fnv(&mut h, f[7].as_bytes());
-            }
-        }
-    }
-    (shifts, h, energy, queued)
+/// Min-cost and best-score hand-overs.
+#[test]
+fn pod_fabric_rig_schedules_are_pinned() {
+    assert_pinned(&POD_FABRIC);
+}
+
+/// A uniform tariff is a pure unit relabel of the joule schedule, so
+/// their two files are the same.
+#[test]
+fn economics_rig_schedules_are_pinned() {
+    assert_pinned(&ECONOMICS);
 }
 
 #[test]
-fn the_schedule_goldens_fold_back_to_the_recorded_digests() {
-    let recorded: [Digest; 8] = [
-        (
-            3,
-            3_453_567_609_075_054_925,
-            4_645_412_704_636_938_699,
-            vec![0, 0],
-        ),
-        (
-            16,
-            12_512_209_672_113_739_835,
-            4_655_464_188_539_632_048,
-            vec![0, 24, 26, 0],
-        ),
-        (
-            4,
-            3_363_546_433_188_832_276,
-            4_655_402_807_790_199_237,
-            vec![0, 0, 68, 0],
-        ),
-        (
-            20,
-            16_345_425_671_335_014_589,
-            4_657_940_843_537_961_411,
-            vec![0, 0, 0, 24, 24],
-        ),
-        (
-            20,
-            3_035_041_926_078_851_860,
-            4_657_990_214_554_100_889,
-            vec![24, 0, 0, 0, 24],
-        ),
-        (
-            20,
-            16_345_425_671_335_014_589,
-            4_657_940_843_537_961_411,
-            vec![0, 0, 0, 24, 24],
-        ),
-        (
-            20,
-            16_345_425_671_335_014_589,
-            4_657_940_843_537_961_411,
-            vec![0, 0, 0, 24, 24],
-        ),
-        (
-            20,
-            15_817_301_002_118_637_180,
-            4_658_003_079_457_631_600,
-            vec![24, 24, 0, 0, 0],
-        ),
-    ];
-    for ((name, label), want) in RUNS.iter().zip(recorded) {
-        let text = std::fs::read_to_string(golden_path(name, label)).unwrap();
-        assert_eq!(fold(&text), want, "{name} / {label}");
-        // The fold reads the same fields `shift_log_digest` does.
-        let (ctl, _) = scenario(name).unwrap().run(label);
-        assert_eq!(
-            fold(&text).1,
-            shift_log_digest(ctl.shifts()),
-            "{name} / {label}"
-        );
+#[ignore = "rewrites tests/golden/schedule_*.txt"]
+fn record_the_schedule_goldens() {
+    for (name, label) in runs() {
+        let path = golden_path(name, label);
+        std::fs::write(&path, schedule_text(name, label))
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     }
 }
