@@ -41,8 +41,12 @@
 //! `// inc-lint: allow(<rule>): <reason>` (reason mandatory, waiver
 //! recorded in `lint.json`); the four sans-IO decision crates may not
 //! waive a determinism rule — there, the fix is the only way out. The
-//! size rule may be waived anywhere; its reason names the test that
-//! calls the item.
+//! size rule may be waived anywhere; its reason names the `.rs` file of
+//! the test that calls the item, and a `stale-waiver` finding (which no
+//! waiver silences) reports a waiver that names no such file, a file
+//! that does not exist, or one that never calls the item (names it only
+//! in comments or strings, or, in the waiver's own file, outside its
+//! `#[cfg(test)]` code).
 //!
 //! [`FleetController`]: https://example.invalid/inc-on-demand
 

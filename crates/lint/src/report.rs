@@ -5,7 +5,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::reach::{collect_reached, impl_pub_fns, is_root};
+use crate::reach::{collect_reached, impl_pub_fns, is_root, item_on_line, stale_caller};
 use crate::rules::{
     path_in, rule_by_id, scan_source, Violation, Waiver, DECISION_CRATES, LIBRARY, RULES,
 };
@@ -149,10 +149,30 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
         },
         ..Report::default()
     };
-    for (rel, source) in sources {
-        let file_report = scan_source(&rel, &source, &reached);
+    let sources: BTreeMap<String, String> = sources.into_iter().collect();
+    for (rel, source) in &sources {
+        let file_report = scan_source(rel, source, &reached);
         report.files_scanned += 1;
+        // A size waiver must name the file of the test that calls its
+        // item, and that file must still call it.
+        let stale = file_report.violations.iter().filter_map(|v| {
+            let reason = v
+                .waiver_reason
+                .as_deref()
+                .filter(|_| v.rule == "unreached-pub")?;
+            let item = item_on_line(source, v.line)?;
+            let problem = stale_caller(rel, &item, reason, &sources)?;
+            Some(Violation {
+                rule: "stale-waiver",
+                snippet: problem,
+                waiver_reason: None,
+                waived: false,
+                ..v.clone()
+            })
+        });
+        let stale: Vec<Violation> = stale.collect();
         report.violations.extend(file_report.violations);
+        report.violations.extend(stale);
         report.unused_waivers.extend(
             file_report
                 .unused_waivers

@@ -206,7 +206,7 @@ fn unreached_pub_fires_on_exactly_what_no_root_reaches() {
     let root =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/unreached_pub");
     let report = lint_workspace(&root).expect("fixture scan");
-    assert_eq!(report.files_scanned, 4);
+    assert_eq!(report.files_scanned, 5);
     let mut found: Vec<(&str, u32, &str, bool)> = report
         .violations
         .iter()
@@ -216,11 +216,12 @@ fn unreached_pub_fires_on_exactly_what_no_root_reaches() {
     let lib = "crates/alpha/src/lib.rs";
     let tested = "crates/alpha/src/tested.rs";
     // `OnlySelf` (13) is named only in its own `impl` blocks, `waived`
-    // (35) carries a reasoned waiver, `reasonless` (38) a waiver with no
-    // reason (37), `only_tests_call` (4) is called only from the test
-    // module and `only_reexported` (9) only through `pub use`. The
-    // calls from `beta`, `pub(crate)` and the test module's own `pub fn`
-    // stay quiet.
+    // (35) carries a reasoned waiver naming its caller, `reasonless` (38)
+    // a waiver with no reason (37), `only_tests_call` (4) is called only
+    // from the test module and `only_reexported` (9) only through `pub
+    // use`. The calls from `beta`, `pub(crate)` and the test module's own
+    // `pub fn` stay quiet. The waivers of 44, 47, 50 and `tested`'s 21
+    // name no caller that calls them (see the next test).
     assert_eq!(
         found,
         vec![
@@ -228,8 +229,17 @@ fn unreached_pub_fires_on_exactly_what_no_root_reaches() {
             (lib, 35, "unreached-pub", true),
             (lib, 37, "bad-waiver", false),
             (lib, 38, "unreached-pub", false),
+            (lib, 44, "stale-waiver", false),
+            (lib, 44, "unreached-pub", true),
+            (lib, 47, "stale-waiver", false),
+            (lib, 47, "unreached-pub", true),
+            (lib, 50, "stale-waiver", false),
+            (lib, 50, "unreached-pub", true),
             (tested, 4, "unreached-pub", false),
             (tested, 9, "unreached-pub", false),
+            (tested, 15, "unreached-pub", true),
+            (tested, 21, "stale-waiver", false),
+            (tested, 21, "unreached-pub", true),
         ]
     );
     let unused: Vec<(&str, u32)> = report
@@ -238,6 +248,47 @@ fn unreached_pub_fires_on_exactly_what_no_root_reaches() {
         .map(|(file, w)| (file.as_str(), w.line))
         .collect();
     assert_eq!(unused, vec![(lib, 40)]);
+}
+
+/// A size waiver names the file of the test that calls its item, and
+/// that file must call it: exist, and name the item outside comments
+/// and strings (inside `#[cfg(test)]` code when it is the waiver's own
+/// file). `waived` (`tests/callers.rs` calls it) and `own_tests_call`
+/// (its file's test module calls it) pass.
+#[test]
+fn unreached_pub_waivers_must_name_a_caller_that_calls_the_item() {
+    let root =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/unreached_pub");
+    let report = lint_workspace(&root).expect("fixture scan");
+    let stale: Vec<(u32, &str)> = report
+        .violations
+        .iter()
+        .filter(|v| v.rule == "stale-waiver")
+        .map(|v| (v.line, v.snippet.as_str()))
+        .collect();
+    assert_eq!(
+        stale,
+        vec![
+            (
+                44,
+                "the waiver of `caller_missing` names tests/gone.rs, which does not exist"
+            ),
+            (
+                47,
+                "the waiver of `caller_in_comments` names tests/callers.rs, which does not call it"
+            ),
+            (50, "the waiver of `caller_unnamed` names no .rs caller"),
+            (
+                21,
+                "the waiver of `own_file_only` names crates/alpha/src/tested.rs, which does not \
+                 call it"
+            ),
+        ]
+    );
+    assert!(!report.is_clean());
+    assert!(to_human(&report).contains(
+        "error[stale-waiver]: crates/alpha/src/lib.rs:47\n    the waiver of `caller_in_comments`"
+    ));
 }
 
 #[test]

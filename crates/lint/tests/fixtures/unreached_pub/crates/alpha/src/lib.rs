@@ -31,7 +31,7 @@ pub(crate) fn crate_only() -> u32 {
     2
 }
 
-// inc-lint: allow(unreached-pub): the fixture's reasoned waiver
+// inc-lint: allow(unreached-pub): tests/callers.rs calls it
 pub fn waived() {}
 
 // inc-lint: allow(unreached-pub)
@@ -39,3 +39,12 @@ pub fn reasonless() {}
 
 // inc-lint: allow(unreached-pub): stale, `beta` calls it
 pub fn also_called_from_beta() {}
+
+// inc-lint: allow(unreached-pub): tests/gone.rs calls it
+pub fn caller_missing() {}
+
+// inc-lint: allow(unreached-pub): tests/callers.rs reads it in the invariants
+pub fn caller_in_comments() {}
+
+// inc-lint: allow(unreached-pub): a unit test calls it
+pub fn caller_unnamed() {}

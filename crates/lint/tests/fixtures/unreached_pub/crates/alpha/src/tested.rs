@@ -10,6 +10,18 @@ pub fn only_reexported() -> u32 {
     4
 }
 
+/// Waived for this file's test module, which calls it: quiet.
+// inc-lint: allow(unreached-pub): crates/alpha/src/tested.rs' tests call it
+pub fn own_tests_call() -> u32 {
+    5
+}
+
+/// Waived for this file, where only its own declaration names it: stale.
+// inc-lint: allow(unreached-pub): crates/alpha/src/tested.rs calls it
+pub fn own_file_only() -> u32 {
+    6
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -22,5 +34,6 @@ mod tests {
     #[test]
     fn calls() {
         assert_eq!(test_helper(), 3);
+        assert_eq!(own_tests_call(), 5);
     }
 }
