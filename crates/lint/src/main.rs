@@ -24,21 +24,17 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--root" => match args.next() {
-                Some(d) => root = PathBuf::from(d),
-                None => {
+            "--root" | "--json" => {
+                let Some(path) = args.next().map(PathBuf::from) else {
                     eprintln!("{}", usage());
                     return ExitCode::from(2);
+                };
+                match arg.as_str() {
+                    "--root" => root = path,
+                    _ => json_path = Some(path),
                 }
-            },
+            }
             "--check" => check = true,
-            "--json" => match args.next() {
-                Some(p) => json_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("{}", usage());
-                    return ExitCode::from(2);
-                }
-            },
             "--list-rules" => {
                 for r in RULES {
                     println!("{:<18} {}", r.id, r.summary);
@@ -67,12 +63,11 @@ fn main() -> ExitCode {
     print!("{}", to_human(&report));
 
     if let Some(path) = json_path {
+        // `create_dir_all` of an empty parent (a bare file name) is a no-op.
         if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                if let Err(e) = std::fs::create_dir_all(parent) {
-                    eprintln!("inc-lint: cannot create {}: {e}", parent.display());
-                    return ExitCode::from(2);
-                }
+            if let Err(e) = std::fs::create_dir_all(parent) {
+                eprintln!("inc-lint: cannot create {}: {e}", parent.display());
+                return ExitCode::from(2);
             }
         }
         if let Err(e) = std::fs::write(&path, to_json(&report)) {

@@ -205,59 +205,43 @@ pub(crate) fn collect_reached(source: &str, reached: &mut BTreeSet<String>) {
     }
 }
 
-/// The `.rs` paths a waiver's reason names: each whitespace-separated
-/// word that ends in `.rs` once quotes, backticks and punctuation around
-/// it are trimmed (`tests/failure_injection.rs'` names
-/// `tests/failure_injection.rs`).
-pub(crate) fn named_paths(reason: &str) -> Vec<&str> {
-    let inner = |c: char| c.is_ascii_alphanumeric() || "/_-.".contains(c);
-    reason
-        .split_whitespace()
-        .map(|w| w.trim_matches(|c| !inner(c)).trim_end_matches('.'))
-        .filter(|w| w.ends_with(".rs"))
-        .collect()
-}
-
 /// What is wrong with the `unreached-pub` waiver in file `own` over the
-/// item named `item`, whose reason is `reason`, given the workspace's
-/// `.rs` sources: it names no `.rs` caller, or a named file does not
-/// exist, or the file never calls `item` — names it as an identifier
-/// token, so a comment or a string does not count, and in `own` itself
-/// only inside `#[cfg(test)]` code. `None` when every named file calls
-/// it.
+/// item named `item`, given the workspace's `.rs` sources. Its `reason`
+/// must name at least one `.rs` file (a word ending in `.rs` once the
+/// quotes, backticks and punctuation around it are trimmed), and each
+/// must exist and call `item`: name it as an identifier token, so a
+/// comment or a string does not count, and in `own` itself only inside
+/// `#[cfg(test)]` code. `None` when the waiver is sound.
 pub(crate) fn stale_caller(
     own: &str,
     item: &str,
     reason: &str,
-    sources: &BTreeMap<String, String>,
+    sources: &BTreeMap<&str, &str>,
 ) -> Option<String> {
-    let paths = named_paths(reason);
-    if paths.is_empty() {
-        return Some(format!("the waiver of `{item}` names no .rs caller"));
-    }
+    let inner = |c: char| c.is_ascii_alphanumeric() || "/_-.".contains(c);
+    let words = reason.split_whitespace();
+    let words = words.map(|w| w.trim_matches(|c| !inner(c)).trim_end_matches('.'));
+    let paths: Vec<&str> = words.filter(|w| w.ends_with(".rs")).collect();
     let calls = |path: &str, source: &str| {
         let tokens = lex(source).tokens;
         let tests = cfg_test_ranges(&tokens);
-        let in_scope = |k: usize| path != own || in_ranges(&tests, k);
-        (0..tokens.len()).any(|k| tokens[k].is_ident(item) && in_scope(k))
+        (0..tokens.len()).any(|k| tokens[k].is_ident(item) && (path != own || in_ranges(&tests, k)))
     };
-    paths.into_iter().find_map(|path| match sources.get(path) {
-        None => Some(format!(
-            "the waiver of `{item}` names {path}, which does not exist"
-        )),
-        Some(source) if !calls(path, source) => Some(format!(
-            "the waiver of `{item}` names {path}, which does not call it"
-        )),
-        Some(_) => None,
-    })
+    let problem = match paths
+        .iter()
+        .find(|&&p| sources.get(p).is_none_or(|s| !calls(p, s)))
+    {
+        _ if paths.is_empty() => "names no .rs caller".to_string(),
+        Some(p) if sources.contains_key(*p) => format!("names {p}, which does not call it"),
+        Some(p) => format!("names {p}, which does not exist"),
+        None => return None,
+    };
+    Some(format!("the waiver of `{item}` {problem}"))
 }
 
 /// The name of the plain-`pub` item declared on `line` of `source`.
 pub(crate) fn item_on_line(source: &str, line: u32) -> Option<String> {
     let tokens = lex(source).tokens;
-    let items = pub_items(&tokens, &cfg_test_ranges(&tokens));
-    items
-        .into_iter()
-        .find(|it| it.line == line)
-        .map(|it| it.name)
+    let items = pub_items(&tokens, &cfg_test_ranges(&tokens)).into_iter();
+    items.filter(|it| it.line == line).map(|it| it.name).next()
 }

@@ -149,7 +149,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
         },
         ..Report::default()
     };
-    let sources: BTreeMap<String, String> = sources.into_iter().collect();
+    let by_path: BTreeMap<&str, &str> = sources.iter().map(|(r, s)| (&r[..], &s[..])).collect();
     for (rel, source) in &sources {
         let file_report = scan_source(rel, source, &reached);
         report.files_scanned += 1;
@@ -161,7 +161,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
                 .as_deref()
                 .filter(|_| v.rule == "unreached-pub")?;
             let item = item_on_line(source, v.line)?;
-            let problem = stale_caller(rel, &item, reason, &sources)?;
+            let problem = stale_caller(rel, &item, reason, &by_path)?;
             Some(Violation {
                 rule: "stale-waiver",
                 snippet: problem,
@@ -181,6 +181,11 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
         );
     }
     Ok(report)
+}
+
+/// `lines`, one after another, separated by `,` and a newline.
+fn join(lines: impl Iterator<Item = String>) -> String {
+    lines.collect::<Vec<_>>().join(",\n")
 }
 
 fn json_escape(s: &str) -> String {
@@ -214,31 +219,17 @@ pub fn to_json(report: &Report) -> String {
         "  \"unreached_pub_blind_spot\": {{ \"names\": {}, \"definitions\": {} }},\n",
         report.blind_spot.names, report.blind_spot.definitions
     ));
-    s.push_str("  \"rules\": {\n");
-    let per_rule = report.per_rule();
-    let mut first = true;
-    for (rule, (unwaived, waived)) in &per_rule {
-        if !first {
-            s.push_str(",\n");
-        }
-        first = false;
-        s.push_str(&format!(
-            "    \"{rule}\": {{ \"unwaived\": {unwaived}, \"waived\": {waived} }}"
-        ));
-    }
-    s.push_str("\n  },\n");
-    s.push_str("  \"violations\": [\n");
-    let mut first = true;
-    for v in &report.violations {
-        if !first {
-            s.push_str(",\n");
-        }
-        first = false;
+    let per_rule = report.per_rule().into_iter();
+    let rules = per_rule.map(|(rule, (unwaived, waived))| {
+        format!("    \"{rule}\": {{ \"unwaived\": {unwaived}, \"waived\": {waived} }}")
+    });
+    s.push_str(&format!("  \"rules\": {{\n{}\n  }},\n", join(rules)));
+    let violations = report.violations.iter().map(|v| {
         let reason = match &v.waiver_reason {
             Some(r) => format!("\"{}\"", json_escape(r)),
             None => "null".to_string(),
         };
-        s.push_str(&format!(
+        format!(
             "    {{ \"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"snippet\": \"{}\", \
              \"waived\": {}, \"reason\": {} }}",
             json_escape(v.rule),
@@ -247,23 +238,20 @@ pub fn to_json(report: &Report) -> String {
             json_escape(&v.snippet),
             v.waived,
             reason
-        ));
-    }
-    s.push_str("\n  ],\n");
-    s.push_str("  \"unused_waivers\": [\n");
-    let mut first = true;
-    for (file, w) in &report.unused_waivers {
-        if !first {
-            s.push_str(",\n");
-        }
-        first = false;
-        s.push_str(&format!(
-            "    {{ \"rule\": \"{}\", \"file\": \"{}\", \"line\": {} }}",
-            json_escape(&w.rule),
-            json_escape(file),
+        )
+    });
+    s.push_str(&format!(
+        "  \"violations\": [\n{}\n  ],\n",
+        join(violations)
+    ));
+    let unused = report.unused_waivers.iter().map(|(file, w)| {
+        let (rule, file) = (json_escape(&w.rule), json_escape(file));
+        format!(
+            "    {{ \"rule\": \"{rule}\", \"file\": \"{file}\", \"line\": {} }}",
             w.line
-        ));
-    }
+        )
+    });
+    s.push_str(&format!("  \"unused_waivers\": [\n{}", join(unused)));
     s.push_str("\n  ]\n}\n");
     s
 }
@@ -271,21 +259,14 @@ pub fn to_json(report: &Report) -> String {
 /// Renders human diagnostics to a string (one block per finding).
 pub fn to_human(report: &Report) -> String {
     let mut s = String::new();
-    for v in &report.violations {
-        if v.waived {
-            continue;
-        }
-        s.push_str(&format!(
-            "error[{}]: {}:{}\n    {}\n",
-            v.rule, v.file, v.line, v.snippet
-        ));
+    for v in report.violations.iter().filter(|v| !v.waived) {
+        let (rule, file, line, snippet) = (v.rule, &v.file, v.line, &v.snippet);
+        s.push_str(&format!("error[{rule}]: {file}:{line}\n    {snippet}\n"));
     }
     for v in &report.violations {
         if let Some(reason) = &v.waiver_reason {
-            s.push_str(&format!(
-                "waived[{}]: {}:{} ({})\n",
-                v.rule, v.file, v.line, reason
-            ));
+            let (rule, file, line) = (v.rule, &v.file, v.line);
+            s.push_str(&format!("waived[{rule}]: {file}:{line} ({reason})\n"));
         }
     }
     for (file, w) in &report.unused_waivers {

@@ -721,38 +721,22 @@ pub fn scan_source(rel_path: &str, source: &str, reached: &BTreeSet<String>) -> 
     let lines: Vec<&str> = source.lines().collect();
     let mut report = FileReport::default();
 
-    for rule in RULES {
-        if !rule.applies_to(rel_path) {
-            continue;
-        }
-        match rule.id {
-            "unordered-iter" => {
-                scan_unordered_iter(&lexed.tokens, &lines, rel_path, &mut report.violations);
-            }
-            "wall-clock" => {
-                scan_wall_clock(&lexed.tokens, &lines, rel_path, &mut report.violations)
-            }
-            "ambient-rng" => {
-                scan_ambient_rng(&lexed.tokens, &lines, rel_path, &mut report.violations);
-            }
-            "panicking-decode" => {
-                scan_panicking_decode(&lexed.tokens, &lines, rel_path, &mut report.violations);
-            }
-            "float-eq" => scan_float_eq(&lexed.tokens, &lines, rel_path, &mut report.violations),
-            "slot-keyed-tree" => {
-                scan_slot_keyed_tree(&lexed.tokens, &lines, rel_path, &mut report.violations);
-            }
+    let out = &mut report.violations;
+    for rule in RULES.iter().filter(|r| r.applies_to(rel_path)) {
+        let scan = match rule.id {
+            "unordered-iter" => scan_unordered_iter,
+            "wall-clock" => scan_wall_clock,
+            "ambient-rng" => scan_ambient_rng,
+            "panicking-decode" => scan_panicking_decode,
+            "float-eq" => scan_float_eq,
+            "slot-keyed-tree" => scan_slot_keyed_tree,
             "unreached-pub" => {
-                scan_unreached_pub(
-                    &lexed.tokens,
-                    &lines,
-                    rel_path,
-                    reached,
-                    &mut report.violations,
-                );
+                scan_unreached_pub(&lexed.tokens, &lines, rel_path, reached, out);
+                continue;
             }
-            _ => {}
-        }
+            _ => continue,
+        };
+        scan(&lexed.tokens, &lines, rel_path, out);
     }
 
     // One diagnostic per (rule, line): the scanners flag every token
@@ -791,17 +775,8 @@ pub fn scan_source(rel_path: &str, source: &str, reached: &BTreeSet<String>) -> 
     // A malformed waiver is itself a (unwaivable) violation: silence
     // without a recorded reason defeats the audit trail.
     for w in &report.malformed_waivers {
-        report.violations.push(Violation {
-            rule: "bad-waiver",
-            file: rel_path.to_string(),
-            line: w.line,
-            snippet: lines
-                .get(w.line.saturating_sub(1) as usize)
-                .map(|l| l.trim().to_string())
-                .unwrap_or_default(),
-            waived: false,
-            waiver_reason: None,
-        });
+        let bad = mk_violation("bad-waiver", rel_path, w.line, &lines);
+        report.violations.push(bad);
     }
     report
 }
