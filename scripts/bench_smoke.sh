@@ -7,11 +7,15 @@
 #
 # Artifacts land in bench-artifacts/ (CI uploads the directory): the
 # figure CSVs (3c, 6, 7), the park-policy ablation, the scenario reports with one JSON object per scenario
-# (the last line each `inc-bench scenario` prints), the lint report
+# (the last line each `inc-bench scenario` prints), the record of why
+# the Paxos tenant sits on the remote ToR (explain.txt, `inc-bench
+# explain`, ending in one JSON object), the lint report
 # and its `unreached-pub` blind-spot line (blind_spot.txt), the size
 # ledger (scripts/loc.sh), the allocation budgets' exact counts
-# (allocs.txt: the `chaos epoch`, `packet fabric` and `heavy burst`
-# lines tests/alloc_budget.rs prints) and its live-heap soak cells
+# (allocs.txt: the `budget, …`, `chaos epoch`, `packet fabric` and
+# `heavy burst` lines tests/alloc_budget.rs prints; each budget measures
+# on a thread of its own, so a line reads the same however the binary
+# schedules its tests) and its live-heap soak cells
 # (live_heap.txt). Nothing here is a
 # wall-clock gate — benchmark/run.sh owns timing, with baselines.
 #
@@ -47,6 +51,25 @@ cargo run --release -p inc-bench -- study park_ablation | tee "$out/park_ablatio
 echo "== scheduling scenarios =="
 cargo run --release -p inc-bench -- scenario all | tee "$out/scenarios.txt"
 grep '^{"scenario":' "$out/scenarios.txt" > "$out/scenarios.jsonl"
+
+# 1.2 s is the tick on which the Paxos tenant spills from its full home
+# ToR to the remote one. Bad input is a usage error (exit 2), never a
+# panic: an unknown app, and a time past the scenario's horizon.
+echo "== why is paxos where it is (inc-bench explain) =="
+cargo run --release -p inc-bench -- explain multi_tor paxos 1.2 | tee "$out/explain.txt"
+if ! tail -n 1 "$out/explain.txt" | grep -qE '^\{.*\}$'; then
+  echo "bench smoke failed: the last line of explain.txt is not a JSON object" >&2
+  exit 1
+fi
+for bad in "no-such-app 1.2" "paxos 3.6"; do
+  code=0
+  # shellcheck disable=SC2086 # two positional arguments on purpose
+  cargo run -q --release -p inc-bench -- explain multi_tor $bad > /dev/null 2>&1 || code=$?
+  if [[ $code -ne 2 ]]; then
+    echo "bench smoke failed: explain multi_tor $bad exited $code, not 2" >&2
+    exit 1
+  fi
+done
 
 echo "== platform: one card routing table, hostile client rates =="
 cargo test --release -q --test platform
@@ -117,7 +140,7 @@ cargo test --release -q --test properties -- \
 # the §9.2 leader and replica, the §9.2 acceptors.
 echo "== allocation budgets and live-heap soak =="
 cargo test --release -q --test alloc_budget -- --nocapture | tee "$out/alloc_budget.log"
-grep -oE '(chaos epoch|packet fabric|heavy burst): .*' "$out/alloc_budget.log" > "$out/allocs.txt"
+grep -oE '(budget, |chaos epoch: |packet fabric: |heavy burst: ).*' "$out/alloc_budget.log" > "$out/allocs.txt"
 grep -oE 'live heap, .*' "$out/alloc_budget.log" > "$out/live_heap.txt"
 cat "$out/allocs.txt" "$out/live_heap.txt"
 
@@ -143,15 +166,15 @@ ls -l "$out"
 # without printing its data would slip through and CI would upload an
 # incomplete artifact: every expected file must exist and be non-empty,
 # and every scenario must have contributed its JSON line.
-for f in fig3c.csv fig6.csv fig7.csv park_ablation.txt scenarios.jsonl lint.json blind_spot.txt \
-  loc.txt allocs.txt live_heap.txt; do
+for f in fig3c.csv fig6.csv fig7.csv park_ablation.txt scenarios.jsonl explain.txt lint.json \
+  blind_spot.txt loc.txt allocs.txt live_heap.txt; do
   if [[ ! -s "$out/$f" ]]; then
     echo "bench smoke failed: missing or empty artifact $out/$f" >&2
     exit 1
   fi
 done
-if [[ "$(wc -l < "$out/allocs.txt")" -ne 3 ]]; then
-  echo "bench smoke failed: allocs.txt does not hold the 3 allocation count lines" >&2
+if [[ "$(wc -l < "$out/allocs.txt")" -ne 20 ]]; then
+  echo "bench smoke failed: allocs.txt does not hold the 20 allocation count lines" >&2
   exit 1
 fi
 if [[ "$(wc -l < "$out/live_heap.txt")" -ne 5 ]]; then
