@@ -264,8 +264,11 @@ impl Scenario {
     /// the scenario has no such app or `at` lies past the horizon.
     pub fn explain(&self, app: &str, at: Nanos) -> bool {
         let (label, build) = self.controllers[0];
-        let apps = build(self.interval).apps().to_vec();
-        let Some(i) = apps.iter().position(|a| a.name == app) else {
+        let Some(i) = build(self.interval)
+            .apps()
+            .iter()
+            .position(|a| a.name == app)
+        else {
             return false;
         };
         if at > self.horizon {
@@ -287,7 +290,7 @@ impl Scenario {
         for b in &rec.bids {
             let p = ctl.price(i, b.device, rec.held_rate_pps);
             let seated = Some(b.device) == rec.placement.device();
-            let room = seated || ctl.fabric().device(b.device).fits(&apps[i].demand);
+            let room = seated || ctl.fabric().device(b.device).fits(&ctl.apps()[i].demand);
             println!(
                 "bid on {} (tier {}): raw {:+.3} W, value {:+.3}, debit {:.3}, cost {:.3}, \
                  score {:+.3}; {}",
@@ -390,5 +393,16 @@ mod tests {
             assert!(s.busy.0 < s.busy.1 && s.busy.1 <= s.horizon, "{}", s.name);
         }
         assert!(scenario("no-such-scenario").is_none());
+    }
+
+    /// `inc-bench explain` answers for an app of the row up to its
+    /// horizon, and refuses (printing nothing) anything else.
+    #[test]
+    fn explain_answers_within_the_horizon_and_refuses_the_rest() {
+        let s = scenario("fairness").expect("listed");
+        assert!(!s.explain("no-such-app", Nanos::from_secs(1)));
+        assert!(!s.explain("kvs", s.horizon + Nanos::from_nanos(1)));
+        assert!(s.explain("kvs", s.horizon));
+        assert!(s.explain("kvs-bulk", Nanos::ZERO));
     }
 }
