@@ -535,10 +535,9 @@ impl FleetController {
     /// the nearer tier): its current seat at the sticky price (while the
     /// device is online), and one fresh bid per (hop tier × budget class)
     /// over the whole fabric that clears the floor, priced by the same
-    /// class walk a solve uses. A solve prices the
-    /// fresh bids only once the up streak reaches
-    /// [`FleetControllerConfig::sustain_samples`], and a rejected app
-    /// bids nothing.
+    /// class walk a solve uses. A solve prices the fresh bids only once
+    /// the up streak reaches [`FleetControllerConfig::sustain_samples`],
+    /// and a rejected app bids nothing.
     ///
     /// # Panics
     ///
