@@ -21,8 +21,12 @@
 //! quantile — are identical. What differs is the machinery:
 //!
 //! * [`ReplayMode::PerEventRows`] — the pre-refactor baseline: every
-//!   request is a simulator event delivered to a sink node, and the
-//!   timeline retains every row ([`RowLog::Full`]);
+//!   request is a simulator event at a sink node, and the timeline
+//!   retains every row ([`RowLog::Full`]). The sink is the tenants'
+//!   arrival source: it keeps one cursor per tenant over the interval's
+//!   requests, and each arrival draws its latency and schedules the
+//!   tenant's next one, so the event queue holds at most one pending
+//!   arrival per tenant rather than the interval's whole burst;
 //! * [`ReplayMode::StreamingBatched`] — requests are drawn in a tight
 //!   batched loop at probe time (no per-request events) and the
 //!   timeline keeps O(1) streaming aggregates plus a bounded row ring
@@ -36,7 +40,7 @@ use inc_ondemand::{
     run_fleet_controlled, AppObservation, FleetApp, FleetController, FleetControllerConfig,
     FleetSample, FleetTimeline, HostSample, RowLog,
 };
-use inc_sim::{impl_node_any, Ctx, Histogram, Nanos, Node, NodeId, PortId, Rng, Simulator};
+use inc_sim::{impl_node_any, Ctx, Histogram, Nanos, Node, Rng, Simulator};
 use inc_workloads::dynamo::PowerWalk;
 use inc_workloads::{EtcWorkload, GoogleTrace, WorkloadClass};
 
@@ -46,7 +50,8 @@ use crate::rigs::MegaFabricRig;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReplayMode {
     /// One simulator event per request, full row log — the
-    /// pre-refactor measurement plane.
+    /// pre-refactor measurement plane. Each tenant has one arrival
+    /// pending at a time: an arrival schedules the tenant's next.
     PerEventRows,
     /// Batched per-interval draws, streaming aggregates, bounded row
     /// ring — the refactored plane.
@@ -65,26 +70,86 @@ const SW_LATENCY_NS: u64 = 13_000;
 /// Hardware-path request latency before the topology detour.
 const HW_LATENCY_NS: u64 = 1_400;
 
-/// Per-request events are delivered to the sink with the tenant index in
-/// the payload's high bits and the drawn latency below.
-const TENANT_SHIFT: u32 = 48;
+/// One tenant's cursor over the requests of the current interval.
+struct Arrivals {
+    requests: u64,
+    /// Index of the tenant's next request.
+    next: u64,
+    base_latency_ns: u64,
+    /// The interval's first instant: request `j` arrives at
+    /// `start + 1 + j·span/(requests + 1)`.
+    start: Nanos,
+    /// The tenant's own latency generator.
+    rng: Rng,
+}
 
-/// The sink node of the per-event baseline: records each request's
-/// latency into its tenant's interval histogram.
+impl Arrivals {
+    /// Schedules the next arrival, if one is left this interval, as a
+    /// timer tagged `tenant`.
+    fn schedule_next(&self, ctx: &mut Ctx<'_, u64>, span: u64, tenant: usize) {
+        if self.next < self.requests {
+            let offset = 1 + self.next * span / (self.requests + 1);
+            ctx.schedule_at(self.start + Nanos::from_nanos(offset), tenant as u64);
+        }
+    }
+}
+
+/// The sink node of the per-event baseline and the tenants' arrival
+/// source: each arrival, a timer tagged with its tenant, records the
+/// request's latency into the tenant's interval histogram and schedules
+/// the tenant's next arrival.
 struct HeavySink {
     hists: Vec<Histogram>,
+    tenants: Vec<Arrivals>,
+    /// The interval's length, nanoseconds.
+    span: u64,
+}
+
+impl HeavySink {
+    fn new(interval: Nanos, lat_rngs: Vec<Rng>) -> Self {
+        HeavySink {
+            hists: vec![Histogram::new(); lat_rngs.len()],
+            tenants: lat_rngs
+                .into_iter()
+                .map(|rng| Arrivals {
+                    requests: 0,
+                    next: 0,
+                    base_latency_ns: 0,
+                    start: Nanos::ZERO,
+                    rng,
+                })
+                .collect(),
+            span: interval.as_nanos(),
+        }
+    }
+
+    /// Starts the interval that begins now: takes each tenant's load and
+    /// arms its first arrival.
+    fn arm(&mut self, ctx: &mut Ctx<'_, u64>, loads: &[IntervalLoad]) {
+        for (i, (tenant, load)) in self.tenants.iter_mut().zip(loads).enumerate() {
+            debug_assert_eq!(tenant.next, tenant.requests, "tenant {i} has requests left");
+            tenant.requests = load.requests;
+            tenant.next = 0;
+            tenant.base_latency_ns = load.base_latency_ns;
+            tenant.start = ctx.now();
+            tenant.schedule_next(ctx, self.span, i);
+        }
+    }
 }
 
 impl Node<u64> for HeavySink {
-    fn on_message(&mut self, _ctx: &mut Ctx<'_, u64>, _port: PortId, msg: u64) {
-        let tenant = (msg >> TENANT_SHIFT) as usize;
-        self.hists[tenant].record(msg & ((1u64 << TENANT_SHIFT) - 1));
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, u64>, tag: u64) {
+        let i = tag as usize;
+        let tenant = &mut self.tenants[i];
+        self.hists[i].record(tenant.base_latency_ns + (tenant.rng.next_u64() & JITTER_MASK));
+        tenant.next += 1;
+        tenant.schedule_next(ctx, self.span, i);
     }
     impl_node_any!();
 }
 
 /// The per-interval load of one tenant, computed one interval ahead of
-/// its telemetry (the baseline injects the events before the interval
+/// its telemetry (the baseline arms its arrivals before the interval
 /// runs).
 #[derive(Clone, Copy, Debug, Default)]
 struct IntervalLoad {
@@ -100,8 +165,8 @@ pub struct HeavyReport {
     pub timeline: FleetTimeline,
     /// Total simulated requests (sum of per-row `completed`).
     pub requests: u64,
-    /// Simulator events processed (≈ requests + timers in the
-    /// per-event mode, ~0 in streaming mode).
+    /// Simulator events processed (one per request in the per-event
+    /// mode, none in streaming mode).
     pub events_processed: u64,
     /// Timeline rows held in memory at the end, across tenants.
     pub retained_rows: usize,
@@ -254,9 +319,6 @@ impl HeavyTrafficRig {
         let fabric = MegaFabricRig::fabric();
         let mut controller = self.controller();
         let mut sim: Simulator<u64> = Simulator::new(self.seed);
-        let sink = sim.add_node(HeavySink {
-            hists: vec![Histogram::new(); n],
-        });
 
         // Per-tenant dedicated generators: load draws (walk + etc) and
         // latency draws never interleave across tenants or modes.
@@ -268,8 +330,15 @@ impl HeavyTrafficRig {
             .collect();
         let mut walks = vec![PowerWalk::new(WorkloadClass::Cache); n];
         let mut etcs: Vec<EtcWorkload> = (0..n).map(|_| EtcWorkload::new(1 << 20)).collect();
-        // Streaming mode records into its own scratch histograms (the
-        // baseline's live in the sink node).
+        // The baseline's sink draws the latencies, from the same
+        // generators, and records them into its own histograms;
+        // streaming mode records into scratch ones.
+        let sink = match mode {
+            ReplayMode::PerEventRows => {
+                Some(sim.add_node(HeavySink::new(self.interval, std::mem::take(&mut lat_rngs))))
+            }
+            ReplayMode::StreamingBatched => None,
+        };
         let mut scratch: Vec<Histogram> = vec![Histogram::new(); n];
         let mut cur = vec![IntervalLoad::default(); n];
 
@@ -279,8 +348,8 @@ impl HeavyTrafficRig {
             ReplayMode::StreamingBatched => RowLog::Recent(RECENT_ROWS),
         };
 
-        // Interval 1's load (and, in the baseline, its event burst) must
-        // exist before the harness first advances the simulator.
+        // Interval 1's load (and, in the baseline, its first arrivals)
+        // must exist before the harness first advances the simulator.
         self.interval_loads(
             1,
             intervals,
@@ -291,8 +360,8 @@ impl HeavyTrafficRig {
             &mut load_rngs,
             &mut cur,
         );
-        if mode == ReplayMode::PerEventRows {
-            inject_interval(&mut sim, sink, self.interval, &cur, &mut lat_rngs);
+        if let Some(sink) = sink {
+            sim.with_node_ctx(sink, |s: &mut HeavySink, ctx| s.arm(ctx, &cur));
         }
 
         let mut interval_idx = 0u64;
@@ -305,9 +374,9 @@ impl HeavyTrafficRig {
             |sim| {
                 interval_idx += 1;
                 // 1. Interval telemetry: the baseline's sink histograms
-                //    filled as the events fired; streaming mode draws the
-                //    same latencies in one tight batch now.
-                if mode == ReplayMode::StreamingBatched {
+                //    filled as the arrivals fired; streaming mode draws
+                //    the same latencies in one tight batch now.
+                if sink.is_none() {
                     for (i, load) in cur.iter().enumerate() {
                         let rng = &mut lat_rngs[i];
                         let hist = &mut scratch[i];
@@ -316,9 +385,9 @@ impl HeavyTrafficRig {
                         }
                     }
                 }
-                let hists: &mut Vec<Histogram> = match mode {
-                    ReplayMode::PerEventRows => &mut sim.node_mut::<HeavySink>(sink).hists,
-                    ReplayMode::StreamingBatched => &mut scratch,
+                let hists: &mut Vec<Histogram> = match sink {
+                    Some(sink) => &mut sim.node_mut::<HeavySink>(sink).hists,
+                    None => &mut scratch,
                 };
                 let obs: Vec<AppObservation> = (0..n)
                     .map(|i| {
@@ -358,7 +427,7 @@ impl HeavyTrafficRig {
                     })
                     .collect();
                 // 2. Next interval's load (same draws in both modes),
-                //    and in the baseline its event burst.
+                //    and in the baseline its first arrivals.
                 if interval_idx < intervals {
                     self.interval_loads(
                         interval_idx + 1,
@@ -370,8 +439,8 @@ impl HeavyTrafficRig {
                         &mut load_rngs,
                         &mut cur,
                     );
-                    if mode == ReplayMode::PerEventRows {
-                        inject_interval(sim, sink, self.interval, &cur, &mut lat_rngs);
+                    if let Some(sink) = sink {
+                        sim.with_node_ctx(sink, |s: &mut HeavySink, ctx| s.arm(ctx, &cur));
                     }
                 }
                 obs
@@ -389,38 +458,6 @@ impl HeavyTrafficRig {
             retained_rows,
             total_rows,
         }
-    }
-}
-
-/// Injects one interval's request burst: per tenant, `requests` events
-/// spread evenly over the coming interval, each carrying its pre-drawn
-/// latency (tenant in the payload high bits). Draw order matches the
-/// streaming mode's batch loop exactly.
-fn inject_interval(
-    sim: &mut Simulator<u64>,
-    sink: NodeId,
-    interval: Nanos,
-    loads: &[IntervalLoad],
-    lat_rngs: &mut [Rng],
-) {
-    let span = interval.as_nanos();
-    for (i, load) in loads.iter().enumerate() {
-        let rng = &mut lat_rngs[i];
-        let requests = load.requests;
-        if requests == 0 {
-            continue;
-        }
-        let tenant_tag = (i as u64) << TENANT_SHIFT;
-        let base = load.base_latency_ns;
-        sim.inject_batch(
-            sink,
-            PortId::P0,
-            (0..requests).map(|j| {
-                let at = Nanos::from_nanos(1 + j * span / (requests + 1));
-                let latency = base + (rng.next_u64() & JITTER_MASK);
-                (at, tenant_tag | latency)
-            }),
-        );
     }
 }
 
@@ -485,6 +522,36 @@ mod tests {
             let sketch = recent.median_latency_ns(span.0, span.1).unwrap();
             assert!(sketch >= exact.saturating_sub(exact / 32 + 1), "tenant {i}");
             assert!(sketch <= exact + exact / 32 + 1, "tenant {i}");
+        }
+    }
+
+    /// The per-event mode makes one event per request and no other (the
+    /// harness arms each interval's first arrivals from outside the event
+    /// loop), and its queue holds at most one pending arrival per tenant.
+    #[test]
+    fn per_event_mode_is_one_event_per_request_and_one_arrival_per_tenant() {
+        let report = HeavyTrafficRig::new(8, 42).run(ReplayMode::PerEventRows, 30);
+        assert!(report.requests > 100_000, "{} requests", report.requests);
+        assert_eq!(report.events_processed, report.requests);
+
+        // The sink alone, over one interval: tenant 0 idle, tenant i with
+        // 1 000·i requests.
+        let interval = Nanos::from_millis(100);
+        let loads: Vec<IntervalLoad> = (0..8)
+            .map(|i| IntervalLoad {
+                rate_pps: 0.0,
+                requests: 1_000 * i,
+                base_latency_ns: 5_000,
+            })
+            .collect();
+        let mut sim: Simulator<u64> = Simulator::new(1);
+        let sink = sim.add_node(HeavySink::new(interval, (0..8).map(Rng::new).collect()));
+        sim.with_node_ctx(sink, |s: &mut HeavySink, ctx| s.arm(ctx, &loads));
+        sim.run_until(interval);
+        assert_eq!(sim.events_processed(), 28_000);
+        assert_eq!(sim.queue_stats().high_water, 7);
+        for (hist, load) in sim.node_ref::<HeavySink>(sink).hists.iter().zip(&loads) {
+            assert_eq!(hist.count(), load.requests);
         }
     }
 

@@ -47,6 +47,7 @@ use inc::paxos::multi::{Acceptor, Ballot, Leader, Replica};
 use inc::paxos::{ClientCommand, MsgType, PaxosClient, PaxosMsg, PAXOS_LEADER_PORT};
 use inc::sim::{impl_node_any, Ctx, LinkSpec, Nanos, Node, NodeId, PortId, Rng, Simulator};
 use inc_bench::consensus::{ChaosCluster, NodeRef};
+use inc_bench::heavy::{HeavyTrafficRig, ReplayMode};
 use inc_bench::rigs::{MegaFabricRig, MultiTorRig};
 
 thread_local! {
@@ -352,6 +353,50 @@ fn a_paxos_pipeline_at_steady_load_stays_bounded() {
         }
         assert!(leader.retained_slots() as u64 <= 2 * REPORT_EVERY);
         assert_eq!(replica.retained_slots(), 0);
+    })
+}
+
+/// The most a per-event heavy replay may hold above what its report
+/// keeps: under a quarter of the ≈ 550 KiB that one interval's burst
+/// of ≈ 17 700 queued 32-byte events takes.
+const HEAVY_REPLAY_CEILING_BYTES: i64 = 128 * 1024;
+
+#[test]
+fn a_heavy_per_event_replay_stays_bounded() {
+    on_a_fresh_thread(|| {
+        // `HeavyTrafficRig::new(8, 42)` in `PerEventRows`, ≈ 17 700
+        // requests per 100 ms interval, over 75 and then 150 intervals.
+        // Its report keeps the full row log and the shift log, which grow
+        // with the run on purpose; what the run holds above them is the
+        // controller, the histograms and the event queue, and that does
+        // not grow: each tenant has one arrival pending at a time.
+        // 45 480 B at both lengths. Queuing each interval's whole burst
+        // instead held 812 488 B above the report at both lengths, most
+        // of it the queue's slab.
+        let rig = HeavyTrafficRig::new(8, 42);
+        let above_report = |intervals| {
+            let before = LIVE.with(Cell::get);
+            PEAK.with(|peak| peak.set(before));
+            let report = rig.run(ReplayMode::PerEventRows, intervals);
+            let kept = LIVE.with(Cell::get) - before;
+            assert_eq!(report.events_processed, report.requests);
+            PEAK.with(Cell::get) - before - kept
+        };
+        let short = above_report(75);
+        let long = above_report(150);
+        let line = format!(
+            "{short} B above the report over 75 intervals, {long} B over 150, \
+             ceiling {HEAVY_REPLAY_CEILING_BYTES} B"
+        );
+        println!("live heap, heavy per-event replay: {line}");
+        assert!(
+            long <= short + SOAK_SLACK_BYTES,
+            "heavy per-event replay: the high-water grew with the run: {line}"
+        );
+        assert!(
+            long.max(short) <= HEAVY_REPLAY_CEILING_BYTES,
+            "heavy per-event replay: past the ceiling: {line}"
+        );
     })
 }
 
