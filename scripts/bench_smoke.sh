@@ -29,6 +29,25 @@ mkdir -p "$out"
 echo "== size ledger (library lines per crate) =="
 bash scripts/loc.sh | tee "$out/loc.txt"
 
+# A gain counts only with its pairs committed: the first line of each
+# `perf_opt` entry in CHANGES.md numbered 41 or later (the first ledger
+# scripts/pair.sh wrote) names its BENCH_<number>.json, which git tracks
+# and which parses in the script's schema.
+echo "== perf ledgers of the perf_opt entries =="
+for pr in $(sed -nE 's/^- PR ([0-9]+) \(perf_opt\).*/\1/p' CHANGES.md | sort -un); do
+  ((pr >= 41)) || continue
+  ledger="BENCH_$pr.json"
+  if ! grep -E "^- PR $pr \(perf_opt\)" CHANGES.md | grep -qF "\`$ledger\`"; then
+    echo "bench smoke failed: the perf_opt entry of PR $pr names no \`$ledger\`" >&2
+    exit 1
+  fi
+  if ! git ls-files --error-unmatch "$ledger" > /dev/null 2>&1; then
+    echo "bench smoke failed: $ledger is not committed" >&2
+    exit 1
+  fi
+  bash scripts/pair.sh check "$ledger"
+done
+
 # Fails on an unwaived finding or on a waiver of one of the six
 # determinism rules inside the sans-IO decision crates; the size rule
 # (unreached-pub) may be waived in any crate, with a reason.
@@ -136,8 +155,11 @@ cargo test --release -q --test properties -- \
 # under 100 % loss, a PaxosClient whose leader never answers and the
 # §9.2 leader, acceptors and replica at steady load 10 warm-ups past
 # their warm-up: live bytes at the end may not exceed those at 10 % of
-# the run by more than the stated slack. Five lines: the three clients,
-# the §9.2 leader and replica, the §9.2 acceptors.
+# the run by more than the stated slack. The heavy per-event replay's
+# cell runs 75 and then 150 intervals: what a run holds above what its
+# report keeps may not grow with the run, nor pass its ceiling. Six
+# lines: the three clients, the §9.2 leader and replica, the §9.2
+# acceptors, the heavy per-event replay.
 echo "== allocation budgets and live-heap soak =="
 cargo test --release -q --test alloc_budget -- --nocapture | tee "$out/alloc_budget.log"
 grep -oE '(budget, |chaos epoch: |packet fabric: |heavy burst: ).*' "$out/alloc_budget.log" > "$out/allocs.txt"
@@ -177,11 +199,12 @@ if [[ "$(wc -l < "$out/allocs.txt")" -ne 20 ]]; then
   echo "bench smoke failed: allocs.txt does not hold the 20 allocation count lines" >&2
   exit 1
 fi
-if [[ "$(wc -l < "$out/live_heap.txt")" -ne 5 ]]; then
-  echo "bench smoke failed: live_heap.txt does not hold the 5 soak cell lines" >&2
+if [[ "$(wc -l < "$out/live_heap.txt")" -ne 6 ]]; then
+  echo "bench smoke failed: live_heap.txt does not hold the 6 soak cell lines" >&2
   exit 1
 fi
-for cell in 'DnsClient under 100 % loss' '§9.2 leader and replica' '§9.2 acceptors'; do
+for cell in 'DnsClient under 100 % loss' '§9.2 leader and replica' '§9.2 acceptors' \
+  'heavy per-event replay'; do
   if ! grep -q "^live heap, $cell: " "$out/live_heap.txt"; then
     echo "bench smoke failed: live_heap.txt has no line for $cell" >&2
     exit 1

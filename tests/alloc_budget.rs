@@ -24,7 +24,8 @@
 //! every frame lost, a leader that never answers — holds its live heap
 //! flat once warm, and so does every role of the §9.2 Paxos pipeline at
 //! steady load: the soak cells read the allocator's live bytes at 10 % of
-//! a long run and at its end. This
+//! a long run and at its end. A per-event heavy replay holds no more
+//! above what its report keeps over 150 intervals than over 75. This
 //! binary has its own counting `#[global_allocator]`, so it holds these
 //! tests only. The counters are per thread: libtest runs tests on
 //! parallel threads, and a test must not be billed for its neighbour's
@@ -369,17 +370,17 @@ fn a_heavy_per_event_replay_stays_bounded() {
         // Its report keeps the full row log and the shift log, which grow
         // with the run on purpose; what the run holds above them is the
         // controller, the histograms and the event queue, and that does
-        // not grow: each tenant has one arrival pending at a time.
-        // 45 480 B at both lengths. Queuing each interval's whole burst
-        // instead held 812 488 B above the report at both lengths, most
-        // of it the queue's slab.
+        // not grow: each tenant has one arrival pending at a time, and
+        // it reads 45 480 B at both lengths. Queuing each interval's
+        // whole burst instead held 812 488 B above the report at both
+        // lengths, most of it the queue's slab.
         let rig = HeavyTrafficRig::new(8, 42);
         let above_report = |intervals| {
             let before = LIVE.with(Cell::get);
             PEAK.with(|peak| peak.set(before));
             let report = rig.run(ReplayMode::PerEventRows, intervals);
             let kept = LIVE.with(Cell::get) - before;
-            assert_eq!(report.events_processed, report.requests);
+            drop(report);
             PEAK.with(Cell::get) - before - kept
         };
         let short = above_report(75);
@@ -1031,7 +1032,10 @@ fn the_packet_fabric_stays_under_the_allocation_budget() {
 /// The event queue's memory is one slab recycled through a free list:
 /// once it has held a burst, a burst that size costs nothing. Its work
 /// is a count too: every event is filed once, released once, and refiled
-/// fewer than eight times in between.
+/// fewer than eight times in between. The relinks per event it prints
+/// are the queue's own on this fixed burst shape (17 700 events 5.6 µs
+/// apart), not the heavy rig's: its per-event replay keeps one arrival
+/// per tenant pending.
 #[test]
 fn a_warm_event_queue_takes_a_burst_without_allocating() {
     on_a_fresh_thread(|| {
