@@ -22,25 +22,29 @@
 //!   the tenant's offered rate, so the controller's placements *follow
 //!   the protocol*: a newly elected leader's tenant earns its device,
 //!   a dead device's tenants are force-evicted as
-//!   [`ShiftReason::DeviceLoss`] shifts.
+//!   [`ShiftReason::DeviceLoss`](inc_ondemand::ShiftReason::DeviceLoss)
+//!   shifts. The rig replays a fixed [`Fault`] schedule and checks both
+//!   safety properties after every interval.
 //!
-//! The scenario functions ([`run_device_kill`], [`run_tor_partition`],
-//! [`run_budget_flap`]) are the implementation behind the e2e chaos
-//! tests (`tests/failure_injection.rs`): each returns a
-//! [`ScenarioReport`] with the two safety verdicts and the recovery
-//! deadline measured in controller intervals.
+//! The chaos scenarios are rows of
+//! [`SCENARIOS`](crate::scenarios::SCENARIOS) (`device_kill`,
+//! `tor_partition`, `budget_flap`): `inc-bench scenario` prints them,
+//! `inc-bench explain` replays them, `tests/golden_schedules.rs` pins
+//! their shift logs and `tests/failure_injection.rs` reads its recovery
+//! verdicts off the same runs.
 
 use std::collections::{HashMap, VecDeque};
 
 use inc_net::Bytes;
 use inc_ondemand::{
-    DeviceFabric, DeviceId, FleetApp, FleetController, FleetControllerConfig, FleetSample,
-    HostSample, Placement, PlacementAnalysis, ShiftReason, TierCost, Topology,
+    run_fleet_controlled, AppObservation, DeviceFabric, DeviceId, FleetApp, FleetController,
+    FleetControllerConfig, FleetSample, FleetTimeline, HostSample, PlacementAnalysis, RowLog,
+    TierCost, Topology,
 };
 use inc_paxos::multi::{Acceptor, Leader, Replica};
 use inc_paxos::{ClientCommand, Dest, MsgType, Outbox, PaxosMsg};
 use inc_power::EnergyParams;
-use inc_sim::{Nanos, Rng};
+use inc_sim::{Nanos, Rng, Simulator};
 
 use inc_hw::{PipelineBudget, ProgramResources};
 
@@ -195,19 +199,6 @@ impl ChaosCluster {
     /// the other. Messages only deliver within a side.
     pub fn set_partition(&mut self, minority: Vec<NodeRef>) {
         self.minority = minority;
-    }
-
-    /// Whether a live majority of acceptors is mutually reachable on
-    /// the majority side.
-    pub fn quorum_available(&self) -> bool {
-        let quorum = self.acceptors.len() / 2 + 1;
-        let live = (0..self.acceptors.len() as u8)
-            .filter(|&i| {
-                let n = NodeRef::Acceptor(i);
-                !self.dead.contains(&n) && !self.minority.contains(&n)
-            })
-            .count();
-        live >= quorum
     }
 
     /// Submits one client command (unique `(client, seq)`), entering at
@@ -429,8 +420,25 @@ const STEPS_PER_TICK: usize = 500;
 /// Commands submitted per controller interval.
 const CMDS_PER_INTERVAL: usize = 2;
 
+/// One fault of a [`ConsensusRig`] schedule.
+#[derive(Clone, Copy, Debug)]
+pub enum Fault {
+    /// The controller loses the device; its tenants are force-evicted
+    /// at the next tick.
+    DeviceDown(DeviceId),
+    /// The node dies, keeping its state.
+    Kill(NodeRef),
+    /// A dead node comes back with its retained state.
+    Revive(NodeRef),
+    /// These nodes are cut off from the rest of the cluster.
+    Partition(&'static [NodeRef]),
+    /// The controller's offload floor moves to this many watts.
+    MinBenefit(f64),
+}
+
 /// The consensus placement rig: a [`ChaosCluster`] whose acceptor and
-/// leader roles are fleet tenants of a two-pod fabric.
+/// leader roles are fleet tenants of a two-pod fabric, run under a
+/// fixed fault schedule.
 ///
 /// Layout (fat-tree, 2 pods × 2 ToRs):
 ///
@@ -445,30 +453,31 @@ const CMDS_PER_INTERVAL: usize = 2;
 /// Device 1 is the spare pod-0 ToR (the re-placement target when
 /// device 0 dies). Killing pod 0 (devices 0 and 1) isolates exactly
 /// acceptor 0 and leader 0 — a quorum survives in pod 1.
+///
+/// Each controller interval submits commands, runs the protocol under
+/// chaos and meters a role at [`ROLE_RATE_PPS`] if it voted (acceptors)
+/// or proposed (leaders) in the interval, idle otherwise. Its timeline
+/// row counts those votes or proposals as `completed` and meters
+/// [`role_analysis`]'s power for the role's placement.
 pub struct ConsensusRig {
     /// The protocol layer.
     pub cluster: ChaosCluster,
-    /// The placement layer.
-    pub ctl: FleetController,
-    interval: Nanos,
-    /// Controller intervals elapsed.
-    pub intervals: u64,
-    /// Intervals on which a live acceptor quorum was reachable.
-    pub quorum_intervals: u64,
-    prev_votes: Vec<u64>,
-    prev_props: Vec<u64>,
+    /// `(k, fault)`: the fault lands after `k` controller intervals.
+    schedule: &'static [(u64, Fault)],
 }
-
-/// Number of fleet tenants the rig schedules (3 acceptors + 2 leaders).
-pub const RIG_APPS: usize = 5;
 
 impl ConsensusRig {
     /// Builds the rig with 2 replicas, 2 leaders, 3 acceptors and a 5 %
-    /// drop / 2 % duplication network.
-    pub fn new(seed: u64) -> Self {
+    /// drop / 2 % duplication network, to run under `schedule`.
+    pub fn new(seed: u64, schedule: &'static [(u64, Fault)]) -> Self {
         let mut cluster = ChaosCluster::new(seed, 2, 2, 3);
         cluster.drop_p = 0.05;
         cluster.dup_p = 0.02;
+        ConsensusRig { cluster, schedule }
+    }
+
+    /// The controller that places the five role tenants.
+    pub fn fleet_controller(interval: Nanos) -> FleetController {
         let fabric = DeviceFabric::homogeneous(
             4,
             PipelineBudget::tofino_like(),
@@ -488,355 +497,69 @@ impl ConsensusRig {
         ];
         let config = FleetControllerConfig {
             rate_deadband: 0.05,
-            ..FleetControllerConfig::standard(Nanos::from_secs(1))
+            ..FleetControllerConfig::standard(interval)
         };
-        let ctl = FleetController::new(config, fabric, apps);
-        ConsensusRig {
-            cluster,
-            ctl,
-            interval: Nanos::from_secs(1),
-            intervals: 0,
-            quorum_intervals: 0,
-            prev_votes: vec![0; 3],
-            prev_props: vec![0; 2],
-        }
+        FleetController::new(config, fabric, apps)
     }
 
-    /// The app index of acceptor `i`'s tenant.
-    pub fn acceptor_app(i: usize) -> usize {
-        i
-    }
-
-    /// The app index of leader `i`'s tenant.
-    pub fn leader_app(i: usize) -> usize {
-        3 + i
-    }
-
-    /// One controller interval: submit traffic, run the protocol under
-    /// chaos, meter role activity into offered rates, and feed the
-    /// controller. Returns the placement changes the controller
-    /// executed.
-    pub fn step_interval(&mut self) -> Vec<(usize, Placement)> {
-        for _ in 0..CMDS_PER_INTERVAL {
-            self.cluster.submit(7, Vec::new());
-        }
-        for _ in 0..TICKS_PER_INTERVAL {
-            self.cluster.tick(STEPS_PER_TICK);
-        }
-        self.intervals += 1;
-        if self.cluster.quorum_available() {
-            self.quorum_intervals += 1;
-        }
-        let mut rates = [0.0_f64; RIG_APPS];
-        for i in 0..3 {
-            let v = self.cluster.acceptors[i].votes;
-            if v > self.prev_votes[i] {
-                rates[Self::acceptor_app(i)] = ROLE_RATE_PPS;
+    /// Runs the schedule under `ctl` until `until`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the interval, as soon as a slot has learned two
+    /// values or replica logs disagree.
+    pub fn run(&mut self, ctl: &mut FleetController, until: Nanos) -> FleetTimeline {
+        let mut sim: Simulator<()> = Simulator::new(0);
+        let (schedule, cluster) = (self.schedule, &mut self.cluster);
+        let mut intervals = 0;
+        let mut seen = [0u64; 5];
+        let probe = |_: &mut Simulator<()>, ctl: &mut FleetController| {
+            for &(_, fault) in schedule.iter().filter(|(k, _)| *k == intervals) {
+                match fault {
+                    Fault::DeviceDown(d) => ctl.set_device_online(d, false),
+                    Fault::Kill(n) => cluster.kill(n),
+                    Fault::Revive(n) => cluster.revive(n),
+                    Fault::Partition(minority) => cluster.set_partition(minority.to_vec()),
+                    Fault::MinBenefit(w) => ctl.set_min_benefit_w(w),
+                }
             }
-            self.prev_votes[i] = v;
-        }
-        for i in 0..2 {
-            let p = self.cluster.leaders[i].proposals_sent;
-            if p > self.prev_props[i] {
-                rates[Self::leader_app(i)] = ROLE_RATE_PPS;
+            intervals += 1;
+            for _ in 0..CMDS_PER_INTERVAL {
+                cluster.submit(7, Vec::new());
             }
-            self.prev_props[i] = p;
-        }
-        let samples: Vec<FleetSample> = rates
-            .iter()
-            .map(|&r| FleetSample {
-                host: HostSample {
-                    rapl_w: 50.0,
-                    app_cpu_util: 0.5,
-                    hw_app_rate: r,
-                },
-                offered_pps: r,
-            })
-            .collect();
-        let now = Nanos::from_nanos(self.interval.as_nanos() * self.intervals);
-        self.ctl.sample(now, &samples)
-    }
-
-    /// Runs intervals until the given apps are all device-resident (or
-    /// `max` intervals elapse); returns whether they are.
-    pub fn run_until_resident(&mut self, apps: &[usize], max: u64) -> bool {
-        for _ in 0..max {
-            self.step_interval();
-            if apps
-                .iter()
-                .all(|&a| matches!(self.ctl.placements()[a], Placement::Device(_)))
-            {
-                return true;
+            for _ in 0..TICKS_PER_INTERVAL {
+                cluster.tick(STEPS_PER_TICK);
             }
-        }
-        false
+            assert!(
+                cluster.single_value_per_slot() && cluster.logs_prefix_agree(),
+                "consensus safety broke in interval {intervals}"
+            );
+            let votes = cluster.acceptors.iter().map(|a| a.votes);
+            let counts = votes.chain(cluster.leaders.iter().map(|l| l.proposals_sent));
+            let roles = counts.zip(&mut seen).zip(ctl.placements());
+            roles
+                .map(|((count, seen), placement)| {
+                    let completed = count - std::mem::replace(seen, count);
+                    let rate = if completed > 0 { ROLE_RATE_PPS } else { 0.0 };
+                    let (sw_w, hw_w) = role_analysis().energy_per_second(rate);
+                    AppObservation {
+                        sample: FleetSample {
+                            host: HostSample {
+                                rapl_w: 50.0,
+                                app_cpu_util: 0.5,
+                                hw_app_rate: rate,
+                            },
+                            offered_pps: rate,
+                        },
+                        completed,
+                        latency_p50_ns: 0,
+                        power_w: if placement.is_offloaded() { hw_w } else { sw_w },
+                    }
+                })
+                .collect()
+        };
+        run_fleet_controlled(&mut sim, ctl, until, RowLog::Full, probe, |_, _, _, _| {})
     }
-
-    /// Count of [`ShiftReason::DeviceLoss`] shifts recorded so far.
-    pub fn device_loss_shifts(&self) -> u64 {
-        self.ctl
-            .shifts()
-            .iter()
-            .filter(|s| s.reason == ShiftReason::DeviceLoss)
-            .count() as u64
-    }
-}
-
-/// The outcome of one chaos scenario: the two safety verdicts, the
-/// recovery deadline in controller intervals, and availability /
-/// placement accounting.
-#[derive(Clone, Copy, Debug)]
-pub struct ScenarioReport {
-    /// Safety property 1 held: no slot learned two values.
-    pub safe: bool,
-    /// Safety property 2 held: executed log prefixes agree.
-    pub prefix_ok: bool,
-    /// Intervals from fault injection until recovery (scenario-specific:
-    /// see each runner), `u64::MAX` if recovery never completed.
-    pub recovery_intervals: u64,
-    /// The sustain window the recovery bound is measured against.
-    pub sustain_window: u64,
-    /// Fraction of intervals with a reachable live acceptor quorum.
-    pub quorum_availability: f64,
-    /// Commands executed by the longest replica log at scenario end.
-    pub commands_executed: u64,
-    /// [`ShiftReason::DeviceLoss`] shifts recorded.
-    pub device_loss_shifts: u64,
-    /// Shifts recorded during the fast-flap phase (budget scenario
-    /// only; zero is the stability verdict).
-    pub fast_flap_shifts: u64,
-}
-
-impl ScenarioReport {
-    fn from_rig(rig: &ConsensusRig, recovery_intervals: u64) -> Self {
-        ScenarioReport {
-            safe: rig.cluster.single_value_per_slot(),
-            prefix_ok: rig.cluster.logs_prefix_agree(),
-            recovery_intervals,
-            sustain_window: u64::from(rig.ctl.config().sustain_samples),
-            quorum_availability: rig.quorum_intervals as f64 / rig.intervals.max(1) as f64,
-            commands_executed: rig.cluster.max_executed(),
-            device_loss_shifts: rig.device_loss_shifts(),
-            fast_flap_shifts: 0,
-        }
-    }
-}
-
-/// Warm the rig until the three acceptor tenants and the elected
-/// leader's tenant hold devices.
-fn warmup(rig: &mut ConsensusRig) {
-    let warmed = rig.run_until_resident(
-        &[
-            ConsensusRig::acceptor_app(0),
-            ConsensusRig::acceptor_app(1),
-            ConsensusRig::acceptor_app(2),
-            ConsensusRig::leader_app(0),
-        ],
-        20,
-    );
-    assert!(warmed, "rig failed to warm up: no stable placements");
-    assert!(
-        rig.cluster.leaders[0].is_active(),
-        "leader 0 should win the uncontested start-of-day election"
-    );
-}
-
-/// Scenario 1 — device kill mid-tenure. Device 0 dies, taking acceptor
-/// 0's dataplane with it until the controller's forced eviction lands
-/// (the software fallback). The controller must evict device 0's
-/// tenants within one sustain window and re-offload the acceptor onto
-/// the spare pod-0 ToR; the surviving 2/3 acceptor quorum must keep
-/// executing commands throughout. `recovery_intervals` measures kill →
-/// acceptor 0 device-resident again.
-// inc-lint: allow(unreached-pub): tests/failure_injection.rs runs this chaos scenario and pins its golden
-pub fn run_device_kill(seed: u64) -> ScenarioReport {
-    let mut rig = ConsensusRig::new(seed);
-    warmup(&mut rig);
-    let executed_before = rig.cluster.max_executed();
-
-    // Kill: the device dies and the acceptor dataplane on it goes dark.
-    rig.ctl.set_device_online(DeviceId(0), false);
-    rig.cluster.kill(NodeRef::Acceptor(0));
-    let killed_at = rig.intervals;
-
-    // The next interval must carry the forced evictions.
-    rig.step_interval();
-    let evict_latency = rig.intervals - killed_at;
-    assert!(
-        rig.device_loss_shifts() >= 1,
-        "device death must evict its tenants as DeviceLoss shifts"
-    );
-    assert!(
-        matches!(
-            rig.ctl.placements()[ConsensusRig::acceptor_app(0)],
-            Placement::Software
-        ),
-        "acceptor 0 must fall back to software"
-    );
-
-    // The eviction *is* the software re-placement: revive the role.
-    rig.cluster.revive(NodeRef::Acceptor(0));
-
-    // Re-offload: the spare pod-0 ToR (device 1) should take acceptor 0
-    // once its rate sustains again.
-    let recovered = rig.run_until_resident(&[ConsensusRig::acceptor_app(0)], 12);
-    assert!(recovered, "acceptor 0 never re-offloaded after the kill");
-    let recovery = rig.intervals - killed_at;
-    let sustain = u64::from(rig.ctl.config().sustain_samples);
-    assert!(
-        evict_latency <= sustain,
-        "eviction took {evict_latency} intervals, over the sustain window {sustain}"
-    );
-    assert!(
-        recovery <= 2 * sustain + 2,
-        "re-offload took {recovery} intervals"
-    );
-    assert!(
-        rig.ctl.placements()[ConsensusRig::acceptor_app(0)] == Placement::Device(DeviceId(1)),
-        "acceptor 0 should land on the spare pod-0 ToR"
-    );
-
-    // Drain a few more intervals and check the cluster never stalled.
-    for _ in 0..4 {
-        rig.step_interval();
-    }
-    assert!(
-        rig.cluster.max_executed() > executed_before,
-        "commands must keep executing on the surviving quorum"
-    );
-    ScenarioReport::from_rig(&rig, recovery)
-}
-
-/// Scenario 2 — ToR partition. Pod 0 (devices 0 and 1) is cut off,
-/// isolating acceptor 0 and the incumbent leader 0. The quorum on pod 1
-/// must keep the log growing, leader 1 must win the election, and
-/// placement must follow it: leader 1's tenant earns a pod-1 device
-/// while leader 0's is force-evicted. `recovery_intervals` measures
-/// partition → leader 1 active *and* device-resident.
-// inc-lint: allow(unreached-pub): tests/failure_injection.rs runs this chaos scenario and pins its golden
-pub fn run_tor_partition(seed: u64) -> ScenarioReport {
-    let mut rig = ConsensusRig::new(seed);
-    warmup(&mut rig);
-    let executed_before = rig.cluster.max_executed();
-
-    // Partition pod 0 away: both its devices offline, its cluster nodes
-    // unreachable from the majority.
-    rig.ctl.set_device_online(DeviceId(0), false);
-    rig.ctl.set_device_online(DeviceId(1), false);
-    rig.cluster
-        .set_partition(vec![NodeRef::Acceptor(0), NodeRef::Leader(0)]);
-    let cut_at = rig.intervals;
-
-    // Recovery: leader 1 elected and its tenant placed on a live device.
-    let mut recovery = u64::MAX;
-    for _ in 0..24 {
-        rig.step_interval();
-        let led = rig.cluster.leaders[1].is_active();
-        let placed = matches!(
-            rig.ctl.placements()[ConsensusRig::leader_app(1)],
-            Placement::Device(d) if d.index() >= 2
-        );
-        if led && placed {
-            recovery = rig.intervals - cut_at;
-            break;
-        }
-    }
-    assert_ne!(
-        recovery,
-        u64::MAX,
-        "leader 1 never took over with a device placement"
-    );
-    assert!(
-        matches!(
-            rig.ctl.placements()[ConsensusRig::leader_app(0)],
-            Placement::Software
-        ),
-        "the deposed leader's tenant must be evicted with its pod"
-    );
-    assert!(
-        rig.device_loss_shifts() >= 1,
-        "losing a pod must record DeviceLoss shifts"
-    );
-
-    // The majority quorum keeps executing through and after the change.
-    for _ in 0..4 {
-        rig.step_interval();
-    }
-    assert!(
-        rig.cluster.max_executed() > executed_before,
-        "the surviving quorum must keep executing commands"
-    );
-    ScenarioReport::from_rig(&rig, recovery)
-}
-
-/// Scenario 3 — power-budget flap. No failures: the offload floor
-/// (min W saved per offload) is raised and dropped. A *sustained* tight
-/// budget evicts the tenants (bounded shift count, then re-offload when
-/// it relaxes); a *fast* flap — shorter than the sustain window — must
-/// move nothing at all. `recovery_intervals` measures budget-relax →
-/// all roles device-resident again; `fast_flap_shifts` must be zero.
-// inc-lint: allow(unreached-pub): tests/failure_injection.rs runs this chaos scenario and pins its golden
-pub fn run_budget_flap(seed: u64) -> ScenarioReport {
-    let mut rig = ConsensusRig::new(seed);
-    warmup(&mut rig);
-    let sustain = u64::from(rig.ctl.config().sustain_samples);
-
-    // Sustained tight budget: 20 W floor dwarfs the ~7.6 W role benefit
-    // (and the ~10 W eviction threshold it implies), so after the
-    // sustain window every resident role is evicted.
-    rig.ctl.set_min_benefit_w(20.0);
-    for _ in 0..2 * sustain {
-        rig.step_interval();
-    }
-    assert!(
-        rig.ctl
-            .placements()
-            .iter()
-            .all(|p| matches!(p, Placement::Software)),
-        "a sustained tight budget must evict every role"
-    );
-    let shifts_after_tighten = rig.ctl.shifts().len() as u64;
-
-    // Relax: everything active re-offloads within a sustain window.
-    rig.ctl.set_min_benefit_w(1.0);
-    let relaxed_at = rig.intervals;
-    let recovered = rig.run_until_resident(
-        &[
-            ConsensusRig::acceptor_app(0),
-            ConsensusRig::acceptor_app(1),
-            ConsensusRig::acceptor_app(2),
-            ConsensusRig::leader_app(0),
-        ],
-        12,
-    );
-    assert!(
-        recovered,
-        "roles never re-offloaded after the budget relaxed"
-    );
-    let recovery = rig.intervals - relaxed_at;
-
-    // Fast flap: tighten/relax every interval for four sustain windows.
-    // Hysteresis must hold every placement exactly where it is.
-    let shifts_before_flap = rig.ctl.shifts().len() as u64;
-    for k in 0..4 * sustain {
-        rig.ctl
-            .set_min_benefit_w(if k % 2 == 0 { 20.0 } else { 1.0 });
-        rig.step_interval();
-    }
-    rig.ctl.set_min_benefit_w(1.0);
-    let fast_flap_shifts = rig.ctl.shifts().len() as u64 - shifts_before_flap;
-    assert_eq!(
-        fast_flap_shifts, 0,
-        "a sub-sustain budget flap must move nothing"
-    );
-    assert!(
-        shifts_after_tighten > 0,
-        "the sustained tighten must have moved tenants"
-    );
-
-    let mut report = ScenarioReport::from_rig(&rig, recovery);
-    report.fast_flap_shifts = fast_flap_shifts;
-    report
 }
 
 #[cfg(test)]
@@ -907,37 +630,5 @@ mod tests {
             pending.replicas[1].handle(&vote);
         }
         assert!(!pending.single_value_per_slot());
-    }
-
-    #[test]
-    fn quorum_availability_tracks_kills_and_partitions() {
-        let mut c = ChaosCluster::new(1, 1, 1, 3);
-        assert!(c.quorum_available());
-        c.kill(NodeRef::Acceptor(0));
-        assert!(c.quorum_available());
-        c.set_partition(vec![NodeRef::Acceptor(1)]);
-        assert!(!c.quorum_available());
-        c.revive(NodeRef::Acceptor(0));
-        c.set_partition(Vec::new());
-        assert!(c.quorum_available());
-    }
-
-    #[test]
-    fn rig_warms_up_to_home_placements() {
-        let mut rig = ConsensusRig::new(5);
-        warmup(&mut rig);
-        assert_eq!(
-            rig.ctl.placements()[ConsensusRig::acceptor_app(0)],
-            Placement::Device(DeviceId(0))
-        );
-        assert_eq!(
-            rig.ctl.placements()[ConsensusRig::leader_app(0)],
-            Placement::Device(DeviceId(0))
-        );
-        // The passive leader meters no traffic and stays in software.
-        assert_eq!(
-            rig.ctl.placements()[ConsensusRig::leader_app(1)],
-            Placement::Software
-        );
     }
 }

@@ -35,7 +35,7 @@
 //! The ratio of simulated requests per wall-clock second between the two
 //! is the headline `heavy_traffic` metric.
 
-use inc_hw::{DeviceFabric, Placement};
+use inc_hw::Placement;
 use inc_ondemand::{
     run_fleet_controlled, AppObservation, FleetApp, FleetController, FleetControllerConfig,
     FleetSample, FleetTimeline, HostSample, RowLog,
@@ -277,8 +277,7 @@ impl HeavyTrafficRig {
         &self,
         k: u64,
         total_intervals: u64,
-        fabric: &DeviceFabric,
-        placements: &[Placement],
+        ctl: &FleetController,
         walks: &mut [PowerWalk],
         etcs: &mut [EtcWorkload],
         load_rngs: &mut [Rng],
@@ -295,11 +294,11 @@ impl HeavyTrafficRig {
                 * dyn_factor;
             let etc_sample = etcs[i].next_sample(rng);
             let service_ns = (etc_sample.value_len as u64) / 4;
-            let base_latency_ns = match placements[i] {
+            let base_latency_ns = match ctl.placements()[i] {
                 Placement::Software => SW_LATENCY_NS + service_ns,
                 Placement::Device(d) => {
                     HW_LATENCY_NS
-                        + 2 * fabric.extra_latency(self.apps[i].home, d).as_nanos()
+                        + 2 * ctl.fabric().extra_latency(self.apps[i].home, d).as_nanos()
                         + service_ns
                 }
             };
@@ -316,7 +315,6 @@ impl HeavyTrafficRig {
     /// counters. Telemetry is bit-identical across modes.
     pub fn run(&self, mode: ReplayMode, intervals: u64) -> HeavyReport {
         let n = self.tenants();
-        let fabric = MegaFabricRig::fabric();
         let mut controller = self.controller();
         let mut sim: Simulator<u64> = Simulator::new(self.seed);
 
@@ -342,7 +340,6 @@ impl HeavyTrafficRig {
         let mut scratch: Vec<Histogram> = vec![Histogram::new(); n];
         let mut cur = vec![IntervalLoad::default(); n];
 
-        let placements = std::cell::RefCell::new(vec![Placement::Software; n]);
         let row_log = match mode {
             ReplayMode::PerEventRows => RowLog::Full,
             ReplayMode::StreamingBatched => RowLog::Recent(RECENT_ROWS),
@@ -353,8 +350,7 @@ impl HeavyTrafficRig {
         self.interval_loads(
             1,
             intervals,
-            &fabric,
-            &placements.borrow(),
+            &controller,
             &mut walks,
             &mut etcs,
             &mut load_rngs,
@@ -371,7 +367,7 @@ impl HeavyTrafficRig {
             &mut controller,
             until,
             row_log,
-            |sim| {
+            |sim, ctl| {
                 interval_idx += 1;
                 // 1. Interval telemetry: the baseline's sink histograms
                 //    filled as the arrivals fired; streaming mode draws
@@ -396,14 +392,15 @@ impl HeavyTrafficRig {
                         debug_assert_eq!(hist.count(), load.requests, "tenant {i} lost requests");
                         let p50 = hist.quantile(0.5); // 0 when empty
                         hist.clear();
-                        let placement = placements.borrow()[i];
+                        let placement = ctl.placements()[i];
                         let (sw_w, hw_w) = self.apps[i].analysis.energy_per_second(load.rate_pps);
                         let power_w = match placement {
                             Placement::Software => sw_w,
                             Placement::Device(d) => {
-                                let f = fabric.benefit_factor(self.apps[i].home, d);
+                                let f = ctl.fabric().benefit_factor(self.apps[i].home, d);
                                 let link_w =
-                                    fabric.link_energy_w(self.apps[i].home, d, load.rate_pps);
+                                    ctl.fabric()
+                                        .link_energy_w(self.apps[i].home, d, load.rate_pps);
                                 sw_w - f * (sw_w - hw_w) + link_w
                             }
                         };
@@ -432,8 +429,7 @@ impl HeavyTrafficRig {
                     self.interval_loads(
                         interval_idx + 1,
                         intervals,
-                        &fabric,
-                        &placements.borrow(),
+                        ctl,
                         &mut walks,
                         &mut etcs,
                         &mut load_rngs,
@@ -445,7 +441,7 @@ impl HeavyTrafficRig {
                 }
                 obs
             },
-            |_sim, _t, app, p| placements.borrow_mut()[app] = p,
+            |_, _, _, _| {},
         );
 
         let requests = timeline.per_app.iter().map(|t| t.total_completed()).sum();

@@ -9,17 +9,19 @@
 //! * `study asic|controller_compare|energy_model|lake_design|`
 //!   `park_ablation|pe_scaling|server|tor|trace` — [`studies`]: the §5–§9
 //!   analyses and ablations that are not a numbered figure;
-//! * `scenario shared_device|multi_tor|fairness|topology|economics|all`
-//!   — [`scenarios::SCENARIOS`]: each scheduling scenario under its fleet
+//! * `scenario shared_device|multi_tor|fairness|topology|economics|`
+//!   `device_kill|tor_partition|budget_flap|all` —
+//!   [`scenarios::SCENARIOS`]: each scheduling scenario under its fleet
 //!   controller and static baselines, one JSON object as the last line.
+//!   The last three are the consensus chaos scenarios.
 //!
 //! Figures and studies print `# ...` comment lines with the headline
 //! observations and the paper-reported values they reproduce, then CSV
 //! rows (`x,series1,series2,...`) with the figure data. The analytic
 //! sweeps come from `inc_ondemand::apps`; spot points are cross-checked
-//! against full event simulations built by [`rigs`]. [`consensus`] and
-//! [`heavy`] hold the chaos and trace-replay rigs that
-//! `tests/failure_injection.rs` and `benchmark/` drive.
+//! against full event simulations built by [`rigs`]. [`consensus`] holds
+//! the chaos cluster and the rig behind the chaos scenarios, [`heavy`]
+//! the trace-replay rig `benchmark/` drives.
 
 pub mod cli;
 pub mod consensus;

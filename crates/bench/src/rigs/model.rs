@@ -237,22 +237,20 @@ fn run_stylised_model(
     profiles: &[RateProfile],
 ) -> FleetTimeline {
     let mut sim: Simulator<()> = Simulator::new(0);
-    let fabric = controller.fabric().clone();
-    let apps = controller.apps().to_vec();
     let interval = controller.config().interval;
-    let placements = std::cell::RefCell::new(controller.placements().to_vec());
     run_fleet_controlled(
         &mut sim,
         controller,
         until,
         mode,
-        |sim| {
+        |sim, ctl| {
             let now = sim.now();
             let mid = now - interval.mul_f64(0.5);
+            let (fabric, apps) = (ctl.fabric(), ctl.apps());
             (0..apps.len())
                 .map(|i| {
                     let rate = profiles[i].rate_at(mid);
-                    let placement = placements.borrow()[i];
+                    let placement = ctl.placements()[i];
                     let (sw_w, hw_w) = apps[i].analysis.energy_per_second(rate);
                     let (power_w, latency) = match placement {
                         Placement::Software => (sw_w, SW_LATENCY_NS),
@@ -279,7 +277,7 @@ fn run_stylised_model(
                 })
                 .collect()
         },
-        |_sim, _t, app, p| placements.borrow_mut()[app] = p,
+        |_, _, _, _| {},
     )
 }
 

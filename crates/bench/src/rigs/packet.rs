@@ -213,7 +213,7 @@ fn run_slices(
         controller,
         until,
         row_log,
-        |sim| {
+        |sim, _| {
             let now = sim.now();
             // The arrival rate over the elapsed interval, sampled at its
             // midpoint.

@@ -1,4 +1,4 @@
-//! The five scheduling scenarios as one table.
+//! The eight scheduling scenarios as one table.
 //!
 //! A row names a rig, a horizon, a sampling interval and the labelled
 //! controllers it is judged under — the on-demand fleet schedule first,
@@ -7,10 +7,11 @@
 //! decisions bit for bit, so what the CLI prints and what the goldens
 //! pin cannot drift.
 
-use inc_hw::Placement;
+use inc_hw::{DeviceId, Placement};
 use inc_ondemand::{ClaimPolicy, FleetController, FleetTimeline, Objective};
 use inc_sim::Nanos;
 
+use crate::consensus::{ConsensusRig, Fault, NodeRef};
 use crate::economics::{self, EconomicsRig};
 use crate::rigs::{ContendedFabricRig, MultiTorRig, PodFabricRig, SharedDeviceRig};
 
@@ -60,8 +61,58 @@ fn pod_fabric(ctl: &mut FleetController, horizon: Nanos, until: Nanos) -> FleetT
     PodFabricRig::new(PodFabricRig::contended_profiles(horizon)).run(ctl, until)
 }
 
+const A0: NodeRef = NodeRef::Acceptor(0);
+const L0: NodeRef = NodeRef::Leader(0);
+
+/// Acceptor 0's ToR dies under it; the acceptor's software fallback is
+/// up one interval later.
+const DEVICE_KILL: &[(u64, Fault)] = &[
+    (4, Fault::DeviceDown(DeviceId(0))),
+    (4, Fault::Kill(A0)),
+    (5, Fault::Revive(A0)),
+];
+
+fn device_kill(ctl: &mut FleetController, _: Nanos, until: Nanos) -> FleetTimeline {
+    ConsensusRig::new(11, DEVICE_KILL).run(ctl, until)
+}
+
+/// Pod 0 goes dark: both its ToRs, acceptor 0 and the incumbent leader.
+const TOR_PARTITION: &[(u64, Fault)] = &[
+    (4, Fault::DeviceDown(DeviceId(0))),
+    (4, Fault::DeviceDown(DeviceId(1))),
+    (4, Fault::Partition(&[A0, L0])),
+];
+
+fn tor_partition(ctl: &mut FleetController, _: Nanos, until: Nanos) -> FleetTimeline {
+    ConsensusRig::new(12, TOR_PARTITION).run(ctl, until)
+}
+
+/// A 20 W offload floor, over every role's ~7.6 W benefit, for two
+/// sustain windows; relaxed to 1 W; then flapped every interval, faster
+/// than the sustain window.
+const BUDGET_FLAP: &[(u64, Fault)] = &[
+    (4, Fault::MinBenefit(20.0)),
+    (10, Fault::MinBenefit(1.0)),
+    (13, Fault::MinBenefit(20.0)),
+    (14, Fault::MinBenefit(1.0)),
+    (15, Fault::MinBenefit(20.0)),
+    (16, Fault::MinBenefit(1.0)),
+    (17, Fault::MinBenefit(20.0)),
+    (18, Fault::MinBenefit(1.0)),
+    (19, Fault::MinBenefit(20.0)),
+    (20, Fault::MinBenefit(1.0)),
+    (21, Fault::MinBenefit(20.0)),
+    (22, Fault::MinBenefit(1.0)),
+    (23, Fault::MinBenefit(20.0)),
+    (24, Fault::MinBenefit(1.0)),
+];
+
+fn budget_flap(ctl: &mut FleetController, _: Nanos, until: Nanos) -> FleetTimeline {
+    ConsensusRig::new(13, BUDGET_FLAP).run(ctl, until)
+}
+
 /// The table: every scheduling scenario the repository runs.
-pub static SCENARIOS: [Scenario; 5] = [
+pub static SCENARIOS: [Scenario; 8] = [
     Scenario {
         name: "shared_device",
         about: "KVS and DNS arbitrated onto one capacity-bounded device over offset days",
@@ -157,6 +208,34 @@ pub static SCENARIOS: [Scenario; 5] = [
             }),
         ],
         rig: pod_fabric,
+    },
+    Scenario {
+        name: "device_kill",
+        about: "a ToR dies under a Paxos acceptor: forced eviction, re-offload on the spare ToR",
+        horizon: Nanos::from_secs(12),
+        interval: Nanos::from_secs(1),
+        busy: (Nanos::from_secs(4), Nanos::from_secs(12)),
+        controllers: &[("fleet", ConsensusRig::fleet_controller)],
+        rig: device_kill,
+    },
+    Scenario {
+        name: "tor_partition",
+        about: "a Paxos pod is cut off: the new leader's tenant follows the election",
+        horizon: Nanos::from_secs(14),
+        interval: Nanos::from_secs(1),
+        busy: (Nanos::from_secs(4), Nanos::from_secs(14)),
+        controllers: &[("fleet", ConsensusRig::fleet_controller)],
+        rig: tor_partition,
+    },
+    Scenario {
+        name: "budget_flap",
+        about:
+            "the offload floor over Paxos roles: a sustained rise evicts, a fast flap moves none",
+        horizon: Nanos::from_secs(25),
+        interval: Nanos::from_secs(1),
+        busy: (Nanos::from_secs(4), Nanos::from_secs(25)),
+        controllers: &[("fleet", ConsensusRig::fleet_controller)],
+        rig: budget_flap,
     },
 ];
 

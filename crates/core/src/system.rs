@@ -333,7 +333,9 @@ pub struct FleetTimeline {
 /// The multi-app generalisation of [`run_host_controlled`]: the simulator
 /// steps one sampling interval at a time; `probe` returns one
 /// [`AppObservation`] per app (same order as the controller's app
-/// vector); the controller re-arbitrates its placements; `apply`
+/// vector), reading the placements the interval ran under off the
+/// controller (and free to inject controller-side faults before the
+/// tick); the controller re-arbitrates its placements; `apply`
 /// executes each placement change on the simulated hardware. Records one
 /// [`Timeline`] per app, the shift log and the fleet-level energy total;
 /// why each app ended where it did is the controller's to answer
@@ -349,7 +351,7 @@ pub fn run_fleet_controlled<M: Payload>(
     controller: &mut FleetController,
     until: Nanos,
     mode: RowLog,
-    mut probe: impl FnMut(&mut Simulator<M>) -> Vec<AppObservation>,
+    mut probe: impl FnMut(&mut Simulator<M>, &mut FleetController) -> Vec<AppObservation>,
     mut apply: impl FnMut(&mut Simulator<M>, Nanos, usize, Placement),
 ) -> FleetTimeline {
     let interval = controller.config().interval;
@@ -364,7 +366,7 @@ pub fn run_fleet_controlled<M: Payload>(
         let step = t.saturating_add(interval) - t;
         t += step;
         sim.run_until(t);
-        let obs = probe(sim);
+        let obs = probe(sim, controller);
         assert_eq!(obs.len(), n, "probe must observe every app");
         let samples: Vec<FleetSample> = obs.iter().map(|o| o.sample).collect();
         for (app, placement) in controller.sample(t, &samples) {
@@ -515,7 +517,6 @@ mod tests {
             apps,
         );
         let mut sim: Simulator<()> = Simulator::new(0);
-        let placements = std::cell::RefCell::new(vec![Placement::Software; 2]);
         let offered = |app: usize, t: Nanos| -> f64 {
             let s = t.as_secs_f64();
             let busy = match app {
@@ -533,12 +534,12 @@ mod tests {
             &mut ctl,
             Nanos::from_secs(9),
             RowLog::Full,
-            |sim| {
+            |sim, ctl| {
                 let now = sim.now();
                 (0..2)
                     .map(|app| {
                         let rate = offered(app, now);
-                        let hw = placements.borrow()[app] == Placement::HARDWARE;
+                        let hw = ctl.placements()[app] == Placement::HARDWARE;
                         AppObservation {
                             sample: FleetSample {
                                 host: HostSample {
@@ -555,7 +556,7 @@ mod tests {
                     })
                     .collect()
             },
-            |_sim, _t, app, p| placements.borrow_mut()[app] = p,
+            |_, _, _, _| {},
         );
 
         // App 1 offloads first (its burst starts first AND it scores
@@ -657,7 +658,7 @@ mod tests {
             &mut ctl,
             Nanos::MAX,
             RowLog::Full,
-            |_| {
+            |_, _| {
                 let host = idle_host();
                 vec![AppObservation {
                     sample: FleetSample {

@@ -9,7 +9,8 @@
 # figure CSVs (3c, 6, 7), the park-policy ablation, the scenario reports with one JSON object per scenario
 # (the last line each `inc-bench scenario` prints), the record of why
 # the Paxos tenant sits on the remote ToR (explain.txt, `inc-bench
-# explain`, ending in one JSON object), the lint report
+# explain`, ending in one JSON object) and of the chaos acceptor's
+# re-offload onto the spare ToR (explain_chaos.txt), the lint report
 # and its `unreached-pub` blind-spot line (blind_spot.txt), the size
 # ledger (scripts/loc.sh), the allocation budgets' exact counts
 # (allocs.txt: the `budget, …`, `chaos epoch`, `packet fabric` and
@@ -80,6 +81,14 @@ if ! tail -n 1 "$out/explain.txt" | grep -qE '^\{.*\}$'; then
   echo "bench smoke failed: the last line of explain.txt is not a JSON object" >&2
   exit 1
 fi
+# 8 s is the tick on which the chaos acceptor re-offloads onto the spare
+# pod-0 ToR after its own ToR died at 4 s.
+cargo run --release -p inc-bench -- explain device_kill paxos-acceptor-0 8 \
+  | tee "$out/explain_chaos.txt"
+if ! tail -n 1 "$out/explain_chaos.txt" | grep -qE '^\{.*"placement":"tor1".*\}$'; then
+  echo "bench smoke failed: explain_chaos.txt does not end in JSON placing the acceptor on tor1" >&2
+  exit 1
+fi
 for bad in "no-such-app 1.2" "paxos 3.6"; do
   code=0
   # shellcheck disable=SC2086 # two positional arguments on purpose
@@ -119,7 +128,7 @@ cargo test --release -q -p inc-hw
 cargo test --release -q -p inc-ondemand --lib -- \
   pod_arbiter_admits_in_the_documented_total_order
 
-# The chaos scenarios and goldens, plus the 40 000-slot cluster that must
+# The chaos scenarios (rows of SCENARIOS) and goldens, plus the 40 000-slot cluster that must
 # stay bounded through leader and acceptor kills (its name is the second
 # filter; in release, where the slot arithmetic wraps instead of trapping),
 # and the two oversized commands a replica must refuse rather than stall
@@ -188,7 +197,8 @@ ls -l "$out"
 # without printing its data would slip through and CI would upload an
 # incomplete artifact: every expected file must exist and be non-empty,
 # and every scenario must have contributed its JSON line.
-for f in fig3c.csv fig6.csv fig7.csv park_ablation.txt scenarios.jsonl explain.txt lint.json \
+for f in fig3c.csv fig6.csv fig7.csv park_ablation.txt scenarios.jsonl explain.txt \
+  explain_chaos.txt lint.json \
   blind_spot.txt loc.txt allocs.txt live_heap.txt; do
   if [[ ! -s "$out/$f" ]]; then
     echo "bench smoke failed: missing or empty artifact $out/$f" >&2
@@ -210,8 +220,8 @@ for cell in 'DnsClient under 100 % loss' '§9.2 leader and replica' '§9.2 accep
     exit 1
   fi
 done
-if [[ "$(wc -l < "$out/scenarios.jsonl")" -ne 5 ]]; then
-  echo "bench smoke failed: scenarios.jsonl does not hold 5 scenario objects" >&2
+if [[ "$(wc -l < "$out/scenarios.jsonl")" -ne 8 ]]; then
+  echo "bench smoke failed: scenarios.jsonl does not hold 8 scenario objects" >&2
   exit 1
 fi
 

@@ -34,6 +34,11 @@ const ECONOMICS: [(&str, &str); 3] = [
     ("economics", "uniform-dollar"),
     ("economics", "skewed-dollar"),
 ];
+const CHAOS: [(&str, &str); 3] = [
+    ("device_kill", "fleet"),
+    ("tor_partition", "fleet"),
+    ("budget_flap", "fleet"),
+];
 
 fn runs() -> impl Iterator<Item = (&'static str, &'static str)> {
     let rigs = [
@@ -41,6 +46,7 @@ fn runs() -> impl Iterator<Item = (&'static str, &'static str)> {
         &CONTENDED_FABRIC,
         &POD_FABRIC,
         &ECONOMICS,
+        &CHAOS,
     ];
     rigs.into_iter().flatten().copied()
 }
@@ -113,6 +119,13 @@ fn pod_fabric_rig_schedules_are_pinned() {
 #[test]
 fn economics_rig_schedules_are_pinned() {
     assert_pinned(&ECONOMICS);
+}
+
+/// The consensus roles under device death, ToR partition and an
+/// offload-floor flap.
+#[test]
+fn chaos_rig_schedules_are_pinned() {
+    assert_pinned(&CHAOS);
 }
 
 #[test]
