@@ -12,7 +12,7 @@ mod common;
 use std::fmt::Write;
 use std::path::PathBuf;
 
-use common::{first_divergence, fnv, FNV_OFFSET};
+use common::first_divergence;
 use inc::hw::HOST_DMA_PORT;
 use inc::kvs::{
     expected_value, key_name, KvsClient, LakeCacheConfig, LakeDevice, MemcachedConfig,
@@ -489,46 +489,6 @@ fn chaos_schedule_matches_the_recorded_golden_runs() {
                 path.display()
             );
         }
-    }
-}
-
-/// The text goldens carry what the FNV digests they replace folded:
-/// read back through the same fold, each gives its recorded constant.
-#[test]
-fn the_chaos_goldens_fold_back_to_the_recorded_digests() {
-    let recorded = [
-        (1, 9_518_224_309_930_257_289, [239, 80, 1_168, 600]),
-        (7, 14_678_918_706_567_165_617, [257, 100, 1_156, 600]),
-        (42, 10_523_027_583_647_244_597, [249, 100, 1_159, 600]),
-    ];
-    for (seed, digest, counters) in recorded {
-        let text = std::fs::read_to_string(chaos_golden_path(seed)).expect("a golden file");
-        let mut h = FNV_OFFSET;
-        let mut read = Vec::new();
-        for line in text.lines() {
-            let words: Vec<&str> = line.split(' ').collect();
-            let num = |w: &str| w.parse::<u64>().expect("a number");
-            match words[..] {
-                ["replica", _, "executed", n, "log_digest", d] => {
-                    fnv(&mut h, &num(n).to_le_bytes());
-                    let d = u64::from_str_radix(d, 16).expect("a hex digest");
-                    fnv(&mut h, &d.to_le_bytes());
-                }
-                [slot, hex] if slot.bytes().all(|b| b.is_ascii_digit()) => {
-                    let value: Vec<u8> = (0..hex.len())
-                        .step_by(2)
-                        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex"))
-                        .collect();
-                    fnv(&mut h, &num(slot).to_le_bytes());
-                    fnv(&mut h, &(value.len() as u64).to_le_bytes());
-                    fnv(&mut h, &value);
-                }
-                [_, n] => read.push(num(n)),
-                _ => panic!("seed {seed}: unreadable line {line}"),
-            }
-        }
-        assert_eq!(h, digest, "seed {seed}");
-        assert_eq!(read, counters, "seed {seed}");
     }
 }
 
