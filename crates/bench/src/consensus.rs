@@ -30,8 +30,9 @@
 //! [`SCENARIOS`](crate::scenarios::SCENARIOS) (`device_kill`,
 //! `tor_partition`, `budget_flap`): `inc-bench scenario` prints them,
 //! `inc-bench explain` replays them, `tests/golden_schedules.rs` pins
-//! their shift logs and `tests/failure_injection.rs` reads its recovery
-//! verdicts off the same runs.
+//! their shift logs and `tests/failure_injection.rs` runs the rows'
+//! own rigs (`scenarios::device_kill_rig` and its two siblings) for its
+//! recovery and liveness verdicts.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -46,7 +47,7 @@ use inc_paxos::{ClientCommand, Dest, MsgType, Outbox, PaxosMsg};
 use inc_power::EnergyParams;
 use inc_sim::{Nanos, Rng, Simulator};
 
-use inc_hw::{PipelineBudget, ProgramResources};
+use inc_hw::{PipelineBudget, Placement, ProgramResources};
 
 /// A node of the chaos cluster (the address space of the adversarial
 /// network).
@@ -458,7 +459,9 @@ pub enum Fault {
 /// chaos and meters a role at [`ROLE_RATE_PPS`] if it voted (acceptors)
 /// or proposed (leaders) in the interval, idle otherwise. Its timeline
 /// row counts those votes or proposals as `completed` and meters
-/// [`role_analysis`]'s power for the role's placement.
+/// [`role_analysis`]'s power for the role's placement, a device away
+/// from home saving only its tier's `benefit_factor` share and paying
+/// the detour's link energy, as every fleet rig meters it.
 pub struct ConsensusRig {
     /// The protocol layer.
     pub cluster: ChaosCluster,
@@ -536,12 +539,22 @@ impl ConsensusRig {
             );
             let votes = cluster.acceptors.iter().map(|a| a.votes);
             let counts = votes.chain(cluster.leaders.iter().map(|l| l.proposals_sent));
-            let roles = counts.zip(&mut seen).zip(ctl.placements());
+            let (fabric, apps) = (ctl.fabric(), ctl.apps());
+            let roles = counts.zip(&mut seen).enumerate();
             roles
-                .map(|((count, seen), placement)| {
+                .map(|(i, (count, seen))| {
                     let completed = count - std::mem::replace(seen, count);
                     let rate = if completed > 0 { ROLE_RATE_PPS } else { 0.0 };
-                    let (sw_w, hw_w) = role_analysis().energy_per_second(rate);
+                    let placement = ctl.placements()[i];
+                    let (sw_w, hw_w) = apps[i].analysis.energy_per_second(rate);
+                    let power_w = match placement {
+                        Placement::Software => sw_w,
+                        Placement::Device(d) => {
+                            let f = fabric.benefit_factor(apps[i].home, d);
+                            let link_w = fabric.link_energy_w(apps[i].home, d, rate);
+                            sw_w - f * (sw_w - hw_w) + link_w
+                        }
+                    };
                     AppObservation {
                         sample: FleetSample {
                             host: HostSample {
@@ -553,7 +566,7 @@ impl ConsensusRig {
                         },
                         completed,
                         latency_p50_ns: 0,
-                        power_w: if placement.is_offloaded() { hw_w } else { sw_w },
+                        power_w,
                     }
                 })
                 .collect()
