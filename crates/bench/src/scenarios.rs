@@ -72,8 +72,9 @@ const DEVICE_KILL: &[(u64, Fault)] = &[
     (5, Fault::Revive(A0)),
 ];
 
-fn device_kill(ctl: &mut FleetController, _: Nanos, until: Nanos) -> FleetTimeline {
-    ConsensusRig::new(11, DEVICE_KILL).run(ctl, until)
+/// Row `device_kill`'s rig: seed 11 under [`DEVICE_KILL`].
+pub fn device_kill_rig() -> ConsensusRig {
+    ConsensusRig::new(11, DEVICE_KILL)
 }
 
 /// Pod 0 goes dark: both its ToRs, acceptor 0 and the incumbent leader.
@@ -83,8 +84,9 @@ const TOR_PARTITION: &[(u64, Fault)] = &[
     (4, Fault::Partition(&[A0, L0])),
 ];
 
-fn tor_partition(ctl: &mut FleetController, _: Nanos, until: Nanos) -> FleetTimeline {
-    ConsensusRig::new(12, TOR_PARTITION).run(ctl, until)
+/// Row `tor_partition`'s rig: seed 12 under [`TOR_PARTITION`].
+pub fn tor_partition_rig() -> ConsensusRig {
+    ConsensusRig::new(12, TOR_PARTITION)
 }
 
 /// A 20 W offload floor, over every role's ~7.6 W benefit, for two
@@ -107,8 +109,9 @@ const BUDGET_FLAP: &[(u64, Fault)] = &[
     (24, Fault::MinBenefit(1.0)),
 ];
 
-fn budget_flap(ctl: &mut FleetController, _: Nanos, until: Nanos) -> FleetTimeline {
-    ConsensusRig::new(13, BUDGET_FLAP).run(ctl, until)
+/// Row `budget_flap`'s rig: seed 13 under [`BUDGET_FLAP`].
+pub fn budget_flap_rig() -> ConsensusRig {
+    ConsensusRig::new(13, BUDGET_FLAP)
 }
 
 /// The table: every scheduling scenario the repository runs.
@@ -216,7 +219,7 @@ pub static SCENARIOS: [Scenario; 8] = [
         interval: Nanos::from_secs(1),
         busy: (Nanos::from_secs(4), Nanos::from_secs(12)),
         controllers: &[("fleet", ConsensusRig::fleet_controller)],
-        rig: device_kill,
+        rig: |ctl, _, until| device_kill_rig().run(ctl, until),
     },
     Scenario {
         name: "tor_partition",
@@ -225,7 +228,7 @@ pub static SCENARIOS: [Scenario; 8] = [
         interval: Nanos::from_secs(1),
         busy: (Nanos::from_secs(4), Nanos::from_secs(14)),
         controllers: &[("fleet", ConsensusRig::fleet_controller)],
-        rig: tor_partition,
+        rig: |ctl, _, until| tor_partition_rig().run(ctl, until),
     },
     Scenario {
         name: "budget_flap",
@@ -235,7 +238,7 @@ pub static SCENARIOS: [Scenario; 8] = [
         interval: Nanos::from_secs(1),
         busy: (Nanos::from_secs(4), Nanos::from_secs(25)),
         controllers: &[("fleet", ConsensusRig::fleet_controller)],
-        rig: budget_flap,
+        rig: |ctl, _, until| budget_flap_rig().run(ctl, until),
     },
 ];
 

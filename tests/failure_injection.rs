@@ -190,52 +190,85 @@ fn kvs_under_loss_never_corrupts() {
 // ---------------------------------------------------------------------------
 // Chaos scenarios: Multi-Paxos roles as fleet tenants under device death,
 // ToR partition and an offload-floor flap. Each is a row of
-// `inc_bench::scenarios::SCENARIOS`, and the tests read the very run
-// `inc-bench scenario <name>` prints; its rig panics, naming the
-// interval, if either safety property breaks. The verdicts are about
-// placement: who moves when, and how many controller intervals recovery
-// takes against the sustain window. Faults land after interval 4.
+// `inc_bench::scenarios::SCENARIOS`; the tests run the row's own rig
+// under its fleet controller, check that the shift log is the one
+// `inc-bench scenario <name>` prints, and keep the rig to read the
+// protocol off. The rig panics, naming the interval, if either safety
+// property breaks. The verdicts are about placement (who moves when, and
+// how many controller intervals recovery takes against the sustain
+// window) and about liveness: the surviving quorum keeps executing
+// commands. Faults land after interval 4.
 // ---------------------------------------------------------------------------
 
+use common::shifts_of;
 use inc::hw::{DeviceId, Placement};
 use inc::ondemand::{FleetController, FleetTimeline, ShiftReason};
 use inc_bench::consensus::{ConsensusRig, Fault, NodeRef};
-use inc_bench::scenarios::scenario;
+use inc_bench::scenarios::{budget_flap_rig, device_kill_rig, scenario, tor_partition_rig};
 
 /// The tenants' app indices: acceptors 0–2, then leaders 0 and 1.
 const LEADER_0: usize = 3;
 const LEADER_1: usize = 4;
 const FAULT_S: u64 = 4;
 
-/// The fleet run of chaos row `name` and its sustain window.
-fn chaos_row(name: &str) -> (FleetController, FleetTimeline, u64) {
-    let (ctl, timeline) = scenario(name).expect("a SCENARIOS row").run("fleet");
-    let sustain = u64::from(ctl.config().sustain_samples);
-    (ctl, timeline, sustain)
-}
-
 /// Whole seconds: every chaos tick falls on one.
 fn secs(t: Nanos) -> u64 {
     t.as_nanos() / 1_000_000_000
 }
 
-/// `(second, placement, completed)` of every interval of `app`.
-fn rows(timeline: &FleetTimeline, app: usize) -> Vec<(u64, Placement, u64)> {
+/// Chaos row `name` on `rig`, the row's own rig, under the row's fleet
+/// controller, stopped at the tick at `stop` seconds. The run is a
+/// prefix of the full one: a fresh rig replays the same seed.
+fn run_to(
+    name: &str,
+    rig: fn() -> ConsensusRig,
+    stop: u64,
+) -> (FleetController, FleetTimeline, ConsensusRig) {
+    let row = scenario(name).expect("a SCENARIOS row");
+    let mut ctl = (row.controllers[0].1)(row.interval);
+    let mut rig = rig();
+    let timeline = rig.run(&mut ctl, Nanos::from_secs(stop));
+    (ctl, timeline, rig)
+}
+
+/// The longest replica log after the tick at `stop` seconds.
+fn executed_by(name: &str, rig: fn() -> ConsensusRig, stop: u64) -> u64 {
+    run_to(name, rig, stop).2.cluster.max_executed()
+}
+
+/// Chaos row `name` run to its horizon; also that horizon in seconds
+/// and the row's sustain window.
+fn chaos_row(name: &str, rig: fn() -> ConsensusRig) -> (FleetController, FleetTimeline, u64, u64) {
+    let row = scenario(name).expect("a SCENARIOS row");
+    let horizon = secs(row.horizon);
+    let (ctl, timeline, _) = run_to(name, rig, horizon);
+    let printed = format!("{:?}", row.run("fleet").0.shifts());
+    assert_eq!(format!("{:?}", ctl.shifts()), printed, "not {name}'s rig");
+    let sustain = u64::from(ctl.config().sustain_samples);
+    (ctl, timeline, horizon, sustain)
+}
+
+/// Where `app` sits after the tick at `at` seconds.
+fn placed(timeline: &FleetTimeline, app: usize, at: u64) -> Placement {
+    let shifts = shifts_of(timeline, app).into_iter();
+    let last = shifts.take_while(|s| secs(s.0) <= at).last();
+    last.map_or(Placement::Software, |s| s.1)
+}
+
+/// The first shift after `at` seconds that puts `app` on a device.
+fn offloaded_after(timeline: &FleetTimeline, app: usize, at: u64) -> Option<(u64, Placement)> {
+    let shifts = shifts_of(timeline, app).into_iter();
+    shifts
+        .map(|(t, to)| (secs(t), to))
+        .find(|&(t, to)| t > at && to.is_offloaded())
+}
+
+/// `(second, completed)` of every interval of `app` after `at` seconds:
+/// an acceptor's votes, a leader's proposals.
+fn busy_after(timeline: &FleetTimeline, app: usize, at: u64) -> Vec<(u64, u64)> {
     let rows = timeline.per_app[app].rows().iter();
-    rows.map(|r| (secs(r.t), r.placement, r.completed))
-        .collect()
-}
-
-/// Where `app` sits after the tick at `secs`.
-fn placed(timeline: &FleetTimeline, app: usize, secs: u64) -> Placement {
-    let row = rows(timeline, app).into_iter().find(|r| r.0 == secs);
-    row.expect("a row per tick").1
-}
-
-/// The first tick after `secs` that leaves `app` on a device.
-fn offloaded_after(timeline: &FleetTimeline, app: usize, secs: u64) -> Option<(u64, Placement)> {
-    let later = rows(timeline, app).into_iter().skip_while(|r| r.0 <= secs);
-    later.map(|r| (r.0, r.1)).find(|r| r.1.is_offloaded())
+    let rows = rows.map(|r| (secs(r.t), r.completed));
+    rows.filter(|r| r.0 > at).collect()
 }
 
 /// `(second, app)` of every `DeviceLoss` shift.
@@ -249,7 +282,7 @@ fn device_losses(ctl: &FleetController) -> Vec<(u64, usize)> {
 
 #[test]
 fn chaos_device_kill_recovers_within_deadline() {
-    let (ctl, timeline, sustain) = chaos_row("device_kill");
+    let (ctl, timeline, horizon, sustain) = chaos_row("device_kill", device_kill_rig);
     // Warm: the three acceptors and the elected leader hold their home
     // ToRs; the passive leader meters no traffic and stays in software.
     let homes = [0, 2, 3, 0].map(|d| Placement::Device(DeviceId(d)));
@@ -269,29 +302,34 @@ fn chaos_device_kill_recovers_within_deadline() {
         recovery <= 2 * sustain + 2,
         "re-offload took {recovery} intervals"
     );
-    // The surviving 2/3 quorum votes in every interval after the kill
-    // but the last, in which no vote answered the leader's one proposal
-    // before the run stopped.
+    // The surviving 2/3 quorum votes on through the horizon. An interval
+    // can pass without a vote when the 5 % loss swallows its proposals
+    // (the one at 12 s; run on, 19 s is another), and the leader's
+    // retransmit makes it up the next, so no two in a row may be quiet.
     for acceptor in [1, 2] {
-        let rows = rows(&timeline, acceptor);
-        let idle = rows
-            .iter()
-            .find(|r| (FAULT_S + 1..12).contains(&r.0) && r.2 == 0);
-        assert_eq!(idle, None, "acceptor {acceptor} stopped voting");
+        let votes = busy_after(&timeline, acceptor, FAULT_S);
+        assert_eq!(votes.last().map(|r| r.0), Some(horizon));
+        let stalled = votes.windows(2).find(|w| w[0].1 + w[1].1 == 0);
+        assert_eq!(stalled, None, "acceptor {acceptor} stopped voting");
     }
+    // And the replicas execute what it chooses, before and after the
+    // re-offload.
+    let executed = [FAULT_S, 8, horizon].map(|s| executed_by("device_kill", device_kill_rig, s));
+    assert!(
+        executed.windows(2).all(|w| w[0] < w[1]),
+        "commands at {FAULT_S} s, 8 s and {horizon} s: {executed:?}"
+    );
 }
 
 #[test]
 fn chaos_tor_partition_keeps_quorum_and_moves_leadership() {
-    let (ctl, timeline, sustain) = chaos_row("tor_partition");
+    let (ctl, timeline, horizon, sustain) = chaos_row("tor_partition", tor_partition_rig);
     assert_eq!(device_losses(&ctl), [(5, 0), (5, LEADER_0)]);
     // Leader 1 wins the election on the majority side and proposes from
     // interval 8 on; the pod-1 acceptors are its quorum.
     let busy = |app| {
-        let rows = rows(&timeline, app).into_iter();
-        rows.skip_while(|r| r.0 <= FAULT_S || r.2 == 0)
-            .map(|r| (r.0, r.2))
-            .collect::<Vec<_>>()
+        let rows = busy_after(&timeline, app, FAULT_S).into_iter();
+        rows.skip_while(|r| r.1 == 0).collect::<Vec<_>>()
     };
     let proposing = busy(LEADER_1);
     assert_eq!(proposing.first().map(|r| r.0), Some(8));
@@ -307,13 +345,13 @@ fn chaos_tor_partition_keeps_quorum_and_moves_leadership() {
             "acceptor {acceptor}: {voting:?}"
         );
     }
-    // Its tenant sits on a pod-1 ToR from 10 s on.
+    // Its tenant lands on a pod-1 ToR at 10 s and stays in pod 1.
     let pod_1 = |p: Placement| matches!(p, Placement::Device(d) if d.index() >= 2);
     let placed_at = offloaded_after(&timeline, LEADER_1, FAULT_S);
     assert_eq!(placed_at.map(|r| r.0), Some(10));
-    let led = rows(&timeline, LEADER_1);
+    let led = shifts_of(&timeline, LEADER_1);
     assert!(
-        led.iter().filter(|r| r.0 >= 10).all(|r| pod_1(r.1)),
+        led.iter().filter(|s| secs(s.0) >= 10).all(|s| pod_1(s.1)),
         "{led:?}"
     );
     let recovery = 10 - FAULT_S;
@@ -321,12 +359,20 @@ fn chaos_tor_partition_keeps_quorum_and_moves_leadership() {
         recovery <= 4 * sustain + 4,
         "recovery took {recovery} intervals"
     );
-    assert_eq!(placed(&timeline, LEADER_0, 14), Placement::Software);
+    assert_eq!(placed(&timeline, LEADER_0, horizon), Placement::Software);
+    // The log stalls while the majority elects, then grows again under
+    // leader 1, before and after its tenant's offload.
+    let executed =
+        [FAULT_S, 10, horizon].map(|s| executed_by("tor_partition", tor_partition_rig, s));
+    assert!(
+        executed.windows(2).all(|w| w[0] < w[1]),
+        "commands at {FAULT_S} s, 10 s and {horizon} s: {executed:?}"
+    );
 }
 
 #[test]
 fn chaos_budget_flap_is_hysteresis_stable() {
-    let (ctl, timeline, sustain) = chaos_row("budget_flap");
+    let (ctl, timeline, horizon, sustain) = chaos_row("budget_flap", budget_flap_rig);
     let shifts_in = |from: u64, to: u64| {
         let shifts = ctl.shifts().iter();
         shifts.filter(|s| (from..=to).contains(&secs(s.at))).count()
@@ -353,8 +399,14 @@ fn chaos_budget_flap_is_hysteresis_stable() {
         recovery <= 2 * sustain + 2,
         "re-offload took {recovery} intervals"
     );
-    // A flap faster than the sustain window moves nothing.
-    assert_eq!(shifts_in(14, 25), 0, "the fast flap churned");
+    // A flap faster than the sustain window moves nothing, and the log
+    // grows through it.
+    assert_eq!(shifts_in(14, horizon), 0, "the fast flap churned");
+    let executed = [FAULT_S, 13, horizon].map(|s| executed_by("budget_flap", budget_flap_rig, s));
+    assert!(
+        executed.windows(2).all(|w| w[0] < w[1]),
+        "commands at {FAULT_S} s, 13 s and {horizon} s: {executed:?}"
+    );
 }
 
 #[test]
